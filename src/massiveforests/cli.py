@@ -476,6 +476,7 @@ def cmd_experiment(args):
         header = ["experiment", "delta", "M", "u_bar", "ratio", "target",
                   "error"]
     elif args.name == "crossing":
+        cell = 0  # one seed per cell, as in nearcrit.crossing_grid
         for r in cfg.get("radii", [0.3]):
             for horizontal in (True, False):
                 for z in cfg.get("translations", [[0.0, 0.0]]):
@@ -484,7 +485,8 @@ def cmd_experiment(args):
                                             horizontal=horizontal)
                         est, se = crossing_probability(
                             spec, r * cfg.get("delta_ratio", 1 / 64), M,
-                            cfg.get("n", 10**4), seed)
+                            cfg.get("n", 10**4), seed + cell)
+                        cell += 1
                         rows.append(["crossing", r, M, horizontal,
                                      z[0], z[1], est, se])
         header = ["experiment", "r", "M", "horizontal", "z_re", "z_im",

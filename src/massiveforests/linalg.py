@@ -1,13 +1,17 @@
 """Massive Laplacians, potentials and transfer currents.
 
-Float paths go through numpy (dense LU); the exact paths use fraction-free
-Bareiss elimination and rational Gaussian solves so that the matrix-forest
-and determinantal identities can be checked bit-exactly against the
-enumeration oracles.
+One assembler builds the (row, col, value) triplets of the massive
+Laplacian from the edge arrays.  Float determinants and the full potential
+go through dense LAPACK LU; a determinantal query only solves for the few
+potential columns it reads, with one sparse LU.  The exact paths use
+fraction-free Bareiss elimination and rational Gaussian solves so that the
+matrix-forest and determinantal identities can be checked bit-exactly
+against the enumeration oracles.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,72 +19,91 @@ import scipy.linalg
 
 from .graphs import ROOT, WeightedGraph
 
-DENSE_SOLVE_LIMIT = 4000
-
 
 class RecurrentWalkError(ValueError):
     """Raised when the massive Laplacian is singular (m == 0, finite graph)."""
 
 
+def _laplacian_triplets(g: WeightedGraph, exact=False):
+    """Unsummed (row, col, value) triplets of the massive Laplacian.
+
+    Masses come first, then the loop-free edges in edge order, so summing
+    the triplets in order adds the terms of each entry in the same order as
+    a loop over the out-edges would.  Loops are dropped: c(x) - c_(x,x)
+    cancels them.
+    """
+    keep = np.flatnonzero(g.tail != g.head)
+    t, h = g.tail[keep], g.head[keep]
+    diag = np.arange(g.n)
+    rows = np.concatenate([diag, t, t])
+    cols = np.concatenate([diag, t, h])
+    if exact:
+        c = [Fraction(g.cond[i]) for i in keep.tolist()]
+        vals = [Fraction(m) for m in g.masses] + c + [-v for v in c]
+    else:
+        c = g.cond_f[keep]
+        vals = np.concatenate([g.masses_f, c, -c])
+    return rows, cols, vals
+
+
 def assemble_massive_laplacian(g: WeightedGraph):
     """Dense float massive Laplacian: diag m(x)+c(x)-c_(x,x), off -c_(x,y)."""
     n = g.n
-    L = np.zeros((n, n))
-    for x in range(n):
-        L[x, x] = g.masses_f[x]
-        for eid in g.out_edges[x]:
-            y = g.head[eid]
-            c = g.cond_f[eid]
-            if y == x:
-                continue  # c(x) - c_(x,x) cancels the loop
-            L[x, x] += c
-            L[x, y] -= c
-    return L
+    rows, cols, vals = _laplacian_triplets(g)
+    return np.bincount(rows * n + cols, weights=vals,
+                       minlength=n * n).reshape(n, n)
 
 
 def assemble_massive_laplacian_exact(g: WeightedGraph):
     """Same matrix with Fraction entries (graph data must be rational)."""
     n = g.n
     L = [[Fraction(0)] * n for _ in range(n)]
-    for x in range(n):
-        L[x][x] += Fraction(g.masses[x])
-        for eid in g.out_edges[x]:
-            y = int(g.head[eid])
-            c = Fraction(g.cond[eid])
-            if y == x:
-                continue
-            L[x][x] += c
-            L[x][y] -= c
+    rows, cols, vals = _laplacian_triplets(g, exact=True)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals):
+        L[r][c] += v
     return L
 
 
-def determinant(M):
-    """LU determinant of a dense float matrix (0.0 for singular input)."""
+def _lu_diagonal(M):
+    """Diagonal of U and the permutation sign of the LU factorization of M.
+
+    A singular M shows as a zero on the diagonal (LAPACK getrf, called
+    directly so that no LinAlgWarning is raised).
+    """
     M = np.asarray(M, float)
     if M.size == 0:
-        return 1.0
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    diag = np.diag(lu)
+        return np.ones(0), 1.0
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
+    lu, piv, _ = getrf(M)
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    return np.diag(lu), (-1.0 if swaps % 2 else 1.0)
+
+
+def determinant(M):
+    """LU determinant of a dense float matrix (0.0 for singular input).
+
+    The product of the LU diagonal over- or underflows on large matrices
+    (a 40x40 grid at mass 0.05 gives inf); a RuntimeWarning then points to
+    `log_determinant`, whose value stays finite.
+    """
+    diag, sign = _lu_diagonal(M)
     if np.any(diag == 0.0):
         return 0.0
-    return sign * float(np.prod(diag))
+    with np.errstate(over="ignore", under="ignore"):
+        det = sign * float(np.prod(diag))
+    if (det == 0.0 or not np.isfinite(det)) and np.all(np.isfinite(diag)):
+        warnings.warn(
+            "determinant over- or underflows float64 although log|det| is "
+            "finite; use log_determinant", RuntimeWarning, stacklevel=2)
+    return det
 
 
 def log_determinant(M):
-    """(sign, log|det|) for scale-robust comparisons."""
-    M = np.asarray(M, float)
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    diag = np.diag(lu)
-    sign *= np.prod(np.sign(diag))
-    return sign, float(np.sum(np.log(np.abs(diag))))
+    """(sign, log|det|) for scale-robust comparisons; (0.0, -inf) if singular."""
+    diag, sign = _lu_diagonal(M)
+    with np.errstate(divide="ignore"):
+        logdet = float(np.sum(np.log(np.abs(diag))))
+    return sign * float(np.prod(np.sign(diag))), logdet
 
 
 def determinant_exact(M):
@@ -130,23 +153,25 @@ def solve_exact(M, B):
 
 
 class Potential:
-    """The matrix V(x, y) of expected visits of the killed walk.
+    """Columns of the matrix V(x, y) of expected visits of the killed walk.
 
     V solves Delta^k V = D(c^k); entries are Fractions in exact mode.
-    `continuous(x, y)` is V(x, y)/c^k(y), the quantity entering the
-    transfer current.
+    `columns` maps a vertex y to its column of V; None means all n columns
+    in vertex order.  `continuous(x, y)` is V(x, y)/c^k(y), the quantity
+    entering the transfer current.
     """
 
-    def __init__(self, g: WeightedGraph, V, exact=False, provenance="inverse"):
+    def __init__(self, g: WeightedGraph, V, exact=False, columns=None):
         self.g = g
         self.V = V
         self.exact = exact
-        self.provenance = provenance
+        self.columns = columns
 
     def value(self, x, y):
         if x == ROOT or y == ROOT:
             return Fraction(0) if self.exact else 0.0
-        return self.V[x][y] if self.exact else self.V[x, y]
+        j = y if self.columns is None else self.columns[y]
+        return self.V[x][j] if self.exact else self.V[x, j]
 
     def continuous(self, x, y):
         if x == ROOT or y == ROOT:
@@ -154,31 +179,55 @@ class Potential:
         return self.value(x, y) / self.g.ck(y)
 
 
-def potential(g: WeightedGraph, exact=False) -> Potential:
-    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k)."""
+def _require_transient(g: WeightedGraph, exact):
     if all(m == 0 for m in g.masses):
         raise RecurrentWalkError(
             "m == 0 on a finite graph: the walk is recurrent and the "
             "potential diverges")
+    if exact and not g.is_exact():
+        raise ValueError("exact potential needs rational graph data")
+
+
+def _solve_exact_columns(g: WeightedGraph, ys):
+    """Columns ys of V in rational arithmetic: one solve, len(ys) sides."""
+    B = [[Fraction(g.ck(y)) if x == y else Fraction(0) for y in ys]
+         for x in range(g.n)]
+    return solve_exact(assemble_massive_laplacian_exact(g), B)
+
+
+def potential(g: WeightedGraph, exact=False) -> Potential:
+    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k).
+
+    All n columns; the float path is one dense LAPACK solve, since its
+    output is a dense n x n matrix anyway.
+    """
+    _require_transient(g, exact)
     if exact:
-        if not g.is_exact():
-            raise ValueError("exact potential needs rational graph data")
-        L = assemble_massive_laplacian_exact(g)
-        D = [[Fraction(g.ck(x)) if x == y else Fraction(0)
-              for y in range(g.n)] for x in range(g.n)]
-        V = solve_exact(L, D)
-        return Potential(g, V, exact=True)
-    L = assemble_massive_laplacian(g)
+        return Potential(g, _solve_exact_columns(g, range(g.n)), exact=True)
     D = np.diag([float(g.ck(x)) for x in range(g.n)])
-    if g.n <= DENSE_SOLVE_LIMIT:
-        V = np.linalg.solve(L, D)
-    else:
-        import scipy.sparse
-        import scipy.sparse.linalg
-        Ls = scipy.sparse.csc_matrix(L)
-        solve = scipy.sparse.linalg.factorized(Ls)
-        V = np.column_stack([solve(D[:, j]) for j in range(g.n)])
-    return Potential(g, V, exact=False)
+    return Potential(g, np.linalg.solve(assemble_massive_laplacian(g), D))
+
+
+def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
+    """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0).
+
+    The float path is one sparse LU factorization of the massive Laplacian
+    with a right-hand side per column.
+    """
+    _require_transient(g, exact)
+    ys = sorted({int(y) for y in ys} - {ROOT})
+    columns = {y: j for j, y in enumerate(ys)}
+    if exact:
+        return Potential(g, _solve_exact_columns(g, ys), True, columns)
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    rows, cols, vals = _laplacian_triplets(g)
+    L = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    D = np.zeros((g.n, len(ys)))
+    D[ys, np.arange(len(ys))] = [float(g.ck(y)) for y in ys]
+    return Potential(g, scipy.sparse.linalg.splu(L).solve(D),
+                     columns=columns)
 
 
 def potential_walk_sum(g: WeightedGraph, n_terms=200):
@@ -235,13 +284,13 @@ def edge_conductance_k(g: WeightedGraph, e):
 def edge_probability(g: WeightedGraph, edges, exact=False):
     """Boltzmann probability that all given directed edges are present.
 
-    Determinantal formula: det[(H_{e_i,e_j})] * prod c^k_{e_i}.
+    Determinantal formula: det[(H_{e_i,e_j})] * prod c^k_{e_i}.  The
+    minor only reads the potential columns at the tails of the edges.
     """
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges in probability query")
-    pot = potential(g, exact=exact)
-    H = transfer_current(g, pot)
-    minor = H.minor(edges)
+    pot = _potential_columns(g, [y for y, _ in edges], exact=exact)
+    minor = transfer_current(g, pot).minor(edges)
     det = determinant_exact(minor) if exact else determinant(
         np.array(minor, float))
     prob = det

@@ -10,7 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import ROOT, RootedForest, WeightedGraph
-from .linalg import assemble_massive_laplacian
+from .linalg import (
+    assemble_massive_laplacian,
+    assemble_massive_laplacian_exact,
+    solve_exact,
+)
 
 WILSON_STEP_CAP = 10**9
 
@@ -244,49 +248,26 @@ def lerw_exact_probability(g: WeightedGraph, gamma, exact=False):
     """
     from fractions import Fraction
 
-    from .linalg import solve_exact
-
     if len(set(gamma)) != len(gamma):
         raise ValueError("gamma must be simple")
-    n = g.n
-    remaining = sorted(set(range(n)))
     prob = Fraction(1) if exact else 1.0
+    # principal submatrices of Delta^k keep the full c^k on the diagonal
+    L = assemble_massive_laplacian_exact(g) if exact else \
+        assemble_massive_laplacian(g)
 
     def green_diag(domain, v):
-        idx = {u: i for i, u in enumerate(domain)}
+        i = domain.index(v)
         if exact:
-            L = [[Fraction(0)] * len(domain) for _ in domain]
-            for u in domain:
-                L[idx[u]][idx[u]] += Fraction(g.masses[u])
-                for eid in g.out_edges[u]:
-                    y = int(g.head[eid])
-                    c = Fraction(g.cond[eid])
-                    if y == u:
-                        continue
-                    L[idx[u]][idx[u]] += c
-                    if y in idx:
-                        L[idx[u]][idx[y]] -= c
+            L_dom = [[L[u][w] for w in domain] for u in domain]
             B = [[Fraction(1) if u == v else Fraction(0)] for u in domain]
-            col = solve_exact(L, B)
-            return col[idx[v]][0] * Fraction(g.ck(v))
-        L = np.zeros((len(domain), len(domain)))
-        for u in domain:
-            L[idx[u], idx[u]] += g.masses_f[u]
-            for eid in g.out_edges[u]:
-                y = int(g.head[eid])
-                c = g.cond_f[eid]
-                if y == u:
-                    continue
-                L[idx[u], idx[u]] += c
-                if y in idx:
-                    L[idx[u], idx[y]] -= c
+            return solve_exact(L_dom, B)[i][0] * Fraction(g.ck(v))
         e = np.zeros(len(domain))
-        e[idx[v]] = 1.0
-        col = np.linalg.solve(L, e)
-        return col[idx[v]] * float(g.ck(v))
+        e[i] = 1.0
+        col = np.linalg.solve(L[np.ix_(domain, domain)], e)
+        return col[i] * float(g.ck(v))
 
     for i, v in enumerate(gamma):
-        domain = [u for u in remaining if u not in gamma[:i]]
+        domain = [u for u in range(g.n) if u not in gamma[:i]]
         prob = prob * green_diag(domain, v)
         if i < len(gamma) - 1:
             w = gamma[i + 1]

@@ -159,6 +159,25 @@ class TestDispatch:
         lines = open(out).read().splitlines()
         assert len(lines) == 3
 
+    def test_experiment_crossing_cells_seeded_apart(self, tmp_path):
+        # two identical cells (same r, z, M, orientation) must not share a
+        # stream; reruns of one invocation stay byte-identical
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "radii": [0.3], "masses": [1.0], "delta_ratio": 1 / 8,
+            "translations": [[0.0, 0.0], [0.0, 0.0]], "n": 400,
+            "seed": 7}))
+        outs = [str(tmp_path / f"cross{i}.csv") for i in (1, 2)]
+        for out in outs:
+            assert main(["experiment", "crossing", "--config", str(cfg),
+                         "--out", out]) == 0
+        texts = [open(out).read() for out in outs]
+        assert texts[0] == texts[1]
+        rows = texts[0].splitlines()[1:]
+        assert len(rows) == 4
+        assert rows[0].split(",")[:6] == rows[1].split(",")[:6]
+        assert rows[0].split(",")[6] != rows[1].split(",")[6]
+
     def test_sample_dimers(self, tmp_path):
         gpath = str(tmp_path / "grid.json")
         assert main(["grid", "--delta", "0.125", "--window", "8", "--M",

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from massiveforests.linalg import (
     determinant_exact,
     edge_conductance_k,
     edge_probability,
+    log_determinant,
     potential,
     potential_walk_sum,
     transfer_current,
@@ -20,6 +22,59 @@ from massiveforests.linalg import (
 from massiveforests.graphs import enumerate_forests, forest_partition_function
 
 from test_graphs import grid_graph, path_ab, random_rational_graph
+
+
+def loop_laplacian(g, exact=False):
+    """Reference massive Laplacian, one out-edge at a time."""
+    n = g.n
+    L = [[Fraction(0)] * n for _ in range(n)] if exact else np.zeros((n, n))
+    for x in range(n):
+        L[x][x] += Fraction(g.masses[x]) if exact else g.masses_f[x]
+        for eid in g.out_edges[x]:
+            y = int(g.head[eid])
+            if y == x:
+                continue
+            c = Fraction(g.cond[eid]) if exact else g.cond_f[eid]
+            L[x][x] += c
+            L[x][y] -= c
+    return L
+
+
+def skewed_graph(rng, side=6):
+    """Float grid with independent conductances per direction, loops,
+    parallel edges and some zero masses."""
+    edges = []
+    for j in range(side):
+        for i in range(side):
+            v = j * side + i
+            for w in ([v + 1] if i + 1 < side else []) + \
+                    ([v + side] if j + 1 < side else []):
+                edges.append((v, w, float(rng.uniform(0.2, 3.0))))
+                edges.append((w, v, float(rng.uniform(0.2, 3.0))))
+            if rng.random() < 0.3:
+                edges.append((v, v, float(rng.uniform(0.5, 2.0))))
+            if i + 1 < side and rng.random() < 0.3:
+                edges.append((v, v + 1, float(rng.uniform(0.5, 2.0))))
+    masses = [float(m) if m > 0.3 else 0.0
+              for m in rng.uniform(0.0, 1.0, side * side)]
+    return WeightedGraph(side * side, edges, masses)
+
+
+def dense_edge_probability(g, V, edges):
+    """Determinantal formula on a full dense potential V."""
+    def cont(x, y):
+        return 0.0 if ROOT in (x, y) else V[x, y] / float(g.ck(y))
+
+    H = [[0.0 if y == ROOT or w == x else cont(w, y) - cont(x, y)
+          for (y, _) in edges] for (w, x) in edges]
+    prob = np.linalg.det(np.array(H)) if edges else 1.0
+    for e in edges:
+        prob *= float(edge_conductance_k(g, e))
+    return prob
+
+
+def out_row(g, x):
+    return [(x, y) for y in g.neighbours(x) if y != x] + [(x, ROOT)]
 
 
 class TestAssembly:
@@ -45,6 +100,19 @@ class TestAssembly:
         Lx = assemble_massive_laplacian_exact(g)
         assert Lx[0][0] == 2
 
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(3)
+        graphs = [skewed_graph(rng) for _ in range(3)]
+        graphs += [random_rational_graph(rng) for _ in range(10)]
+        assert any(g.m_edges > len(g.directed_edge_set()) for g in graphs)
+        assert any((g.tail == g.head).any() for g in graphs)
+        for g in graphs:
+            # same terms summed in the same order: equal bit for bit
+            assert np.array_equal(assemble_massive_laplacian(g),
+                                  loop_laplacian(g))
+            assert assemble_massive_laplacian_exact(g) == \
+                loop_laplacian(g, exact=True)
+
 
 class TestDeterminant:
     def test_hand_value(self):
@@ -60,10 +128,32 @@ class TestDeterminant:
         assert determinant_exact([[1, 1], [1, 1]]) == 0
 
     def test_log_determinant(self):
-        from massiveforests.linalg import log_determinant
         M = np.array([[2., -1.], [-1., 2.]])
         sign, logdet = log_determinant(M)
         assert sign == 1.0 and logdet == pytest.approx(np.log(3))
+
+    def test_pivot_sign(self):
+        P = np.eye(4)[[1, 0, 3, 2]] * 2.0
+        Q = np.eye(3)[[1, 2, 0]]
+        assert determinant(P) == 16.0
+        assert log_determinant(P) == (1.0, pytest.approx(np.log(16)))
+        assert determinant(Q) == 1.0
+        assert determinant(-Q) == -1.0
+
+    def test_overflow_warns(self):
+        L = assemble_massive_laplacian(grid_graph(40, 40, c=1.0, m=0.05))
+        with pytest.warns(RuntimeWarning, match="log_determinant"):
+            assert determinant(L) == np.inf
+        sign, logdet = log_determinant(L)
+        assert sign == 1.0 and np.isfinite(logdet)
+        with pytest.warns(RuntimeWarning, match="log_determinant"):
+            assert determinant(0.01 * np.eye(400)) == 0.0
+
+    def test_singular_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert determinant(np.ones((3, 3))) == 0.0
+            assert log_determinant(np.ones((3, 3))) == (0.0, -np.inf)
 
     def test_grid_matches_enumeration(self):
         g = grid_graph(3, 3, m=Fraction(1))
@@ -177,3 +267,40 @@ class TestEdgeProbability:
                     expected = num / Z
                     got = edge_probability(g, list(edges), exact=True)
                     assert got == expected
+
+    def test_recurrent_error(self):
+        for exact in (False, True):
+            with pytest.raises(RecurrentWalkError):
+                edge_probability(path_ab(m=Fraction(0)), [(0, 1)],
+                                 exact=exact)
+
+
+class TestFloatQueries:
+    """Few-column sparse queries against the full dense potential."""
+
+    @pytest.mark.parametrize("graph", ["grid20", "grid40", "skewed"])
+    def test_matches_dense_reference(self, graph):
+        rng = np.random.default_rng(7)
+        g = {"grid20": lambda: grid_graph(20, 20, c=1.0, m=0.05),
+             "grid40": lambda: grid_graph(40, 40, c=1.0, m=0.05),
+             "skewed": lambda: skewed_graph(rng, side=8)}[graph]()
+        L = loop_laplacian(g)
+        V = np.linalg.solve(L, np.diag([float(g.ck(x)) for x in range(g.n)]))
+        queries = [[(x, ROOT)] for x in range(3)]
+        queries.append(out_row(g, 3)[:2])  # two edges with one tail
+        for _ in range(12):
+            tails = rng.choice(g.n, size=int(rng.integers(1, 4)),
+                               replace=False)
+            queries.append([out_row(g, int(x))[int(rng.integers(
+                len(out_row(g, int(x)))))] for x in tails])
+        for edges in queries:
+            if len(set(edges)) < len(edges):
+                continue
+            got = float(edge_probability(g, edges))
+            assert abs(got - dense_edge_probability(g, V, edges)) <= 1e-10
+
+    def test_out_row_sums_to_one(self):
+        g = grid_graph(60, 60, c=1.0, m=0.05)
+        x = 30 * 60 + 30
+        total = sum(float(edge_probability(g, [e])) for e in out_row(g, x))
+        assert abs(total - 1.0) <= 1e-9

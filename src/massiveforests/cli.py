@@ -180,10 +180,7 @@ def cmd_sample_dimers(args):
               file=sys.stderr)
         return 2, []
     from .elliptic import near_critical_modulus, complete_integrals
-    from .isoradial import build_square_grid, discrete_exponential
 
-    # rebuild the grid geometry from the file's positions and rays is not
-    # needed: lambda is the exponential on the file's own coordinates
     if args.M > 0:
         mod = near_critical_modulus(args.M, args.delta)
     else:
@@ -211,7 +208,6 @@ def cmd_sample_dimers(args):
     adj = defaultdict(list)
     for eid in range(g.m_edges):
         adj[int(g.tail[eid])].append((int(g.head[eid]), eid))
-    bulkset = set(bulk)
     while stack:
         x = stack.pop()
         for (y, eid) in adj[x]:
@@ -613,16 +609,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise
+    args = parser.parse_args(argv)
     t0 = time.time()
     try:
         result = args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

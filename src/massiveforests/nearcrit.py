@@ -1,15 +1,19 @@
 """Near-critical Monte Carlo experiments on the square isoradial lattice.
 
 The regime ties the elliptic nome to the mesh, q = M*delta/2, which makes
-the killing probability of order delta^2.  Walk kernels on the square
-lattice are translation invariant, so the samplers below vectorize over
-walkers; every experiment draws from counter-based per-task streams keyed
+the killing probability of order delta^2.  Crossing, exit law, conditioned
+branch and LERW ratio share one walker engine, `_walk`: exact integer
+lattice sites (at spacing * (i + 1j * j)) under a boolean stop table,
+vectorized over walkers, drawing from counter-based per-task streams keyed
 by the seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +30,6 @@ from .walks import loop_erase, rng_stream
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
-class ExperimentConfig:
-    domain: str = "disk"       # disk | rectangle
-    delta: float = 1 / 32
-    M: float = 1.0
-    u_bar: float = 0.0
-    n_samples: int = 10**4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.M * self.delta / 2 >= 1:
-            raise ValueError("nome q = M*delta/2 must be < 1")
-
-
 class SquareLatticeKernel:
     """Transition data of the (killed or drifted) walk on sqrt(2)*delta*Z^2.
 
@@ -54,7 +44,6 @@ class SquareLatticeKernel:
         "W": (3 * math.pi / 4, 5 * math.pi / 4),
         "S": (-3 * math.pi / 4, -math.pi / 4),
     }
-    STEPS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
     def __init__(self, M, delta, u_bar=None):
         self.M = float(M)
@@ -75,8 +64,10 @@ class SquareLatticeKernel:
             self.p_die = 0.0  # drifted walk carries no mass
         self.cond = cond
         self.p_dirs = (1.0 - self.p_die) * cond / cond.sum()
-        self.cum = np.cumsum(np.concatenate(([self.p_die], self.p_dirs)))
-        self.cum[-1] = 1.0
+        # u picks the direction whose dir_cum interval holds it and kills
+        # iff its relative place there is < p_die: directions ignore mass
+        self.dir_cum = np.cumsum(cond / cond.sum())
+        self.dir_cum[-1] = 1.0
 
     def edge_factor(self, direction, u_bar):
         a, b = self.RAYS[direction]
@@ -90,28 +81,134 @@ class SquareLatticeKernel:
         return self.edge_factor("E", u_bar) ** di * \
             self.edge_factor("N", u_bar) ** dj
 
-    def step_many(self, pos, rng):
-        """(new positions, died mask) for one synchronous step."""
-        u = rng.random(pos.shape[0])
-        idx = np.searchsorted(self.cum, u, side="right")
-        died = idx == 0
-        moves = np.where(died, 0, self.STEPS[np.minimum(idx, 4) - 1])
-        return pos + self.spacing * moves, died
 
-    def step_single(self, z, rng):
-        u = rng.random()
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        if idx == 0:
-            return None
-        return z + self.spacing * complex(self.STEPS[idx - 1])
+def _tasks(n, per_task):
+    """(task id, size) of the per-task batches that split n samples."""
+    return [(t, min(per_task, n - t * per_task))
+            for t in range(-(-n // per_task))]
 
 
-def _nearest_site(kernel, z):
-    s = kernel.spacing
-    return s * complex(round(z.real / s), round(z.imag / s))
+# -- the lattice-walker engine -------------------------------------------------
+
+STEP_CAP = 10**7
+
+
+class _Box:
+    """Lattice sites of the plane box lo..hi plus one site of margin.
+
+    Site (i, j) with flat index k sits at z[k] = spacing * (i + 1j * j);
+    `stop = stop_of(z)`, and `moves` are the flat offsets of the E, N, W
+    and S steps.
+    """
+
+    def __init__(self, spacing, lo, hi, stop_of):
+        i0 = math.floor(lo.real / spacing) - 1
+        j0 = math.floor(lo.imag / spacing) - 1
+        i, j = np.mgrid[i0:math.ceil(hi.real / spacing) + 2,
+                        j0:math.ceil(hi.imag / spacing) + 2]
+        self.spacing, self.origin, self.shape = spacing, (i0, j0), i.shape
+        self.z = (spacing * (i + 1j * j)).ravel()
+        self.stop = stop_of(self.z)
+        self.moves = np.array([i.shape[1], 1, -i.shape[1], -1], np.int32)
+
+    def site(self, i, j):
+        a, b = i - self.origin[0], j - self.origin[1]
+        if not (0 < a < self.shape[0] - 1 and 0 < b < self.shape[1] - 1):
+            raise ValueError(f"site ({i}, {j}) is outside the domain box")
+        return a * self.shape[1] + b
+
+    def nearest(self, z):
+        return self.site(round(z.real / self.spacing),
+                         round(z.imag / self.spacing))
+
+
+def _disk_box(spacing, radius):
+    """Walkers stop on leaving the open disk |z| < radius."""
+    corner = radius * complex(1, 1)
+    return _Box(spacing, -corner, corner, lambda z: np.abs(z) >= radius)
+
+
+def _crossing_box(spec, kernel):
+    """(box, target mask, start): stop outside the closed rectangle or in
+    the open target ball of radius r/4."""
+    lo, hi = spec.rectangle()
+    box = _Box(kernel.spacing, lo, hi, lambda z: (z.real < lo.real)
+               | (z.real > hi.real) | (z.imag < lo.imag) | (z.imag > hi.imag))
+    start = box.nearest(spec.start_center())
+    if abs(box.z[start] - spec.start_center()) > spec.r / 4:
+        raise ValueError("no lattice site inside the start ball")
+    target = np.abs(box.z - spec.target_center()) < spec.r / 4
+    box.stop |= target
+    return box, target, start
+
+
+# per walker: the flat site where it stopped, the one before, and whether it
+# died; paths (record only): the sites each walker visited after the start
+_Walkers = namedtuple("_Walkers", "final prev died truncated paths")
+
+
+def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
+          record=False):
+    """Run n walkers from flat site `start` until each dies or stops.
+
+    Each step draws one uniform per active walker (in walker order) from
+    `rng`, or reads the active walker ids of row `step` of a pre-drawn
+    block `uniforms`, which couples the runs of different kernels.
+    Walkers still running after `max_steps` raise a RuntimeWarning.
+    """
+    cum = kernel.dir_cum
+    lower = np.concatenate(([0.0], cum[:-1]))
+    site = np.full(n, start, dtype=np.int32)
+    ids, visits = np.arange(n), []
+    final, prev, died = site.copy(), site.copy(), np.zeros(n, dtype=bool)
+    for step in range(max_steps):
+        if ids.size == 0:
+            break
+        u = rng.random(ids.size) if uniforms is None else \
+            uniforms[step][ids]
+        k = np.searchsorted(cum, u, side="right")
+        new = site + box.moves[k]
+        stop = box.stop[new]
+        if kernel.p_die > 0:
+            dead = (u - lower[k]) / (cum[k] - lower[k]) < kernel.p_die
+            new[dead] = site[dead]
+            stop |= dead
+            died[ids[dead]] = True
+        if record:
+            visits.append((ids, new))
+        if stop.any():
+            final[ids[stop]], prev[ids[stop]] = new[stop], site[stop]
+            ids, new = ids[~stop], new[~stop]
+        site = new
+    final[ids] = site
+    if ids.size:
+        warnings.warn(f"{ids.size} of {n} walkers were still running after "
+                      f"{max_steps} steps and count as misses",
+                      RuntimeWarning, stacklevel=3)
+    paths = []
+    if record and visits:
+        who, where = (np.concatenate(v) for v in zip(*visits))
+        ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
+        paths = np.split(where[np.argsort(who, kind="stable")], ends)
+    return _Walkers(final, prev, died, int(ids.size), paths)
 
 
 # -- Girsanov ratio ------------------------------------------------------------
+
+
+def _path_ratios(killed, drifted, box, x, y):
+    """(exact finite-delta, Girsanov target) ratios P(drifted) / P(killed)
+    of a lattice path from site x to site y that then leaves the window.
+
+    The gauge telescopes along the path to the exponential between its
+    ends and the Green diagonals cancel, leaving the death ratio at y; the
+    target is exp(2M <e^{iu}, y - x>).
+    """
+    dz, out, u = box.z[y] - box.z[x], box.stop[y + box.moves], drifted.u_bar
+    exact = drifted.exponential(dz, u) * drifted.cond[out].sum() \
+        / (killed.m2 + killed.cond[out].sum())
+    return exact, math.exp(2 * drifted.M * (math.cos(u) * dz.real
+                                            + math.sin(u) * dz.imag))
 
 
 def girsanov_ratio_check(M, u_bar, deltas, radius=1.0):
@@ -126,28 +223,14 @@ def girsanov_ratio_check(M, u_bar, deltas, radius=1.0):
     rows = []
     for d in deltas:
         killed = SquareLatticeKernel(M, d)
-        drifted = SquareLatticeKernel(M, d, u_bar=u_bar)
-        s = killed.spacing
-        inside = lambda z: abs(z) < radius
-        x = 0.0 + 0.0j
-        path = [x]
-        while inside(path[-1] + s):
-            path.append(path[-1] + s)
-        y = path[-1]
-        if len(path) < 2:
+        box = _disk_box(killed.spacing, radius)
+        x = y = box.site(0, 0)
+        while not box.stop[y + box.moves[0]]:
+            y += box.moves[0]
+        if y == x:
             raise ValueError("window too small for a straight path")
-        # per-step ratio telescopes to the exponential between endpoints
-        ratio = drifted.exponential(y - x, u_bar)
-        num = 0.0
-        den = killed.m2
-        for k, direction in enumerate(("E", "N", "W", "S")):
-            z = y + s * complex(SquareLatticeKernel.STEPS[k])
-            if not inside(z):
-                num += killed.c * drifted.exponential(z - y, u_bar)
-                den += killed.c
-        ratio *= num / den
-        target = math.exp(2 * M * (math.cos(u_bar) * (y - x).real
-                                   + math.sin(u_bar) * (y - x).imag))
+        drifted = SquareLatticeKernel(M, d, u_bar=u_bar)
+        ratio, target = _path_ratios(killed, drifted, box, x, y)
         rows.append((d, ratio, target, abs(ratio - target)))
     return rows
 
@@ -155,34 +238,28 @@ def girsanov_ratio_check(M, u_bar, deltas, radius=1.0):
 # -- LERW ratio ----------------------------------------------------------------
 
 
-def _window_graph(M, delta, radius, u_bar=None):
-    """Wired disk window of the near-critical lattice as a WeightedGraph."""
+def _window_graph(kernel, box):
+    """Wired window of the sites where `box` does not stop, in row order.
+
+    Each missing neighbor adds its conductance to the site's mass.  Returns
+    (WeightedGraph, vertex of each flat site or -1 off the window).
+    """
     from .graphs import WeightedGraph
 
-    kernel = SquareLatticeKernel(M, delta, u_bar=u_bar)
-    s = kernel.spacing
-    n_side = int(radius / s) + 2
-    sites = {}
-    for i in range(-n_side, n_side + 1):
-        for j in range(-n_side, n_side + 1):
-            z = s * complex(i, j)
-            if abs(z) < radius:
-                sites[(i, j)] = len(sites)
-    edges = []
-    masses = [float(kernel.m2 if u_bar is None else 0.0)] * len(sites)
-    conds = kernel.cond
-    for (i, j), v in sites.items():
-        for k, (di, dj) in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)]):
-            c = float(conds[k])
-            if (i + di, j + dj) in sites:
-                edges.append((v, sites[(i + di, j + dj)], c))
-            else:
-                masses[v] += c
-    pos = np.array([[s * i, s * j] for (i, j) in sites])
-    g = WeightedGraph(len(sites), edges, masses, positions=pos, check=False)
-    g.site_index = sites
-    g.kernel = kernel
-    return g
+    inside = np.flatnonzero(~box.stop)
+    vertex = np.full(box.z.size, -1)
+    vertex[inside] = np.arange(inside.size)
+    nbr = vertex[inside[:, None] + box.moves]        # (site, direction)
+    masses = np.full(inside.size, kernel.m2 if kernel.u_bar is None else 0.0)
+    for k, c in enumerate(kernel.cond):
+        masses += np.where(nbr[:, k] < 0, c, 0.0)
+    tail, k = np.nonzero(nbr >= 0)
+    edges = list(zip(tail.tolist(), nbr[tail, k].tolist(),
+                     kernel.cond[k].tolist()))
+    z = box.z[inside]
+    return WeightedGraph(inside.size, edges, masses.tolist(),
+                         positions=np.column_stack((z.real, z.imag)),
+                         check=False), vertex
 
 
 def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
@@ -190,56 +267,38 @@ def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
     """Monte Carlo LERW ratio against the Girsanov target.
 
     gamma_sites is a short simple path in lattice coordinates starting at
-    the origin.  The drifted-arm probability is estimated by sampling; the
-    killed-arm probability is computed exactly by the Green-function
-    product formula ("exact-count denominator").  Returns (empirical ratio,
-    target ratio, stderr of the ratio).
+    the origin.  The drifted-arm probability is estimated by sampling the
+    drifted walk until it leaves the disk; the killed-arm probability is
+    computed exactly by the Green-function product formula ("exact-count
+    denominator").  Returns (empirical ratio, target ratio, stderr of the
+    ratio, exact finite-delta ratio).
     """
-    from .walks import TransitionTable, lerw_exact_probability
+    from .walks import lerw_exact_probability
 
-    killed_g = _window_graph(M, delta, radius)
-    drifted_g = _window_graph(M, delta, radius, u_bar=u_bar)
-    gamma = [killed_g.site_index[ij] for ij in gamma_sites]
-
-    p_killed = lerw_exact_probability(killed_g, gamma)
+    killed = SquareLatticeKernel(M, delta)
+    drifted = SquareLatticeKernel(M, delta, u_bar=u_bar)
+    box = _disk_box(killed.spacing, radius)
+    killed_g, vertex = _window_graph(killed, box)
+    path = [box.site(i, j) for (i, j) in gamma_sites]
+    if min(vertex[path]) < 0:
+        raise ValueError("gamma leaves the disk window")
+    p_killed = lerw_exact_probability(killed_g, vertex[path].tolist())
     if p_killed == 0:
         raise ZeroDivisionError("killed arm has zero probability")
 
-    table = TransitionTable(drifted_g)
     hits = 0
-    per_task = 4096
-    n_tasks = (n_samples + per_task - 1) // per_task
-    done = 0
-    start = gamma[0]
-    for task in range(n_tasks):
-        rng = rng_stream(seed, task)
-        todo = min(per_task, n_samples - done)
-        done += todo
-        for _ in range(todo):
-            x = start
-            traj = [x]
-            while True:
-                y = table.step(x, rng.random())
-                if y == -1:
-                    break
-                traj.append(y)
-                x = y
-            if loop_erase(traj) == gamma:
-                hits += 1
+    for task, todo in _tasks(n_samples, 4096):
+        w = _walk(drifted, box, path[0], todo, rng_stream(seed, task),
+                  STEP_CAP, record=True)
+        # the last visit is the exit site, off the window graph
+        hits += sum(loop_erase([path[0]] + visited[:-1].tolist()) == path
+                    for visited, final in zip(w.paths, w.final)
+                    if box.stop[final])
     p_drift = hits / n_samples
     ratio = p_drift / p_killed
     stderr = math.sqrt(max(p_drift * (1 - p_drift), 1e-12) / n_samples) \
         / p_killed
-    x0 = killed_g.positions[gamma[0]]
-    x1 = killed_g.positions[gamma[-1]]
-    target = math.exp(2 * M * (math.cos(u_bar) * (x1[0] - x0[0])
-                               + math.sin(u_bar) * (x1[1] - x0[1])))
-    # exact finite-delta ratio: the gauge telescopes along the path and the
-    # Green diagonals cancel, leaving the exponential times the death ratio
-    kern = drifted_g.kernel
-    expo = kern.exponential(complex(x1[0], x1[1]) - complex(x0[0], x0[1]),
-                            u_bar)
-    exact = expo * drifted_g.masses_f[gamma[-1]] / killed_g.masses_f[gamma[-1]]
+    exact, target = _path_ratios(killed, drifted, box, path[0], path[-1])
     return ratio, target, stderr, exact
 
 
@@ -271,44 +330,19 @@ def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
     """MC estimate of P(hit the target ball before leaving R or dying).
 
     Walkers start at the lattice site nearest the start-ball center.  With
-    `coupled_uniforms` a pre-drawn uniform block is reused, which couples
-    estimates across masses (same trajectories, earlier deaths).
+    `coupled_uniforms` a pre-drawn uniform block (row per step, column per
+    walker) is reused, which couples estimates across masses: the same
+    trajectories with earlier deaths.  Walkers still running after
+    `max_steps` count as misses and raise a RuntimeWarning.
     Returns (estimate, stderr).
     """
     kernel = SquareLatticeKernel(M, delta)
-    lo, hi = spec.rectangle()
-    c_t = spec.target_center()
-    start = _nearest_site(kernel, spec.start_center())
-    if abs(start - spec.start_center()) > spec.r / 4:
-        raise ValueError("no lattice site inside the start ball")
+    box, target, start = _crossing_box(spec, kernel)
     if max_steps is None:
         max_steps = int(40 * (3 * spec.r / kernel.spacing) ** 2) + 1000
-
-    pos = np.full(n_samples, start, dtype=complex)
-    active = np.ones(n_samples, dtype=bool)
-    success = np.zeros(n_samples, dtype=bool)
-    rng = rng_stream(seed, 0)
-    for step in range(max_steps):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        if coupled_uniforms is not None:
-            u = coupled_uniforms[step][: idx.size]
-        else:
-            u = rng.random(idx.size)
-        choice = np.searchsorted(kernel.cum, u, side="right")
-        died = choice == 0
-        moves = np.where(died, 0,
-                         kernel.STEPS[np.minimum(choice, 4) - 1])
-        newpos = pos[idx] + kernel.spacing * moves
-        pos[idx] = newpos
-        hit = np.abs(newpos - c_t) < spec.r / 4
-        out = (newpos.real < lo.real) | (newpos.real > hi.real) | \
-              (newpos.imag < lo.imag) | (newpos.imag > hi.imag)
-        stop = died | hit | out
-        success[idx[hit & ~died]] = True
-        active[idx[stop]] = False
-    est = float(success.mean())
+    w = _walk(kernel, box, start, n_samples, rng_stream(seed, 0), max_steps,
+              uniforms=coupled_uniforms)
+    est = float(np.count_nonzero(~w.died & target[w.final])) / n_samples
     stderr = math.sqrt(max(est * (1 - est), 1e-12) / n_samples)
     return est, stderr
 
@@ -318,21 +352,16 @@ def crossing_grid(radii=(0.1, 0.3, 1.0), masses=(0.0, 1.0),
                   n_samples=10**5, seed=0, delta_ratio=1 / 64):
     """The full crossing battery; yields (spec, M, delta, estimate, stderr)."""
     rows = []
-    task = 0
-    for r in radii:
-        for horizontal in (True, False):
-            for z in translations:
-                for M in masses:
-                    spec = CrossingSpec(r=r, z=z, horizontal=horizontal)
-                    est, se = crossing_probability(
-                        spec, r * delta_ratio, M, n_samples, seed + task)
-                    rows.append((spec, M, r * delta_ratio, est, se))
-                    task += 1
+    cells = itertools.product(radii, (True, False), translations, masses)
+    for task, (r, horizontal, z, M) in enumerate(cells):
+        spec = CrossingSpec(r=r, z=z, horizontal=horizontal)
+        est, se = crossing_probability(spec, r * delta_ratio, M, n_samples,
+                                       seed + task)
+        rows.append((spec, M, r * delta_ratio, est, se))
     return rows
 
 
 # -- exit law ------------------------------------------------------------------
-
 
 
 def _arc_bin(angles, n_arcs):
@@ -357,6 +386,14 @@ def _circle_crossing_angle(p, q, radius):
     return np.angle(z) % (2 * math.pi)
 
 
+def _exit_arcs(box, w, radius, n_arcs):
+    """(walker ids, arcs) of the walkers that left the disk alive."""
+    out = np.flatnonzero(~w.died & box.stop[w.final])
+    ang = _circle_crossing_angle(box.z[w.prev[out]], box.z[w.final[out]],
+                                 radius)
+    return out, _arc_bin(ang, n_arcs)
+
+
 def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
                   start=0j, drifted=True):
     """Exit-arc histogram of the drifted (or killed) walk on the disk.
@@ -366,33 +403,14 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
     point.
     """
     kernel = SquareLatticeKernel(M, delta, u_bar=u_bar if drifted else None)
-    start_site = _nearest_site(kernel, start)
+    box = _disk_box(kernel.spacing, radius)
     counts = np.zeros(n_arcs, dtype=np.int64)
-    per_task = 1 << 14
-    n_tasks = (n_samples + per_task - 1) // per_task
-    done = 0
-    exited_total = 0
-    for task in range(n_tasks):
-        rng = rng_stream(seed, task)
-        todo = min(per_task, n_samples - done)
-        done += todo
-        pos = np.full(todo, start_site, dtype=complex)
-        active = np.ones(todo, dtype=bool)
-        for _ in range(10**7):
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            old = pos[idx]
-            newpos, died = kernel.step_many(old, rng)
-            pos[idx] = newpos
-            out = np.abs(newpos) >= radius
-            take = out & ~died
-            if take.any():
-                ang = _circle_crossing_angle(old[take], newpos[take], radius)
-                np.add.at(counts, _arc_bin(ang, n_arcs), 1)
-                exited_total += int(take.sum())
-            active[idx[out | died]] = False
-    return counts, exited_total
+    for task, todo in _tasks(n_samples, 1 << 14):
+        w = _walk(kernel, box, box.nearest(start), todo,
+                  rng_stream(seed, task), STEP_CAP)
+        counts += np.bincount(_exit_arcs(box, w, radius, n_arcs)[1],
+                              minlength=n_arcs)
+    return counts, int(counts.sum())
 
 
 def exit_law_brownian(M, u_bar, delta, n_samples, seed, radius=1.0,
@@ -440,43 +458,29 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     """Killed LERW conditioned on surviving and exiting through an arc.
 
     Rejection sampling: run the killed walk until death or exit; keep the
-    loop erasure when it exits in the target arc.  Returns (paths,
-    acceptance rate); aborts when the acceptance rate is hopeless.
+    loop erasure when it exits in the target arc.  Each task runs 2048
+    walkers in lockstep and is scanned in walker order; attempts count up
+    to the last walker scanned.  Returns (paths, acceptance rate); aborts
+    when the acceptance rate is hopeless.
     """
     kernel = SquareLatticeKernel(M, delta)
-    start_site = _nearest_site(kernel, start)
+    box = _disk_box(kernel.spacing, radius)
+    start_site = box.nearest(start)
     if max_attempts is None:
         max_attempts = max(int(n_accepted / min_acceptance), 10**5)
-    paths = []
-    attempts = 0
-    task = 0
+    per_task = 2048
+    paths, attempts, task = [], 0, 0
     while len(paths) < n_accepted and attempts < max_attempts:
-        rng = rng_stream(seed, task)
+        w = _walk(kernel, box, start_site, per_task, rng_stream(seed, task),
+                  STEP_CAP, record=True)
         task += 1
-        for _ in range(2048):
-            attempts += 1
-            z = start_site
-            traj = [z]
-            exited = False
-            while True:
-                z2 = kernel.step_single(z, rng)
-                if z2 is None:
-                    break
-                traj.append(z2)
-                z = z2
-                if abs(z) >= radius:
-                    exited = True
-                    break
-            if not exited:
-                continue
-            ang = float(_circle_crossing_angle(
-                np.complex128(traj[-2]), np.complex128(traj[-1]), radius))
-            arc = int(_arc_bin(ang, n_arcs))
-            if arc != target_arc:
-                continue
-            paths.append(loop_erase(traj))
-            if len(paths) >= n_accepted:
-                break
+        out, arcs = _exit_arcs(box, w, radius, n_arcs)
+        take = out[arcs == target_arc][: n_accepted - len(paths)]
+        done = len(paths) + take.size == n_accepted
+        attempts += int(take[-1]) + 1 if done else per_task
+        for i in take:
+            erased = loop_erase([start_site] + w.paths[i].tolist())
+            paths.append(box.z[erased].tolist())
     acceptance = len(paths) / max(attempts, 1)
     if len(paths) < n_accepted:
         raise RuntimeError(
@@ -555,7 +559,8 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
     """Centered second moments of sampled dimer heights on a lattice block.
 
     `block` is the number of primal vertices per side of the window.
-    Returns (quads, mean, variance, samples-by-quad matrix is not kept).
+    Returns (quads, mean, variance, dg), dg being the sampled Temperleyan
+    double graph.
     """
     from .dimers import height_function, reference_matching, sample_matching
     from .graphs import collapse_boundary
@@ -584,26 +589,16 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
     lam = field.primal
     ref = reference_matching(dg)
 
-    sums = None
-    sums2 = None
-    quads = None
-    per_task = 256
-    n_tasks = (n_samples + per_task - 1) // per_task
-    done = 0
-    for task in range(n_tasks):
+    quads, sums, sums2 = None, 0.0, 0.0
+    for task, todo in _tasks(n_samples, 256):
         rng = rng_stream(seed, task)
-        todo = min(per_task, n_samples - done)
-        done += todo
         for _ in range(todo):
             m = sample_matching(dg, lam, rng)
             h = height_function(dg, m, reference=ref)
-            if quads is None:
-                quads = sorted(h.values.keys())
-                sums = np.zeros(len(quads))
-                sums2 = np.zeros(len(quads))
+            quads = quads or sorted(h.values.keys())
             vals = np.array([h.values[q] for q in quads])
-            sums += vals
-            sums2 += vals * vals
+            sums = sums + vals
+            sums2 = sums2 + vals * vals
     mean = sums / n_samples
     var = sums2 / n_samples - mean**2
     return quads, mean, var, dg

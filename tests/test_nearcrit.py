@@ -5,8 +5,10 @@ import pytest
 
 from massiveforests.nearcrit import (
     CrossingSpec,
-    ExperimentConfig,
     SquareLatticeKernel,
+    _crossing_box,
+    _disk_box,
+    _walk,
     approximation_property_check,
     conditioned_branch_sampler,
     crossing_probability,
@@ -39,9 +41,9 @@ class TestKernel:
         assert p_e > p_w
         assert p_n == pytest.approx(p_s, rel=1e-9)
 
-    def test_config_guard(self):
+    def test_nome_guard(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(delta=1.0, M=3.0)
+            SquareLatticeKernel(3.0, 1.0)  # q = M * delta / 2 >= 1
 
 
 class TestGirsanov:
@@ -146,6 +148,12 @@ class TestCrossing:
                                        coupled_uniforms=shared)
         assert est2 <= est0 + 1e-12
 
+    def test_truncation_warns(self):
+        with pytest.warns(RuntimeWarning, match="200 of 200 walkers"):
+            est, _ = crossing_probability(CrossingSpec(r=0.3), 0.3 / 64,
+                                          0.0, 200, seed=3, max_steps=5)
+        assert est == 0.0
+
     def test_orientations_and_translations_positive(self):
         for horizontal in (True, False):
             for z in (0j, 1.5 - 0.25j):
@@ -153,6 +161,54 @@ class TestCrossing:
                 est, se = crossing_probability(spec, 0.2 / 32, 1.0, 30000,
                                                seed=13)
                 assert est > 0.0005
+
+
+class TestEngine:
+    def test_coupled_block_nests_successes(self):
+        # one uniform block indexed by walker id: the killed walkers follow
+        # the M = 0 trajectories and can only die earlier, so every M = 2
+        # success is an M = 0 success
+        spec = CrossingSpec(r=0.3)
+        n = 20000
+
+        class Block:  # row `step` of the block, drawn afresh on each read
+            def __getitem__(self, step):
+                return np.random.default_rng([11, step]).random(n)
+
+        wins = {}
+        for M in (0.0, 2.0):
+            kernel = SquareLatticeKernel(M, 0.3 / 32)
+            box, target, start = _crossing_box(spec, kernel)
+            w = _walk(kernel, box, start, n, None, 10**5, uniforms=Block())
+            assert w.truncated == 0
+            wins[M] = ~w.died & target[w.final]
+        assert wins[2.0].sum() > 0
+        assert not np.any(wins[2.0] & ~wins[0.0])
+
+    def test_one_step_law(self):
+        # the residual split keeps the kernel's law: death with p_die,
+        # direction k with p_dirs[k]
+        kernel = SquareLatticeKernel(4.0, 1 / 8)
+        box = _disk_box(kernel.spacing, 1.0)
+        start, n = box.site(0, 0), 200000
+        with pytest.warns(RuntimeWarning, match="walkers were still"):
+            w = _walk(kernel, box, start, n, np.random.default_rng(3), 1)
+        freq = [w.died.mean()] + [np.mean(~w.died & (w.final == start + m))
+                                  for m in box.moves]
+        for f, p in zip(freq, [kernel.p_die, *kernel.p_dirs]):
+            assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / n)
+
+    def test_recorded_paths_are_lattice_walks(self):
+        kernel = SquareLatticeKernel(1.0, 1 / 16)
+        box = _disk_box(kernel.spacing, 0.5)
+        start = box.site(0, 0)
+        w = _walk(kernel, box, start, 300, np.random.default_rng(2), 10**6,
+                  record=True)
+        steps = {0, 1, box.shape[1]}  # 0: a dead walker's last entry
+        for visited, final in zip(w.paths, w.final):
+            assert visited[-1] == final
+            jumps = np.abs(np.diff(np.concatenate(([start], visited))))
+            assert set(jumps.tolist()) <= steps
 
 
 class TestExitLaw:
@@ -193,8 +249,11 @@ class TestConditionedBranch:
             1.0, 1 / 16, target_arc=0, n_accepted=50, seed=20, radius=0.5)
         assert 0 < acc <= 1
         from massiveforests.nearcrit import _arc_bin, _circle_crossing_angle
+        s = SQRT2 / 16
         for p in paths:
             assert len(set(p)) == len(p)
+            sites = [(round(z.real / s), round(z.imag / s)) for z in p]
+            assert len(set(sites)) == len(sites)
             ang = float(_circle_crossing_angle(
                 np.complex128(p[-2]), np.complex128(p[-1]), 0.5))
             assert int(_arc_bin(np.array([ang]), 16)[0]) == 0

@@ -169,25 +169,26 @@ def cmd_edge_prob(args):
 
 
 def cmd_sample_dimers(args):
-    from .dimers import height_function, reference_matching, sample_matching
-    from .graphs import collapse_boundary
-    from .planar import build_dual_and_double
-    from .walks import rng_stream
+    from collections import defaultdict
+
+    from .dimers import TemperleySampler
+    from .doob import HARMONICITY_GATE, check_massive_harmonic
+    from .elliptic import (
+        complete_integrals,
+        exponential_step_factor,
+        near_critical_modulus,
+    )
 
     g = _load_graph_or_die(args.graph)
     if not hasattr(g, "edge_rays"):
         print("error: dimer sampling needs a grid file with per-edge rays",
               file=sys.stderr)
         return 2, []
-    from .elliptic import near_critical_modulus, complete_integrals
-
     if args.M > 0:
         mod = near_critical_modulus(args.M, args.delta)
     else:
         mod = complete_integrals(0.0)
     # window: all vertices whose full star is present (bulk)
-    from collections import defaultdict
-
     deg = defaultdict(float)
     for eid in range(g.m_edges):
         x = int(g.tail[eid])
@@ -197,12 +198,8 @@ def cmd_sample_dimers(args):
     if not bulk:
         print("error: no bulk vertices in the grid window", file=sys.stderr)
         return 2, []
-    col = collapse_boundary(g, bulk)
-    _, dg = build_dual_and_double(col, g.positions)
 
-    # drift field by multiplying edge factors over a spanning tree of bulk
-    from .elliptic import exponential_step_factor
-
+    # drift field by multiplying edge factors over a spanning tree of the grid
     lam = {bulk[0]: 1.0}
     stack = [bulk[0]]
     adj = defaultdict(list)
@@ -218,28 +215,28 @@ def cmd_sample_dimers(args):
                 exponential_step_factor(b, args.u, mod)
             lam[y] = lam[x] * factor
             stack.append(y)
-    ref = reference_matching(dg)
+    # --M and --delta give the field's modulus; only the file's own one
+    # makes it massive harmonic, i.e. the tilt a Doob transform of the
+    # file's killed model
+    resid = check_massive_harmonic(g, lam, bulk)
+    if resid > HARMONICITY_GATE:
+        print(f"error: drift field is not massive harmonic for the grid's "
+              f"weights (residual {resid:.2e} > {HARMONICITY_GATE:.0e}); "
+              f"--M and --delta must match the grid file", file=sys.stderr)
+        return 2, []
+
+    sampler = TemperleySampler.on_window(g, bulk, lam)
     rows = []
-    per_task = 256
-    n_tasks = (args.n + per_task - 1) // per_task
-    done = 0
-    for task in range(n_tasks):
-        rng = rng_stream(args.seed, task)
-        todo = min(per_task, args.n - done)
-        for i in range(todo):
-            m = sample_matching(dg, lam, rng)
-            h = height_function(dg, m, reference=ref)
-            sid = done + i
-            for w, (b, slot) in sorted(m.items()):
-                rows.append((sid, "match", w, b, 1))
-            for (corner, f), v in sorted(h.values.items()):
-                rows.append((sid, "height", corner, f, v))
-        done += todo
+    for sid, (m, h) in enumerate(sampler.samples(args.n, args.seed)):
+        for w, (b, slot) in sorted(m.items()):
+            rows.append((sid, "match", w, b, 1))
+        for (corner, f), v in sorted(h.values.items()):
+            rows.append((sid, "height", corner, f, v))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "kind", "key1", "key2", "value"])
         writer.writerows(rows)
-    print(f"wrote {args.out}: {args.n} samples, {dg.n_white} whites")
+    print(f"wrote {args.out}: {args.n} samples, {sampler.dg.n_white} whites")
     return 0, [args.out]
 
 
@@ -447,9 +444,8 @@ def cmd_verify(args):
 
 def cmd_experiment(args):
     from .nearcrit import (
-        CrossingSpec,
         conditioned_branch_sampler,
-        crossing_probability,
+        crossing_grid,
         exit_law_brownian,
         exit_law_walk,
         girsanov_ratio_check,
@@ -472,19 +468,16 @@ def cmd_experiment(args):
         header = ["experiment", "delta", "M", "u_bar", "ratio", "target",
                   "error"]
     elif args.name == "crossing":
-        cell = 0  # one seed per cell, as in nearcrit.crossing_grid
-        for r in cfg.get("radii", [0.3]):
-            for horizontal in (True, False):
-                for z in cfg.get("translations", [[0.0, 0.0]]):
-                    for M in cfg.get("masses", [0.0, 1.0]):
-                        spec = CrossingSpec(r=r, z=complex(*z),
-                                            horizontal=horizontal)
-                        est, se = crossing_probability(
-                            spec, r * cfg.get("delta_ratio", 1 / 64), M,
-                            cfg.get("n", 10**4), seed + cell)
-                        cell += 1
-                        rows.append(["crossing", r, M, horizontal,
-                                     z[0], z[1], est, se])
+        cells = crossing_grid(
+            radii=cfg.get("radii", [0.3]),
+            masses=cfg.get("masses", [0.0, 1.0]),
+            translations=[complex(*z) for z in
+                          cfg.get("translations", [[0.0, 0.0]])],
+            n_samples=cfg.get("n", 10**4), seed=seed,
+            delta_ratio=cfg.get("delta_ratio", 1 / 64))
+        for spec, M, _, est, se in cells:
+            rows.append(["crossing", spec.r, M, spec.horizontal,
+                         spec.z.real, spec.z.imag, est, se])
         header = ["experiment", "r", "M", "horizontal", "z_re", "z_im",
                   "estimate", "stderr"]
     elif args.name == "exitlaw":

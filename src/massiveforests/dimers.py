@@ -13,12 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import ROOT, WeightedGraph, wired_restriction
-from .linalg import (
-    assemble_massive_laplacian,
-    determinant_exact,
-)
-from .planar import DoubleGraph
+from .graphs import ROOT, WeightedGraph, collapse_boundary
+from .linalg import assemble_massive_laplacian, determinant
+from .planar import DoubleGraph, build_dual_and_double
 
 PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
 
@@ -278,31 +275,49 @@ def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
 # -- Temperley bijection ----------------------------------------------------
 
 
-def resolve_tree(dg: DoubleGraph, assignment, rng=None):
-    """Vertex -> head map into vertex -> white map, resolving parallels.
+def _white_pairs(dg: DoubleGraph):
+    """Whites per (x, y) endpoint pair.
 
-    Parallel edges (several whites between the same endpoints, e.g. spokes
-    to o) are resolved proportionally to conductance, or to the unique
-    candidate when there is no choice.
+    Tree edges start at window vertices, so pairs starting at o are left
+    out.
     """
-    by_pair = {}
+    whites = {}
     for w, info in enumerate(dg.whites):
-        by_pair.setdefault((info["x"], info["y"]), []).append(w)
-        by_pair.setdefault((info["y"], info["x"]), []).append(w)
+        whites.setdefault((info["x"], info["y"]), []).append(w)
+        if info["y"] != "o":
+            whites.setdefault((info["y"], info["x"]), []).append(w)
+    return whites
+
+
+def _resolve(dg: DoubleGraph, whites, laws, assignment, rng):
+    """Parallel edges (several whites between the same endpoints, e.g.
+    spokes to o) are drawn proportionally to conductance; `laws` keeps the
+    law of each pair once computed."""
     out = {}
     for x, y in assignment.items():
         y = "o" if y == dg.col.o or y == ROOT else y
-        cands = by_pair.get((x, y), [])
-        if not cands:
+        cands = whites.get((x, y))
+        if cands is None:
             raise ValueError(f"no double-graph edge for tree edge {x}->{y}")
         if len(cands) == 1 or rng is None:
             out[x] = cands[0]
-        else:
+            continue
+        p = laws.get((x, y))
+        if p is None:
             weights = np.array([float(dg.whites[w]["edge"].cond)
                                 for w in cands])
-            out[x] = cands[int(rng.choice(len(cands),
-                                          p=weights / weights.sum()))]
+            p = laws[(x, y)] = weights / weights.sum()
+        out[x] = cands[int(rng.choice(len(cands), p=p))]
     return out
+
+
+def resolve_tree(dg: DoubleGraph, assignment, rng=None):
+    """Vertex -> head map into vertex -> white map, resolving parallels.
+
+    Parallel edges are drawn proportionally to conductance with `rng`, or
+    resolved to their first white without it.
+    """
+    return _resolve(dg, _white_pairs(dg), {}, assignment, rng)
 
 
 def temperley_forward(dg: DoubleGraph, tree_whites):
@@ -412,19 +427,59 @@ def matching_weight(dg: DoubleGraph, weights: WeightSystem, matching,
     return total
 
 
+class TemperleySampler:
+    """Drifted-model matchings of one double graph, prepared once.
+
+    Holds the tilted window with its transition table, the whites per
+    endpoint pair and the conductance law of each parallel pair met so
+    far.  `sample` draws the Wilson walk first, then one `rng.choice` per
+    tree edge with parallel whites, in vertex order, so it reads the
+    stream exactly as `_tilted_window`, `wilson_sample`, `resolve_tree`
+    and `temperley_forward` do one after the other.
+    """
+
+    PER_TASK = 256
+
+    def __init__(self, dg: DoubleGraph, lam_ambient):
+        from .walks import TransitionTable
+
+        self.dg = dg
+        self.window = _tilted_window(dg, lam_ambient)
+        self.table = TransitionTable(self.window)
+        self.whites = _white_pairs(dg)
+        self.laws = {}
+
+    @classmethod
+    def on_window(cls, ambient: WeightedGraph, subset, lam_ambient):
+        """Sampler on the double graph of `subset` collapsed in `ambient`."""
+        col = collapse_boundary(ambient, subset)
+        _, dg = build_dual_and_double(col, ambient.positions)
+        return cls(dg, lam_ambient)
+
+    def sample(self, rng):
+        from .walks import wilson_sample
+
+        forest = wilson_sample(self.window, rng, table=self.table)
+        tree = _resolve(self.dg, self.whites, self.laws, forest.outgoing,
+                        rng)
+        return temperley_forward(self.dg, tree)[0]
+
+    def samples(self, n, seed):
+        """Yield n (matching, height) pairs; task t draws its PER_TASK
+        samples from rng_stream(seed, t)."""
+        from .walks import rng_stream
+
+        reference = reference_matching(self.dg)
+        for task in range(-(-n // self.PER_TASK)):
+            rng = rng_stream(seed, task)
+            for _ in range(min(self.PER_TASK, n - task * self.PER_TASK)):
+                m = self.sample(rng)
+                yield m, height_function(self.dg, m, reference)
+
+
 def sample_matching(dg: DoubleGraph, lam_ambient, rng):
     """Sample a drifted-model matching through Wilson + Temperley."""
-    from .walks import wilson_sample
-
-    col = dg.col
-    tilde_window = _tilted_window(dg, lam_ambient)
-    forest = wilson_sample(tilde_window, rng)
-    assignment = {}
-    for x, y in forest.outgoing.items():
-        assignment[x] = "o" if y == ROOT else y
-    tree_whites = resolve_tree(dg, assignment, rng=rng)
-    matching, _ = temperley_forward(dg, tree_whites)
-    return matching
+    return TemperleySampler(dg, lam_ambient).sample(rng)
 
 
 def _tilted_window(dg: DoubleGraph, lam_ambient):
@@ -591,7 +646,7 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     weights = killed_weights(dg, lam_ambient, lam_star)
     K = kasteleyn_matrix(dg, weights)
     detK = abs(kasteleyn_determinant(K))
-    detL = float(np.linalg.det(assemble_massive_laplacian(window)))
+    detL = determinant(assemble_massive_laplacian(window))
     C = det_relation_constant(dg, lam_ambient, lam_star)
     rhs = C * detL
     gap = abs(detK - rhs) / max(abs(rhs), 1e-300)
@@ -698,91 +753,21 @@ def height_function(dg: DoubleGraph, matching, reference=None) -> HeightField:
     """Height of `matching` relative to the deterministic reference.
 
     The difference flow of the two matchings is divergence-free at every
-    surviving vertex, so its dual potential is well-defined on the quads;
-    the BFS below asserts closure (curl-freeness) as it goes.
+    surviving vertex, so its dual potential is well-defined on the quads.
+    It is integrated along a spanning tree of the quad adjacency, and
+    closure (curl-freeness) is asserted on every adjacency.
     """
     if reference is None:
         reference = reference_matching(dg)
-    flow = {}
-    for w in range(dg.n_white):
-        b_ref = reference[w][0]
-        b_cur = matching[w][0]
-        if b_ref != b_cur:
-            flow[(w, b_ref)] = 1
-            flow[(w, b_cur)] = -1
-
-    pos = dg.col.positions
-    boundary_faces = set(dg.structure.o_faces) | {dg.r}
-    face_centroid = {}
-    for fid, walk in enumerate(dg.structure.faces):
-        if fid in boundary_faces:
-            continue
-        pts = [pos[h.tail] for h in walk]
-        face_centroid[fid] = np.mean(pts, axis=0)
-
-    def quad_centroid(q):
-        corner, f = q
-        return 0.5 * (pos[corner] + face_centroid[f])
-
-    white_pos = {}
-    for w, info in enumerate(dg.whites):
-        if info["y"] == "o":
-            white_pos[w] = pos[info["x"]] + 0.5 * np.asarray(
-                info["edge"].direction, float)
-        else:
-            white_pos[w] = 0.5 * (pos[info["x"]] + pos[info["y"]])
-
-    # interior quads are the faces of the double graph once o, r and their
-    # edges are removed; everything else merges into one outer region
-    quads = sorted({(corner, f) for (corner, w1, f, w2) in dg.quad_faces()
-                    if f not in boundary_faces})
-    if not quads:
-        raise ValueError("window has no interior double-graph faces")
-    quad_ids = {q: i for i, q in enumerate(quads)}
-    whites_at_corner = {}
-    whites_at_face = {}
-    for w, info in enumerate(dg.whites):
-        for end in ("x", "y"):
-            if info[end] != "o":
-                whites_at_corner.setdefault(info[end], []).append(w)
-        for side in ("left", "right"):
-            whites_at_face.setdefault(info[side], []).append(w)
-
-    def neighbours(q):
-        corner, f = q
-        out = []
-        for w in whites_at_corner.get(corner, []):
-            info = dg.whites[w]
-            a, b = info["left"], info["right"]
-            other = b if f == a else (a if f == b else None)
-            if other is not None and (corner, other) in quad_ids:
-                out.append(((corner, other), w, dg.black_of_vertex(corner)))
-        for w in whites_at_face.get(f, []):
-            info = dg.whites[w]
-            xx, yy = info["x"], info["y"]
-            other = yy if corner == xx else (xx if corner == yy else None)
-            if other is not None and (other, f) in quad_ids:
-                out.append(((other, f), w, dg.black_of_face(f)))
-        return out
-
-    reference_quad = quads[0]
-    values = {reference_quad: 0.0}
-    stack = [reference_quad]
-    while stack:
-        q = stack.pop()
-        cq = quad_centroid(q)
-        for (q2, w, b) in neighbours(q):
-            c2 = quad_centroid(q2)
-            step = c2 - cq
-            wvec = white_pos[w] - cq
-            sign = 1.0 if step[0] * wvec[1] - step[1] * wvec[0] > 0 else -1.0
-            dh = sign * flow.get((w, b), 0)
-            if q2 in values:
-                if abs(values[q2] - (values[q] + dh)) > 1e-9:
-                    raise ValueError("height increments have curl")
-            else:
-                values[q2] = values[q] + dh
-                stack.append(q2)
-    if len(values) != len(quads):
-        raise ValueError("interior double-graph faces are disconnected")
-    return HeightField(values, reference_quad)
+    adj = dg.quad_adjacency
+    ref = np.array([reference[w][0] for w in range(dg.n_white)])
+    cur = np.array([matching[w][0] for w in range(dg.n_white)])
+    flow = (adj.black == ref[adj.white]).astype(float) - \
+        (adj.black == cur[adj.white])
+    dh = adj.sign * flow
+    h = np.zeros(len(adj.quads))
+    for j, i, e in adj.tree:
+        h[j] = h[i] + dh[e]
+    if np.any(np.abs(h[adj.dst] - (h[adj.src] + dh)) > 1e-9):
+        raise ValueError("height increments have curl")
+    return HeightField(dict(zip(adj.quads, h.tolist())), adj.quads[0])

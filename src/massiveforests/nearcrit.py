@@ -562,14 +562,12 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
     Returns (quads, mean, variance, dg), dg being the sampled Temperleyan
     double graph.
     """
-    from .dimers import height_function, reference_matching, sample_matching
-    from .graphs import collapse_boundary
+    from .dimers import TemperleySampler
     from .isoradial import (
         build_square_grid,
         discrete_exponential,
         z_invariant_weights,
     )
-    from .planar import build_dual_and_double
 
     mod = near_critical_modulus(M, delta) if M > 0 else \
         complete_integrals(0.0)
@@ -583,22 +581,15 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
     subset = [v for v in grid.rectangle_window(cx - half, cx + half,
                                                cy - half, cy + half)
               if v in bulk]
-    col = collapse_boundary(ambient, subset)
-    _, dg = build_dual_and_double(col, ambient.positions)
-    field = discrete_exponential(grid, mod, u_bar)
-    lam = field.primal
-    ref = reference_matching(dg)
+    lam = discrete_exponential(grid, mod, u_bar).primal
+    sampler = TemperleySampler.on_window(ambient, subset, lam)
 
     quads, sums, sums2 = None, 0.0, 0.0
-    for task, todo in _tasks(n_samples, 256):
-        rng = rng_stream(seed, task)
-        for _ in range(todo):
-            m = sample_matching(dg, lam, rng)
-            h = height_function(dg, m, reference=ref)
-            quads = quads or sorted(h.values.keys())
-            vals = np.array([h.values[q] for q in quads])
-            sums = sums + vals
-            sums2 = sums2 + vals * vals
+    for _, h in sampler.samples(n_samples, seed):
+        quads = quads or sorted(h.values.keys())
+        vals = np.array([h.values[q] for q in quads])
+        sums = sums + vals
+        sums2 = sums2 + vals * vals
     mean = sums / n_samples
     var = sums2 / n_samples - mean**2
-    return quads, mean, var, dg
+    return quads, mean, var, sampler.dg

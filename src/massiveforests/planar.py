@@ -10,6 +10,7 @@ window is simply connected.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -281,6 +282,96 @@ class DoubleGraph:
 
     def counts_balanced(self):
         return self.n_white == self.n_black
+
+    @functools.cached_property
+    def quad_adjacency(self):
+        """Interior quads and their adjacencies, built on first use."""
+        return QuadAdjacency(self)
+
+
+class QuadAdjacency:
+    """Geometry that heights are integrated over, fixed per double graph.
+
+    Interior quads are the faces of the double graph once o, r and their
+    edges are removed; everything else merges into one outer region.
+    `quads` lists them sorted as (corner, face).  Adjacency entry e steps
+    from quad src[e] to quad dst[e] across the half-edge (white[e],
+    black[e]); sign[e] is +1 when that white lies to the left of the step.
+    `tree` holds (dst, src, entry) for the quads in the order a depth-first
+    search from quads[0] reaches them.
+    """
+
+    def __init__(self, dg: DoubleGraph):
+        pos = dg.col.positions
+        boundary_faces = set(dg.structure.o_faces) | {dg.r}
+        quads = sorted({(corner, f) for (corner, w1, f, w2)
+                        in dg.quad_faces() if f not in boundary_faces})
+        if not quads:
+            raise ValueError("window has no interior double-graph faces")
+        quad_ids = {q: i for i, q in enumerate(quads)}
+        face_centroid = {f: np.mean([pos[h.tail]
+                                     for h in dg.structure.faces[f]], axis=0)
+                         for f in {f for _, f in quads}}
+        centroid = [0.5 * (pos[corner] + face_centroid[f])
+                    for corner, f in quads]
+        white_pos = {}
+        for w, info in enumerate(dg.whites):
+            if info["y"] == "o":
+                white_pos[w] = pos[info["x"]] + 0.5 * np.asarray(
+                    info["edge"].direction, float)
+            else:
+                white_pos[w] = 0.5 * (pos[info["x"]] + pos[info["y"]])
+        whites_at_corner = {}
+        whites_at_face = {}
+        for w, info in enumerate(dg.whites):
+            for end in ("x", "y"):
+                if info[end] != "o":
+                    whites_at_corner.setdefault(info[end], []).append(w)
+            for side in ("left", "right"):
+                whites_at_face.setdefault(info[side], []).append(w)
+
+        def neighbours(q):
+            corner, f = q
+            out = []
+            for w in whites_at_corner.get(corner, []):
+                info = dg.whites[w]
+                a, b = info["left"], info["right"]
+                other = b if f == a else (a if f == b else None)
+                if other is not None and (corner, other) in quad_ids:
+                    out.append(((corner, other), w,
+                                dg.black_of_vertex(corner)))
+            for w in whites_at_face.get(f, []):
+                info = dg.whites[w]
+                xx, yy = info["x"], info["y"]
+                other = yy if corner == xx else (xx if corner == yy else None)
+                if other is not None and (other, f) in quad_ids:
+                    out.append(((other, f), w, dg.black_of_face(f)))
+            return out
+
+        entries, tree = [], []
+        reached = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for (q2, w, b) in neighbours(quads[i]):
+                j = quad_ids[q2]
+                step = centroid[j] - centroid[i]
+                wvec = white_pos[w] - centroid[i]
+                sign = 1.0 if step[0] * wvec[1] - step[1] * wvec[0] > 0 \
+                    else -1.0
+                if j not in reached:
+                    reached.add(j)
+                    tree.append((j, i, len(entries)))
+                    stack.append(j)
+                entries.append((i, j, w, b, sign))
+        if len(reached) != len(quads):
+            raise ValueError("interior double-graph faces are disconnected")
+        self.quads = quads
+        self.tree = tree
+        table = np.array(entries, dtype=float).reshape(-1, 5)
+        self.src, self.dst, self.white, self.black = \
+            table[:, :4].astype(np.int64).T
+        self.sign = table[:, 4]
 
 
 def build_dual_and_double(col: CollapsedGraph, ambient_positions=None,

@@ -191,6 +191,17 @@ class TestDispatch:
         kinds = {line.split(",")[1] for line in lines[1:]}
         assert kinds == {"match", "height"}
 
+    def test_sample_dimers_refuses_mismatched_drift(self, tmp_path, capsys):
+        # the default --M 0 field is not massive harmonic for an M = 1 grid
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--delta", "0.125", "--window", "8", "--M",
+                     "1.0", "--out", gpath]) == 0
+        out = tmp_path / "dimers.csv"
+        assert main(["--seed", "3", "sample-dimers", "--graph", gpath,
+                     "--u", "0.5", "--n", "5", "--out", str(out)]) == 2
+        assert "residual" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "massiveforests.cli", "verify",

@@ -552,3 +552,98 @@ class TestSamplingAndHeights:
         for q in quads:
             a, b = sums[q] / n, sums2[q] / n
             assert abs(a - b) < 6 * math.sqrt(2.0 / n) + 5e-2
+
+
+class TestTemperleySampler:
+    @pytest.mark.parametrize("field", ["float", "pow4"])
+    def test_draw_order_matches_step_by_step_pipeline(self, field):
+        from massiveforests.dimers import TemperleySampler, _tilted_window
+
+        if field == "float":
+            amb, col, window, dg = window_setup(5, 4, [1, 2, 3], [1, 2])
+            lam = {v: 1.5 ** amb.positions[v][0] for v in range(amb.n)}
+        else:
+            amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2],
+                                                mass=Fraction(9, 4))
+            lam = pow4_lambda(amb)
+        sampler = TemperleySampler(dg, lam)
+        rng = rng_stream(60)
+        drawn = [sampler.sample(rng) for _ in range(50)]
+        # corner vertices have parallel spokes, so rng.choice was exercised
+        assert sampler.laws
+        rng = rng_stream(60)
+        tw = _tilted_window(dg, lam)
+        for m in drawn:
+            forest = wilson_sample(tw, rng)
+            assignment = {x: ("o" if y == ROOT else y)
+                          for x, y in forest.outgoing.items()}
+            tree = resolve_tree(dg, assignment, rng=rng)
+            assert temperley_forward(dg, tree)[0] == m
+
+    def test_samples_split_into_tasks(self):
+        from massiveforests.dimers import TemperleySampler
+
+        amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
+        sampler = TemperleySampler(dg, ones_lambda(amb))
+        pairs = list(sampler.samples(258, 9))
+        assert len(pairs) == 258
+        ref = reference_matching(dg)
+        for i, task, k in ((0, 0, 0), (255, 0, 255), (256, 1, 0),
+                           (257, 1, 1)):
+            rng = rng_stream(9, task)
+            for _ in range(k + 1):
+                m = sampler.sample(rng)
+            assert pairs[i][0] == m
+            assert pairs[i][1].values == height_function(dg, m, ref).values
+
+    def test_heights_match_loop_reference(self):
+        # the flow of each adjacency from the per-white dictionary rule,
+        # summed along the same spanning tree
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
+        adj = dg.quad_adjacency
+        ref = reference_matching(dg)
+        rng = rng_stream(61)
+        for _ in range(30):
+            m = sample_matching(dg, ones_lambda(amb), rng)
+            flow = {}
+            for w in range(dg.n_white):
+                if ref[w][0] != m[w][0]:
+                    flow[(w, ref[w][0])] = 1
+                    flow[(w, m[w][0])] = -1
+            values = {0: 0.0}
+            for j, i, e in adj.tree:
+                values[j] = values[i] + adj.sign[e] * flow.get(
+                    (adj.white[e], adj.black[e]), 0)
+            expected = {adj.quads[k]: v for k, v in values.items()}
+            assert height_function(dg, m, ref).values == expected
+
+    def test_height_detects_every_unbalanced_black(self):
+        # rewiring one white leaves a unit source and sink at two blacks;
+        # the heights must refuse it exactly when one of them is ringed by
+        # interior quads, whose loop around it then has curl
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
+        ref = reference_matching(dg)
+        assert set(height_function(dg, ref, ref).values.values()) == {0.0}
+        outer = set(dg.structure.o_faces) | {dg.r}
+        corners, faces = {}, {}
+        for (c, _, f, _) in dg.quad_faces(surviving_only=False):
+            faces.setdefault(c, set()).add(f)
+            corners.setdefault(f, set()).add(c)
+        ringed = {dg.black_of_vertex(x) for x in range(col.n)
+                  if not faces[x] & outer}
+        ringed |= {dg.black_of_face(f) for f in dg.dual_ids
+                   if f not in outer and "o" not in corners[f]}
+        refused = 0
+        for w in range(dg.n_white):
+            for (b, _, slot) in dg.white_neighbours(w):
+                if b == ref[w][0]:
+                    continue
+                bad = dict(ref)
+                bad[w] = (b, slot)
+                if b in ringed or ref[w][0] in ringed:
+                    refused += 1
+                    with pytest.raises(ValueError, match="curl"):
+                        height_function(dg, bad, ref)
+                else:
+                    height_function(dg, bad, ref)
+        assert refused > 0

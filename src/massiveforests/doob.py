@@ -9,6 +9,7 @@ on the collapsed graph, determinant for determinant.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,9 @@ from .graphs import (
 from .linalg import (
     assemble_massive_laplacian,
     assemble_massive_laplacian_exact,
-    determinant,
+    assemble_massive_laplacian_sparse,
     determinant_exact,
+    log_determinant,
     potential,
     transfer_current,
 )
@@ -89,8 +91,11 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
                               exact=False, enumerate_cap=None):
     """Z_RSF on the wired window vs Z_RST rooted at o on the tilted graph.
 
-    Returns (z_forest, z_tree, relative gap).  Refuses when lambda fails the
-    harmonicity gate on the window.
+    Returns (z_forest, z_tree, relative gap).  In float mode the partition
+    functions are `log_determinant` pairs (sign, log|Z|), which stay finite
+    on windows where Z itself overflows, and the gap is
+    |expm1(log Z_tree - log Z_forest)|, inf when the signs differ.  Refuses
+    when lambda fails the harmonicity gate on the window.
     """
     subset = sorted(subset)
     resid = check_massive_harmonic(ambient, lam, subset)
@@ -108,9 +113,12 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
             assemble_massive_laplacian_exact(tilde_window))
         gap = abs(z_forest - z_tree)
     else:
-        z_forest = determinant(assemble_massive_laplacian(window))
-        z_tree = determinant(assemble_massive_laplacian(tilde_window))
-        gap = abs(z_forest - z_tree) / max(abs(z_forest), 1e-300)
+        z_forest = log_determinant(assemble_massive_laplacian_sparse(window))
+        z_tree = log_determinant(
+            assemble_massive_laplacian_sparse(tilde_window))
+        (s_forest, ld_forest), (s_tree, ld_tree) = z_forest, z_tree
+        gap = abs(math.expm1(ld_tree - ld_forest)) \
+            if s_forest == s_tree != 0 else math.inf
     if enumerate_cap is not None:
         # independent enumeration arm: trees of G^o vs forests of the window
         col = collapse_boundary(tilde, subset)

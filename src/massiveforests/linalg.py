@@ -1,12 +1,12 @@
 """Massive Laplacians, potentials and transfer currents.
 
 One assembler builds the (row, col, value) triplets of the massive
-Laplacian from the edge arrays.  Float determinants and the full potential
-go through dense LAPACK LU; a determinantal query only solves for the few
-potential columns it reads, with one sparse LU.  The exact paths use
-fraction-free Bareiss elimination and rational Gaussian solves so that the
-matrix-forest and determinantal identities can be checked bit-exactly
-against the enumeration oracles.
+Laplacian from the edge arrays.  Every float factorization is one sparse
+LU (SuperLU): determinants and log-determinants of dense or sparse
+matrices, the full potential and the few potential columns a determinantal
+query reads.  The exact paths use fraction-free Bareiss elimination and
+rational Gaussian solves so that the matrix-forest and determinantal
+identities can be checked bit-exactly against the enumeration oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import ROOT, WeightedGraph
 
@@ -54,6 +53,14 @@ def assemble_massive_laplacian(g: WeightedGraph):
                        minlength=n * n).reshape(n, n)
 
 
+def assemble_massive_laplacian_sparse(g: WeightedGraph):
+    """Same float matrix as a scipy CSC matrix, straight from the triplets."""
+    import scipy.sparse
+
+    rows, cols, vals = _laplacian_triplets(g)
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+
+
 def assemble_massive_laplacian_exact(g: WeightedGraph):
     """Same matrix with Fraction entries (graph data must be rational)."""
     n = g.n
@@ -64,23 +71,66 @@ def assemble_massive_laplacian_exact(g: WeightedGraph):
     return L
 
 
-def _lu_diagonal(M):
-    """Diagonal of U and the permutation sign of the LU factorization of M.
+def _permutation_parity(p):
+    """Sign (+1.0 or -1.0) of the permutation p, one pass over its cycles."""
+    p = p.tolist()
+    seen = [False] * len(p)
+    swaps = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            j = p[i]
+            while j != i:  # a cycle of length l takes l - 1 swaps
+                seen[j] = True
+                j = p[j]
+                swaps += 1
+    return -1.0 if swaps % 2 else 1.0
 
-    A singular M shows as a zero on the diagonal (LAPACK getrf, called
-    directly so that no LinAlgWarning is raised).
+
+def _sparse_lu(M):
+    """SuperLU factorization of a square float matrix; None if singular.
+
+    M is a scipy sparse matrix or a dense array.  A dense M is scanned once
+    for its nonzeros, whose flat indices give the CSR arrays directly
+    (the generic dense-to-sparse conversion costs more than the LU).
     """
-    M = np.asarray(M, float)
-    if M.size == 0:
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    if scipy.sparse.issparse(M):
+        A = scipy.sparse.csc_matrix(M, dtype=float)
+    else:
+        M = np.ascontiguousarray(M, dtype=float)
+        idx = np.flatnonzero(M != 0)
+        rows, cols = np.divmod(idx, M.shape[1])
+        indptr = np.zeros(M.shape[0] + 1, dtype=np.intc)
+        np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
+        A = scipy.sparse.csr_matrix(
+            (M.ravel()[idx], cols.astype(np.intc), indptr),
+            shape=M.shape).tocsc()
+    try:
+        return scipy.sparse.linalg.splu(A)
+    except RuntimeError as err:  # "Factor is exactly singular"
+        if "singular" not in str(err):
+            raise
+        return None
+
+
+def _lu_diagonal(M):
+    """Diagonal of U and the permutation sign of the sparse LU of M.
+
+    A singular M shows as a zero on the diagonal.
+    """
+    if np.shape(M) == (0, 0):
         return np.ones(0), 1.0
-    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (M,))
-    lu, piv, _ = getrf(M)
-    swaps = np.count_nonzero(piv != np.arange(piv.size))
-    return np.diag(lu), (-1.0 if swaps % 2 else 1.0)
+    lu = _sparse_lu(M)
+    if lu is None:
+        return np.zeros(1), 1.0
+    return (lu.U.diagonal(),
+            _permutation_parity(lu.perm_r) * _permutation_parity(lu.perm_c))
 
 
 def determinant(M):
-    """LU determinant of a dense float matrix (0.0 for singular input).
+    """LU determinant of a dense or sparse float matrix (0.0 if singular).
 
     The product of the LU diagonal over- or underflows on large matrices
     (a 40x40 grid at mass 0.05 gives inf); a RuntimeWarning then points to
@@ -188,46 +238,32 @@ def _require_transient(g: WeightedGraph, exact):
         raise ValueError("exact potential needs rational graph data")
 
 
-def _solve_exact_columns(g: WeightedGraph, ys):
-    """Columns ys of V in rational arithmetic: one solve, len(ys) sides."""
-    B = [[Fraction(g.ck(y)) if x == y else Fraction(0) for y in ys]
-         for x in range(g.n)]
-    return solve_exact(assemble_massive_laplacian_exact(g), B)
+def _potential_matrix(g: WeightedGraph, ys, exact=False):
+    """Columns ys of V: one factorization, a right-hand side per column."""
+    _require_transient(g, exact)
+    if exact:
+        B = [[Fraction(g.ck(y)) if x == y else Fraction(0) for y in ys]
+             for x in range(g.n)]
+        return solve_exact(assemble_massive_laplacian_exact(g), B)
+    lu = _sparse_lu(assemble_massive_laplacian_sparse(g))
+    if lu is None:
+        raise RecurrentWalkError(
+            "singular massive Laplacian: some component carries no mass")
+    D = np.zeros((g.n, len(ys)))
+    D[ys, np.arange(len(ys))] = [float(g.ck(y)) for y in ys]
+    return lu.solve(D)
 
 
 def potential(g: WeightedGraph, exact=False) -> Potential:
-    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k).
-
-    All n columns; the float path is one dense LAPACK solve, since its
-    output is a dense n x n matrix anyway.
-    """
-    _require_transient(g, exact)
-    if exact:
-        return Potential(g, _solve_exact_columns(g, range(g.n)), exact=True)
-    D = np.diag([float(g.ck(x)) for x in range(g.n)])
-    return Potential(g, np.linalg.solve(assemble_massive_laplacian(g), D))
+    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k): all n columns."""
+    return Potential(g, _potential_matrix(g, list(range(g.n)), exact), exact)
 
 
 def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
-    """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0).
-
-    The float path is one sparse LU factorization of the massive Laplacian
-    with a right-hand side per column.
-    """
-    _require_transient(g, exact)
+    """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0)."""
     ys = sorted({int(y) for y in ys} - {ROOT})
     columns = {y: j for j, y in enumerate(ys)}
-    if exact:
-        return Potential(g, _solve_exact_columns(g, ys), True, columns)
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    rows, cols, vals = _laplacian_triplets(g)
-    L = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    D = np.zeros((g.n, len(ys)))
-    D[ys, np.arange(len(ys))] = [float(g.ck(y)) for y in ys]
-    return Potential(g, scipy.sparse.linalg.splu(L).solve(D),
-                     columns=columns)
+    return Potential(g, _potential_matrix(g, ys, exact), exact, columns)
 
 
 def potential_walk_sum(g: WeightedGraph, n_terms=200):

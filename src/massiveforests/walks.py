@@ -11,8 +11,9 @@ import numpy as np
 
 from .graphs import ROOT, RootedForest, WeightedGraph
 from .linalg import (
-    assemble_massive_laplacian,
+    _sparse_lu,
     assemble_massive_laplacian_exact,
+    assemble_massive_laplacian_sparse,
     solve_exact,
 )
 
@@ -253,7 +254,7 @@ def lerw_exact_probability(g: WeightedGraph, gamma, exact=False):
     prob = Fraction(1) if exact else 1.0
     # principal submatrices of Delta^k keep the full c^k on the diagonal
     L = assemble_massive_laplacian_exact(g) if exact else \
-        assemble_massive_laplacian(g)
+        assemble_massive_laplacian_sparse(g)
 
     def green_diag(domain, v):
         i = domain.index(v)
@@ -263,7 +264,7 @@ def lerw_exact_probability(g: WeightedGraph, gamma, exact=False):
             return solve_exact(L_dom, B)[i][0] * Fraction(g.ck(v))
         e = np.zeros(len(domain))
         e[i] = 1.0
-        col = np.linalg.solve(L[np.ix_(domain, domain)], e)
+        col = _sparse_lu(L[np.ix_(domain, domain)]).solve(e)
         return col[i] * float(g.ck(v))
 
     for i, v in enumerate(gamma):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestPartitionEquality:
                                                     exact=True)
             assert gap == 0
             done += 1
+
+    def test_float_gap_on_large_window(self):
+        # both partition functions overflow float64 here (log Z ~ 1929);
+        # the log-determinant gap stays finite and tiny, with no warning
+        amb = grid_graph(42, 42, c=1.0, m=0.05)
+        V = potential(amb).V
+        lam = {x: V[x, 0] for x in range(amb.n)}
+        subset = [j * 42 + i for j in range(1, 41) for i in range(1, 41)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (sf, lf), (st, lt), gap = verify_partition_equality(
+                amb, subset, lam)
+        assert sf == st == 1.0 and lf > 1000
+        assert np.isfinite(gap) and gap <= 1e-10
 
 
 class TestTiltedTransfer:

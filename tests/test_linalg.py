@@ -1,15 +1,20 @@
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from massiveforests.graphs import ROOT, WeightedGraph, symmetric_graph
 from massiveforests.linalg import (
     RecurrentWalkError,
     assemble_massive_laplacian,
     assemble_massive_laplacian_exact,
+    assemble_massive_laplacian_sparse,
     determinant,
     determinant_exact,
     edge_conductance_k,
@@ -58,6 +63,17 @@ def skewed_graph(rng, side=6):
     masses = [float(m) if m > 0.3 else 0.0
               for m in rng.uniform(0.0, 1.0, side * side)]
     return WeightedGraph(side * side, edges, masses)
+
+
+def sparse_ish_matrix(rng, n):
+    """Non-symmetric matrix with ~4 off-diagonal entries per row and a
+    dominant diagonal of random sign, so that det is far from 0."""
+    M = np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(1.5, 3.0, n))
+    k = min(n * (n - 1), 4 * n)
+    off = rng.choice(n * n, size=k, replace=False)
+    off = off[off // n != off % n]
+    M.flat[off] = rng.uniform(-1.0, 1.0, off.size)
+    return M
 
 
 def dense_edge_probability(g, V, edges):
@@ -155,6 +171,50 @@ class TestDeterminant:
             assert determinant(np.ones((3, 3))) == 0.0
             assert log_determinant(np.ones((3, 3))) == (0.0, -np.inf)
 
+    @pytest.mark.parametrize("n", [5, 8, 13, 21, 34, 55, 89, 144, 233, 300])
+    def test_matches_slogdet_on_permuted_sparse(self, n):
+        rng = np.random.default_rng(n)
+        M = sparse_ish_matrix(rng, n)
+        M = M[rng.permutation(n)][:, rng.permutation(n)]
+        ref_sign, ref_ld = np.linalg.slogdet(M)
+        sign, ld = log_determinant(M)
+        assert sign == ref_sign != 0
+        assert abs(ld - ref_ld) <= 1e-12 * max(abs(ref_ld), 1.0)
+        det = determinant(M)
+        assert np.sign(det) == ref_sign
+        assert abs(np.log(abs(det)) - ref_ld) <= 1e-12 * max(abs(ref_ld), 1.0)
+
+    def test_permutation_parity(self):
+        rng = np.random.default_rng(60)
+        for n in range(1, 61):
+            P = np.eye(n)[rng.permutation(n)]
+            parity = float(np.round(np.linalg.det(P)))
+            assert determinant(P) == parity
+            assert log_determinant(P) == (parity, 0.0)
+
+    def test_sparse_input_matches_dense(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 40, 120):
+            M = sparse_ish_matrix(rng, n)[rng.permutation(n)]
+            for fmt in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix,
+                        scipy.sparse.coo_matrix):
+                assert determinant(fmt(M)) == determinant(M)
+                assert log_determinant(fmt(M)) == log_determinant(M)
+        g = grid_graph(12, 9, c=1.0, m=0.05)
+        assert log_determinant(assemble_massive_laplacian_sparse(g)) == \
+            log_determinant(assemble_massive_laplacian(g))
+
+    def test_singular_sparse_is_silent(self):
+        M = np.arange(16.0).reshape(4, 4)
+        M[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (scipy.sparse.csr_matrix(np.ones((3, 3))),
+                      scipy.sparse.csc_matrix(M),
+                      scipy.sparse.csc_matrix((5, 5))):
+                assert determinant(A) == 0.0
+                assert log_determinant(A) == (0.0, -np.inf)
+
     def test_grid_matches_enumeration(self):
         g = grid_graph(3, 3, m=Fraction(1))
         det = determinant_exact(assemble_massive_laplacian_exact(g))
@@ -196,6 +256,42 @@ class TestPotential:
         g = path_ab(m=Fraction(0))
         with pytest.raises(RecurrentWalkError):
             potential(g)
+        # a massless component is recurrent even if another carries mass
+        g = WeightedGraph(3, [(0, 1, 1), (1, 0, 1)], [0, 0, 1], check=False)
+        with pytest.raises(RecurrentWalkError):
+            potential(g)
+
+    @pytest.mark.parametrize("graph", ["grid20", "skewed"])
+    def test_matches_dense_solve(self, graph):
+        g = grid_graph(20, 20, c=1.0, m=0.05) if graph == "grid20" else \
+            skewed_graph(np.random.default_rng(4), side=9)
+        ref = np.linalg.solve(loop_laplacian(g),
+                              np.diag([float(g.ck(x)) for x in range(g.n)]))
+        V = potential(g).V
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_sparse_modules_load_lazily(self):
+        # importing the package must not load scipy.sparse: the first
+        # factorization does
+        code = (
+            "import pkgutil, importlib, sys\n"
+            "import massiveforests\n"
+            "for m in pkgutil.iter_modules(massiveforests.__path__):\n"
+            "    importlib.import_module('massiveforests.' + m.name)\n"
+            "assert not any(k.startswith('scipy.sparse')\n"
+            "               for k in sys.modules)\n"
+            "from massiveforests.graphs import symmetric_graph\n"
+            "from massiveforests.linalg import potential\n"
+            "g = symmetric_graph(2, [(0, 1, 1)], [1, 1])\n"
+            "V = potential(g).V\n"
+            "assert abs(V[0, 0] - 4 / 3) < 1e-15\n"
+            "assert abs(V[0, 1] - 2 / 3) < 1e-15\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["massiveforests"].__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 class TestTransferCurrent:

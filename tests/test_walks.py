@@ -20,7 +20,7 @@ from massiveforests.walks import (
     wilson_sample,
 )
 
-from test_graphs import grid_graph, path_ab
+from test_graphs import grid_graph, path_ab, random_rational_graph
 
 
 class TestStepKilled:
@@ -195,6 +195,17 @@ class TestLerwExact:
                 if p[0] == start:
                     tot += lerw_exact_probability(g, p, exact=True)
             assert tot == 1
+
+    def test_float_arm_matches_exact(self):
+        grid = grid_graph(4, 3, m=Fraction(1, 3))
+        cases = [(grid, gamma) for gamma in ([0, 1, 5, 6], [7, 3, 2], [11])]
+        g = random_rational_graph(np.random.default_rng(5))
+        cases += [(g, [x] + [y for y in g.neighbours(x) if y != x][:1])
+                  for x in range(g.n)]
+        for g, gamma in cases:
+            exact = float(lerw_exact_probability(g, gamma, exact=True))
+            assert abs(lerw_exact_probability(g, gamma) - exact) <= \
+                1e-13 * exact
 
     def test_matches_monte_carlo(self):
         g = grid_graph(2, 2, m=Fraction(1))

@@ -89,6 +89,6 @@ off, v_off, dual_dev, v_diag = verify_block_identity(dg, lam, lam_star,
 print(f"\n(K^k)^dag K^k: off-block {off:.1e}, V-block off-diag "
       f"{v_off:.1e}, dual block {dual_dev:.1e}, diagonal defect "
       f"{v_diag:.1e}")
-detK, rhs, dgap = verify_det_relation(dg, lam, lam_star, window)
-print(f"|det K^k| = {detK:.10f} vs C det Delta^k = {rhs:.10f} "
-      f"(gap {dgap:.1e})")
+log_detK, log_rhs, dgap = verify_det_relation(dg, lam, lam_star, window)
+print(f"log|det K^k| = {log_detK:.10f} vs log(C det Delta^k) = "
+      f"{log_rhs:.10f} (gap {dgap:.1e})")

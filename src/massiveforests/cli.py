@@ -97,47 +97,34 @@ def cmd_grid(args):
 
 
 def cmd_sample_forest(args):
-    from .walks import TransitionTable, rng_stream, wilson_sample
     from .graphs import ROOT
+    from .walks import WilsonEdgeCounter
 
     g = _load_graph_or_die(args.graph)
     if args.root is not None:
+        if not 0 <= args.root < g.n:
+            print(f"error: --root {args.root} is not a vertex of the graph",
+                  file=sys.stderr)
+            return 2, []
         roots = {args.root}
-        masses_ok = True
-    else:
+    elif any(m > 0 for m in g.masses):
         roots = ()
-        masses_ok = any(m > 0 for m in g.masses)
-    if not masses_ok:
+    else:
         print("error: graph has no mass; pass --root for tree sampling",
               file=sys.stderr)
         return 2, []
-    table = TransitionTable(g)
-    pairs = g.directed_edge_set()
-    pairs += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
-    index = {e: i for i, e in enumerate(pairs)}
-
-    per_task = 1000
-    n_tasks = (args.n + per_task - 1) // per_task
-
-    def run_task(task):
-        rng = rng_stream(args.seed, task)
-        k = min(per_task, args.n - task * per_task)
-        counts = np.zeros(len(pairs), dtype=np.int64)
-        for _ in range(k):
-            forest = wilson_sample(g, rng, table=table, roots=roots)
-            for x, y in forest.outgoing.items():
-                if (x, y) in index:
-                    counts[index[(x, y)]] += 1
-        return counts
-
+    counter = WilsonEdgeCounter(g, roots)
+    counts = np.zeros(len(counter.pairs), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        results = list(pool.map(run_task, range(n_tasks)))
-    counts = np.sum(results, axis=0)
+        for task_counts in pool.map(
+                lambda task: counter.task_counts(args.n, args.seed, task),
+                range(counter.n_tasks(args.n))):
+            counts += task_counts
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tail", "head", "count", "n_samples"])
-        for e, c in zip(pairs, counts):
+        for e, c in zip(counter.pairs, counts):
             head = "root" if e[1] == ROOT else e[1]
             writer.writerow([e[0], head, int(c), args.n])
     print(f"wrote {args.out}")

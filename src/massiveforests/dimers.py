@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import ROOT, WeightedGraph, collapse_boundary
-from .linalg import assemble_massive_laplacian, determinant
+from .linalg import (
+    _lu_diagonal,
+    assemble_massive_laplacian,
+    assemble_massive_laplacian_sparse,
+    log_determinant,
+)
 from .planar import DoubleGraph, build_dual_and_double
 
 PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
@@ -338,23 +343,17 @@ def temperley_forward(dg: DoubleGraph, tree_whites):
         matching[w] = (dg.black_of_vertex(x), 0 if info["x"] == x else 2)
         used.add(w)
 
-    # dual adjacency over unused whites
-    adj = {}
-    for w, info in enumerate(dg.whites):
-        if w in used:
-            continue
-        a, b = info["left"], info["right"]
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
-    parent = {dg.r: None}
+    # depth-first search from r over the dual edges of the unused whites
+    adj = dg.dual_adjacency
+    seen = {dg.r}
     stack = [dg.r]
     dual_tree = {}
     while stack:
         f = stack.pop()
-        for (g2, w) in adj.get(f, []):
-            if g2 in parent:
+        for (g2, w) in adj.get(f, ()):
+            if w in used or g2 in seen:
                 continue
-            parent[g2] = (f, w)
+            seen.add(g2)
             dual_tree[g2] = w
             stack.append(g2)
     for f in dg.dual_ids:
@@ -618,8 +617,7 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
     return lam, lam_star
 
 
-def det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
-    """C(c, lambda, lambda*) of the determinant identity."""
+def _log_det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
     col = dg.col
     logc = 0.0
     deg = [0] * col.n
@@ -638,19 +636,31 @@ def det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
     # dual columns of K^k scale as 1/lambda*, hence the inverse product
     for f in dg.dual_ids:
         logc -= math.log(float(lam_star[f]))
-    return math.exp(logc)
+    return logc
+
+
+def det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
+    """C(c, lambda, lambda*) of the determinant identity."""
+    return math.exp(_log_det_relation_constant(dg, lam_ambient, lam_star))
 
 
 def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
-    """(|det K^k|, C * det Delta^k_V, relative gap)."""
-    weights = killed_weights(dg, lam_ambient, lam_star)
-    K = kasteleyn_matrix(dg, weights)
-    detK = abs(kasteleyn_determinant(K))
-    detL = determinant(assemble_massive_laplacian(window))
-    C = det_relation_constant(dg, lam_ambient, lam_star)
-    rhs = C * detL
-    gap = abs(detK - rhs) / max(abs(rhs), 1e-300)
-    return detK, rhs, gap
+    """(log|det K^k|, log(C det Delta^k_V), relative gap).
+
+    Log-magnitudes stay finite on windows whose determinants overflow; the
+    gap is |expm1(log|det K^k| - log(C det Delta^k_V))|, inf when
+    det Delta^k_V is not positive.
+    """
+    K = kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star))
+    diag, _ = _lu_diagonal(K)
+    with np.errstate(divide="ignore"):
+        log_det_k = float(np.sum(np.log(np.abs(diag))))
+    sign_l, log_det_l = log_determinant(
+        assemble_massive_laplacian_sparse(window))
+    log_rhs = _log_det_relation_constant(dg, lam_ambient, lam_star) + \
+        log_det_l
+    gap = abs(math.expm1(log_det_k - log_rhs)) if sign_l > 0 else math.inf
+    return log_det_k, log_rhs, gap
 
 
 def self_duality_residuals(dg: DoubleGraph, lam_ambient, lam_star):

@@ -87,7 +87,8 @@ def _permutation_parity(p):
 
 
 def _sparse_lu(M):
-    """SuperLU factorization of a square float matrix; None if singular.
+    """SuperLU factorization of a square float or complex matrix; None if
+    singular.
 
     M is a scipy sparse matrix or a dense array.  A dense M is scanned once
     for its nonzeros, whose flat indices give the CSR arrays directly
@@ -96,10 +97,11 @@ def _sparse_lu(M):
     import scipy.sparse
     import scipy.sparse.linalg
 
+    dtype = complex if np.iscomplexobj(M) else float
     if scipy.sparse.issparse(M):
-        A = scipy.sparse.csc_matrix(M, dtype=float)
+        A = scipy.sparse.csc_matrix(M, dtype=dtype)
     else:
-        M = np.ascontiguousarray(M, dtype=float)
+        M = np.ascontiguousarray(M, dtype=dtype)
         idx = np.flatnonzero(M != 0)
         rows, cols = np.divmod(idx, M.shape[1])
         indptr = np.zeros(M.shape[0] + 1, dtype=np.intc)

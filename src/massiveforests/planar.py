@@ -284,6 +284,17 @@ class DoubleGraph:
         return self.n_white == self.n_black
 
     @functools.cached_property
+    def dual_adjacency(self):
+        """Face -> [(adjacent face, white between them)] over every white,
+        in white order, built on first use."""
+        adj = {}
+        for w, info in enumerate(self.whites):
+            a, b = info["left"], info["right"]
+            adj.setdefault(a, []).append((b, w))
+            adj.setdefault(b, []).append((a, w))
+        return adj
+
+    @functools.cached_property
     def quad_adjacency(self):
         """Interior quads and their adjacencies, built on first use."""
         return QuadAdjacency(self)

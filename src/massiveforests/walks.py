@@ -7,6 +7,9 @@ split across workers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from .graphs import ROOT, RootedForest, WeightedGraph
@@ -18,6 +21,7 @@ from .linalg import (
 )
 
 WILSON_STEP_CAP = 10**9
+WILSON_BLOCK = 256  # uniforms drawn from the caller's generator at a time
 
 
 def rng_stream(seed, task_id=0):
@@ -28,8 +32,10 @@ def rng_stream(seed, task_id=0):
 class TransitionTable:
     """Per-vertex cumulative transition table of the killed walk.
 
-    Row x ends with the death event; sampling one step is a single uniform
-    plus a searchsorted.
+    Row x holds Python lists of targets and cumulative probabilities and
+    ends with the death event; sampling one step is a single uniform plus
+    a `bisect_right`, which picks the same index as
+    `np.searchsorted(cum, u, side="right")`.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -38,20 +44,19 @@ class TransitionTable:
         self.cum = []
         for x in range(g.n):
             heads = [int(g.head[eid]) for eid in g.out_edges[x]]
-            probs = [g.cond_f[eid] for eid in g.out_edges[x]]
-            ckx = float(g.ck(x))
+            probs = [float(g.cond_f[eid]) for eid in g.out_edges[x]]
             if g.masses_f[x] > 0:
                 heads.append(ROOT)
-                probs.append(g.masses_f[x])
-            cum = np.cumsum(np.array(probs) / ckx)
+                probs.append(float(g.masses_f[x]))
+            ckx = float(g.ck(x))
+            cum = list(accumulate(p / ckx for p in probs))
             cum[-1] = 1.0
-            self.targets.append(np.array(heads, dtype=int))
+            self.targets.append(heads)
             self.cum.append(cum)
 
     def step(self, x, u):
-        i = int(np.searchsorted(self.cum[x], u, side="right"))
-        i = min(i, len(self.targets[x]) - 1)
-        return int(self.targets[x][i])
+        i = bisect_right(self.cum[x], u)
+        return self.targets[x][min(i, len(self.targets[x]) - 1)]
 
 
 class WalkState:
@@ -115,6 +120,57 @@ class LerwPath:
         assert len(set(self.vertices)) == len(self.vertices)
 
 
+def _check_rooted(g: WeightedGraph, roots):
+    if all(m == 0 for m in g.masses) and not roots:
+        raise ValueError("Wilson rooted at the cemetery needs m != 0")
+
+
+def _wilson_successors(table: TransitionTable, rng, order, roots,
+                       step_cap):
+    """Successor list of one Wilson forest; ROOT marks roots and deaths.
+
+    Uniforms come from `rng` in blocks of WILSON_BLOCK.  On return the
+    stream is put back to just after the last uniform the walks used, so a
+    caller sharing `rng` reads the same values as if every step had called
+    `rng.random()` once.
+    """
+    cum, targets = table.cum, table.targets
+    n = len(cum)
+    nxt = [ROOT] * n
+    in_tree = [False] * n + [True]  # in_tree[ROOT] (index -1) stops a walk
+    for r in roots:
+        if not 0 <= r < n:
+            raise ValueError(f"root {r} is not a vertex")
+        in_tree[r] = True
+    state = rng.bit_generator.state
+    block = rng.random(WILSON_BLOCK).tolist()
+    pos = used = 0
+    for start in order:
+        x = start
+        while not in_tree[x]:
+            if pos == WILSON_BLOCK:
+                used += pos
+                if used >= step_cap:
+                    raise RuntimeError(
+                        "Wilson step cap exceeded; killed walk may not die "
+                        "a.s.")
+                state = rng.bit_generator.state
+                block = rng.random(WILSON_BLOCK).tolist()
+                pos = 0
+            # u < 1 = cum[x][-1], so the index stays inside the row
+            y = targets[x][bisect_right(cum[x], block[pos])]
+            pos += 1
+            nxt[x] = y
+            x = y
+        x = start
+        while not in_tree[x]:
+            in_tree[x] = True
+            x = nxt[x]
+    rng.bit_generator.state = state
+    rng.random(pos)
+    return nxt
+
+
 def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
                   step_cap=WILSON_STEP_CAP, roots=()) -> RootedForest:
     """Wilson's algorithm rooted at the cemetery (or at given root vertices).
@@ -124,35 +180,61 @@ def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
     spanning forest of g with the Boltzmann law; with `roots` given and no
     masses, it is a spanning tree/forest rooted at those vertices.
     """
-    if all(m == 0 for m in g.masses) and not roots:
-        raise ValueError("Wilson rooted at the cemetery needs m != 0")
+    _check_rooted(g, roots)
     if table is None:
         table = TransitionTable(g)
     if order is None:
         order = range(g.n)
-    nxt = [None] * g.n
-    in_tree = [False] * g.n
-    for r in roots:
-        in_tree[r] = True
-        nxt[r] = ROOT
-    steps = 0
-    u = rng.random  # local alias, hot loop
-    for start in order:
-        x = start
-        while x != ROOT and not in_tree[x]:
-            y = table.step(x, u())
-            nxt[x] = y
-            x = y
-            steps += 1
-            if steps > step_cap:
-                raise RuntimeError(
-                    "Wilson step cap exceeded; killed walk may not die a.s.")
-        x = start
-        while x != ROOT and not in_tree[x]:
-            in_tree[x] = True
-            x = nxt[x]
-    return RootedForest(g.n, {x: (ROOT if nxt[x] == ROOT else nxt[x])
-                              for x in range(g.n)})
+    return RootedForest(g.n, _wilson_successors(table, rng, order, roots,
+                                                step_cap))
+
+
+class WilsonEdgeCounter:
+    """Directed-edge counts over independent Wilson forests of one graph.
+
+    `pairs` lists the distinct directed edges, then (x, ROOT) for every
+    massive x.  Forests are split into tasks of `per_task`; task t draws
+    its forests from rng_stream(seed, t), so summed counts depend only on
+    (seed, n_samples), whatever runs the tasks.
+    """
+
+    def __init__(self, g: WeightedGraph, roots=(), per_task=1000):
+        _check_rooted(g, roots)
+        self.table = TransitionTable(g)
+        self.roots = roots
+        self.per_task = per_task
+        self.pairs = g.directed_edge_set()
+        self.pairs += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
+        # (x, y) has code x (n + 1) + y + 1, so (x, ROOT) has code x (n + 1);
+        # the sorted codes end with a sentinel that no successor reaches
+        codes = np.array([x * (g.n + 1) + y + 1 for x, y in self.pairs],
+                         dtype=np.int64)
+        self._sort = np.argsort(codes)
+        self._codes = np.append(codes[self._sort], (g.n + 1) ** 2)
+        self._tail_codes = np.arange(g.n, dtype=np.int64) * (g.n + 1) + 1
+
+    def n_tasks(self, n_samples):
+        return -(-n_samples // self.per_task)
+
+    def task_counts(self, n_samples, seed, task):
+        """Counts over `pairs` of task `task`'s forests.
+
+        A successor outside `pairs` (a given root without mass) is not
+        counted.
+        """
+        rng = rng_stream(seed, task)
+        k = min(self.per_task, n_samples - task * self.per_task)
+        hits = np.zeros(len(self.pairs), dtype=np.int64)
+        order = range(len(self._tail_codes))
+        for _ in range(k):
+            codes = self._tail_codes + _wilson_successors(
+                self.table, rng, order, self.roots, WILSON_STEP_CAP)
+            i = np.searchsorted(self._codes, codes)
+            hits += np.bincount(i[self._codes[i] == codes],
+                                minlength=len(hits))
+        counts = np.empty_like(hits)
+        counts[self._sort] = hits
+        return counts
 
 
 def wilson_edge_marginals(g: WeightedGraph, n_samples, seed,
@@ -162,22 +244,11 @@ def wilson_edge_marginals(g: WeightedGraph, n_samples, seed,
     Work is split into tasks with their own streams; the reduction is a sum
     over task ids, so the result only depends on (seed, n_samples).
     """
-    table = TransitionTable(g)
-    pairs = g.directed_edge_set()
-    pairs += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
-    index = {e: i for i, e in enumerate(pairs)}
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    n_tasks = (n_samples + samples_per_task - 1) // samples_per_task
-    done = 0
-    for task in range(n_tasks):
-        rng = rng_stream(seed, task)
-        k = min(samples_per_task, n_samples - done)
-        done += k
-        for _ in range(k):
-            forest = wilson_sample(g, rng, table=table)
-            for x, y in forest.outgoing.items():
-                counts[index[(x, y)]] += 1
-    return pairs, counts, n_samples
+    counter = WilsonEdgeCounter(g, per_task=samples_per_task)
+    counts = np.zeros(len(counter.pairs), dtype=np.int64)
+    for task in range(counter.n_tasks(n_samples)):
+        counts += counter.task_counts(n_samples, seed, task)
+    return counter.pairs, counts, n_samples
 
 
 def coupled_pair_step(g: WeightedGraph, x_unkilled, x_killed, rng):

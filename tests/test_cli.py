@@ -139,6 +139,14 @@ class TestDispatch:
         assert by_tail["1"] == 200 and by_tail["2"] == 200
         assert by_tail.get("0", 0) == 0
 
+    def test_root_outside_graph_is_usage_error(self, tmp_path):
+        p = tmp_path / "g.json"
+        save_graph(str(p), symmetric_graph(2, [(0, 1, 1.0)], [0.0, 0.0]))
+        out = tmp_path / "t.csv"
+        assert main(["sample-tree", "--graph", str(p), "--root", "2",
+                     "--n", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_charpoly_cli(self, tmp_path):
         from massiveforests.periodic import square_lattice
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +383,19 @@ class TestDetRelation:
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
         detK, rhs, gap = verify_det_relation(dg, lam, lam_star, window)
         assert gap <= 1e-12
+
+    def test_finite_gap_on_large_window(self):
+        # both determinants overflow float64 on this 676-vertex window
+        amb, col, window, dg = window_setup(28, 28, range(1, 27),
+                                            range(1, 27))
+        lam = ones_lambda(amb)
+        lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_det_k, log_rhs, gap = verify_det_relation(dg, lam, lam_star,
+                                                          window)
+        assert np.isfinite(log_det_k) and log_det_k > 709.8  # > log(max float)
+        assert gap <= 1e-10
 
 
 class TestSelfDuality:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massiveforests.graphs import ROOT, WeightedGraph
+from massiveforests.graphs import ROOT, RootedForest, WeightedGraph
 from massiveforests.linalg import edge_probability
 from massiveforests.walks import (
     TransitionTable,
     WalkState,
+    WilsonEdgeCounter,
     coupled_pair_step,
     lerw_exact_probability,
     loop_erase,
@@ -81,6 +82,12 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_sample(path_ab(m=Fraction(0)), rng_stream(5))
 
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_root_outside_graph_rejected(self, root):
+        with pytest.raises(ValueError, match="not a vertex"):
+            wilson_sample(path_ab(m=Fraction(0)), rng_stream(5),
+                          roots={root})
+
     def test_output_is_forest(self):
         g = grid_graph(3, 3, m=Fraction(1, 2))
         rng = rng_stream(6)
@@ -132,6 +139,13 @@ class TestWilson:
             stats.append(hit / n)
         sigma = np.sqrt(0.25 / 20000)
         assert abs(stats[0] - stats[1]) < 4 * np.sqrt(2) * sigma
+
+    def test_step_cap_on_massless_component(self):
+        # 0 is killed, but from 1 the walk only moves between 1 and 2
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+                          [1.0, 0.0, 0.0], check=False)
+        with pytest.raises(RuntimeError, match="step cap"):
+            wilson_sample(g, rng_stream(8), step_cap=10_000)
 
     def test_determinism_same_seed(self):
         g = grid_graph(2, 2, m=Fraction(1))
@@ -221,3 +235,146 @@ class TestLerwExact:
         p = float(lerw_exact_probability(g, gamma, exact=True))
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 4 * sigma
+
+
+# -- draw-for-draw identity with the one-uniform-per-step searchsorted loop --
+
+
+def reference_table(g):
+    targets, cum = [], []
+    for x in range(g.n):
+        heads = [int(g.head[eid]) for eid in g.out_edges[x]]
+        probs = [g.cond_f[eid] for eid in g.out_edges[x]]
+        ckx = float(g.ck(x))
+        if g.masses_f[x] > 0:
+            heads.append(ROOT)
+            probs.append(g.masses_f[x])
+        c = np.cumsum(np.array(probs) / ckx)
+        c[-1] = 1.0
+        targets.append(np.array(heads, dtype=int))
+        cum.append(c)
+    return targets, cum
+
+
+def reference_wilson(g, ref, rng, order=None, roots=()):
+    targets, cum = ref
+    if order is None:
+        order = range(g.n)
+    nxt = [None] * g.n
+    in_tree = [False] * g.n
+    for r in roots:
+        in_tree[r] = True
+        nxt[r] = ROOT
+    for start in order:
+        x = start
+        while x != ROOT and not in_tree[x]:
+            i = int(np.searchsorted(cum[x], rng.random(), side="right"))
+            y = int(targets[x][min(i, len(targets[x]) - 1)])
+            nxt[x] = y
+            x = y
+        x = start
+        while x != ROOT and not in_tree[x]:
+            in_tree[x] = True
+            x = nxt[x]
+    return RootedForest(g.n, nxt)
+
+
+def cli_grid():
+    """The README's CLI grid: square, delta 0.05, window 20, M = 1."""
+    from massiveforests.elliptic import near_critical_modulus
+    from massiveforests.io import grid_to_graph
+    from massiveforests.isoradial import build_square_grid
+
+    return grid_to_graph(build_square_grid(0.05, 20),
+                         near_critical_modulus(1.0, 0.05))[0]
+
+
+def float_grid(side, mass):
+    return grid_graph(side, side, c=1.0, m=mass)
+
+
+def lazy_graph():
+    from massiveforests.elliptic import complete_integrals
+    from massiveforests.isoradial import (
+        build_rhombic_grid,
+        random_rhombic_angles,
+    )
+    from massiveforests.walks import lazy_walk_graph
+
+    phis, psis = random_rhombic_angles(np.random.default_rng(13), 4)
+    return lazy_walk_graph(build_rhombic_grid(0.3, phis, psis),
+                           complete_integrals(0.4))[0]
+
+
+def parallel_graph():
+    edges = [(0, 1, 1.0), (0, 1, 2.5), (1, 0, 0.5), (1, 2, 1.0),
+             (2, 1, 1.0), (2, 1, 0.25), (2, 3, 3.0), (3, 2, 3.0),
+             (3, 0, 1.0), (0, 3, 1.0), (3, 3, 0.5)]
+    return WeightedGraph(4, edges, [0.2, 0.0, 0.1, 0.3], check=False)
+
+
+IDENTITY_CASES = {
+    "cli-grid": (cli_grid, {}),
+    "grid40-mass0.05": (lambda: float_grid(40, 0.05), {}),
+    "lazy": (lazy_graph, {}),
+    "parallel": (parallel_graph, {}),
+    "massless-roots": (lambda: float_grid(6, 0.0), {"roots": {0, 35}}),
+    "order": (lambda: float_grid(5, 0.3),
+              {"order": [int(v) for v in
+                         np.random.default_rng(3).permutation(25)]}),
+}
+
+
+class TestWilsonIdentity:
+    @pytest.mark.parametrize("name", ["cli-grid", "grid40-mass0.05"])
+    def test_table_bit_equal_to_cumsum(self, name):
+        g = IDENTITY_CASES[name][0]()
+        table = TransitionTable(g)
+        targets, cum = reference_table(g)
+        for x in range(g.n):
+            assert table.cum[x] == cum[x].tolist()
+            assert table.targets[x] == targets[x].tolist()
+
+    @pytest.mark.parametrize("name", ["cli-grid", "lazy", "parallel"])
+    def test_step_matches_searchsorted(self, name):
+        g = IDENTITY_CASES[name][0]()
+        table = TransitionTable(g)
+        targets, cum = reference_table(g)
+        for x in range(g.n):
+            for u in [0.0] + cum[x][:-1].tolist():
+                for v in (np.nextafter(u, -1.0), u, np.nextafter(u, 2.0)):
+                    if not 0.0 <= v < 1.0:
+                        continue
+                    i = int(np.searchsorted(cum[x], v, side="right"))
+                    assert table.step(x, float(v)) == \
+                        targets[x][min(i, len(targets[x]) - 1)]
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_shared_stream_identical(self, name):
+        make, kwargs = IDENTITY_CASES[name]
+        g = make()
+        ref = reference_table(g)
+        table = TransitionTable(g)
+        k = 3 if g.n > 200 else 20
+        rng, rng_ref = rng_stream(17, 4), rng_stream(17, 4)
+        for _ in range(k):
+            forest = wilson_sample(g, rng, table=table, **kwargs)
+            assert forest == reference_wilson(g, ref, rng_ref, **kwargs)
+        assert rng.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("roots", [(), (1,)])
+    def test_edge_counts_match_reference(self, roots):
+        g = parallel_graph()
+        ref = reference_table(g)
+        counter = WilsonEdgeCounter(g, roots, per_task=40)
+        index = {e: i for i, e in enumerate(counter.pairs)}
+        for task in range(3):
+            counts = counter.task_counts(100, 5, task)
+            expect = np.zeros(len(counter.pairs), dtype=np.int64)
+            rng = rng_stream(5, task)
+            for _ in range(min(40, 100 - 40 * task)):
+                forest = reference_wilson(g, ref, rng, roots=roots)
+                for e in forest.outgoing.items():
+                    if e in index:
+                        expect[index[e]] += 1
+            assert np.array_equal(counts, expect)

@@ -186,6 +186,25 @@ class TestDispatch:
         assert rows[0].split(",")[:6] == rows[1].split(",")[:6]
         assert rows[0].split(",")[6] != rows[1].split(",")[6]
 
+    def test_experiment_exitlaw_reruns_identical(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 1.0, "u_bar": 0.3, "delta": 1 / 16,
+                                   "n": 2000, "seed": 5}))
+        outs = [str(tmp_path / f"exit{i}.csv") for i in (1, 2)]
+        for out in outs:
+            assert main(["experiment", "exitlaw", "--config", str(cfg),
+                         "--out", out]) == 0
+        blobs = [open(out, "rb").read() for out in outs]
+        assert blobs[0] == blobs[1]
+        lines = blobs[0].decode().splitlines()
+        assert lines[0] == "experiment,arc,walk_count,brownian_count,tv"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 16
+        assert [int(r[1]) for r in rows] == list(range(16))
+        assert sum(int(r[3]) for r in rows) == 2000
+        assert len({r[4] for r in rows}) == 1
+        assert 0 < float(rows[0][4]) < 1
+
     def test_sample_dimers(self, tmp_path):
         gpath = str(tmp_path / "grid.json")
         assert main(["grid", "--delta", "0.125", "--window", "8", "--M",

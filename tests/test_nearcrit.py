@@ -6,6 +6,8 @@ import pytest
 from massiveforests.nearcrit import (
     CrossingSpec,
     SquareLatticeKernel,
+    _arc_bin,
+    _circle_crossing_angle,
     _crossing_box,
     _disk_box,
     _walk,
@@ -13,6 +15,7 @@ from massiveforests.nearcrit import (
     conditioned_branch_sampler,
     crossing_probability,
     exit_law_brownian,
+    exit_law_continuum,
     exit_law_walk,
     girsanov_ratio_check,
     lerw_ratio_check,
@@ -20,6 +23,17 @@ from massiveforests.nearcrit import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+class _Block:
+    """A coupled uniform block of width n: row `step` is drawn afresh on
+    each read, so every run that reads it sees the same rows."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __getitem__(self, step):
+        return np.random.default_rng([11, step]).random(self.n)
 
 
 class TestKernel:
@@ -128,20 +142,7 @@ class TestCrossing:
     def test_killing_monotonicity_coupled(self):
         spec = CrossingSpec(r=0.3)
         n = 20000
-        rng = np.random.default_rng(11)
-
-        class Shared:
-            def __init__(self, rng, n):
-                self.rng = rng
-                self.cache = {}
-                self.n = n
-
-            def __getitem__(self, i):
-                if i not in self.cache:
-                    self.cache[i] = self.rng.random(self.n)
-                return self.cache[i]
-
-        shared = Shared(rng, n)
+        shared = _Block(n)
         est0, _ = crossing_probability(spec, 0.3 / 32, 0.0, n, seed=0,
                                        coupled_uniforms=shared)
         est2, _ = crossing_probability(spec, 0.3 / 32, 2.0, n, seed=0,
@@ -171,15 +172,11 @@ class TestEngine:
         spec = CrossingSpec(r=0.3)
         n = 20000
 
-        class Block:  # row `step` of the block, drawn afresh on each read
-            def __getitem__(self, step):
-                return np.random.default_rng([11, step]).random(n)
-
         wins = {}
         for M in (0.0, 2.0):
             kernel = SquareLatticeKernel(M, 0.3 / 32)
             box, target, start = _crossing_box(spec, kernel)
-            w = _walk(kernel, box, start, n, None, 10**5, uniforms=Block())
+            w = _walk(kernel, box, start, n, None, 10**5, uniforms=_Block(n))
             assert w.truncated == 0
             wins[M] = ~w.died & target[w.final]
         assert wins[2.0].sum() > 0
@@ -243,12 +240,72 @@ class TestExitLaw:
         assert total_variation(counts_w, counts_b) < 0.05
 
 
+class TestContinuumExitLaw:
+    def test_masses_sum_to_one(self):
+        for M, u_bar in ((0.0, 0.0), (1.0, 0.3), (3.0, math.pi / 2),
+                         (2.0, -1.0)):
+            p = exit_law_continuum(M, u_bar)
+            assert abs(p.sum() - 1.0) < 1e-12
+            assert p.min() > 0
+
+    def test_uniform_without_drift(self):
+        assert np.allclose(exit_law_continuum(0.0, 1.2), 1 / 16,
+                           rtol=0, atol=1e-15)
+
+    def test_symmetric_about_u_bar(self):
+        # about a bin centre (bins k and -k) and about a bin edge
+        p = exit_law_continuum(1.5, 3 * math.pi / 8)  # centre of bin 3
+        assert np.allclose(p[3 + np.arange(8)], p[3 - np.arange(8)],
+                           rtol=0, atol=1e-15)
+        p = exit_law_continuum(1.5, math.pi / 16)  # edge of bins 0 and 1
+        assert np.allclose(p[1 + np.arange(8)], p[-np.arange(8)],
+                           rtol=0, atol=1e-15)
+
+    def test_quarter_turn_rolls_bins(self):
+        for n_arcs in (16, 24):
+            p = exit_law_continuum(1.0, 0.3, n_arcs=n_arcs)
+            q = exit_law_continuum(1.0, 0.3 + math.pi / 2, n_arcs=n_arcs)
+            assert np.allclose(np.roll(p, n_arcs // 4), q, rtol=0,
+                               atol=1e-15)
+
+    def test_sampler_binomial_per_bin(self):
+        from scipy.stats import binomtest
+
+        cases = ((0.0, 0.0), (1.0, 0.3), (3.0, math.pi / 2))
+        n = 10**6
+        alpha = 1e-4 / (len(cases) * 16)  # Bonferroni: family-wise 1e-4
+        for seed, (M, u_bar) in enumerate(cases, start=40):
+            counts, exited = exit_law_brownian(M, u_bar, 1 / 64, n, seed)
+            assert counts.dtype == np.int64 and exited == n == counts.sum()
+            p = exit_law_continuum(M, u_bar)
+            for c, q in zip(counts, p):
+                assert binomtest(int(c), n, q).pvalue > alpha
+
+    def test_closed_form_against_euler_scheme(self):
+        # drifted BM (drift 2M e^{iu}, unit diffusion) stepped by Euler from
+        # the centre, independent of the library's exact draw
+        M, u_bar, h, n = 1.0, 0.0, 1 / 64, 20000
+        rng = np.random.default_rng(41)
+        drift = 2 * M * complex(math.cos(u_bar), math.sin(u_bar)) * h * h
+        pos = np.zeros(n, dtype=complex)
+        arcs = []
+        while pos.size:
+            g = rng.standard_normal((pos.size, 2))
+            new = pos + drift + h * (g[:, 0] + 1j * g[:, 1])
+            out = np.abs(new) >= 1.0
+            arcs.append(_arc_bin(
+                _circle_crossing_angle(pos[out], new[out], 1.0), 16))
+            pos = new[~out]
+        counts = np.bincount(np.concatenate(arcs), minlength=16)
+        assert counts.sum() == n
+        assert total_variation(counts, exit_law_continuum(M, u_bar)) < 0.03
+
+
 class TestConditionedBranch:
     def test_paths_simple_and_on_arc(self):
         paths, acc = conditioned_branch_sampler(
             1.0, 1 / 16, target_arc=0, n_accepted=50, seed=20, radius=0.5)
         assert 0 < acc <= 1
-        from massiveforests.nearcrit import _arc_bin, _circle_crossing_angle
         s = SQRT2 / 16
         for p in paths:
             assert len(set(p)) == len(p)

@@ -162,7 +162,7 @@ def cmd_sample_dimers(args):
     from .doob import HARMONICITY_GATE, check_massive_harmonic
     from .elliptic import (
         complete_integrals,
-        exponential_step_factor,
+        exponential_edge_factor,
         near_critical_modulus,
     )
 
@@ -198,9 +198,7 @@ def cmd_sample_dimers(args):
             if y in lam:
                 continue
             a, b = g.edge_rays[(x, y)]
-            factor = exponential_step_factor(a, args.u, mod) * \
-                exponential_step_factor(b, args.u, mod)
-            lam[y] = lam[x] * factor
+            lam[y] = lam[x] * exponential_edge_factor(a, b, args.u, mod)
             stack.append(y)
     # --M and --delta give the field's modulus; only the file's own one
     # makes it massive harmonic, i.e. the tilt a Doob transform of the

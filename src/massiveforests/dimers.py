@@ -3,7 +3,8 @@
 Phases, drifted and killed weight systems, Temperley's bijection in both
 directions, local statistics, the block identity (K^k)^dagger K^k and the
 determinant relation det K^k = C det Delta^k, plus matching sampling and
-the height field.
+the height field.  One set of per-half-edge triplets builds K: dense,
+sparse, and the real form whose exact determinant is |det K|^2.
 """
 
 from __future__ import annotations
@@ -18,70 +19,12 @@ from .linalg import (
     _lu_diagonal,
     assemble_massive_laplacian,
     assemble_massive_laplacian_sparse,
+    determinant_exact,
     log_determinant,
 )
 from .planar import DoubleGraph, build_dual_and_double
 
 PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
-
-
-class GaussianRational:
-    """Exact complex number with Fraction real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    @classmethod
-    def from_phase(cls, phase):
-        phase = complex(phase)
-        return cls(Fraction(int(phase.real)), Fraction(int(phase.imag)))
-
-    def __add__(self, o):
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        d = o.re * o.re + o.im * o.im
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-
-def gaussian_det(rows):
-    """Exact determinant of a square GaussianRational matrix."""
-    n = len(rows)
-    A = [row[:] for row in rows]
-    det = GaussianRational(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not A[i][k].is_zero()), None)
-        if piv is None:
-            return GaussianRational(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        det = det * A[k][k]
-        for i in range(k + 1, n):
-            f = A[i][k] / A[k][k]
-            for j in range(k, n):
-                A[i][j] = A[i][j] - f * A[k][j]
-    return det
 
 
 def kasteleyn_phases(dg: DoubleGraph):
@@ -204,30 +147,75 @@ def killed_drifted_gauge(dg: DoubleGraph, lam_ambient, lam_star):
     return phi, psi
 
 
-def kasteleyn_matrix(dg: DoubleGraph, weights: WeightSystem, exact=False):
-    """K with rows = whites, columns = blacks, entries zeta * nu."""
-    if exact:
-        zero = GaussianRational(0)
-        K = [[zero for _ in range(dg.n_black)] for _ in range(dg.n_white)]
-        for w in range(dg.n_white):
-            for (b, kind, slot) in dg.white_neighbours(w):
-                val = GaussianRational(weights.weight(w, slot)) * \
-                    GaussianRational.from_phase(complex(PHASES[slot]))
-                K[w][b] = K[w][b] + val
-        return K
-    K = np.zeros((dg.n_white, dg.n_black), dtype=complex)
+def _kasteleyn_triplets(dg: DoubleGraph, weights: WeightSystem):
+    """(white, black, phase slot, weight) of every surviving half-edge.
+
+    Whites come in order and each white's half-edges clockwise (x, left,
+    y, right), so summing the triplets in order adds the terms of each
+    entry of K in the same order as a loop over `white_neighbours` would.
+    The weights stay as given (Fractions for the exact determinant).
+    """
+    whites, blacks, slots, nu = [], [], [], []
     for w in range(dg.n_white):
-        for (b, kind, slot) in dg.white_neighbours(w):
-            K[w, b] += PHASES[slot] * float(weights.weight(w, slot))
+        for (b, _, slot) in dg.white_neighbours(w):
+            whites.append(w)
+            blacks.append(b)
+            slots.append(slot)
+            nu.append(weights.weight(w, slot))
+    return whites, blacks, slots, nu
+
+
+def _float_entries(slots, nu):
+    return np.array(PHASES)[slots] * np.array(nu, dtype=float)
+
+
+def kasteleyn_matrix(dg: DoubleGraph, weights: WeightSystem):
+    """Dense K with rows = whites, columns = blacks, entries zeta * nu."""
+    whites, blacks, slots, nu = _kasteleyn_triplets(dg, weights)
+    K = np.zeros((dg.n_white, dg.n_black), dtype=complex)
+    np.add.at(K, (whites, blacks), _float_entries(slots, nu))
     return K
 
 
+def kasteleyn_matrix_sparse(dg: DoubleGraph, weights: WeightSystem):
+    """Same K as a scipy CSC matrix, straight from the triplets."""
+    import scipy.sparse
+
+    whites, blacks, slots, nu = _kasteleyn_triplets(dg, weights)
+    return scipy.sparse.csc_matrix(
+        (_float_entries(slots, nu), (whites, blacks)),
+        shape=(dg.n_white, dg.n_black))
+
+
+def _require_square(n_white, n_black):
+    if n_white != n_black:
+        raise ValueError("Kasteleyn matrix must be square (|W| = |B|)")
+
+
 def kasteleyn_determinant(K):
-    if isinstance(K, np.ndarray):
-        if K.shape[0] != K.shape[1]:
-            raise ValueError("Kasteleyn matrix must be square (|W| = |B|)")
-        return complex(np.linalg.det(K))
-    return gaussian_det(K)
+    """Float determinant of a dense K."""
+    _require_square(*K.shape)
+    return complex(np.linalg.det(K))
+
+
+def kasteleyn_abs2_exact(dg: DoubleGraph, weights: WeightSystem):
+    """|det K|^2 as a Fraction (the weights must be rational).
+
+    With K = A + iB for real A and B, det [[A, -B], [B, A]] = |det K|^2, so
+    `determinant_exact` of that real 2n x 2n matrix gives it without
+    complex arithmetic.
+    """
+    _require_square(dg.n_white, dg.n_black)
+    n = dg.n_white
+    M = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for w, b, slot, v in zip(*_kasteleyn_triplets(dg, weights)):
+        zeta = PHASES[slot]
+        re, im = int(zeta.real) * Fraction(v), int(zeta.imag) * Fraction(v)
+        M[w][b] += re
+        M[w][n + b] -= im
+        M[n + w][b] += im
+        M[n + w][n + b] += re
+    return determinant_exact(M)
 
 
 def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
@@ -262,16 +250,16 @@ def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
 
 def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
                     cap_whites=14):
-    """(|det K|, sum over matchings, gap).  Exact mode compares squares."""
-    K = kasteleyn_matrix(dg, weights, exact=exact)
-    matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites,
-                                    exact=exact)
+    """(|det K|, sum over matchings, relative gap), or in exact mode
+    (|det K|^2, sum over matchings, |det K|^2 - sum^2)."""
     if exact:
-        det = kasteleyn_determinant(K)
+        det2 = kasteleyn_abs2_exact(dg, weights)
+        matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites,
+                                        exact=True)
         z = sum((wt for _, wt in matchings), Fraction(0))
-        gap = det.abs2() - z * z
-        return det, z, gap
-    det = abs(kasteleyn_determinant(K))
+        return det2, z, det2 - z * z
+    det = abs(kasteleyn_determinant(kasteleyn_matrix(dg, weights)))
+    matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites)
     z = float(sum(wt for _, wt in matchings))
     gap = abs(det - z) / max(abs(z), 1e-300)
     return det, z, gap
@@ -651,7 +639,8 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     gap is |expm1(log|det K^k| - log(C det Delta^k_V))|, inf when
     det Delta^k_V is not positive.
     """
-    K = kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star))
+    K = kasteleyn_matrix_sparse(dg,
+                                killed_weights(dg, lam_ambient, lam_star))
     diag, _ = _lu_diagonal(K)
     with np.errstate(divide="ignore"):
         log_det_k = float(np.sum(np.log(np.abs(diag))))

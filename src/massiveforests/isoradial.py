@@ -19,6 +19,7 @@ import numpy as np
 
 from .elliptic import (
     EllipticModulus,
+    exponential_edge_factor,
     exponential_step_factor,
     mass_term,
     sc,
@@ -236,8 +237,7 @@ def mass_value_via_star(grid, modulus, x, u_bar=0.0):
     for eid in grid.edges_at(x):
         a, b = grid.rays(eid, x)
         tb = grid.half_angle(eid)
-        f = exponential_step_factor(a, u_bar, modulus) * \
-            exponential_step_factor(b, u_bar, modulus)
+        f = exponential_edge_factor(a, b, u_bar, modulus)
         total += sc(modulus.abstract_angle(tb), modulus) * (f - 1.0)
     return total
 
@@ -280,8 +280,7 @@ class ExponentialField:
     def edge_factor(self, eid):
         """e along the directed edge tail -> head."""
         a, b = self.grid.edge_alpha[eid], self.grid.edge_beta[eid]
-        return exponential_step_factor(a, self.u_bar, self.modulus) * \
-            exponential_step_factor(b, self.u_bar, self.modulus)
+        return exponential_edge_factor(a, b, self.u_bar, self.modulus)
 
 
 def discrete_exponential(grid, modulus, u_bar, x0=None) -> ExponentialField:

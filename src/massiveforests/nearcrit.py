@@ -20,7 +20,7 @@ import numpy as np
 
 from .elliptic import (
     complete_integrals,
-    exponential_step_factor,
+    exponential_edge_factor,
     mass_value,
     near_critical_modulus,
     sc,
@@ -71,8 +71,7 @@ class SquareLatticeKernel:
 
     def edge_factor(self, direction, u_bar):
         a, b = self.RAYS[direction]
-        return exponential_step_factor(a, u_bar, self.mod) * \
-            exponential_step_factor(b, u_bar, self.mod)
+        return exponential_edge_factor(a, b, u_bar, self.mod)
 
     def exponential(self, displacement, u_bar):
         """e_(x,y) for a lattice displacement (complex, in plane units)."""

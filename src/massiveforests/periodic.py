@@ -289,6 +289,7 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
     """Residual of the unrolled field under the unrolled massive Laplacian."""
     from .doob import check_massive_harmonic
 
+    # periodic masses (no wiring), so bulk harmonicity is exact
     g = pg.unroll(reps, reps, wire=False)
     lam = {}
     for (x0, i, j), v in g.periodic_index.items():
@@ -297,14 +298,7 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
     mi, mj = pg.max_offsets()
     interior = [v for (x0, i, j), v in g.periodic_index.items()
                 if mi <= i < reps - mi and mj <= j < reps - mj]
-    # use the periodic masses (no wiring) so bulk harmonicity is exact
-    masses = []
-    for (x0, i, j), v in sorted(g.periodic_index.items(),
-                                key=lambda kv: kv[1]):
-        masses.append(float(pg.masses[x0]))
-    g2 = WeightedGraph(g.n, [(int(g.tail[e]), int(g.head[e]), g.cond[e])
-                             for e in range(g.m_edges)], masses, check=False)
-    return check_massive_harmonic(g2, lam, interior)
+    return check_massive_harmonic(g, lam, interior)
 
 
 def spectral_probe(pg: PeriodicGraph, n_samples=50, seed=3):

@@ -75,6 +75,11 @@ class TestDispatch:
     def test_verify_periodic(self, capsys):
         assert main(["verify", "periodic"]) == 0
 
+    def test_verify_dimers(self, capsys):
+        assert main(["verify", "dimers"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  |det K|^2 - Z^2 = 0" in lines
+
     def test_malformed_graph_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nonsense")

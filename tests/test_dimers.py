@@ -12,8 +12,10 @@ from massiveforests.dimers import (
     dual_block_vs_inverse_conductances,
     enumerate_matchings,
     height_function,
+    kasteleyn_abs2_exact,
     kasteleyn_determinant,
     kasteleyn_matrix,
+    kasteleyn_matrix_sparse,
     kasteleyn_phases,
     killed_drifted_gauge,
     killed_weights,
@@ -156,6 +158,28 @@ class TestPartitionFunction:
         det, z_dim, gap = partition_check(dg, ws, exact=True)
         assert gap == 0
         assert z_dim == z_forest
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unbalanced_double_graph_refused(self, exact):
+        # the whole 3x3 grid as the window: 12 whites against 13 blacks
+        amb = grid_graph(3, 3)
+        col = collapse_boundary(amb, range(9))
+        _, dg = build_dual_and_double(col, amb.positions)
+        assert (dg.n_white, dg.n_black) == (12, 13)
+        ws = drifted_weights(dg, ones_lambda(amb))
+        with pytest.raises(ValueError, match="must be square"):
+            partition_check(dg, ws, exact=exact)
+
+    def test_exact_abs2_past_enumeration_cap(self):
+        # 24 whites: no enumeration oracle, so check against the float det
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3],
+                                            mass=Fraction(9, 4))
+        assert dg.n_white == 24
+        ws = drifted_weights(dg, pow4_lambda(amb))
+        det2 = kasteleyn_abs2_exact(dg, ws)
+        assert isinstance(det2, Fraction)
+        ref = abs(kasteleyn_determinant(kasteleyn_matrix(dg, ws))) ** 2
+        assert float(det2) == pytest.approx(ref, rel=1e-12)
 
 
 class TestTemperley:
@@ -359,6 +383,20 @@ class TestBlockIdentity:
 
 
 class TestDetRelation:
+    def test_sparse_kasteleyn_matches_dense(self):
+        amb, col, window, dg = window_setup(5, 4, [1, 2, 3], [1, 2],
+                                            mass=Fraction(9, 4))
+        lam = pow4_lambda(amb)
+        rng = np.random.default_rng(45)
+        lam_star = {f: float(rng.uniform(0.5, 2.0))
+                    for f in range(len(dg.structure.faces))}
+        for ws in (drifted_weights(dg, lam),
+                   killed_weights(dg, lam, lam_star)):
+            K = kasteleyn_matrix(dg, ws)
+            Ks = kasteleyn_matrix_sparse(dg, ws)
+            assert Ks.format == "csc"
+            assert np.array_equal(Ks.toarray(), K)
+
     def test_trivial_weights(self):
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam = ones_lambda(amb)

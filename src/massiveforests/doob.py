@@ -34,19 +34,15 @@ from .linalg import (
 HARMONICITY_GATE = 1e-8
 
 
-def _lam(lam, x):
-    return lam[x]
-
-
 def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
     """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped."""
     for x in range(ambient.n):
-        if not _lam(lam, x) > 0:
+        if not lam[x] > 0:
             raise ValueError("lambda must be positive everywhere")
     new_cond = []
     for eid in range(ambient.m_edges):
         x, y = int(ambient.tail[eid]), int(ambient.head[eid])
-        new_cond.append(ambient.cond[eid] * _lam(lam, y) / _lam(lam, x))
+        new_cond.append(ambient.cond[eid] * lam[y] / lam[x])
     edges = [(int(ambient.tail[i]), int(ambient.head[i]), new_cond[i])
              for i in range(ambient.m_edges)]
     zero = Fraction(0) if ambient.is_exact() else 0.0
@@ -70,7 +66,7 @@ def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
     worst = 0.0
     for x in subset:
         r = massive_laplacian_apply(ambient, lam, x)
-        rel = abs(float(r)) / (float(ambient.ck(x)) * float(_lam(lam, x)))
+        rel = abs(float(r)) / (float(ambient.ck(x)) * float(lam[x]))
         worst = max(worst, rel)
     return worst
 
@@ -82,7 +78,7 @@ def verify_gauge_identity(ambient: WeightedGraph, lam, subset):
     tilde_window = wired_restriction(doob_conductances(ambient, lam), subset)
     Lk = assemble_massive_laplacian(window)
     Lt = assemble_massive_laplacian(tilde_window)
-    lam_v = np.array([float(_lam(lam, x)) for x in subset])
+    lam_v = np.array([float(lam[x]) for x in subset])
     gauge = (Lk * lam_v[None, :]) / lam_v[:, None]
     return float(np.max(np.abs(Lt - gauge)))
 
@@ -147,11 +143,11 @@ def tilted_transfer(window: WeightedGraph, lam_window, pot=None, exact=False):
         y, z = f
         if y == ROOT:
             return zero
-        ly = _lam(lam_window, y)
+        ly = lam_window[y]
         t1 = zero if w == ROOT else \
-            (ly / _lam(lam_window, w)) * pot.continuous(w, y)
+            (ly / lam_window[w]) * pot.continuous(w, y)
         t2 = zero if x == ROOT else \
-            (ly / _lam(lam_window, x)) * pot.continuous(x, y)
+            (ly / lam_window[x]) * pot.continuous(x, y)
         return t1 - t2
 
     return entry

@@ -112,12 +112,6 @@ class WeightedGraph:
         """Distinct (tail, head) pairs, loops included."""
         return sorted({(int(t), int(h)) for t, h in zip(self.tail, self.head)})
 
-    def copy_with_conductances(self, new_cond):
-        edges = [(int(self.tail[i]), int(self.head[i]), new_cond[i])
-                 for i in range(self.m_edges)]
-        return WeightedGraph(self.n, edges, list(self.masses),
-                             positions=self.positions, check=False)
-
 
 def symmetric_graph(n, und_edges, masses, positions=None):
     """Build a WeightedGraph from undirected (x, y, c) triples."""
@@ -285,9 +279,6 @@ class CollapsedGraph:
             edges.append((self.o, x, c))
         masses = [0] * (self.n + 1)
         return WeightedGraph(self.n + 1, edges, masses, check=False)
-
-    def total_o_conductance(self, x):
-        return sum(c for (v, c, _) in self.o_edges if v == x)
 
 
 def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:

@@ -55,7 +55,10 @@ def load_graph(path):
     except (KeyError, TypeError) as exc:
         raise GraphFormatError("need 'vertices' and 'edges' lists") from exc
 
-    ids = [v["id"] for v in vertices]
+    try:
+        ids = [v["id"] for v in vertices]
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError("every vertex needs an 'id'") from exc
     if sorted(ids) != list(range(len(ids))):
         raise GraphFormatError("vertex ids must be dense integers 0..n-1")
     n = len(ids)
@@ -66,11 +69,15 @@ def load_graph(path):
     for v in vertices:
         masses[v["id"]] = _parse_number(v.get("mass", 0))
         if positions is not None:
-            positions[v["id"]] = (v["x"], v["y"])
+            try:
+                positions[v["id"]] = (v["x"], v["y"])
+            except KeyError as exc:
+                raise GraphFormatError(
+                    f"vertex {v['id']}: need both 'x' and 'y'") from exc
 
     edges = []
     rays = {}
-    offsets = {}
+    offsets = []
     seen = {}
     for i, e in enumerate(raw_edges):
         try:
@@ -84,24 +91,29 @@ def load_graph(path):
             raise GraphFormatError(f"edge {i}: endpoint out of range")
         edges.append((x, y, c))
         seen[(x, y)] = c
-        if "alpha" in e:
-            rays[(x, y)] = (float(e["alpha"]), float(e["beta"]))
-        if "offset" in e:
-            offsets[(x, y)] = tuple(int(o) for o in e["offset"])
+        try:
+            if "alpha" in e:
+                rays[(x, y)] = (float(e["alpha"]), float(e["beta"]))
+            offsets.append(tuple(int(o) for o in e["offset"])
+                           if "offset" in e else None)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise GraphFormatError(
+                f"edge {i}: need 'alpha' with 'beta' and integer 'offset' "
+                f"entries") from exc
     # close under reversal for convenience
     for (x, y), c in list(seen.items()):
         if x != y and (y, x) not in seen:
             edges.append((y, x, c))
             seen[(y, x)] = c
-    if offsets:
+    if any(o is not None for o in offsets):
         from .periodic import PeriodicGraph
 
-        pedges = []
-        for i, e in enumerate(raw_edges):
-            x, y = int(e["from"]), int(e["to"])
-            o = tuple(int(v) for v in e["offset"])
-            c = _parse_number(e["conductance"])
-            pedges.append((x, y, o, float(c)))
+        if None in offsets:
+            raise GraphFormatError(
+                f"edge {offsets.index(None)}: periodic graphs need an "
+                f"'offset' on every edge")
+        # the first len(raw_edges) entries of `edges` are the file's edges
+        pedges = [(x, y, o, float(c)) for (x, y, c), o in zip(edges, offsets)]
         have = {(x, y, o) for (x, y, o, _) in pedges}
         for (x, y, o, c) in list(pedges):
             if (y, x, (-o[0], -o[1])) not in have:

@@ -134,10 +134,6 @@ class IsoradialGrid:
             return a, b
         return a + math.pi, b + math.pi
 
-    def vertex_star(self, x):
-        """(alpha, beta) pairs of the edges leaving x."""
-        return [self.rays(eid, x) for eid in self._edges_at[x]]
-
     def is_bulk(self, x):
         """Full fan: incident half-angles sum to pi."""
         tot = sum(self.half_angle(eid) for eid in self._edges_at[x])
@@ -155,10 +151,6 @@ class IsoradialGrid:
         px, py = self.positions[:, 0], self.positions[:, 1]
         return [int(v) for v in
                 np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))[0]]
-
-    def disk_window(self, cx, cy, radius):
-        d2 = (self.positions[:, 0] - cx) ** 2 + (self.positions[:, 1] - cy) ** 2
-        return [int(v) for v in np.nonzero(d2 < radius * radius)[0]]
 
 
 def build_square_grid(delta, size) -> IsoradialGrid:

@@ -4,9 +4,10 @@ One assembler builds the (row, col, value) triplets of the massive
 Laplacian from the edge arrays.  Every float factorization is one sparse
 LU (SuperLU): determinants and log-determinants of dense or sparse
 matrices, the full potential and the few potential columns a determinantal
-query reads.  The exact paths use fraction-free Bareiss elimination and
-rational Gaussian solves so that the matrix-forest and determinantal
-identities can be checked bit-exactly against the enumeration oracles.
+query reads.  Every exact determinant and solve is one Gaussian
+elimination over Fractions that skips zero entries, so that the
+matrix-forest and determinantal identities can be checked bit-exactly
+against the enumeration oracles.
 """
 
 from __future__ import annotations
@@ -158,50 +159,71 @@ def log_determinant(M):
     return sign * float(np.prod(np.sign(diag))), logdet
 
 
-def determinant_exact(M):
-    """Fraction determinant by fraction-free Bareiss elimination."""
+def _eliminate(M, B=None):
+    """Gaussian elimination over Fractions on [M | B], skipping zeros.
+
+    Each row is a dict of its nonzero entries; columns n.. hold B.  The
+    pivot of column k is the first row at or below k with a nonzero there;
+    only the rows below with a nonzero in column k are updated, and only at
+    the pivot row's nonzero columns.  Returns (det M, X) with M X = B by
+    back-substitution (X is None without B), or (Fraction(0), None) if M
+    is singular.
+    """
     n = len(M)
-    if n == 0:
-        return Fraction(1)
-    A = [[Fraction(v) for v in row] for row in M]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
-            A[i][k] = Fraction(0)
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in M]
+    if B is not None:
+        for row, brow in zip(rows, B):
+            row.update((n + j, Fraction(v)) for j, v in enumerate(brow) if v)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if k in rows[i]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        p = rows[k][k]
+        det *= p
+        rest = [(j, v) for j, v in rows[k].items() if j != k]
+        for row in rows[k + 1:]:
+            a = row.pop(k, None)
+            if a is None:
+                continue
+            f = a / p
+            for j, v in rest:
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    if B is None:
+        return det, None
+    m = len(B[0]) if n else 0
+    X = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        s = [row.get(n + c, Fraction(0)) for c in range(m)]
+        for j, u in row.items():
+            if i < j < n:
+                for c, x in enumerate(X[j]):
+                    if x:
+                        s[c] -= u * x
+        p = row[i]
+        X[i] = [v / p for v in s]
+    return det, X
+
+
+def determinant_exact(M):
+    """Fraction determinant (Fraction(0) if singular, 1 for n = 0)."""
+    return _eliminate(M)[0]
 
 
 def solve_exact(M, B):
-    """Solve M X = B in rational arithmetic (Gaussian elimination)."""
-    n = len(M)
-    m = len(B[0])
-    A = [[Fraction(v) for v in row] + [Fraction(b) for b in brow]
-         for row, brow in zip(M, B)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            raise RecurrentWalkError("singular matrix in exact solve")
-        A[k], A[piv] = A[piv], A[k]
-        pk = A[k][k]
-        for i in range(n):
-            if i == k or A[i][k] == 0:
-                continue
-            f = A[i][k] / pk
-            for j in range(k, n + m):
-                A[i][j] -= f * A[k][j]
-    return [[A[i][n + j] / A[i][i] for j in range(m)] for i in range(n)]
+    """Solve M X = B in rational arithmetic; X is a list of Fraction rows."""
+    det, X = _eliminate(M, B)
+    if det == 0:
+        raise RecurrentWalkError("singular matrix in exact solve")
+    return X
 
 
 class Potential:

@@ -268,9 +268,10 @@ def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
     gamma_sites is a short simple path in lattice coordinates starting at
     the origin.  The drifted-arm probability is estimated by sampling the
     drifted walk until it leaves the disk; the killed-arm probability is
-    computed exactly by the Green-function product formula ("exact-count
-    denominator").  Returns (empirical ratio, target ratio, stderr of the
-    ratio, exact finite-delta ratio).
+    computed exactly as det V[gamma, gamma] of the window's potential times
+    the step and death probabilities ("exact-count denominator").  Returns
+    (empirical ratio, target ratio, stderr of the ratio, exact finite-delta
+    ratio).
     """
     from .walks import lerw_exact_probability
 

@@ -253,13 +253,6 @@ def perron_search(pg: PeriodicGraph, axis=0, beta_tol=1e-12,
     return z0, vec, beta_final, log
 
 
-def periodic_field(pg: PeriodicGraph, z0, vec):
-    """lambda(x0, i, j) = vec[x0] * z0^i * w0^j as a callable."""
-    def lam(x0, i, j):
-        return vec[x0] * (z0[0] ** i) * (z0[1] ** j)
-    return lam
-
-
 def tilted_periodic_graph(pg: PeriodicGraph, z0, vec) -> PeriodicGraph:
     """Doob tilt by the z0-periodic field; conductances stay periodic."""
     edges = []

@@ -13,12 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graphs import ROOT, RootedForest, WeightedGraph
-from .linalg import (
-    _sparse_lu,
-    assemble_massive_laplacian_exact,
-    assemble_massive_laplacian_sparse,
-    solve_exact,
-)
+from .linalg import _potential_columns, determinant, determinant_exact
 
 WILSON_STEP_CAP = 10**9
 WILSON_BLOCK = 256  # uniforms drawn from the caller's generator at a time
@@ -109,15 +104,6 @@ def loop_erase(path):
             last[v] = len(out)
             out.append(v)
     return out
-
-
-class LerwPath:
-    """A simple path plus how the underlying walk ended."""
-
-    def __init__(self, vertices, status):
-        self.vertices = list(vertices)
-        self.status = status  # 'died' | 'exited' | 'hit-target'
-        assert len(set(self.vertices)) == len(self.vertices)
 
 
 def _check_rooted(g: WeightedGraph, roots):
@@ -314,38 +300,24 @@ def lerw_exact_probability(g: WeightedGraph, gamma, exact=False):
     """P(loop erasure of the killed walk equals `gamma`), in closed form.
 
     gamma is a simple vertex path; the walk must die straight from its last
-    vertex.  The formula multiplies the step probabilities, the Green
-    function diagonal of the domain with earlier path vertices removed, and
-    the terminal death probability.
-    """
-    from fractions import Fraction
+    vertex.  With V = (Delta^k)^{-1} D(c^k) the potential,
 
+        P = det V[gamma, gamma] * prod p(gamma_i -> gamma_i+1)
+            * m(gamma_last) / c^k(gamma_last).
+
+    The Green function diagonals of the domains with earlier path vertices
+    removed, G_{D_i}(gamma_i, gamma_i) = det Delta_{D_i+1} / det Delta_{D_i}
+    (Cramer), telescope to det (Delta^k)^{-1}[gamma, gamma] (Jacobi's
+    complementary minors); the c^k factors turn it into a minor of V.
+    """
     if len(set(gamma)) != len(gamma):
         raise ValueError("gamma must be simple")
-    prob = Fraction(1) if exact else 1.0
-    # principal submatrices of Delta^k keep the full c^k on the diagonal
-    L = assemble_massive_laplacian_exact(g) if exact else \
-        assemble_massive_laplacian_sparse(g)
-
-    def green_diag(domain, v):
-        i = domain.index(v)
-        if exact:
-            L_dom = [[L[u][w] for w in domain] for u in domain]
-            B = [[Fraction(1) if u == v else Fraction(0)] for u in domain]
-            return solve_exact(L_dom, B)[i][0] * Fraction(g.ck(v))
-        e = np.zeros(len(domain))
-        e[i] = 1.0
-        col = _sparse_lu(L[np.ix_(domain, domain)]).solve(e)
-        return col[i] * float(g.ck(v))
-
-    for i, v in enumerate(gamma):
-        domain = [u for u in range(g.n) if u not in gamma[:i]]
-        prob = prob * green_diag(domain, v)
-        if i < len(gamma) - 1:
-            w = gamma[i + 1]
-            q = g.edge_conductance(v, w) / g.ck(v) if exact else \
-                float(g.edge_conductance(v, w)) / float(g.ck(v))
-            prob = prob * q
+    pot = _potential_columns(g, gamma, exact)
+    V = [[pot.value(x, y) for y in gamma] for x in gamma]
+    prob = determinant_exact(V) if exact else determinant(np.array(V))
+    for v, w in zip(gamma, gamma[1:]):
+        prob = prob * (g.edge_conductance(v, w) / g.ck(v) if exact else
+                       float(g.edge_conductance(v, w)) / float(g.ck(v)))
     last = gamma[-1]
     death = g.masses[last] / g.ck(last) if exact else \
         g.masses_f[last] / float(g.ck(last))

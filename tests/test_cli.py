@@ -80,9 +80,23 @@ class TestDispatch:
         lines = capsys.readouterr().out.splitlines()
         assert "  |det K|^2 - Z^2 = 0" in lines
 
-    def test_malformed_graph_exit_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{nonsense",
+        json.dumps({"vertices": [{"id": 0}, {"mass": 1}], "edges": []}),
+        json.dumps({"vertices": [{"id": 0, "x": 0.0, "y": 0.0},
+                                 {"id": 1, "x": 1.0}], "edges": []}),
+        json.dumps({"vertices": [{"id": 0, "mass": 1}],
+                    "edges": [{"from": 0, "to": 0, "conductance": 1,
+                               "offset": [1, 0]},
+                              {"from": 0, "to": 0, "conductance": 1}]}),
+        json.dumps({"vertices": [{"id": 0}, {"id": 1}],
+                    "edges": [{"from": 0, "to": 1, "conductance": 1,
+                               "alpha": 0.5}]}),
+    ], ids=["nonsense", "vertex-without-id", "x-without-y",
+            "edge-without-offset", "alpha-without-beta"])
+    def test_malformed_graph_exit_two(self, tmp_path, text):
         p = tmp_path / "bad.json"
-        p.write_text("{nonsense")
+        p.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["edge-prob", "--graph", str(p), "--edges", "0-1"])
         assert exc.value.code == 2

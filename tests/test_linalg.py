@@ -3,7 +3,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from massiveforests.linalg import (
     log_determinant,
     potential,
     potential_walk_sum,
+    solve_exact,
     transfer_current,
 )
 from massiveforests.graphs import enumerate_forests, forest_partition_function
@@ -74,6 +75,31 @@ def sparse_ish_matrix(rng, n):
     off = off[off // n != off % n]
     M.flat[off] = rng.uniform(-1.0, 1.0, off.size)
     return M
+
+
+def sparse_rational_matrix(rng, n, m=None, density=0.4):
+    """Seeded n x m (default n x n) rational matrix, ~`density` nonzero."""
+    return [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+             if rng.random() < density else Fraction(0)
+             for _ in range(n if m is None else m)] for _ in range(n)]
+
+
+def leibniz_determinant(M):
+    """Sum over permutations p of sign(p) prod_i M[i][p(i)]."""
+    n = len(M)
+    total = Fraction(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= M[i][p[i]]
+        total += term
+    return total
+
+
+def matmul_exact(M, X):
+    return [[sum((M[i][k] * X[k][j] for k in range(len(X))), Fraction(0))
+             for j in range(len(X[0]))] for i in range(len(M))]
 
 
 def dense_edge_probability(g, V, edges):
@@ -223,6 +249,57 @@ class TestDeterminant:
         assert det == total
         detf = determinant(assemble_massive_laplacian(g))
         assert detf == pytest.approx(float(det), rel=1e-12)
+
+
+class TestExactElimination:
+    def test_determinant_matches_leibniz(self):
+        rng = np.random.default_rng(90)
+        n_singular = n_swapped = 0
+        for n in range(1, 7):
+            for _ in range(12):
+                M = sparse_rational_matrix(rng, n)
+                if rng.random() < 0.3:
+                    M[0][0] = Fraction(0)  # zero leading pivot: a row swap
+                if n > 1 and rng.random() < 0.2:
+                    M[-1] = [2 * v for v in M[0]]  # dependent rows
+                det = determinant_exact(M)
+                assert isinstance(det, Fraction)
+                assert det == leibniz_determinant(M)
+                n_singular += det == 0
+                n_swapped += M[0][0] == 0 and det != 0
+        assert n_singular > 0 and n_swapped > 0
+        assert determinant_exact([[0, 1], [1, 0]]) == -1
+        assert determinant_exact([]) == 1
+
+    def test_solve_exact_satisfies_system(self):
+        rng = np.random.default_rng(91)
+        n_solved = 0
+        while n_solved < 20:
+            n = int(rng.integers(1, 8))
+            M = sparse_rational_matrix(rng, n, density=0.5)
+            if determinant_exact(M) == 0:
+                continue
+            B = sparse_rational_matrix(rng, n, 3)
+            X = solve_exact(M, B)
+            assert all(isinstance(v, Fraction) for row in X for v in row)
+            assert matmul_exact(M, X) == B
+            n_solved += 1
+
+    def test_solve_exact_on_grid_laplacian(self):
+        g = grid_graph(5, 5, m=Fraction(1, 20))
+        L = assemble_massive_laplacian_exact(g)
+        B = [[Fraction(int(x == y)) for y in (0, 12, 24)] + [Fraction(x, 7)]
+             for x in range(25)]
+        assert matmul_exact(L, solve_exact(L, B)) == B
+
+    def test_solve_exact_singular_raises(self):
+        rng = np.random.default_rng(92)
+        M = sparse_rational_matrix(rng, 5)
+        M[3] = [Fraction(-1, 2) * v for v in M[1]]
+        for A, B in (([[1, 1], [1, 1]], [[1], [2]]),
+                     (M, sparse_rational_matrix(rng, 5, 2))):
+            with pytest.raises(RecurrentWalkError):
+                solve_exact(A, B)
 
 
 class TestPotential:

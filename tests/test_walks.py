@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massiveforests.graphs import ROOT, RootedForest, WeightedGraph
-from massiveforests.linalg import edge_probability
+from massiveforests.linalg import (
+    assemble_massive_laplacian_exact,
+    edge_probability,
+    solve_exact,
+)
 from massiveforests.walks import (
     TransitionTable,
     WalkState,
@@ -189,7 +193,42 @@ class TestCoupling:
         assert abs(p_die - 0.5) < 4 * np.sqrt(0.25 / n)
 
 
+def green_product_lerw(g, gamma):
+    """Exact LERW law as a product of Green function diagonals, one solve
+    on each domain with the earlier path vertices removed."""
+    L = assemble_massive_laplacian_exact(g)
+    prob = Fraction(1)
+    for i, v in enumerate(gamma):
+        domain = [u for u in range(g.n) if u not in gamma[:i]]
+        L_dom = [[L[u][w] for w in domain] for u in domain]
+        B = [[Fraction(int(u == v))] for u in domain]
+        prob *= solve_exact(L_dom, B)[domain.index(v)][0] * g.ck(v)
+        if i < len(gamma) - 1:
+            prob *= g.edge_conductance(v, gamma[i + 1]) / g.ck(v)
+    return prob * g.masses[gamma[-1]] / g.ck(gamma[-1])
+
+
 class TestLerwExact:
+    def test_matches_green_diagonal_product(self):
+        grid = grid_graph(4, 3, m=Fraction(1, 3))
+        cases = [(grid, gamma) for gamma in
+                 ([0, 1, 5, 6], [7, 3, 2], [11], [0, 1, 2, 3, 7, 6, 5, 4])]
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            g = random_rational_graph(rng)
+            gamma = [int(rng.integers(g.n))]
+            while rng.random() < 0.8:
+                nxt = [y for y in g.neighbours(gamma[-1]) if y not in gamma]
+                if not nxt:
+                    break
+                gamma.append(nxt[int(rng.integers(len(nxt)))])
+            cases.append((g, gamma))
+        assert max(len(gamma) for _, gamma in cases[4:]) >= 3
+        for g, gamma in cases:
+            p = lerw_exact_probability(g, gamma, exact=True)
+            assert isinstance(p, Fraction)
+            assert p == green_product_lerw(g, gamma)
+
     def test_sums_to_death_probability(self):
         # summing over all simple paths gives P(walk dies) = 1 on finite g
         g = grid_graph(2, 2, m=Fraction(1))

@@ -156,15 +156,9 @@ def cmd_edge_prob(args):
 
 
 def cmd_sample_dimers(args):
-    from collections import defaultdict
-
     from .dimers import TemperleySampler
-    from .doob import HARMONICITY_GATE, check_massive_harmonic
-    from .elliptic import (
-        complete_integrals,
-        exponential_edge_factor,
-        near_critical_modulus,
-    )
+    from .elliptic import complete_integrals, near_critical_modulus
+    from .isoradial import drift_field_from_rays
 
     g = _load_graph_or_die(args.graph)
     if not hasattr(g, "edge_rays"):
@@ -175,38 +169,13 @@ def cmd_sample_dimers(args):
         mod = near_critical_modulus(args.M, args.delta)
     else:
         mod = complete_integrals(0.0)
-    # window: all vertices whose full star is present (bulk)
-    deg = defaultdict(float)
-    for eid in range(g.m_edges):
-        x = int(g.tail[eid])
-        a, b = g.edge_rays[(x, int(g.head[eid]))]
-        deg[x] += 0.5 * (b - a)
-    bulk = [x for x in range(g.n) if abs(deg[x] - math.pi) < 1e-9]
-    if not bulk:
-        print("error: no bulk vertices in the grid window", file=sys.stderr)
-        return 2, []
-
-    # drift field by multiplying edge factors over a spanning tree of the grid
-    lam = {bulk[0]: 1.0}
-    stack = [bulk[0]]
-    adj = defaultdict(list)
-    for eid in range(g.m_edges):
-        adj[int(g.tail[eid])].append((int(g.head[eid]), eid))
-    while stack:
-        x = stack.pop()
-        for (y, eid) in adj[x]:
-            if y in lam:
-                continue
-            a, b = g.edge_rays[(x, y)]
-            lam[y] = lam[x] * exponential_edge_factor(a, b, args.u, mod)
-            stack.append(y)
     # --M and --delta give the field's modulus; only the file's own one
     # makes it massive harmonic, i.e. the tilt a Doob transform of the
     # file's killed model
-    resid = check_massive_harmonic(g, lam, bulk)
-    if resid > HARMONICITY_GATE:
-        print(f"error: drift field is not massive harmonic for the grid's "
-              f"weights (residual {resid:.2e} > {HARMONICITY_GATE:.0e}); "
+    try:
+        bulk, lam = drift_field_from_rays(g, mod, args.u)
+    except ValueError as exc:
+        print(f"error: drift field refused: {exc}; "
               f"--M and --delta must match the grid file", file=sys.stderr)
         return 2, []
 

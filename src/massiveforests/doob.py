@@ -71,6 +71,16 @@ def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
     return worst
 
 
+def require_massive_harmonic(ambient: WeightedGraph, lam, subset):
+    """Refuse a lambda whose harmonicity residual on `subset` exceeds
+    `HARMONICITY_GATE`: only a massive harmonic tilt is a Doob transform."""
+    resid = check_massive_harmonic(ambient, lam, subset)
+    if resid > HARMONICITY_GATE:
+        raise ValueError(
+            f"lambda is not massive harmonic "
+            f"(residual {resid:.3e} > {HARMONICITY_GATE:.0e})")
+
+
 def verify_gauge_identity(ambient: WeightedGraph, lam, subset):
     """sup-norm of Delta~_V - Lambda^-1 Delta^k_V Lambda on the window."""
     subset = sorted(subset)
@@ -94,11 +104,7 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
     when lambda fails the harmonicity gate on the window.
     """
     subset = sorted(subset)
-    resid = check_massive_harmonic(ambient, lam, subset)
-    if resid > HARMONICITY_GATE:
-        raise ValueError(
-            f"lambda is not massive harmonic on the window "
-            f"(residual {resid:.3e} > {HARMONICITY_GATE:.0e})")
+    require_massive_harmonic(ambient, lam, subset)
     window = wired_restriction(ambient, subset)
     tilde = doob_conductances(ambient, lam)
     tilde_window = wired_restriction(tilde, subset)

@@ -220,36 +220,6 @@ class RootedForest:
         return w
 
 
-def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
-    """Restrict to `subset` with wired boundary conditions.
-
-    Conductances restrict, and every conductance leaving the subset is added
-    to the mass of its tail vertex, so the massive Laplacian of the result
-    is the restriction of the ambient massive Laplacian.
-    """
-    subset = sorted(set(int(v) for v in subset))
-    index = {v: i for i, v in enumerate(subset)}
-    inside = set(subset)
-    edges = []
-    masses = [ambient.masses[v] for v in subset]
-    for v in subset:
-        for eid in ambient.out_edges[v]:
-            y = int(ambient.head[eid])
-            c = ambient.cond[eid]
-            if y in inside:
-                edges.append((index[v], index[y], c))
-            else:
-                masses[index[v]] = masses[index[v]] + c
-    positions = None
-    if ambient.positions is not None:
-        positions = ambient.positions[subset]
-    g = WeightedGraph(len(subset), edges, masses, positions=positions)
-    if len(subset) > 1 and not g._connected():
-        raise ValueError("subset induces a disconnected subgraph")
-    g.ambient_ids = subset
-    return g
-
-
 class CollapsedGraph:
     """The window with all outside vertices identified to an outer vertex o.
 
@@ -284,12 +254,6 @@ class CollapsedGraph:
 def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
     """Identify everything outside `subset` to a single outer vertex."""
     subset = sorted(set(int(v) for v in subset))
-    if len(subset) == ambient.n:
-        # nothing to collapse
-        edges = [(int(ambient.tail[i]), int(ambient.head[i]), ambient.cond[i])
-                 for i in range(ambient.m_edges)]
-        return CollapsedGraph(ambient.n, edges, [], ambient.positions,
-                              subset)
     index = {v: i for i, v in enumerate(subset)}
     inside = set(subset)
     edges, o_edges = [], []
@@ -305,6 +269,25 @@ def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
     if ambient.positions is not None:
         positions = ambient.positions[subset]
     return CollapsedGraph(len(subset), edges, o_edges, positions, subset)
+
+
+def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
+    """Restrict to `subset` with wired boundary conditions.
+
+    Conductances restrict, and every conductance leaving the subset (an
+    o-edge of `collapse_boundary`) is added to the mass of its tail vertex,
+    so the massive Laplacian of the result is the restriction of the
+    ambient massive Laplacian.
+    """
+    col = collapse_boundary(ambient, subset)
+    masses = [ambient.masses[v] for v in col.ambient_ids]
+    for x, c, _ in col.o_edges:
+        masses[x] = masses[x] + c
+    g = WeightedGraph(col.n, col.edges, masses, positions=col.positions)
+    if col.n > 1 and not g._connected():
+        raise ValueError("subset induces a disconnected subgraph")
+    g.ambient_ids = col.ambient_ids
+    return g
 
 
 # -- exhaustive enumeration oracles ---------------------------------------

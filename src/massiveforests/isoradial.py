@@ -266,7 +266,6 @@ class ExponentialField:
 
         base = raw_primal[self.x0]
         self.primal = raw_primal / base
-        self.dual_exponential = raw_dual / base
         self.dual = base / raw_dual  # reciprocal: self-duality normalization
 
     def edge_factor(self, eid):
@@ -279,22 +278,55 @@ def discrete_exponential(grid, modulus, u_bar, x0=None) -> ExponentialField:
     return ExponentialField(grid, modulus, u_bar, x0=x0)
 
 
-def drift_field_and_conductances(grid, modulus, u_bar, ambient=None,
-                                 residual_gate=1e-8):
+def drift_field_and_conductances(grid, modulus, u_bar, ambient=None):
     """(lambda^u on the patch, tilted graph) for the drifted tree model."""
-    from .doob import check_massive_harmonic, doob_conductances
+    from .doob import doob_conductances, require_massive_harmonic
 
     if ambient is None:
         ambient = z_invariant_weights(grid, modulus)
     field = discrete_exponential(grid, modulus, u_bar)
     lam = {x: field.primal[x] for x in range(grid.n)}
-    bulk = grid.bulk_vertices()
-    resid = check_massive_harmonic(ambient, lam, bulk)
-    if resid > residual_gate:
-        raise ValueError(f"drift field harmonicity residual {resid:.2e} "
-                         f"exceeds {residual_gate:.0e}")
+    require_massive_harmonic(ambient, lam, grid.bulk_vertices())
     tilde = doob_conductances(ambient, lam)
     return field, tilde
+
+
+def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
+    """(bulk, lambda^u) on a graph carrying per-edge rays `g.edge_rays`.
+
+    This is the drift field of a grid file, which keeps its rays but not
+    its train tracks.  The bulk is every vertex whose full fan is present
+    (incident half-angles sum to pi); lambda is 1 at the first bulk vertex
+    and multiplies `exponential_edge_factor` along a depth-first spanning
+    tree.  Refuses, through `doob.require_massive_harmonic` on the bulk, a
+    modulus that does not make lambda massive harmonic for the file's
+    weights.
+    """
+    from .doob import require_massive_harmonic
+
+    def fan(x):
+        total = 0.0
+        for eid in g.out_edges[x]:
+            a, b = g.edge_rays[(x, int(g.head[eid]))]
+            total += 0.5 * (b - a)
+        return total
+
+    bulk = [x for x in range(g.n) if abs(fan(x) - math.pi) < 1e-9]
+    if not bulk:
+        raise ValueError("no bulk vertices in the grid window")
+    lam = {bulk[0]: 1.0}
+    stack = [bulk[0]]
+    while stack:
+        x = stack.pop()
+        for eid in g.out_edges[x]:
+            y = int(g.head[eid])
+            if y in lam:
+                continue
+            a, b = g.edge_rays[(x, y)]
+            lam[y] = lam[x] * exponential_edge_factor(a, b, u_bar, modulus)
+            stack.append(y)
+    require_massive_harmonic(g, lam, bulk)
+    return bulk, lam
 
 
 def drifted_conductance_asymptotic(grid, eid, M, u_bar):

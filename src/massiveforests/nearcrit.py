@@ -503,6 +503,7 @@ def approximation_property_check(M, deltas, test_functions=None,
     - m^2(x) f(x)| / d^3 per delta, at a bulk vertex.  Returns
     {name: [(delta, residual/d^3), ...]}.
     """
+    from .doob import massive_laplacian_apply
     from .isoradial import (
         build_rhombic_grid,
         build_square_grid,
@@ -544,11 +545,8 @@ def approximation_property_check(M, deltas, test_functions=None,
                        for e in grid.edges_at(x))
         px = grid.positions[x]
         for name, (f, lap) in test_functions.items():
-            discrete = wg.masses[x] * f(px)
-            for eid in grid.edges_at(x):
-                other = grid.edge_head[eid] if grid.edge_tail[eid] == x \
-                    else grid.edge_tail[eid]
-                discrete += wg.cond_f[eid] * (f(px) - f(grid.positions[other]))
+            discrete = massive_laplacian_apply(
+                wg, [f(p) for p in grid.positions], x)
             resid = abs(discrete + d * d * mu * lap(px)
                         - wg.masses[x] * f(px))
             out[name].append((d, resid / d**3))

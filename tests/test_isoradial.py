@@ -13,11 +13,13 @@ from massiveforests.isoradial import (
     build_square_grid,
     discrete_exponential,
     drift_field_and_conductances,
+    drift_field_from_rays,
     drifted_conductance_asymptotic,
     mass_value_via_star,
     random_rhombic_angles,
     z_invariant_weights,
 )
+from massiveforests.io import grid_to_graph
 from massiveforests.walks import lazy_walk_graph
 
 
@@ -218,6 +220,51 @@ class TestDriftField:
             c = tilde.edge_conductance(x, y)
             pred = drifted_conductance_asymptotic(grid, eid, M, u_bar)
             assert abs(c - pred) < 300 * d**2
+
+    def test_refuses_ambient_of_other_modulus(self):
+        grid = build_square_grid(0.05, 8)
+        mod = near_critical_modulus(1.0, 0.05)
+        other = z_invariant_weights(grid, near_critical_modulus(2.0, 0.05))
+        with pytest.raises(ValueError, match="residual"):
+            drift_field_and_conductances(grid, mod, 0.8, ambient=other)
+
+
+def _grid_and_file_graph(kind, M=1.0, d=0.05):
+    """(grid, modulus, graph with `edge_rays`) as a grid file loads."""
+    if kind == "square":
+        grid = build_square_grid(d, 10)
+    else:
+        phis, psis = random_rhombic_angles(np.random.default_rng(4), 10)
+        grid = build_rhombic_grid(d, phis, psis)
+    mod = near_critical_modulus(M, d)
+    g, rays = grid_to_graph(grid, mod)
+    g.edge_rays = rays
+    return grid, mod, g
+
+
+class TestDriftFieldFromRays:
+    @pytest.mark.parametrize("kind", ["square", "rhombic"])
+    def test_bulk_matches_grid(self, kind):
+        grid, mod, g = _grid_and_file_graph(kind)
+        bulk, _ = drift_field_from_rays(g, mod, 0.9)
+        assert bulk == grid.bulk_vertices()
+
+    @pytest.mark.parametrize("kind", ["square", "rhombic"])
+    def test_ratios_match_exponential_field(self, kind):
+        grid, mod, g = _grid_and_file_graph(kind)
+        u_bar = 0.9
+        _, lam = drift_field_from_rays(g, mod, u_bar)
+        primal = discrete_exponential(grid, mod, u_bar).primal
+        assert set(lam) == set(range(grid.n))
+        for eid in range(g.m_edges):
+            x, y = int(g.tail[eid]), int(g.head[eid])
+            want = primal[y] / primal[x]
+            assert abs(lam[y] / lam[x] - want) <= 1e-12 * want
+
+    def test_refuses_other_modulus(self):
+        _, _, g = _grid_and_file_graph("square")
+        with pytest.raises(ValueError, match="residual"):
+            drift_field_from_rays(g, near_critical_modulus(2.0, 0.05), 0.9)
 
 
 class TestLazyWalk:

@@ -355,6 +355,20 @@ class TestApproximationProperty:
         for a, b in zip(vals, vals[1:]):
             assert 1 / 8 <= (b + 1e-6) / (a + 1e-6) <= 8
 
+    def test_rhombic_grid_reads_each_edge_conductance(self):
+        # on rhombic grids every incident edge carries its own conductance;
+        # the expansion error must then shrink like on the square grid
+        deltas = [2e-2, 1e-2, 5e-3]
+        rhombic = approximation_property_check(1.0, deltas,
+                                               grid_kind="rhombic")
+        square = approximation_property_check(1.0, deltas)
+        harm = [v for (_, v) in rhombic["harmonic_poly"]]
+        for a, b in zip(harm, harm[1:]):
+            assert b <= a
+        for (_, r), (_, s) in zip(rhombic["massive_exp"],
+                                  square["massive_exp"]):
+            assert s / 2 <= r <= 2 * s
+
     def test_rhombic_grid(self):
         out = approximation_property_check(1.0, [2e-2, 1e-2],
                                            grid_kind="rhombic")

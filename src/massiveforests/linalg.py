@@ -231,13 +231,15 @@ class Potential:
 
     V solves Delta^k V = D(c^k); entries are Fractions in exact mode.
     `columns` maps a vertex y to its column of V; None means all n columns
-    in vertex order.  `continuous(x, y)` is V(x, y)/c^k(y), the quantity
-    entering the transfer current.
+    in vertex order, and `ck[j]` is c^k of the vertex of column j.
+    `continuous(x, y)` is V(x, y)/c^k(y), the quantity entering the
+    transfer current.
     """
 
-    def __init__(self, g: WeightedGraph, V, exact=False, columns=None):
+    def __init__(self, g: WeightedGraph, V, ck, exact=False, columns=None):
         self.g = g
         self.V = V
+        self.ck = ck
         self.exact = exact
         self.columns = columns
 
@@ -250,7 +252,8 @@ class Potential:
     def continuous(self, x, y):
         if x == ROOT or y == ROOT:
             return Fraction(0) if self.exact else 0.0
-        return self.value(x, y) / self.g.ck(y)
+        j = y if self.columns is None else self.columns[y]
+        return (self.V[x][j] if self.exact else self.V[x, j]) / self.ck[j]
 
 
 def _require_transient(g: WeightedGraph, exact):
@@ -263,31 +266,34 @@ def _require_transient(g: WeightedGraph, exact):
 
 
 def _potential_matrix(g: WeightedGraph, ys, exact=False):
-    """Columns ys of V: one factorization, a right-hand side per column."""
+    """Columns ys of V and their c^k: one factorization, a right-hand side
+    per column."""
     _require_transient(g, exact)
     if exact:
-        B = [[Fraction(g.ck(y)) if x == y else Fraction(0) for y in ys]
+        ck = [Fraction(g.ck(y)) for y in ys]
+        B = [[c if x == y else Fraction(0) for y, c in zip(ys, ck)]
              for x in range(g.n)]
-        return solve_exact(assemble_massive_laplacian_exact(g), B)
+        return solve_exact(assemble_massive_laplacian_exact(g), B), ck
     lu = _sparse_lu(assemble_massive_laplacian_sparse(g))
     if lu is None:
         raise RecurrentWalkError(
             "singular massive Laplacian: some component carries no mass")
+    ck = [float(g.ck(y)) for y in ys]
     D = np.zeros((g.n, len(ys)))
-    D[ys, np.arange(len(ys))] = [float(g.ck(y)) for y in ys]
-    return lu.solve(D)
+    D[ys, np.arange(len(ys))] = ck
+    return lu.solve(D), ck
 
 
 def potential(g: WeightedGraph, exact=False) -> Potential:
     """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k): all n columns."""
-    return Potential(g, _potential_matrix(g, list(range(g.n)), exact), exact)
+    return Potential(g, *_potential_matrix(g, list(range(g.n)), exact), exact)
 
 
 def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
     """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0)."""
     ys = sorted({int(y) for y in ys} - {ROOT})
     columns = {y: j for j, y in enumerate(ys)}
-    return Potential(g, _potential_matrix(g, ys, exact), exact, columns)
+    return Potential(g, *_potential_matrix(g, ys, exact), exact, columns)
 
 
 def potential_walk_sum(g: WeightedGraph, n_terms=200):

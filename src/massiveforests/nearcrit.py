@@ -5,7 +5,9 @@ the killing probability of order delta^2.  Crossing, exit law, conditioned
 branch and LERW ratio share one walker engine, `_walk`: exact integer
 lattice sites (at spacing * (i + 1j * j)) under a boolean stop table,
 vectorized over walkers, drawing from counter-based per-task streams keyed
-by the seed.
+by the seed.  A walker far from the stop set takes up to JUMP_MAX steps
+from one uniform, drawn from the exact multi-step law; runs that record
+paths or share a coupled uniform block take single steps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +71,14 @@ class SquareLatticeKernel:
         # iff its relative place there is < p_die: directions ignore mass
         self.dir_cum = np.cumsum(cond / cond.sum())
         self.dir_cum[-1] = 1.0
+        self._tables = {}
+
+    def tables(self, s_max):
+        """The walker engine's outcome tables up to s_max steps
+        (`_jump_tables`), built on first use."""
+        if s_max not in self._tables:
+            self._tables[s_max] = _jump_tables(self, s_max)
+        return self._tables[s_max]
 
     def edge_factor(self, direction, u_bar):
         a, b = self.RAYS[direction]
@@ -90,6 +101,82 @@ def _tasks(n, per_task):
 # -- the lattice-walker engine -------------------------------------------------
 
 STEP_CAP = 10**7
+JUMP_MAX = 64  # the longest jump, in lattice steps; a power of two
+
+# Concatenated outcome tables (see `_jump_tables`): table t, the law of 2**t
+# steps, holds outcomes last[t-1] + 1 .. last[t]; each outcome moves the
+# walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps
+_Tables = namedtuple("_Tables", "cdf last dx dy dead steps")
+
+
+def _death_edge(lo, hi, p_die):
+    """Smallest double u in [lo, hi] with (u - lo) / (hi - lo) >= p_die.
+
+    Bisection over the int64 view, which orders non-negative doubles, so
+    u < edge reproduces the residual split's death test for every double u.
+    """
+    a, b = np.array([lo, hi], np.float64).view(np.int64)
+    width = np.float64(hi) - np.float64(lo)
+    while a < b:
+        mid = a + (b - a) // 2
+        u = np.int64(mid).view(np.float64)
+        if (u - np.float64(lo)) / width >= p_die:
+            b = mid
+        else:
+            a = mid + 1
+    return float(np.int64(a).view(np.float64))
+
+
+def _jump_tables(kernel, s_max):
+    """Outcome tables of the walk over S = 1, 2, 4, ..., s_max steps.
+
+    Table 0 is the single step exactly as the residual split draws it: for
+    direction j, u in [cum_{j-1}, t_j) dies and u in [t_j, cum_j) moves j,
+    with t_j from `_death_edge`, so searchsorted over its 8 boundaries
+    picks what the split picks for every double u.  Table t >= 1 is the
+    exact law of S = 2**t steps: death at step k (probability
+    (1 - p_die)**(k-1) p_die, k = 1..S) or survival with the S-fold
+    convolution of the direction law.  Table t's CDF is stored shifted by
+    +t, so searchsorted(cdf, u + t) draws from it.  The S-step laws come
+    from one sweep of s_max single-step updates, each a sum of four
+    shifted non-negative arrays (no cancellation).
+    """
+    cum, p = kernel.dir_cum, kernel.p_die
+    lower = np.concatenate(([0.0], cum[:-1]))
+    cdf = [np.ravel([(_death_edge(lo, hi, p), hi)
+                     for lo, hi in zip(lower, cum)])]
+    dx = [np.array([0, 1, 0, 0, 0, -1, 0, 0])]
+    dy = [np.array([0, 0, 0, 1, 0, 0, 0, -1])]
+    dead, steps, last = [np.arange(8) % 2 == 0], [np.ones(8, int)], [7]
+    w = kernel.cond / kernel.cond.sum()
+    law = np.zeros((2 * s_max + 1, 2 * s_max + 1))
+    law[s_max, s_max] = 1.0
+    for s in range(1, s_max + 1):
+        # the support grows to |dx| + |dy| <= s inside this window
+        old = law[s_max - s:s_max + s + 1, s_max - s:s_max + s + 1]
+        new, old = old, old.copy()
+        new[...] = 0.0
+        new[1:] += w[0] * old[:-1]          # E: dx + 1
+        new[:, 1:] += w[1] * old[:, :-1]    # N: dy + 1
+        new[:-1] += w[2] * old[1:]          # W
+        new[:, :-1] += w[3] * old[:, 1:]    # S
+        if s & (s - 1) or s == 1:
+            continue
+        die = p * (1 - p) ** np.arange(s)
+        alive = (1 - p) ** s * law
+        die_k = np.flatnonzero(die)
+        i, j = np.nonzero(alive)
+        prob = np.concatenate((die[die_k], alive[i, j]))
+        cdf.append(len(last) + np.minimum(np.cumsum(prob), 1.0))
+        dx.append(np.concatenate((np.zeros_like(die_k), i - s_max)))
+        dy.append(np.concatenate((np.zeros_like(die_k), j - s_max)))
+        dead.append(np.arange(prob.size) < die_k.size)
+        steps.append(np.concatenate((die_k + 1, np.full(i.size, s))))
+        last.append(last[-1] + prob.size)
+    return _Tables(np.concatenate(cdf), np.array(last),
+                   np.concatenate(dx).astype(np.int32),
+                   np.concatenate(dy).astype(np.int32),
+                   np.concatenate(dead), np.concatenate(steps))
 
 
 class _Box:
@@ -120,6 +207,26 @@ class _Box:
         return self.site(round(z.real / self.spacing),
                          round(z.imag / self.spacing))
 
+    @cached_property
+    def jump_index(self):
+        """Per site, the table index t of the longest safe jump.
+
+        2**t is the largest power of two <= min(JUMP_MAX, d - 1), where d
+        is the L1 lattice distance to the stop set (the array edge counts
+        as stop), or t = 0, one step, next to it.  No path of 2**t steps
+        from the site reaches a stop site.  Computed on first use from
+        `stop`, by min-plus relaxation capped at JUMP_MAX + 1.
+        """
+        d = np.where(self.stop.reshape(self.shape), 0, JUMP_MAX + 1)
+        d[[0, -1]] = 0
+        d[:, [0, -1]] = 0
+        for _ in range(JUMP_MAX):
+            inner = d[1:-1, 1:-1]
+            np.minimum(inner, np.minimum(
+                np.minimum(d[:-2, 1:-1], d[2:, 1:-1]),
+                np.minimum(d[1:-1, :-2], d[1:-1, 2:])) + 1, out=inner)
+        return (np.frexp(np.maximum(d.ravel() - 1, 1))[1] - 1).astype(np.int8)
+
 
 def _disk_box(spacing, radius):
     """Walkers stop on leaving the open disk |z| < radius."""
@@ -141,47 +248,75 @@ def _crossing_box(spec, kernel):
     return box, target, start
 
 
-# per walker: the flat site where it stopped, the one before, and whether it
-# died; paths (record only): the sites each walker visited after the start
-_Walkers = namedtuple("_Walkers", "final prev died truncated paths")
+# per walker: the flat site where it stopped, the one before, whether it
+# died and the lattice steps it took; paths (record only): the sites each
+# walker visited after the start
+_Walkers = namedtuple("_Walkers", "final prev died steps truncated paths")
 
 
 def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
           record=False):
     """Run n walkers from flat site `start` until each dies or stops.
 
-    Each step draws one uniform per active walker (in walker order) from
-    `rng`, or reads the active walker ids of row `step` of a pre-drawn
-    block `uniforms`, which couples the runs of different kernels.
-    Walkers still running after `max_steps` raise a RuntimeWarning.
+    Each iteration draws one uniform per active walker (in walker order)
+    from `rng`, or reads the active walker ids of row `iteration` of a
+    pre-drawn block `uniforms`, which couples the runs of different
+    kernels.  The uniform picks an outcome of the walker's table in
+    `_jump_tables`: a walker whose L1 distance d to the stop set has
+    d - 1 >= S takes S = 2**t steps (`box.jump_index`) at once from the
+    exact S-step law, a lattice walk-on-spheres; next to the stop set it
+    takes one step, drawn exactly as the residual split draws it.  A jump
+    never lands on or crosses a stop site, so `prev -> final` of a walker
+    that leaves alive is one lattice step.  A walker killed inside a jump
+    reports its jump-start site as `final`, and `steps` counts the step it
+    died on.  With `record` (every visited site) or `uniforms` (one row
+    per lattice step) every walker takes single steps, and the output is
+    that of the one-step loop bit for bit.  Each walker has a budget of
+    `max_steps` lattice steps; jumps are cut to the budget once fewer than
+    2 JUMP_MAX steps may be left.  Walkers still running when it runs out
+    raise a RuntimeWarning.
     """
-    cum = kernel.dir_cum
-    lower = np.concatenate(([0.0], cum[:-1]))
+    if record or uniforms is not None:
+        tix, s_max = np.zeros(box.z.size, np.int8), 1
+    else:
+        tix, s_max = box.jump_index, JUMP_MAX
+    tab = kernel.tables(s_max)
+    offset = tab.dx * box.shape[1] + tab.dy
     site = np.full(n, start, dtype=np.int32)
-    ids, visits = np.arange(n), []
+    # taken: the steps of the active walkers so far
+    ids, taken, visits = np.arange(n), np.zeros(n, np.int64), []
     final, prev, died = site.copy(), site.copy(), np.zeros(n, dtype=bool)
-    for step in range(max_steps):
+    steps, truncated = np.zeros(n, np.int64), 0
+    for it in itertools.count():
+        t = tix[site]
+        if max_steps - it * s_max < 2 * s_max:
+            left = max_steps - taken
+            out = left <= 0
+            if out.any():
+                final[ids[out]], steps[ids[out]] = site[out], taken[out]
+                truncated += int(out.sum())
+                ids, site, taken, t, left = (a[~out] for a in
+                                             (ids, site, taken, t, left))
+            t = np.minimum(t, np.frexp(left)[1] - 1)
         if ids.size == 0:
             break
-        u = rng.random(ids.size) if uniforms is None else \
-            uniforms[step][ids]
-        k = np.searchsorted(cum, u, side="right")
-        new = site + box.moves[k]
-        stop = box.stop[new]
-        if kernel.p_die > 0:
-            dead = (u - lower[k]) / (cum[k] - lower[k]) < kernel.p_die
-            new[dead] = site[dead]
-            stop |= dead
-            died[ids[dead]] = True
+        u = rng.random(ids.size) if uniforms is None else uniforms[it][ids]
+        k = np.minimum(np.searchsorted(tab.cdf, u + t, side="right"),
+                       tab.last[t])
+        new = site + offset[k]
+        taken += tab.steps[k]
+        dead = tab.dead[k]
+        stop = box.stop[new] | dead
         if record:
             visits.append((ids, new))
         if stop.any():
-            final[ids[stop]], prev[ids[stop]] = new[stop], site[stop]
-            ids, new = ids[~stop], new[~stop]
+            done = ids[stop]
+            final[done], prev[done] = new[stop], site[stop]
+            died[done], steps[done] = dead[stop], taken[stop]
+            ids, new, taken = ids[~stop], new[~stop], taken[~stop]
         site = new
-    final[ids] = site
-    if ids.size:
-        warnings.warn(f"{ids.size} of {n} walkers were still running after "
+    if truncated:
+        warnings.warn(f"{truncated} of {n} walkers were still running after "
                       f"{max_steps} steps and count as misses",
                       RuntimeWarning, stacklevel=3)
     paths = []
@@ -189,7 +324,7 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
         who, where = (np.concatenate(v) for v in zip(*visits))
         ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
         paths = np.split(where[np.argsort(who, kind="stable")], ends)
-    return _Walkers(final, prev, died, int(ids.size), paths)
+    return _Walkers(final, prev, died, steps, truncated, paths)
 
 
 # -- Girsanov ratio ------------------------------------------------------------

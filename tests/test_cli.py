@@ -188,7 +188,10 @@ class TestDispatch:
 
     def test_experiment_crossing_cells_seeded_apart(self, tmp_path):
         # two identical cells (same r, z, M, orientation) must not share a
-        # stream; reruns of one invocation stay byte-identical
+        # stream: cell k runs on seed 7 + k; reruns of one invocation stay
+        # byte-identical
+        from massiveforests.nearcrit import CrossingSpec, crossing_probability
+
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "radii": [0.3], "masses": [1.0], "delta_ratio": 1 / 8,
@@ -203,7 +206,12 @@ class TestDispatch:
         rows = texts[0].splitlines()[1:]
         assert len(rows) == 4
         assert rows[0].split(",")[:6] == rows[1].split(",")[:6]
-        assert rows[0].split(",")[6] != rows[1].split(",")[6]
+        for k, row in enumerate(rows):
+            horizontal = row.split(",")[3] == "True"
+            est, _ = crossing_probability(
+                CrossingSpec(r=0.3, horizontal=horizontal), 0.3 / 8, 1.0,
+                400, seed=7 + k)
+            assert float(row.split(",")[6]) == est
 
     def test_experiment_exitlaw_reruns_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

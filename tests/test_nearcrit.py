@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from massiveforests.nearcrit import (
+    JUMP_MAX,
+    STEP_CAP,
     CrossingSpec,
     SquareLatticeKernel,
     _arc_bin,
@@ -21,6 +24,7 @@ from massiveforests.nearcrit import (
     lerw_ratio_check,
     total_variation,
 )
+from massiveforests.walks import rng_stream
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,6 +38,68 @@ class _Block:
 
     def __getitem__(self, step):
         return np.random.default_rng([11, step]).random(self.n)
+
+
+def _one_step_walk(kernel, box, start, n, rng, max_steps, uniforms=None,
+                   record=False):
+    """The engine before jumps: one lattice step per walker and iteration,
+    the residual split deciding death.  Returns (final, prev, died,
+    truncated, paths), the reference for single-step runs of `_walk`."""
+    cum = kernel.dir_cum
+    lower = np.concatenate(([0.0], cum[:-1]))
+    site = np.full(n, start, dtype=np.int32)
+    ids, visits = np.arange(n), []
+    final, prev, died = site.copy(), site.copy(), np.zeros(n, dtype=bool)
+    for step in range(max_steps):
+        if ids.size == 0:
+            break
+        u = rng.random(ids.size) if uniforms is None else \
+            uniforms[step][ids]
+        k = np.searchsorted(cum, u, side="right")
+        new = site + box.moves[k]
+        stop = box.stop[new]
+        if kernel.p_die > 0:
+            dead = (u - lower[k]) / (cum[k] - lower[k]) < kernel.p_die
+            new[dead] = site[dead]
+            stop |= dead
+            died[ids[dead]] = True
+        if record:
+            visits.append((ids, new))
+        if stop.any():
+            final[ids[stop]], prev[ids[stop]] = new[stop], site[stop]
+            ids, new = ids[~stop], new[~stop]
+        site = new
+    final[ids] = site
+    paths = []
+    if record and visits:
+        who, where = (np.concatenate(v) for v in zip(*visits))
+        ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
+        paths = np.split(where[np.argsort(who, kind="stable")], ends)
+    return final, prev, died, int(ids.size), paths
+
+
+def _exact_walk_laws(kernel, box, start):
+    """Exact laws of the walk from `start`, from one sparse solve on the
+    window: expected visits g = V[start, .], the mean number of steps
+    E[tau] = sum_x g(x), the death mass p_die sum_x g(x), and the mass
+    g(x) p_dirs[j] of each exit edge x -> x + moves[j] with its
+    (inside, outside) plane points."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    inside = np.flatnonzero(~box.stop)
+    vertex = np.full(box.z.size, -1)
+    vertex[inside] = np.arange(inside.size)
+    nbr = inside[:, None] + box.moves
+    a, j = np.nonzero(~box.stop[nbr])
+    Q = sp.csr_matrix((kernel.p_dirs[j], (a, vertex[nbr[a, j]])),
+                      shape=(inside.size,) * 2)
+    e = np.zeros(inside.size)
+    e[vertex[start]] = 1.0
+    g = spsolve((sp.identity(inside.size) - Q).T.tocsc(), e)
+    a, j = np.nonzero(box.stop[nbr])
+    return (g.sum(), kernel.p_die * g.sum(), g[a] * kernel.p_dirs[j],
+            box.z[inside[a]], box.z[nbr[a, j]])
 
 
 class TestKernel:
@@ -206,6 +272,169 @@ class TestEngine:
             assert visited[-1] == final
             jumps = np.abs(np.diff(np.concatenate(([start], visited))))
             assert set(jumps.tolist()) <= steps
+
+
+class TestJumps:
+    KERNELS = ((0.0, None), (1.0, None), (2.0, 0.7))
+
+    def test_single_step_runs_match_one_step_loop(self):
+        # record and coupled runs take one lattice step per iteration and
+        # must reproduce the one-step loop bit for bit, truncation included
+        for M, u_bar in self.KERNELS:
+            kernel = SquareLatticeKernel(M, 1 / 24, u_bar=u_bar)
+            box = _disk_box(kernel.spacing, 0.8)
+            start = box.site(2, -1)
+            for max_steps in (10**6, 40):
+                runs = [
+                    (dict(record=True), lambda: rng_stream(5, 1)),
+                    (dict(uniforms=_Block(600)), lambda: None),
+                    (dict(record=True, uniforms=_Block(600)), lambda: None),
+                ]
+                for opts, rng in runs:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        w = _walk(kernel, box, start, 600, rng(), max_steps,
+                                  **opts)
+                        ref = _one_step_walk(kernel, box, start, 600, rng(),
+                                             max_steps, **opts)
+                    assert np.array_equal(w.final, ref[0])
+                    assert np.array_equal(w.prev, ref[1])
+                    assert np.array_equal(w.died, ref[2])
+                    assert w.truncated == ref[3]
+                    assert len(w.paths) == len(ref[4])
+                    for a, b in zip(w.paths, ref[4]):
+                        assert np.array_equal(a, b)
+                    if "record" in opts:
+                        lengths = [len(p) for p in w.paths]
+                        assert np.array_equal(w.steps, lengths)
+
+    def test_table_zero_is_the_residual_split(self):
+        # every table-0 boundary and its nextafter neighbours draw what the
+        # searchsorted(dir_cum) step with the relative death test draws
+        for M, d, u_bar in ((4.0, 1 / 8, None), (1.0, 1 / 32, None),
+                            (0.0, 1 / 32, None), (1.0, 1 / 32, 0.4)):
+            kernel = SquareLatticeKernel(M, d, u_bar=u_bar)
+            tab = kernel.tables(JUMP_MAX)
+            cum = kernel.dir_cum
+            lower = np.concatenate(([0.0], cum[:-1]))
+            b = tab.cdf[:8]
+            u = np.concatenate((b, np.nextafter(b, 0), np.nextafter(b, 2)))
+            u = u[(u >= 0) & (u < 1)]
+            k = np.searchsorted(cum, u, side="right")
+            dead = (u - lower[k]) / (cum[k] - lower[k]) < kernel.p_die
+            i = np.searchsorted(tab.cdf, u, side="right")
+            assert np.all(i <= tab.last[0])
+            assert np.array_equal(tab.dead[i], dead)
+            alive = ~dead
+            moves = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])
+            assert np.array_equal(tab.dx[i][alive], moves[k[alive], 0])
+            assert np.array_equal(tab.dy[i][alive], moves[k[alive], 1])
+
+    def test_tables_are_the_exact_s_step_laws(self):
+        for M, u_bar in self.KERNELS + ((1.0, 0.0),):
+            kernel = SquareLatticeKernel(M, 1 / 32, u_bar=u_bar)
+            tab = kernel.tables(JUMP_MAX)
+            first = np.concatenate(([0], tab.last[:-1] + 1))
+            assert len(tab.last) == 7 and np.all(np.diff(tab.cdf) >= 0)
+            for t, (a, b) in enumerate(zip(first, tab.last + 1)):
+                S = 2**t
+                prob = np.diff(np.concatenate(([t], tab.cdf[a:b])))
+                assert abs(prob.sum() - 1) < 1e-12
+                dead = tab.dead[a:b]
+                assert abs(prob[dead].sum()
+                           - (1 - (1 - kernel.p_die) ** S)) < 1e-12
+                dx, dy = tab.dx[a:b][~dead], tab.dy[a:b][~dead]
+                # S-step displacements: |dx| + |dy| <= S with parity S
+                assert np.all(np.abs(dx) + np.abs(dy) <= S)
+                assert np.all((dx + dy - S) % 2 == 0)
+                assert np.all(tab.steps[a:b][~dead] == S)
+                assert np.all((tab.steps[a:b][dead] >= 1)
+                              & (tab.steps[a:b][dead] <= S))
+                # the mean displacement of S steps is S times one step's
+                mean = np.array([prob[~dead] @ dx, prob[~dead] @ dy])
+                one = kernel.p_dirs @ np.array([(1, 0), (0, 1), (-1, 0),
+                                                 (0, -1)])
+                assert np.allclose(mean, (1 - kernel.p_die) ** (S - 1)
+                                   * S * one, rtol=0, atol=1e-12)
+
+    def test_top_uniform_stays_in_its_table(self):
+        # u + t may round up to t + 1; the draw must still come from table
+        # t (its last outcome, an alive move), not from table t + 1, whose
+        # first outcome is a death, nor past the last table
+        class TopRng:
+            def random(self, n):
+                return np.full(n, 1 - 2.0**-53)
+
+        kernel = SquareLatticeKernel(1.0, 1 / 128)
+        box = _disk_box(kernel.spacing, 1.0)
+        w = _walk(kernel, box, box.site(0, 0), 3, TopRng(), STEP_CAP)
+        assert not w.died.any() and box.stop[w.final].all()
+
+    def test_jumps_keep_the_step_budget(self):
+        # the start is 90 sites from the boundary: uncut, its first jump
+        # would take JUMP_MAX = 64 steps
+        kernel = SquareLatticeKernel(1.0, 1 / 128)
+        box = _disk_box(kernel.spacing, 1.0)
+        assert 2 ** box.jump_index[box.site(0, 0)] == JUMP_MAX
+        with pytest.warns(RuntimeWarning, match="after 37 steps"):
+            w = _walk(kernel, box, box.site(0, 0), 2000,
+                      np.random.default_rng(4), 37)
+        assert w.steps.max() <= 37
+        running = ~w.died & ~box.stop[w.final]
+        assert w.truncated == running.sum() > 0
+        assert np.all(w.steps[running] == 37)
+
+    def test_jumps_never_cross_the_stop_set(self):
+        kernel = SquareLatticeKernel(1.0, 1 / 32, u_bar=0.3)
+        box = _disk_box(kernel.spacing, 1.0)
+        w = _walk(kernel, box, box.site(0, 0), 5000,
+                  np.random.default_rng(6), STEP_CAP)
+        assert w.truncated == 0 and not w.died.any()
+        assert box.stop[w.final].all()
+        assert np.isin(w.final - w.prev, box.moves).all()
+        assert np.all(box.jump_index[box.stop] == 0)
+
+    def test_mean_exit_time_matches_exact(self):
+        # E[tau] = sum_x V[s, x] from one sparse solve; tau counts the step
+        # a walker dies on, also inside a jump (M = 2 kills ~92% of them)
+        for seed, (M, u_bar) in enumerate(((0.0, None), (2.0, None),
+                                           (2.0, 0.7)), start=30):
+            kernel = SquareLatticeKernel(M, 1 / 32, u_bar=u_bar)
+            box = _disk_box(kernel.spacing, 1.0)
+            start = box.site(0, 0)
+            tau, death, *_ = _exact_walk_laws(kernel, box, start)
+            n = 40000
+            w = _walk(kernel, box, start, n, rng_stream(seed, 0), STEP_CAP)
+            sd = w.steps.std()
+            assert abs(w.steps.mean() - tau) <= 4.5 * sd / math.sqrt(n)
+            assert abs(w.died.mean() - death) <= 4.5 * math.sqrt(
+                max(death * (1 - death), 1e-12) / n)
+
+    def test_exit_law_matches_exact_hitting_law(self):
+        # exit-arc + death histogram against the exact hitting law, per bin
+        # within exact binomial tails, family-wise alpha = 1e-4
+        from scipy.stats import binomtest
+
+        cases = ((0.0, 0.0), (1.0, 0.0), (1.0, None), (2.0, 0.7))
+        n, delta = 100000, 1 / 32
+        alpha = 1e-4 / (len(cases) * 17)
+        for seed, (M, u_bar) in enumerate(cases, start=50):
+            kernel = SquareLatticeKernel(M, delta, u_bar=u_bar)
+            box = _disk_box(kernel.spacing, 1.0)
+            _, death, mass, p, q = _exact_walk_laws(kernel, box,
+                                                    box.site(0, 0))
+            arcs = _arc_bin(_circle_crossing_angle(p, q, 1.0), 16)
+            law = np.append(np.bincount(arcs, mass, minlength=16), death)
+            assert abs(law.sum() - 1) < 1e-10
+            counts, exited = exit_law_walk(
+                M, 0.0 if u_bar is None else u_bar, delta, n, seed,
+                drifted=u_bar is not None)
+            hist = np.append(counts, n - exited)
+            for c, q in zip(hist, law):
+                if q < 1e-15:
+                    assert c == 0
+                else:
+                    assert binomtest(int(c), n, min(q, 1.0)).pvalue > alpha
 
 
 class TestExitLaw:

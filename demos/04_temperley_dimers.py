@@ -25,7 +25,7 @@ from massiveforests.dimers import (
 from massiveforests.graphs import (
     ROOT,
     collapse_boundary,
-    symmetric_graph,
+    grid_graph,
     wired_restriction,
 )
 from massiveforests.linalg import (
@@ -36,24 +36,8 @@ from massiveforests.planar import build_dual_and_double
 from massiveforests.walks import rng_stream, wilson_sample
 
 
-def grid(nx, ny, mass):
-    def vid(i, j):
-        return j * nx + i
-
-    edges = []
-    for j in range(ny):
-        for i in range(nx):
-            if i + 1 < nx:
-                edges.append((vid(i, j), vid(i + 1, j), Fraction(1)))
-            if j + 1 < ny:
-                edges.append((vid(i, j), vid(i, j + 1), Fraction(1)))
-    pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
-    return symmetric_graph(nx * ny, edges, [mass] * (nx * ny),
-                           positions=pos)
-
-
 # ambient Z^2 patch with mass 9/4, where lambda = 4^x is massive harmonic
-ambient = grid(4, 4, Fraction(9, 4))
+ambient = grid_graph(4, 4, m=Fraction(9, 4))
 subset = [ambient.positions.tolist().index([float(i), float(j)])
           for j in (1, 2) for i in (1, 2)]
 col = collapse_boundary(ambient, subset)

@@ -114,12 +114,8 @@ def cmd_sample_forest(args):
               file=sys.stderr)
         return 2, []
     counter = WilsonEdgeCounter(g, roots)
-    counts = np.zeros(len(counter.pairs), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        for task_counts in pool.map(
-                lambda task: counter.task_counts(args.n, args.seed, task),
-                range(counter.n_tasks(args.n))):
-            counts += task_counts
+        counts = counter.counts(args.n, args.seed, pool.map)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,28 +299,11 @@ def verify_dimers():
         partition_check,
         verify_block_identity,
     )
-    from .graphs import collapse_boundary, wired_restriction, symmetric_graph
-
-    failures = []
-
-    def grid_graph(nx, ny, mass):
-        def vid(i, j):
-            return j * nx + i
-
-        edges = []
-        for j in range(ny):
-            for i in range(nx):
-                if i + 1 < nx:
-                    edges.append((vid(i, j), vid(i + 1, j), Fraction(1)))
-                if j + 1 < ny:
-                    edges.append((vid(i, j), vid(i, j + 1), Fraction(1)))
-        pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
-        return symmetric_graph(nx * ny, edges, [mass] * (nx * ny),
-                               positions=pos)
-
+    from .graphs import collapse_boundary, grid_graph, wired_restriction
     from .planar import build_dual_and_double
 
-    amb = grid_graph(4, 4, Fraction(9, 4))
+    failures = []
+    amb = grid_graph(4, 4, m=Fraction(9, 4))
     subset = [amb.positions.tolist().index([float(i), float(j)])
               for j in (1, 2) for i in (1, 2)]
     col = collapse_boundary(amb, subset)

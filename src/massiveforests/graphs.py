@@ -125,6 +125,23 @@ def symmetric_graph(n, und_edges, masses, positions=None):
     return WeightedGraph(n, edges, masses, positions=positions)
 
 
+def grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
+    """nx-by-ny unit square grid: conductance c, mass m, vertex j nx + i
+    at position (i, j)."""
+    def vid(i, j):
+        return j * nx + i
+
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            if i + 1 < nx:
+                edges.append((vid(i, j), vid(i + 1, j), c))
+            if j + 1 < ny:
+                edges.append((vid(i, j), vid(i, j + 1), c))
+    pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
+    return symmetric_graph(nx * ny, edges, [m] * (nx * ny), positions=pos)
+
+
 class CemeteryGraph:
     """The graph extended by a cemetery vertex absorbing the masses.
 

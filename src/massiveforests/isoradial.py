@@ -223,6 +223,38 @@ def z_invariant_weights(grid: IsoradialGrid, modulus: EllipticModulus,
     return g
 
 
+def lazy_walk_graph(grid, modulus):
+    """Z-invariant graph with per-vertex holding loops.
+
+    The loop conductance at x is ((T(x) - T)/T) * sum_y sc(theta_xy|k) where
+    T(x) = sum sin(2 theta bar)/sum tan(theta bar) and T is its minimum over
+    the grid; jump-time trajectories of the lazy killed walk have the law of
+    the plain killed walk.
+    """
+    g = z_invariant_weights(grid, modulus)
+    T_x = np.empty(g.n)
+    for x in range(g.n):
+        s_sin = sum(np.sin(2 * grid.half_angle(e)) for e in grid.edges_at(x))
+        s_tan = sum(np.tan(grid.half_angle(e)) for e in grid.edges_at(x))
+        T_x[x] = s_sin / s_tan
+    T = float(T_x.min())
+    if T <= 0:
+        raise ValueError("nonpositive speed floor; bounded-angle violated")
+    edges = [(int(g.tail[i]), int(g.head[i]), g.cond[i])
+             for i in range(g.m_edges)]
+    for x in range(g.n):
+        l_x = (T_x[x] - T) / T * float(g.total_conductance(x))
+        if l_x > 0:
+            edges.append((x, x, l_x))
+    lazy = WeightedGraph(g.n, edges, list(g.masses), positions=g.positions,
+                         check=False)
+    holding = np.array([
+        float(sum(lazy.cond_f[eid] for eid in lazy.out_edges[x]
+                  if lazy.head[eid] == x)) / float(lazy.total_conductance(x))
+        for x in range(lazy.n)])
+    return lazy, holding
+
+
 def mass_value_via_star(grid, modulus, x, u_bar=0.0):
     """m^2(x|k) from massive harmonicity of the exponential at x."""
     total = 0.0

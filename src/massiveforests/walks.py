@@ -8,6 +8,7 @@ split across workers.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -52,40 +53,6 @@ class TransitionTable:
     def step(self, x, u):
         i = bisect_right(self.cum[x], u)
         return self.targets[x][min(i, len(self.targets[x]) - 1)]
-
-
-class WalkState:
-    """Current position of a killed walk (ROOT once absorbed)."""
-
-    def __init__(self, vertex, steps=0):
-        self.vertex = vertex
-        self.steps = steps
-
-    @property
-    def absorbed(self):
-        return self.vertex == ROOT
-
-
-def step_killed(table: TransitionTable, state: WalkState, rng) -> WalkState:
-    if state.absorbed:
-        raise ValueError("walk already absorbed")
-    y = table.step(state.vertex, rng.random())
-    return WalkState(y, state.steps + 1)
-
-
-def sample_trajectory(g: WeightedGraph, start, rng, table=None,
-                      step_cap=10**7):
-    """Trajectory of the killed walk from `start` until death."""
-    if table is None:
-        table = TransitionTable(g)
-    path = [start]
-    x = start
-    for _ in range(step_cap):
-        x = table.step(x, rng.random())
-        if x == ROOT:
-            return path
-        path.append(x)
-    raise RuntimeError("step cap exceeded; is the walk killed a.s.?")
 
 
 def loop_erase(path):
@@ -199,9 +166,6 @@ class WilsonEdgeCounter:
         self._codes = np.append(codes[self._sort], (g.n + 1) ** 2)
         self._tail_codes = np.arange(g.n, dtype=np.int64) * (g.n + 1) + 1
 
-    def n_tasks(self, n_samples):
-        return -(-n_samples // self.per_task)
-
     def task_counts(self, n_samples, seed, task):
         """Counts over `pairs` of task `task`'s forests.
 
@@ -222,78 +186,27 @@ class WilsonEdgeCounter:
         counts[self._sort] = hits
         return counts
 
+    def counts(self, n_samples, seed, map=map):
+        """Counts over `pairs` of all n_samples forests.
 
-def wilson_edge_marginals(g: WeightedGraph, n_samples, seed,
-                          samples_per_task=1000):
+        The sum of `task_counts` over the tasks, in task order; `map` runs
+        them (an executor's `map` runs them in a pool).
+        """
+        tasks = range(-(-n_samples // self.per_task))
+        total = np.zeros(len(self.pairs), dtype=np.int64)
+        for counts in map(partial(self.task_counts, n_samples, seed), tasks):
+            total += counts
+        return total
+
+
+def wilson_edge_marginals(g: WeightedGraph, n_samples, seed):
     """Empirical P(directed edge in forest) over independent Wilson runs.
 
-    Work is split into tasks with their own streams; the reduction is a sum
-    over task ids, so the result only depends on (seed, n_samples).
+    Returns (pairs, counts, n_samples); the counts depend only on
+    (seed, n_samples).
     """
-    counter = WilsonEdgeCounter(g, per_task=samples_per_task)
-    counts = np.zeros(len(counter.pairs), dtype=np.int64)
-    for task in range(counter.n_tasks(n_samples)):
-        counts += counter.task_counts(n_samples, seed, task)
-    return counter.pairs, counts, n_samples
-
-
-def coupled_pair_step(g: WeightedGraph, x_unkilled, x_killed, rng):
-    """One coupled step of the plain and killed walks.
-
-    A single uniform drives both copies; the killed copy equals the
-    unkilled one strictly before death, and each marginal is exact.
-    """
-    u = rng.random()
-    heads = [int(g.head[eid]) for eid in g.out_edges[x_unkilled]]
-    probs = np.array([g.cond_f[eid] for eid in g.out_edges[x_unkilled]])
-    cum = np.cumsum(probs / probs.sum())
-    cum[-1] = 1.0
-    survival = probs.sum() / float(g.ck(x_unkilled))
-    if u <= survival:
-        v = u / survival if survival > 0 else 0.0
-        died = False
-    else:
-        v = (u - survival) / (1.0 - survival)
-        died = True
-    y_unkilled = heads[min(int(np.searchsorted(cum, v, side="right")),
-                           len(cum) - 1)]
-    if x_killed == ROOT or died:
-        return y_unkilled, ROOT
-    return y_unkilled, y_unkilled
-
-
-def lazy_walk_graph(grid, modulus, delta=None):
-    """Z-invariant graph with per-vertex holding loops.
-
-    The loop conductance at x is ((T(x) - T)/T) * sum_y sc(theta_xy|k) where
-    T(x) = sum sin(2 theta bar)/sum tan(theta bar) and T is its minimum over
-    the grid; jump-time trajectories of the lazy killed walk have the law of
-    the plain killed walk.
-    """
-    from .isoradial import z_invariant_weights
-
-    g = z_invariant_weights(grid, modulus)
-    T_x = np.empty(g.n)
-    for x in range(g.n):
-        s_sin = sum(np.sin(2 * grid.half_angle(e)) for e in grid.edges_at(x))
-        s_tan = sum(np.tan(grid.half_angle(e)) for e in grid.edges_at(x))
-        T_x[x] = s_sin / s_tan
-    T = float(T_x.min())
-    if T <= 0:
-        raise ValueError("nonpositive speed floor; bounded-angle violated")
-    edges = [(int(g.tail[i]), int(g.head[i]), g.cond[i])
-             for i in range(g.m_edges)]
-    for x in range(g.n):
-        l_x = (T_x[x] - T) / T * float(g.total_conductance(x))
-        if l_x > 0:
-            edges.append((x, x, l_x))
-    lazy = WeightedGraph(g.n, edges, list(g.masses), positions=g.positions,
-                         check=False)
-    holding = np.array([
-        float(sum(lazy.cond_f[eid] for eid in lazy.out_edges[x]
-                  if lazy.head[eid] == x)) / float(lazy.total_conductance(x))
-        for x in range(lazy.n)])
-    return lazy, holding
+    counter = WilsonEdgeCounter(g)
+    return counter.pairs, counter.counts(n_samples, seed), n_samples
 
 
 def lerw_exact_probability(g: WeightedGraph, gamma, exact=False):

@@ -13,6 +13,7 @@ from massiveforests.graphs import (
     enumerate_forests,
     enumerate_trees_rooted_at,
     forest_partition_function,
+    grid_graph,
     symmetric_graph,
     tree_partition_function,
     wired_restriction,
@@ -33,21 +34,6 @@ def z_line(lo, hi, c=Fraction(1), m=Fraction(0)):
     edges = [(i, i + 1, c) for i in range(n - 1)]
     pos = [(float(i), 0.0) for i in range(lo, hi + 1)]
     return symmetric_graph(n, edges, [m] * n, positions=pos)
-
-
-def grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
-    def vid(i, j):
-        return j * nx + i
-
-    edges = []
-    for j in range(ny):
-        for i in range(nx):
-            if i + 1 < nx:
-                edges.append((vid(i, j), vid(i + 1, j), c))
-            if j + 1 < ny:
-                edges.append((vid(i, j), vid(i, j + 1), c))
-    pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
-    return symmetric_graph(nx * ny, edges, [m] * (nx * ny), positions=pos)
 
 
 def random_rational_graph(rng, n_max=6, allow_loops=True, allow_parallel=True,

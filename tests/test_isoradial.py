@@ -15,12 +15,12 @@ from massiveforests.isoradial import (
     drift_field_and_conductances,
     drift_field_from_rays,
     drifted_conductance_asymptotic,
+    lazy_walk_graph,
     mass_value_via_star,
     random_rhombic_angles,
     z_invariant_weights,
 )
 from massiveforests.io import grid_to_graph
-from massiveforests.walks import lazy_walk_graph
 
 
 class TestGridGeometry:

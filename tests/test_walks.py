@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,10 @@ from massiveforests.linalg import (
 )
 from massiveforests.walks import (
     TransitionTable,
-    WalkState,
     WilsonEdgeCounter,
-    coupled_pair_step,
     lerw_exact_probability,
     loop_erase,
     rng_stream,
-    sample_trajectory,
-    step_killed,
     wilson_edge_marginals,
     wilson_sample,
 )
@@ -32,8 +29,7 @@ class TestStepKilled:
     def test_isolated_vertex_dies(self):
         g = WeightedGraph(1, [], [Fraction(3)])
         table = TransitionTable(g)
-        state = step_killed(table, WalkState(0), rng_stream(1))
-        assert state.absorbed
+        assert table.step(0, rng_stream(1).random()) == ROOT
 
     def test_path_transition_row(self):
         g = path_ab()
@@ -42,7 +38,7 @@ class TestStepKilled:
         hits = {1: 0, ROOT: 0}
         n = 40000
         for _ in range(n):
-            hits[step_killed(table, WalkState(0), rng).vertex] += 1
+            hits[table.step(0, rng.random())] += 1
         for target in (1, ROOT):
             p = hits[target] / n
             assert abs(p - 0.5) < 4 * np.sqrt(0.25 / n)
@@ -51,10 +47,10 @@ class TestStepKilled:
         g = path_ab(m=Fraction(0))
         table = TransitionTable(g)
         rng = rng_stream(3)
-        state = WalkState(0)
+        x = 0
         for _ in range(500):
-            state = step_killed(table, state, rng)
-            assert not state.absorbed
+            x = table.step(x, rng.random())
+            assert x != ROOT
 
 
 class TestLoopErase:
@@ -158,41 +154,6 @@ class TestWilson:
         assert np.array_equal(a, b)
 
 
-class TestCoupling:
-    def test_no_mass_identical(self):
-        g = path_ab(m=Fraction(0))
-        rng = rng_stream(11)
-        xu, xk = 0, 0
-        for _ in range(200):
-            xu, xk = coupled_pair_step(g, xu, xk, rng)
-            assert xk == xu
-
-    def test_killed_equals_unkilled_before_death(self):
-        g = path_ab()
-        rng = rng_stream(12)
-        for _ in range(500):
-            xu, xk = 0, 0
-            while xk != ROOT:
-                xu2, xk = coupled_pair_step(g, xu, xk, rng)
-                if xk != ROOT:
-                    assert xk == xu2
-                xu = xu2
-
-    def test_marginals(self):
-        g = path_ab()
-        rng = rng_stream(13)
-        n = 40000
-        unkilled_to_1 = 0
-        killed_events = {1: 0, ROOT: 0}
-        for _ in range(n):
-            yu, yk = coupled_pair_step(g, 0, 0, rng)
-            unkilled_to_1 += yu == 1
-            killed_events[yk] += 1
-        assert unkilled_to_1 == n  # plain walk at 'a' must hop to 'b'
-        p_die = killed_events[ROOT] / n
-        assert abs(p_die - 0.5) < 4 * np.sqrt(0.25 / n)
-
-
 def green_product_lerw(g, gamma):
     """Exact LERW law as a product of Green function diagonals, one solve
     on each domain with the earlier path vertices removed."""
@@ -261,16 +222,20 @@ class TestLerwExact:
                 1e-13 * exact
 
     def test_matches_monte_carlo(self):
+        # Wilson's first walk starts at 0, so the branch of 0 is the loop
+        # erasure of one killed walk from 0
         g = grid_graph(2, 2, m=Fraction(1))
-        from massiveforests.walks import loop_erase, sample_trajectory
         rng = rng_stream(14)
         table = TransitionTable(g)
         gamma = [0, 1, 3]
         n = 40000
         hits = 0
         for _ in range(n):
-            traj = sample_trajectory(g, 0, rng, table=table)
-            hits += loop_erase(traj) == gamma
+            forest = wilson_sample(g, rng, table=table)
+            branch = [0]
+            while forest.outgoing[branch[-1]] != ROOT:
+                branch.append(forest.outgoing[branch[-1]])
+            hits += branch == gamma
         p = float(lerw_exact_probability(g, gamma, exact=True))
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 4 * sigma
@@ -336,9 +301,9 @@ def lazy_graph():
     from massiveforests.elliptic import complete_integrals
     from massiveforests.isoradial import (
         build_rhombic_grid,
+        lazy_walk_graph,
         random_rhombic_angles,
     )
-    from massiveforests.walks import lazy_walk_graph
 
     phis, psis = random_rhombic_angles(np.random.default_rng(13), 4)
     return lazy_walk_graph(build_rhombic_grid(0.3, phis, psis),
@@ -417,3 +382,25 @@ class TestWilsonIdentity:
                     if e in index:
                         expect[index[e]] += 1
             assert np.array_equal(counts, expect)
+
+
+class TestEdgeCountReduction:
+    def test_pool_map_equals_serial(self):
+        g = float_grid(5, 0.0)
+        counter = WilsonEdgeCounter(g, roots={0}, per_task=40)
+        n = 130  # four tasks, the last one short
+        serial = counter.counts(n, 21)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = counter.counts(n, 21, pool.map)
+        assert np.array_equal(pooled, serial)
+        tasks = [counter.task_counts(n, 21, task) for task in range(4)]
+        assert np.array_equal(serial, sum(tasks))
+        # every vertex but the root has one counted successor per forest
+        assert serial.sum() == n * (g.n - 1)
+
+    def test_marginals_equal_counts(self):
+        g = float_grid(4, 0.3)
+        pairs, counts, total = wilson_edge_marginals(g, 2100, seed=8)
+        counter = WilsonEdgeCounter(g)
+        assert pairs == counter.pairs and total == 2100
+        assert np.array_equal(counts, counter.counts(2100, 8))

@@ -9,14 +9,11 @@ K^dagger K block diagonal with the massive Laplacian in the vertex block.
 
 from fractions import Fraction
 
-import numpy as np
-
 from massiveforests.dimers import (
     check_kasteleyn_property,
     drifted_weights,
     partition_check,
     resolve_tree,
-    sample_matching,
     temperley_forward,
     temperley_inverse,
     verify_block_identity,

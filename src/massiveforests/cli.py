@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import pathlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,17 +55,33 @@ def _write_manifest(path, command, args_dict, seed, outputs, t0,
         fh.write("\n")
 
 
-def _load_graph_or_die(path):
-    from .io import GraphFormatError, load_graph
+def _read_or_die(read, path):
+    """read(path), or `error: ...` and exit 2 if it is missing or malformed."""
+    from .io import GraphFormatError
 
     try:
-        return load_graph(path)
-    except FileNotFoundError:
-        print(f"error: graph file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
-    except GraphFormatError as exc:
+        return read(path)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+    except (GraphFormatError, json.JSONDecodeError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    raise SystemExit(2)
+
+
+def _load_graph_or_die(path):
+    from .io import load_graph
+
+    return _read_or_die(load_graph, path)
+
+
+def _load_json_or_die(path):
+    """A JSON object from `path`, or `error: ...` and exit 2."""
+    data = _read_or_die(lambda p: json.loads(pathlib.Path(p).read_text()),
+                        path)
+    if isinstance(data, dict):
+        return data
+    print(f"error: {path}: need a JSON object", file=sys.stderr)
+    raise SystemExit(2)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -272,9 +289,8 @@ def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
             lam = {i: Fraction(2) ** int(round(g.positions[i][0]))
                    for i in range(g.n)}
         else:
-            with open(lam_spec) as fh:
-                lam = {int(k): Fraction(v)
-                       for k, v in json.load(fh).items()}
+            lam = {int(k): Fraction(v)
+                   for k, v in _load_json_or_die(lam_spec).items()}
         subset = [x for x in range(g.n)
                   if all(lam.get(y) is not None for y in g.neighbours(x))]
     out = verify_partition_equality(g, subset, lam, exact=exact)
@@ -390,8 +406,7 @@ def cmd_experiment(args):
         total_variation,
     )
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json_or_die(args.config)
     seed = cfg.get("seed", args.seed)
     out = args.out
     rows = []

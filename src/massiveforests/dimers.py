@@ -80,23 +80,23 @@ class WeightSystem:
         return self.values[(w, slot)]
 
 
-def _lam_at(dg, lam_ambient, white_info, end):
-    """lambda at a primal endpoint; o reads the ambient vertex behind it."""
-    col = dg.col
-    if end == "o":
-        return lam_ambient[white_info["edge"].ambient_target]
-    return lam_ambient[col.ambient_ids[end]]
+def _white_ends(dg: DoubleGraph, lam_ambient):
+    """(c, lambda(x), lambda(y)) of every white, in white order.
+
+    lambda is read at the ambient vertices behind the white's ends (a
+    spoke's y at o reads its ambient target); values keep their type, so
+    Fractions stay exact.
+    """
+    return [(info["edge"].cond, lam_ambient[ax], lam_ambient[ay])
+            for info, (ax, ay) in zip(dg.whites, dg.ambient_ends)]
 
 
 def drifted_weights(dg: DoubleGraph, lam_ambient) -> WeightSystem:
     """Dual half-edges weigh 1; the half-edge at x weighs c~_(x, y)."""
     values = {}
-    for w, info in enumerate(dg.whites):
-        c = info["edge"].cond
-        lx = _lam_at(dg, lam_ambient, info, info["x"])
-        ly = _lam_at(dg, lam_ambient, info, info["y"])
-        if info["x"] != "o":
-            values[(w, 0)] = c * ly / lx
+    for w, (info, (c, lx, ly)) in enumerate(
+            zip(dg.whites, _white_ends(dg, lam_ambient))):
+        values[(w, 0)] = c * ly / lx
         if info["y"] != "o":
             values[(w, 2)] = c * lx / ly
         one = Fraction(1) if isinstance(c, (int, Fraction)) else 1.0
@@ -114,13 +114,11 @@ def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> WeightSystem:
     removed so its value is never read.
     """
     values = {}
-    for w, info in enumerate(dg.whites):
-        c = float(info["edge"].cond)
-        lx = float(_lam_at(dg, lam_ambient, info, info["x"]))
-        ly = float(_lam_at(dg, lam_ambient, info, info["y"]))
+    for w, (info, ends) in enumerate(
+            zip(dg.whites, _white_ends(dg, lam_ambient))):
+        c, lx, ly = map(float, ends)
         root = math.sqrt(c * lx * ly)
-        if info["x"] != "o":
-            values[(w, 0)] = math.sqrt(c * ly / lx)
+        values[(w, 0)] = math.sqrt(c * ly / lx)
         if info["y"] != "o":
             values[(w, 2)] = math.sqrt(c * lx / ly)
         if info["left"] != dg.r:
@@ -133,10 +131,8 @@ def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> WeightSystem:
 def killed_drifted_gauge(dg: DoubleGraph, lam_ambient, lam_star):
     """Gauge functions (phi on whites, psi on blacks) with K^k = Phi K^d Psi."""
     phi = {}
-    for w, info in enumerate(dg.whites):
-        c = float(info["edge"].cond)
-        lx = float(_lam_at(dg, lam_ambient, info, info["x"]))
-        ly = float(_lam_at(dg, lam_ambient, info, info["y"]))
+    for w, ends in enumerate(_white_ends(dg, lam_ambient)):
+        c, lx, ly = map(float, ends)
         phi[w] = 1.0 / math.sqrt(c * lx * ly)
     psi = {}
     for x in range(dg.col.n):
@@ -393,13 +389,12 @@ def temperley_inverse(dg: DoubleGraph, matching):
 
 def tree_weight(dg: DoubleGraph, tree_whites, lam_ambient):
     """Product of tilted conductances over the tree's directed edges."""
+    ends = _white_ends(dg, lam_ambient)
     w_total = None
     for x, w in tree_whites.items():
-        info = dg.whites[w]
-        c = info["edge"].cond
-        lx = _lam_at(dg, lam_ambient, info, x)
-        other = info["y"] if info["x"] == x else info["x"]
-        ly = _lam_at(dg, lam_ambient, info, other)
+        c, lx, ly = ends[w]
+        if dg.whites[w]["x"] != x:
+            lx, ly = ly, lx
         factor = c * ly / lx
         w_total = factor if w_total is None else w_total * factor
     return w_total
@@ -474,17 +469,12 @@ def _tilted_window(dg: DoubleGraph, lam_ambient):
     col = dg.col
     edges = []
     masses = [0.0] * col.n
-    for info in (dg.whites[w] for w in range(dg.n_white)):
-        c = float(info["edge"].cond)
-        if info["y"] == "o":
-            x = info["x"]
-            lz = float(lam_ambient[info["edge"].ambient_target])
-            lx = float(lam_ambient[col.ambient_ids[x]])
-            masses[x] += c * lz / lx
+    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
+        c, lx, ly = map(float, ends)
+        x, y = info["x"], info["y"]
+        if y == "o":
+            masses[x] += c * ly / lx
         else:
-            x, y = info["x"], info["y"]
-            lx = float(lam_ambient[col.ambient_ids[x]])
-            ly = float(lam_ambient[col.ambient_ids[y]])
             edges.append((x, y, c * ly / lx))
             edges.append((y, x, c * lx / ly))
     return WeightedGraph(col.n, edges, masses, positions=col.positions,
@@ -541,10 +531,8 @@ def dual_operator(dg: DoubleGraph, lam_ambient, lam_star):
     """Delta~* on the kept dual vertices from its defining formula."""
     nd = len(dg.dual_ids)
     D = np.zeros((nd, nd))
-    for w, info in enumerate(dg.whites):
-        c = float(info["edge"].cond)
-        lx = float(_lam_at(dg, lam_ambient, info, info["x"]))
-        ly = float(_lam_at(dg, lam_ambient, info, info["y"]))
+    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
+        c, lx, ly = map(float, ends)
         ctilde_star = 1.0 / (c * lx * ly)
         a, b = info["left"], info["right"]
         for f in (a, b):
@@ -571,12 +559,7 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
     lam = {0: 1.0}
     order = [0]
     seen = {0}
-    adj = {}
-    for w, info in enumerate(dg.whites):
-        if info["y"] == "o" or info["x"] == "o":
-            continue
-        adj.setdefault(info["x"], []).append((info["y"], w))
-        adj.setdefault(info["y"], []).append((info["x"], w))
+    adj = dg.primal_adjacency
     while order:
         x = order.pop()
         for (y, w) in adj.get(x, []):
@@ -609,15 +592,14 @@ def _log_det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
     col = dg.col
     logc = 0.0
     deg = [0] * col.n
-    for info in (dg.whites[w] for w in range(dg.n_white)):
-        logc -= 0.5 * math.log(float(info["edge"].cond))
-        if info["x"] != "o":
-            deg[info["x"]] += 1
-        if info["y"] != "o":
-            deg[info["y"]] += 1
+    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
+        c, _, ly = map(float, ends)
+        logc -= 0.5 * math.log(c)
+        deg[info["x"]] += 1
         if info["y"] == "o":
-            lz = float(lam_ambient[info["edge"].ambient_target])
-            logc -= 0.5 * math.log(lz)
+            logc -= 0.5 * math.log(ly)
+        else:
+            deg[info["y"]] += 1
     for x in range(col.n):
         lx = float(lam_ambient[col.ambient_ids[x]])
         logc += (1.0 - 0.5 * deg[x]) * math.log(lx)
@@ -656,13 +638,13 @@ def self_duality_residuals(dg: DoubleGraph, lam_ambient, lam_star):
     """|lam(x) lam(y) lam*(left) lam*(right) - 1| per interior quad white."""
     boundary = set(dg.structure.o_faces) | {dg.r}
     out = []
-    for w, info in enumerate(dg.whites):
-        if info["x"] == "o" or info["y"] == "o":
+    for w, (info, ends) in enumerate(
+            zip(dg.whites, _white_ends(dg, lam_ambient))):
+        if info["y"] == "o":
             continue
         if info["left"] in boundary or info["right"] in boundary:
             continue
-        lx = float(_lam_at(dg, lam_ambient, info, info["x"]))
-        ly = float(_lam_at(dg, lam_ambient, info, info["y"]))
+        _, lx, ly = map(float, ends)
         ls1 = float(lam_star[info["left"]])
         ls2 = float(lam_star[info["right"]])
         out.append((w, abs(lx * ly * ls1 * ls2 - 1.0)))
@@ -670,7 +652,7 @@ def self_duality_residuals(dg: DoubleGraph, lam_ambient, lam_star):
 
 
 def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
-                                       lam_star, interior_only=True):
+                                       lam_star):
     """Off-diagonal of the dual block against -1/c_xy (self-dual form).
 
     Returns (max off-diagonal gap over interior dual pairs, implied dual
@@ -680,9 +662,7 @@ def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
     D = dual_operator(dg, lam_ambient, lam_star)
     nd = len(dg.dual_ids)
     boundary = set(dg.structure.o_faces) | {dg.r}
-    keep = set(range(nd))
-    if interior_only:
-        keep = {dg.dual_index[f] for f in dg.dual_ids if f not in boundary}
+    keep = {dg.dual_index[f] for f in dg.dual_ids if f not in boundary}
     cstar = np.zeros((nd, nd))
     for w, info in enumerate(dg.whites):
         a, b = info["left"], info["right"]
@@ -718,14 +698,11 @@ def reference_matching(dg: DoubleGraph):
     """Deterministic matching from a BFS tree of the collapsed window."""
     col = dg.col
     # BFS toward o: boundary vertices point at a spoke, others at parents
-    adj = {}
+    adj = dg.primal_adjacency
     spoke_white = {}
     for w, info in enumerate(dg.whites):
         if info["y"] == "o":
             spoke_white.setdefault(info["x"], w)
-        else:
-            adj.setdefault(info["x"], []).append((info["y"], w))
-            adj.setdefault(info["y"], []).append((info["x"], w))
     tree = {}
     seen = set()
     frontier = []

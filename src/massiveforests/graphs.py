@@ -309,14 +309,14 @@ def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
 
 # -- exhaustive enumeration oracles ---------------------------------------
 
-def enumerate_forests(g: WeightedGraph, cap=8, include_zero_weight=False):
+def enumerate_forests(g: WeightedGraph, cap=8):
     """All rooted spanning forests with their exact Boltzmann weights.
 
     Every vertex independently picks ROOT or an out-neighbour (loops are
     never part of a forest); configurations with a directed cycle are
     discarded.  Weights are Fractions when the graph data is rational.
-    Forests rooted at a zero-mass vertex have weight zero and are skipped
-    unless `include_zero_weight` is set.
+    Forests with a zero-weight choice (a root at a zero-mass vertex) are
+    skipped.
     """
     if g.n > cap:
         raise ValueError(f"enumeration capped at {cap} vertices")
@@ -342,7 +342,7 @@ def enumerate_forests(g: WeightedGraph, cap=8, include_zero_weight=False):
             return
         for y in choices[x]:
             f = weight_factor(x, y)
-            if f == 0 and not include_zero_weight:
+            if f == 0:
                 continue
             out[x] = y
             rec(x + 1, w * f)

@@ -156,11 +156,11 @@ def save_periodic_graph(path, pg):
         fh.write("\n")
 
 
-def grid_to_graph(grid, modulus, mass_method="auto"):
+def grid_to_graph(grid, modulus):
     """Z-invariant weighted graph of a grid plus its per-edge rays."""
     from .isoradial import z_invariant_weights
 
-    g = z_invariant_weights(grid, modulus, mass_method=mass_method)
+    g = z_invariant_weights(grid, modulus)
     rays = {}
     for eid in range(grid.m_edges):
         x, y = grid.edge_tail[eid], grid.edge_head[eid]

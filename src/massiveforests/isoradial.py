@@ -30,27 +30,22 @@ from .graphs import WeightedGraph
 class IsoradialGrid:
     """Finite patch of a rhombic isoradial lattice."""
 
-    def __init__(self, delta, phis, psis, bounded_angle_eps=None):
+    def __init__(self, delta, phis, psis):
         self.delta = float(delta)
         self.phis = [float(a) for a in phis]
         self.psis = [float(a) for a in psis]
         self.I = len(self.phis)
         self.J = len(self.psis)
-        self._check_angles(bounded_angle_eps)
+        self._check_angles()
         self._build()
 
-    def _check_angles(self, eps):
-        worst = math.pi
+    def _check_angles(self):
         for a in self.phis:
             for b in self.psis:
                 tb = 0.5 * ((b - a) % (2 * math.pi))
                 if not 0 < tb < math.pi / 2:
                     raise ValueError(
                         f"rhombus angle out of range: phi={a}, psi={b}")
-                worst = min(worst, tb, math.pi / 2 - tb)
-        self.bounded_angle = worst
-        if eps is not None and worst < eps:
-            raise ValueError(f"bounded-angle violated: {worst} < {eps}")
 
     # -- construction -------------------------------------------------------
 
@@ -175,13 +170,15 @@ def random_rhombic_angles(rng, size, eps=0.3):
     return phis.tolist(), psis.tolist()
 
 
-def z_invariant_weights(grid: IsoradialGrid, modulus: EllipticModulus,
-                        mass_method="auto") -> WeightedGraph:
+def z_invariant_weights(grid: IsoradialGrid,
+                        modulus: EllipticModulus) -> WeightedGraph:
     """Graph over the patch with c = sc(theta|k) and elliptic masses.
 
     Masses sum the per-edge mass terms over incident edges, so they equal
     m^2(.|k) at bulk vertices; boundary vertices of the patch carry the
     incomplete-star value and windows should be taken strictly inside.
+    Grids with at most 64 distinct half-angles take the cached quadrature
+    per half-angle, others the star formula per vertex.
     """
     sc_cache, term_cache = {}, {}
 
@@ -198,8 +195,7 @@ def z_invariant_weights(grid: IsoradialGrid, modulus: EllipticModulus,
         return term_cache[key]
 
     distinct = {round(grid.half_angle(e), 14) for e in range(grid.m_edges)}
-    use_quadrature = mass_method == "quadrature" or (
-        mass_method == "auto" and len(distinct) <= 64)
+    use_quadrature = len(distinct) <= 64
 
     edges = []
     masses = [0.0] * grid.n

@@ -530,8 +530,8 @@ def _exit_arcs(box, w, radius, n_arcs):
 
 
 def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
-                  start=0j, drifted=True):
-    """Exit-arc histogram of the drifted (or killed) walk on the disk.
+                  drifted=True):
+    """Exit-arc histogram of the drifted (or killed) walk from the disk centre.
 
     The recorded exit location is where the walk's last step crosses the
     domain boundary, the natural discrete stand-in for the Brownian exit
@@ -541,7 +541,7 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
     box = _disk_box(kernel.spacing, radius)
     counts = np.zeros(n_arcs, dtype=np.int64)
     for task, todo in _tasks(n_samples, 1 << 14):
-        w = _walk(kernel, box, box.nearest(start), todo,
+        w = _walk(kernel, box, box.nearest(0j), todo,
                   rng_stream(seed, task), STEP_CAP)
         counts += np.bincount(_exit_arcs(box, w, radius, n_arcs)[1],
                               minlength=n_arcs)
@@ -591,21 +591,21 @@ def total_variation(counts_a, counts_b):
 
 
 def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
-                               radius=1.0, n_arcs=16, start=0j,
-                               min_acceptance=1e-4, max_attempts=None):
-    """Killed LERW conditioned on surviving and exiting through an arc.
+                               radius=1.0, n_arcs=16, max_attempts=None):
+    """Killed LERW from the disk centre conditioned on surviving and
+    exiting through an arc.
 
     Rejection sampling: run the killed walk until death or exit; keep the
     loop erasure when it exits in the target arc.  Each task runs 2048
     walkers in lockstep and is scanned in walker order; attempts count up
     to the last walker scanned.  Returns (paths, acceptance rate); aborts
-    when the acceptance rate is hopeless.
+    when the acceptance rate is hopeless, by default below 1e-4.
     """
     kernel = SquareLatticeKernel(M, delta)
     box = _disk_box(kernel.spacing, radius)
-    start_site = box.nearest(start)
+    start_site = box.nearest(0j)
     if max_attempts is None:
-        max_attempts = max(int(n_accepted / min_acceptance), 10**5)
+        max_attempts = max(int(n_accepted / 1e-4), 10**5)
     per_task = 2048
     paths, attempts, task = [], 0, 0
     while len(paths) < n_accepted and attempts < max_attempts:
@@ -630,13 +630,14 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
 # -- approximation property ----------------------------------------------------
 
 
-def approximation_property_check(M, deltas, test_functions=None,
-                                 grid_kind="square", rng_seed=4):
+def approximation_property_check(M, deltas, grid_kind="square"):
     """Residual of the discrete-to-continuum Laplacian expansion.
 
     For smooth f: |Delta^k_d f(x) + (d^2/2)(sum sin 2tb) Lap f(x)
-    - m^2(x) f(x)| / d^3 per delta, at a bulk vertex.  Returns
-    {name: [(delta, residual/d^3), ...]}.
+    - m^2(x) f(x)| / d^3 per delta, at a bulk vertex, for a constant, a
+    harmonic polynomial and a massive exponential; rhombic grids take
+    their angles from seed 4.  Returns {name: [(delta, residual/d^3),
+    ...]}.
     """
     from .doob import massive_laplacian_apply
     from .isoradial import (
@@ -646,24 +647,23 @@ def approximation_property_check(M, deltas, test_functions=None,
         z_invariant_weights,
     )
 
-    if test_functions is None:
-        u0 = 0.7
+    u0 = 0.7
 
-        def f_const(p):
-            return 1.0
+    def f_const(p):
+        return 1.0
 
-        def f_harm(p):
-            return p[0] ** 2 - p[1] ** 2
+    def f_harm(p):
+        return p[0] ** 2 - p[1] ** 2
 
-        def f_exp(p):
-            return math.exp(2 * M * (math.cos(u0) * p[0]
-                                     + math.sin(u0) * p[1]))
+    def f_exp(p):
+        return math.exp(2 * M * (math.cos(u0) * p[0]
+                                 + math.sin(u0) * p[1]))
 
-        test_functions = {
-            "constant": (f_const, lambda p: 0.0),
-            "harmonic_poly": (f_harm, lambda p: 0.0),
-            "massive_exp": (f_exp, lambda p: 4 * M * M * f_exp(p)),
-        }
+    test_functions = {
+        "constant": (f_const, lambda p: 0.0),
+        "harmonic_poly": (f_harm, lambda p: 0.0),
+        "massive_exp": (f_exp, lambda p: 4 * M * M * f_exp(p)),
+    }
 
     out = {name: [] for name in test_functions}
     for d in deltas:
@@ -671,7 +671,7 @@ def approximation_property_check(M, deltas, test_functions=None,
         if grid_kind == "square":
             grid = build_square_grid(d, 8)
         else:
-            rng = np.random.default_rng(rng_seed)
+            rng = np.random.default_rng(4)
             phis, psis = random_rhombic_angles(rng, 8)
             grid = build_rhombic_grid(d, phis, psis)
         wg = z_invariant_weights(grid, mod)

@@ -10,7 +10,7 @@ eigenvalue crosses 1, and tilting by it translates the polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +49,12 @@ class PeriodicGraph:
         mj = max((abs(o[1]) for (_, _, o, _) in self.edges), default=0)
         return mi, mj
 
-    def unroll(self, reps_i, reps_j, wire=True):
-        """Finite window of the periodic graph with wired boundary.
+    def unroll(self, reps_i, reps_j):
+        """Finite window of the periodic graph with free boundary.
 
-        Vertices are (x0, i, j) for i in range(reps_i), j in range(reps_j);
-        edges leaving the window contribute to the masses.
+        Vertices are (x0, i, j) for i in range(reps_i), j in range(reps_j)
+        and keep their periodic masses; edges leaving the window are
+        dropped.
         """
         index = {}
         for i in range(reps_i):
@@ -70,8 +71,6 @@ class PeriodicGraph:
                 ti, tj = i + o[0], j + o[1]
                 if (b, ti, tj) in index:
                     edges.append((v, index[(b, ti, tj)], float(c)))
-                elif wire:
-                    masses[v] += float(c)
         g = WeightedGraph(len(index), edges, masses, check=False)
         g.periodic_index = index
         return g
@@ -148,17 +147,18 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def charpoly(pg: PeriodicGraph, radius=1.0, refit_tol=1e-9):
+def charpoly(pg: PeriodicGraph):
     """Recover the Laurent coefficients of det Delta^k(z, w).
 
-    Evaluates the determinant on a product grid of scaled roots of unity
-    and inverts the discrete Fourier relation; retries with adjusted radii
-    before giving up.
+    Evaluates the determinant on a product grid of roots of unity scaled
+    by 1, 1.1 or 0.9 and inverts the discrete Fourier relation, taking the
+    first radius whose fit agrees with direct evaluation to 1e-9 at eight
+    fresh points.
     """
     mi, mj = pg.max_offsets()
     A, B = pg.n * mi, pg.n * mj
     n1, n2 = 2 * A + 1, 2 * B + 1
-    for rad in (radius, 1.1 * radius, 0.9 * radius):
+    for rad in (1.0, 1.1, 0.9):
         t1 = np.exp(2j * np.pi * np.arange(n1) / n1)
         t2 = np.exp(2j * np.pi * np.arange(n2) / n2)
         vals = np.empty((n1, n2), dtype=complex)
@@ -183,7 +183,7 @@ def charpoly(pg: PeriodicGraph, radius=1.0, refit_tol=1e-9):
             direct = ev.evaluate(z, w)
             fitted = ev.evaluate_from_coeffs(z, w)
             scale = max(abs(direct), 1.0)
-            if abs(direct - fitted) > refit_tol * scale:
+            if abs(direct - fitted) > 1e-9 * scale:
                 ok = False
                 break
         if ok:
@@ -208,14 +208,14 @@ def perron_eigen(Q, tol=1e-14, max_iter=20000):
     return float(np.mean(ratios)), v
 
 
-def perron_search(pg: PeriodicGraph, axis=0, beta_tol=1e-12,
-                  bracket_cap=2.0**20):
+def perron_search(pg: PeriodicGraph, axis=0):
     """Find z0 > 1 on an axis with Perron eigenvalue beta(Q^k(z0)) = 1.
 
     The kernel at (1, 1) is strictly sub-Markovian when m != 0 and its
-    Perron value blows up along the axis, so bisection brackets the
-    crossing.  Returns (z0 pair, eigenvector over the fundamental domain,
-    beta at z0, bisection log).
+    Perron value blows up along the axis, so doubling brackets the
+    crossing below 2^20 and bisection stops at |beta - 1| < 1e-12.
+    Returns (z0 pair, eigenvector over the fundamental domain, beta at z0,
+    bisection log).
     """
     if all(m == 0 for m in pg.masses):
         return (1.0, 1.0), np.ones(pg.n), 1.0, []
@@ -233,14 +233,14 @@ def perron_search(pg: PeriodicGraph, axis=0, beta_tol=1e-12,
     log = [(1.0, beta1)]
     while beta_at(hi)[0] < 1.0:
         hi *= 2.0
-        if hi > bracket_cap:
+        if hi > 2.0**20:
             raise ValueError("failed to bracket beta = 1")
     lo = hi / 2.0 if hi > 2.0 else 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         bmid, vec = beta_at(mid)
         log.append((mid, bmid))
-        if abs(bmid - 1.0) < beta_tol:
+        if abs(bmid - 1.0) < 1e-12:
             break
         if bmid < 1.0:
             lo = mid
@@ -282,8 +282,8 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
     """Residual of the unrolled field under the unrolled massive Laplacian."""
     from .doob import check_massive_harmonic
 
-    # periodic masses (no wiring), so bulk harmonicity is exact
-    g = pg.unroll(reps, reps, wire=False)
+    # free boundary keeps the periodic masses, so bulk harmonicity is exact
+    g = pg.unroll(reps, reps)
     lam = {}
     for (x0, i, j), v in g.periodic_index.items():
         lam[v] = vec[x0] * (z0[0] ** i) * (z0[1] ** j)

@@ -124,7 +124,6 @@ def extract_faces(col: CollapsedGraph, ambient_positions=None):
     # counterclockwise rotation at each window vertex; loops would need a
     # finer rule and are rejected here
     for x in range(col.n):
-        seen = {}
         for h in out_at[x]:
             if h.head == h.tail:
                 raise ValueError("loop edges are not supported in G^o")
@@ -198,6 +197,9 @@ class DoubleGraph:
     by the kept dual vertices.  Each white records its primal endpoints
     (x, y), its dual endpoints (left and right faces of the canonical
     direction x -> y) and which neighbours survive the removal of o and r.
+    x is always a window vertex; y is 'o' on spokes.  `ambient_ends[w]`
+    holds the ambient vertices behind x and y, the spoke's ambient target
+    standing in for o.
     """
 
     def __init__(self, col: CollapsedGraph, structure: PlanarFaceStructure,
@@ -214,12 +216,12 @@ class DoubleGraph:
             raise ValueError("r must be a dual vertex on the boundary")
         self.r = r
 
-        self.n_primal = col.n
         self.dual_ids = [f for f in range(len(structure.faces)) if f != r]
         self.dual_index = {f: i for i, f in enumerate(self.dual_ids)}
         self.n_black = col.n + len(self.dual_ids)
 
         self.whites = []
+        self.ambient_ends = []
         for e in edges:
             h = e.halves[0]  # canonical direction x -> y
             left = structure.left_face(h)
@@ -231,6 +233,9 @@ class DoubleGraph:
                 "left": left,
                 "right": right,
             })
+            self.ambient_ends.append((
+                col.ambient_ids[e.x],
+                e.ambient_target if e.y == "o" else col.ambient_ids[e.y]))
         self.n_white = len(self.whites)
 
     def black_of_vertex(self, x):
@@ -246,9 +251,7 @@ class DoubleGraph:
         phase rule.
         """
         info = self.whites[w]
-        out = []
-        if info["x"] != "o":
-            out.append((self.black_of_vertex(info["x"]), "primal", 0))
+        out = [(self.black_of_vertex(info["x"]), "primal", 0)]
         if info["left"] != self.r:
             out.append((self.black_of_face(info["left"]), "dual", 1))
         if info["y"] != "o":
@@ -261,10 +264,9 @@ class DoubleGraph:
         """Quads (corner black b, white w1, dual f, white w2).
 
         One quad per (face, corner) incidence; w1 and w2 are the whites of
-        the edges meeting at the corner along the face walk.
+        the edges meeting at the corner along the face walk (white w sits
+        on edge w).
         """
-        white_of_edge = {e.uid: w for w, e in
-                         enumerate(e2 for e2 in self.edges)}
         quads = []
         for fid, walk in enumerate(self.structure.faces):
             L = len(walk)
@@ -276,8 +278,7 @@ class DoubleGraph:
                     continue
                 if fid == self.r and surviving_only:
                     continue
-                quads.append((corner, white_of_edge[h_in.edge.uid], fid,
-                              white_of_edge[h_out.edge.uid]))
+                quads.append((corner, h_in.edge.uid, fid, h_out.edge.uid))
         return quads
 
     def counts_balanced(self):
@@ -292,6 +293,18 @@ class DoubleGraph:
             a, b = info["left"], info["right"]
             adj.setdefault(a, []).append((b, w))
             adj.setdefault(b, []).append((a, w))
+        return adj
+
+    @functools.cached_property
+    def primal_adjacency(self):
+        """Window vertex -> [(adjacent vertex, white between them)] over
+        the whites off o, in white order, built on first use."""
+        adj = {}
+        for w, info in enumerate(self.whites):
+            x, y = info["x"], info["y"]
+            if y != "o":
+                adj.setdefault(x, []).append((y, w))
+                adj.setdefault(y, []).append((x, w))
         return adj
 
     @functools.cached_property
@@ -332,26 +345,20 @@ class QuadAdjacency:
                     info["edge"].direction, float)
             else:
                 white_pos[w] = 0.5 * (pos[info["x"]] + pos[info["y"]])
-        whites_at_corner = {}
-        whites_at_face = {}
-        for w, info in enumerate(dg.whites):
-            for end in ("x", "y"):
-                if info[end] != "o":
-                    whites_at_corner.setdefault(info[end], []).append(w)
-            for side in ("left", "right"):
-                whites_at_face.setdefault(info[side], []).append(w)
 
+        # spokes border only faces through o, which hold no interior quad,
+        # so the whites off o at a corner are all a step can cross there
         def neighbours(q):
             corner, f = q
             out = []
-            for w in whites_at_corner.get(corner, []):
+            for _, w in dg.primal_adjacency.get(corner, []):
                 info = dg.whites[w]
                 a, b = info["left"], info["right"]
                 other = b if f == a else (a if f == b else None)
                 if other is not None and (corner, other) in quad_ids:
                     out.append(((corner, other), w,
                                 dg.black_of_vertex(corner)))
-            for w in whites_at_face.get(f, []):
+            for _, w in dg.dual_adjacency.get(f, []):
                 info = dg.whites[w]
                 xx, yy = info["x"], info["y"]
                 other = yy if corner == xx else (xx if corner == yy else None)
@@ -385,9 +392,7 @@ class QuadAdjacency:
         self.sign = table[:, 4]
 
 
-def build_dual_and_double(col: CollapsedGraph, ambient_positions=None,
-                          r=None):
+def build_dual_and_double(col: CollapsedGraph, ambient_positions=None):
     """(PlanarFaceStructure, DoubleGraph) of a collapsed window."""
     structure, edges = extract_faces(col, ambient_positions)
-    dg = DoubleGraph(col, structure, edges, r=r)
-    return structure, dg
+    return structure, DoubleGraph(col, structure, edges)

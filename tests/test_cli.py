@@ -101,6 +101,27 @@ class TestDispatch:
             main(["edge-prob", "--graph", str(p), "--edges", "0-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", [None, "{nonsense", "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    def test_bad_experiment_config_exit_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "girsanov", "--config", str(cfg),
+                  "--out", str(tmp_path / "gir.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_lambda_file_exit_two(self, tmp_path, capsys):
+        g = str(tmp_path / "g.json")
+        write_two_vertex(g)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "doob", "--graph", g,
+                  "--lambda", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_subcommand_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

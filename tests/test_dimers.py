@@ -105,6 +105,40 @@ class TestWeights:
                 assert got == pytest.approx(expect, rel=1e-12)
 
 
+class TestWhiteEnds:
+    def test_ambient_ends_read_through_spokes(self):
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
+        spokes = 0
+        for info, ends in zip(dg.whites, dg.ambient_ends):
+            x, y, edge = info["x"], info["y"], info["edge"]
+            if y == "o":
+                spokes += 1
+                assert ends == (col.ambient_ids[x], edge.ambient_target)
+                assert edge.ambient_target not in col.ambient_ids
+                assert edge.ambient_target in amb.neighbours(ends[0])
+            else:
+                assert ends == (col.ambient_ids[x], col.ambient_ids[y])
+        # two spokes at each of the 4 corners, one at each of the 4 sides
+        assert spokes == 12
+
+    def test_primal_adjacency_lists_each_window_edge_from_both_ends(self):
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
+        adj = dg.primal_adjacency
+        visits = {}
+        for x, row in adj.items():
+            whites = [w for _, w in row]
+            assert whites == sorted(whites)
+            for y, w in row:
+                info = dg.whites[w]
+                assert (info["x"], info["y"]) in ((x, y), (y, x))
+                visits[w] = visits.get(w, 0) + 1
+        off_o = [w for w, info in enumerate(dg.whites) if info["y"] != "o"]
+        assert len(off_o) == 12
+        assert sorted(visits) == off_o
+        assert set(visits.values()) == {2}
+        assert dg.primal_adjacency is adj
+
+
 class TestPartitionFunction:
     def test_single_white_toy(self):
         # degenerate 1-vertex window: unique matching

@@ -131,6 +131,23 @@ class TestPerron:
         assert harmonicity_on_window(pg, z0, vec, reps=5) <= 1e-10
 
 
+class TestUnroll:
+    def test_free_boundary_window(self):
+        m = 0.7
+        g = square_lattice(m).unroll(4, 4)
+        assert g.n == 16
+        # no wiring: every vertex keeps the periodic mass
+        assert g.masses == [m] * 16
+        where = {v: (i, j) for (_, i, j), v in g.periodic_index.items()}
+        pairs = set()
+        for t, h, c in zip(g.tail, g.head, g.cond):
+            (i, j), (k, l) = where[int(t)], where[int(h)]
+            assert abs(i - k) + abs(j - l) == 1 and c == 1.0
+            pairs.add((int(t), int(h)))
+        # only the 2 * 4 * 3 window edges remain, in both directions
+        assert len(pairs) == g.m_edges == 2 * 2 * 4 * 3
+
+
 class TestTranslation:
     def test_z2_identity(self):
         pg = square_lattice(0.5)

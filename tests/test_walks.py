@@ -93,8 +93,18 @@ class TestWilson:
         rng = rng_stream(6)
         for _ in range(200):
             forest = wilson_sample(g, rng)
+            assert sorted(forest.outgoing) == list(range(g.n))
+            for x, y in forest.outgoing.items():
+                assert y == ROOT or y in g.neighbours(x)
+            # acyclic: following heads from any vertex reaches ROOT
+            # within n steps
+            for x in range(g.n):
+                for _ in range(g.n):
+                    if x == ROOT:
+                        break
+                    x = forest.outgoing[x]
+                assert x == ROOT
             assert forest.is_acyclic()
-            assert all(len([1]) for _ in [0])  # one outgoing by construction
 
     def test_two_vertex_law(self):
         g = path_ab()

@@ -84,6 +84,64 @@ def _load_json_or_die(path):
     raise SystemExit(2)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what each `experiment --config` key must hold: (check, keys)
+_CONFIG_VALUES = {
+    "an integer": (_is_integer, ("seed", "target_arc")),
+    "a positive integer": (lambda v: _is_integer(v) and v > 0,
+                           ("n", "block")),
+    "a number": (_is_number, ("M", "u_bar", "delta", "delta_ratio",
+                              "radius")),
+    "a list of numbers": (
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        ("u_bars", "deltas", "radii", "masses")),
+    "a list of [x, y] number pairs": (
+        lambda v: isinstance(v, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+            for p in v),
+        ("translations",)),
+}
+
+
+def _load_config_or_die(path):
+    """An experiment config from `path` whose known keys hold values of
+    the right type, or `error: ...` and exit 2."""
+    cfg = _load_json_or_die(path)
+    for kind, (ok, keys) in _CONFIG_VALUES.items():
+        for key in keys:
+            if key in cfg and not ok(cfg[key]):
+                print(f"error: {path}: {json.dumps(key)} must be {kind}, "
+                      f"not {json.dumps(cfg[key])}", file=sys.stderr)
+                raise SystemExit(2)
+    return cfg
+
+
+def _load_lambda_or_die(path):
+    """{vertex: Fraction} from a JSON object of vertex ids to rationals
+    (numbers or strings like "3/2"), or `error: ...` and exit 2."""
+    from fractions import Fraction
+
+    lam = {}
+    for key, value in _load_json_or_die(path).items():
+        try:
+            if not (_is_number(value) or isinstance(value, str)):
+                raise TypeError
+            lam[int(key)] = Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            print(f"error: {path}: entry {json.dumps(key)}: "
+                  f"{json.dumps(value)} needs an integer vertex id and a "
+                  f"rational value", file=sys.stderr)
+            raise SystemExit(2) from None
+    return lam
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -289,8 +347,7 @@ def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
             lam = {i: Fraction(2) ** int(round(g.positions[i][0]))
                    for i in range(g.n)}
         else:
-            lam = {int(k): Fraction(v)
-                   for k, v in _load_json_or_die(lam_spec).items()}
+            lam = _load_lambda_or_die(lam_spec)
         subset = [x for x in range(g.n)
                   if all(lam.get(y) is not None for y in g.neighbours(x))]
     out = verify_partition_equality(g, subset, lam, exact=exact)
@@ -406,7 +463,7 @@ def cmd_experiment(args):
         total_variation,
     )
 
-    cfg = _load_json_or_die(args.config)
+    cfg = _load_config_or_die(args.config)
     seed = cfg.get("seed", args.seed)
     out = args.out
     rows = []

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 _AGM_TOL = 1e-16
 _THETA_TOL = 1e-18
 _Q_SPLIT = 0.5
+_SIMPSON_TOL = 1e-12
+_SIMPSON_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,11 @@ class EllipticModulus:
     def abstract_angle(self, theta_bar):
         """theta = 2 K theta_bar / pi."""
         return 2.0 * self.K * theta_bar / math.pi
+
+    @cached_property
+    def theta_constants(self):
+        """theta_2, theta_3, theta_4 at 0 and nome q, computed on first use."""
+        return _theta_constants(self.q)
 
 
 def _agm_K_E(k):
@@ -153,7 +161,7 @@ def jacobi(u, modulus: EllipticModulus) -> JacobiValues:
                             (1.0 - k1 * v.sn * v.sn) / den)
     zeta = math.pi * u / (2.0 * modulus.K)
     t1, t2, t3, t4 = _theta_series(zeta, q)
-    z2, z3, z4 = _theta_constants(q)
+    z2, z3, z4 = modulus.theta_constants
     sn = (z3 / z2) * (t1 / t4)
     cn = (z4 / z2) * (t2 / t4)
     dn = (z4 / z3) * (t3 / t4)
@@ -172,7 +180,7 @@ def dc(u, modulus):
     return jacobi(u, modulus).dc
 
 
-def _adaptive_simpson(f, a, b, tol=1e-12, depth=40):
+def _adaptive_simpson(f, a, b):
     def simpson(fa, fm, fb, a_, b_):
         return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -191,7 +199,7 @@ def _adaptive_simpson(f, a, b, tol=1e-12, depth=40):
         return 0.0
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
     whole = simpson(fa, fm, fb, a, b)
-    return rec(a, b, fa, fm, fb, whole, tol, depth)
+    return rec(a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
 
 
 def mass_term(theta_bar, modulus: EllipticModulus):
@@ -212,8 +220,14 @@ def mass_term(theta_bar, modulus: EllipticModulus):
 
 
 def mass_value(half_angles, modulus: EllipticModulus):
-    """Squared mass m^2(x|k) of a vertex from its incident half-angles."""
-    return sum(mass_term(tb, modulus) for tb in half_angles)
+    """Squared mass m^2(x|k) of a vertex from its incident half-angles.
+
+    One quadrature per distinct half-angle; the terms are summed in the
+    order of `half_angles`.
+    """
+    half_angles = list(half_angles)
+    terms = {tb: mass_term(tb, modulus) for tb in dict.fromkeys(half_angles)}
+    return sum(terms[tb] for tb in half_angles)
 
 
 def mass_value_via_exponential(half_angle_rays, modulus: EllipticModulus,
@@ -251,12 +265,14 @@ def near_critical_modulus(M, delta) -> EllipticModulus:
     return modulus_from_nome(0.5 * M * delta)
 
 
-def verify_near_critical_asymptotics(M, deltas, theta_bar=math.pi / 4):
-    """Residuals of the expansions of k^2, theta/theta_bar and sc.
+def verify_near_critical_asymptotics(M, deltas):
+    """Residuals of the expansions of k^2, theta/theta_bar and sc, the
+    latter two at theta_bar = pi/4.
 
     Returns rows (delta, k2_resid/d^3, angle_resid/d^3, sc_resid/d^2); each
     column should stay bounded as delta halves.
     """
+    theta_bar = math.pi / 4
     rows = []
     for d in deltas:
         mod = near_critical_modulus(M, d)

@@ -162,9 +162,13 @@ def build_rhombic_grid(delta, phis, psis) -> IsoradialGrid:
     return IsoradialGrid(delta, phis, psis)
 
 
-def random_rhombic_angles(rng, size, eps=0.3):
-    """Admissible random train-track angles around 0 and pi/2."""
-    spread = (math.pi / 2 - 2 * eps) / 2
+RHOMBIC_ANGLE_MARGIN = 0.3
+
+
+def random_rhombic_angles(rng, size):
+    """Admissible random train-track angles around 0 and pi/2, each
+    within (pi/2 - 2 RHOMBIC_ANGLE_MARGIN) / 2 of its axis."""
+    spread = (math.pi / 2 - 2 * RHOMBIC_ANGLE_MARGIN) / 2
     phis = rng.uniform(-spread, spread, size=size)
     psis = math.pi / 2 + rng.uniform(-spread, spread, size=size)
     return phis.tolist(), psis.tolist()

@@ -102,11 +102,13 @@ def _tasks(n, per_task):
 
 STEP_CAP = 10**7
 JUMP_MAX = 64  # the longest jump, in lattice steps; a power of two
+GUIDE_CELLS = 1 << 12  # guide cells per outcome table; a power of two
 
 # Concatenated outcome tables (see `_jump_tables`): table t, the law of 2**t
 # steps, holds outcomes last[t-1] + 1 .. last[t]; each outcome moves the
-# walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps
-_Tables = namedtuple("_Tables", "cdf last dx dy dead steps")
+# walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps;
+# guide[t * (GUIDE_CELLS + 1) + i] is the outcome at t + i / GUIDE_CELLS
+_Tables = namedtuple("_Tables", "cdf last dx dy dead steps guide")
 
 
 def _death_edge(lo, hi, p_die):
@@ -140,6 +142,10 @@ def _jump_tables(kernel, s_max):
     +t, so searchsorted(cdf, u + t) draws from it.  The S-step laws come
     from one sweep of s_max single-step updates, each a sum of four
     shifted non-negative arrays (no cancellation).
+
+    The guide holds, for each table t and i = 0..GUIDE_CELLS, the outcome
+    min(searchsorted(cdf, t + i / GUIDE_CELLS, 'right'), last[t]) that
+    `_outcome` brackets its draws with.
     """
     cum, p = kernel.dir_cum, kernel.p_die
     lower = np.concatenate(([0.0], cum[:-1]))
@@ -173,10 +179,37 @@ def _jump_tables(kernel, s_max):
         dead.append(np.arange(prob.size) < die_k.size)
         steps.append(np.concatenate((die_k + 1, np.full(i.size, s))))
         last.append(last[-1] + prob.size)
-    return _Tables(np.concatenate(cdf), np.array(last),
-                   np.concatenate(dx).astype(np.int32),
+    cdf, last = np.concatenate(cdf), np.array(last)
+    edges = np.arange(len(last))[:, None] \
+        + np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+    guide = np.minimum(np.searchsorted(cdf, edges, side="right"),
+                       last[:, None])
+    return _Tables(cdf, last, np.concatenate(dx).astype(np.int32),
                    np.concatenate(dy).astype(np.int32),
-                   np.concatenate(dead), np.concatenate(steps))
+                   np.concatenate(dead), np.concatenate(steps),
+                   guide.astype(np.int32).ravel())
+
+
+def _outcome(tab, u, t):
+    """min(searchsorted(tab.cdf, u + t, 'right'), tab.last[t]) for u in
+    [0, 1), by guide-table lookup.
+
+    With cell i = floor(u G), G = GUIDE_CELLS, the edges x_i = t + i / G
+    and x_{i+1} are exact doubles and rounding is monotone, so
+    x_i <= fl(u + t) <= x_{i+1} and the outcome lies in [lo, hi], the
+    guide entries of the two edges.  If hi <= lo + 1 a single comparison
+    with cdf[lo] decides it; the few draws whose cell holds more than one
+    CDF boundary fall back to searchsorted.  Every double u gets the
+    outcome the searchsorted over the whole CDF gives.
+    """
+    x = u + t
+    cell = t.astype(np.intp) * (GUIDE_CELLS + 1) \
+        + (u * GUIDE_CELLS).astype(np.intp)
+    lo, hi = tab.guide[cell], tab.guide[cell + 1]
+    k = lo + (tab.cdf[lo] <= x)
+    wide = np.flatnonzero(hi - lo > 1)
+    k[wide] = np.searchsorted(tab.cdf, x[wide], side="right")
+    return np.minimum(k, tab.last[t])
 
 
 class _Box:
@@ -262,7 +295,9 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     from `rng`, or reads the active walker ids of row `iteration` of a
     pre-drawn block `uniforms`, which couples the runs of different
     kernels.  The uniform picks an outcome of the walker's table in
-    `_jump_tables`: a walker whose L1 distance d to the stop set has
+    `_jump_tables`; `_outcome` finds it from the tables' guide, mostly with
+    one comparison, and picks for every double u what a binary search of
+    the CDF picks.  A walker whose L1 distance d to the stop set has
     d - 1 >= S takes S = 2**t steps (`box.jump_index`) at once from the
     exact S-step law, a lattice walk-on-spheres; next to the stop set it
     takes one step, drawn exactly as the residual split draws it.  A jump
@@ -301,8 +336,7 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
         if ids.size == 0:
             break
         u = rng.random(ids.size) if uniforms is None else uniforms[it][ids]
-        k = np.minimum(np.searchsorted(tab.cdf, u + t, side="right"),
-                       tab.last[t])
+        k = _outcome(tab, u, t)
         new = site + offset[k]
         taken += tab.steps[k]
         dead = tab.dead[k]

@@ -191,16 +191,23 @@ def charpoly(pg: PeriodicGraph):
     raise ValueError("coefficient recovery failed the refit gate")
 
 
-def perron_eigen(Q, tol=1e-14, max_iter=20000):
-    """(eigenvalue, positive eigenvector) by power iteration."""
+PERRON_TOL = 1e-14
+PERRON_MAX_ITER = 20000
+
+
+def perron_eigen(Q):
+    """(eigenvalue, positive eigenvector) by power iteration, until the
+    vector and the eigenvalue move by less than PERRON_TOL (relative for
+    the eigenvalue) or PERRON_MAX_ITER iterations have run."""
     n = Q.shape[0]
     v = np.ones(n) / n
     beta = 1.0
-    for it in range(max_iter):
+    for it in range(PERRON_MAX_ITER):
         v2 = Q @ v
         beta2 = float(np.max(v2))
         v2 = v2 / beta2
-        if np.max(np.abs(v2 - v)) < tol and abs(beta2 - beta) < tol * beta2:
+        if np.max(np.abs(v2 - v)) < PERRON_TOL \
+                and abs(beta2 - beta) < PERRON_TOL * beta2:
             ratios = (Q @ v2) / v2
             return float(np.mean(ratios)), v2
         v, beta = v2, beta2

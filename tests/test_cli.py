@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from massiveforests.cli import main
+from massiveforests.cli import _load_lambda_or_die, main
 from massiveforests.io import (
     GraphFormatError,
     load_graph,
@@ -121,6 +121,47 @@ class TestDispatch:
                   "--lambda", str(tmp_path / "missing.json")])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("girsanov", {"M": "x"}),
+        ("girsanov", {"deltas": 0.5}),
+        ("exitlaw", {"n": "5"}),
+        ("exitlaw", {"n": 2.0}),
+        ("crossing", {"n": 0}),
+        ("crossing", {"translations": [[0.0, 0.0, 1.0]]}),
+        ("branch", {"target_arc": True}),
+    ], ids=["M-string", "deltas-scalar", "n-string", "n-float", "n-zero",
+            "translation-triple", "arc-bool"])
+    def test_bad_config_value_exit_two(self, tmp_path, capsys, name, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", name, "--config", str(path),
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        key = json.dumps(next(iter(cfg)))
+        assert capsys.readouterr().err.startswith(f"error: {path}: {key} ")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("table", [{"0": "abc"}, {"x": 1}, {"0": None},
+                                       {"0": "1/0"}, {"0": True}],
+                             ids=["value-string", "key-string", "null",
+                                  "zero-denominator", "bool"])
+    def test_bad_lambda_value_exit_two(self, tmp_path, capsys, table):
+        g = str(tmp_path / "g.json")
+        write_two_vertex(g)
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps(table))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "doob", "--graph", g, "--lambda", str(lam)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {lam}: entry ")
+
+    def test_lambda_table_of_rationals(self, tmp_path):
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps({"0": 1, "1": "3/2", "2": 0.25}))
+        assert _load_lambda_or_die(str(lam)) == {
+            0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(1, 4)}
 
     def test_unknown_subcommand_exit_two(self):
         with pytest.raises(SystemExit) as exc:

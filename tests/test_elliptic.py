@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massiveforests import elliptic
 from massiveforests.elliptic import (
     complete_integrals,
     dn,
     exponential_edge_factor,
     jacobi,
+    mass_term,
     mass_value,
     mass_value_via_exponential,
     modulus_from_nome,
@@ -153,6 +155,24 @@ class TestMass:
             mass_value([0.0], mod)
         with pytest.raises(ValueError):
             mass_value([math.pi / 2], mod)
+
+    def test_one_quadrature_per_distinct_angle(self, monkeypatch):
+        # the terms summed in list order: bit-equal to one term per entry
+        mod = near_critical_modulus(1.0, 1 / 16)
+        calls = []
+
+        def counted(tb, modulus):
+            calls.append(tb)
+            return mass_term(tb, modulus)
+
+        monkeypatch.setattr(elliptic, "mass_term", counted)
+        for angles in ([math.pi / 4] * 4, [0.3, 0.7, 0.3, 1.1, 0.7, 0.3],
+                       [1.2], [0.2, 0.9, 1.4]):
+            calls.clear()
+            total = sum(mass_term(tb, mod) for tb in angles)
+            assert mass_value(angles, mod) == total
+            assert sorted(calls) == sorted(set(angles))
+            assert mass_value(iter(angles), mod) == total
 
     def test_cross_oracle_many_drifts(self):
         # quadrature mass == sc * (exponential factor - 1) for any drift

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from massiveforests.nearcrit import (
+    GUIDE_CELLS,
     JUMP_MAX,
     STEP_CAP,
     CrossingSpec,
@@ -13,6 +14,7 @@ from massiveforests.nearcrit import (
     _circle_crossing_angle,
     _crossing_box,
     _disk_box,
+    _outcome,
     _walk,
     approximation_property_check,
     conditioned_branch_sampler,
@@ -357,6 +359,31 @@ class TestJumps:
                 assert np.allclose(mean, (1 - kernel.p_die) ** (S - 1)
                                    * S * one, rtol=0, atol=1e-12)
 
+    def test_guide_lookup_is_the_searchsorted_draw(self):
+        # killed, drifted and M = 0 kernels, jump and single-step tables:
+        # every CDF boundary and guide edge with its double neighbours,
+        # u = 0, the largest double below 1 and 10**6 random uniforms
+        rng = np.random.default_rng(21)
+        for M, u_bar in ((1.0, None), (2.0, 0.7), (0.0, None)):
+            kernel = SquareLatticeKernel(M, 1 / 64, u_bar=u_bar)
+            for tab in (kernel.tables(JUMP_MAX), kernel.tables(1)):
+                first = np.concatenate(([0], tab.last[:-1] + 1))
+                us = [rng.random(10**6)]
+                ts = [rng.integers(0, len(tab.last), 10**6)]
+                for t, (a, b) in enumerate(zip(first, tab.last + 1)):
+                    u = np.concatenate((tab.cdf[a:b] - t,
+                                        np.arange(GUIDE_CELLS) / GUIDE_CELLS,
+                                        [0.0, np.nextafter(1.0, 0.0)]))
+                    u = np.concatenate((u, np.nextafter(u, -1),
+                                        np.nextafter(u, 2)))
+                    u = u[(u >= 0) & (u < 1)]
+                    us.append(u)
+                    ts.append(np.full(u.size, t))
+                u, t = np.concatenate(us), np.concatenate(ts).astype(np.int8)
+                ref = np.minimum(np.searchsorted(tab.cdf, u + t, side="right"),
+                                 tab.last[t])
+                assert np.array_equal(_outcome(tab, u, t), ref)
+
     def test_top_uniform_stays_in_its_table(self):
         # u + t may round up to t + 1; the draw must still come from table
         # t (its last outcome, an alive move), not from table t + 1, whose
@@ -435,6 +462,41 @@ class TestJumps:
                     assert c == 0
                 else:
                     assert binomtest(int(c), n, min(q, 1.0)).pvalue > alpha
+
+
+class TestSeededOutputs:
+    """Small seeded runs pinned to recorded values: a change to how the
+    engine turns uniforms into outcomes shows up here."""
+
+    def test_crossing(self):
+        for M, horizontal, hits in ((0.0, True, 166), (1.0, False, 118)):
+            est, _ = crossing_probability(
+                CrossingSpec(r=0.3, horizontal=horizontal), 0.3 / 16, M,
+                20000, 3)
+            assert est == hits / 20000
+
+    def test_exit_law_drifted_and_killed(self):
+        counts, n = exit_law_walk(1.0, 0.3, 1 / 32, 3000, 5)
+        assert n == 3000 and counts.tolist() == [
+            523, 551, 499, 293, 130, 76, 34, 23, 13, 15, 15, 26, 42, 102,
+            247, 411]
+        counts, n = exit_law_walk(2.0, 0.0, 1 / 32, 3000, 6, drifted=False)
+        assert n == 277 and counts.tolist() == [
+            16, 22, 20, 16, 15, 9, 19, 16, 16, 18, 16, 22, 19, 18, 16, 19]
+
+    def test_conditioned_branch(self):
+        paths, acc = conditioned_branch_sampler(1.0, 1 / 16, 0, 3, 7,
+                                                radius=0.5)
+        assert acc == 3 / 118
+        step = SQRT2 / 16
+        assert [[(round(z.real / step), round(z.imag / step)) for z in p]
+                for p in paths] == [
+            [(0, 0), (1, 0), (2, 0), (3, 0), (3, -1), (4, -1), (4, 0),
+             (5, 0), (6, 0)],
+            [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (2, -1), (3, -1),
+             (3, 0), (3, 1), (4, 1), (5, 1), (6, 1)],
+            [(0, 0), (1, 0), (2, 0), (3, 0), (3, -1), (4, -1), (5, -1),
+             (6, -1)]]
 
 
 class TestExitLaw:

@@ -501,10 +501,14 @@ def cmd_experiment(args):
             rows.append(["exitlaw", b, int(cw[b]), int(cb[b]), tv])
         header = ["experiment", "arc", "walk_count", "brownian_count", "tv"]
     elif args.name == "branch":
-        paths, acc = conditioned_branch_sampler(
-            cfg.get("M", 1.0), cfg.get("delta", 1 / 32),
-            cfg.get("target_arc", 0), cfg.get("n", 100), seed,
-            radius=cfg.get("radius", 1.0))
+        try:
+            paths, acc = conditioned_branch_sampler(
+                cfg.get("M", 1.0), cfg.get("delta", 1 / 32),
+                cfg.get("target_arc", 0), cfg.get("n", 100), seed,
+                radius=cfg.get("radius", 1.0))
+        except ValueError as exc:  # an out-of-range target arc
+            print(f"error: {args.config}: {exc}", file=sys.stderr)
+            return 2, []
         for i, p in enumerate(paths):
             for j, z in enumerate(p):
                 rows.append(["branch", i, j, z.real, z.imag, acc])

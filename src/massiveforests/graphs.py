@@ -27,6 +27,8 @@ class WeightedGraph:
     (tail, head, conductance) triples; for every edge (x, y) with x != y the
     reverse (y, x) must also be present (possibly with a different
     conductance).  Loops (x, x) are allowed and count as their own reverse.
+    `linalg` keeps the factors of a graph's Laplacian for as long as the
+    graph lives, so a graph must not be mutated once it has been queried.
     """
 
     def __init__(self, n, edges, masses, positions=None, check=True):

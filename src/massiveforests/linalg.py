@@ -7,12 +7,16 @@ matrices, the full potential and the few potential columns a determinantal
 query reads.  Every exact determinant and solve is one Gaussian
 elimination over Fractions that skips zero entries, so that the
 matrix-forest and determinantal identities can be checked bit-exactly
-against the enumeration oracles.
+against the enumeration oracles.  Each graph's Laplacian is factored once,
+float and exact, and the factors are kept while the graph lives: every
+later potential and determinantal query on it only solves its columns
+(exact columns are solved once and kept too).
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -159,21 +163,22 @@ def log_determinant(M):
     return sign * float(np.prod(np.sign(diag))), logdet
 
 
-def _eliminate(M, B=None):
-    """Gaussian elimination over Fractions on [M | B], skipping zeros.
+def _factor(M):
+    """LU factors of M over Fractions by Gaussian elimination that skips
+    zeros.
 
-    Each row is a dict of its nonzero entries; columns n.. hold B.  The
-    pivot of column k is the first row at or below k with a nonzero there;
-    only the rows below with a nonzero in column k are updated, and only at
-    the pivot row's nonzero columns.  Returns (det M, X) with M X = B by
-    back-substitution (X is None without B), or (Fraction(0), None) if M
-    is singular.
+    Each row is a dict of its nonzero entries.  The pivot of column k is
+    the first row at or below k with a nonzero there; only the rows below
+    with a nonzero in column k are updated, and only at the pivot row's
+    nonzero columns.  Each updated row keeps its multiplier at column k,
+    and rows swap whole, so that row i holds L (columns < i, unit diagonal
+    implied) and U (columns >= i) of P M = L U, where `perm[i]` is the row
+    of M at place i.  Returns (det M, (rows, perm)), or (Fraction(0), None)
+    if M is singular.
     """
     n = len(M)
     rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in M]
-    if B is not None:
-        for row, brow in zip(rows, B):
-            row.update((n + j, Fraction(v)) for j, v in enumerate(brow) if v)
+    perm = list(range(n))
     det = Fraction(1)
     for k in range(n):
         piv = next((i for i in range(k, n) if k in rows[i]), None)
@@ -181,49 +186,64 @@ def _eliminate(M, B=None):
             return Fraction(0), None
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
             det = -det
         p = rows[k][k]
         det *= p
-        rest = [(j, v) for j, v in rows[k].items() if j != k]
+        rest = [(j, v) for j, v in rows[k].items() if j > k]
         for row in rows[k + 1:]:
-            a = row.pop(k, None)
+            a = row.get(k)
             if a is None:
                 continue
-            f = a / p
+            f = row[k] = a / p
             for j, v in rest:
                 w = row.get(j, 0) - f * v
                 if w:
                     row[j] = w
                 else:
                     del row[j]
-    if B is None:
-        return det, None
-    m = len(B[0]) if n else 0
+    return det, (rows, perm)
+
+
+def _substitute(lu, B):
+    """X with M X = B, from the factors (rows, perm) of M by `_factor`:
+    forward substitution through L, then back substitution through U.
+    B and X are lists of rows."""
+    rows, perm = lu
+    n = len(rows)
     X = [None] * n
+    for i in range(n):
+        s = [Fraction(v) for v in B[perm[i]]]
+        for j, u in rows[i].items():
+            if j < i:
+                for c, y in enumerate(X[j]):
+                    if y:
+                        s[c] -= u * y
+        X[i] = s
     for i in reversed(range(n)):
         row = rows[i]
-        s = [row.get(n + c, Fraction(0)) for c in range(m)]
+        s = X[i]
         for j, u in row.items():
-            if i < j < n:
+            if j > i:
                 for c, x in enumerate(X[j]):
                     if x:
                         s[c] -= u * x
         p = row[i]
         X[i] = [v / p for v in s]
-    return det, X
+    return X
 
 
 def determinant_exact(M):
     """Fraction determinant (Fraction(0) if singular, 1 for n = 0)."""
-    return _eliminate(M)[0]
+    return _factor(M)[0]
 
 
 def solve_exact(M, B):
     """Solve M X = B in rational arithmetic; X is a list of Fraction rows."""
-    det, X = _eliminate(M, B)
+    det, lu = _factor(M)
     if det == 0:
         raise RecurrentWalkError("singular matrix in exact solve")
-    return X
+    return _substitute(lu, B)
 
 
 class Potential:
@@ -265,23 +285,63 @@ def _require_transient(g: WeightedGraph, exact):
         raise ValueError("exact potential needs rational graph data")
 
 
+class _Factors:
+    """What is kept of one graph between queries: the factors of its
+    massive Laplacian (`lu[False]` SuperLU, `lu[True]` the exact LU) and
+    the exact columns of V solved so far (vertex -> (column, c^k))."""
+
+    def __init__(self):
+        self.lu = {}
+        self.exact_columns = {}
+
+
+# one entry per live graph, dropped with the graph; a graph must not be
+# mutated once it has been queried
+_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _graph_factors(g: WeightedGraph, exact):
+    """The graph's kept factors, with the float or exact LU in place.
+
+    A singular Laplacian raises, and no factor is kept for it.
+    """
+    f = _FACTORS.get(g)
+    if f is None:
+        f = _FACTORS[g] = _Factors()
+    if exact not in f.lu:
+        _require_transient(g, exact)
+        if exact:
+            lu = _factor(assemble_massive_laplacian_exact(g))[1]
+        else:
+            lu = _sparse_lu(assemble_massive_laplacian_sparse(g))
+        if lu is None:
+            raise RecurrentWalkError(
+                "singular massive Laplacian: some component carries no mass")
+        f.lu[exact] = lu
+    return f
+
+
 def _potential_matrix(g: WeightedGraph, ys, exact=False):
-    """Columns ys of V and their c^k: one factorization, a right-hand side
-    per column."""
-    _require_transient(g, exact)
+    """Columns ys of V and their c^k, solved against the graph's kept
+    factor; exact columns are solved once per graph and kept."""
+    f = _graph_factors(g, exact)
     if exact:
-        ck = [Fraction(g.ck(y)) for y in ys]
-        B = [[c if x == y else Fraction(0) for y, c in zip(ys, ck)]
-             for x in range(g.n)]
-        return solve_exact(assemble_massive_laplacian_exact(g), B), ck
-    lu = _sparse_lu(assemble_massive_laplacian_sparse(g))
-    if lu is None:
-        raise RecurrentWalkError(
-            "singular massive Laplacian: some component carries no mass")
+        cols = f.exact_columns
+        new = [y for y in ys if y not in cols]
+        if new:
+            ck = [Fraction(g.ck(y)) for y in new]
+            B = [[c if x == y else Fraction(0) for y, c in zip(new, ck)]
+                 for x in range(g.n)]
+            X = _substitute(f.lu[True], B)
+            for j, (y, c) in enumerate(zip(new, ck)):
+                cols[y] = ([row[j] for row in X], c)
+        kept = [cols[y] for y in ys]
+        return [[v[x] for v, _ in kept] for x in range(g.n)], \
+            [c for _, c in kept]
     ck = [float(g.ck(y)) for y in ys]
     D = np.zeros((g.n, len(ys)))
     D[ys, np.arange(len(ys))] = ck
-    return lu.solve(D), ck
+    return f.lu[False].solve(D), ck
 
 
 def potential(g: WeightedGraph, exact=False) -> Potential:

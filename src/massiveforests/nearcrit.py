@@ -55,7 +55,9 @@ class SquareLatticeKernel:
         self.mod = near_critical_modulus(M, delta) if M > 0 else \
             complete_integrals(0.0)
         self.c = sc(self.mod.abstract_angle(math.pi / 4), self.mod)
-        self.m2 = mass_value([math.pi / 4] * 4, self.mod) if M > 0 else 0.0
+        # the drifted walk carries no mass
+        self.m2 = mass_value([math.pi / 4] * 4, self.mod) \
+            if M > 0 and u_bar is None else 0.0
         self.u_bar = u_bar
         if u_bar is None:
             cond = np.full(4, self.c)
@@ -64,7 +66,7 @@ class SquareLatticeKernel:
             factors = np.array([self.edge_factor(d, u_bar)
                                 for d in ("E", "N", "W", "S")])
             cond = self.c * factors
-            self.p_die = 0.0  # drifted walk carries no mass
+            self.p_die = 0.0
         self.cond = cond
         self.p_dirs = (1.0 - self.p_die) * cond / cond.sum()
         # u picks the direction whose dir_cum interval holds it and kills
@@ -418,7 +420,7 @@ def _window_graph(kernel, box):
     vertex = np.full(box.z.size, -1)
     vertex[inside] = np.arange(inside.size)
     nbr = vertex[inside[:, None] + box.moves]        # (site, direction)
-    masses = np.full(inside.size, kernel.m2 if kernel.u_bar is None else 0.0)
+    masses = np.full(inside.size, kernel.m2)
     for k, c in enumerate(kernel.cond):
         masses += np.where(nbr[:, k] < 0, c, 0.0)
     tail, k = np.nonzero(nbr >= 0)
@@ -633,8 +635,12 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     loop erasure when it exits in the target arc.  Each task runs 2048
     walkers in lockstep and is scanned in walker order; attempts count up
     to the last walker scanned.  Returns (paths, acceptance rate); aborts
-    when the acceptance rate is hopeless, by default below 1e-4.
+    when the acceptance rate is hopeless, by default below 1e-4.  A
+    target arc outside 0..n_arcs-1 raises ValueError before any walk.
     """
+    if not 0 <= target_arc < n_arcs:
+        raise ValueError(
+            f"target_arc {target_arc} is outside 0..{n_arcs - 1}")
     kernel = SquareLatticeKernel(M, delta)
     box = _disk_box(kernel.spacing, radius)
     start_site = box.nearest(0j)

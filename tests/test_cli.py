@@ -143,6 +143,16 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith(f"error: {path}: {key} ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_branch_target_arc_out_of_range_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"M": 1.0, "delta": 0.0625, "radius": 0.5,
+                                    "target_arc": 99, "n": 5, "seed": 7}))
+        assert main(["experiment", "branch", "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: target_arc 99 ")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("table", [{"0": "abc"}, {"x": 1}, {"0": None},
                                        {"0": "1/0"}, {"0": True}],
                              ids=["value-string", "key-string", "null",

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from massiveforests import linalg
 from massiveforests.graphs import ROOT, WeightedGraph, symmetric_graph
 from massiveforests.linalg import (
     RecurrentWalkError,
@@ -117,6 +119,21 @@ def dense_edge_probability(g, V, edges):
 
 def out_row(g, x):
     return [(x, y) for y in g.neighbours(x) if y != x] + [(x, ROOT)]
+
+
+def fresh_copy(g):
+    """The same graph as a new object, with nothing kept for it."""
+    edges = list(zip(g.tail.tolist(), g.head.tolist(), g.cond))
+    return WeightedGraph(g.n, edges, g.masses, check=False)
+
+
+def shuffled_queries(rng, g, k_max=3):
+    """Every 1..k_max subset of the graph's edges (cemetery edges too),
+    in a seeded random order."""
+    cand = [(x, y) for (x, y) in g.directed_edge_set() if x != y]
+    cand += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
+    qs = [list(c) for k in range(1, k_max + 1) for c in combinations(cand, k)]
+    return [qs[i] for i in rng.permutation(len(qs))]
 
 
 class TestAssembly:
@@ -477,3 +494,70 @@ class TestFloatQueries:
         x = 30 * 60 + 30
         total = sum(float(edge_probability(g, [e])) for e in out_row(g, x))
         assert abs(total - 1.0) <= 1e-9
+
+
+class TestFactorCache:
+    """Queries on one graph reuse its factors; results stay those of a
+    graph queried for the first time."""
+
+    def test_entry_dropped_with_graph(self):
+        gc.collect()
+        before = len(linalg._FACTORS)
+        g = grid_graph(3, 3, m=Fraction(1, 2))
+        edge_probability(g, [(0, 1)], exact=True)
+        edge_probability(g, [(4, ROOT)])
+        assert len(linalg._FACTORS) == before + 1
+        del g
+        gc.collect()
+        assert len(linalg._FACTORS) == before
+
+    def test_warm_exact_equals_fresh_copy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            g = random_rational_graph(rng, n_max=5)
+            for edges in shuffled_queries(rng, g):
+                assert edge_probability(g, edges, exact=True) == \
+                    edge_probability(fresh_copy(g), edges, exact=True)
+            assert potential(g, exact=True).V == \
+                potential(fresh_copy(g), exact=True).V
+
+    def test_warm_float_bit_equal_to_fresh_copy(self):
+        rng = np.random.default_rng(32)
+        for g in (grid_graph(12, 12, c=1.0, m=0.05),
+                  skewed_graph(rng, side=5)):
+            queries = [[out_row(g, int(x))[int(rng.integers(
+                len(out_row(g, int(x)))))] for x in rng.choice(
+                    g.n, size=int(rng.integers(1, 4)), replace=False)]
+                for _ in range(40)]
+            for edges in queries:
+                if len(set(edges)) < len(edges):
+                    continue
+                assert edge_probability(g, edges) == \
+                    edge_probability(fresh_copy(g), edges)
+            assert np.array_equal(potential(g).V,
+                                  potential(fresh_copy(g)).V)
+
+    def test_exact_and_float_do_not_collide(self):
+        rng = np.random.default_rng(33)
+        for _ in range(4):
+            g = random_rational_graph(rng, n_max=5)
+            for i, edges in enumerate(shuffled_queries(rng, g, k_max=2)):
+                exact = i % 2 == 0
+                got = edge_probability(g, edges, exact=exact)
+                assert type(got) is (Fraction if exact else float)
+                assert got == edge_probability(fresh_copy(g), edges,
+                                               exact=exact)
+
+    def test_singular_laplacian_is_not_kept(self):
+        massless = path_ab(m=Fraction(0))
+        # massless component beside a massive one: SuperLU finds the
+        # float factor singular, the elimination the exact one
+        split = WeightedGraph(3, [(0, 1, 1), (1, 0, 1)], [0, 0, 1],
+                              check=False)
+        for g, edges in ((massless, [(0, 1)]), (split, [(2, ROOT)])):
+            for exact in (False, True):
+                for _ in range(2):
+                    with pytest.raises(RecurrentWalkError):
+                        edge_probability(g, edges, exact=exact)
+            f = linalg._FACTORS.get(g)
+            assert f is None or not f.lu

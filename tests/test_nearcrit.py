@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from massiveforests import nearcrit
 from massiveforests.nearcrit import (
     GUIDE_CELLS,
     JUMP_MAX,
@@ -126,6 +127,16 @@ class TestKernel:
     def test_nome_guard(self):
         with pytest.raises(ValueError):
             SquareLatticeKernel(3.0, 1.0)  # q = M * delta / 2 >= 1
+
+    def test_drifted_kernel_skips_mass_quadrature(self, monkeypatch):
+        killed = SquareLatticeKernel(1.0, 1 / 32)
+
+        def no_quadrature(*args):
+            raise AssertionError("m^2 quadrature of a drifted kernel")
+
+        monkeypatch.setattr(nearcrit, "mass_value", no_quadrature)
+        drifted = SquareLatticeKernel(1.0, 1 / 32, u_bar=0.3)
+        assert drifted.m2 == 0.0 and killed.m2 > 0.0
 
 
 class TestGirsanov:
@@ -619,6 +630,17 @@ class TestConditionedBranch:
         for p in paths[:200]:
             assert abs(p[0]) < SQRT2 * d
             assert abs(p[-1]) >= radius
+
+    @pytest.mark.parametrize("arc", [-1, 16, 99])
+    def test_target_arc_out_of_range(self, monkeypatch, arc):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walker ran")
+
+        monkeypatch.setattr(nearcrit, "_walk", no_walk)
+        with pytest.raises(ValueError, match="target_arc"):
+            conditioned_branch_sampler(
+                1.0, 1 / 16, target_arc=arc, n_accepted=5, seed=7,
+                radius=0.5)
 
     def test_acceptance_guard(self):
         with pytest.raises(RuntimeError):

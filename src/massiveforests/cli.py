@@ -92,9 +92,17 @@ def _is_integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_seed(v):
+    """An integer seed that `walks.rng_stream` takes."""
+    from .walks import SEED_BITS
+
+    return _is_integer(v) and 0 <= v < 1 << SEED_BITS
+
+
 # what each `experiment --config` key must hold: (check, keys)
 _CONFIG_VALUES = {
-    "an integer": (_is_integer, ("seed", "target_arc")),
+    "an integer": (_is_integer, ("target_arc",)),
+    "an integer in [0, 2**48)": (_is_seed, ("seed",)),
     "a positive integer": (lambda v: _is_integer(v) and v > 0,
                            ("n", "block")),
     "a number": (_is_number, ("M", "u_bar", "delta", "delta_ratio",
@@ -535,17 +543,33 @@ def cmd_experiment(args):
 # -- dispatch -----------------------------------------------------------------
 
 
+def _int_arg(ok, what):
+    """argparse type: an integer for which ok(value) holds."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="massiveforests",
         description="Spanning forests, killed walks, Doob transforms and "
                     "Temperleyan dimers")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_arg(_is_seed,
+                                                 "an integer in [0, 2**48)"),
+                        default=0)
     parser.add_argument("--threads", type=int, default=1,
                         help="worker count (never changes results)")
     parser.add_argument("--manifest", default=None,
                         help="manifest path (default: <out>.manifest.json)")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_arg(lambda n: n > 0, "a positive integer")
 
     p = sub.add_parser("grid", help="generate an isoradial grid file")
     p.add_argument("--kind", choices=["square", "rhombic"], default="square")
@@ -560,14 +584,14 @@ def build_parser():
 
     p = sub.add_parser("sample-forest", help="Wilson forest sampler")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--root", type=int, default=None)
     p.set_defaults(func=cmd_sample_forest)
 
     p = sub.add_parser("sample-tree", help="Wilson tree sampler (fixed root)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_forest)
@@ -577,7 +601,7 @@ def build_parser():
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--M", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=1 / 16)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_dimers)
 

@@ -10,6 +10,7 @@ sparse, and the real form whose exact determinant is |det K|^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,14 @@ from .linalg import (
     log_determinant,
 )
 from .planar import DoubleGraph, build_dual_and_double
+from .walks import (
+    WILSON_STEP_CAP,
+    TransitionTable,
+    UniformReader,
+    _check_rooted,
+    _wilson_successors,
+    rng_stream,
+)
 
 PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
 
@@ -278,35 +287,50 @@ def _white_pairs(dg: DoubleGraph):
     return whites
 
 
-def _resolve(dg: DoubleGraph, whites, laws, assignment, rng):
+def _choice_cdf(weights):
+    """Cumulative law of `weights` that picks, from a uniform u,
+    `bisect_right(cdf, u)`: the index `rng.choice(len(weights), p=p)`
+    picks from the same u, as numpy's cdf is p.cumsum() / its last value."""
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _resolve(dg: DoubleGraph, whites, laws, successors, reader):
     """Parallel edges (several whites between the same endpoints, e.g.
-    spokes to o) are drawn proportionally to conductance; `laws` keeps the
-    law of each pair once computed."""
+    spokes to o) are drawn proportionally to conductance, one uniform of
+    `reader` each; `successors` yields (vertex, head) pairs, and `laws`
+    keeps the cdf of each pair once computed."""
     out = {}
-    for x, y in assignment.items():
+    for x, y in successors:
         y = "o" if y == dg.col.o or y == ROOT else y
         cands = whites.get((x, y))
         if cands is None:
             raise ValueError(f"no double-graph edge for tree edge {x}->{y}")
-        if len(cands) == 1 or rng is None:
+        if len(cands) == 1 or reader is None:
             out[x] = cands[0]
             continue
-        p = laws.get((x, y))
-        if p is None:
-            weights = np.array([float(dg.whites[w]["edge"].cond)
-                                for w in cands])
-            p = laws[(x, y)] = weights / weights.sum()
-        out[x] = cands[int(rng.choice(len(cands), p=p))]
+        cdf = laws.get((x, y))
+        if cdf is None:
+            cdf = laws[(x, y)] = _choice_cdf(np.array(
+                [float(dg.whites[w]["edge"].cond) for w in cands]))
+        out[x] = cands[bisect_right(cdf, reader.next())]
     return out
 
 
 def resolve_tree(dg: DoubleGraph, assignment, rng=None):
     """Vertex -> head map into vertex -> white map, resolving parallels.
 
-    Parallel edges are drawn proportionally to conductance with `rng`, or
-    resolved to their first white without it.
+    Parallel edges are drawn proportionally to conductance with `rng`, one
+    uniform each (the one `rng.choice` would read), or resolved to their
+    first white without it.
     """
-    return _resolve(dg, _white_pairs(dg), {}, assignment, rng)
+    reader = None if rng is None else UniformReader(rng, shared=True)
+    out = _resolve(dg, _white_pairs(dg), {}, assignment.items(), reader)
+    if reader is not None:
+        reader.hand_back()
+    return out
 
 
 def temperley_forward(dg: DoubleGraph, tree_whites):
@@ -413,20 +437,22 @@ class TemperleySampler:
     """Drifted-model matchings of one double graph, prepared once.
 
     Holds the tilted window with its transition table, the whites per
-    endpoint pair and the conductance law of each parallel pair met so
-    far.  `sample` draws the Wilson walk first, then one `rng.choice` per
-    tree edge with parallel whites, in vertex order, so it reads the
-    stream exactly as `_tilted_window`, `wilson_sample`, `resolve_tree`
-    and `temperley_forward` do one after the other.
+    endpoint pair and the conductance cdf of each parallel pair met so
+    far.  A sample reads one uniform per Wilson step, then one per tree
+    edge with parallel whites, in vertex order, all from one
+    `walks.UniformReader`.  `sample` opens a reader on the caller's
+    generator and hands it back after the sample, so it reads the stream
+    exactly as `_tilted_window`, `wilson_sample`, `resolve_tree` and
+    `temperley_forward` do one after the other; `samples` carries one
+    reader through each task's samples.
     """
 
     PER_TASK = 256
 
     def __init__(self, dg: DoubleGraph, lam_ambient):
-        from .walks import TransitionTable
-
         self.dg = dg
         self.window = _tilted_window(dg, lam_ambient)
+        _check_rooted(self.window, ())
         self.table = TransitionTable(self.window)
         self.whites = _white_pairs(dg)
         self.laws = {}
@@ -438,25 +464,28 @@ class TemperleySampler:
         _, dg = build_dual_and_double(col, ambient.positions)
         return cls(dg, lam_ambient)
 
-    def sample(self, rng):
-        from .walks import wilson_sample
-
-        forest = wilson_sample(self.window, rng, table=self.table)
-        tree = _resolve(self.dg, self.whites, self.laws, forest.outgoing,
-                        rng)
+    def _draw(self, reader):
+        heads = _wilson_successors(self.table, reader, range(self.window.n),
+                                   (), WILSON_STEP_CAP)
+        tree = _resolve(self.dg, self.whites, self.laws, enumerate(heads),
+                        reader)
         return temperley_forward(self.dg, tree)[0]
+
+    def sample(self, rng):
+        reader = UniformReader(rng, shared=True)
+        matching = self._draw(reader)
+        reader.hand_back()
+        return matching
 
     def samples(self, n, seed):
         """Yield n (matching, height) pairs; task t draws its PER_TASK
-        samples from rng_stream(seed, t)."""
-        from .walks import rng_stream
-
-        reference = reference_matching(self.dg)
+        samples from one reader on rng_stream(seed, t)."""
+        reference = _blacks(self.dg, reference_matching(self.dg))
         for task in range(-(-n // self.PER_TASK)):
-            rng = rng_stream(seed, task)
+            reader = UniformReader(rng_stream(seed, task))
             for _ in range(min(self.PER_TASK, n - task * self.PER_TASK)):
-                m = self.sample(rng)
-                yield m, height_function(self.dg, m, reference)
+                m = self._draw(reader)
+                yield m, _heights(self.dg, reference, m)
 
 
 def sample_matching(dg: DoubleGraph, lam_ambient, rng):
@@ -735,9 +764,18 @@ def height_function(dg: DoubleGraph, matching, reference=None) -> HeightField:
     """
     if reference is None:
         reference = reference_matching(dg)
+    return _heights(dg, _blacks(dg, reference), matching)
+
+
+def _blacks(dg: DoubleGraph, matching):
+    """The black matched to each white, as an array over the whites."""
+    return np.array([matching[w][0] for w in range(dg.n_white)])
+
+
+def _heights(dg: DoubleGraph, ref, matching) -> HeightField:
+    """`height_function` against the reference's `_blacks` array."""
     adj = dg.quad_adjacency
-    ref = np.array([reference[w][0] for w in range(dg.n_white)])
-    cur = np.array([matching[w][0] for w in range(dg.n_white)])
+    cur = _blacks(dg, matching)
     flow = (adj.black == ref[adj.white]).astype(float) - \
         (adj.black == cur[adj.white])
     dh = adj.sign * flow

@@ -2,7 +2,12 @@
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, task id), so results are reproducible and independent of how work is
-split across workers.
+split across workers.  Samplers read a stream through one `UniformReader`,
+WILSON_BLOCK uniforms at a time and in stream order.  A task opens one
+reader on its own stream and carries the unread tail of each block into its
+next sample; an API that draws from a caller's generator opens a reader on
+it and hands it back just after the last uniform used, so either way every
+sample reads the same uniforms as if each step had called `rng.random()`.
 """
 
 from __future__ import annotations
@@ -17,12 +22,62 @@ from .graphs import ROOT, RootedForest, WeightedGraph
 from .linalg import _potential_columns, determinant, determinant_exact
 
 WILSON_STEP_CAP = 10**9
-WILSON_BLOCK = 256  # uniforms drawn from the caller's generator at a time
+WILSON_BLOCK = 256  # uniforms read from a generator at a time
+COUNT_CHUNK = 8     # forests per edge-count reduction in `task_counts`
+SEED_BITS, TASK_BITS = 48, 16  # a stream's Philox key is seed << 16 ^ task
 
 
 def rng_stream(seed, task_id=0):
-    """Independent generator for (seed, task_id), worker-count agnostic."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) << np.uint64(16) ^ np.uint64(task_id)))
+    """Independent generator for (seed, task_id), worker-count agnostic.
+
+    seed must lie in [0, 2**48) and task_id in [0, 2**16): the two share
+    one 64-bit key, so a value outside its range would alias another
+    stream or overflow.
+    """
+    if not (0 <= seed < 1 << SEED_BITS and 0 <= task_id < 1 << TASK_BITS):
+        raise ValueError(f"rng_stream needs 0 <= seed < 2**{SEED_BITS} and "
+                         f"0 <= task_id < 2**{TASK_BITS}, not ({seed}, "
+                         f"{task_id})")
+    return np.random.Generator(np.random.Philox(
+        key=np.uint64(seed) << np.uint64(TASK_BITS) ^ np.uint64(task_id)))
+
+
+class UniformReader:
+    """Uniforms of one generator, read WILSON_BLOCK at a time.
+
+    `block[pos:]` is the unread tail of the current block; a reader takes
+    `block[pos]`, advances `pos`, and calls `refill` once the block is
+    spent.  With `shared`, the generator belongs to a caller: the reader
+    keeps the state each block started from, and `hand_back` moves the
+    generator to just after the last uniform read.  A task's own stream
+    needs neither.
+    """
+
+    def __init__(self, rng, shared=False):
+        self.rng = rng
+        self.shared = shared
+        self._state = None
+        self.block, self.pos = [], WILSON_BLOCK  # the first read refills
+
+    def refill(self):
+        if self.shared:
+            self._state = self.rng.bit_generator.state
+        self.block = self.rng.random(WILSON_BLOCK).tolist()
+        self.pos = 0
+        return self.block
+
+    def next(self):
+        if self.pos == WILSON_BLOCK:
+            self.refill()
+        self.pos += 1
+        return self.block[self.pos - 1]
+
+    def hand_back(self):
+        if self._state is not None:
+            self.rng.bit_generator.state = self._state
+            self.rng.random(self.pos)
+            self._state = None
+            self.block, self.pos = [], WILSON_BLOCK
 
 
 class TransitionTable:
@@ -78,14 +133,12 @@ def _check_rooted(g: WeightedGraph, roots):
         raise ValueError("Wilson rooted at the cemetery needs m != 0")
 
 
-def _wilson_successors(table: TransitionTable, rng, order, roots,
-                       step_cap):
+def _wilson_successors(table: TransitionTable, reader: UniformReader, order,
+                       roots, step_cap):
     """Successor list of one Wilson forest; ROOT marks roots and deaths.
 
-    Uniforms come from `rng` in blocks of WILSON_BLOCK.  On return the
-    stream is put back to just after the last uniform the walks used, so a
-    caller sharing `rng` reads the same values as if every step had called
-    `rng.random()` once.
+    Each step reads the next uniform of `reader`; the walks of one forest
+    may read at most about `step_cap` of them.
     """
     cum, targets = table.cum, table.targets
     n = len(cum)
@@ -95,9 +148,8 @@ def _wilson_successors(table: TransitionTable, rng, order, roots,
         if not 0 <= r < n:
             raise ValueError(f"root {r} is not a vertex")
         in_tree[r] = True
-    state = rng.bit_generator.state
-    block = rng.random(WILSON_BLOCK).tolist()
-    pos = used = 0
+    block, pos = reader.block, reader.pos
+    used = -pos  # uniforms this forest has read, less those left in block
     for start in order:
         x = start
         while not in_tree[x]:
@@ -107,8 +159,7 @@ def _wilson_successors(table: TransitionTable, rng, order, roots,
                     raise RuntimeError(
                         "Wilson step cap exceeded; killed walk may not die "
                         "a.s.")
-                state = rng.bit_generator.state
-                block = rng.random(WILSON_BLOCK).tolist()
+                block = reader.refill()
                 pos = 0
             # u < 1 = cum[x][-1], so the index stays inside the row
             y = targets[x][bisect_right(cum[x], block[pos])]
@@ -119,8 +170,7 @@ def _wilson_successors(table: TransitionTable, rng, order, roots,
         while not in_tree[x]:
             in_tree[x] = True
             x = nxt[x]
-    rng.bit_generator.state = state
-    rng.random(pos)
+    reader.pos = pos
     return nxt
 
 
@@ -131,15 +181,18 @@ def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
     Runs killed walks from each unvisited vertex; the successor-overwrite
     trick performs the chronological loop erasure.  Output is a rooted
     spanning forest of g with the Boltzmann law; with `roots` given and no
-    masses, it is a spanning tree/forest rooted at those vertices.
+    masses, it is a spanning tree/forest rooted at those vertices.  Each
+    step reads one uniform of `rng`, which is left just after the last.
     """
     _check_rooted(g, roots)
     if table is None:
         table = TransitionTable(g)
     if order is None:
         order = range(g.n)
-    return RootedForest(g.n, _wilson_successors(table, rng, order, roots,
-                                                step_cap))
+    reader = UniformReader(rng, shared=True)
+    nxt = _wilson_successors(table, reader, order, roots, step_cap)
+    reader.hand_back()
+    return RootedForest(g.n, nxt)
 
 
 class WilsonEdgeCounter:
@@ -169,18 +222,23 @@ class WilsonEdgeCounter:
     def task_counts(self, n_samples, seed, task):
         """Counts over `pairs` of task `task`'s forests.
 
-        A successor outside `pairs` (a given root without mass) is not
-        counted.
+        The task reads its forests from one reader on rng_stream(seed,
+        task) and counts them COUNT_CHUNK at a time.  A successor outside
+        `pairs` (a given root without mass) is not counted.
         """
-        rng = rng_stream(seed, task)
+        reader = UniformReader(rng_stream(seed, task))
         k = min(self.per_task, n_samples - task * self.per_task)
-        hits = np.zeros(len(self.pairs), dtype=np.int64)
         order = range(len(self._tail_codes))
-        for _ in range(k):
-            codes = self._tail_codes + _wilson_successors(
-                self.table, rng, order, self.roots, WILSON_STEP_CAP)
-            i = np.searchsorted(self._codes, codes)
-            hits += np.bincount(i[self._codes[i] == codes],
+        hits = np.zeros(len(self.pairs), dtype=np.int64)
+        codes = np.empty((min(k, COUNT_CHUNK), len(order)), dtype=np.int64)
+        for done in range(0, k, COUNT_CHUNK):
+            chunk = codes[:min(COUNT_CHUNK, k - done)]
+            for row in chunk:
+                row[:] = _wilson_successors(self.table, reader, order,
+                                            self.roots, WILSON_STEP_CAP)
+            chunk += self._tail_codes
+            i = np.searchsorted(self._codes, chunk)
+            hits += np.bincount(i[self._codes[i] == chunk],
                                 minlength=len(hits))
         counts = np.empty_like(hits)
         counts[self._sort] = hits

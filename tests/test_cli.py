@@ -130,8 +130,11 @@ class TestDispatch:
         ("crossing", {"n": 0}),
         ("crossing", {"translations": [[0.0, 0.0, 1.0]]}),
         ("branch", {"target_arc": True}),
+        ("exitlaw", {"seed": -1}),
+        ("crossing", {"seed": 2**48}),
     ], ids=["M-string", "deltas-scalar", "n-string", "n-float", "n-zero",
-            "translation-triple", "arc-bool"])
+            "translation-triple", "arc-bool", "seed-negative",
+            "seed-past-stream-range"])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, name, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -236,6 +239,33 @@ class TestDispatch:
         out = tmp_path / "t.csv"
         assert main(["sample-tree", "--graph", str(p), "--root", "2",
                      "--n", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "-3", str(2**48), "x"])
+    @pytest.mark.parametrize("command", ["sample-forest", "sample-dimers"])
+    def test_seed_outside_stream_range_exit_two(self, tmp_path, capsys,
+                                                command, seed):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, command, "--graph", str(tmp_path / "g.json"),
+                  "--n", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --seed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-5", "2.5"])
+    @pytest.mark.parametrize("command", [
+        ["sample-forest"], ["sample-tree", "--root", "0"], ["sample-dimers"]],
+        ids=["sample-forest", "sample-tree", "sample-dimers"])
+    def test_sample_count_below_one_exit_two(self, tmp_path, capsys, command,
+                                             n):
+        p = tmp_path / "g.json"
+        save_graph(str(p), symmetric_graph(2, [(0, 1, 1.0)], [1.0, 1.0]))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--graph", str(p), "--n", n, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --n: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_charpoly_cli(self, tmp_path):

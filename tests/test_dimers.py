@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -681,6 +682,45 @@ class TestTemperleySampler:
                 m = sampler.sample(rng)
             assert pairs[i][0] == m
             assert pairs[i][1].values == height_function(dg, m, ref).values
+
+    def test_seeded_heights(self):
+        # pinned to recorded values; the window's corners have parallel
+        # spokes, and 258 samples span two tasks
+        from massiveforests.dimers import TemperleySampler
+
+        amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3],
+                                            mass=Fraction(9, 4))
+        sampler = TemperleySampler(dg, pow4_lambda(amb))
+        heights = [[h.values[q] for q in sorted(h.values)]
+                   for _, h in sampler.samples(258, 11)]
+        assert np.sum(heights, axis=0).tolist() == [
+            0, 52, 21, 54, 88, 257, 54, -168, 52, 14, 54, 53, 100, 54, 90, 53]
+        assert heights[0] == [0, 0, 0, 0, 0, 1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0]
+        assert heights[255] == [0, 0, 0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 0, 0,
+                                0]
+        assert heights[256] == [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                0]
+        assert heights[257] == [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0,
+                                0]
+
+    def test_spoke_cdf_reads_like_rng_choice(self):
+        # each law picks the index rng.choice picks and leaves the stream
+        # where rng.choice leaves it
+        from massiveforests.dimers import _choice_cdf
+        from massiveforests.walks import UniformReader
+
+        laws = np.random.default_rng(62)
+        for i in range(2000):
+            k = int(laws.integers(2, 7))
+            weights = laws.uniform(0.01, 3.0, k) ** 3
+            p = weights / weights.sum()
+            cdf = _choice_cdf(weights)
+            rng, rng_ref = rng_stream(63, i), rng_stream(63, i)
+            reader = UniformReader(rng, shared=True)
+            picks = [bisect_right(cdf, reader.next()) for _ in range(50)]
+            reader.hand_back()
+            assert picks == [int(rng_ref.choice(k, p=p)) for _ in range(50)]
+            assert rng.random() == rng_ref.random()
 
     def test_heights_match_loop_reference(self):
         # the flow of each adjacency from the per-white dictionary rule,

@@ -24,6 +24,7 @@ from massiveforests.nearcrit import (
     exit_law_continuum,
     exit_law_walk,
     girsanov_ratio_check,
+    height_field_stats,
     lerw_ratio_check,
     total_variation,
 )
@@ -508,6 +509,18 @@ class TestSeededOutputs:
              (3, 0), (3, 1), (4, 1), (5, 1), (6, 1)],
             [(0, 0), (1, 0), (2, 0), (3, 0), (3, -1), (4, -1), (5, -1),
              (6, -1)]]
+
+
+    def test_height_field_stats(self):
+        quads, mean, var, _ = height_field_stats(1.0, 0.5, 1 / 16, 3, 40, 3)
+        assert len(quads) == 16
+        assert (mean * 40).tolist() == [
+            0, 13, 0, 28, 34, 20, 22, -9, 9, 0, 24, 23, 14, 21, 23, 20]
+        assert var.tolist() == [
+            0.0, 0.219375, 0.4, 0.21000000000000002, 0.3275000000000001,
+            0.44999999999999996, 0.2475, 0.374375, 0.374375, 0.5,
+            0.29000000000000004, 0.4443750000000001, 0.3775, 0.349375,
+            0.3443750000000001, 0.30000000000000004]
 
 
 class TestExitLaw:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massiveforests import walks
 from massiveforests.graphs import ROOT, RootedForest, WeightedGraph
 from massiveforests.linalg import (
     assemble_massive_laplacian_exact,
@@ -156,6 +157,31 @@ class TestWilson:
                           [1.0, 0.0, 0.0], check=False)
         with pytest.raises(RuntimeError, match="step cap"):
             wilson_sample(g, rng_stream(8), step_cap=10_000)
+
+    def test_step_cap_fires_per_forest_in_task_counts(self, monkeypatch):
+        monkeypatch.setattr(walks, "WILSON_STEP_CAP", 10_000)
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+                          [1.0, 0.0, 0.0], check=False)
+        with pytest.raises(RuntimeError, match="^Wilson step cap exceeded; "
+                           "killed walk may not die a.s.$"):
+            WilsonEdgeCounter(g).task_counts(5, 8, 0)
+        # the cap bounds each forest, not a task's total read
+        g = float_grid(4, 0.3)
+        uncapped = WilsonEdgeCounter(g).counts(300, 8)
+        monkeypatch.setattr(walks, "WILSON_STEP_CAP", 4 * walks.WILSON_BLOCK)
+        assert np.array_equal(WilsonEdgeCounter(g).counts(300, 8), uncapped)
+
+    @pytest.mark.parametrize("seed, task", [(-1, 0), (2**48, 0),
+                                            (2**48 + 5, 0), (0, -1),
+                                            (0, 2**16)])
+    def test_stream_key_out_of_range_rejected(self, seed, task):
+        with pytest.raises(ValueError, match="rng_stream needs"):
+            rng_stream(seed, task)
+
+    def test_stream_key_range_ends(self):
+        top = rng_stream(2**48 - 1, 2**16 - 1).random()
+        assert top != rng_stream(0, 0).random()
+        assert top != rng_stream(2**48 - 1, 0).random()
 
     def test_determinism_same_seed(self):
         g = grid_graph(2, 2, m=Fraction(1))
@@ -392,6 +418,33 @@ class TestWilsonIdentity:
                     if e in index:
                         expect[index[e]] += 1
             assert np.array_equal(counts, expect)
+
+
+class TestSeededCounts:
+    """Edge counts of small seeded runs, pinned to recorded values: a change
+    to the order in which forests read their stream shows up here."""
+
+    def test_cemetery_rooted(self):
+        counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.3),
+                                    per_task=40)
+        assert counter.counts(130, 23).tolist() == [
+            52, 42, 27, 38, 41, 52, 41, 32, 47, 31, 29, 22, 31, 25, 37, 34,
+            29, 53, 38, 55, 32, 25, 47, 54, 36, 24, 37, 20, 23, 30, 39, 18,
+            29]
+
+    def test_given_root(self):
+        counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.0),
+                                    roots={4}, per_task=40)
+        assert counter.counts(130, 24).tolist() == [
+            70, 60, 26, 31, 73, 72, 58, 31, 63, 36, 0, 0, 0, 0, 28, 77, 25,
+            63, 67, 78, 22, 30, 73, 57]
+
+    def test_default_tasks(self):
+        counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.3))
+        assert counter.counts(1100, 25).tolist() == [
+            419, 414, 263, 254, 354, 426, 413, 247, 365, 247, 212, 230, 240,
+            224, 280, 314, 290, 430, 413, 345, 273, 268, 415, 396, 267, 229,
+            261, 241, 194, 216, 257, 214, 289]
 
 
 class TestEdgeCountReduction:

@@ -288,9 +288,9 @@ def _white_pairs(dg: DoubleGraph):
 
 
 def _choice_cdf(weights):
-    """Cumulative law of `weights` that picks, from a uniform u,
-    `bisect_right(cdf, u)`: the index `rng.choice(len(weights), p=p)`
-    picks from the same u, as numpy's cdf is p.cumsum() / its last value."""
+    """Cumulative law of `weights`, built as `rng.choice(k, p=p)` builds
+    it (p.cumsum() over its last value), so `bisect_right(cdf, u)` is the
+    index `rng.choice` picks from the same uniform u."""
     p = weights / weights.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]

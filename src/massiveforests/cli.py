@@ -22,25 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
-def _config_hash(args_dict, file_paths=()):
-    h = hashlib.sha256()
-    h.update(json.dumps(args_dict, sort_keys=True, default=str).encode())
-    for p in file_paths:
-        try:
-            with open(p, "rb") as fh:
-                h.update(fh.read())
-        except OSError:
-            pass
-    return h.hexdigest()[:16]
-
-
 def _write_manifest(path, command, args_dict, seed, outputs, t0,
                     file_paths=()):
     from . import __version__
 
+    h = hashlib.sha256(json.dumps(args_dict, sort_keys=True,
+                                  default=str).encode())
+    for p in file_paths:
+        try:
+            h.update(pathlib.Path(p).read_bytes())
+        except OSError:
+            pass
     manifest = {
         "command": command,
-        "config_hash": _config_hash(args_dict, file_paths),
+        "config_hash": h.hexdigest()[:16],
         "seed": seed,
         "versions": {
             "massiveforests": __version__,
@@ -99,36 +94,40 @@ def _is_seed(v):
     return _is_integer(v) and 0 <= v < 1 << SEED_BITS
 
 
-# what each `experiment --config` key must hold: (check, keys)
-_CONFIG_VALUES = {
-    "an integer": (_is_integer, ("target_arc",)),
-    "an integer in [0, 2**48)": (_is_seed, ("seed",)),
-    "a positive integer": (lambda v: _is_integer(v) and v > 0,
-                           ("n", "block")),
-    "a number": (_is_number, ("M", "u_bar", "delta", "delta_ratio",
+# what each `experiment --config` key must hold, key by key
+_CONFIG_CHECKS = {key: (what, ok) for what, ok, keys in (
+    ("an integer", _is_integer, ("target_arc",)),
+    ("an integer in [0, 2**48)", _is_seed, ("seed",)),
+    ("a positive integer", lambda v: _is_integer(v) and v > 0,
+     ("n", "block")),
+    ("a number", _is_number, ("M", "u_bar", "delta", "delta_ratio",
                               "radius")),
-    "a list of numbers": (
-        lambda v: isinstance(v, list) and all(map(_is_number, v)),
-        ("u_bars", "deltas", "radii", "masses")),
-    "a list of [x, y] number pairs": (
-        lambda v: isinstance(v, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
-            for p in v),
-        ("translations",)),
-}
+    ("a list of numbers",
+     lambda v: isinstance(v, list) and all(map(_is_number, v)),
+     ("u_bars", "deltas", "radii", "masses")),
+    ("a list of [x, y] number pairs",
+     lambda v: isinstance(v, list) and all(
+         isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+         for p in v),
+     ("translations",)),
+) for key in keys}
 
 
-def _load_config_or_die(path):
-    """An experiment config from `path` whose known keys hold values of
-    the right type, or `error: ...` and exit 2."""
+def _load_config_or_die(path, defaults):
+    """`defaults` updated by the experiment config at `path`; `error: ...`
+    and exit 2 for a key that `defaults` lacks or a value of a wrong type."""
     cfg = _load_json_or_die(path)
-    for kind, (ok, keys) in _CONFIG_VALUES.items():
-        for key in keys:
-            if key in cfg and not ok(cfg[key]):
-                print(f"error: {path}: {json.dumps(key)} must be {kind}, "
-                      f"not {json.dumps(cfg[key])}", file=sys.stderr)
-                raise SystemExit(2)
-    return cfg
+    for key, value in cfg.items():
+        if key not in defaults:
+            print(f"error: {path}: unknown key {json.dumps(key)}; known "
+                  f"keys: {', '.join(defaults)}", file=sys.stderr)
+            raise SystemExit(2)
+        what, ok = _CONFIG_CHECKS[key]
+        if not ok(value):
+            print(f"error: {path}: {json.dumps(key)} must be {what}, "
+                  f"not {json.dumps(value)}", file=sys.stderr)
+            raise SystemExit(2)
+    return {**defaults, **cfg}
 
 
 def _load_lambda_or_die(path):
@@ -221,9 +220,8 @@ def cmd_edge_prob(args):
         with open(args.dump_matrix, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "value"])
-            for i in range(g.n):
-                for j in range(g.n):
-                    writer.writerow([i, j, repr(L[i, j])])
+            writer.writerows([i, j, repr(L[i, j])]
+                             for i in range(g.n) for j in range(g.n))
         outputs.append(args.dump_matrix)
     edges = []
     for token in args.edges.split(","):
@@ -303,15 +301,15 @@ def verify_elliptic():
         verify_near_critical_asymptotics,
     )
 
-    failures = []
+    failures = []  # each begins with the printed line of its check
     mod0 = complete_integrals(0.0)
     if abs(mod0.K - math.pi / 2) > 1e-14 or abs(mod0.E - math.pi / 2) > 1e-14:
-        failures.append("K(0), E(0)")
+        failures.append("K(0) = E(0) = pi/2")
     for k in np.arange(0.1, 0.95, 0.1):
         m = complete_integrals(float(k))
         legendre = m.E * m.Kprime + m.Eprime * m.K - m.K * m.Kprime
         if abs(legendre - math.pi / 2) > 1e-12:
-            failures.append(f"Legendre at k={k:.1f}")
+            failures.append(f"Legendre relation at k={k:.1f}")
     rng = np.random.default_rng(0)
     for _ in range(200):
         u = float(rng.uniform(-3, 3))
@@ -319,7 +317,7 @@ def verify_elliptic():
         v = jacobi(u, complete_integrals(k))
         if abs(v.sn**2 + v.cn**2 - 1) > 1e-12 or \
            abs(v.dn**2 + k * k * v.sn**2 - 1) > 1e-12:
-            failures.append(f"pythagorean at u={u:.3f}, k={k:.3f}")
+            failures.append(f"Jacobi identities at u={u:.3f}, k={k:.3f}")
             break
     for q in (0.3, 0.05, 1e-3):
         if abs(modulus_from_nome(q).q - q) > 1e-12:
@@ -327,11 +325,12 @@ def verify_elliptic():
     rows = verify_near_critical_asymptotics(1.0, [1e-2, 1e-3, 1e-4])
     for i in (1, 2):
         if rows[i][1] > 4 * max(rows[i - 1][1], 1e-6) + 1e-6:
-            failures.append("near-critical k^2 rate")
+            failures.append(f"near-critical rates at delta={rows[i][0]}")
     for line in ("K(0) = E(0) = pi/2", "Legendre relation",
                  "Jacobi identities", "nome round trip",
                  "near-critical rates"):
-        print(f"  {line}: ok" if not failures else f"  {line}: checked")
+        failed = any(f.startswith(line) for f in failures)
+        print(f"  {line}: {'FAIL' if failed else 'ok'}")
     return failures
 
 
@@ -437,19 +436,17 @@ def verify_periodic():
     return failures
 
 
+BATTERIES = {
+    "elliptic": lambda args: verify_elliptic(),
+    "doob": lambda args: verify_doob(args.graph, args.lam, args.exact),
+    "dimers": lambda args: verify_dimers(),
+    "periodic": lambda args: verify_periodic(),
+}
+
+
 def cmd_verify(args):
     t0 = time.time()
-    if args.battery == "elliptic":
-        failures = verify_elliptic()
-    elif args.battery == "doob":
-        failures = verify_doob(args.graph, args.lam, args.exact)
-    elif args.battery == "dimers":
-        failures = verify_dimers()
-    elif args.battery == "periodic":
-        failures = verify_periodic()
-    else:
-        print(f"unknown battery {args.battery}", file=sys.stderr)
-        return 2, []
+    failures = BATTERIES[args.battery](args)
     if failures:
         print(f"verify {args.battery}: FAIL ({', '.join(failures)})")
         return 1, []
@@ -460,84 +457,90 @@ def cmd_verify(args):
 # -- experiments -------------------------------------------------------------
 
 
-def cmd_experiment(args):
-    from .nearcrit import (
-        conditioned_branch_sampler,
-        crossing_grid,
-        exit_law_brownian,
-        exit_law_walk,
-        girsanov_ratio_check,
-        height_field_stats,
-        total_variation,
-    )
+def _girsanov(c, seed):
+    from .nearcrit import girsanov_ratio_check
 
-    cfg = _load_config_or_die(args.config)
-    seed = cfg.get("seed", args.seed)
-    out = args.out
-    rows = []
-    if args.name == "girsanov":
-        for u_bar in cfg.get("u_bars", [0.0]):
-            table = girsanov_ratio_check(cfg.get("M", 1.0), u_bar,
-                                         cfg.get("deltas", [1 / 32, 1 / 64]))
-            for (d, ratio, target, err) in table:
-                rows.append(["girsanov", d, cfg.get("M", 1.0), u_bar,
-                             ratio, target, err])
-        header = ["experiment", "delta", "M", "u_bar", "ratio", "target",
-                  "error"]
-    elif args.name == "crossing":
-        cells = crossing_grid(
-            radii=cfg.get("radii", [0.3]),
-            masses=cfg.get("masses", [0.0, 1.0]),
-            translations=[complex(*z) for z in
-                          cfg.get("translations", [[0.0, 0.0]])],
-            n_samples=cfg.get("n", 10**4), seed=seed,
-            delta_ratio=cfg.get("delta_ratio", 1 / 64))
-        for spec, M, _, est, se in cells:
-            rows.append(["crossing", spec.r, M, spec.horizontal,
-                         spec.z.real, spec.z.imag, est, se])
-        header = ["experiment", "r", "M", "horizontal", "z_re", "z_im",
-                  "estimate", "stderr"]
-    elif args.name == "exitlaw":
-        M = cfg.get("M", 1.0)
-        u_bar = cfg.get("u_bar", 0.0)
-        d = cfg.get("delta", 1 / 64)
-        n = cfg.get("n", 10**4)
-        cw, _ = exit_law_walk(M, u_bar, d, n, seed)
-        cb, _ = exit_law_brownian(M, u_bar, d, n, seed + 1)
-        tv = total_variation(cw, cb)
-        for b in range(len(cw)):
-            rows.append(["exitlaw", b, int(cw[b]), int(cb[b]), tv])
-        header = ["experiment", "arc", "walk_count", "brownian_count", "tv"]
-    elif args.name == "branch":
-        try:
-            paths, acc = conditioned_branch_sampler(
-                cfg.get("M", 1.0), cfg.get("delta", 1 / 32),
-                cfg.get("target_arc", 0), cfg.get("n", 100), seed,
-                radius=cfg.get("radius", 1.0))
-        except ValueError as exc:  # an out-of-range target arc
-            print(f"error: {args.config}: {exc}", file=sys.stderr)
-            return 2, []
-        for i, p in enumerate(paths):
-            for j, z in enumerate(p):
-                rows.append(["branch", i, j, z.real, z.imag, acc])
-        header = ["experiment", "path", "step", "x", "y", "acceptance"]
-    elif args.name == "height":
-        quads, mean, var, _ = height_field_stats(
-            cfg.get("M", 0.0), cfg.get("u_bar", 0.0),
-            cfg.get("delta", 1 / 8), cfg.get("block", 3),
-            cfg.get("n", 1000), seed)
-        for q, m_, v_ in zip(quads, mean, var):
-            rows.append(["height", q[0], q[1], m_, v_])
-        header = ["experiment", "corner", "face", "mean", "variance"]
-    else:
-        print(f"unknown experiment {args.name}", file=sys.stderr)
+    for u_bar in c["u_bars"]:
+        for d, ratio, target, err in girsanov_ratio_check(c["M"], u_bar,
+                                                          c["deltas"]):
+            yield d, c["M"], u_bar, ratio, target, err
+
+
+def _crossing(c, seed):
+    from .nearcrit import crossing_grid
+
+    cells = crossing_grid(
+        radii=c["radii"], masses=c["masses"],
+        translations=[complex(*z) for z in c["translations"]],
+        n_samples=c["n"], seed=seed, delta_ratio=c["delta_ratio"])
+    for spec, M, _, est, se in cells:
+        yield spec.r, M, spec.horizontal, spec.z.real, spec.z.imag, est, se
+
+
+def _exitlaw(c, seed):
+    from .nearcrit import exit_law_brownian, exit_law_walk, total_variation
+
+    law = (c["M"], c["u_bar"], c["delta"], c["n"])
+    cw, _ = exit_law_walk(*law, seed)
+    cb, _ = exit_law_brownian(*law, seed + 1)
+    tv = total_variation(cw, cb)
+    for b in range(len(cw)):
+        yield b, int(cw[b]), int(cb[b]), tv
+
+
+def _branch(c, seed):
+    from .nearcrit import conditioned_branch_sampler
+
+    paths, acc = conditioned_branch_sampler(
+        c["M"], c["delta"], c["target_arc"], c["n"], seed,
+        radius=c["radius"])
+    for i, p in enumerate(paths):
+        for j, z in enumerate(p):
+            yield i, j, z.real, z.imag, acc
+
+
+def _height(c, seed):
+    from .nearcrit import height_field_stats
+
+    quads, mean, var, _ = height_field_stats(
+        c["M"], c["u_bar"], c["delta"], c["block"], c["n"], seed)
+    for q, m, v in zip(quads, mean, var):
+        yield q[0], q[1], m, v
+
+
+# kind -> (config keys with their defaults, CSV header after the shared
+# `experiment` column, runner yielding rows from the merged config and seed)
+EXPERIMENTS = {
+    "girsanov": (dict(M=1.0, u_bars=[0.0], deltas=[1 / 32, 1 / 64]),
+                 "delta M u_bar ratio target error", _girsanov),
+    "crossing": (dict(radii=[0.3], masses=[0.0, 1.0],
+                      translations=[[0.0, 0.0]], n=10**4,
+                      delta_ratio=1 / 64),
+                 "r M horizontal z_re z_im estimate stderr", _crossing),
+    "exitlaw": (dict(M=1.0, u_bar=0.0, delta=1 / 64, n=10**4),
+                "arc walk_count brownian_count tv", _exitlaw),
+    "branch": (dict(M=1.0, delta=1 / 32, target_arc=0, n=100, radius=1.0),
+               "path step x y acceptance", _branch),
+    "height": (dict(M=0.0, u_bar=0.0, delta=1 / 8, block=3, n=1000),
+               "corner face mean variance", _height),
+}
+
+
+def cmd_experiment(args):
+    config, header, run = EXPERIMENTS[args.name]
+    cfg = _load_config_or_die(args.config, dict(config, seed=args.seed))
+    args.seed = cfg["seed"]  # so the manifest records the seed the run used
+    try:
+        rows = [[args.name, *row] for row in run(cfg, args.seed)]
+    except ValueError as exc:  # an input the run refuses
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2, []
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["experiment", *header.split()])
         writer.writerows(rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0, [out]
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0, [args.out]
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -615,8 +618,7 @@ def build_parser():
     p.set_defaults(func=cmd_edge_prob)
 
     p = sub.add_parser("verify", help="identity batteries")
-    p.add_argument("battery", choices=["elliptic", "doob", "dimers",
-                                       "periodic"])
+    p.add_argument("battery", choices=BATTERIES)
     p.add_argument("--graph", default=None)
     p.add_argument("--lambda", dest="lam", default="pow2",
                    help="builtin 'pow2' or a JSON table path")
@@ -629,8 +631,7 @@ def build_parser():
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("experiment", help="near-critical experiments")
-    p.add_argument("name", choices=["girsanov", "crossing", "exitlaw",
-                                    "branch", "height"])
+    p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
@@ -642,15 +643,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        result = args.func(args)
+        code, outputs = args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    code, outputs = result
     if code == 0 and outputs:
         manifest_path = args.manifest or outputs[0] + ".manifest.json"
-        args_dict = {k: v for k, v in vars(args).items()
-                     if k not in ("func",)}
+        args_dict = {k: v for k, v in vars(args).items() if k != "func"}
         file_inputs = [v for k, v in vars(args).items()
                        if k in ("graph", "config", "periodic_graph")
                        and isinstance(v, str)]

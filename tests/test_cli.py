@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -363,3 +365,115 @@ class TestDispatch:
             [sys.executable, "-m", "massiveforests.cli", "verify",
              "periodic"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# a small config of every experiment kind and the sha256 of its CSV,
+# recorded before the kinds became one table; height takes its seed from
+# --seed, the others from the config
+PINNED_CONFIGS = {
+    "girsanov": {"M": 1.0, "u_bars": [0.0, 0.5], "deltas": [1 / 16, 1 / 32]},
+    "crossing": {"radii": [0.3], "masses": [0.0, 1.0], "delta_ratio": 1 / 8,
+                 "n": 400, "seed": 3},
+    "exitlaw": {"M": 1.0, "u_bar": 0.3, "delta": 1 / 16, "n": 500, "seed": 5},
+    "branch": {"M": 1.0, "delta": 0.0625, "radius": 0.5, "target_arc": 0,
+               "n": 5, "seed": 7},
+    "height": {"M": 1.0, "u_bar": 0.5, "delta": 0.125, "block": 3, "n": 20},
+}
+PINNED_SHA256 = {
+    "girsanov":
+        "37b1cb7cc48fb247db9e36b3e7bdfc28766c69a6d67a7fe7334cd29cb14dec4d",
+    "crossing":
+        "0553441594b2478e25607d260e80b912f6b128244a64725f92d3626dca6dfb5d",
+    "exitlaw":
+        "7d036622795bcb445cdf2a2d10e9431a0160b3a01f7f19f79aaaba88b8b0ffc1",
+    "branch":
+        "db8f0db9e492500f0a08bca73d9413e6b230530d492c9e2e5c0655155225ab1a",
+    "height":
+        "a9eaf562848456b7052da0b9757ebe3c8dfcb058261d814ddda761e28a4ce60b",
+}
+
+
+def run_experiment(tmp_path, name, cfg, *options):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    code = main([*options, "experiment", name, "--config", str(path),
+                 "--out", str(out)])
+    return code, path, out
+
+
+class TestExperimentKinds:
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_csv_bytes_pinned(self, tmp_path, name):
+        code, _, out = run_experiment(tmp_path, name, PINNED_CONFIGS[name],
+                                      "--seed", "2")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            PINNED_SHA256[name]
+
+    @pytest.mark.parametrize("cfg, seed", [
+        ({"n": 20, "delta": 0.25, "seed": 5}, 5),
+        ({"n": 20, "delta": 0.25}, 9),
+    ], ids=["config-seed", "option-seed"])
+    def test_manifest_records_seed_of_run(self, tmp_path, cfg, seed):
+        code, _, out = run_experiment(tmp_path, "exitlaw", cfg, "--seed", "9")
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["seed"] == seed
+
+    @pytest.mark.parametrize("name, cfg, options", [
+        ("exitlaw", {"n": 10, "delta": 0.25},
+         ["--seed", str(2**48 - 1)]),
+        ("crossing", {"masses": [0.0, 1.0], "n": 10, "delta_ratio": 0.125,
+                      "seed": 2**48 - 1}, []),
+        ("height", {"block": 2, "n": 2}, []),
+    ], ids=["brownian-seed-past-range", "crossing-cell-seed-past-range",
+            "height-block-without-faces"])
+    def test_input_error_inside_run_exit_two(self, tmp_path, capsys, name,
+                                             cfg, options):
+        code, path, out = run_experiment(tmp_path, name, cfg, *options)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unknown_config_key_exit_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_experiment(tmp_path, "exitlaw",
+                           {"M": 1.0, "detla": 0.0625, "n": 200})
+        assert exc.value.code == 2
+        path = tmp_path / "cfg.json"
+        assert capsys.readouterr().err.startswith(
+            f'error: {path}: unknown key "detla"')
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_every_default_passes_its_key_check(self, name):
+        from massiveforests.cli import _CONFIG_CHECKS, EXPERIMENTS
+
+        config = EXPERIMENTS[name][0]
+        for key, value in config.items():
+            what, ok = _CONFIG_CHECKS[key]
+            assert ok(value), (name, key, what)
+
+    def test_import_loads_no_kind_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, massiveforests.cli; print(sorted(m for m in "
+             "('massiveforests.nearcrit', 'massiveforests.dimers', 'scipy')"
+             " if m in sys.modules))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"
+
+
+def test_verify_elliptic_names_the_failed_check(monkeypatch, capsys):
+    from massiveforests import elliptic
+
+    real = elliptic.modulus_from_nome
+    monkeypatch.setattr(elliptic, "modulus_from_nome",
+                        lambda q: dataclasses.replace(real(q), q=2 * q))
+    assert main(["verify", "elliptic"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.endswith(": FAIL")]
+    assert failed == ["  nome round trip: FAIL"]
+    assert sum(line.endswith(": ok") for line in lines) == 4

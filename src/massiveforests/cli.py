@@ -130,6 +130,33 @@ def _load_config_or_die(path, defaults):
     return {**defaults, **cfg}
 
 
+def _parse_edges_or_die(text, g):
+    """[(tail, head)] from `--edges` text like 0-1,2-R (R or root: the
+    cemetery), each end a vertex of g and each edge named once; `error:
+    --edges ...` and exit 2 otherwise."""
+    from .graphs import ROOT
+
+    edges = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            a, b = token.split("-")
+            e = (int(a), ROOT if b in ("R", "root") else int(b))
+        except ValueError:
+            problem = "is not a pair like 0-1 or 2-R"
+        else:
+            if not all(0 <= v < g.n for v in e if v != ROOT):
+                problem = f"names a vertex outside 0..{g.n - 1}"
+            elif e in edges:
+                problem = "is given twice"
+            else:
+                edges.append(e)
+                continue
+        print(f"error: --edges: {token!r} {problem}", file=sys.stderr)
+        raise SystemExit(2)
+    return edges
+
+
 def _load_lambda_or_die(path):
     """{vertex: Fraction} from a JSON object of vertex ids to rationals
     (numbers or strings like "3/2"), or `error: ...` and exit 2."""
@@ -210,10 +237,10 @@ def cmd_sample_forest(args):
 
 
 def cmd_edge_prob(args):
-    from .graphs import ROOT
     from .linalg import assemble_massive_laplacian, edge_probability
 
     g = _load_graph_or_die(args.graph)
+    edges = _parse_edges_or_die(args.edges, g)
     outputs = []
     if args.dump_matrix:
         L = assemble_massive_laplacian(g)
@@ -223,10 +250,6 @@ def cmd_edge_prob(args):
             writer.writerows([i, j, repr(L[i, j])]
                              for i in range(g.n) for j in range(g.n))
         outputs.append(args.dump_matrix)
-    edges = []
-    for token in args.edges.split(","):
-        a, b = token.strip().split("-")
-        edges.append((int(a), ROOT if b in ("R", "root") else int(b)))
     p = edge_probability(g, edges, exact=args.exact)
     print(f"P({args.edges}) = {p}")
     return 0, outputs
@@ -234,7 +257,7 @@ def cmd_edge_prob(args):
 
 def cmd_sample_dimers(args):
     from .dimers import TemperleySampler
-    from .elliptic import complete_integrals, near_critical_modulus
+    from .elliptic import near_critical_modulus
     from .isoradial import drift_field_from_rays
 
     g = _load_graph_or_die(args.graph)
@@ -242,10 +265,11 @@ def cmd_sample_dimers(args):
         print("error: dimer sampling needs a grid file with per-edge rays",
               file=sys.stderr)
         return 2, []
-    if args.M > 0:
+    try:
         mod = near_critical_modulus(args.M, args.delta)
-    else:
-        mod = complete_integrals(0.0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, []
     # --M and --delta give the field's modulus; only the file's own one
     # makes it massive harmonic, i.e. the tilt a Doob transform of the
     # file's killed model
@@ -481,8 +505,10 @@ def _exitlaw(c, seed):
     from .nearcrit import exit_law_brownian, exit_law_walk, total_variation
 
     law = (c["M"], c["u_bar"], c["delta"], c["n"])
-    cw, _ = exit_law_walk(*law, seed)
+    # the one-draw Brownian leg first: an input it refuses (its seed + 1
+    # past the stream range) stops the run before the walk leg
     cb, _ = exit_law_brownian(*law, seed + 1)
+    cw, _ = exit_law_walk(*law, seed)
     tv = total_variation(cw, cb)
     for b in range(len(cw)):
         yield b, int(cw[b]), int(cb[b]), tv

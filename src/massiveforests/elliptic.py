@@ -261,7 +261,9 @@ def exponential_edge_factor(alpha_bar, beta_bar, u_bar,
 
 
 def near_critical_modulus(M, delta) -> EllipticModulus:
-    """Modulus of the regime q = M*delta/2."""
+    """Modulus of the regime q = M*delta/2; M = 0 is the critical k = 0."""
+    if M < 0:
+        raise ValueError(f"mass parameter M = {M} must be nonnegative")
     return modulus_from_nome(0.5 * M * delta)
 
 

@@ -178,11 +178,10 @@ def z_invariant_weights(grid: IsoradialGrid,
                         modulus: EllipticModulus) -> WeightedGraph:
     """Graph over the patch with c = sc(theta|k) and elliptic masses.
 
-    Masses sum the per-edge mass terms over incident edges, so they equal
-    m^2(.|k) at bulk vertices; boundary vertices of the patch carry the
+    Masses sum the per-edge mass terms (one cached quadrature per
+    distinct half-angle) over incident edges, so they equal m^2(.|k) at
+    bulk vertices; boundary vertices of the patch carry the
     incomplete-star value and windows should be taken strictly inside.
-    Grids with at most 64 distinct half-angles take the cached quadrature
-    per half-angle, others the star formula per vertex.
     """
     sc_cache, term_cache = {}, {}
 
@@ -198,9 +197,6 @@ def z_invariant_weights(grid: IsoradialGrid,
             term_cache[key] = mass_term(tb, modulus)
         return term_cache[key]
 
-    distinct = {round(grid.half_angle(e), 14) for e in range(grid.m_edges)}
-    use_quadrature = len(distinct) <= 64
-
     edges = []
     masses = [0.0] * grid.n
     for eid in range(grid.m_edges):
@@ -209,14 +205,8 @@ def z_invariant_weights(grid: IsoradialGrid,
         c = cond_of(tb)
         edges.append((x, y, c))
         edges.append((y, x, c))
-    if use_quadrature:
-        for x in range(grid.n):
-            masses[x] = sum(term_of(grid.half_angle(e))
-                            for e in grid.edges_at(x))
-    else:
-        if modulus.k > 0:
-            for x in range(grid.n):
-                masses[x] = mass_value_via_star(grid, modulus, x)
+    for x in range(grid.n):
+        masses[x] = sum(term_of(grid.half_angle(e)) for e in grid.edges_at(x))
     g = WeightedGraph(grid.n, edges, masses, positions=grid.positions,
                       check=False)
     g.grid = grid
@@ -256,7 +246,11 @@ def lazy_walk_graph(grid, modulus):
 
 
 def mass_value_via_star(grid, modulus, x, u_bar=0.0):
-    """m^2(x|k) from massive harmonicity of the exponential at x."""
+    """m^2(x|k) from massive harmonicity of the exponential at x.
+
+    An oracle for bulk vertices only: at a boundary vertex of the patch
+    the star sum is not the sum of the per-edge mass terms.
+    """
     total = 0.0
     for eid in grid.edges_at(x):
         a, b = grid.rays(eid, x)

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .elliptic import (
-    complete_integrals,
     exponential_edge_factor,
     mass_value,
     near_critical_modulus,
@@ -52,8 +51,7 @@ class SquareLatticeKernel:
         self.M = float(M)
         self.delta = float(delta)
         self.spacing = SQRT2 * delta
-        self.mod = near_critical_modulus(M, delta) if M > 0 else \
-            complete_integrals(0.0)
+        self.mod = near_critical_modulus(M, delta)
         self.c = sc(self.mod.abstract_angle(math.pi / 4), self.mod)
         # the drifted walk carries no mass
         self.m2 = mass_value([math.pi / 4] * 4, self.mod) \
@@ -594,6 +592,8 @@ def exit_law_brownian(M, u_bar, delta, n_samples, seed, radius=1.0,
     so the angles are drawn exactly.  `delta` is kept so the call matches
     `exit_law_walk`; the continuum law does not depend on it.
     """
+    if M < 0:
+        raise ValueError(f"mass parameter M = {M} must be nonnegative")
     angles = rng_stream(seed, 0).vonmises(u_bar, 2 * M * radius, n_samples)
     counts = np.bincount(_arc_bin(angles, n_arcs), minlength=n_arcs)
     return counts.astype(np.int64), int(n_samples)
@@ -745,8 +745,7 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
         z_invariant_weights,
     )
 
-    mod = near_critical_modulus(M, delta) if M > 0 else \
-        complete_integrals(0.0)
+    mod = near_critical_modulus(M, delta)
     size = 2 * block + 6
     grid = build_square_grid(delta, size)
     ambient = z_invariant_weights(grid, mod)

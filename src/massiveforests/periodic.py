@@ -10,6 +10,7 @@ eigenvalue crosses 1, and tilting by it translates the polynomial.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ class PeriodicGraph:
     """Fundamental domain with offset edges.
 
     edges: (x0, y0, (i, j), conductance); closure under reversal with the
-    negated offset is enforced.
+    negated offset is enforced.  The edges are read once into arrays
+    `tail`, `head`, `off` (m x 2) and `cond`, grouped by tail (list order
+    within a tail); those of tail x0 are start[x0]:start[x0 + 1].
     """
 
     n: int
@@ -39,15 +42,19 @@ class PeriodicGraph:
                 raise ValueError("conductances must be positive")
         if any(m < 0 for m in self.masses):
             raise ValueError("masses must be nonnegative")
+        rows = sorted(self.edges, key=lambda e: e[0])  # stable
+        self.tail = np.array([e[0] for e in rows], dtype=int)
+        self.head = np.array([e[1] for e in rows], dtype=int)
+        self.off = np.array([e[2] for e in rows], dtype=int).reshape(-1, 2)
+        self.cond = np.array([e[3] for e in rows], dtype=float)
+        self.start = np.searchsorted(self.tail, np.arange(self.n + 1))
 
     def ck(self, x0):
-        return self.masses[x0] + sum(c for (x, _, _, c) in self.edges
-                                     if x == x0)
+        out = self.cond[self.start[x0]:self.start[x0 + 1]]
+        return self.masses[x0] + sum(out.tolist())
 
     def max_offsets(self):
-        mi = max((abs(o[0]) for (_, _, o, _) in self.edges), default=0)
-        mj = max((abs(o[1]) for (_, _, o, _) in self.edges), default=0)
-        return mi, mj
+        return tuple(np.abs(self.off).max(axis=0, initial=0).tolist())
 
     def unroll(self, reps_i, reps_j):
         """Finite window of the periodic graph with free boundary.
@@ -56,66 +63,81 @@ class PeriodicGraph:
         and keep their periodic masses; edges leaving the window are
         dropped.
         """
-        index = {}
-        for i in range(reps_i):
-            for j in range(reps_j):
-                for x0 in range(self.n):
-                    index[(x0, i, j)] = len(index)
-        edges = []
-        masses = [0.0] * len(index)
-        for (x0, i, j), v in index.items():
-            masses[v] += float(self.masses[x0])
-            for (a, b, o, c) in self.edges:
-                if a != x0:
-                    continue
-                ti, tj = i + o[0], j + o[1]
-                if (b, ti, tj) in index:
-                    edges.append((v, index[(b, ti, tj)], float(c)))
+        index = {(x0, i, j): v for v, (i, j, x0) in enumerate(
+            itertools.product(range(reps_i), range(reps_j), range(self.n)))}
+        # cell after cell in index order, each with all edges in tail order
+        cell = np.arange(reps_i * reps_j)[:, None]
+        ti = cell // reps_j + self.off[:, 0]
+        tj = cell % reps_j + self.off[:, 1]
+        inside = (0 <= ti) & (ti < reps_i) & (0 <= tj) & (tj < reps_j)
+        tails = cell * self.n + self.tail
+        heads = (ti * reps_j + tj) * self.n + self.head
+        conds = np.broadcast_to(self.cond, inside.shape)
+        edges = list(zip(*(a[inside].tolist() for a in (tails, heads, conds))))
+        masses = [float(m) for m in self.masses] * (reps_i * reps_j)
         g = WeightedGraph(len(index), edges, masses, check=False)
         g.periodic_index = index
         return g
 
 
 def square_lattice(mass) -> PeriodicGraph:
-    edges = []
-    for o in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        edges.append((0, 0, o, 1.0))
+    edges = [(0, 0, o, 1.0) for o in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     return PeriodicGraph(1, edges, [mass])
 
 
+def _power(z, e):
+    """z ** e for z of shape (...) and e of shape (m,), a complex (..., m)
+    array formed as a scalar z forms it: Python's float power for real z,
+    numpy's complex power for complex z."""
+    z = z[..., None]
+    if np.iscomplexobj(z):
+        return np.power(z, e)
+    return np.power(z.astype(object), e).astype(complex)
+
+
 def assemble_bloch(pg: PeriodicGraph, z, w):
-    """Delta^k(z, w) over the fundamental domain."""
-    if z == 0 or w == 0:
+    """Delta^k(z, w) over the fundamental domain, shape (..., n, n) for z
+    and w broadcast to shape (...).
+
+    Entry (x0, y0) sums, in this order, the mass of x0 on the diagonal,
+    then over the edges of tail x0 in list order c on the diagonal and
+    -c z^i w^j at y0, all points in one scatter.
+    """
+    z, w = np.broadcast_arrays(np.asarray(z), np.asarray(w))
+    if np.any(z == 0) or np.any(w == 0):
         raise ValueError("Bloch arguments must be nonzero")
     n = pg.n
-    M = np.zeros((n, n), dtype=complex)
-    for x0 in range(n):
-        M[x0, x0] += pg.masses[x0]
-        for (a, b, o, c) in pg.edges:
-            if a != x0:
-                continue
-            M[x0, x0] += c
-            M[x0, b] -= c * (z ** o[0]) * (w ** o[1])
-    return M
+    a, b = pg.cond * _power(z, pg.off[:, 0]), _power(w, pg.off[:, 1])
+    # hop = a * b rounded part by part as numpy's scalar product rounds
+    # it; its array product may fuse a multiply-add (harmless for real c)
+    hop = np.empty_like(a)
+    hop.real = a.real * b.real - a.imag * b.imag
+    hop.imag = a.real * b.imag + a.imag * b.real
+    terms = np.stack(np.broadcast_arrays(pg.cond, -hop), axis=-1)
+    cells = np.stack([pg.tail * (n + 1), pg.tail * n + pg.head], axis=-1)
+    M = np.zeros((z.size, n * n), dtype=complex)
+    M[:, ::n + 1] += np.asarray(pg.masses, dtype=float)
+    np.add.at(M, (slice(None), cells.ravel()), terms.reshape(z.size, -1))
+    return M.reshape(z.shape + (n, n))
 
 
 def bloch_kernel(pg: PeriodicGraph, z, w):
     """Q^k(z, w) = I - D(c^k)^{-1} Delta^k(z, w)."""
-    M = assemble_bloch(pg, z, w)
     ck = np.array([pg.ck(x0) for x0 in range(pg.n)])
-    return np.eye(pg.n) - M / ck[:, None]
+    return np.eye(pg.n) - assemble_bloch(pg, z, w) / ck[:, None]
 
 
 class CharPolyEvaluator:
     """det Delta^k(z, w) with recovered Laurent coefficients."""
 
-    def __init__(self, pg: PeriodicGraph, coeffs, box):
+    def __init__(self, pg: PeriodicGraph, coeffs):
         self.pg = pg
         self.coeffs = coeffs  # {(a, b): real coefficient}
-        self.box = box
 
     def evaluate(self, z, w):
-        return complex(np.linalg.det(assemble_bloch(self.pg, z, w)))
+        """det Delta^k at one point, or at each point of broadcast arrays."""
+        det = np.linalg.det(assemble_bloch(self.pg, z, w))
+        return complex(det) if np.ndim(det) == 0 else det
 
     def evaluate_from_coeffs(self, z, w):
         return sum(c * (z ** a) * (w ** b)
@@ -147,48 +169,39 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
+def _random_points(rng, count):
+    """(z, w) arrays of `count` points, drawn point by point as
+    U(0.5, 2) * exp(2 pi i U(0, 1)), z before w."""
+    zw = [rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+          for _ in range(2 * count)]
+    return np.array(zw[0::2]), np.array(zw[1::2])
+
+
 def charpoly(pg: PeriodicGraph):
     """Recover the Laurent coefficients of det Delta^k(z, w).
 
-    Evaluates the determinant on a product grid of roots of unity scaled
-    by 1, 1.1 or 0.9 and inverts the discrete Fourier relation, taking the
-    first radius whose fit agrees with direct evaluation to 1e-9 at eight
-    fresh points.
+    The exponents lie in [-A, A] x [-B, B] with (A, B) = n * max_offsets,
+    so the determinant on the (2A+1) x (2B+1) grid of roots of unity
+    fixes every coefficient through the inverse discrete Fourier
+    transform.  The fit must agree with direct evaluation to 1e-9 at
+    eight fresh points, or ValueError.
     """
     mi, mj = pg.max_offsets()
     A, B = pg.n * mi, pg.n * mj
     n1, n2 = 2 * A + 1, 2 * B + 1
-    for rad in (1.0, 1.1, 0.9):
-        t1 = np.exp(2j * np.pi * np.arange(n1) / n1)
-        t2 = np.exp(2j * np.pi * np.arange(n2) / n2)
-        vals = np.empty((n1, n2), dtype=complex)
-        for i in range(n1):
-            for j in range(n2):
-                vals[i, j] = np.linalg.det(
-                    assemble_bloch(pg, rad * t1[i], rad * t2[j]))
-        hat = np.fft.ifft2(vals)
-        coeffs = {}
-        for a in range(-A, A + 1):
-            for b in range(-B, B + 1):
-                c = hat[a % n1, b % n2] / (rad ** a) / (rad ** b)
-                if abs(c) > 1e-12:
-                    coeffs[(a, b)] = float(c.real)
-        ev = CharPolyEvaluator(pg, coeffs, (A, B))
-        # refit check at fresh points
-        rng = np.random.default_rng(0)
-        ok = True
-        for _ in range(8):
-            z = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
-            w = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
-            direct = ev.evaluate(z, w)
-            fitted = ev.evaluate_from_coeffs(z, w)
-            scale = max(abs(direct), 1.0)
-            if abs(direct - fitted) > 1e-9 * scale:
-                ok = False
-                break
-        if ok:
-            return ev
-    raise ValueError("coefficient recovery failed the refit gate")
+    t1, t2 = (np.exp(2j * np.pi * np.arange(k) / k) for k in (n1, n2))
+    hat = np.fft.ifft2(np.linalg.det(
+        assemble_bloch(pg, t1[:, None], t2[None, :])))
+    coeffs = {}
+    for a, b in itertools.product(range(-A, A + 1), range(-B, B + 1)):
+        if abs(hat[a % n1, b % n2]) > 1e-12:
+            coeffs[(a, b)] = float(hat[a % n1, b % n2].real)
+    ev = CharPolyEvaluator(pg, coeffs)
+    z, w = _random_points(np.random.default_rng(0), 8)
+    direct, fitted = ev.evaluate(z, w), ev.evaluate_from_coeffs(z, w)
+    if np.any(abs(direct - fitted) > 1e-9 * np.maximum(abs(direct), 1.0)):
+        raise ValueError("coefficient recovery failed the refit gate")
+    return ev
 
 
 PERRON_TOL = 1e-14
@@ -227,25 +240,22 @@ def perron_search(pg: PeriodicGraph, axis=0):
     if all(m == 0 for m in pg.masses):
         return (1.0, 1.0), np.ones(pg.n), 1.0, []
 
-    def beta_at(s):
-        zw = (s, 1.0) if axis == 0 else (1.0, s)
-        Q = bloch_kernel(pg, *zw).real
-        val, vec = perron_eigen(Q)
-        return val, vec
+    def kernel(s):
+        return bloch_kernel(pg, *((s, 1.0) if axis == 0 else (1.0, s))).real
 
-    beta1, _ = beta_at(1.0)
-    if beta1 >= 1.0:
+    # one batch of kernels at 1, 2, 4, ..., 2^20; doubling reads a prefix
+    scales = [2.0**k for k in range(21)]
+    betas = (perron_eigen(Q)[0] for Q in kernel(scales))
+    log = [(1.0, next(betas))]
+    if log[0][1] >= 1.0:
         raise ValueError("kernel at (1,1) is not strictly sub-Markovian")
-    hi = 2.0
-    log = [(1.0, beta1)]
-    while beta_at(hi)[0] < 1.0:
-        hi *= 2.0
-        if hi > 2.0**20:
-            raise ValueError("failed to bracket beta = 1")
+    hi = next((s for s, b in zip(scales[1:], betas) if b >= 1.0), None)
+    if hi is None:
+        raise ValueError("failed to bracket beta = 1")
     lo = hi / 2.0 if hi > 2.0 else 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        bmid, vec = beta_at(mid)
+        bmid, vec = perron_eigen(kernel(mid))
         log.append((mid, bmid))
         if abs(bmid - 1.0) < 1e-12:
             break
@@ -253,11 +263,9 @@ def perron_search(pg: PeriodicGraph, axis=0):
             lo = mid
         else:
             hi = mid
-    s = mid
-    beta_final, vec = beta_at(s)
     vec = vec / vec[0]
-    z0 = (s, 1.0) if axis == 0 else (1.0, s)
-    return z0, vec, beta_final, log
+    z0 = (mid, 1.0) if axis == 0 else (1.0, mid)
+    return z0, vec, bmid, log
 
 
 def tilted_periodic_graph(pg: PeriodicGraph, z0, vec) -> PeriodicGraph:
@@ -272,17 +280,11 @@ def tilted_periodic_graph(pg: PeriodicGraph, z0, vec) -> PeriodicGraph:
 def verify_translation(pg: PeriodicGraph, z0, vec, n_points=20, seed=1):
     """max relative gap of P~(z/z0, w/w0) against P^k(z, w)."""
     tilde = tilted_periodic_graph(pg, z0, vec)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        z = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
-        w = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
-        pk = complex(np.linalg.det(assemble_bloch(pg, z, w)))
-        pt = complex(np.linalg.det(
-            assemble_bloch(tilde, z / z0[0], w / z0[1])))
-        gap = abs(pk - pt) / max(abs(pk), 1.0)
-        worst = max(worst, gap)
-    return worst
+    z, w = _random_points(np.random.default_rng(seed), n_points)
+    pk = np.linalg.det(assemble_bloch(pg, z, w)).tolist()
+    pt = np.linalg.det(assemble_bloch(tilde, z / z0[0], w / z0[1])).tolist()
+    return max((abs(a - b) / max(abs(a), 1.0) for a, b in zip(pk, pt)),
+               default=0.0)
 
 
 def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
@@ -291,9 +293,8 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
 
     # free boundary keeps the periodic masses, so bulk harmonicity is exact
     g = pg.unroll(reps, reps)
-    lam = {}
-    for (x0, i, j), v in g.periodic_index.items():
-        lam[v] = vec[x0] * (z0[0] ** i) * (z0[1] ** j)
+    lam = {v: vec[x0] * (z0[0] ** i) * (z0[1] ** j)
+           for (x0, i, j), v in g.periodic_index.items()}
     # interior vertices: all offsets stay inside
     mi, mj = pg.max_offsets()
     interior = [v for (x0, i, j), v in g.periodic_index.items()
@@ -304,10 +305,8 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
 def spectral_probe(pg: PeriodicGraph, n_samples=50, seed=3):
     """Realness and sign diagnostics of P^k on the positive quadrant."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(n_samples):
-        x = float(np.exp(rng.uniform(-1.5, 1.5)))
-        y = float(np.exp(rng.uniform(-1.5, 1.5)))
-        val = complex(np.linalg.det(assemble_bloch(pg, x, y)))
-        rows.append((x, y, val.real, abs(val.imag)))
-    return rows
+    xy = [(float(np.exp(rng.uniform(-1.5, 1.5))),
+           float(np.exp(rng.uniform(-1.5, 1.5)))) for _ in range(n_samples)]
+    x, y = np.array(xy).reshape(-1, 2).T
+    vals = np.linalg.det(assemble_bloch(pg, x, y)).tolist()
+    return [(a, b, v.real, abs(v.imag)) for (a, b), v in zip(xy, vals)]

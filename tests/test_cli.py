@@ -192,6 +192,64 @@ class TestDispatch:
                      "--exact"]) == 0
         assert "1/3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edges, problem", [
+        ("0-x", "is not a pair like 0-1 or 2-R"),
+        ("0", "is not a pair like 0-1 or 2-R"),
+        ("0-7", "names a vertex outside 0..1"),
+        ("0-1,0-1", "is given twice"),
+    ], ids=["non-integer", "no-dash", "vertex-out-of-range", "duplicate"])
+    def test_edge_prob_bad_edges_exit_two(self, tmp_path, capsys, edges,
+                                          problem):
+        p = tmp_path / "g.json"
+        write_two_vertex(str(p))
+        dump = tmp_path / "L.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["edge-prob", "--graph", str(p), "--edges", edges,
+                  "--dump-matrix", str(dump)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: --edges: {edges.split(',')[-1]!r} {problem}\n"
+        assert captured.out == ""
+        assert not dump.exists()
+
+    def test_rhombic_grid_past_64_half_angles_samples(self, tmp_path):
+        # 81 distinct half-angles; every mass stays nonnegative
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--kind", "rhombic", "--delta", "0.1",
+                     "--window", "9", "--M", "1.0", "--out", gpath]) == 0
+        assert min(load_graph(gpath).masses) >= 0
+        assert main(["sample-forest", "--graph", gpath, "--n", "20",
+                     "--out", str(tmp_path / "counts.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "crossing",
+         {"masses": [-1.0, 0.0], "n": 10, "delta_ratio": 0.125}],
+        ["experiment", "exitlaw", {"M": -1.0, "n": 10, "delta": 0.25}],
+        ["experiment", "girsanov", {"M": -1.0}],
+        ["experiment", "branch", {"M": -1.0, "n": 2}],
+        ["experiment", "height", {"M": -1.0, "n": 2}],
+        ["sample-dimers", "--M", "-1", "--n", "2"],
+    ], ids=["crossing", "exitlaw", "girsanov", "branch", "height",
+            "sample-dimers"])
+    def test_negative_mass_exit_two(self, tmp_path, capsys, argv):
+        # M < 0 was once run as the critical model M = 0
+        if argv[0] == "experiment":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(argv[2]))
+            argv = [*argv[:2], "--config", str(cfg)]
+        else:
+            grid = str(tmp_path / "grid.json")
+            assert main(["grid", "--delta", "0.125", "--window", "8", "--M",
+                         "1.0", "--out", grid]) == 0
+            argv = [*argv, "--graph", grid]
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "M = -1.0" in err
+        assert not out.exists()
+
     def test_grid_and_sample_forest(self, tmp_path):
         gpath = str(tmp_path / "grid.json")
         assert main(["grid", "--delta", "0.1", "--window", "6", "--M",
@@ -435,6 +493,19 @@ class TestExperimentKinds:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_exitlaw_seed_past_range_never_enters_walk_leg(self, tmp_path,
+                                                           monkeypatch):
+        import massiveforests.nearcrit as nearcrit
+
+        def walk_leg(*args, **kwargs):
+            raise AssertionError("the walk leg ran")
+
+        monkeypatch.setattr(nearcrit, "exit_law_walk", walk_leg)
+        code, _, out = run_experiment(tmp_path, "exitlaw", {"n": 10},
+                                      "--seed", str(2**48 - 1))
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -93,6 +93,26 @@ class TestZInvariantWeights:
                               mod)
             assert abs(quad - mass_value_via_star(grid, mod, x)) < 1e-9
 
+    @pytest.mark.parametrize("size", [9, 12])
+    def test_rhombic_masses_are_quadrature_sums(self, size):
+        # past 64 distinct half-angles, boundary vertices keep their
+        # incomplete-star quadrature sum, which is never negative
+        phis, psis = random_rhombic_angles(np.random.default_rng(0), size)
+        grid = build_rhombic_grid(0.1, phis, psis)
+        mod = near_critical_modulus(1.0, 0.1)
+        distinct = {round(grid.half_angle(e), 14)
+                    for e in range(grid.m_edges)}
+        assert len(distinct) > 64
+        masses = z_invariant_weights(grid, mod).masses
+        terms = {}
+        for x in range(grid.n):
+            angles = [grid.half_angle(e) for e in grid.edges_at(x)]
+            for tb in angles:
+                if tb not in terms:
+                    terms[tb] = mass_value([tb], mod)
+            assert masses[x] == sum(terms[tb] for tb in angles)
+            assert masses[x] >= 0
+
     def test_mass_asymptotic_rate(self):
         # |m^2 - 2 M^2 d^2 sum sin(2 tb)| / d^3 bounded across halvings
         M = 1.0

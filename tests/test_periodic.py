@@ -205,3 +205,29 @@ class TestSpectralProbe:
             for y in np.linspace(0.85, 1.2, 6):
                 val = np.linalg.det(assemble_bloch(pg, float(x), float(y)))
                 assert val.real > 0
+
+
+class TestBatchedBloch:
+    def test_stack_equals_points_bit_for_bit(self):
+        pg = two_vertex_domain()
+        rng = np.random.default_rng(4)
+        z = rng.uniform(0.5, 2.0, (3, 4)) * np.exp(2j * np.pi *
+                                                   rng.random((3, 4)))
+        w = rng.uniform(0.5, 2.0, 4)
+        M = assemble_bloch(pg, z, w)
+        assert M.shape == (3, 4, 2, 2)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(M[i, j],
+                                      assemble_bloch(pg, z[i, j], w[j]))
+
+    def test_zero_inside_array_rejected(self):
+        with pytest.raises(ValueError):
+            assemble_bloch(square_lattice(1.0), [1.0, 0.0], 1.0)
+
+    def test_evaluate_stack(self):
+        ev = charpoly(two_vertex_domain())
+        z = np.array([0.7, 1.3j])
+        vals = ev.evaluate(z, 1.1)
+        assert vals.shape == (2,)
+        assert [complex(v) for v in vals] == [ev.evaluate(x, 1.1) for x in z]

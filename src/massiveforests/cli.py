@@ -321,6 +321,8 @@ def verify_elliptic():
     from .elliptic import (
         complete_integrals,
         jacobi,
+        mass_value,
+        mass_value_via_exponential,
         modulus_from_nome,
         verify_near_critical_asymptotics,
     )
@@ -350,9 +352,16 @@ def verify_elliptic():
     for i in (1, 2):
         if rows[i][1] > 4 * max(rows[i - 1][1], 1e-6) + 1e-6:
             failures.append(f"near-critical rates at delta={rows[i][0]}")
+    # the square star: rays around the vertex, half-angles pi/4
+    rays = [(a * math.pi / 4, (a + 2) * math.pi / 4) for a in (-1, 1, 3, 5)]
+    mod = complete_integrals(0.35)
+    mass = mass_value([math.pi / 4] * 4, mod)
+    for u_bar in (0.0, 0.7, 1.9):
+        if abs(mass - mass_value_via_exponential(rays, mod, u_bar)) > 1e-13:
+            failures.append(f"mass closed form at u_bar={u_bar}")
     for line in ("K(0) = E(0) = pi/2", "Legendre relation",
                  "Jacobi identities", "nome round trip",
-                 "near-critical rates"):
+                 "near-critical rates", "mass closed form"):
         failed = any(f.startswith(line) for f in failures)
         print(f"  {line}: {'FAIL' if failed else 'ok'}")
     return failures
@@ -553,11 +562,20 @@ EXPERIMENTS = {
 
 
 def cmd_experiment(args):
+    from .walks import SeedRangeError
+
     config, header, run = EXPERIMENTS[args.name]
-    cfg = _load_config_or_die(args.config, dict(config, seed=args.seed))
+    cfg = _load_config_or_die(args.config, dict(config, seed=None))
+    if cfg["seed"] is None:
+        cfg["seed"], seed_from = args.seed, "--seed"
+    else:
+        seed_from = f'{args.config}: "seed"'
     args.seed = cfg["seed"]  # so the manifest records the seed the run used
     try:
         rows = [[args.name, *row] for row in run(cfg, args.seed)]
+    except SeedRangeError as exc:  # a stream the seed cannot key
+        print(f"error: {seed_from} {args.seed}: {exc}", file=sys.stderr)
+        return 2, []
     except ValueError as exc:  # an input the run refuses
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2, []

@@ -1,22 +1,20 @@
-"""Jacobi elliptic functions and complete integrals.
+"""Jacobi elliptic functions, complete integrals and the elliptic mass.
 
-K and E come from the arithmetic-geometric mean; sn, cn, dn from theta
-series in the nome (2-3 terms in the near-critical regime where q = M*delta/2
-is tiny), with one descending Landen step when the nome exceeds 1/2.
-Conventions follow DLMF 22.2 on the real axis.
+K and E come from the arithmetic-geometric mean; sn, cn, dn and am from
+scipy's `ellipj`, and the mass term in closed form through Jacobi's zeta
+function (DLMF 22.16).  Conventions follow DLMF 22.2 on the real axis.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+
+import numpy as np
 
 _AGM_TOL = 1e-16
 _THETA_TOL = 1e-18
-_Q_SPLIT = 0.5
-_SIMPSON_TOL = 1e-12
-_SIMPSON_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -34,11 +32,6 @@ class EllipticModulus:
     def abstract_angle(self, theta_bar):
         """theta = 2 K theta_bar / pi."""
         return 2.0 * self.K * theta_bar / math.pi
-
-    @cached_property
-    def theta_constants(self):
-        """theta_2, theta_3, theta_4 at 0 and nome q, computed on first use."""
-        return _theta_constants(self.q)
 
 
 def _agm_K_E(k):
@@ -103,126 +96,65 @@ def modulus_from_nome(q) -> EllipticModulus:
     return complete_integrals(min(k, 1.0 - 1e-16))
 
 
-def _theta_series(zeta, q):
-    """theta_1..theta_4 at argument zeta, nome q (real axis)."""
-    t1 = t2 = 0.0
-    n = 0
-    while True:
-        w = q ** (n * (n + 1))
-        t1 += (-1) ** n * w * math.sin((2 * n + 1) * zeta)
-        t2 += w * math.cos((2 * n + 1) * zeta)
-        if w < _THETA_TOL or n > 200:
-            break
-        n += 1
-    q14 = q ** 0.25
-    t1 *= 2.0 * q14
-    t2 *= 2.0 * q14
-    t3, t4 = 1.0, 1.0
-    n = 1
-    while True:
-        w = q ** (n * n)
-        t3 += 2.0 * w * math.cos(2 * n * zeta)
-        t4 += 2.0 * (-1) ** n * w * math.cos(2 * n * zeta)
-        if w < _THETA_TOL or n > 200:
-            break
-        n += 1
-    return t1, t2, t3, t4
+def _ellipj(u, modulus: EllipticModulus):
+    """sn, cn, dn and am at real u (a float or an array)."""
+    from scipy.special import ellipj
+
+    return ellipj(u, modulus.k * modulus.k)
 
 
-class JacobiValues:
-    __slots__ = ("sn", "cn", "dn", "sc", "dc")
+def _real(x):
+    """A float for a 0-d result; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
 
-    def __init__(self, sn, cn, dn):
-        self.sn = sn
-        self.cn = cn
-        self.dn = dn
-        if cn == 0.0:
-            self.sc = math.copysign(math.inf, sn)
-            self.dc = math.copysign(math.inf, dn)
-        else:
-            self.sc = sn / cn
-            self.dc = dn / cn
+
+JacobiValues = namedtuple("JacobiValues", "sn cn dn sc")
 
 
 def jacobi(u, modulus: EllipticModulus) -> JacobiValues:
-    """sn, cn, dn (and sc, dc) at real u."""
-    k = modulus.k
-    if k < 1e-8:  # trig limit; error O(k^2)
-        return JacobiValues(math.sin(u), math.cos(u), 1.0)
-    q = modulus.q
-    if q > _Q_SPLIT:
-        # one descending Landen step: q -> q^2
-        k1 = (1.0 - modulus.kprime) / (1.0 + modulus.kprime)
-        sub = complete_integrals(k1)
-        v = jacobi(u / (1.0 + k1), sub)
-        den = 1.0 + k1 * v.sn * v.sn
-        return JacobiValues((1.0 + k1) * v.sn / den,
-                            v.cn * v.dn / den,
-                            (1.0 - k1 * v.sn * v.sn) / den)
-    zeta = math.pi * u / (2.0 * modulus.K)
-    t1, t2, t3, t4 = _theta_series(zeta, q)
-    z2, z3, z4 = modulus.theta_constants
-    sn = (z3 / z2) * (t1 / t4)
-    cn = (z4 / z2) * (t2 / t4)
-    dn = (z4 / z3) * (t3 / t4)
-    return JacobiValues(sn, cn, dn)
+    """sn, cn, dn and sc at real u."""
+    sn, cn, dn_, _ = map(float, _ellipj(u, modulus))
+    return JacobiValues(sn, cn, dn_,
+                        math.copysign(math.inf, sn) if cn == 0.0 else sn / cn)
 
 
 def sc(u, modulus):
-    return jacobi(u, modulus).sc
+    """sn/cn at real u below K in modulus, a float or an array."""
+    sn, cn, _, _ = _ellipj(u, modulus)
+    return _real(sn / cn)
 
 
 def dn(u, modulus):
-    return jacobi(u, modulus).dn
-
-
-def dc(u, modulus):
-    return jacobi(u, modulus).dc
-
-
-def _adaptive_simpson(f, a, b):
-    def simpson(fa, fm, fb, a_, b_):
-        return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a_, b_, fa, fm, fb, whole, tol_, depth_):
-        m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a_, m)
-        right = simpson(fm, frm, fb, m, b_)
-        if depth_ <= 0 or abs(left + right - whole) < 15.0 * tol_:
-            return left + right + (left + right - whole) / 15.0
-        return rec(a_, m, fa, flm, fm, left, tol_ / 2.0, depth_ - 1) + \
-            rec(m, b_, fm, frm, fb, right, tol_ / 2.0, depth_ - 1)
-
-    if a == b:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(fa, fm, fb, a, b)
-    return rec(a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
+    return float(_ellipj(u, modulus)[2])
 
 
 def mass_term(theta_bar, modulus: EllipticModulus):
-    """Contribution of one incident edge to the squared mass.
+    """Contribution of one incident edge to the squared mass, per entry
+    of a float or an array of half-angles.
 
-    (1/k') (int_0^theta dc^2 + ((E-K)/K) theta) - sc(theta|k) with
-    theta the abstract angle of theta_bar.
+    (1/k') (int_0^theta dc^2 + ((E-K)/K) theta) - sc(theta|k) with theta
+    the abstract angle of theta_bar.  Since int_0^theta dc^2 = theta -
+    eps(theta) + sn dc (DLMF 22.16) and sn (dn - k')/cn = k^2 sn cn/(dn + k'),
+    this is (k^2 sn cn/(dn + k') - Z(theta|k))/k' with Jacobi's zeta
+    Z(theta|k) = eps(am theta|k) - (E/K) theta, and no digits are lost as
+    cn -> 0.
     """
-    if not 0.0 < theta_bar < math.pi / 2:
+    from scipy.special import ellipeinc
+
+    theta_bar = np.asarray(theta_bar, dtype=float)
+    if not np.all((0.0 < theta_bar) & (theta_bar < math.pi / 2)):
         raise ValueError("half-angle must lie in (0, pi/2)")
-    if modulus.k == 0.0:
-        return 0.0
+    k, kp = modulus.k, modulus.kprime
     theta = modulus.abstract_angle(theta_bar)
-    integral = _adaptive_simpson(lambda v: dc(v, modulus) ** 2, 0.0, theta)
-    bracket = (integral + (modulus.E - modulus.K) / modulus.K * theta) \
-        / modulus.kprime
-    return bracket - sc(theta, modulus)
+    sn, cn, dn_, am = _ellipj(theta, modulus)
+    zeta = ellipeinc(am, k * k) - modulus.E / modulus.K * theta
+    return _real((k * k * sn * cn / (dn_ + kp) - zeta) / kp)
 
 
 def mass_value(half_angles, modulus: EllipticModulus):
     """Squared mass m^2(x|k) of a vertex from its incident half-angles.
 
-    One quadrature per distinct half-angle; the terms are summed in the
+    One `mass_term` per distinct half-angle; the terms are summed in the
     order of `half_angles`.
     """
     half_angles = list(half_angles)
@@ -235,7 +167,7 @@ def mass_value_via_exponential(half_angle_rays, modulus: EllipticModulus,
     """Cross-oracle: m^2(x) = sum_y sc(theta_xy)(e_(x,y) - 1).
 
     Rearranged massive harmonicity of the discrete exponential; must agree
-    with the quadrature for any real u_bar.  `half_angle_rays` is a list of
+    with `mass_value` for any real u_bar.  `half_angle_rays` is a list of
     (alpha_bar, beta_bar) per incident edge.
     """
     total = 0.0

@@ -178,35 +178,18 @@ def z_invariant_weights(grid: IsoradialGrid,
                         modulus: EllipticModulus) -> WeightedGraph:
     """Graph over the patch with c = sc(theta|k) and elliptic masses.
 
-    Masses sum the per-edge mass terms (one cached quadrature per
-    distinct half-angle) over incident edges, so they equal m^2(.|k) at
-    bulk vertices; boundary vertices of the patch carry the
+    Masses sum the per-edge mass terms over incident edges, so they equal
+    m^2(.|k) at bulk vertices; boundary vertices of the patch carry the
     incomplete-star value and windows should be taken strictly inside.
     """
-    sc_cache, term_cache = {}, {}
-
-    def cond_of(tb):
-        key = round(tb, 14)
-        if key not in sc_cache:
-            sc_cache[key] = sc(modulus.abstract_angle(tb), modulus)
-        return sc_cache[key]
-
-    def term_of(tb):
-        key = round(tb, 14)
-        if key not in term_cache:
-            term_cache[key] = mass_term(tb, modulus)
-        return term_cache[key]
-
+    half_angles = np.array([grid.half_angle(e) for e in range(grid.m_edges)])
+    conds = sc(modulus.abstract_angle(half_angles), modulus).tolist()
+    terms = mass_term(half_angles, modulus).tolist()
     edges = []
-    masses = [0.0] * grid.n
-    for eid in range(grid.m_edges):
-        x, y = grid.edge_tail[eid], grid.edge_head[eid]
-        tb = grid.half_angle(eid)
-        c = cond_of(tb)
+    for x, y, c in zip(grid.edge_tail, grid.edge_head, conds):
         edges.append((x, y, c))
         edges.append((y, x, c))
-    for x in range(grid.n):
-        masses[x] = sum(term_of(grid.half_angle(e)) for e in grid.edges_at(x))
+    masses = [sum(terms[e] for e in grid.edges_at(x)) for x in range(grid.n)]
     g = WeightedGraph(grid.n, edges, masses, positions=grid.positions,
                       check=False)
     g.grid = grid

@@ -27,6 +27,10 @@ COUNT_CHUNK = 8     # forests per edge-count reduction in `task_counts`
 SEED_BITS, TASK_BITS = 48, 16  # a stream's Philox key is seed << 16 ^ task
 
 
+class SeedRangeError(ValueError):
+    """A seed or task id outside the key range of `rng_stream`."""
+
+
 def rng_stream(seed, task_id=0):
     """Independent generator for (seed, task_id), worker-count agnostic.
 
@@ -35,9 +39,9 @@ def rng_stream(seed, task_id=0):
     stream or overflow.
     """
     if not (0 <= seed < 1 << SEED_BITS and 0 <= task_id < 1 << TASK_BITS):
-        raise ValueError(f"rng_stream needs 0 <= seed < 2**{SEED_BITS} and "
-                         f"0 <= task_id < 2**{TASK_BITS}, not ({seed}, "
-                         f"{task_id})")
+        raise SeedRangeError(f"rng_stream needs 0 <= seed < 2**{SEED_BITS} "
+                             f"and 0 <= task_id < 2**{TASK_BITS}, not "
+                             f"({seed}, {task_id})")
     return np.random.Generator(np.random.Philox(
         key=np.uint64(seed) << np.uint64(TASK_BITS) ^ np.uint64(task_id)))
 

@@ -317,7 +317,7 @@ class TestAcceptance:
                     math.sin(2 * grid.half_angle(e))
                     for e in grid.edges_at(x))
                 ratios.append(abs(wg.masses[x] - pred) / d**3)
-                # cross-oracle: harmonicity identity vs quadrature
+                # cross-oracle: harmonicity identity vs mass_value
                 quad = mass_value(
                     [grid.half_angle(e) for e in grid.edges_at(x)], mod)
                 gap = abs(quad - mass_value_via_star(grid, mod, x))

@@ -439,7 +439,7 @@ PINNED_CONFIGS = {
 }
 PINNED_SHA256 = {
     "girsanov":
-        "37b1cb7cc48fb247db9e36b3e7bdfc28766c69a6d67a7fe7334cd29cb14dec4d",
+        "cc04d6139487967b1f29ebbf90259fce15ad2541669f2e7656e94f232f79f29e",
     "crossing":
         "0553441594b2478e25607d260e80b912f6b128244a64725f92d3626dca6dfb5d",
     "exitlaw":
@@ -479,33 +479,46 @@ class TestExperimentKinds:
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["seed"] == seed
 
-    @pytest.mark.parametrize("name, cfg, options", [
+    # each error names where its input came from: the config or --seed
+    @pytest.mark.parametrize("name, cfg, options, where", [
         ("exitlaw", {"n": 10, "delta": 0.25},
-         ["--seed", str(2**48 - 1)]),
+         ["--seed", str(2**48 - 1)], f"--seed {2**48 - 1}"),
         ("crossing", {"masses": [0.0, 1.0], "n": 10, "delta_ratio": 0.125,
-                      "seed": 2**48 - 1}, []),
-        ("height", {"block": 2, "n": 2}, []),
+                      "seed": 2**48 - 1}, [], f'{{path}}: "seed" {2**48 - 1}'),
+        ("height", {"block": 2, "n": 2}, [], "{path}"),
     ], ids=["brownian-seed-past-range", "crossing-cell-seed-past-range",
             "height-block-without-faces"])
     def test_input_error_inside_run_exit_two(self, tmp_path, capsys, name,
-                                             cfg, options):
+                                             cfg, options, where):
         code, path, out = run_experiment(tmp_path, name, cfg, *options)
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {where.format(path=path)}: ")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_exitlaw_seed_past_range_never_enters_walk_leg(self, tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           capsys):
         import massiveforests.nearcrit as nearcrit
 
         def walk_leg(*args, **kwargs):
             raise AssertionError("the walk leg ran")
 
         monkeypatch.setattr(nearcrit, "exit_law_walk", walk_leg)
+        seed = 2**48 - 1
         code, _, out = run_experiment(tmp_path, "exitlaw", {"n": 10},
-                                      "--seed", str(2**48 - 1))
+                                      "--seed", str(seed))
         assert code == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f"error: --seed {seed}: rng_stream needs")
+        # the same seed from the config names the config's key
+        code, path, out = run_experiment(tmp_path, "exitlaw",
+                                         {"n": 10, "seed": seed})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f'error: {path}: "seed" {seed}: rng_stream needs')
 
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,4 +560,4 @@ def test_verify_elliptic_names_the_failed_check(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.endswith(": FAIL")]
     assert failed == ["  nome round trip: FAIL"]
-    assert sum(line.endswith(": ok") for line in lines) == 4
+    assert sum(line.endswith(": ok") for line in lines) == 5

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,10 +131,8 @@ class TestJacobi:
             assert dn(u, complete_integrals(k)) > 0
 
     def test_landen_branch(self):
-        # nome above 1/2 needs k extremely close to 1; check the branch runs
-        from massiveforests.elliptic import _Q_SPLIT, JacobiValues
+        # a nome above 1/2 needs k extremely close to 1
         mod = complete_integrals(1 - 1e-13)
-        assert mod.q > _Q_SPLIT
         v = jacobi(0.3, mod)
         # at k ~ 1: sn ~ tanh, dn ~ sech
         assert abs(v.sn - math.tanh(0.3)) < 1e-6
@@ -175,7 +174,7 @@ class TestMass:
             assert mass_value(iter(angles), mod) == total
 
     def test_cross_oracle_many_drifts(self):
-        # quadrature mass == sc * (exponential factor - 1) for any drift
+        # mass_value == sc * (exponential factor - 1) for any drift
         mod = complete_integrals(0.35)
         rays = [(-math.pi / 4, math.pi / 4), (math.pi / 4, 3 * math.pi / 4),
                 (3 * math.pi / 4, 5 * math.pi / 4),
@@ -195,6 +194,31 @@ class TestMass:
         for u_bar in (0.2, 2.5):
             assert abs(quad - mass_value_via_exponential(rays, mod, u_bar)) \
                 < 1e-9
+
+
+def mass_term_reference(theta_bar, k):
+    """The defining integral of `mass_term` at 40 digits: (1/k') (int_0^theta
+    dn^2/cn^2 + ((E - K)/K) theta) - sc(theta|k), theta = 2 K theta_bar/pi."""
+    with mp.workdps(40):
+        m = mp.mpf(k) ** 2
+        K, E = mp.ellipk(m), mp.ellipe(m)
+        theta = 2 * K * mp.mpf(theta_bar) / mp.pi
+        integral = mp.quad(lambda v: mp.ellipfun("dc", v, m=m) ** 2,
+                           [0, theta])
+        return float((integral + (E - K) / K * theta) / mp.sqrt(1 - m)
+                     - mp.ellipfun("sc", theta, m=m))
+
+
+class TestMassClosedForm:
+    @pytest.mark.parametrize("M", [1.0, 5.0])
+    @pytest.mark.parametrize("delta", [1 / 16, 1 / 64, 1 / 96, 0.1])
+    def test_against_40_digit_quadrature(self, M, delta):
+        mod = near_critical_modulus(M, delta)
+        angles = [0.05, 0.3, math.pi / 4, 1.2, 1.5]
+        batch = mass_term(np.array(angles), mod)
+        for tb, term in zip(angles, batch):
+            assert mass_term(tb, mod) == term
+            assert abs(term - mass_term_reference(tb, mod.k)) <= 3e-14
 
 
 class TestNearCriticalRates:

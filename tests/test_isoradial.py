@@ -93,10 +93,10 @@ class TestZInvariantWeights:
                               mod)
             assert abs(quad - mass_value_via_star(grid, mod, x)) < 1e-9
 
-    @pytest.mark.parametrize("size", [9, 12])
+    @pytest.mark.parametrize("size", [9, 12, 64])
     def test_rhombic_masses_are_quadrature_sums(self, size):
         # past 64 distinct half-angles, boundary vertices keep their
-        # incomplete-star quadrature sum, which is never negative
+        # incomplete-star sum of mass terms, which is never negative
         phis, psis = random_rhombic_angles(np.random.default_rng(0), size)
         grid = build_rhombic_grid(0.1, phis, psis)
         mod = near_critical_modulus(1.0, 0.1)

@@ -27,7 +27,7 @@ for (a, b), c in sorted(ev.coeffs.items()):
     print(f"  z^{a:+d} w^{b:+d}: {c:+.6f}")
 print(f"Newton polygon: {ev.newton_polygon()}")
 
-z0, vec, beta, log = perron_search(pg)
+z0, vec, beta = perron_search(pg)
 print(f"\nPerron point z0 = ({z0[0]:.12f}, {z0[1]:.0f}) "
       f"with beta = {beta:.12f}")
 print(f"  (s + 1/s = {z0[0] + 1 / z0[0]:.12f}; the scalar equation gives "

@@ -446,6 +446,8 @@ def verify_dimers():
 def verify_periodic():
     from .periodic import (
         charpoly,
+        harmonicity_on_window,
+        honeycomb,
         perron_search,
         square_lattice,
         verify_translation,
@@ -453,7 +455,7 @@ def verify_periodic():
 
     failures = []
     pg = square_lattice(0.5)
-    z0, vec, beta, _ = perron_search(pg)
+    z0, vec, beta = perron_search(pg)
     print(f"  z0 = ({z0[0]:.12f}, {z0[1]:.0f}), beta = {beta:.12f}")
     if abs(z0[0] - 2.0) > 1e-10 or abs(beta - 1.0) > 1e-10:
         failures.append("Perron search z0 = (2, 1)")
@@ -461,6 +463,13 @@ def verify_periodic():
     print(f"  translation identity gap = {gap:.2e}")
     if gap > 1e-8:
         failures.append("translation identity")
+    hc = honeycomb(0.5)
+    z0, vec, _ = perron_search(hc)
+    resid = harmonicity_on_window(hc, z0, vec)
+    print(f"  honeycomb z0 = ({z0[0]:.12f}, {z0[1]:.0f}), "
+          f"harmonicity = {resid:.2e}")
+    if resid > 1e-10:
+        failures.append("honeycomb Perron point")
     ev = charpoly(square_lattice(1.0))
     if abs(ev.coeffs.get((0, 0), 0) - 5.0) > 1e-9:
         failures.append("charpoly coefficients")

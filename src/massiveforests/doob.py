@@ -62,11 +62,14 @@ def massive_laplacian_apply(g: WeightedGraph, f, x):
 
 
 def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
-    """Max relative harmonicity residual |(Delta^k lam)(x)| / (c^k(x) lam(x))."""
+    """Max relative harmonicity residual |(Delta^k lam)(x)| / (c^k(x) lam(x)),
+    inf as soon as one residual is not finite."""
     worst = 0.0
     for x in subset:
         r = massive_laplacian_apply(ambient, lam, x)
         rel = abs(float(r)) / (float(ambient.ck(x)) * float(lam[x]))
+        if not math.isfinite(rel):
+            return math.inf
         worst = max(worst, rel)
     return worst
 

@@ -85,6 +85,15 @@ def square_lattice(mass) -> PeriodicGraph:
     return PeriodicGraph(1, edges, [mass])
 
 
+def honeycomb(mass) -> PeriodicGraph:
+    """Bipartite honeycomb: vertex 0 joined to vertex 1 at offsets (0, 0),
+    (-1, 0) and (0, -1), unit conductances."""
+    edges = []
+    for o in ((0, 0), (-1, 0), (0, -1)):
+        edges += [(0, 1, o, 1.0), (1, 0, (-o[0], -o[1]), 1.0)]
+    return PeriodicGraph(2, edges, [mass, mass])
+
+
 def _power(z, e):
     """z ** e for z of shape (...) and e of shape (m,), a complex (..., m)
     array formed as a scalar z forms it: Python's float power for real z,
@@ -204,28 +213,18 @@ def charpoly(pg: PeriodicGraph):
     return ev
 
 
-PERRON_TOL = 1e-14
-PERRON_MAX_ITER = 20000
-
-
 def perron_eigen(Q):
-    """(eigenvalue, positive eigenvector) by power iteration, until the
-    vector and the eigenvalue move by less than PERRON_TOL (relative for
-    the eigenvalue) or PERRON_MAX_ITER iterations have run."""
-    n = Q.shape[0]
-    v = np.ones(n) / n
-    beta = 1.0
-    for it in range(PERRON_MAX_ITER):
-        v2 = Q @ v
-        beta2 = float(np.max(v2))
-        v2 = v2 / beta2
-        if np.max(np.abs(v2 - v)) < PERRON_TOL \
-                and abs(beta2 - beta) < PERRON_TOL * beta2:
-            ratios = (Q @ v2) / v2
-            return float(np.mean(ratios)), v2
-        v, beta = v2, beta2
-    ratios = (Q @ v) / v
-    return float(np.mean(ratios)), v
+    """(beta, eigenvector) of each real kernel in a stack Q of shape
+    (..., n, n): the eigenvalue of largest real part, which for a
+    nonnegative kernel is its Perron root, with its eigenvector scaled to
+    1 at vertex 0."""
+    lam, vecs = np.linalg.eig(Q)
+    top = np.argmax(lam.real, axis=-1)[..., None]
+    beta = np.take_along_axis(lam.real, top, -1)[..., 0]
+    vec = np.take_along_axis(vecs.real, top[..., None], -1)[..., 0]
+    # a zero at vertex 0 gives inf/nan, which perron_search refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return beta, vec / vec[..., :1]
 
 
 def perron_search(pg: PeriodicGraph, axis=0):
@@ -233,39 +232,36 @@ def perron_search(pg: PeriodicGraph, axis=0):
 
     The kernel at (1, 1) is strictly sub-Markovian when m != 0 and its
     Perron value blows up along the axis, so doubling brackets the
-    crossing below 2^20 and bisection stops at |beta - 1| < 1e-12.
-    Returns (z0 pair, eigenvector over the fundamental domain, beta at z0,
-    bisection log).
+    crossing below 2^20 and Brent's method finds it in t = log s.
+    Returns (z0 pair, eigenvector over the fundamental domain, beta at
+    z0).  ValueError when that eigenvector is not positive, as on a
+    fundamental domain that is not connected.
     """
     if all(m == 0 for m in pg.masses):
-        return (1.0, 1.0), np.ones(pg.n), 1.0, []
+        return (1.0, 1.0), np.ones(pg.n), 1.0
+    from scipy.optimize import brentq
 
     def kernel(s):
         return bloch_kernel(pg, *((s, 1.0) if axis == 0 else (1.0, s))).real
 
-    # one batch of kernels at 1, 2, 4, ..., 2^20; doubling reads a prefix
-    scales = [2.0**k for k in range(21)]
-    betas = (perron_eigen(Q)[0] for Q in kernel(scales))
-    log = [(1.0, next(betas))]
-    if log[0][1] >= 1.0:
+    # one batch of kernels at 1, 2, 4, ..., 2^20
+    scales = 2.0 ** np.arange(21)
+    above = perron_eigen(kernel(scales))[0] >= 1.0
+    if above[0]:
         raise ValueError("kernel at (1,1) is not strictly sub-Markovian")
-    hi = next((s for s, b in zip(scales[1:], betas) if b >= 1.0), None)
-    if hi is None:
+    if not above.any():
         raise ValueError("failed to bracket beta = 1")
-    lo = hi / 2.0 if hi > 2.0 else 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        bmid, vec = perron_eigen(kernel(mid))
-        log.append((mid, bmid))
-        if abs(bmid - 1.0) < 1e-12:
-            break
-        if bmid < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    vec = vec / vec[0]
-    z0 = (mid, 1.0) if axis == 0 else (1.0, mid)
-    return z0, vec, bmid, log
+    hi = scales[np.argmax(above)]
+    # xtol at its floor: t to the last bit, as rtol allows
+    t = brentq(lambda t: perron_eigen(kernel(np.exp(t)))[0] - 1.0,
+               np.log(hi / 2.0), np.log(hi), xtol=5e-324)
+    s = float(np.exp(t))
+    beta, vec = perron_eigen(kernel(s))
+    if not np.all(vec > 0):
+        raise ValueError(f"Perron vector {vec} at z0 = {s} is not positive; "
+                         f"is the fundamental domain connected?")
+    z0 = (s, 1.0) if axis == 0 else (1.0, s)
+    return z0, vec, float(beta)
 
 
 def tilted_periodic_graph(pg: PeriodicGraph, z0, vec) -> PeriodicGraph:

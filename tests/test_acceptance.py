@@ -370,7 +370,7 @@ class TestAcceptance:
 
         t0 = time.time()
         pg = square_lattice(0.5)
-        z0, vec, beta, _ = perron_search(pg)
+        z0, vec, beta = perron_search(pg)
         ok = abs(z0[0] - 2.0) <= 1e-10 and abs(beta - 1.0) <= 1e-10
 
         rng = np.random.default_rng(10)
@@ -398,7 +398,7 @@ class TestAcceptance:
             masses = [float(rng.uniform(0.1, 1.0)) for _ in range(nv)]
             try:
                 pg2 = PeriodicGraph(nv, edges, masses)
-                z02, vec2, beta2, _ = perron_search(pg2)
+                z02, vec2, beta2 = perron_search(pg2)
             except ValueError:
                 continue
             gap = verify_translation(pg2, z02, vec2, n_points=20,

@@ -9,6 +9,7 @@ from massiveforests.doob import (
     doob_conductances,
     martin_kernel_ratio,
     massive_laplacian_apply,
+    require_massive_harmonic,
     tilted_transfer,
     tilted_transfer_direct,
     verify_gauge_identity,
@@ -71,6 +72,15 @@ class TestMassiveHarmonic:
         resid = check_massive_harmonic(g, lam, [1, 2])
         # residual is m(x)/c^k(x) = 1/3 at interior vertices
         assert resid == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_lambda_refused(self, value):
+        # max(worst, nan) keeps worst: a NaN residual must not read as 0
+        g = grid_graph(4, 4, m=Fraction(1, 2))
+        lam = {x: value for x in range(g.n)}
+        assert check_massive_harmonic(g, lam, range(g.n)) == np.inf
+        with pytest.raises(ValueError, match="not massive harmonic"):
+            require_massive_harmonic(g, lam, range(g.n))
 
     def test_potential_column_is_harmonic_off_z(self):
         rng = np.random.default_rng(21)

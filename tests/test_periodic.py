@@ -7,6 +7,7 @@ from massiveforests.periodic import (
     bloch_kernel,
     charpoly,
     harmonicity_on_window,
+    honeycomb,
     perron_search,
     spectral_probe,
     square_lattice,
@@ -27,6 +28,28 @@ def two_vertex_domain(mass0=0.5, mass1=0.25):
         edges.append((x, y, o, c))
         edges.append((y, x, (-o[0], -o[1]), c))
     return PeriodicGraph(2, edges, [mass0, mass1])
+
+
+def random_periodic_graph(seed):
+    """1-3 vertices on a cycle plus two random edges, offsets in [-2, 2];
+    the first edge crosses in i and the second in j, so the Perron search
+    brackets its crossing."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    pairs = [(x, (x + 1) % n) for x in range(n)]
+    pairs += [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(2)]
+    edges = []
+    for k, (x, y) in enumerate(pairs):
+        o = [int(rng.integers(-2, 3)), int(rng.integers(-2, 3))]
+        if k < 2 and o[k] == 0:
+            o[k] = 1
+        if x == y and o == [0, 0]:
+            o = [0, 1]
+        c = float(rng.uniform(0.5, 2.0))
+        edges.append((x, y, tuple(o), c))
+        edges.append((y, x, (-o[0], -o[1]), c))
+    masses = [float(rng.uniform(0.1, 1.0)) for _ in range(n)]
+    return PeriodicGraph(n, edges, masses)
 
 
 class TestBloch:
@@ -92,27 +115,28 @@ class TestCharPoly:
 class TestPerron:
     def test_z2_half_mass(self):
         pg = square_lattice(0.5)
-        z0, vec, beta, log = perron_search(pg)
+        z0, vec, beta = perron_search(pg)
         assert z0[0] == pytest.approx(2.0, abs=1e-10)
         assert abs(beta - 1.0) <= 1e-10
         assert np.all(vec > 0)
 
     def test_mass_to_zero_limit(self):
         for m, tol in ((1e-3, 0.1), (1e-5, 0.01)):
-            z0, _, _, _ = perron_search(square_lattice(m))
+            z0, _, _ = perron_search(square_lattice(m))
             assert abs(z0[0] - 1.0) < tol
 
-    def test_beta_monotone_log(self):
-        pg = square_lattice(0.5)
-        _, _, _, log = perron_search(pg)
-        betas = {round(s, 14): b for s, b in log}
-        ss = sorted(betas)
-        vals = [betas[s] for s in ss]
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(vals, vals[1:]))
+    @pytest.mark.parametrize("pg", [square_lattice(0.5), honeycomb(0.5)],
+                             ids=["square", "honeycomb"])
+    def test_beta_monotone(self, pg):
+        z0, _, _ = perron_search(pg)
+        scales = np.linspace(1.0, z0[0], 50)
+        rho = np.abs(np.linalg.eigvals(bloch_kernel(pg, scales, 1.0).real))
+        vals = rho.max(axis=-1)
+        assert np.all(np.diff(vals) >= -1e-12)
 
     def test_two_vertex_domain(self):
         pg = two_vertex_domain()
-        z0, vec, beta, _ = perron_search(pg)
+        z0, vec, beta = perron_search(pg)
         assert abs(beta - 1.0) <= 1e-10
         assert np.all(vec > 0)
         # the field is massive harmonic for the Bloch matrix at z0
@@ -121,13 +145,45 @@ class TestPerron:
 
     def test_axis_one(self):
         pg = two_vertex_domain()
-        z0, vec, beta, _ = perron_search(pg, axis=1)
+        z0, vec, beta = perron_search(pg, axis=1)
         assert z0[0] == 1.0 and z0[1] > 1.0
         assert abs(beta - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "pg", [honeycomb(0.1), honeycomb(0.5)]
+        + [random_periodic_graph(seed) for seed in range(20)],
+        ids=["honeycomb-0.1", "honeycomb-0.5"]
+        + [f"random-{seed}" for seed in range(20)])
+    def test_gates(self, pg):
+        # bipartite graphs (the honeycomb, random seed 12) included
+        z0, vec, _ = perron_search(pg)
+        beta = np.linalg.eigvals(bloch_kernel(pg, *z0).real).real.max()
+        assert abs(beta - 1.0) <= 1e-12
+        assert harmonicity_on_window(pg, z0, vec) <= 1e-10
+        assert verify_translation(pg, z0, vec) <= 1e-10
+
+    def test_honeycomb_closed_form(self):
+        # Q(s, 1) has eigenvalues +-sqrt((2 + 1/s)(2 + s)) / (3 + m)
+        for m in (0.1, 0.5):
+            z0, vec, _ = perron_search(honeycomb(m))
+            c = ((3 + m) ** 2 - 5) / 2
+            assert z0[0] == pytest.approx((c + np.sqrt(c * c - 4)) / 2,
+                                          rel=1e-14)
+            assert np.all(vec > 0)
+
+    def test_disconnected_domain_refused(self):
+        # two vertices with only self-offset edges: no positive Perron vector
+        edges = []
+        for (x, o, c) in [(0, (1, 0), 1.0), (1, (0, 1), 1.0),
+                          (1, (1, 0), 2.0)]:
+            edges += [(x, x, o, c), (x, x, (-o[0], -o[1]), c)]
+        pg = PeriodicGraph(2, edges, [0.5, 0.5])
+        with pytest.raises(ValueError, match="not positive"):
+            perron_search(pg)
+
     def test_harmonic_on_unrolled_window(self):
         pg = square_lattice(0.5)
-        z0, vec, _, _ = perron_search(pg)
+        z0, vec, _ = perron_search(pg)
         assert harmonicity_on_window(pg, z0, vec, reps=5) <= 1e-10
 
 
@@ -151,19 +207,19 @@ class TestUnroll:
 class TestTranslation:
     def test_z2_identity(self):
         pg = square_lattice(0.5)
-        z0, vec, _, _ = perron_search(pg)
+        z0, vec, _ = perron_search(pg)
         assert verify_translation(pg, z0, vec) <= 1e-10
 
     def test_tilde_kills_constants(self):
         pg = square_lattice(0.5)
-        z0, vec, _, _ = perron_search(pg)
+        z0, vec, _ = perron_search(pg)
         tilde = tilted_periodic_graph(pg, z0, vec)
         M = assemble_bloch(tilde, 1.0, 1.0)
         assert np.max(np.abs(np.asarray(M).sum(axis=1))) < 1e-10
 
     def test_specific_point(self):
         pg = square_lattice(0.5)
-        z0, vec, _, _ = perron_search(pg)
+        z0, vec, _ = perron_search(pg)
         z, w = 2.0, 1.0 + 1.0j
         pk = np.linalg.det(assemble_bloch(pg, z, w))
         tilde = tilted_periodic_graph(pg, z0, vec)
@@ -181,7 +237,7 @@ class TestTranslation:
                 edges.append((y, x, (-o[0], -o[1]), c))
             pg = PeriodicGraph(2, edges, [float(rng.uniform(0.1, 1.0)),
                                           float(rng.uniform(0.1, 1.0))])
-            z0, vec, beta, _ = perron_search(pg)
+            z0, vec, beta = perron_search(pg)
             assert abs(beta - 1.0) <= 1e-9
             assert verify_translation(pg, z0, vec) <= 1e-8
 

@@ -132,9 +132,10 @@ def _load_config_or_die(path, defaults):
 
 def _parse_edges_or_die(text, g):
     """[(tail, head)] from `--edges` text like 0-1,2-R (R or root: the
-    cemetery), each end a vertex of g and each edge named once; `error:
+    cemetery), each an edge of g (x-R needs m(x) > 0) named once; `error:
     --edges ...` and exit 2 otherwise."""
     from .graphs import ROOT
+    from .linalg import edge_conductance_k
 
     edges = []
     for token in text.split(","):
@@ -147,6 +148,8 @@ def _parse_edges_or_die(text, g):
         else:
             if not all(0 <= v < g.n for v in e if v != ROOT):
                 problem = f"names a vertex outside 0..{g.n - 1}"
+            elif edge_conductance_k(g, e) == 0:
+                problem = "names no edge of the graph"
             elif e in edges:
                 problem = "is given twice"
             else:
@@ -520,13 +523,9 @@ def _crossing(c, seed):
 
 
 def _exitlaw(c, seed):
-    from .nearcrit import exit_law_brownian, exit_law_walk, total_variation
+    from .nearcrit import exit_law_pair, total_variation
 
-    law = (c["M"], c["u_bar"], c["delta"], c["n"])
-    # the one-draw Brownian leg first: an input it refuses (its seed + 1
-    # past the stream range) stops the run before the walk leg
-    cb, _ = exit_law_brownian(*law, seed + 1)
-    cw, _ = exit_law_walk(*law, seed)
+    cw, cb = exit_law_pair(c["M"], c["u_bar"], c["delta"], c["n"], seed)
     tv = total_variation(cw, cb)
     for b in range(len(cw)):
         yield b, int(cw[b]), int(cb[b]), tv

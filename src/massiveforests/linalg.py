@@ -2,19 +2,23 @@
 
 One assembler builds the (row, col, value) triplets of the massive
 Laplacian from the edge arrays.  Every float factorization is one sparse
-LU (SuperLU): determinants and log-determinants of dense or sparse
-matrices, the full potential and the few potential columns a determinantal
-query reads.  Every exact determinant and solve is one Gaussian
-elimination over Fractions that skips zero entries, so that the
-matrix-forest and determinantal identities can be checked bit-exactly
-against the enumeration oracles.  Each graph's Laplacian is factored once,
-float and exact, and the factors are kept while the graph lives: every
-later potential and determinantal query on it only solves its columns
-(exact columns are solved once and kept too).
+LU (SuperLU) on one fill-reducing ordering, the minimum degree of A^T + A:
+determinants and log-determinants of dense or sparse matrices, the full
+potential and the few potential columns a determinantal query reads.
+Columns of the potential are solved SOLVE_BLOCK at a time into one
+Fortran-ordered output on its own memory mapping, so that freeing a full
+potential hands its pages back to the OS.  Every exact determinant and
+solve is one Gaussian elimination over Fractions that skips zero entries,
+so that the matrix-forest and determinantal identities can be checked
+bit-exactly against the enumeration oracles.  Each graph's Laplacian is
+factored once, float and exact, and the factors are kept while the graph
+lives: every later potential and determinantal query on it only solves
+its columns (exact columns are solved once and kept too).
 """
 
 from __future__ import annotations
 
+import mmap
 import warnings
 import weakref
 from fractions import Fraction
@@ -22,6 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import ROOT, WeightedGraph
+
+SOLVE_BLOCK = 64  # potential columns per SuperLU solve
 
 
 class RecurrentWalkError(ValueError):
@@ -92,8 +98,9 @@ def _permutation_parity(p):
 
 
 def _sparse_lu(M):
-    """SuperLU factorization of a square float or complex matrix; None if
-    singular.
+    """SuperLU factorization of a square float or complex matrix, columns
+    in minimum-degree order of A^T + A (the Laplacian's pattern is
+    symmetric); None if singular.
 
     M is a scipy sparse matrix or a dense array.  A dense M is scanned once
     for its nonzeros, whose flat indices give the CSR arrays directly
@@ -115,7 +122,7 @@ def _sparse_lu(M):
             (M.ravel()[idx], cols.astype(np.intc), indptr),
             shape=M.shape).tocsc()
     try:
-        return scipy.sparse.linalg.splu(A)
+        return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # "Factor is exactly singular"
         if "singular" not in str(err):
             raise
@@ -339,9 +346,16 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
         return [[v[x] for v, _ in kept] for x in range(g.n)], \
             [c for _, c in kept]
     ck = [float(g.ck(y)) for y in ys]
-    D = np.zeros((g.n, len(ys)))
-    D[ys, np.arange(len(ys))] = ck
-    return f.lu[False].solve(D), ck
+    # V on its own anonymous mapping: freed, its pages go back to the OS,
+    # where a heap block of this size may stay resident
+    V = np.ndarray((g.n, len(ys)), order="F",
+                   buffer=mmap.mmap(-1, max(8 * g.n * len(ys), 1)))
+    for s in range(0, len(ys), SOLVE_BLOCK):
+        block = ys[s:s + SOLVE_BLOCK]
+        D = np.zeros((g.n, len(block)))
+        D[block, np.arange(len(block))] = ck[s:s + SOLVE_BLOCK]
+        V[:, s:s + len(block)] = f.lu[False].solve(D)
+    return V, ck
 
 
 def potential(g: WeightedGraph, exact=False) -> Potential:

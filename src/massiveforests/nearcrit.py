@@ -101,6 +101,7 @@ def _tasks(n, per_task):
 # -- the lattice-walker engine -------------------------------------------------
 
 STEP_CAP = 10**7
+EXIT_TASK = 1 << 14  # walkers per exit-law task
 JUMP_MAX = 64  # the longest jump, in lattice steps; a power of two
 GUIDE_CELLS = 1 << 12  # guide cells per outcome table; a power of two
 
@@ -505,11 +506,18 @@ def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
     `max_steps` count as misses and raise a RuntimeWarning.
     Returns (estimate, stderr).
     """
+    return _crossing_cell(spec, delta, M, n_samples, rng_stream(seed, 0),
+                          max_steps, coupled_uniforms)
+
+
+def _crossing_cell(spec, delta, M, n_samples, rng, max_steps=None,
+                   coupled_uniforms=None):
+    """`crossing_probability` with its walkers drawn from rng."""
     kernel = SquareLatticeKernel(M, delta)
     box, target, start = _crossing_box(spec, kernel)
     if max_steps is None:
         max_steps = int(40 * (3 * spec.r / kernel.spacing) ** 2) + 1000
-    w = _walk(kernel, box, start, n_samples, rng_stream(seed, 0), max_steps,
+    w = _walk(kernel, box, start, n_samples, rng, max_steps,
               uniforms=coupled_uniforms)
     est = float(np.count_nonzero(~w.died & target[w.final])) / n_samples
     stderr = math.sqrt(max(est * (1 - est), 1e-12) / n_samples)
@@ -519,13 +527,17 @@ def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
 def crossing_grid(radii=(0.1, 0.3, 1.0), masses=(0.0, 1.0),
                   translations=(0j, 0.37 + 0.11j, -1.2 - 0.53j),
                   n_samples=10**5, seed=0, delta_ratio=1 / 64):
-    """The full crossing battery; yields (spec, M, delta, estimate, stderr)."""
+    """The full crossing battery; yields (spec, M, delta, estimate, stderr).
+
+    Cell k draws from `rng_stream(seed, k)`, so no two cells of a run, nor
+    of runs at other seeds, share a stream.
+    """
     rows = []
     cells = itertools.product(radii, (True, False), translations, masses)
     for task, (r, horizontal, z, M) in enumerate(cells):
         spec = CrossingSpec(r=r, z=z, horizontal=horizontal)
-        est, se = crossing_probability(spec, r * delta_ratio, M, n_samples,
-                                       seed + task)
+        est, se = _crossing_cell(spec, r * delta_ratio, M, n_samples,
+                                 rng_stream(seed, task))
         rows.append((spec, M, r * delta_ratio, est, se))
     return rows
 
@@ -574,7 +586,7 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
     kernel = SquareLatticeKernel(M, delta, u_bar=u_bar if drifted else None)
     box = _disk_box(kernel.spacing, radius)
     counts = np.zeros(n_arcs, dtype=np.int64)
-    for task, todo in _tasks(n_samples, 1 << 14):
+    for task, todo in _tasks(n_samples, EXIT_TASK):
         w = _walk(kernel, box, box.nearest(0j), todo,
                   rng_stream(seed, task), STEP_CAP)
         counts += np.bincount(_exit_arcs(box, w, radius, n_arcs)[1],
@@ -592,11 +604,32 @@ def exit_law_brownian(M, u_bar, delta, n_samples, seed, radius=1.0,
     so the angles are drawn exactly.  `delta` is kept so the call matches
     `exit_law_walk`; the continuum law does not depend on it.
     """
+    return _brownian_exits(M, u_bar, n_samples, seed, 0, radius, n_arcs)
+
+
+def _brownian_exits(M, u_bar, n_samples, seed, task, radius=1.0, n_arcs=16):
+    """`exit_law_brownian` drawn from `rng_stream(seed, task)`."""
     if M < 0:
         raise ValueError(f"mass parameter M = {M} must be nonnegative")
-    angles = rng_stream(seed, 0).vonmises(u_bar, 2 * M * radius, n_samples)
+    angles = rng_stream(seed, task).vonmises(u_bar, 2 * M * radius,
+                                             n_samples)
     counts = np.bincount(_arc_bin(angles, n_arcs), minlength=n_arcs)
     return counts.astype(np.int64), int(n_samples)
+
+
+def exit_law_pair(M, u_bar, delta, n_samples, seed):
+    """(walk counts, Brownian counts) of one exit-law run, on disjoint
+    streams.
+
+    The walk leg is `exit_law_walk`, on tasks 0, 1, ... of seed; the
+    Brownian leg draws from the first task after them.  The one-draw
+    Brownian leg runs first, so an input it refuses stops the run before
+    the walk leg.
+    """
+    brownian, _ = _brownian_exits(M, u_bar, n_samples, seed,
+                                  len(_tasks(n_samples, EXIT_TASK)))
+    walk, _ = exit_law_walk(M, u_bar, delta, n_samples, seed)
+    return walk, brownian
 
 
 def exit_law_continuum(M, u_bar, radius=1.0, n_arcs=16):

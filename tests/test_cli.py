@@ -197,7 +197,9 @@ class TestDispatch:
         ("0", "is not a pair like 0-1 or 2-R"),
         ("0-7", "names a vertex outside 0..1"),
         ("0-1,0-1", "is given twice"),
-    ], ids=["non-integer", "no-dash", "vertex-out-of-range", "duplicate"])
+        ("0-1,0-0", "names no edge of the graph"),
+    ], ids=["non-integer", "no-dash", "vertex-out-of-range", "duplicate",
+            "loop-not-in-graph"])
     def test_edge_prob_bad_edges_exit_two(self, tmp_path, capsys, edges,
                                           problem):
         p = tmp_path / "g.json"
@@ -212,6 +214,40 @@ class TestDispatch:
             f"error: --edges: {edges.split(',')[-1]!r} {problem}\n"
         assert captured.out == ""
         assert not dump.exists()
+
+    @pytest.mark.parametrize("edges, bad", [
+        ("0-1,20-21", "0-1"), ("0-11,20-30,0-22", "0-22"),
+    ], ids=["first", "last"])
+    def test_edge_prob_refuses_pair_naming_no_edge(self, tmp_path, capsys,
+                                                   edges, bad):
+        # on the CLI grid vertex 0's only neighbour is 11: 0-1 once printed
+        # P(0-1,20-21) = 0.0 and exited 0
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--kind", "square", "--delta", "0.05",
+                     "--window", "20", "--M", "1.0", "--out", gpath]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["edge-prob", "--graph", gpath, "--edges", edges])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: --edges: {bad!r} names no edge of the graph\n"
+        assert captured.out == ""
+
+    def test_edge_prob_refuses_root_edge_of_massless_vertex(self, tmp_path,
+                                                            capsys):
+        p = tmp_path / "g.json"
+        save_graph(str(p), symmetric_graph(
+            3, [(0, 1, Fraction(1)), (1, 2, Fraction(1))],
+            [Fraction(1), Fraction(0), Fraction(1)]))
+        assert main(["edge-prob", "--graph", str(p), "--edges", "0-R",
+                     "--exact"]) == 0
+        assert capsys.readouterr().out.startswith("P(0-R) = ")
+        with pytest.raises(SystemExit) as exc:
+            main(["edge-prob", "--graph", str(p), "--edges", "0-R,1-R"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: --edges: '1-R' names no edge of the graph\n"
 
     def test_rhombic_grid_past_64_half_angles_samples(self, tmp_path):
         # 81 distinct half-angles; every mass stays nonnegative
@@ -350,9 +386,10 @@ class TestDispatch:
 
     def test_experiment_crossing_cells_seeded_apart(self, tmp_path):
         # two identical cells (same r, z, M, orientation) must not share a
-        # stream: cell k runs on seed 7 + k; reruns of one invocation stay
-        # byte-identical
-        from massiveforests.nearcrit import CrossingSpec, crossing_probability
+        # stream: cell k runs on rng_stream(7, k); reruns of one invocation
+        # stay byte-identical
+        from massiveforests.nearcrit import CrossingSpec, _crossing_cell
+        from massiveforests.walks import rng_stream
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -370,10 +407,39 @@ class TestDispatch:
         assert rows[0].split(",")[:6] == rows[1].split(",")[:6]
         for k, row in enumerate(rows):
             horizontal = row.split(",")[3] == "True"
-            est, _ = crossing_probability(
+            est, _ = _crossing_cell(
                 CrossingSpec(r=0.3, horizontal=horizontal), 0.3 / 8, 1.0,
-                400, seed=7 + k)
+                400, rng_stream(7, k))
             assert float(row.split(",")[6]) == est
+
+    def test_experiment_streams_never_repeat_across_seeds(self, tmp_path,
+                                                           monkeypatch):
+        # runs at seeds 7 and 8 of one kind share no (seed, task) stream:
+        # crossing cell 1 at seed 7 once ran on cell 0's seed at 8, and the
+        # exitlaw Brownian leg at 7 on the walk leg's seed at 8
+        import massiveforests.nearcrit as nearcrit
+        from massiveforests.walks import rng_stream
+
+        keys = []
+
+        def recording_stream(seed, task_id=0):
+            keys.append((seed, task_id))
+            return rng_stream(seed, task_id)
+
+        monkeypatch.setattr(nearcrit, "rng_stream", recording_stream)
+        configs = {
+            "crossing": ({"radii": [0.3], "masses": [0.0, 1.0],
+                          "delta_ratio": 1 / 8, "n": 50}, 8),
+            "exitlaw": ({"n": 200, "delta": 0.25}, 4),
+        }
+        for name, (cfg, n_streams) in configs.items():
+            keys.clear()
+            for seed in (7, 8):
+                code, _, _ = run_experiment(tmp_path, name, cfg, "--seed",
+                                            str(seed))
+                assert code == 0
+            assert len(keys) == n_streams
+            assert len(set(keys)) == len(keys), (name, keys)
 
     def test_experiment_exitlaw_reruns_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -426,8 +492,9 @@ class TestDispatch:
 
 
 # a small config of every experiment kind and the sha256 of its CSV,
-# recorded before the kinds became one table; height takes its seed from
-# --seed, the others from the config
+# recorded before the kinds became one table (crossing and exitlaw again
+# when each cell and leg got its own task stream); height takes its seed
+# from --seed, the others from the config
 PINNED_CONFIGS = {
     "girsanov": {"M": 1.0, "u_bars": [0.0, 0.5], "deltas": [1 / 16, 1 / 32]},
     "crossing": {"radii": [0.3], "masses": [0.0, 1.0], "delta_ratio": 1 / 8,
@@ -441,9 +508,9 @@ PINNED_SHA256 = {
     "girsanov":
         "cc04d6139487967b1f29ebbf90259fce15ad2541669f2e7656e94f232f79f29e",
     "crossing":
-        "0553441594b2478e25607d260e80b912f6b128244a64725f92d3626dca6dfb5d",
+        "0087910df7d1c5419870639d6192f683157acd45523391a6f4a46e1742066191",
     "exitlaw":
-        "7d036622795bcb445cdf2a2d10e9431a0160b3a01f7f19f79aaaba88b8b0ffc1",
+        "2b6d890d7403ae40dbe5dd54dc684a7a6557dd11b96dc9b4037b3af1a9171c9a",
     "branch":
         "db8f0db9e492500f0a08bca73d9413e6b230530d492c9e2e5c0655155225ab1a",
     "height":
@@ -479,15 +546,14 @@ class TestExperimentKinds:
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["seed"] == seed
 
-    # each error names where its input came from: the config or --seed
+    # each error names where its input came from: the config or --seed;
+    # 2**30 + 1 walkers take 65537 walk tasks, so the Brownian leg's task
+    # is past the stream range
     @pytest.mark.parametrize("name, cfg, options, where", [
-        ("exitlaw", {"n": 10, "delta": 0.25},
+        ("exitlaw", {"n": 2**30 + 1, "delta": 0.25},
          ["--seed", str(2**48 - 1)], f"--seed {2**48 - 1}"),
-        ("crossing", {"masses": [0.0, 1.0], "n": 10, "delta_ratio": 0.125,
-                      "seed": 2**48 - 1}, [], f'{{path}}: "seed" {2**48 - 1}'),
         ("height", {"block": 2, "n": 2}, [], "{path}"),
-    ], ids=["brownian-seed-past-range", "crossing-cell-seed-past-range",
-            "height-block-without-faces"])
+    ], ids=["brownian-seed-past-range", "height-block-without-faces"])
     def test_input_error_inside_run_exit_two(self, tmp_path, capsys, name,
                                              cfg, options, where):
         code, path, out = run_experiment(tmp_path, name, cfg, *options)
@@ -506,7 +572,7 @@ class TestExperimentKinds:
 
         monkeypatch.setattr(nearcrit, "exit_law_walk", walk_leg)
         seed = 2**48 - 1
-        code, _, out = run_experiment(tmp_path, "exitlaw", {"n": 10},
+        code, _, out = run_experiment(tmp_path, "exitlaw", {"n": 2**30 + 1},
                                       "--seed", str(seed))
         assert code == 2
         assert not out.exists()
@@ -514,7 +580,7 @@ class TestExperimentKinds:
             f"error: --seed {seed}: rng_stream needs")
         # the same seed from the config names the config's key
         code, path, out = run_experiment(tmp_path, "exitlaw",
-                                         {"n": 10, "seed": seed})
+                                         {"n": 2**30 + 1, "seed": seed})
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(

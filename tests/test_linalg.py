@@ -496,6 +496,80 @@ class TestFloatQueries:
         assert abs(total - 1.0) <= 1e-9
 
 
+def drifted_grid(nx, ny):
+    """Float grid with mass 0.05 and conductances tilted as in a Doob
+    transform, c_(x,y) lambda(y)/lambda(x) with lambda = exp(0.3 i - 0.2 j):
+    each edge's two directions carry different conductances."""
+    g = grid_graph(nx, ny, c=1.0, m=0.05)
+    lam = np.exp(g.positions @ [0.3, -0.2])
+    edges = [(t, h, c * lam[h] / lam[t]) for t, h, c in
+             zip(g.tail.tolist(), g.head.tolist(), g.cond_f.tolist())]
+    return WeightedGraph(g.n, edges, g.masses)
+
+
+def rss_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+class TestBlockedSolve:
+    """Float potentials solved SOLVE_BLOCK columns at a time against the
+    minimum-degree SuperLU factor, checked against dense LAPACK."""
+
+    GRAPHS = {
+        "grid5x6": lambda: grid_graph(5, 6, c=1.0, m=0.05),  # one block
+        "grid9x15": lambda: grid_graph(9, 15, c=1.0, m=0.05),  # 64+64+7
+        "grid41": lambda: grid_graph(41, 41, c=1.0, m=0.05),
+        "drifted": lambda: drifted_grid(12, 11),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_potential_matches_dense_solve(self, graph):
+        g = self.GRAPHS[graph]()
+        ref = np.linalg.solve(loop_laplacian(g),
+                              np.diag([float(g.ck(x)) for x in range(g.n)]))
+        V = potential(g).V
+        assert V.flags.f_contiguous
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_columns_match_full_potential(self, graph):
+        g = self.GRAPHS[graph]()
+        V = potential(g).V
+        scale = np.max(np.abs(V))
+        rng = np.random.default_rng(5)
+        for k in (1, 3, 65, g.n):
+            ys = rng.choice(g.n, size=min(k, g.n), replace=False)
+            pot = linalg._potential_columns(g, ys)
+            for y in ys.tolist():
+                col = pot.V[:, pot.columns[y]]
+                assert np.max(np.abs(col - V[:, y])) <= 1e-12 * scale
+
+    def test_float_determinant_of_rational_grid(self):
+        g = grid_graph(5, 5, m=Fraction(1, 20))
+        exact = determinant_exact(assemble_massive_laplacian_exact(g))
+        for L in (assemble_massive_laplacian(g),
+                  assemble_massive_laplacian_sparse(g)):
+            assert abs(determinant(L) - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the resident set from /proc")
+    def test_freed_potential_leaves_resident_set(self):
+        # V of a 41x41 grid is 21.6 MB; a heap block of that size, once the
+        # allocator's mmap threshold has risen past it, stays resident
+        g = grid_graph(41, 41, c=1.0, m=0.05)
+        edge_probability(g, [(0, ROOT)])  # the kept factor
+        big = np.ones(3_000_000)
+        del big  # raises glibc's mmap threshold to 24 MB
+        gc.collect()
+        before = rss_mb()
+        for _ in range(3):
+            V = potential(g).V
+            del V
+        gc.collect()
+        assert rss_mb() - before < 8
+
+
 class TestFactorCache:
     """Queries on one graph reuse its factors; results stay those of a
     graph queried for the first time."""

@@ -246,12 +246,12 @@ def cmd_edge_prob(args):
     edges = _parse_edges_or_die(args.edges, g)
     outputs = []
     if args.dump_matrix:
-        L = assemble_massive_laplacian(g)
+        L = assemble_massive_laplacian(g).toarray()
         with open(args.dump_matrix, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "value"])
-            writer.writerows([i, j, repr(L[i, j])]
-                             for i in range(g.n) for j in range(g.n))
+            writer.writerows([i, j, repr(v)]
+                             for (i, j), v in np.ndenumerate(L))
         outputs.append(args.dump_matrix)
     p = edge_probability(g, edges, exact=args.exact)
     print(f"P({args.edges}) = {p}")

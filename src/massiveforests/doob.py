@@ -24,7 +24,6 @@ from .graphs import (
 from .linalg import (
     assemble_massive_laplacian,
     assemble_massive_laplacian_exact,
-    assemble_massive_laplacian_sparse,
     determinant_exact,
     log_determinant,
     potential,
@@ -89,8 +88,8 @@ def verify_gauge_identity(ambient: WeightedGraph, lam, subset):
     subset = sorted(subset)
     window = wired_restriction(ambient, subset)
     tilde_window = wired_restriction(doob_conductances(ambient, lam), subset)
-    Lk = assemble_massive_laplacian(window)
-    Lt = assemble_massive_laplacian(tilde_window)
+    Lk = assemble_massive_laplacian(window).toarray()
+    Lt = assemble_massive_laplacian(tilde_window).toarray()
     lam_v = np.array([float(lam[x]) for x in subset])
     gauge = (Lk * lam_v[None, :]) / lam_v[:, None]
     return float(np.max(np.abs(Lt - gauge)))
@@ -118,9 +117,8 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
             assemble_massive_laplacian_exact(tilde_window))
         gap = abs(z_forest - z_tree)
     else:
-        z_forest = log_determinant(assemble_massive_laplacian_sparse(window))
-        z_tree = log_determinant(
-            assemble_massive_laplacian_sparse(tilde_window))
+        z_forest = log_determinant(assemble_massive_laplacian(window))
+        z_tree = log_determinant(assemble_massive_laplacian(tilde_window))
         (s_forest, ld_forest), (s_tree, ld_tree) = z_forest, z_tree
         gap = abs(math.expm1(ld_tree - ld_forest)) \
             if s_forest == s_tree != 0 else math.inf

@@ -1,10 +1,12 @@
 """Massive Laplacians, potentials and transfer currents.
 
 One assembler builds the (row, col, value) triplets of the massive
-Laplacian from the edge arrays.  Every float factorization is one sparse
-LU (SuperLU) on one fill-reducing ordering, the minimum degree of A^T + A:
-determinants and log-determinants of dense or sparse matrices, the full
-potential and the few potential columns a determinantal query reads.
+Laplacian from the edge arrays and sums them into a sparse CSC matrix
+(float) or a Fraction matrix (exact); no dense float Laplacian is built.
+Every float factorization is one sparse LU (SuperLU) on one fill-reducing
+ordering, the minimum degree of A^T + A: determinants and log-determinants
+of sparse matrices and of small dense ones, the full potential and the few
+potential columns a determinantal query reads.
 Columns of the potential are solved SOLVE_BLOCK at a time into one
 Fortran-ordered output on its own memory mapping, so that freeing a full
 potential hands its pages back to the OS.  Every exact determinant and
@@ -57,19 +59,22 @@ def _laplacian_triplets(g: WeightedGraph, exact=False):
 
 
 def assemble_massive_laplacian(g: WeightedGraph):
-    """Dense float massive Laplacian: diag m(x)+c(x)-c_(x,x), off -c_(x,y)."""
-    n = g.n
-    rows, cols, vals = _laplacian_triplets(g)
-    return np.bincount(rows * n + cols, weights=vals,
-                       minlength=n * n).reshape(n, n)
-
-
-def assemble_massive_laplacian_sparse(g: WeightedGraph):
-    """Same float matrix as a scipy CSC matrix, straight from the triplets."""
+    """Float massive Laplacian as a scipy CSC matrix: diag m(x)+c(x)-c_(x,x),
+    off -c_(x,y).  Each entry sums its triplets in triplet order; entries
+    summing to exactly 0.0 are not stored (the dense nonzero pattern)."""
     import scipy.sparse
 
+    n = g.n
     rows, cols, vals = _laplacian_triplets(g)
-    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    keys = cols * n + rows
+    del rows, cols  # not held through the sort
+    keys, where = np.unique(keys, return_inverse=True)
+    sums = np.bincount(where, weights=vals)
+    nonzero = sums != 0.0
+    cols, rows = np.divmod(keys[nonzero], n)  # keys sorted column-major
+    return scipy.sparse.csc_matrix(
+        (sums[nonzero], rows, np.searchsorted(cols, np.arange(n + 1))),
+        shape=(n, n))
 
 
 def assemble_massive_laplacian_exact(g: WeightedGraph):
@@ -102,25 +107,14 @@ def _sparse_lu(M):
     in minimum-degree order of A^T + A (the Laplacian's pattern is
     symmetric); None if singular.
 
-    M is a scipy sparse matrix or a dense array.  A dense M is scanned once
-    for its nonzeros, whose flat indices give the CSR arrays directly
-    (the generic dense-to-sparse conversion costs more than the LU).
+    M is a scipy sparse matrix or a dense array; dense arrays reaching
+    here are small (determinantal minors), so scipy's own conversion does.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
     dtype = complex if np.iscomplexobj(M) else float
-    if scipy.sparse.issparse(M):
-        A = scipy.sparse.csc_matrix(M, dtype=dtype)
-    else:
-        M = np.ascontiguousarray(M, dtype=dtype)
-        idx = np.flatnonzero(M != 0)
-        rows, cols = np.divmod(idx, M.shape[1])
-        indptr = np.zeros(M.shape[0] + 1, dtype=np.intc)
-        np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
-        A = scipy.sparse.csr_matrix(
-            (M.ravel()[idx], cols.astype(np.intc), indptr),
-            shape=M.shape).tocsc()
+    A = scipy.sparse.csc_matrix(M, dtype=dtype)
     try:
         return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:  # "Factor is exactly singular"
@@ -320,7 +314,7 @@ def _graph_factors(g: WeightedGraph, exact):
         if exact:
             lu = _factor(assemble_massive_laplacian_exact(g))[1]
         else:
-            lu = _sparse_lu(assemble_massive_laplacian_sparse(g))
+            lu = _sparse_lu(assemble_massive_laplacian(g))
         if lu is None:
             raise RecurrentWalkError(
                 "singular massive Laplacian: some component carries no mass")

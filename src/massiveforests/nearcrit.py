@@ -27,7 +27,7 @@ from .elliptic import (
     near_critical_modulus,
     sc,
 )
-from .walks import loop_erase, rng_stream
+from .walks import TASK_BITS, loop_erase, rng_stream
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,8 +92,14 @@ class SquareLatticeKernel:
             self.edge_factor("N", u_bar) ** dj
 
 
-def _tasks(n, per_task):
-    """(task id, size) of the per-task batches that split n samples."""
+def _tasks(n, per_task, extra=0, what="n"):
+    """(task id, size) of the per-task batches that split n samples.  Raises
+    before anything runs when these tasks and `extra` more would need more
+    than the 2**TASK_BITS task streams of one seed."""
+    limit = ((1 << TASK_BITS) - extra) * per_task
+    if n > limit:
+        raise ValueError(f"{what} = {n} is past the limit {limit}: a run "
+                         f"draws from at most 2**{TASK_BITS} task streams")
     return [(t, min(per_task, n - t * per_task))
             for t in range(-(-n // per_task))]
 
@@ -533,7 +539,9 @@ def crossing_grid(radii=(0.1, 0.3, 1.0), masses=(0.0, 1.0),
     of runs at other seeds, share a stream.
     """
     rows = []
-    cells = itertools.product(radii, (True, False), translations, masses)
+    cells = list(itertools.product(radii, (True, False), translations,
+                                   masses))
+    _tasks(len(cells), 1, what="cells")  # refuses too many cells up front
     for task, (r, horizontal, z, M) in enumerate(cells):
         spec = CrossingSpec(r=r, z=z, horizontal=horizontal)
         est, se = _crossing_cell(spec, r * delta_ratio, M, n_samples,
@@ -627,7 +635,7 @@ def exit_law_pair(M, u_bar, delta, n_samples, seed):
     the walk leg.
     """
     brownian, _ = _brownian_exits(M, u_bar, n_samples, seed,
-                                  len(_tasks(n_samples, EXIT_TASK)))
+                                  len(_tasks(n_samples, EXIT_TASK, extra=1)))
     walk, _ = exit_law_walk(M, u_bar, delta, n_samples, seed)
     return walk, brownian
 

@@ -249,6 +249,20 @@ class TestDispatch:
         assert capsys.readouterr().err == \
             "error: --edges: '1-R' names no edge of the graph\n"
 
+    def test_dump_matrix_bytes_pinned(self, tmp_path):
+        # every entry of the CLI grid's 221 x 221 Laplacian, zeros included,
+        # as written when the float Laplacian was a dense array
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--kind", "square", "--delta", "0.05",
+                     "--window", "20", "--M", "1.0", "--out", gpath]) == 0
+        dump = tmp_path / "L.csv"
+        assert main(["edge-prob", "--graph", gpath, "--edges", "20-30",
+                     "--dump-matrix", str(dump)]) == 0
+        data = dump.read_bytes()
+        assert data.count(b"\n") == 221**2 + 1
+        assert hashlib.sha256(data).hexdigest() == \
+            "68e58c4819caa1211a6b445e5789be9a7357256263384868117c21864eaf1ee6"
+
     def test_rhombic_grid_past_64_half_angles_samples(self, tmp_path):
         # 81 distinct half-angles; every mass stays nonnegative
         gpath = str(tmp_path / "grid.json")
@@ -547,13 +561,13 @@ class TestExperimentKinds:
         assert manifest["seed"] == seed
 
     # each error names where its input came from: the config or --seed;
-    # 2**30 + 1 walkers take 65537 walk tasks, so the Brownian leg's task
-    # is past the stream range
+    # 2**30 + 1 walkers take 65537 walk tasks and the Brownian leg one more,
+    # past the 2**16 task streams of a seed: n is at fault, not the seed
     @pytest.mark.parametrize("name, cfg, options, where", [
         ("exitlaw", {"n": 2**30 + 1, "delta": 0.25},
-         ["--seed", str(2**48 - 1)], f"--seed {2**48 - 1}"),
+         ["--seed", str(2**48 - 1)], "{path}"),
         ("height", {"block": 2, "n": 2}, [], "{path}"),
-    ], ids=["brownian-seed-past-range", "height-block-without-faces"])
+    ], ids=["exitlaw-n-past-task-range", "height-block-without-faces"])
     def test_input_error_inside_run_exit_two(self, tmp_path, capsys, name,
                                              cfg, options, where):
         code, path, out = run_experiment(tmp_path, name, cfg, *options)
@@ -562,29 +576,44 @@ class TestExperimentKinds:
             f"error: {where.format(path=path)}: ")
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_exitlaw_seed_past_range_never_enters_walk_leg(self, tmp_path,
-                                                           monkeypatch,
-                                                           capsys):
+    def test_exitlaw_n_past_task_range_never_enters_walk_leg(self, tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+        # n = 2**30 + 1 needs 65537 walk tasks and one Brownian task; that
+        # was once reported as a bad --seed
         import massiveforests.nearcrit as nearcrit
 
-        def walk_leg(*args, **kwargs):
-            raise AssertionError("the walk leg ran")
+        def leg(*args, **kwargs):
+            raise AssertionError("a leg ran")
 
-        monkeypatch.setattr(nearcrit, "exit_law_walk", walk_leg)
-        seed = 2**48 - 1
-        code, _, out = run_experiment(tmp_path, "exitlaw", {"n": 2**30 + 1},
-                                      "--seed", str(seed))
+        monkeypatch.setattr(nearcrit, "exit_law_walk", leg)
+        monkeypatch.setattr(nearcrit, "_brownian_exits", leg)
+        n = 2**30 + 1
+        for cfg, options in (({"n": n}, ("--seed", str(2**48 - 1))),
+                             ({"n": n, "seed": 2**48 - 1}, ())):
+            code, path, out = run_experiment(tmp_path, "exitlaw", cfg,
+                                             *options)
+            assert code == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith(
+                f"error: {path}: n = {n} is past the limit 1073725440: ")
+
+    def test_crossing_past_task_range_exit_two(self, tmp_path, monkeypatch,
+                                               capsys):
+        import massiveforests.nearcrit as nearcrit
+
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(nearcrit, "_crossing_cell", cell)
+        # 2 radii x 2 orientations x 1 translation x 16385 masses
+        cfg = {"radii": [0.1, 0.3], "masses": [0.0] * (2**14 + 1),
+               "translations": [[0, 0]]}
+        code, path, out = run_experiment(tmp_path, "crossing", cfg)
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
-            f"error: --seed {seed}: rng_stream needs")
-        # the same seed from the config names the config's key
-        code, path, out = run_experiment(tmp_path, "exitlaw",
-                                         {"n": 2**30 + 1, "seed": seed})
-        assert code == 2
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith(
-            f'error: {path}: "seed" {seed}: rng_stream needs')
+            f"error: {path}: cells = 65540 is past the limit 65536: ")
 
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,7 +17,6 @@ from massiveforests.linalg import (
     RecurrentWalkError,
     assemble_massive_laplacian,
     assemble_massive_laplacian_exact,
-    assemble_massive_laplacian_sparse,
     determinant,
     determinant_exact,
     edge_conductance_k,
@@ -136,24 +136,44 @@ def shuffled_queries(rng, g, k_max=3):
     return [qs[i] for i in rng.permutation(len(qs))]
 
 
+def isolated_massless_graph():
+    """Two massive vertices and an isolated zero-mass one carrying only a
+    loop: its diagonal entry sums to exactly 0.0."""
+    return WeightedGraph(3, [(0, 1, 1.5), (1, 0, 1.5), (2, 2, 4.0)],
+                         [1.0, 0.25, 0.0], check=False)
+
+
 class TestAssembly:
     def test_path(self):
-        L = assemble_massive_laplacian(path_ab())
+        L = assemble_massive_laplacian(path_ab()).toarray()
         assert np.allclose(L, [[2, -1], [-1, 2]])
+
+    def test_is_csc(self):
+        for g in (path_ab(), grid_graph(4, 3, c=1.0, m=0.05),
+                  isolated_massless_graph()):
+            L = assemble_massive_laplacian(g)
+            assert scipy.sparse.issparse(L) and L.format == "csc"
+            assert L.shape == (g.n, g.n) and L.has_canonical_format
+
+    def test_zero_sums_not_stored(self):
+        g = isolated_massless_graph()
+        L = assemble_massive_laplacian(g)
+        assert np.all(L.data != 0.0)
+        assert L.nnz == 4 and L[2, 2] == 0.0
 
     def test_single_vertex(self):
         g = WeightedGraph(1, [], [Fraction(5, 2)])
-        L = assemble_massive_laplacian(g)
+        L = assemble_massive_laplacian(g).toarray()
         assert L[0, 0] == 2.5
 
     def test_zero_mass_row_sums(self):
         g = grid_graph(3, 2)
-        L = assemble_massive_laplacian(g)
+        L = assemble_massive_laplacian(g).toarray()
         assert np.allclose(L.sum(axis=1), 0.0)
 
     def test_loop_cancels(self):
         g = WeightedGraph(2, [(0, 1, 1), (1, 0, 1), (0, 0, 7)], [1, 1])
-        L = assemble_massive_laplacian(g)
+        L = assemble_massive_laplacian(g).toarray()
         # diagonal is m + c(x) - c_(x,x): the loop contributes nothing
         assert L[0, 0] == 2.0
         Lx = assemble_massive_laplacian_exact(g)
@@ -165,12 +185,28 @@ class TestAssembly:
         graphs += [random_rational_graph(rng) for _ in range(10)]
         assert any(g.m_edges > len(g.directed_edge_set()) for g in graphs)
         assert any((g.tail == g.head).any() for g in graphs)
+        graphs.append(isolated_massless_graph())
         for g in graphs:
             # same terms summed in the same order: equal bit for bit
-            assert np.array_equal(assemble_massive_laplacian(g),
-                                  loop_laplacian(g))
+            L = assemble_massive_laplacian(g)
+            assert np.array_equal(L.toarray(), loop_laplacian(g))
             assert assemble_massive_laplacian_exact(g) == \
                 loop_laplacian(g, exact=True)
+            # the stored pattern is the dense nonzero pattern, so SuperLU
+            # gets the same arrays either way
+            assert log_determinant(L) == log_determinant(L.toarray())
+
+    def test_no_dense_matrix_allocated(self):
+        g = grid_graph(60, 60, c=1.0, m=0.05)
+        assemble_massive_laplacian(g)  # scipy.sparse imported and warm
+        tracemalloc.start()
+        try:
+            assemble_massive_laplacian(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense 3600 x 3600 float64 matrix alone was 104 MB
+        assert peak < 2 * 2**20
 
 
 class TestDeterminant:
@@ -244,8 +280,8 @@ class TestDeterminant:
                 assert determinant(fmt(M)) == determinant(M)
                 assert log_determinant(fmt(M)) == log_determinant(M)
         g = grid_graph(12, 9, c=1.0, m=0.05)
-        assert log_determinant(assemble_massive_laplacian_sparse(g)) == \
-            log_determinant(assemble_massive_laplacian(g))
+        L = assemble_massive_laplacian(g)
+        assert log_determinant(L) == log_determinant(L.toarray())
 
     def test_singular_sparse_is_silent(self):
         M = np.arange(16.0).reshape(4, 4)
@@ -548,8 +584,8 @@ class TestBlockedSolve:
     def test_float_determinant_of_rational_grid(self):
         g = grid_graph(5, 5, m=Fraction(1, 20))
         exact = determinant_exact(assemble_massive_laplacian_exact(g))
-        for L in (assemble_massive_laplacian(g),
-                  assemble_massive_laplacian_sparse(g)):
+        S = assemble_massive_laplacian(g)
+        for L in (S, S.toarray()):
             assert abs(determinant(L) - exact) <= 1e-12 * abs(exact)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),

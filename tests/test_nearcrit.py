@@ -19,9 +19,11 @@ from massiveforests.nearcrit import (
     _walk,
     approximation_property_check,
     conditioned_branch_sampler,
+    crossing_grid,
     crossing_probability,
     exit_law_brownian,
     exit_law_continuum,
+    exit_law_pair,
     exit_law_walk,
     girsanov_ratio_check,
     height_field_stats,
@@ -242,6 +244,18 @@ class TestCrossing:
                 est, se = crossing_probability(spec, 0.2 / 32, 1.0, 30000,
                                                seed=13)
                 assert est > 0.0005
+
+    def test_grid_past_task_range_refused_before_first_cell(self,
+                                                            monkeypatch):
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(nearcrit, "_crossing_cell", cell)
+        # 1 radius x 2 orientations x 1 translation x 32769 masses
+        masses = [0.0] * (2**15 + 1)
+        with pytest.raises(ValueError, match=r"^cells = 65538 is past the "
+                           r"limit 65536: .* 2\*\*16 task streams"):
+            crossing_grid(radii=(0.3,), masses=masses, translations=(0j,))
 
 
 class TestEngine:
@@ -524,6 +538,44 @@ class TestSeededOutputs:
 
 
 class TestExitLaw:
+    @pytest.mark.parametrize("n, refused", [
+        (2**30 - 2**14, False),  # 65535 walk tasks and the Brownian one
+        (2**30 - 2**14 + 1, True),
+        (2**30 + 1, True),
+    ])
+    def test_pair_past_task_range_refused_before_any_leg(self, monkeypatch,
+                                                         n, refused):
+        legs = []
+
+        def brownian(M, u_bar, n_samples, seed, task):
+            legs.append(("brownian", task))
+            return np.zeros(16, dtype=np.int64), n_samples
+
+        def walk(M, u_bar, delta, n_samples, seed):
+            legs.append(("walk", seed))
+            return np.zeros(16, dtype=np.int64), n_samples
+
+        monkeypatch.setattr(nearcrit, "_brownian_exits", brownian)
+        monkeypatch.setattr(nearcrit, "exit_law_walk", walk)
+        if refused:
+            with pytest.raises(ValueError, match=rf"^n = {n} is past the "
+                               r"limit 1073725440: "):
+                exit_law_pair(1.0, 0.0, 1 / 64, n, 2**48 - 1)
+            assert legs == []
+        else:
+            exit_law_pair(1.0, 0.0, 1 / 64, n, 2**48 - 1)
+            assert legs == [("brownian", 2**16 - 1), ("walk", 2**48 - 1)]
+
+    def test_walk_past_task_range_refused_before_first_walker(self,
+                                                              monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("a walker ran")
+
+        monkeypatch.setattr(nearcrit, "_walk", walk)
+        with pytest.raises(ValueError, match=r"^n = 1073741825 is past the "
+                           r"limit 1073741824: "):
+            exit_law_walk(1.0, 0.0, 1 / 64, 2**30 + 1, 0)
+
     def test_uniform_at_criticality(self):
         # n calibrated so the O(delta) lattice-boundary anisotropy (about
         # 5% per arc at delta = 1/64, present in the exact exit law) stays

@@ -691,11 +691,16 @@ def build_parser():
 
 
 def main(argv=None):
+    from .walks import TaskRangeError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
         code, outputs = args.func(args)
+    except TaskRangeError as exc:  # --n too large, refused before sampling
+        print(f"error: --n {args.n}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,11 @@
 Phases, drifted and killed weight systems, Temperley's bijection in both
 directions, local statistics, the block identity (K^k)^dagger K^k and the
 determinant relation det K^k = C det Delta^k, plus matching sampling and
-the height field.  One set of per-half-edge triplets builds K: dense,
-sparse, and the real form whose exact determinant is |det K|^2.
+the height field.  Weights, K, the dual operator and the other per-white
+quantities are array expressions over the double graph's `white_table`;
+K and the dual operator are CSC matrices from `linalg`'s one triplet
+summation (`.toarray()` where a dense one is needed).  The same triplets
+give the real form of K whose exact determinant is |det K|^2.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .graphs import ROOT, WeightedGraph, collapse_boundary
 from .linalg import (
+    _csc_from_triplets,
     _lu_diagonal,
     assemble_massive_laplacian,
     determinant_exact,
@@ -30,6 +34,7 @@ from .walks import (
     _check_rooted,
     _wilson_successors,
     rng_stream,
+    tasks,
 )
 
 PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
@@ -46,12 +51,12 @@ def check_kasteleyn_property(dg: DoubleGraph, phases=None):
     """Alternating product around every surviving quad must be -1."""
     if phases is None:
         phases = kasteleyn_phases(dg)
+    t = dg.white_table
     bad = []
     for (corner, w1, fid, w2) in dg.quad_faces():
-        s1c = _slot_of(dg, w1, corner, fid)
-        s1f = _slot_of_face(dg, w1, fid)
-        s2c = _slot_of(dg, w2, corner, fid)
-        s2f = _slot_of_face(dg, w2, fid)
+        # each white meets the corner at x or y, the face at left or right
+        s1c, s2c = (0 if t.x[w] == corner else 2 for w in (w1, w2))
+        s1f, s2f = (1 if t.left[w] == fid else 3 for w in (w1, w2))
         prod = (phases[(w1, s1c)] * phases[(w2, s2f)]) / \
             (phases[(w2, s2c)] * phases[(w1, s1f)])
         if abs(prod + 1) > 1e-12:
@@ -59,60 +64,62 @@ def check_kasteleyn_property(dg: DoubleGraph, phases=None):
     return bad
 
 
-def _slot_of(dg, w, corner, fid):
-    info = dg.whites[w]
-    if info["x"] == corner:
-        return 0
-    if info["y"] == corner:
-        return 2
-    raise ValueError("corner not on white")
-
-
-def _slot_of_face(dg, w, fid):
-    info = dg.whites[w]
-    if info["left"] == fid:
-        return 1
-    if info["right"] == fid:
-        return 3
-    raise ValueError("face not on white")
-
-
 class WeightSystem:
-    """Weights nu on the surviving half-edges of the double graph."""
+    """Weights nu on the half-edges of the double graph.
+
+    `values` is one (n_white, 4) array over the slots x, left, y, right;
+    slots removed with o and r hold 0.
+    """
 
     def __init__(self, dg: DoubleGraph, values):
         self.dg = dg
-        self.values = values  # (w, slot) -> weight
+        self.values = values
 
     def weight(self, w, slot):
-        return self.values[(w, slot)]
+        return self.values[w, slot]
+
+
+def _weight_system(dg: DoubleGraph, *slots):
+    """WeightSystem from the four slot columns, arrays or scalars."""
+    values = np.stack(np.broadcast_arrays(*slots), axis=1)
+    values[~dg.white_table.mask] = 0
+    return WeightSystem(dg, values)
 
 
 def _white_ends(dg: DoubleGraph, lam_ambient):
-    """(c, lambda(x), lambda(y)) of every white, in white order.
+    """(c, lambda(x), lambda(y)) as three arrays over the whites.
 
     lambda is read at the ambient vertices behind the white's ends (a
-    spoke's y at o reads its ambient target); values keep their type, so
-    Fractions stay exact.
-    """
-    return [(info["edge"].cond, lam_ambient[ax], lam_ambient[ay])
-            for info, (ax, ay) in zip(dg.whites, dg.ambient_ends)]
+    spoke's y at o reads its ambient target); Fractions make object
+    arrays, so exact weights stay exact."""
+    c = np.array([info["edge"].cond for info in dg.whites])
+    lx = np.array([lam_ambient[ax] for ax, _ in dg.ambient_ends])
+    ly = np.array([lam_ambient[ay] for _, ay in dg.ambient_ends])
+    return c, lx, ly
+
+
+def _float_ends(dg: DoubleGraph, lam_ambient):
+    return tuple(a.astype(float) for a in _white_ends(dg, lam_ambient))
+
+
+def _vertex_values(dg: DoubleGraph, lam_ambient):
+    """lambda at the window vertices, as floats."""
+    return np.array([float(lam_ambient[a]) for a in dg.col.ambient_ids])
+
+
+def _face_values(dg: DoubleGraph, lam_star):
+    """lambda* over the faces of G^o as floats, NaN at the removed r."""
+    ls = np.full(len(dg.structure.faces), np.nan)
+    ls[dg.dual_ids] = [float(lam_star[f]) for f in dg.dual_ids]
+    return ls
 
 
 def drifted_weights(dg: DoubleGraph, lam_ambient) -> WeightSystem:
     """Dual half-edges weigh 1; the half-edge at x weighs c~_(x, y)."""
-    values = {}
-    for w, (info, (c, lx, ly)) in enumerate(
-            zip(dg.whites, _white_ends(dg, lam_ambient))):
-        values[(w, 0)] = c * ly / lx
-        if info["y"] != "o":
-            values[(w, 2)] = c * lx / ly
-        one = Fraction(1) if isinstance(c, (int, Fraction)) else 1.0
-        if info["left"] != dg.r:
-            values[(w, 1)] = one
-        if info["right"] != dg.r:
-            values[(w, 3)] = one
-    return WeightSystem(dg, values)
+    c, lx, ly = _white_ends(dg, lam_ambient)
+    fwd = c * ly / lx
+    one = Fraction(1) if fwd.dtype == object else 1.0
+    return _weight_system(dg, fwd, one, c * lx / ly, one)
 
 
 def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> WeightSystem:
@@ -121,34 +128,21 @@ def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> WeightSystem:
     lam_star is indexed by faces of G^o (dual vertices); the r column is
     removed so its value is never read.
     """
-    values = {}
-    for w, (info, ends) in enumerate(
-            zip(dg.whites, _white_ends(dg, lam_ambient))):
-        c, lx, ly = map(float, ends)
-        root = math.sqrt(c * lx * ly)
-        values[(w, 0)] = math.sqrt(c * ly / lx)
-        if info["y"] != "o":
-            values[(w, 2)] = math.sqrt(c * lx / ly)
-        if info["left"] != dg.r:
-            values[(w, 1)] = 1.0 / (float(lam_star[info["left"]]) * root)
-        if info["right"] != dg.r:
-            values[(w, 3)] = 1.0 / (float(lam_star[info["right"]]) * root)
-    return WeightSystem(dg, values)
+    t = dg.white_table
+    c, lx, ly = _float_ends(dg, lam_ambient)
+    ls = _face_values(dg, lam_star)
+    root = np.sqrt(c * lx * ly)
+    return _weight_system(dg, np.sqrt(c * ly / lx),
+                          1.0 / (ls[t.left] * root), np.sqrt(c * lx / ly),
+                          1.0 / (ls[t.right] * root))
 
 
 def killed_drifted_gauge(dg: DoubleGraph, lam_ambient, lam_star):
     """Gauge functions (phi on whites, psi on blacks) with K^k = Phi K^d Psi."""
-    phi = {}
-    for w, ends in enumerate(_white_ends(dg, lam_ambient)):
-        c, lx, ly = map(float, ends)
-        phi[w] = 1.0 / math.sqrt(c * lx * ly)
-    psi = {}
-    for x in range(dg.col.n):
-        psi[dg.black_of_vertex(x)] = float(
-            lam_ambient[dg.col.ambient_ids[x]])
-    for f in dg.dual_ids:
-        psi[dg.black_of_face(f)] = 1.0 / float(lam_star[f])
-    return phi, psi
+    c, lx, ly = _float_ends(dg, lam_ambient)
+    psi = np.concatenate([_vertex_values(dg, lam_ambient),
+                          1.0 / _face_values(dg, lam_star)[dg.dual_ids]])
+    return 1.0 / np.sqrt(c * lx * ly), psi
 
 
 def _kasteleyn_triplets(dg: DoubleGraph, weights: WeightSystem):
@@ -159,36 +153,18 @@ def _kasteleyn_triplets(dg: DoubleGraph, weights: WeightSystem):
     entry of K in the same order as a loop over `white_neighbours` would.
     The weights stay as given (Fractions for the exact determinant).
     """
-    whites, blacks, slots, nu = [], [], [], []
-    for w in range(dg.n_white):
-        for (b, _, slot) in dg.white_neighbours(w):
-            whites.append(w)
-            blacks.append(b)
-            slots.append(slot)
-            nu.append(weights.weight(w, slot))
-    return whites, blacks, slots, nu
-
-
-def _float_entries(slots, nu):
-    return np.array(PHASES)[slots] * np.array(nu, dtype=float)
+    t = dg.white_table
+    whites, slots = np.nonzero(t.mask)
+    return (whites, t.black[whites, slots], slots,
+            weights.values[whites, slots])
 
 
 def kasteleyn_matrix(dg: DoubleGraph, weights: WeightSystem):
-    """Dense K with rows = whites, columns = blacks, entries zeta * nu."""
+    """K as a scipy CSC matrix, whites by blacks, with entries zeta * nu."""
     whites, blacks, slots, nu = _kasteleyn_triplets(dg, weights)
-    K = np.zeros((dg.n_white, dg.n_black), dtype=complex)
-    np.add.at(K, (whites, blacks), _float_entries(slots, nu))
-    return K
-
-
-def kasteleyn_matrix_sparse(dg: DoubleGraph, weights: WeightSystem):
-    """Same K as a scipy CSC matrix, straight from the triplets."""
-    import scipy.sparse
-
-    whites, blacks, slots, nu = _kasteleyn_triplets(dg, weights)
-    return scipy.sparse.csc_matrix(
-        (_float_entries(slots, nu), (whites, blacks)),
-        shape=(dg.n_white, dg.n_black))
+    return _csc_from_triplets(whites, blacks,
+                              np.array(PHASES)[slots] * nu.astype(float),
+                              (dg.n_white, dg.n_black))
 
 
 def _require_square(n_white, n_black):
@@ -262,7 +238,8 @@ def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
                                         exact=True)
         z = sum((wt for _, wt in matchings), Fraction(0))
         return det2, z, det2 - z * z
-    det = abs(kasteleyn_determinant(kasteleyn_matrix(dg, weights)))
+    K = kasteleyn_matrix(dg, weights).toarray()
+    det = abs(kasteleyn_determinant(K))
     matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites)
     z = float(sum(wt for _, wt in matchings))
     gap = abs(det - z) / max(abs(z), 1e-300)
@@ -411,25 +388,17 @@ def temperley_inverse(dg: DoubleGraph, matching):
 
 
 def tree_weight(dg: DoubleGraph, tree_whites, lam_ambient):
-    """Product of tilted conductances over the tree's directed edges."""
-    ends = _white_ends(dg, lam_ambient)
-    w_total = None
-    for x, w in tree_whites.items():
-        c, lx, ly = ends[w]
-        if dg.whites[w]["x"] != x:
-            lx, ly = ly, lx
-        factor = c * ly / lx
-        w_total = factor if w_total is None else w_total * factor
-    return w_total
+    """Product of tilted conductances over the tree's directed edges: the
+    drifted weights of their half-edges at x or at y."""
+    nu, t = drifted_weights(dg, lam_ambient), dg.white_table
+    return math.prod(nu.weight(w, 0 if t.x[w] == x else 2)
+                     for x, w in tree_whites.items())
 
 
 def matching_weight(dg: DoubleGraph, weights: WeightSystem, matching,
                     exact=False):
-    total = Fraction(1) if exact else 1.0
-    for w, (b, slot) in matching.items():
-        wt = weights.weight(w, slot)
-        total = total * (Fraction(wt) if exact else float(wt))
-    return total
+    return math.prod((Fraction if exact else float)(weights.weight(w, slot))
+                     for w, (_, slot) in matching.items())
 
 
 class TemperleySampler:
@@ -477,14 +446,19 @@ class TemperleySampler:
         return matching
 
     def samples(self, n, seed):
-        """Yield n (matching, height) pairs; task t draws its PER_TASK
-        samples from one reader on rng_stream(seed, t)."""
-        reference = _blacks(self.dg, reference_matching(self.dg))
-        for task in range(-(-n // self.PER_TASK)):
-            reader = UniformReader(rng_stream(seed, task))
-            for _ in range(min(self.PER_TASK, n - task * self.PER_TASK)):
-                m = self._draw(reader)
-                yield m, _heights(self.dg, reference, m)
+        """Iterator over n (matching, height) pairs; task t draws its
+        PER_TASK samples from one reader on rng_stream(seed, t).  Too many
+        samples for the task streams raise TaskRangeError here."""
+        batches = tasks(n, self.PER_TASK)
+
+        def draws():
+            reference = _blacks(self.dg, reference_matching(self.dg))
+            for task, size in batches:
+                reader = UniformReader(rng_stream(seed, task))
+                for _ in range(size):
+                    m = self._draw(reader)
+                    yield m, _heights(self.dg, reference, m)
+        return draws()
 
 
 def sample_matching(dg: DoubleGraph, lam_ambient, rng):
@@ -495,18 +469,18 @@ def sample_matching(dg: DoubleGraph, lam_ambient, rng):
 def _tilted_window(dg: DoubleGraph, lam_ambient):
     """Wired window with tilted conductances matching the drifted model."""
     col = dg.col
-    edges = []
-    masses = [0.0] * col.n
-    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
-        c, lx, ly = map(float, ends)
-        x, y = info["x"], info["y"]
-        if y == "o":
-            masses[x] += c * ly / lx
-        else:
-            edges.append((x, y, c * ly / lx))
-            edges.append((y, x, c * lx / ly))
-    return WeightedGraph(col.n, edges, masses, positions=col.positions,
-                         check=False)
+    t = dg.white_table
+    c, lx, ly = _float_ends(dg, lam_ambient)
+    fwd = c * ly / lx
+    spoke = ~t.mask[:, 2]
+    masses = np.bincount(t.x[spoke], weights=fwd[spoke], minlength=col.n)
+    # each window edge x -> y, then its reverse, in white order
+    off = ~spoke
+    edges = zip(np.stack([t.x, t.y], axis=1)[off].ravel().tolist(),
+                np.stack([t.y, t.x], axis=1)[off].ravel().tolist(),
+                np.stack([fwd, c * lx / ly], axis=1)[off].ravel().tolist())
+    return WeightedGraph(col.n, list(edges), masses.tolist(),
+                         positions=col.positions, check=False)
 
 
 # -- determinantal identities ------------------------------------------------
@@ -534,14 +508,12 @@ def verify_block_identity(dg: DoubleGraph, lam_ambient, lam_star, window):
     lambda is massive harmonic on the window.
     """
     weights = killed_weights(dg, lam_ambient, lam_star)
-    K = kasteleyn_matrix(dg, weights)
+    K = kasteleyn_matrix(dg, weights).toarray()
     A = K.conj().T @ K
     n = dg.col.n
 
-    off = 0.0
-    if dg.n_black > n:
-        off = max(float(np.max(np.abs(A[:n, n:]))),
-                  float(np.max(np.abs(A[n:, :n]))))
+    off = float(max(np.max(np.abs(A[:n, n:]), initial=0.0),
+                    np.max(np.abs(A[n:, :n]), initial=0.0)))
 
     Lk = assemble_massive_laplacian(window).toarray()
     v_block = A[:n, :n].real
@@ -550,30 +522,30 @@ def verify_block_identity(dg: DoubleGraph, lam_ambient, lam_star, window):
     v_diag_defect = float(np.max(np.abs(np.diag(diff))))
 
     dual = A[n:, n:].real
-    dual_ref = dual_operator(dg, lam_ambient, lam_star)
-    dual_dev = float(np.max(np.abs(dual - dual_ref))) if dual.size else 0.0
+    dual_ref = dual_operator(dg, lam_ambient, lam_star).toarray()
+    dual_dev = float(np.max(np.abs(dual - dual_ref), initial=0.0))
     return off, v_offdiag, dual_dev, v_diag_defect
 
 
 def dual_operator(dg: DoubleGraph, lam_ambient, lam_star):
-    """Delta~* on the kept dual vertices from its defining formula."""
+    """Delta~* on the kept dual vertices as a scipy CSC matrix: each white
+    adds c~* / lambda*(f)^2 at each kept face f beside it, c~* = 1 / (c
+    lambda(x) lambda(y)), and -c~* / (lambda*(left) lambda*(right)) off the
+    diagonal when both faces are kept and distinct."""
+    t = dg.white_table
+    c, lx, ly = _float_ends(dg, lam_ambient)
+    ls = _face_values(dg, lam_star)
+    ct = 1.0 / (c * lx * ly)
+    off = -(ct / (ls[t.left] * ls[t.right]))
+    pair = t.mask[:, 1] & t.mask[:, 3] & (t.left != t.right)
+    a, b = t.black[:, 1] - dg.col.n, t.black[:, 3] - dg.col.n
+    keep = np.stack([t.mask[:, 1], t.mask[:, 3], pair, pair], axis=1)
+    rows = np.stack([a, b, a, b], axis=1)[keep]
+    cols = np.stack([a, b, b, a], axis=1)[keep]
+    vals = np.stack([ct / ls[t.left] ** 2, ct / ls[t.right] ** 2, off, off],
+                    axis=1)[keep]
     nd = len(dg.dual_ids)
-    D = np.zeros((nd, nd))
-    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
-        c, lx, ly = map(float, ends)
-        ctilde_star = 1.0 / (c * lx * ly)
-        a, b = info["left"], info["right"]
-        for f in (a, b):
-            if f == dg.r:
-                continue
-            i = dg.dual_index[f]
-            D[i, i] += ctilde_star / float(lam_star[f]) ** 2
-        if a != dg.r and b != dg.r and a != b:
-            i, j = dg.dual_index[a], dg.dual_index[b]
-            val = ctilde_star / (float(lam_star[a]) * float(lam_star[b]))
-            D[i, j] -= val
-            D[j, i] -= val
-    return D
+    return _csc_from_triplets(rows, cols, vals, (nd, nd))
 
 
 def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
@@ -599,42 +571,30 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
             lam[y] = lam[x] * nu_x / nu_y
             seen.add(y)
             order.append(y)
-    lam_star = {}
-    for w, info in enumerate(dg.whites):
-        if info["y"] == "o":
-            # sqrt(c lam(x) lam(z)) = nu_wx * lam(x): no outside value needed
-            x = info["x"]
-            root = float(weights.weight(w, 0)) * lam[x]
-        else:
-            x, y = info["x"], info["y"]
-            c = float(weights.weight(w, 0)) * float(weights.weight(w, 2))
-            root = math.sqrt(c * lam[x] * lam[y])
-        for f, slot in ((info["left"], 1), (info["right"], 3)):
-            if f == dg.r or (w, slot) not in weights.values:
-                continue
-            lam_star[f] = 1.0 / (float(weights.weight(w, slot)) * root)
-    return lam, lam_star
+    t, nu = dg.white_table, weights.values.astype(float)
+    lam_v = np.append([lam[x] for x in range(dg.col.n)], np.nan)  # NaN at o
+    # a spoke's sqrt(c lam(x) lam(z)) is nu_wx lam(x): no outside value
+    root = np.where(t.mask[:, 2], np.sqrt(
+        nu[:, 0] * nu[:, 2] * lam_v[t.x] * lam_v[t.y]), nu[:, 0] * lam_v[t.x])
+    w, right = np.nonzero(t.mask[:, [1, 3]])  # white order, left first
+    faces = np.where(right, t.right[w], t.left[w])
+    lam_star = 1.0 / (nu[w, 1 + 2 * right] * root[w])
+    # the later whites of a face overwrite the earlier ones
+    return lam, dict(zip(faces.tolist(), lam_star.tolist()))
 
 
 def _log_det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
-    col = dg.col
-    logc = 0.0
-    deg = [0] * col.n
-    for info, ends in zip(dg.whites, _white_ends(dg, lam_ambient)):
-        c, _, ly = map(float, ends)
-        logc -= 0.5 * math.log(c)
-        deg[info["x"]] += 1
-        if info["y"] == "o":
-            logc -= 0.5 * math.log(ly)
-        else:
-            deg[info["y"]] += 1
-    for x in range(col.n):
-        lx = float(lam_ambient[col.ambient_ids[x]])
-        logc += (1.0 - 0.5 * deg[x]) * math.log(lx)
+    t = dg.white_table
+    n = dg.col.n
+    c, _, ly = _float_ends(dg, lam_ambient)
+    spoke = ~t.mask[:, 2]
+    # whites at each window vertex; a spoke's y is o, counted at n and cut
+    deg = np.bincount(np.concatenate([t.x, t.y]), minlength=n + 1)[:n]
+    logc = np.sum((1.0 - 0.5 * deg) * np.log(_vertex_values(dg, lam_ambient)))
+    logc -= 0.5 * (np.sum(np.log(c)) + np.sum(np.log(ly[spoke])))
     # dual columns of K^k scale as 1/lambda*, hence the inverse product
-    for f in dg.dual_ids:
-        logc -= math.log(float(lam_star[f]))
-    return logc
+    logc -= np.sum(np.log(_face_values(dg, lam_star)[dg.dual_ids]))
+    return float(logc)
 
 
 def det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
@@ -649,8 +609,7 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     gap is |expm1(log|det K^k| - log(C det Delta^k_V))|, inf when
     det Delta^k_V is not positive.
     """
-    K = kasteleyn_matrix_sparse(dg,
-                                killed_weights(dg, lam_ambient, lam_star))
+    K = kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star))
     diag, _ = _lu_diagonal(K)
     with np.errstate(divide="ignore"):
         log_det_k = float(np.sum(np.log(np.abs(diag))))
@@ -663,19 +622,14 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
 
 def self_duality_residuals(dg: DoubleGraph, lam_ambient, lam_star):
     """|lam(x) lam(y) lam*(left) lam*(right) - 1| per interior quad white."""
-    boundary = set(dg.structure.o_faces) | {dg.r}
-    out = []
-    for w, (info, ends) in enumerate(
-            zip(dg.whites, _white_ends(dg, lam_ambient))):
-        if info["y"] == "o":
-            continue
-        if info["left"] in boundary or info["right"] in boundary:
-            continue
-        _, lx, ly = map(float, ends)
-        ls1 = float(lam_star[info["left"]])
-        ls2 = float(lam_star[info["right"]])
-        out.append((w, abs(lx * ly * ls1 * ls2 - 1.0)))
-    return out
+    t = dg.white_table
+    _, lx, ly = _float_ends(dg, lam_ambient)
+    ls = _face_values(dg, lam_star)
+    boundary = [*dg.structure.o_faces, dg.r]
+    quad = np.flatnonzero(t.mask[:, 2] & ~np.isin(t.left, boundary)
+                          & ~np.isin(t.right, boundary))
+    res = np.abs(lx * ly * ls[t.left] * ls[t.right] - 1.0)
+    return list(zip(quad.tolist(), res[quad].tolist()))
 
 
 def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
@@ -686,25 +640,20 @@ def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
     masses); self-duality demands the masses be nonnegative (and ~0 at
     criticality).
     """
+    t = dg.white_table
     D = dual_operator(dg, lam_ambient, lam_star)
     nd = len(dg.dual_ids)
-    boundary = set(dg.structure.o_faces) | {dg.r}
-    keep = {dg.dual_index[f] for f in dg.dual_ids if f not in boundary}
-    cstar = np.zeros((nd, nd))
-    for w, info in enumerate(dg.whites):
-        a, b = info["left"], info["right"]
-        if a == dg.r or b == dg.r or a == b:
-            continue
-        i, j = dg.dual_index[a], dg.dual_index[b]
-        cstar[i, j] += 1.0 / float(info["edge"].cond)
-        cstar[j, i] += 1.0 / float(info["edge"].cond)
-    off_gap = 0.0
-    for i in keep:
-        for j in keep:
-            if i != j and cstar[i, j] > 0:
-                off_gap = max(off_gap, abs(-D[i, j] - cstar[i, j]))
-    masses = np.array([D[i, i] - cstar[i].sum() for i in range(nd)])
-    return off_gap, masses
+    pair = t.mask[:, 1] & t.mask[:, 3] & (t.left != t.right)
+    faces = t.black[pair][:, [1, 3]] - dg.col.n  # dual indices (a, b)
+    inv_c = 1.0 / _float_ends(dg, lam_ambient)[0][pair]
+    # 1/c at (a, b) and at (b, a) of each such white, in white order
+    cstar = _csc_from_triplets(faces.ravel(), faces[:, ::-1].ravel(),
+                               np.repeat(inv_c, 2), (nd, nd))
+    gap = (D + cstar).tocoo()
+    interior = ~np.isin(dg.dual_ids, dg.structure.o_faces)
+    inside = interior[gap.row] & interior[gap.col] & (gap.row != gap.col)
+    off_gap = float(np.max(np.abs(gap.data[inside]), initial=0.0))
+    return off_gap, D.diagonal() - np.asarray(cstar.sum(axis=1)).ravel()
 
 
 # -- height field -------------------------------------------------------------
@@ -726,17 +675,11 @@ def reference_matching(dg: DoubleGraph):
     col = dg.col
     # BFS toward o: boundary vertices point at a spoke, others at parents
     adj = dg.primal_adjacency
-    spoke_white = {}
-    for w, info in enumerate(dg.whites):
-        if info["y"] == "o":
-            spoke_white.setdefault(info["x"], w)
-    tree = {}
-    seen = set()
-    frontier = []
-    for x in sorted(spoke_white):
-        tree[x] = spoke_white[x]
-        seen.add(x)
-        frontier.append(x)
+    spokes = np.flatnonzero(~dg.white_table.mask[:, 2])
+    xs, first = np.unique(dg.white_table.x[spokes], return_index=True)
+    tree = dict(zip(xs.tolist(), spokes[first].tolist()))
+    seen = set(tree)
+    frontier = list(tree)
     while frontier:
         nxt = []
         for x in frontier:

@@ -3,6 +3,7 @@
 One assembler builds the (row, col, value) triplets of the massive
 Laplacian from the edge arrays and sums them into a sparse CSC matrix
 (float) or a Fraction matrix (exact); no dense float Laplacian is built.
+The same triplet summation builds the Kasteleyn and dual matrices.
 Every float factorization is one sparse LU (SuperLU) on one fill-reducing
 ordering, the minimum degree of A^T + A: determinants and log-determinants
 of sparse matrices and of small dense ones, the full potential and the few
@@ -58,23 +59,39 @@ def _laplacian_triplets(g: WeightedGraph, exact=False):
     return rows, cols, vals
 
 
+def _csc_from_triplets(rows, cols, vals, shape):
+    """scipy CSC matrix of `shape` whose entry (i, j) sums the vals of the
+    triplets at (i, j) in triplet order, complex vals as their real and
+    imaginary parts; entries summing to exactly 0 are not stored."""
+    import scipy.sparse
+
+    n_rows, n_cols = shape
+    keys = np.asarray(cols) * n_rows + rows
+    # a stable sort keeps each entry's triplets in triplet order, and holds
+    # fewer key-sized arrays than np.unique's inverse would
+    perm = np.argsort(keys, kind="stable")
+    keys, vals = keys[perm], vals[perm]
+    del perm
+    first = np.ones(len(keys), bool)  # the first triplet of each entry
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    entry = np.cumsum(first) - 1
+    sums = np.bincount(entry, weights=vals.real).astype(vals.dtype)
+    if np.iscomplexobj(vals):
+        sums.imag = np.bincount(entry, weights=vals.imag)
+    del entry, vals  # not held through the CSC build
+    nonzero = sums != 0
+    cols, rows = np.divmod(keys[nonzero], n_rows)  # keys sorted column-major
+    return scipy.sparse.csc_matrix(
+        (sums[nonzero], rows, np.searchsorted(cols, np.arange(n_cols + 1))),
+        shape=shape)
+
+
 def assemble_massive_laplacian(g: WeightedGraph):
     """Float massive Laplacian as a scipy CSC matrix: diag m(x)+c(x)-c_(x,x),
     off -c_(x,y).  Each entry sums its triplets in triplet order; entries
     summing to exactly 0.0 are not stored (the dense nonzero pattern)."""
-    import scipy.sparse
-
-    n = g.n
-    rows, cols, vals = _laplacian_triplets(g)
-    keys = cols * n + rows
-    del rows, cols  # not held through the sort
-    keys, where = np.unique(keys, return_inverse=True)
-    sums = np.bincount(where, weights=vals)
-    nonzero = sums != 0.0
-    cols, rows = np.divmod(keys[nonzero], n)  # keys sorted column-major
-    return scipy.sparse.csc_matrix(
-        (sums[nonzero], rows, np.searchsorted(cols, np.arange(n + 1))),
-        shape=(n, n))
+    return _csc_from_triplets(*_laplacian_triplets(g), (g.n, g.n))
 
 
 def assemble_massive_laplacian_exact(g: WeightedGraph):

@@ -27,7 +27,7 @@ from .elliptic import (
     near_critical_modulus,
     sc,
 )
-from .walks import TASK_BITS, loop_erase, rng_stream
+from .walks import TASK_BITS, loop_erase, rng_stream, tasks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,18 +90,6 @@ class SquareLatticeKernel:
         dj = round(displacement.imag / self.spacing)
         return self.edge_factor("E", u_bar) ** di * \
             self.edge_factor("N", u_bar) ** dj
-
-
-def _tasks(n, per_task, extra=0, what="n"):
-    """(task id, size) of the per-task batches that split n samples.  Raises
-    before anything runs when these tasks and `extra` more would need more
-    than the 2**TASK_BITS task streams of one seed."""
-    limit = ((1 << TASK_BITS) - extra) * per_task
-    if n > limit:
-        raise ValueError(f"{what} = {n} is past the limit {limit}: a run "
-                         f"draws from at most 2**{TASK_BITS} task streams")
-    return [(t, min(per_task, n - t * per_task))
-            for t in range(-(-n // per_task))]
 
 
 # -- the lattice-walker engine -------------------------------------------------
@@ -463,7 +451,7 @@ def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
         raise ZeroDivisionError("killed arm has zero probability")
 
     hits = 0
-    for task, todo in _tasks(n_samples, 4096):
+    for task, todo in tasks(n_samples, 4096):
         w = _walk(drifted, box, path[0], todo, rng_stream(seed, task),
                   STEP_CAP, record=True)
         # the last visit is the exit site, off the window graph
@@ -541,7 +529,7 @@ def crossing_grid(radii=(0.1, 0.3, 1.0), masses=(0.0, 1.0),
     rows = []
     cells = list(itertools.product(radii, (True, False), translations,
                                    masses))
-    _tasks(len(cells), 1, what="cells")  # refuses too many cells up front
+    tasks(len(cells), 1, what="cells")  # refuses too many cells up front
     for task, (r, horizontal, z, M) in enumerate(cells):
         spec = CrossingSpec(r=r, z=z, horizontal=horizontal)
         est, se = _crossing_cell(spec, r * delta_ratio, M, n_samples,
@@ -594,7 +582,7 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
     kernel = SquareLatticeKernel(M, delta, u_bar=u_bar if drifted else None)
     box = _disk_box(kernel.spacing, radius)
     counts = np.zeros(n_arcs, dtype=np.int64)
-    for task, todo in _tasks(n_samples, EXIT_TASK):
+    for task, todo in tasks(n_samples, EXIT_TASK):
         w = _walk(kernel, box, box.nearest(0j), todo,
                   rng_stream(seed, task), STEP_CAP)
         counts += np.bincount(_exit_arcs(box, w, radius, n_arcs)[1],
@@ -635,7 +623,7 @@ def exit_law_pair(M, u_bar, delta, n_samples, seed):
     the walk leg.
     """
     brownian, _ = _brownian_exits(M, u_bar, n_samples, seed,
-                                  len(_tasks(n_samples, EXIT_TASK, extra=1)))
+                                  len(tasks(n_samples, EXIT_TASK, extra=1)))
     walk, _ = exit_law_walk(M, u_bar, delta, n_samples, seed)
     return walk, brownian
 
@@ -688,11 +676,14 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     if max_attempts is None:
         max_attempts = max(int(n_accepted / 1e-4), 10**5)
     per_task = 2048
-    paths, attempts, task = [], 0, 0
-    while len(paths) < n_accepted and attempts < max_attempts:
+    # every task walks per_task walkers; the task streams cap the attempts
+    max_attempts = min(max_attempts, (1 << TASK_BITS) * per_task)
+    paths, attempts = [], 0
+    for task, _ in tasks(max_attempts, per_task):
+        if len(paths) >= n_accepted:
+            break
         w = _walk(kernel, box, start_site, per_task, rng_stream(seed, task),
                   STEP_CAP, record=True)
-        task += 1
         out, arcs = _exit_arcs(box, w, radius, n_arcs)
         take = out[arcs == target_arc][: n_accepted - len(paths)]
         done = len(paths) + take.size == n_accepted

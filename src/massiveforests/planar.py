@@ -250,15 +250,11 @@ class DoubleGraph:
         Slots follow the clockwise order x, left, y, right used by the
         phase rule.
         """
-        info = self.whites[w]
-        out = [(self.black_of_vertex(info["x"]), "primal", 0)]
-        if info["left"] != self.r:
-            out.append((self.black_of_face(info["left"]), "dual", 1))
-        if info["y"] != "o":
-            out.append((self.black_of_vertex(info["y"]), "primal", 2))
-        if info["right"] != self.r:
-            out.append((self.black_of_face(info["right"]), "dual", 3))
-        return out
+        t = self.white_table
+        return [(b, "dual" if slot % 2 else "primal", slot)
+                for slot, (b, keep) in enumerate(zip(t.black[w].tolist(),
+                                                     t.mask[w].tolist()))
+                if keep]
 
     def quad_faces(self, surviving_only=True):
         """Quads (corner black b, white w1, dual f, white w2).
@@ -283,6 +279,11 @@ class DoubleGraph:
 
     def counts_balanced(self):
         return self.n_white == self.n_black
+
+    @functools.cached_property
+    def white_table(self):
+        """Per-white index arrays, built on first use."""
+        return WhiteTable(self)
 
     @functools.cached_property
     def dual_adjacency(self):
@@ -311,6 +312,30 @@ class DoubleGraph:
     def quad_adjacency(self):
         """Interior quads and their adjacencies, built on first use."""
         return QuadAdjacency(self)
+
+
+class WhiteTable:
+    """The whites' endpoints as integer arrays in white order.
+
+    `x` and `y` are the window endpoints (a spoke's y is col.o), `left`
+    and `right` the faces on either side of x -> y.  Row w of `black`
+    holds the blacks of slots x, left, y, right, and row w of `mask`
+    says which of them survive the removal of o and r.
+    """
+
+    def __init__(self, dg: DoubleGraph):
+        n, r = dg.col.n, dg.r
+        self.x, self.y, self.left, self.right = np.array(
+            [(info["x"], n if info["y"] == "o" else info["y"], info["left"],
+              info["right"]) for info in dg.whites],
+            dtype=np.int64).reshape(-1, 4).T
+        self.mask = np.stack([np.ones(dg.n_white, bool), self.left != r,
+                              self.y != n, self.right != r], axis=1)
+        # black_of_face per face; r's entry is masked out wherever it is read
+        face_black = n + np.arange(len(dg.structure.faces))
+        face_black[r + 1:] -= 1
+        self.black = np.stack([self.x, face_black[self.left], self.y,
+                               face_black[self.right]], axis=1)
 
 
 class QuadAdjacency:

@@ -31,6 +31,10 @@ class SeedRangeError(ValueError):
     """A seed or task id outside the key range of `rng_stream`."""
 
 
+class TaskRangeError(ValueError):
+    """More samples than the task streams of one seed hold."""
+
+
 def rng_stream(seed, task_id=0):
     """Independent generator for (seed, task_id), worker-count agnostic.
 
@@ -44,6 +48,19 @@ def rng_stream(seed, task_id=0):
                              f"({seed}, {task_id})")
     return np.random.Generator(np.random.Philox(
         key=np.uint64(seed) << np.uint64(TASK_BITS) ^ np.uint64(task_id)))
+
+
+def tasks(n, per_task, extra=0, what="n"):
+    """(task id, size) of the per-task batches that split n samples.  Raises
+    TaskRangeError, before anything runs, when these tasks and `extra` more
+    would need more than the 2**TASK_BITS task streams of one seed."""
+    limit = ((1 << TASK_BITS) - extra) * per_task
+    if n > limit:
+        raise TaskRangeError(f"{what} = {n} is past the limit {limit}: a "
+                             f"run draws from at most 2**{TASK_BITS} task "
+                             f"streams")
+    return [(t, min(per_task, n - t * per_task))
+            for t in range(-(-n // per_task))]
 
 
 class UniformReader:
@@ -252,11 +269,12 @@ class WilsonEdgeCounter:
         """Counts over `pairs` of all n_samples forests.
 
         The sum of `task_counts` over the tasks, in task order; `map` runs
-        them (an executor's `map` runs them in a pool).
+        them (an executor's `map` runs them in a pool).  More forests than
+        the task streams hold raise TaskRangeError before any task runs.
         """
-        tasks = range(-(-n_samples // self.per_task))
+        ids = [t for t, _ in tasks(n_samples, self.per_task)]
         total = np.zeros(len(self.pairs), dtype=np.int64)
-        for counts in map(partial(self.task_counts, n_samples, seed), tasks):
+        for counts in map(partial(self.task_counts, n_samples, seed), ids):
             total += counts
         return total
 

@@ -378,6 +378,35 @@ class TestDispatch:
         assert "error: argument --n: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, n, limit", [
+        (["sample-forest"], 65_536_001, 65_536_000),
+        (["sample-tree", "--root", "0"], 65_536_001, 65_536_000),
+        (["sample-dimers", "--M", "1.0", "--delta", "0.25"], 2**24 + 1,
+         2**24)], ids=["sample-forest", "sample-tree", "sample-dimers"])
+    def test_sample_count_past_task_range_exit_two(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   command, n, limit):
+        # a seed's 2**16 task streams hold 1000 forests or 256 matchings
+        # each; a larger --n is refused before anything is drawn
+        import massiveforests.dimers as dimers
+        import massiveforests.walks as walks
+
+        def draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(walks, "_wilson_successors", draw)
+        monkeypatch.setattr(dimers, "_wilson_successors", draw)
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--delta", "0.25", "--window", "4", "--M",
+                     "1.0", "--out", gpath]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main(command + ["--graph", gpath, "--n", str(n),
+                               "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --n {n}: n = {n} is past the limit {limit}: ")
+        assert not out.exists()
+
     def test_charpoly_cli(self, tmp_path):
         from massiveforests.periodic import square_lattice
 
@@ -614,6 +643,23 @@ class TestExperimentKinds:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
             f"error: {path}: cells = 65540 is past the limit 65536: ")
+
+    def test_height_past_task_range_exit_two(self, tmp_path, monkeypatch,
+                                             capsys):
+        # more matchings than the 2**16 task streams of 256 hold: refused
+        # before the first draw, and blamed on n, not on the seed
+        import massiveforests.dimers as dimers
+
+        def draw(*args):
+            raise AssertionError("a matching was drawn")
+
+        monkeypatch.setattr(dimers, "_wilson_successors", draw)
+        n = 2**24 + 1
+        code, path, out = run_experiment(tmp_path, "height", {"n": n})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: n = {n} is past the limit 16777216: ")
 
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

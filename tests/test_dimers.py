@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from massiveforests.dimers import (
+    _log_det_relation_constant,
+    _tilted_window,
     check_kasteleyn_property,
     det_relation_constant,
     drifted_weights,
     dual_block_vs_inverse_conductances,
+    dual_operator,
     enumerate_matchings,
     height_function,
     kasteleyn_abs2_exact,
     kasteleyn_determinant,
     kasteleyn_matrix,
-    kasteleyn_matrix_sparse,
     kasteleyn_phases,
     killed_drifted_gauge,
     killed_weights,
@@ -40,6 +42,7 @@ from massiveforests.graphs import (
     enumerate_trees_rooted_at,
     wired_restriction,
 )
+from massiveforests.linalg import assemble_massive_laplacian
 from massiveforests.planar import build_dual_and_double
 from massiveforests.walks import rng_stream, wilson_sample
 
@@ -88,7 +91,7 @@ class TestWeights:
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
         ws = killed_weights(dg, ones_lambda(amb), lam_star)
-        for key, val in ws.values.items():
+        for val in ws.values[dg.white_table.mask]:
             assert val == pytest.approx(1.0)
 
     def test_gauge_functions_reproduce_killed(self):
@@ -138,6 +141,309 @@ class TestWhiteEnds:
         assert sorted(visits) == off_o
         assert set(visits.values()) == {2}
         assert dg.primal_adjacency is adj
+
+
+# -- the per-white loops that the white table replaced, as references ---------
+
+
+def loop_ends(dg, lam):
+    return [(info["edge"].cond, lam[ax], lam[ay])
+            for info, (ax, ay) in zip(dg.whites, dg.ambient_ends)]
+
+
+def loop_drifted_weights(dg, lam):
+    values = {}
+    for w, (info, (c, lx, ly)) in enumerate(
+            zip(dg.whites, loop_ends(dg, lam))):
+        values[(w, 0)] = c * ly / lx
+        if info["y"] != "o":
+            values[(w, 2)] = c * lx / ly
+        one = Fraction(1) if isinstance(c, (int, Fraction)) else 1.0
+        if info["left"] != dg.r:
+            values[(w, 1)] = one
+        if info["right"] != dg.r:
+            values[(w, 3)] = one
+    return values
+
+
+def loop_killed_weights(dg, lam, lam_star):
+    values = {}
+    for w, (info, ends) in enumerate(zip(dg.whites, loop_ends(dg, lam))):
+        c, lx, ly = map(float, ends)
+        root = math.sqrt(c * lx * ly)
+        values[(w, 0)] = math.sqrt(c * ly / lx)
+        if info["y"] != "o":
+            values[(w, 2)] = math.sqrt(c * lx / ly)
+        if info["left"] != dg.r:
+            values[(w, 1)] = 1.0 / (float(lam_star[info["left"]]) * root)
+        if info["right"] != dg.r:
+            values[(w, 3)] = 1.0 / (float(lam_star[info["right"]]) * root)
+    return values
+
+
+def loop_gauge(dg, lam, lam_star):
+    phi = {}
+    for w, ends in enumerate(loop_ends(dg, lam)):
+        c, lx, ly = map(float, ends)
+        phi[w] = 1.0 / math.sqrt(c * lx * ly)
+    psi = {}
+    for x in range(dg.col.n):
+        psi[dg.black_of_vertex(x)] = float(lam[dg.col.ambient_ids[x]])
+    for f in dg.dual_ids:
+        psi[dg.black_of_face(f)] = 1.0 / float(lam_star[f])
+    return phi, psi
+
+
+def loop_white_neighbours(dg, w):
+    info = dg.whites[w]
+    out = [(dg.black_of_vertex(info["x"]), "primal", 0)]
+    if info["left"] != dg.r:
+        out.append((dg.black_of_face(info["left"]), "dual", 1))
+    if info["y"] != "o":
+        out.append((dg.black_of_vertex(info["y"]), "primal", 2))
+    if info["right"] != dg.r:
+        out.append((dg.black_of_face(info["right"]), "dual", 3))
+    return out
+
+
+def loop_kasteleyn(dg, values):
+    whites, blacks, slots, nu = [], [], [], []
+    for w in range(dg.n_white):
+        for (b, _, slot) in loop_white_neighbours(dg, w):
+            whites.append(w)
+            blacks.append(b)
+            slots.append(slot)
+            nu.append(values[(w, slot)])
+    K = np.zeros((dg.n_white, dg.n_black), dtype=complex)
+    np.add.at(K, (whites, blacks),
+              np.array([1, 1j, -1, -1j])[slots] * np.array(nu, dtype=float))
+    return K
+
+
+def loop_tilted_window(dg, lam):
+    edges = []
+    masses = [0.0] * dg.col.n
+    for info, ends in zip(dg.whites, loop_ends(dg, lam)):
+        c, lx, ly = map(float, ends)
+        x, y = info["x"], info["y"]
+        if y == "o":
+            masses[x] += c * ly / lx
+        else:
+            edges.append((x, y, c * ly / lx))
+            edges.append((y, x, c * lx / ly))
+    return edges, masses
+
+
+def loop_dual_operator(dg, lam, lam_star):
+    nd = len(dg.dual_ids)
+    D = np.zeros((nd, nd))
+    for info, ends in zip(dg.whites, loop_ends(dg, lam)):
+        c, lx, ly = map(float, ends)
+        ctilde_star = 1.0 / (c * lx * ly)
+        a, b = info["left"], info["right"]
+        for f in (a, b):
+            if f == dg.r:
+                continue
+            i = dg.dual_index[f]
+            D[i, i] += ctilde_star / float(lam_star[f]) ** 2
+        if a != dg.r and b != dg.r and a != b:
+            i, j = dg.dual_index[a], dg.dual_index[b]
+            val = ctilde_star / (float(lam_star[a]) * float(lam_star[b]))
+            D[i, j] -= val
+            D[j, i] -= val
+    return D
+
+
+def loop_log_det_relation_constant(dg, lam, lam_star):
+    col = dg.col
+    logc = 0.0
+    deg = [0] * col.n
+    for info, ends in zip(dg.whites, loop_ends(dg, lam)):
+        c, _, ly = map(float, ends)
+        logc -= 0.5 * math.log(c)
+        deg[info["x"]] += 1
+        if info["y"] == "o":
+            logc -= 0.5 * math.log(ly)
+        else:
+            deg[info["y"]] += 1
+    for x in range(col.n):
+        lx = float(lam[col.ambient_ids[x]])
+        logc += (1.0 - 0.5 * deg[x]) * math.log(lx)
+    for f in dg.dual_ids:
+        logc -= math.log(float(lam_star[f]))
+    return logc
+
+
+def loop_self_duality_residuals(dg, lam, lam_star):
+    boundary = set(dg.structure.o_faces) | {dg.r}
+    out = []
+    for w, (info, ends) in enumerate(zip(dg.whites, loop_ends(dg, lam))):
+        if info["y"] == "o":
+            continue
+        if info["left"] in boundary or info["right"] in boundary:
+            continue
+        _, lx, ly = map(float, ends)
+        ls1 = float(lam_star[info["left"]])
+        ls2 = float(lam_star[info["right"]])
+        out.append((w, abs(lx * ly * ls1 * ls2 - 1.0)))
+    return out
+
+
+def loop_dual_block_vs_inverse_conductances(dg, lam, lam_star):
+    D = loop_dual_operator(dg, lam, lam_star)
+    nd = len(dg.dual_ids)
+    boundary = set(dg.structure.o_faces) | {dg.r}
+    keep = {dg.dual_index[f] for f in dg.dual_ids if f not in boundary}
+    cstar = np.zeros((nd, nd))
+    for w, info in enumerate(dg.whites):
+        a, b = info["left"], info["right"]
+        if a == dg.r or b == dg.r or a == b:
+            continue
+        i, j = dg.dual_index[a], dg.dual_index[b]
+        cstar[i, j] += 1.0 / float(info["edge"].cond)
+        cstar[j, i] += 1.0 / float(info["edge"].cond)
+    off_gap = 0.0
+    for i in keep:
+        for j in keep:
+            if i != j and cstar[i, j] > 0:
+                off_gap = max(off_gap, abs(-D[i, j] - cstar[i, j]))
+    masses = np.array([D[i, i] - cstar[i].sum() for i in range(nd)])
+    return off_gap, masses
+
+
+def loop_block_gaps(dg, lam, lam_star, window):
+    K = loop_kasteleyn(dg, loop_killed_weights(dg, lam, lam_star))
+    A = K.conj().T @ K
+    n = dg.col.n
+    off = max(float(np.max(np.abs(A[:n, n:]))),
+              float(np.max(np.abs(A[n:, :n]))))
+    diff = A[:n, :n].real - assemble_massive_laplacian(window).toarray()
+    v_offdiag = float(np.max(np.abs(diff - np.diag(np.diag(diff)))))
+    v_diag_defect = float(np.max(np.abs(np.diag(diff))))
+    dual_ref = loop_dual_operator(dg, lam, lam_star)
+    dual_dev = float(np.max(np.abs(A[n:, n:].real - dual_ref)))
+    return off, v_offdiag, dual_dev, v_diag_defect
+
+
+def isoradial_window(kind, k=0.45, size=10, margin=1.5):
+    """Z-invariant window with the discrete exponential at u = 0.9."""
+    from massiveforests.elliptic import complete_integrals
+    from massiveforests.isoradial import (
+        build_rhombic_grid,
+        build_square_grid,
+        discrete_exponential,
+        random_rhombic_angles,
+        z_invariant_weights,
+    )
+
+    mod = complete_integrals(k)
+    if kind == "square":
+        grid = build_square_grid(0.5, size)
+    else:
+        angles = random_rhombic_angles(np.random.default_rng(70), size)
+        grid = build_rhombic_grid(0.5, *angles)
+    ambient = z_invariant_weights(grid, mod)
+    cx, cy = grid.positions.mean(axis=0)
+    bulk = set(grid.bulk_vertices())
+    subset = [v for v in grid.rectangle_window(cx - margin, cx + margin,
+                                               cy - margin, cy + margin)
+              if v in bulk]
+    col = collapse_boundary(ambient, subset)
+    window = wired_restriction(ambient, subset)
+    _, dg = build_dual_and_double(col, ambient.positions)
+    return dg, window, discrete_exponential(grid, mod, 0.9).primal
+
+
+def table_case(name):
+    """(double graph, wired window, lambda, lambda*) of a reference case."""
+    if name == "unit-grid":
+        amb, col, window, dg = window_setup(8, 8, range(1, 7), range(1, 7),
+                                            mass=Fraction(9, 4))
+        lam, seed = pow4_lambda(amb), 71
+    elif name == "sparse-kasteleyn":  # the old sparse-against-dense case
+        amb, col, window, dg = window_setup(5, 4, [1, 2, 3], [1, 2],
+                                            mass=Fraction(9, 4))
+        lam, seed = pow4_lambda(amb), 45
+    else:
+        dg, window, lam = isoradial_window(name.split("-")[0])
+        seed = 72
+    rng = np.random.default_rng(seed)
+    lam_star = {f: float(rng.uniform(0.5, 2.0))
+                for f in range(len(dg.structure.faces))}
+    return dg, window, lam, lam_star
+
+
+def assert_weights_equal(dg, ws, reference):
+    mask = dg.white_table.mask
+    assert set(zip(*np.nonzero(mask))) == set(reference)
+    assert not ws.values[~mask].any()
+    for (w, slot), value in reference.items():
+        got = ws.weight(w, slot)
+        assert got == value
+        assert isinstance(got, Fraction) == isinstance(value, Fraction)
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+
+class TestWhiteTable:
+    @pytest.mark.parametrize("name", ["unit-grid", "sparse-kasteleyn",
+                                      "square-zinvariant",
+                                      "rhombic-zinvariant"])
+    def test_matches_loop_reference(self, name):
+        dg, window, lam, lam_star = table_case(name)
+        lam_float = {v: float(lam[v]) for v in range(len(lam))} \
+            if isinstance(lam, dict) else lam
+
+        for w in range(dg.n_white):
+            assert dg.white_neighbours(w) == loop_white_neighbours(dg, w)
+        drifted = loop_drifted_weights(dg, lam)
+        assert_weights_equal(dg, drifted_weights(dg, lam), drifted)
+        assert_weights_equal(dg, drifted_weights(dg, lam_float),
+                             loop_drifted_weights(dg, lam_float))
+        killed = loop_killed_weights(dg, lam, lam_star)
+        assert_weights_equal(dg, killed_weights(dg, lam, lam_star), killed)
+
+        for ws, values in ((drifted_weights(dg, lam), drifted),
+                           (killed_weights(dg, lam, lam_star), killed)):
+            K = kasteleyn_matrix(dg, ws)
+            assert K.format == "csc"
+            assert np.array_equal(K.toarray(), loop_kasteleyn(dg, values))
+
+        D = dual_operator(dg, lam, lam_star)
+        assert D.format == "csc"
+        assert np.array_equal(D.toarray(), loop_dual_operator(dg, lam,
+                                                              lam_star))
+
+        phi, psi = killed_drifted_gauge(dg, lam, lam_star)
+        ref_phi, ref_psi = loop_gauge(dg, lam, lam_star)
+        assert phi.tolist() == [ref_phi[w] for w in range(dg.n_white)]
+        assert psi.tolist() == [ref_psi[b] for b in range(dg.n_black)]
+
+        tw = _tilted_window(dg, lam)
+        edges, masses = loop_tilted_window(dg, lam)
+        assert list(zip(tw.tail.tolist(), tw.head.tolist(), tw.cond)) == \
+            edges
+        assert tw.masses == masses
+
+        assert self_duality_residuals(dg, lam, lam_star) == \
+            loop_self_duality_residuals(dg, lam, lam_star)
+
+        # C is the exp of a sum of logs over whites, vertices and faces, so
+        # the sums compare within 1e-14: one ulp of log C = -241.3 on the
+        # unit grid is already 2.8e-14 of C
+        assert close(_log_det_relation_constant(dg, lam, lam_star),
+                     loop_log_det_relation_constant(dg, lam, lam_star))
+        off_gap, masses = dual_block_vs_inverse_conductances(dg, lam,
+                                                             lam_star)
+        ref_gap, ref_masses = loop_dual_block_vs_inverse_conductances(
+            dg, lam, lam_star)
+        assert close(off_gap, ref_gap)
+        assert all(map(close, masses, ref_masses))
+        gaps = verify_block_identity(dg, lam, lam_star, window)
+        assert all(map(close, gaps,
+                       loop_block_gaps(dg, lam, lam_star, window)))
 
 
 class TestPartitionFunction:
@@ -213,7 +519,8 @@ class TestPartitionFunction:
         ws = drifted_weights(dg, pow4_lambda(amb))
         det2 = kasteleyn_abs2_exact(dg, ws)
         assert isinstance(det2, Fraction)
-        ref = abs(kasteleyn_determinant(kasteleyn_matrix(dg, ws))) ** 2
+        K = kasteleyn_matrix(dg, ws).toarray()
+        ref = abs(kasteleyn_determinant(K)) ** 2
         assert float(det2) == pytest.approx(ref, rel=1e-12)
 
 
@@ -269,7 +576,7 @@ class TestLocalStatistics:
     def test_matches_enumeration(self):
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         ws = drifted_weights(dg, ones_lambda(amb))
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         matchings = enumerate_matchings(dg, ws, exact=True)
         Z = sum((w for _, w in matchings), Fraction(0))
@@ -284,7 +591,7 @@ class TestLocalStatistics:
     def test_pair_statistics(self):
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         ws = drifted_weights(dg, ones_lambda(amb))
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         matchings = enumerate_matchings(dg, ws, exact=True)
         Z = sum((w for _, w in matchings), Fraction(0))
@@ -302,7 +609,7 @@ class TestLocalStatistics:
     def test_partition_of_unity_at_white(self):
         amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
         ws = drifted_weights(dg, ones_lambda(amb))
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         w = dg.n_white // 2
         total = sum(local_statistics(dg, K, [(w, b)], Kinv=Kinv)
@@ -317,8 +624,8 @@ class TestLocalStatistics:
         rng = np.random.default_rng(44)
         lam_star = {f: float(rng.uniform(0.5, 2.0))
                     for f in range(len(dg.structure.faces))}
-        Kd = kasteleyn_matrix(dg, drifted_weights(dg, lam))
-        Kk = kasteleyn_matrix(dg, killed_weights(dg, lam, lam_star))
+        Kd = kasteleyn_matrix(dg, drifted_weights(dg, lam)).toarray()
+        Kk = kasteleyn_matrix(dg, killed_weights(dg, lam, lam_star)).toarray()
         Kd_inv, Kk_inv = np.linalg.inv(Kd), np.linalg.inv(Kk)
         for w in range(dg.n_white):
             for (b, kind, slot) in dg.white_neighbours(w):
@@ -332,7 +639,7 @@ class TestLocalStatistics:
                                             mass=Fraction(9, 4))
         lam = pow4_lambda(amb)
         ws = drifted_weights(dg, lam)
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         from massiveforests.doob import tilted_transfer
         lam_w = {i: lam[v] for i, v in enumerate(col.ambient_ids)}
@@ -412,26 +719,12 @@ class TestBlockIdentity:
                 lam_full[info["edge"].ambient_target] = \
                     nu**2 * lam_rec[x] / c
         ws2 = killed_weights(dg, lam_full, lam_star_rec)
-        for key in ws.values:
+        for key in zip(*np.nonzero(dg.white_table.mask)):
             assert float(ws2.weight(*key)) == pytest.approx(
                 float(ws.weight(*key)), rel=1e-9)
 
 
 class TestDetRelation:
-    def test_sparse_kasteleyn_matches_dense(self):
-        amb, col, window, dg = window_setup(5, 4, [1, 2, 3], [1, 2],
-                                            mass=Fraction(9, 4))
-        lam = pow4_lambda(amb)
-        rng = np.random.default_rng(45)
-        lam_star = {f: float(rng.uniform(0.5, 2.0))
-                    for f in range(len(dg.structure.faces))}
-        for ws in (drifted_weights(dg, lam),
-                   killed_weights(dg, lam, lam_star)):
-            K = kasteleyn_matrix(dg, ws)
-            Ks = kasteleyn_matrix_sparse(dg, ws)
-            assert Ks.format == "csc"
-            assert np.array_equal(Ks.toarray(), K)
-
     def test_trivial_weights(self):
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam = ones_lambda(amb)
@@ -583,7 +876,7 @@ class TestSamplingAndHeights:
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam = ones_lambda(amb)
         ws = drifted_weights(dg, lam)
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         rng = rng_stream(50)
         n = 20000
@@ -612,7 +905,7 @@ class TestSamplingAndHeights:
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam = ones_lambda(amb)
         ws = drifted_weights(dg, lam)
-        K = kasteleyn_matrix(dg, ws)
+        K = kasteleyn_matrix(dg, ws).toarray()
         Kinv = np.linalg.inv(K)
         ref = reference_matching(dg)
         rng = rng_stream(52)
@@ -682,6 +975,21 @@ class TestTemperleySampler:
                 m = sampler.sample(rng)
             assert pairs[i][0] == m
             assert pairs[i][1].values == height_function(dg, m, ref).values
+
+    def test_samples_past_task_range_refused_on_call(self, monkeypatch):
+        # 2**16 task streams of 256 matchings hold 2**24 matchings
+        from massiveforests.dimers import TemperleySampler
+
+        amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
+        sampler = TemperleySampler(dg, ones_lambda(amb))
+
+        def draw(reader):
+            raise AssertionError("a matching was drawn")
+
+        monkeypatch.setattr(sampler, "_draw", draw)
+        with pytest.raises(ValueError, match="^n = 16777217 is past the "
+                                             "limit 16777216: "):
+            sampler.samples(2**24 + 1, 9)
 
     def test_seeded_heights(self):
         # pinned to recorded values; the window's corners have parallel

@@ -707,6 +707,25 @@ class TestConditionedBranch:
                 1.0, 1 / 16, target_arc=arc, n_accepted=5, seed=7,
                 radius=0.5)
 
+    def test_attempts_capped_at_task_streams(self, monkeypatch):
+        # walkers that all die at the start are never accepted; the default
+        # budget of n / 1e-4 attempts would need more than the 2**16 task
+        # streams of 2048 walkers, so the run ends on the acceptance rate
+        streams = []
+
+        def walk(kernel, box, start, n, rng, *args, **kwargs):
+            streams.append(rng)
+            sites = np.full(n, start)
+            return nearcrit._Walkers(sites, sites, np.ones(n, bool),
+                                     np.ones(n, np.int64), 0, [])
+
+        monkeypatch.setattr(nearcrit, "_walk", walk)
+        with pytest.raises(RuntimeError, match="^acceptance rate 0.00e"):
+            conditioned_branch_sampler(1.0, 1 / 8, target_arc=0,
+                                       n_accepted=10**6, seed=2**48 - 1,
+                                       radius=0.3)
+        assert len(streams) == 2**16
+
     def test_acceptance_guard(self):
         with pytest.raises(RuntimeError):
             conditioned_branch_sampler(

@@ -461,6 +461,19 @@ class TestEdgeCountReduction:
         # every vertex but the root has one counted successor per forest
         assert serial.sum() == n * (g.n - 1)
 
+    def test_counts_past_task_range_refused_before_any_task(self,
+                                                            monkeypatch):
+        # 2**16 task streams of 1000 forests hold 65 536 000 forests
+        counter = WilsonEdgeCounter(float_grid(3, 0.3))
+
+        def task(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(counter, "task_counts", task)
+        with pytest.raises(ValueError, match="^n = 65536001 is past the "
+                                             "limit 65536000: "):
+            counter.counts(65_536_001, 3)
+
     def test_marginals_equal_counts(self):
         g = float_grid(4, 0.3)
         pairs, counts, total = wilson_edge_marginals(g, 2100, seed=8)

@@ -284,8 +284,14 @@ def cmd_sample_dimers(args):
         return 2, []
 
     sampler = TemperleySampler.on_window(g, bulk, lam)
+    draws = sampler.samples(args.n, args.seed)
+    try:  # heights need interior quads; refuse before the first draw
+        sampler.dg.quad_adjacency
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, []
     rows = []
-    for sid, (m, h) in enumerate(sampler.samples(args.n, args.seed)):
+    for sid, (m, h) in enumerate(draws):
         for w, (b, slot) in sorted(m.items()):
             rows.append((sid, "match", w, b, 1))
         for (corner, f), v in sorted(h.values.items()):

@@ -37,7 +37,8 @@ class SquareLatticeKernel:
 
     Directions are E, N, W, S.  The drifted kernel tilts by the discrete
     exponential with drift u_bar; the killed kernel carries the elliptic
-    mass.  Both kernels coincide at M = 0.
+    mass.  Both kernels coincide at M = 0.  A mesh delta that is not a
+    finite positive number raises ValueError.
     """
 
     RAYS = {
@@ -48,6 +49,8 @@ class SquareLatticeKernel:
     }
 
     def __init__(self, M, delta, u_bar=None):
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"mesh delta = {delta} must be finite and > 0")
         self.M = float(M)
         self.delta = float(delta)
         self.spacing = SQRT2 * delta
@@ -101,9 +104,11 @@ GUIDE_CELLS = 1 << 12  # guide cells per outcome table; a power of two
 
 # Concatenated outcome tables (see `_jump_tables`): table t, the law of 2**t
 # steps, holds outcomes last[t-1] + 1 .. last[t]; each outcome moves the
-# walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps;
-# guide[t * (GUIDE_CELLS + 1) + i] is the outcome at t + i / GUIDE_CELLS
-_Tables = namedtuple("_Tables", "cdf last dx dy dead steps guide")
+# walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps.
+# Guide cell c = t * (GUIDE_CELLS + 1) + i of table t spans the draws
+# t + [i, i + 1) / GUIDE_CELLS, whose outcomes lie in [lo[c], hi[c]]; wide[c]
+# marks the cells that hold more than one CDF boundary
+_Tables = namedtuple("_Tables", "cdf last dx dy dead steps lo hi wide")
 
 
 def _death_edge(lo, hi, p_die):
@@ -139,8 +144,8 @@ def _jump_tables(kernel, s_max):
     shifted non-negative arrays (no cancellation).
 
     The guide holds, for each table t and i = 0..GUIDE_CELLS, the outcome
-    min(searchsorted(cdf, t + i / GUIDE_CELLS, 'right'), last[t]) that
-    `_outcome` brackets its draws with.
+    min(searchsorted(cdf, t + i / GUIDE_CELLS, 'right'), last[t]); `lo`
+    and `hi` are its entries at the two edges of each cell.
     """
     cum, p = kernel.dir_cum, kernel.p_die
     lower = np.concatenate(([0.0], cum[:-1]))
@@ -178,33 +183,45 @@ def _jump_tables(kernel, s_max):
     edges = np.arange(len(last))[:, None] \
         + np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
     guide = np.minimum(np.searchsorted(cdf, edges, side="right"),
-                       last[:, None])
+                       last[:, None]).astype(np.intp).ravel()
+    lo, hi = guide[:-1], guide[1:]
     return _Tables(cdf, last, np.concatenate(dx).astype(np.int32),
                    np.concatenate(dy).astype(np.int32),
                    np.concatenate(dead), np.concatenate(steps),
-                   guide.astype(np.int32).ravel())
+                   lo, hi, hi - lo > 1)
+
+
+def _lookup(tab, x, cell):
+    """The outcome min(searchsorted(tab.cdf, x, 'right'), tab.last[t]) of
+    the draw x = fl(u + t), u in [0, 1), in guide cell
+    cell = t (GUIDE_CELLS + 1) + floor(u GUIDE_CELLS).
+
+    With G = GUIDE_CELLS and i = floor(u G), the edges x_i = t + i / G
+    and x_{i+1} are exact doubles and rounding is monotone, so
+    x_i <= x <= x_{i+1} and the outcome lies in [lo, hi] = [tab.lo[cell],
+    tab.hi[cell]], the guide entries of the two edges.  If hi <= lo + 1 a
+    single comparison with cdf[lo] decides it; the few draws whose cell
+    holds more than one CDF boundary fall back to searchsorted.  Clamping
+    at hi is clamping at last[t]: hi is itself clamped there, and
+    searchsorted is monotone.  Every double u gets the outcome the
+    searchsorted over the whole CDF gives.
+    """
+    k, hi = tab.lo[cell], tab.hi[cell]
+    k += tab.cdf[k] <= x
+    wide = tab.wide[cell]
+    if np.count_nonzero(wide):
+        wide = wide.nonzero()[0]
+        k[wide] = np.searchsorted(tab.cdf, x[wide], side="right")
+    return np.minimum(k, hi, out=k)
 
 
 def _outcome(tab, u, t):
     """min(searchsorted(tab.cdf, u + t, 'right'), tab.last[t]) for u in
-    [0, 1), by guide-table lookup.
-
-    With cell i = floor(u G), G = GUIDE_CELLS, the edges x_i = t + i / G
-    and x_{i+1} are exact doubles and rounding is monotone, so
-    x_i <= fl(u + t) <= x_{i+1} and the outcome lies in [lo, hi], the
-    guide entries of the two edges.  If hi <= lo + 1 a single comparison
-    with cdf[lo] decides it; the few draws whose cell holds more than one
-    CDF boundary fall back to searchsorted.  Every double u gets the
-    outcome the searchsorted over the whole CDF gives.
-    """
-    x = u + t
-    cell = t.astype(np.intp) * (GUIDE_CELLS + 1) \
-        + (u * GUIDE_CELLS).astype(np.intp)
-    lo, hi = tab.guide[cell], tab.guide[cell + 1]
-    k = lo + (tab.cdf[lo] <= x)
-    wide = np.flatnonzero(hi - lo > 1)
-    k[wide] = np.searchsorted(tab.cdf, x[wide], side="right")
-    return np.minimum(k, tab.last[t])
+    [0, 1) and table indices t: `_lookup` on the cell and draw that
+    `_walk` builds from the walker's site."""
+    cell = (u * GUIDE_CELLS).astype(np.intp)
+    cell += t.astype(np.intp) * (GUIDE_CELLS + 1)
+    return _lookup(tab, u + t, cell)
 
 
 class _Box:
@@ -288,61 +305,77 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
 
     Each iteration draws one uniform per active walker (in walker order)
     from `rng`, or reads the active walker ids of row `iteration` of a
-    pre-drawn block `uniforms`, which couples the runs of different
-    kernels.  The uniform picks an outcome of the walker's table in
-    `_jump_tables`; `_outcome` finds it from the tables' guide, mostly with
-    one comparison, and picks for every double u what a binary search of
-    the CDF picks.  A walker whose L1 distance d to the stop set has
-    d - 1 >= S takes S = 2**t steps (`box.jump_index`) at once from the
-    exact S-step law, a lattice walk-on-spheres; next to the stop set it
-    takes one step, drawn exactly as the residual split draws it.  A jump
-    never lands on or crosses a stop site, so `prev -> final` of a walker
-    that leaves alive is one lattice step.  A walker killed inside a jump
-    reports its jump-start site as `final`, and `steps` counts the step it
-    died on.  With `record` (every visited site) or `uniforms` (one row
-    per lattice step) every walker takes single steps, and the output is
-    that of the one-step loop bit for bit.  Each walker has a budget of
-    `max_steps` lattice steps; jumps are cut to the budget once fewer than
-    2 JUMP_MAX steps may be left.  Walkers still running when it runs out
-    raise a RuntimeWarning.
+    pre-drawn block `uniforms`, which couples the runs of different kernels.
+    The uniform u picks an outcome of the walker's table t in
+    `_jump_tables`; `_lookup` finds it from the guide, mostly with one
+    comparison, and picks for every double u what a binary search of the CDF
+    picks.  What the lookup needs of t, the first guide cell of t and t as a
+    float, is built once per call for every site and gathered by site each
+    iteration.  A walker whose L1 distance d to the stop set has d - 1 >= S
+    takes S = 2**t steps (`box.jump_index`) at once from the exact S-step
+    law, a lattice walk-on-spheres; next to the stop set it takes one step,
+    drawn exactly as the residual split draws it.  A jump never lands on or
+    crosses a stop site, so `prev -> final` of a walker that leaves alive is
+    one lattice step.  A walker killed inside a jump reports its jump-start
+    site as `final`, and `steps` counts the step it died on.  With `record`
+    (every visited site) or `uniforms` (one row per lattice step) every
+    walker takes single steps, and the output is that of the one-step loop
+    bit for bit.  Each walker has a budget of `max_steps` lattice steps;
+    jumps are cut to the budget once fewer than 2 JUMP_MAX steps may be
+    left.  Walkers still running when it runs out raise a RuntimeWarning.
     """
     if record or uniforms is not None:
         tix, s_max = np.zeros(box.z.size, np.int8), 1
     else:
         tix, s_max = box.jump_index, JUMP_MAX
     tab = kernel.tables(s_max)
-    offset = tab.dx * box.shape[1] + tab.dy
-    site = np.full(n, start, dtype=np.int32)
+    # per site: the first guide cell of its table, and the table index as
+    # a float; adding it to the double u widens it before the sum
+    cell_of = tix.astype(np.int32) * (GUIDE_CELLS + 1)
+    t_of = tix.astype(np.float32)
+    # sites are intp: numpy gathers by an intp index without a cast
+    offset = (tab.dx * box.shape[1] + tab.dy).astype(np.intp)
+    site = np.full(n, start, dtype=np.intp)
     # taken: the steps of the active walkers so far
     ids, taken, visits = np.arange(n), np.zeros(n, np.int64), []
     final, prev, died = site.copy(), site.copy(), np.zeros(n, dtype=bool)
     steps, truncated = np.zeros(n, np.int64), 0
     for it in itertools.count():
-        t = tix[site]
         if max_steps - it * s_max < 2 * s_max:
             left = max_steps - taken
             out = left <= 0
             if out.any():
                 final[ids[out]], steps[ids[out]] = site[out], taken[out]
                 truncated += int(out.sum())
-                ids, site, taken, t, left = (a[~out] for a in
-                                             (ids, site, taken, t, left))
-            t = np.minimum(t, np.frexp(left)[1] - 1)
+                keep = ~out
+                ids, site, taken, left = (a[keep] for a in
+                                          (ids, site, taken, left))
+            t = np.minimum(tix[site], np.frexp(left)[1] - 1)
+            base = t * (GUIDE_CELLS + 1)
+        else:
+            base, t = cell_of[site], t_of[site]
         if ids.size == 0:
             break
         u = rng.random(ids.size) if uniforms is None else uniforms[it][ids]
-        k = _outcome(tab, u, t)
-        new = site + offset[k]
+        # a float scalar: numpy multiplies by it faster than by an int
+        cell = (u * float(GUIDE_CELLS)).astype(np.intp)
+        cell += base
+        u += t
+        k = _lookup(tab, u, cell)
+        new = offset[k]
+        new += site
         taken += tab.steps[k]
         dead = tab.dead[k]
-        stop = box.stop[new] | dead
+        stop = box.stop[new]
+        stop |= dead
         if record:
             visits.append((ids, new))
-        if stop.any():
+        if np.count_nonzero(stop):
             done = ids[stop]
             final[done], prev[done] = new[stop], site[stop]
             died[done], steps[done] = dead[stop], taken[stop]
-            ids, new, taken = ids[~stop], new[~stop], taken[~stop]
+            keep = ~stop
+            ids, new, taken = ids[keep], new[keep], taken[keep]
         site = new
     if truncated:
         warnings.warn(f"{truncated} of {n} walkers were still running after "

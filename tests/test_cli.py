@@ -527,6 +527,28 @@ class TestDispatch:
         assert "residual" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sample_dimers_refuses_window_without_interior_quads(
+            self, tmp_path, monkeypatch, capsys):
+        # 13 vertices: a double graph with no interior quad has no heights;
+        # an input error, refused before the first matching is drawn
+        import massiveforests.dimers as dimers
+
+        def draw(*args):
+            raise AssertionError("a matching was drawn")
+
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--delta", "0.25", "--window", "4", "--M",
+                     "1.0", "--out", gpath]) == 0
+        monkeypatch.setattr(dimers, "_wilson_successors", draw)
+        out = tmp_path / "dimers.csv"
+        capsys.readouterr()
+        assert main(["--seed", "3", "sample-dimers", "--graph", gpath,
+                     "--u", "0.5", "--M", "1.0", "--delta", "0.25",
+                     "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: window has no interior double-graph faces\n"
+        assert not out.exists()
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "massiveforests.cli", "verify",
@@ -591,18 +613,36 @@ class TestExperimentKinds:
 
     # each error names where its input came from: the config or --seed;
     # 2**30 + 1 walkers take 65537 walk tasks and the Brownian leg one more,
-    # past the 2**16 task streams of a seed: n is at fault, not the seed
+    # past the 2**16 task streams of a seed: n is at fault, not the seed;
+    # a mesh delta that is not positive is refused before any walker runs
     @pytest.mark.parametrize("name, cfg, options, where", [
         ("exitlaw", {"n": 2**30 + 1, "delta": 0.25},
-         ["--seed", str(2**48 - 1)], "{path}"),
-        ("height", {"block": 2, "n": 2}, [], "{path}"),
-    ], ids=["exitlaw-n-past-task-range", "height-block-without-faces"])
-    def test_input_error_inside_run_exit_two(self, tmp_path, capsys, name,
-                                             cfg, options, where):
+         ["--seed", str(2**48 - 1)], "{path}: "),
+        ("height", {"block": 2, "n": 2}, [], "{path}: "),
+        ("exitlaw", {"delta": 0.0, "n": 20}, [],
+         "{path}: mesh delta = 0.0 must be finite and > 0\n"),
+        ("exitlaw", {"delta": -0.0625, "n": 20}, [],
+         "{path}: mesh delta = -0.0625 must be finite and > 0\n"),
+        ("crossing", {"delta_ratio": 0.0, "n": 20}, [],
+         "{path}: mesh delta = 0.0 must be finite and > 0\n"),
+        ("branch", {"delta": 0.0, "n": 2}, [],
+         "{path}: mesh delta = 0.0 must be finite and > 0\n"),
+    ], ids=["exitlaw-n-past-task-range", "height-block-without-faces",
+            "exitlaw-delta-zero", "exitlaw-delta-negative",
+            "crossing-delta-zero", "branch-delta-zero"])
+    def test_input_error_inside_run_exit_two(self, tmp_path, monkeypatch,
+                                             capsys, name, cfg, options,
+                                             where):
+        import massiveforests.nearcrit as nearcrit
+
+        def walk(*args, **kwargs):
+            raise AssertionError("a walker ran")
+
+        monkeypatch.setattr(nearcrit, "_walk", walk)
         code, path, out = run_experiment(tmp_path, name, cfg, *options)
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            f"error: {where.format(path=path)}: ")
+            f"error: {where.format(path=path)}")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_exitlaw_n_past_task_range_never_enters_walk_leg(self, tmp_path,

@@ -84,6 +84,42 @@ def _one_step_walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     return final, prev, died, int(ids.size), paths
 
 
+def _jump_walk(kernel, box, start, n, rng, max_steps):
+    """The jump engine with a plain binary search for every draw: table
+    t = min(box.jump_index, floor(log2(steps left))), outcome
+    min(searchsorted(cdf, u + t, 'right'), last[t]), walkers out of budget
+    removed before the draw.  Returns (final, prev, died, steps,
+    truncated), the reference for jump runs of `_walk`."""
+    tab = kernel.tables(JUMP_MAX)
+    offset = tab.dx * box.shape[1] + tab.dy
+    site = np.full(n, start, dtype=np.int64)
+    ids, taken = np.arange(n), np.zeros(n, np.int64)
+    final, prev, died = site.copy(), site.copy(), np.zeros(n, dtype=bool)
+    steps, truncated = np.zeros(n, np.int64), 0
+    while True:
+        left = max_steps - taken
+        out = left <= 0
+        final[ids[out]], steps[ids[out]] = site[out], taken[out]
+        truncated += int(out.sum())
+        ids, site, taken, left = (a[~out] for a in (ids, site, taken, left))
+        if ids.size == 0:
+            break
+        # the longest jump 2**t <= left, as long as the site allows it
+        t = np.minimum(box.jump_index[site].astype(np.int64),
+                       np.floor(np.log2(left)).astype(np.int64))
+        u = rng.random(ids.size)
+        k = np.minimum(np.searchsorted(tab.cdf, u + t, side="right"),
+                       tab.last[t])
+        new = site + offset[k]
+        taken = taken + tab.steps[k]
+        stop = box.stop[new] | tab.dead[k]
+        done = ids[stop]
+        final[done], prev[done] = new[stop], site[stop]
+        died[done], steps[done] = tab.dead[k][stop], taken[stop]
+        ids, site, taken = ids[~stop], new[~stop], taken[~stop]
+    return final, prev, died, steps, truncated
+
+
 def _exact_walk_laws(kernel, box, start):
     """Exact laws of the walk from `start`, from one sparse solve on the
     window: expected visits g = V[start, .], the mean number of steps
@@ -130,6 +166,11 @@ class TestKernel:
     def test_nome_guard(self):
         with pytest.raises(ValueError):
             SquareLatticeKernel(3.0, 1.0)  # q = M * delta / 2 >= 1
+
+    @pytest.mark.parametrize("delta", [0.0, -1 / 32, math.inf, math.nan])
+    def test_mesh_must_be_finite_positive(self, delta):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            SquareLatticeKernel(1.0, delta)
 
     def test_drifted_kernel_skips_mass_quadrature(self, monkeypatch):
         killed = SquareLatticeKernel(1.0, 1 / 32)
@@ -335,6 +376,37 @@ class TestJumps:
                     if "record" in opts:
                         lengths = [len(p) for p in w.paths]
                         assert np.array_equal(w.steps, lengths)
+
+    def test_jump_runs_match_binary_search_walk(self):
+        # killed, drifted and M = 0 kernels on a disk whose centre jumps
+        # JUMP_MAX steps and on a crossing box with its target ball, with
+        # the step cap and with a budget of 37 steps, which cuts jumps
+        spec = CrossingSpec(r=0.3, z=0.37 + 0.11j, horizontal=False)
+        for seed, (M, u_bar) in enumerate(((1.0, None), (2.0, 0.7),
+                                           (0.0, None)), start=70):
+            disk = SquareLatticeKernel(M, 1 / 128, u_bar=u_bar)
+            circle = _disk_box(disk.spacing, 1.0)
+            centre = circle.site(0, 0)
+            assert 2 ** circle.jump_index[centre] == JUMP_MAX
+            rect = SquareLatticeKernel(M, spec.r / 32, u_bar=u_bar)
+            crossing, target, ball = _crossing_box(spec, rect)
+            for kernel, box, start in ((disk, circle, centre),
+                                       (rect, crossing, ball)):
+                for max_steps in (STEP_CAP, 37):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        w = _walk(kernel, box, start, 1500,
+                                  rng_stream(seed, 0), max_steps)
+                    ref = _jump_walk(kernel, box, start, 1500,
+                                     rng_stream(seed, 0), max_steps)
+                    assert np.array_equal(w.final, ref[0])
+                    assert np.array_equal(w.prev, ref[1])
+                    assert np.array_equal(w.died, ref[2])
+                    assert np.array_equal(w.steps, ref[3])
+                    assert w.truncated == ref[4]
+                    assert (w.truncated > 0) == (max_steps == 37)
+                    if box is crossing and max_steps == STEP_CAP:
+                        assert np.any(~w.died & target[w.final])
 
     def test_table_zero_is_the_residual_split(self):
         # every table-0 boundary and its nextafter neighbours draw what the

@@ -294,7 +294,7 @@ def cmd_sample_dimers(args):
     for sid, (m, h) in enumerate(draws):
         for w, (b, slot) in sorted(m.items()):
             rows.append((sid, "match", w, b, 1))
-        for (corner, f), v in sorted(h.values.items()):
+        for (corner, f), v in sorted(h.items()):
             rows.append((sid, "height", corner, f, v))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -89,13 +89,14 @@ def _weight_system(dg: DoubleGraph, *slots):
 def _white_ends(dg: DoubleGraph, lam_ambient):
     """(c, lambda(x), lambda(y)) as three arrays over the whites.
 
-    lambda is read at the ambient vertices behind the white's ends (a
+    lambda is read at the white table's ambient ends `ax` and `ay` (a
     spoke's y at o reads its ambient target); Fractions make object
     arrays, so exact weights stay exact."""
-    c = np.array([info["edge"].cond for info in dg.whites])
-    lx = np.array([lam_ambient[ax] for ax, _ in dg.ambient_ends])
-    ly = np.array([lam_ambient[ay] for _, ay in dg.ambient_ends])
-    return c, lx, ly
+    t = dg.white_table
+    if isinstance(lam_ambient, np.ndarray):
+        return t.c, lam_ambient[t.ax], lam_ambient[t.ay]
+    return t.c, *(np.array([lam_ambient[a] for a in ends.tolist()])
+                  for ends in (t.ax, t.ay))
 
 
 def _float_ends(dg: DoubleGraph, lam_ambient):
@@ -250,16 +251,18 @@ def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
 
 
 def _white_pairs(dg: DoubleGraph):
-    """Whites per (x, y) endpoint pair.
+    """Whites per (x, y) endpoint pair, a spoke's y being 'o'.
 
     Tree edges start at window vertices, so pairs starting at o are left
     out.
     """
-    whites = {}
-    for w, info in enumerate(dg.whites):
-        whites.setdefault((info["x"], info["y"]), []).append(w)
-        if info["y"] != "o":
-            whites.setdefault((info["y"], info["x"]), []).append(w)
+    t, whites = dg.white_table, {}
+    for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
+        if y == dg.col.o:
+            whites.setdefault((x, "o"), []).append(w)
+        else:
+            whites.setdefault((x, y), []).append(w)
+            whites.setdefault((y, x), []).append(w)
     return whites
 
 
@@ -289,8 +292,8 @@ def _resolve(dg: DoubleGraph, whites, laws, successors, reader):
             continue
         cdf = laws.get((x, y))
         if cdf is None:
-            cdf = laws[(x, y)] = _choice_cdf(np.array(
-                [float(dg.whites[w]["edge"].cond) for w in cands]))
+            cdf = laws[(x, y)] = _choice_cdf(
+                dg.white_table.c[cands].astype(float))
         out[x] = cands[bisect_right(cdf, reader.next())]
     return out
 
@@ -316,16 +319,16 @@ def temperley_forward(dg: DoubleGraph, tree_whites):
     edge.  The dual tree is the unique spanning tree of the dual graph on
     the unused whites, oriented toward r.
     """
-    col = dg.col
-    matching = {}
-    used = set()
-    for x in range(col.n):
-        w = tree_whites[x]
-        info = dg.whites[w]
-        if info["x"] != x and info["y"] != x:
-            raise ValueError("tree edge does not start at its vertex")
-        matching[w] = (dg.black_of_vertex(x), 0 if info["x"] == x else 2)
-        used.add(w)
+    t, n = dg.white_table, dg.col.n
+    whites = np.array([tree_whites[x] for x in range(n)], dtype=np.int64)
+    xs = np.arange(n)
+    at_x = t.x[whites] == xs
+    if not np.all(at_x | (t.y[whites] == xs)):
+        raise ValueError("tree edge does not start at its vertex")
+    # window vertex x is black x
+    matching = dict(zip(whites.tolist(),
+                        zip(range(n), np.where(at_x, 0, 2).tolist())))
+    used = set(matching)
 
     # depth-first search from r over the dual edges of the unused whites
     adj = dg.dual_adjacency
@@ -340,50 +343,48 @@ def temperley_forward(dg: DoubleGraph, tree_whites):
             seen.add(g2)
             dual_tree[g2] = w
             stack.append(g2)
-    for f in dg.dual_ids:
-        if f not in dual_tree:
-            raise ValueError("dual complement is not spanning: input was "
-                             "not a tree rooted at o")
-        w = dual_tree[f]
-        info = dg.whites[w]
-        slot = 1 if info["left"] == f else 3
-        matching[w] = (dg.black_of_face(f), slot)
+    if any(f not in dual_tree for f in dg.dual_ids):
+        raise ValueError("dual complement is not spanning: input was "
+                         "not a tree rooted at o")
+    # kept face dg.dual_ids[i] is black n + i
+    whites = np.array([dual_tree[f] for f in dg.dual_ids], dtype=np.int64)
+    slots = np.where(t.left[whites] == np.array(dg.dual_ids, np.int64), 1, 3)
+    matching.update(zip(whites.tolist(), zip(range(n, dg.n_black),
+                                             slots.tolist())))
     if len(matching) != dg.n_white:
         raise ValueError("Temperley image is not perfect")
     return matching, dual_tree
 
 
 def temperley_inverse(dg: DoubleGraph, matching):
-    """Matching -> (primal tree as vertex->white, dual tree as face->white)."""
-    tree, dual_tree = {}, {}
-    for w, (b, slot) in matching.items():
-        info = dg.whites[w]
-        if slot in (0, 2):
-            x = info["x"] if slot == 0 else info["y"]
-            if x == "o" or tree.get(x) is not None:
-                raise ValueError("not a Temperley matching")
-            tree[x] = w
-        else:
-            f = info["left"] if slot == 1 else info["right"]
-            dual_tree[f] = w
-    if len(tree) != dg.col.n or len(dual_tree) != len(dg.dual_ids):
-        raise ValueError("matching does not cover the blacks")
-    # primal part must be a forest flowing into o
-    head = {}
-    for x, w in tree.items():
-        info = dg.whites[w]
-        head[x] = info["y"] if info["x"] == x else info["x"]
-    color = {}
-    for start in head:
-        x, chain = start, []
-        while x != "o" and x in head and color.get(x, 0) == 0:
-            color[x] = 1
-            chain.append(x)
-            x = head[x]
-        if x != "o" and color.get(x) == 1:
-            raise ValueError("matching decodes to a cyclic primal part")
-        for v in chain:
-            color[v] = 2
+    """Matching -> (primal tree as vertex->white, dual tree as face->white).
+
+    Refuses a matching that uses a half-edge the double graph lacks or
+    does not use each black exactly once, and one whose primal part does
+    not flow into o.
+    """
+    t, n = dg.white_table, dg.col.n
+    w, b, slot = np.array([(w, b, slot) for w, (b, slot) in matching.items()],
+                          dtype=np.int64).reshape(-1, 3).T
+    if not (np.all((w >= 0) & (w < dg.n_white) & (slot >= 0) & (slot < 4))
+            and np.all(t.mask[w, slot])
+            and np.array_equal(t.black[w, slot], b)):
+        raise ValueError("not a Temperley matching: a half-edge is not in "
+                         "the double graph")
+    if not np.array_equal(np.sort(b), np.arange(dg.n_black)):
+        raise ValueError("matching does not use each black exactly once")
+    primal = slot % 2 == 0
+    tree = dict(zip(b[primal].tolist(), w[primal].tolist()))
+    faces = np.where(slot == 1, t.left[w], t.right[w])
+    dual_tree = dict(zip(faces[~primal].tolist(), w[~primal].tolist()))
+    # primal part must be a forest flowing into o: 2^k steps along the
+    # tree from any vertex reach o once 2^k > n
+    head = np.full(n + 1, n)
+    head[b[primal]] = np.where(slot == 0, t.y[w], t.x[w])[primal]
+    for _ in range(n.bit_length()):
+        head = head[head]
+    if np.any(head != n):
+        raise ValueError("matching decodes to a cyclic primal part")
     return tree, dual_tree
 
 
@@ -565,9 +566,9 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
         for (y, w) in adj.get(x, []):
             if y in seen:
                 continue
-            info = dg.whites[w]
-            nu_x = float(weights.weight(w, 0 if info["x"] == x else 2))
-            nu_y = float(weights.weight(w, 2 if info["x"] == x else 0))
+            at_x = dg.white_table.x[w] == x
+            nu_x = float(weights.weight(w, 0 if at_x else 2))
+            nu_y = float(weights.weight(w, 2 if at_x else 0))
             lam[y] = lam[x] * nu_x / nu_y
             seen.add(y)
             order.append(y)
@@ -659,17 +660,6 @@ def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
 # -- height field -------------------------------------------------------------
 
 
-class HeightField:
-    """Height per quad of the double graph, zero at the reference quad."""
-
-    def __init__(self, values, reference):
-        self.values = values      # (corner, face) -> height
-        self.reference = reference
-
-    def __getitem__(self, quad):
-        return self.values[quad]
-
-
 def reference_matching(dg: DoubleGraph):
     """Deterministic matching from a BFS tree of the collapsed window."""
     col = dg.col
@@ -695,8 +685,10 @@ def reference_matching(dg: DoubleGraph):
     return matching
 
 
-def height_function(dg: DoubleGraph, matching, reference=None) -> HeightField:
-    """Height of `matching` relative to the deterministic reference.
+def height_function(dg: DoubleGraph, matching, reference=None):
+    """Height of `matching` relative to the deterministic reference, as a
+    (corner, face) -> height dict over the interior quads in their sorted
+    order, zero at the first quad.
 
     The difference flow of the two matchings is divergence-free at every
     surviving vertex, so its dual potential is well-defined on the quads.
@@ -713,7 +705,7 @@ def _blacks(dg: DoubleGraph, matching):
     return np.array([matching[w][0] for w in range(dg.n_white)])
 
 
-def _heights(dg: DoubleGraph, ref, matching) -> HeightField:
+def _heights(dg: DoubleGraph, ref, matching):
     """`height_function` against the reference's `_blacks` array."""
     adj = dg.quad_adjacency
     cur = _blacks(dg, matching)
@@ -725,4 +717,4 @@ def _heights(dg: DoubleGraph, ref, matching) -> HeightField:
         h[j] = h[i] + dh[e]
     if np.any(np.abs(h[adj.dst] - (h[adj.src] + dh)) > 1e-9):
         raise ValueError("height increments have curl")
-    return HeightField(dict(zip(adj.quads, h.tolist())), adj.quads[0])
+    return dict(zip(adj.quads, h.tolist()))

@@ -824,12 +824,11 @@ def height_field_stats(M, u_bar, delta, block, n_samples, seed):
     lam = discrete_exponential(grid, mod, u_bar).primal
     sampler = TemperleySampler.on_window(ambient, subset, lam)
 
-    quads, sums, sums2 = None, 0.0, 0.0
+    sums, sums2 = 0.0, 0.0
     for _, h in sampler.samples(n_samples, seed):
-        quads = quads or sorted(h.values.keys())
-        vals = np.array([h.values[q] for q in quads])
+        vals = np.array(list(h.values()))  # in quad_adjacency.quads order
         sums = sums + vals
         sums2 = sums2 + vals * vals
     mean = sums / n_samples
     var = sums2 / n_samples - mean**2
-    return quads, mean, var, sampler.dg
+    return sampler.dg.quad_adjacency.quads, mean, var, sampler.dg

@@ -193,13 +193,10 @@ def _check_euler(col, edges, structure):
 class DoubleGraph:
     """The double graph of G^o with o and r removed.
 
-    Whites sit on the edges of G^o.  Blacks are the window vertices followed
-    by the kept dual vertices.  Each white records its primal endpoints
-    (x, y), its dual endpoints (left and right faces of the canonical
-    direction x -> y) and which neighbours survive the removal of o and r.
-    x is always a window vertex; y is 'o' on spokes.  `ambient_ends[w]`
-    holds the ambient vertices behind x and y, the spoke's ambient target
-    standing in for o.
+    Whites sit on the edges of G^o: white w on edge w.  Blacks are the
+    window vertices followed by the kept dual vertices.  `white_table`
+    is the one per-white record: primal and ambient ends, faces on either
+    side, conductance, and which neighbours survive the removal of o and r.
     """
 
     def __init__(self, col: CollapsedGraph, structure: PlanarFaceStructure,
@@ -219,24 +216,7 @@ class DoubleGraph:
         self.dual_ids = [f for f in range(len(structure.faces)) if f != r]
         self.dual_index = {f: i for i, f in enumerate(self.dual_ids)}
         self.n_black = col.n + len(self.dual_ids)
-
-        self.whites = []
-        self.ambient_ends = []
-        for e in edges:
-            h = e.halves[0]  # canonical direction x -> y
-            left = structure.left_face(h)
-            right = structure.left_face(h.twin)
-            self.whites.append({
-                "edge": e,
-                "x": e.x,
-                "y": e.y,
-                "left": left,
-                "right": right,
-            })
-            self.ambient_ends.append((
-                col.ambient_ids[e.x],
-                e.ambient_target if e.y == "o" else col.ambient_ids[e.y]))
-        self.n_white = len(self.whites)
+        self.n_white = len(edges)
 
     def black_of_vertex(self, x):
         return x
@@ -290,8 +270,8 @@ class DoubleGraph:
         """Face -> [(adjacent face, white between them)] over every white,
         in white order, built on first use."""
         adj = {}
-        for w, info in enumerate(self.whites):
-            a, b = info["left"], info["right"]
+        t = self.white_table
+        for w, (a, b) in enumerate(zip(t.left.tolist(), t.right.tolist())):
             adj.setdefault(a, []).append((b, w))
             adj.setdefault(b, []).append((a, w))
         return adj
@@ -301,9 +281,9 @@ class DoubleGraph:
         """Window vertex -> [(adjacent vertex, white between them)] over
         the whites off o, in white order, built on first use."""
         adj = {}
-        for w, info in enumerate(self.whites):
-            x, y = info["x"], info["y"]
-            if y != "o":
+        t = self.white_table
+        for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
+            if y != self.col.o:
                 adj.setdefault(x, []).append((y, w))
                 adj.setdefault(y, []).append((x, w))
         return adj
@@ -315,20 +295,28 @@ class DoubleGraph:
 
 
 class WhiteTable:
-    """The whites' endpoints as integer arrays in white order.
+    """The one per-white record: arrays in white order, white w on edge w.
 
     `x` and `y` are the window endpoints (a spoke's y is col.o), `left`
-    and `right` the faces on either side of x -> y.  Row w of `black`
-    holds the blacks of slots x, left, y, right, and row w of `mask`
-    says which of them survive the removal of o and r.
+    and `right` the faces on either side of x -> y, `c` the conductance
+    (an object array when the conductances are Fractions) and `ax`, `ay`
+    the ambient vertices behind x and y (a spoke's `ay` is its ambient
+    target, standing in for o).  Row w of `black` holds the blacks of
+    slots x, left, y, right, and row w of `mask` says which of them
+    survive the removal of o and r.
     """
 
     def __init__(self, dg: DoubleGraph):
-        n, r = dg.col.n, dg.r
-        self.x, self.y, self.left, self.right = np.array(
-            [(info["x"], n if info["y"] == "o" else info["y"], info["left"],
-              info["right"]) for info in dg.whites],
+        n, r, ids = dg.col.n, dg.r, dg.col.ambient_ids
+        self.x, self.y, self.ax, self.ay = np.array(
+            [(e.x, n, ids[e.x], e.ambient_target) if e.y == "o" else
+             (e.x, e.y, ids[e.x], ids[e.y]) for e in dg.edges],
             dtype=np.int64).reshape(-1, 4).T
+        # edge w's halves are 2w (along x -> y) and 2w + 1
+        self.left, self.right = np.array(
+            [dg.structure.face_of_half[h] for h in range(2 * dg.n_white)],
+            dtype=np.int64).reshape(-1, 2).T
+        self.c = np.array([e.cond for e in dg.edges])
         self.mask = np.stack([np.ones(dg.n_white, bool), self.left != r,
                               self.y != n, self.right != r], axis=1)
         # black_of_face per face; r's entry is masked out wherever it is read
@@ -363,13 +351,15 @@ class QuadAdjacency:
                          for f in {f for _, f in quads}}
         centroid = [0.5 * (pos[corner] + face_centroid[f])
                     for corner, f in quads]
-        white_pos = {}
-        for w, info in enumerate(dg.whites):
-            if info["y"] == "o":
-                white_pos[w] = pos[info["x"]] + 0.5 * np.asarray(
-                    info["edge"].direction, float)
-            else:
-                white_pos[w] = 0.5 * (pos[info["x"]] + pos[info["y"]])
+        t = dg.white_table
+        x, y, left, right = (a.tolist() for a in (t.x, t.y, t.left, t.right))
+        off = np.flatnonzero(t.mask[:, 2])
+        spoke = np.flatnonzero(~t.mask[:, 2])
+        white_pos = np.empty((dg.n_white, 2))
+        white_pos[off] = 0.5 * (pos[t.x[off]] + pos[t.y[off]])
+        white_pos[spoke] = pos[t.x[spoke]] + 0.5 * np.array(
+            [dg.edges[w].direction for w in spoke.tolist()],
+            float).reshape(-1, 2)
 
         # spokes border only faces through o, which hold no interior quad,
         # so the whites off o at a corner are all a step can cross there
@@ -377,15 +367,13 @@ class QuadAdjacency:
             corner, f = q
             out = []
             for _, w in dg.primal_adjacency.get(corner, []):
-                info = dg.whites[w]
-                a, b = info["left"], info["right"]
+                a, b = left[w], right[w]
                 other = b if f == a else (a if f == b else None)
                 if other is not None and (corner, other) in quad_ids:
                     out.append(((corner, other), w,
                                 dg.black_of_vertex(corner)))
             for _, w in dg.dual_adjacency.get(f, []):
-                info = dg.whites[w]
-                xx, yy = info["x"], info["y"]
+                xx, yy = x[w], y[w]
                 other = yy if corner == xx else (xx if corner == yy else None)
                 if other is not None and (other, f) in quad_ids:
                     out.append(((other, f), w, dg.black_of_face(f)))

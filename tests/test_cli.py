@@ -516,6 +516,24 @@ class TestDispatch:
         kinds = {line.split(",")[1] for line in lines[1:]}
         assert kinds == {"match", "height"}
 
+    @pytest.mark.parametrize("kind, seed, u, n, digest", [
+        # 300 samples cross the 256-sample task boundary
+        ("square", "3", "0.5", "300",
+         "e73b9377921138f5fcdcd3a378df486081887028eb076c75b95f9fea71b5b3a6"),
+        ("rhombic", "4", "0.3", "5",
+         "d95beb12ad350737e8c6c79d9c687361f2b6afc4b5e8bc5711b89b8151bf717b"),
+    ], ids=["square", "rhombic"])
+    def test_sample_dimers_bytes_pinned(self, tmp_path, kind, seed, u, n,
+                                        digest):
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--kind", kind, "--delta", "0.125", "--window",
+                     "8", "--M", "1.0", "--out", gpath]) == 0
+        out = tmp_path / "dimers.csv"
+        assert main(["--seed", seed, "sample-dimers", "--graph", gpath,
+                     "--u", u, "--M", "1.0", "--delta", "0.125", "--n", n,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_sample_dimers_refuses_mismatched_drift(self, tmp_path, capsys):
         # the default --M 0 field is not massive harmonic for an M = 1 grid
         gpath = str(tmp_path / "grid.json")

@@ -18,6 +18,23 @@ def grid_window(nx_amb, ny_amb, cols, rows, c=Fraction(1)):
     return amb, col
 
 
+def white_dicts(dg):
+    """The per-white dicts the double graph once kept, rebuilt from its
+    edges and faces as a reference independent of the white table."""
+    return [{"edge": e, "x": e.x, "y": e.y,
+             "left": dg.structure.left_face(e.halves[0]),
+             "right": dg.structure.left_face(e.halves[0].twin)}
+            for e in dg.edges]
+
+
+def ambient_ends(dg):
+    """The ambient vertices behind each white's x and y, a spoke's ambient
+    target standing in for o, rebuilt as `white_dicts` is."""
+    ids = dg.col.ambient_ids
+    return [(ids[e.x], e.ambient_target if e.y == "o" else ids[e.y])
+            for e in dg.edges]
+
+
 class TestFaces:
     def test_single_vertex_four_spokes(self):
         amb, col = grid_window(3, 3, [1], [1])
@@ -79,8 +96,7 @@ class TestDoubleGraph:
     def test_white_records_both_edges(self):
         amb, col = grid_window(4, 4, [1, 2], [1, 2])
         _, dg = build_dual_and_double(col, amb.positions)
-        for w in range(dg.n_white):
-            info = dg.whites[w]
+        for w, info in enumerate(white_dicts(dg)):
             assert info["left"] != info["right"]
             assert {k for (_, k, _) in dg.white_neighbours(w)} <= \
                 {"primal", "dual"}

@@ -284,18 +284,17 @@ def cmd_sample_dimers(args):
         return 2, []
 
     sampler = TemperleySampler.on_window(g, bulk, lam)
-    draws = sampler.samples(args.n, args.seed)
+    draws = sampler.batches(args.n, args.seed)
     try:  # heights need interior quads; refuse before the first draw
-        sampler.dg.quad_adjacency
+        quads = sampler.dg.quad_adjacency.quads  # sorted
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, []
     rows = []
-    for sid, (m, h) in enumerate(draws):
-        for w, (b, slot) in sorted(m.items()):
-            rows.append((sid, "match", w, b, 1))
-        for (corner, f), v in sorted(h.items()):
-            rows.append((sid, "height", corner, f, v))
+    for sid, (blacks, heights) in enumerate(pair for bs, hs in draws for pair
+                                            in zip(bs.tolist(), hs.tolist())):
+        rows += [(sid, "match", w, b, 1) for w, b in enumerate(blacks)]
+        rows += [(sid, "height", c, f, v) for (c, f), v in zip(quads, heights)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "kind", "key1", "key2", "value"])

@@ -250,110 +250,92 @@ def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
 # -- Temperley bijection ----------------------------------------------------
 
 
-def _white_pairs(dg: DoubleGraph):
-    """Whites per (x, y) endpoint pair, a spoke's y being 'o'.
-
-    Tree edges start at window vertices, so pairs starting at o are left
-    out.
-    """
-    t, whites = dg.white_table, {}
-    for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
-        if y == dg.col.o:
-            whites.setdefault((x, "o"), []).append(w)
-        else:
-            whites.setdefault((x, y), []).append(w)
-            whites.setdefault((y, x), []).append(w)
-    return whites
-
-
-def _choice_cdf(weights):
-    """Cumulative law of `weights`, built as `rng.choice(k, p=p)` builds
-    it (p.cumsum() over its last value), so `bisect_right(cdf, u)` is the
-    index `rng.choice` picks from the same uniform u."""
-    p = weights / weights.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-def _resolve(dg: DoubleGraph, whites, laws, successors, reader):
-    """Parallel edges (several whites between the same endpoints, e.g.
-    spokes to o) are drawn proportionally to conductance, one uniform of
-    `reader` each; `successors` yields (vertex, head) pairs, and `laws`
-    keeps the cdf of each pair once computed."""
-    out = {}
+def _resolve(dg: DoubleGraph, successors, reader):
+    """The white of each (vertex, head) pair of `successors`, head ROOT for
+    o.  Parallel whites (e.g. spokes to o) are drawn proportionally to
+    conductance, one uniform of `reader` each in the order of `successors`,
+    or resolved to the first without a reader."""
+    plan, out = dg.temperley_plan, []
     for x, y in successors:
-        y = "o" if y == dg.col.o or y == ROOT else y
-        cands = whites.get((x, y))
-        if cands is None:
-            raise ValueError(f"no double-graph edge for tree edge {x}->{y}")
-        if len(cands) == 1 or reader is None:
-            out[x] = cands[0]
-            continue
-        cdf = laws.get((x, y))
-        if cdf is None:
-            cdf = laws[(x, y)] = _choice_cdf(
-                dg.white_table.c[cands].astype(float))
-        out[x] = cands[bisect_right(cdf, reader.next())]
+        whites, cdf = plan.whites.get((x, y)), plan.laws.get((x, y))
+        if whites is None:
+            raise ValueError(f"no double-graph edge for tree edge "
+                             f"{x}->{'o' if y == ROOT else y}")
+        out.append(whites[0] if cdf is None or reader is None else
+                   whites[bisect_right(cdf, reader.next())])
     return out
 
 
 def resolve_tree(dg: DoubleGraph, assignment, rng=None):
-    """Vertex -> head map into vertex -> white map, resolving parallels.
-
-    Parallel edges are drawn proportionally to conductance with `rng`, one
-    uniform each (the one `rng.choice` would read), or resolved to their
-    first white without it.
-    """
+    """Vertex -> head map (head 'o', col.o or ROOT for o) into vertex ->
+    white map.  Parallel edges are drawn proportionally to conductance with
+    `rng`, one uniform each (the one `rng.choice` would read), or resolved
+    to their first white without it."""
     reader = None if rng is None else UniformReader(rng, shared=True)
-    out = _resolve(dg, _white_pairs(dg), {}, assignment.items(), reader)
+    out = _resolve(dg, [(x, ROOT if y in ("o", dg.col.o) else y)
+                        for x, y in assignment.items()], reader)
     if reader is not None:
         reader.hand_back()
-    return out
+    return dict(zip(assignment, out))
+
+
+def _temperley_map(dg: DoubleGraph, whites):
+    """Temperley's bijection on each row of `whites` (S, n), the tree white
+    out of every window vertex: the (S, n_black) whites matched to the
+    blacks.  A vertex takes its tree white, a kept face the unused white on
+    its edge toward r in the dual tree; one breadth-first search from a
+    node joined to every sample's copy of r orients the S dual trees."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    t, plan, (S, n), F = (dg.white_table, dg.temperley_plan, whites.shape,
+                          len(dg.structure.faces))
+    if not ((t.x[whites] == np.arange(n)) | (t.y[whites] == np.arange(n))
+            ).all():
+        raise ValueError("tree edge does not start at its vertex")
+    unused = np.ones((S, dg.n_white), bool)
+    unused[np.arange(S)[:, None], whites] = False
+    # sample s's copy of face f is node s F + f, and node S F leads to the
+    # copies of r; the kept arcs stay sorted by tail node
+    top, keep = S * F, unused[:, plan.arc_white]
+    shift = np.arange(0, top, F, dtype=np.int32)[:, None]
+    tails, heads = ((a + shift)[keep] for a in (plan.arc_tail, plan.arc_head))
+    indptr = np.append(np.searchsorted(tails, np.arange(top + 1)),
+                       len(tails) + S)
+    pred = breadth_first_order(csr_matrix(
+        (np.ones(len(heads) + S), np.append(heads, dg.r + shift),
+         indptr.astype(np.int32)), shape=(top + 1, top + 1)), top)[1]
+    if (pred[:top] < 0).any():
+        raise ValueError("dual complement is not spanning: input was "
+                         "not a tree rooted at o")
+    if np.count_nonzero(unused) != S * (dg.n_white - n):
+        raise ValueError("Temperley image is not perfect")
+    # each face but r takes the white of the arc it was reached along
+    down, matched = pred[heads] == tails, np.empty(top, np.int64)
+    matched[heads[down]] = np.tile(plan.arc_white, (S, 1))[keep][down]
+    return np.concatenate(
+        [whites, matched.reshape(S, F)[:, dg.dual_ids]], axis=1)
+
+
+def _matching(dg: DoubleGraph, matched):
+    """{white: (black, slot)} in black order from one row of whites matched
+    to the blacks; the slot is the first surviving one at that black."""
+    t, blacks = dg.white_table, np.arange(dg.n_black)
+    slots = np.argmax((t.black[matched] == blacks[:, None]) & t.mask[matched],
+                      axis=1)
+    return dict(zip(matched.tolist(), zip(blacks.tolist(), slots.tolist())))
 
 
 def temperley_forward(dg: DoubleGraph, tree_whites):
     """Tree rooted at o -> perfect matching (with its dual tree).
 
     `tree_whites` maps every window vertex to the white of its outgoing
-    edge.  The dual tree is the unique spanning tree of the dual graph on
-    the unused whites, oriented toward r.
-    """
-    t, n = dg.white_table, dg.col.n
-    whites = np.array([tree_whites[x] for x in range(n)], dtype=np.int64)
-    xs = np.arange(n)
-    at_x = t.x[whites] == xs
-    if not np.all(at_x | (t.y[whites] == xs)):
-        raise ValueError("tree edge does not start at its vertex")
-    # window vertex x is black x
-    matching = dict(zip(whites.tolist(),
-                        zip(range(n), np.where(at_x, 0, 2).tolist())))
-    used = set(matching)
-
-    # depth-first search from r over the dual edges of the unused whites
-    adj = dg.dual_adjacency
-    seen = {dg.r}
-    stack = [dg.r]
-    dual_tree = {}
-    while stack:
-        f = stack.pop()
-        for (g2, w) in adj.get(f, ()):
-            if w in used or g2 in seen:
-                continue
-            seen.add(g2)
-            dual_tree[g2] = w
-            stack.append(g2)
-    if any(f not in dual_tree for f in dg.dual_ids):
-        raise ValueError("dual complement is not spanning: input was "
-                         "not a tree rooted at o")
-    # kept face dg.dual_ids[i] is black n + i
-    whites = np.array([dual_tree[f] for f in dg.dual_ids], dtype=np.int64)
-    slots = np.where(t.left[whites] == np.array(dg.dual_ids, np.int64), 1, 3)
-    matching.update(zip(whites.tolist(), zip(range(n, dg.n_black),
-                                             slots.tolist())))
-    if len(matching) != dg.n_white:
-        raise ValueError("Temperley image is not perfect")
-    return matching, dual_tree
+    edge.  The dual tree, the unique spanning tree of the dual graph on the
+    unused whites oriented toward r, is a face -> white map."""
+    matched = _temperley_map(dg, np.array(
+        [[tree_whites[x] for x in range(dg.col.n)]], dtype=np.int64))[0]
+    return (_matching(dg, matched),
+            dict(zip(dg.dual_ids, matched[dg.col.n:].tolist())))
 
 
 def temperley_inverse(dg: DoubleGraph, matching):
@@ -405,15 +387,16 @@ def matching_weight(dg: DoubleGraph, weights: WeightSystem, matching,
 class TemperleySampler:
     """Drifted-model matchings of one double graph, prepared once.
 
-    Holds the tilted window with its transition table, the whites per
-    endpoint pair and the conductance cdf of each parallel pair met so
-    far.  A sample reads one uniform per Wilson step, then one per tree
-    edge with parallel whites, in vertex order, all from one
-    `walks.UniformReader`.  `sample` opens a reader on the caller's
-    generator and hands it back after the sample, so it reads the stream
-    exactly as `_tilted_window`, `wilson_sample`, `resolve_tree` and
-    `temperley_forward` do one after the other; `samples` carries one
-    reader through each task's samples.
+    Holds the tilted window with its transition table; the lookups, the
+    parallel-white cdfs (`laws`) and the dual arcs are the window's one
+    `temperley_plan`.  A sample reads one uniform per Wilson step, then one
+    per tree edge with parallel whites, in vertex order, from one
+    `walks.UniformReader`.  `sample` opens it on the caller's generator and
+    hands it back, reading the stream as `_tilted_window`, `wilson_sample`,
+    `resolve_tree` and `temperley_forward` do one after the other.
+    `batches` carries one reader through a task's trees, then maps its
+    (S, n) tree whites to matchings and heights as arrays; `samples` reads
+    them as dicts.
     """
 
     PER_TASK = 256
@@ -423,8 +406,7 @@ class TemperleySampler:
         self.window = _tilted_window(dg, lam_ambient)
         _check_rooted(self.window, ())
         self.table = TransitionTable(self.window)
-        self.whites = _white_pairs(dg)
-        self.laws = {}
+        self.laws = dg.temperley_plan.laws
 
     @classmethod
     def on_window(cls, ambient: WeightedGraph, subset, lam_ambient):
@@ -434,32 +416,42 @@ class TemperleySampler:
         return cls(dg, lam_ambient)
 
     def _draw(self, reader):
+        """The tree white out of each window vertex of one sample."""
         heads = _wilson_successors(self.table, reader, range(self.window.n),
                                    (), WILSON_STEP_CAP)
-        tree = _resolve(self.dg, self.whites, self.laws, enumerate(heads),
-                        reader)
-        return temperley_forward(self.dg, tree)[0]
+        return _resolve(self.dg, enumerate(heads), reader)
 
     def sample(self, rng):
         reader = UniformReader(rng, shared=True)
-        matching = self._draw(reader)
+        whites = np.array([self._draw(reader)])
         reader.hand_back()
-        return matching
+        return _matching(self.dg, _temperley_map(self.dg, whites)[0])
 
-    def samples(self, n, seed):
-        """Iterator over n (matching, height) pairs; task t draws its
-        PER_TASK samples from one reader on rng_stream(seed, t).  Too many
-        samples for the task streams raise TaskRangeError here."""
-        batches = tasks(n, self.PER_TASK)
+    def batches(self, n, seed):
+        """Iterator over each task's (blacks, heights): the (S, n_white)
+        black matched to each white and the (S, n_quads) heights of its S
+        samples, in `quad_adjacency.quads` order.  Task t draws its PER_TASK
+        samples from one reader on rng_stream(seed, t).  Too many samples
+        for the task streams raise TaskRangeError here."""
+        runs, dg = tasks(n, self.PER_TASK), self.dg
 
         def draws():
-            reference = _blacks(self.dg, reference_matching(self.dg))
-            for task, size in batches:
+            # argsort inverts each row, a permutation: whites per black ->
+            # blacks per white
+            ref = np.argsort(_temperley_map(dg, _reference_tree(dg)))[0]
+            for task, size in runs:
                 reader = UniformReader(rng_stream(seed, task))
-                for _ in range(size):
-                    m = self._draw(reader)
-                    yield m, _heights(self.dg, reference, m)
+                whites = np.array([self._draw(reader) for _ in range(size)])
+                blacks = np.argsort(_temperley_map(dg, whites))
+                yield blacks, _height_map(dg, ref, blacks)
         return draws()
+
+    def samples(self, n, seed):
+        """Iterator over n (matching, height) dict pairs of `batches`."""
+        return ((_matching(self.dg, m),
+                 dict(zip(self.dg.quad_adjacency.quads, h)))
+                for blacks, heights in self.batches(n, seed)
+                for m, h in zip(np.argsort(blacks), heights.tolist()))
 
 
 def sample_matching(dg: DoubleGraph, lam_ambient, rng):
@@ -469,8 +461,7 @@ def sample_matching(dg: DoubleGraph, lam_ambient, rng):
 
 def _tilted_window(dg: DoubleGraph, lam_ambient):
     """Wired window with tilted conductances matching the drifted model."""
-    col = dg.col
-    t = dg.white_table
+    col, t = dg.col, dg.white_table
     c, lx, ly = _float_ends(dg, lam_ambient)
     fwd = c * ly / lx
     spoke = ~t.mask[:, 2]
@@ -660,61 +651,54 @@ def dual_block_vs_inverse_conductances(dg: DoubleGraph, lam_ambient,
 # -- height field -------------------------------------------------------------
 
 
+def _reference_tree(dg: DoubleGraph):
+    """(1, n) tree whites of the breadth-first tree of the collapsed window
+    from o, neighbours in sorted order: each vertex takes its first white
+    to o or to the vertex it was reached from."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    plan, n = dg.temperley_plan, dg.col.n
+    tails, heads = np.array(sorted((n, x) if y == ROOT else (x, y)
+                                   for x, y in plan.whites)).T
+    pred = breadth_first_order(csr_matrix((np.ones(len(heads)), heads, (
+        np.searchsorted(tails, np.arange(n + 2)))), shape=(n + 1, n + 1)),
+        n)[1][:n].tolist()
+    if min(pred) < 0:
+        raise ValueError("window has vertices with no route to o")
+    return np.array([[plan.whites[(x, ROOT if p == n else p)][0]
+                      for x, p in enumerate(pred)]], dtype=np.int64)
+
+
 def reference_matching(dg: DoubleGraph):
     """Deterministic matching from a BFS tree of the collapsed window."""
-    col = dg.col
-    # BFS toward o: boundary vertices point at a spoke, others at parents
-    adj = dg.primal_adjacency
-    spokes = np.flatnonzero(~dg.white_table.mask[:, 2])
-    xs, first = np.unique(dg.white_table.x[spokes], return_index=True)
-    tree = dict(zip(xs.tolist(), spokes[first].tolist()))
-    seen = set(tree)
-    frontier = list(tree)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for (y, w) in sorted(adj.get(x, [])):
-                if y not in seen:
-                    tree[y] = w
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(tree) != col.n:
-        raise ValueError("window has vertices with no route to o")
-    matching, _ = temperley_forward(dg, tree)
-    return matching
+    return _matching(dg, _temperley_map(dg, _reference_tree(dg))[0])
 
 
 def height_function(dg: DoubleGraph, matching, reference=None):
     """Height of `matching` relative to the deterministic reference, as a
     (corner, face) -> height dict over the interior quads in their sorted
-    order, zero at the first quad.
-
-    The difference flow of the two matchings is divergence-free at every
-    surviving vertex, so its dual potential is well-defined on the quads.
-    It is integrated along a spanning tree of the quad adjacency, and
-    closure (curl-freeness) is asserted on every adjacency.
-    """
+    order, zero at the first quad (`_height_map` of one sample)."""
     if reference is None:
         reference = reference_matching(dg)
-    return _heights(dg, _blacks(dg, reference), matching)
+    ref, cur = (np.array([m[w][0] for w in range(dg.n_white)])
+                for m in (reference, matching))
+    return dict(zip(dg.quad_adjacency.quads,
+                    _height_map(dg, ref, cur[None])[0].tolist()))
 
 
-def _blacks(dg: DoubleGraph, matching):
-    """The black matched to each white, as an array over the whites."""
-    return np.array([matching[w][0] for w in range(dg.n_white)])
-
-
-def _heights(dg: DoubleGraph, ref, matching):
-    """`height_function` against the reference's `_blacks` array."""
+def _height_map(dg: DoubleGraph, ref, blacks):
+    """(S, n_quads) heights of the rows of `blacks`, the black matched to
+    each white, against the reference's `ref`.  The difference flow of two
+    matchings is divergence-free at every surviving vertex, so its dual
+    potential is well-defined on the quads: its increments are summed along
+    the quads' spanning tree (one integer product with `paths`), and
+    closure (curl-freeness) is asserted on every adjacency of every row."""
     adj = dg.quad_adjacency
-    cur = _blacks(dg, matching)
-    flow = (adj.black == ref[adj.white]).astype(float) - \
-        (adj.black == cur[adj.white])
-    dh = adj.sign * flow
-    h = np.zeros(len(adj.quads))
-    for j, i, e in adj.tree:
-        h[j] = h[i] + dh[e]
-    if np.any(np.abs(h[adj.dst] - (h[adj.src] + dh)) > 1e-9):
+    dh = (adj.black == ref[adj.white]).astype(np.int8) - \
+        (adj.black == blacks[:, adj.white])
+    dh *= adj.sign
+    h = (adj.paths @ dh.T).T
+    if np.any(h[:, adj.dst] - h[:, adj.src] != dh):
         raise ValueError("height increments have curl")
-    return dict(zip(adj.quads, h.tolist()))
+    return h.astype(float)

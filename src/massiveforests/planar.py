@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .graphs import CollapsedGraph
+from .graphs import ROOT, CollapsedGraph
 
 
 class HalfEdge:
@@ -205,10 +205,7 @@ class DoubleGraph:
         self.structure = structure
         self.edges = edges
         if r is None:
-            if structure.o_faces:
-                r = min(structure.o_faces)
-            else:
-                r = 0
+            r = min(structure.o_faces, default=0)
         if structure.o_faces and r not in structure.o_faces:
             raise ValueError("r must be a dual vertex on the boundary")
         self.r = r
@@ -266,15 +263,9 @@ class DoubleGraph:
         return WhiteTable(self)
 
     @functools.cached_property
-    def dual_adjacency(self):
-        """Face -> [(adjacent face, white between them)] over every white,
-        in white order, built on first use."""
-        adj = {}
-        t = self.white_table
-        for w, (a, b) in enumerate(zip(t.left.tolist(), t.right.tolist())):
-            adj.setdefault(a, []).append((b, w))
-            adj.setdefault(b, []).append((a, w))
-        return adj
+    def temperley_plan(self):
+        """Lookups and dual arcs for Temperley's map, built on first use."""
+        return TemperleyPlan(self)
 
     @functools.cached_property
     def primal_adjacency(self):
@@ -326,6 +317,37 @@ class WhiteTable:
                                face_black[self.right]], axis=1)
 
 
+def _choice_cdf(weights):
+    """Cumulative law of `weights`, built as `rng.choice(k, p=p)` builds
+    it (p.cumsum() over its last value), so `bisect_right(cdf, u)` is the
+    index `rng.choice` picks from the same uniform u."""
+    cdf = (weights / weights.sum()).cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
+class TemperleyPlan:
+    """What Temperley's bijection reads of one window.  `whites[(x, head)]`
+    lists the whites from window vertex x to head (ROOT for o), `laws` their
+    conductance cdf where there are several (e.g. spokes to o).  The dual
+    arcs, both ways across each white, are sorted by tail face, then white:
+    face f's are `arc_tail`, `arc_head`, `arc_white` at `ptr[f]:ptr[f + 1]`.
+    """
+
+    def __init__(self, dg: DoubleGraph):
+        t, n, self.whites = dg.white_table, dg.col.n, {}
+        for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
+            for pair in [(x, ROOT)] if y == n else [(x, y), (y, x)]:
+                self.whites.setdefault(pair, []).append(w)
+        self.laws = {pair: _choice_cdf(t.c[ws].astype(float))
+                     for pair, ws in self.whites.items() if len(ws) > 1}
+        arcs = np.array([np.r_[t.left, t.right], np.r_[t.right, t.left],
+                         np.tile(np.arange(dg.n_white), 2)], dtype=np.int32)
+        self.arc_tail, self.arc_head, self.arc_white = arcs[
+            :, np.lexsort(arcs[[2, 0]])]
+        self.ptr = np.searchsorted(self.arc_tail,
+                                   np.arange(len(dg.structure.faces) + 1))
+
+
 class QuadAdjacency:
     """Geometry that heights are integrated over, fixed per double graph.
 
@@ -333,9 +355,10 @@ class QuadAdjacency:
     edges are removed; everything else merges into one outer region.
     `quads` lists them sorted as (corner, face).  Adjacency entry e steps
     from quad src[e] to quad dst[e] across the half-edge (white[e],
-    black[e]); sign[e] is +1 when that white lies to the left of the step.
-    `tree` holds (dst, src, entry) for the quads in the order a depth-first
-    search from quads[0] reaches them.
+    black[e]); sign[e] is +1 when that white lies to the left of the step,
+    else -1.  `tree` holds (dst, src, entry) for the quads in breadth-first
+    order from quads[0]; row q of the sparse 0/1 operator `paths` marks the
+    tree entries from quads[0] to quad q.
     """
 
     def __init__(self, dg: DoubleGraph):
@@ -349,60 +372,53 @@ class QuadAdjacency:
         face_centroid = {f: np.mean([pos[h.tail]
                                      for h in dg.structure.faces[f]], axis=0)
                          for f in {f for _, f in quads}}
-        centroid = [0.5 * (pos[corner] + face_centroid[f])
-                    for corner, f in quads]
-        t = dg.white_table
-        x, y, left, right = (a.tolist() for a in (t.x, t.y, t.left, t.right))
-        off = np.flatnonzero(t.mask[:, 2])
-        spoke = np.flatnonzero(~t.mask[:, 2])
-        white_pos = np.empty((dg.n_white, 2))
-        white_pos[off] = 0.5 * (pos[t.x[off]] + pos[t.y[off]])
-        white_pos[spoke] = pos[t.x[spoke]] + 0.5 * np.array(
-            [dg.edges[w].direction for w in spoke.tolist()],
-            float).reshape(-1, 2)
+        centroid = np.array([0.5 * (pos[corner] + face_centroid[f])
+                             for corner, f in quads])
+        t, plan = dg.white_table, dg.temperley_plan
+        x, y, left, right, ptr, around = (a.tolist() for a in (
+            t.x, t.y, t.left, t.right, plan.ptr, plan.arc_white))
 
-        # spokes border only faces through o, which hold no interior quad,
-        # so the whites off o at a corner are all a step can cross there
+        # a step from quad (corner, f) crosses a white of f at the corner
+        # (never a spoke: spokes border only faces through o) to its other
+        # face or to its other end
         def neighbours(q):
             corner, f = q
             out = []
-            for _, w in dg.primal_adjacency.get(corner, []):
-                a, b = left[w], right[w]
-                other = b if f == a else (a if f == b else None)
-                if other is not None and (corner, other) in quad_ids:
-                    out.append(((corner, other), w,
-                                dg.black_of_vertex(corner)))
-            for _, w in dg.dual_adjacency.get(f, []):
-                xx, yy = x[w], y[w]
-                other = yy if corner == xx else (xx if corner == yy else None)
-                if other is not None and (other, f) in quad_ids:
-                    out.append(((other, f), w, dg.black_of_face(f)))
+            for w in around[ptr[f]:ptr[f + 1]]:
+                if corner in (x[w], y[w]):
+                    out += [(q2, w, b) for q2, b in (
+                        ((corner, left[w] + right[w] - f), corner),
+                        ((x[w] + y[w] - corner, f), dg.black_of_face(f)))
+                        if q2 in quad_ids]
             return out
 
         entries, tree = [], []
-        reached = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
+        order, paths = [0], {0: []}
+        for i in order:  # the list grows in breadth-first order
             for (q2, w, b) in neighbours(quads[i]):
                 j = quad_ids[q2]
-                step = centroid[j] - centroid[i]
-                wvec = white_pos[w] - centroid[i]
-                sign = 1.0 if step[0] * wvec[1] - step[1] * wvec[0] > 0 \
-                    else -1.0
-                if j not in reached:
-                    reached.add(j)
+                if j not in paths:
+                    paths[j] = paths[i] + [len(entries)]
+                    order.append(j)
                     tree.append((j, i, len(entries)))
-                    stack.append(j)
-                entries.append((i, j, w, b, sign))
-        if len(reached) != len(quads):
+                entries.append((i, j, w, b))
+        if len(paths) != len(quads):
             raise ValueError("interior double-graph faces are disconnected")
         self.quads = quads
         self.tree = tree
-        table = np.array(entries, dtype=float).reshape(-1, 5)
-        self.src, self.dst, self.white, self.black = \
-            table[:, :4].astype(np.int64).T
-        self.sign = table[:, 4]
+        self.src, self.dst, self.white, self.black = np.array(
+            entries, dtype=np.int64).reshape(-1, 4).T
+        # a white sits at its edge's midpoint (a step never crosses a spoke)
+        step, wvec = centroid[self.dst] - centroid[self.src], 0.5 * (
+            pos[t.x[self.white]] + pos[t.y[self.white]]) - centroid[self.src]
+        self.sign = np.where(
+            step[:, 0] * wvec[:, 1] - step[:, 1] * wvec[:, 0] > 0, 1, -1)
+        from scipy.sparse import csr_array
+
+        rows = [paths[q] for q in range(len(quads))]
+        self.paths = csr_array((np.ones(sum(map(len, rows)), np.int32), [
+            e for row in rows for e in row], np.cumsum([0, *map(len, rows)])),
+            shape=(len(quads), len(entries)))
 
 
 def build_dual_and_double(col: CollapsedGraph, ambient_positions=None):

@@ -3,11 +3,12 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, task id), so results are reproducible and independent of how work is
 split across workers.  Samplers read a stream through one `UniformReader`,
-WILSON_BLOCK uniforms at a time and in stream order.  A task opens one
-reader on its own stream and carries the unread tail of each block into its
-next sample; an API that draws from a caller's generator opens a reader on
-it and hands it back just after the last uniform used, so either way every
-sample reads the same uniforms as if each step had called `rng.random()`.
+WILSON_BLOCK uniforms at a time and in stream order (Wilson's walk loops
+over an iterator on the block).  A task opens one reader on its own stream
+and carries the unread tail of each block into its next sample; an API
+that draws from a caller's generator opens a reader on it and hands it
+back just after the last uniform used, so either way every sample reads
+the same uniforms as if each step had called `rng.random()`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
+from operator import length_hint
 
 import numpy as np
 
@@ -66,39 +68,36 @@ def tasks(n, per_task, extra=0, what="n"):
 class UniformReader:
     """Uniforms of one generator, read WILSON_BLOCK at a time.
 
-    `block[pos:]` is the unread tail of the current block; a reader takes
-    `block[pos]`, advances `pos`, and calls `refill` once the block is
-    spent.  With `shared`, the generator belongs to a caller: the reader
-    keeps the state each block started from, and `hand_back` moves the
-    generator to just after the last uniform read.  A task's own stream
-    needs neither.
+    `draws` iterates over the unread tail of the current block; a reader
+    takes its next item and calls `refill` once it is spent.  With
+    `shared`, the generator belongs to a caller: the reader keeps the state
+    each block started from, and `hand_back` moves the generator to just
+    after the last uniform read.  A task's own stream needs neither.
     """
 
     def __init__(self, rng, shared=False):
         self.rng = rng
         self.shared = shared
         self._state = None
-        self.block, self.pos = [], WILSON_BLOCK  # the first read refills
+        self.draws = iter(())  # the first read refills
 
     def refill(self):
         if self.shared:
             self._state = self.rng.bit_generator.state
-        self.block = self.rng.random(WILSON_BLOCK).tolist()
-        self.pos = 0
-        return self.block
+        self.draws = iter(self.rng.random(WILSON_BLOCK).tolist())
+        return self.draws
 
     def next(self):
-        if self.pos == WILSON_BLOCK:
-            self.refill()
-        self.pos += 1
-        return self.block[self.pos - 1]
+        for u in self.draws:
+            return u
+        return next(self.refill())
 
     def hand_back(self):
         if self._state is not None:
             self.rng.bit_generator.state = self._state
-            self.rng.random(self.pos)
+            self.rng.random(WILSON_BLOCK - length_hint(self.draws))
             self._state = None
-            self.block, self.pos = [], WILSON_BLOCK
+            self.draws = iter(())
 
 
 class TransitionTable:
@@ -114,9 +113,10 @@ class TransitionTable:
         self.g = g
         self.targets = []
         self.cum = []
+        head, cond = g.head.tolist(), g.cond_f.tolist()
         for x in range(g.n):
-            heads = [int(g.head[eid]) for eid in g.out_edges[x]]
-            probs = [float(g.cond_f[eid]) for eid in g.out_edges[x]]
+            heads = [head[eid] for eid in g.out_edges[x]]
+            probs = [cond[eid] for eid in g.out_edges[x]]
             if g.masses_f[x] > 0:
                 heads.append(ROOT)
                 probs.append(float(g.masses_f[x]))
@@ -169,29 +169,29 @@ def _wilson_successors(table: TransitionTable, reader: UniformReader, order,
         if not 0 <= r < n:
             raise ValueError(f"root {r} is not a vertex")
         in_tree[r] = True
-    block, pos = reader.block, reader.pos
-    used = -pos  # uniforms this forest has read, less those left in block
+    draws = reader.draws
+    used = length_hint(draws) - WILSON_BLOCK  # read, less the block's tail
     for start in order:
         x = start
         while not in_tree[x]:
-            if pos == WILSON_BLOCK:
-                used += pos
+            for u in draws:
+                # u < 1 = cum[x][-1], so the index stays inside the row
+                y = targets[x][bisect_right(cum[x], u)]
+                nxt[x] = y
+                x = y
+                if in_tree[y]:
+                    break
+            else:
+                used += WILSON_BLOCK
                 if used >= step_cap:
                     raise RuntimeError(
                         "Wilson step cap exceeded; killed walk may not die "
                         "a.s.")
-                block = reader.refill()
-                pos = 0
-            # u < 1 = cum[x][-1], so the index stays inside the row
-            y = targets[x][bisect_right(cum[x], block[pos])]
-            pos += 1
-            nxt[x] = y
-            x = y
+                draws = reader.refill()
         x = start
         while not in_tree[x]:
             in_tree[x] = True
             x = nxt[x]
-    reader.pos = pos
     return nxt
 
 
@@ -204,12 +204,15 @@ def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
     spanning forest of g with the Boltzmann law; with `roots` given and no
     masses, it is a spanning tree/forest rooted at those vertices.  Each
     step reads one uniform of `rng`, which is left just after the last.
+    An `order` not a permutation of the vertices is refused before a draw.
     """
     _check_rooted(g, roots)
-    if table is None:
-        table = TransitionTable(g)
     if order is None:
         order = range(g.n)
+    elif sorted(order) != list(range(g.n)):
+        raise ValueError("Wilson order must list every vertex once")
+    if table is None:
+        table = TransitionTable(g)
     reader = UniformReader(rng, shared=True)
     nxt = _wilson_successors(table, reader, order, roots, step_cap)
     reader.hand_back()

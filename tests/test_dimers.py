@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from massiveforests.dimers import (
+    TemperleySampler,
     _log_det_relation_constant,
+    _reference_tree,
+    _temperley_map,
     _tilted_window,
     check_kasteleyn_property,
     det_relation_constant,
@@ -44,7 +47,7 @@ from massiveforests.graphs import (
 )
 from massiveforests.linalg import assemble_massive_laplacian
 from massiveforests.planar import build_dual_and_double
-from massiveforests.walks import rng_stream, wilson_sample
+from massiveforests.walks import UniformReader, rng_stream, wilson_sample
 
 from test_graphs import grid_graph
 from test_planar import ambient_ends, grid_window, white_dicts
@@ -1046,7 +1049,7 @@ class TestTemperleySampler:
     def test_spoke_cdf_reads_like_rng_choice(self):
         # each law picks the index rng.choice picks and leaves the stream
         # where rng.choice leaves it
-        from massiveforests.dimers import _choice_cdf
+        from massiveforests.planar import _choice_cdf
         from massiveforests.walks import UniformReader
 
         laws = np.random.default_rng(62)
@@ -1113,3 +1116,115 @@ class TestTemperleySampler:
                 else:
                     height_function(dg, bad, ref)
         assert refused > 0
+
+
+def dfs_temperley_forward(dg, tree_whites):
+    """Temperley's bijection one sample at a time: a depth-first search
+    from r over the dual edges of the unused whites (the per-sample
+    reference for the batched map)."""
+    t, n = dg.white_table, dg.col.n
+    whites = np.array([tree_whites[x] for x in range(n)], dtype=np.int64)
+    xs = np.arange(n)
+    at_x = t.x[whites] == xs
+    if not np.all(at_x | (t.y[whites] == xs)):
+        raise ValueError("tree edge does not start at its vertex")
+    matching = dict(zip(whites.tolist(),
+                        zip(range(n), np.where(at_x, 0, 2).tolist())))
+    used = set(matching)
+    adj = {}  # face -> [(adjacent face, white between them)], white order
+    for w, (a, b) in enumerate(zip(t.left.tolist(), t.right.tolist())):
+        adj.setdefault(a, []).append((b, w))
+        adj.setdefault(b, []).append((a, w))
+    seen = {dg.r}
+    stack = [dg.r]
+    dual_tree = {}
+    while stack:
+        f = stack.pop()
+        for (g2, w) in adj.get(f, ()):
+            if w in used or g2 in seen:
+                continue
+            seen.add(g2)
+            dual_tree[g2] = w
+            stack.append(g2)
+    if any(f not in dual_tree for f in dg.dual_ids):
+        raise ValueError("dual complement is not spanning: input was "
+                         "not a tree rooted at o")
+    whites = np.array([dual_tree[f] for f in dg.dual_ids], dtype=np.int64)
+    slots = np.where(t.left[whites] == np.array(dg.dual_ids, np.int64), 1, 3)
+    matching.update(zip(whites.tolist(), zip(range(n, dg.n_black),
+                                             slots.tolist())))
+    if len(matching) != dg.n_white:
+        raise ValueError("Temperley image is not perfect")
+    return matching, dual_tree
+
+
+def loop_heights(dg, reference, matching):
+    """Heights integrated along the quad tree in a Python loop, one
+    sample at a time (the reference for the batched height map)."""
+    adj = dg.quad_adjacency
+    ref, cur = (np.array([m[w][0] for w in range(dg.n_white)])
+                for m in (reference, matching))
+    flow = (adj.black == ref[adj.white]).astype(float) - \
+        (adj.black == cur[adj.white])
+    dh = adj.sign * flow
+    h = np.zeros(len(adj.quads))
+    for j, i, e in adj.tree:
+        h[j] = h[i] + dh[e]
+    if np.any(np.abs(h[adj.dst] - (h[adj.src] + dh)) > 1e-9):
+        raise ValueError("height increments have curl")
+    return dict(zip(adj.quads, h.tolist()))
+
+
+class TestBatchedMaps:
+    @pytest.mark.parametrize("name", ["square", "rhombic", "parallel-spokes"])
+    def test_equal_to_per_sample_references(self, name):
+        if name == "parallel-spokes":
+            amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3],
+                                                mass=Fraction(9, 4))
+            lam = pow4_lambda(amb)
+        else:
+            dg, window, lam = isoradial_window(name)
+        sampler = TemperleySampler(dg, lam)
+        # the trees of 258 samples, drawn as `batches` draws two tasks
+        trees = []
+        for task, size in ((0, 256), (1, 2)):
+            reader = UniformReader(rng_stream(12, task))
+            trees += [sampler._draw(reader) for _ in range(size)]
+        matched = _temperley_map(dg, np.array(trees))
+        reference, _ = dfs_temperley_forward(
+            dg, dict(enumerate(_reference_tree(dg)[0].tolist())))
+        assert reference_matching(dg) == reference
+        pairs = list(sampler.samples(258, 12))
+        assert len(pairs) == 258
+        for tree, row, (m, h) in zip(trees, matched, pairs):
+            expect, dual = dfs_temperley_forward(dg, dict(enumerate(tree)))
+            assert m == expect
+            assert dict(zip(dg.dual_ids, row[dg.col.n:].tolist())) == dual
+            assert temperley_forward(dg, dict(enumerate(tree))) == \
+                (expect, dual)
+            assert h == loop_heights(dg, reference, expect)
+            assert height_function(dg, expect, reference) == h
+
+    def test_forward_refusals(self):
+        amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
+        t, adj = dg.white_table, dg.primal_adjacency
+        tree = dict(enumerate(_reference_tree(dg)[0].tolist()))
+        stray = next(w for w in range(dg.n_white) if 0 not in (t.x[w], t.y[w]))
+        # the four window vertices around their square, each pointing at
+        # the next: a primal cycle, which cuts the face inside it off r
+        (b, wb), (c, wc) = adj[0]
+        (d, wd), = [(y, w) for y, w in adj[b] if y != 0]
+        (we,) = [w for y, w in adj[c] if y == d]
+        cycle = {0: wb, b: wd, d: we, c: wc}
+        for bad, match in [({**tree, 0: stray}, "tree edge does not start "
+                            "at its vertex"),
+                           ({**tree, **cycle}, "dual complement is not "
+                            "spanning")]:
+            with pytest.raises(ValueError, match=match):
+                dfs_temperley_forward(dg, bad)
+            with pytest.raises(ValueError, match=match):
+                temperley_forward(dg, bad)
+            rows = np.array([[tree[x] for x in range(4)],
+                             [bad[x] for x in range(4)]])
+            with pytest.raises(ValueError, match=match):
+                _temperley_map(dg, rows)

@@ -151,6 +151,17 @@ class TestWilson:
         sigma = np.sqrt(0.25 / 20000)
         assert abs(stats[0] - stats[1]) < 4 * np.sqrt(2) * sigma
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [*range(9), 0],
+                                       [*range(8), 9]])
+    def test_order_not_a_permutation_refused(self, order):
+        # with order [0, 1, 2] the massless vertex 6 would come back
+        # pointing at ROOT: not a forest rooted at {4}
+        g = grid_graph(3, 3, c=1.0, m=0.0)
+        rng = rng_stream(9)
+        with pytest.raises(ValueError, match="every vertex once"):
+            wilson_sample(g, rng, order=order, roots={4})
+        assert rng.random() == rng_stream(9).random()  # nothing was drawn
+
     def test_step_cap_on_massless_component(self):
         # 0 is killed, but from 1 the walk only moves between 1 and 2
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
@@ -418,6 +429,41 @@ class TestWilsonIdentity:
                     if e in index:
                         expect[index[e]] += 1
             assert np.array_equal(counts, expect)
+
+
+def rooted_star():
+    """Vertex 0, massive, joined to the given roots 1 and 2."""
+    edges = [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 2.0)]
+    return WeightedGraph(3, edges, [0.5, 0.0, 0.0]), (1, 2)
+
+
+class TestBlockBoundaries:
+    """Every forest of these graphs reads one uniform, so with 2 * 256 + 1
+    forests on one reader, forests 256 and 512 start exactly on a
+    WILSON_BLOCK boundary."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: (WeightedGraph(1, [], [1.0]), ()), rooted_star],
+        ids=["one-vertex", "rooted-star"])
+    def test_forests_across_block_boundaries(self, make):
+        g, roots = make()
+        ref = reference_table(g)
+        k = 2 * walks.WILSON_BLOCK + 1
+        counter = WilsonEdgeCounter(g, roots, per_task=k)
+        index = {e: i for i, e in enumerate(counter.pairs)}
+        expect = np.zeros(len(counter.pairs), dtype=np.int64)
+        rng = rng_stream(14, 0)
+        for _ in range(k):
+            forest = reference_wilson(g, ref, rng, roots=roots)
+            for e in forest.outgoing.items():
+                if e in index:
+                    expect[index[e]] += 1
+        assert np.array_equal(counter.task_counts(k, 14, 0), expect)
+        rng, rng_ref = rng_stream(15), rng_stream(15)
+        for _ in range(k):
+            forest = wilson_sample(g, rng, roots=roots)
+            assert forest == reference_wilson(g, ref, rng_ref, roots=roots)
+        assert rng.random() == rng_ref.random()
 
 
 class TestSeededCounts:

@@ -4,19 +4,22 @@ One assembler builds the (row, col, value) triplets of the massive
 Laplacian from the edge arrays and sums them into a sparse CSC matrix
 (float) or a Fraction matrix (exact); no dense float Laplacian is built.
 The same triplet summation builds the Kasteleyn and dual matrices.
-Every float factorization is one sparse LU (SuperLU) on one fill-reducing
-ordering, the minimum degree of A^T + A: determinants and log-determinants
-of sparse matrices and of small dense ones, the full potential and the few
-potential columns a determinantal query reads.
-Columns of the potential are solved SOLVE_BLOCK at a time into one
-Fortran-ordered output on its own memory mapping, so that freeing a full
-potential hands its pages back to the OS.  Every exact determinant and
-solve is one Gaussian elimination over Fractions that skips zero entries,
-so that the matrix-forest and determinantal identities can be checked
-bit-exactly against the enumeration oracles.  Each graph's Laplacian is
-factored once, float and exact, and the factors are kept while the graph
-lives: every later potential and determinantal query on it only solves
-its columns (exact columns are solved once and kept too).
+Float determinants and log-determinants, of sparse matrices and of small
+dense ones, and the few potential columns a determinantal query reads
+come from one sparse LU (SuperLU) on one fill-reducing ordering, the
+minimum degree of A^T + A; a query's columns are solved SOLVE_BLOCK at a
+time.  The full float potential is one block elimination over the BFS
+levels of the graph, in whose order the Laplacian is block tridiagonal;
+it builds no factor.  Both write one Fortran-ordered output on its own
+memory mapping, so that freeing a potential hands its pages back to the
+OS.  Every exact determinant and solve is one Gaussian elimination over
+Fractions that skips zero entries, so that the matrix-forest and
+determinantal identities can be checked bit-exactly against the
+enumeration oracles.  A graph with a massless component is refused before
+any of these.  Each graph's Laplacian is factored once for its queries,
+float and exact, and the factors are kept while the graph lives: every
+later determinantal query and exact potential on it only solves its
+columns (exact columns are solved once and kept too).
 """
 
 from __future__ import annotations
@@ -295,12 +298,20 @@ class Potential:
 
 
 def _require_transient(g: WeightedGraph, exact):
-    if all(m == 0 for m in g.masses):
+    """g's float massive Laplacian and the label of each vertex's connected
+    component; RecurrentWalkError if a component carries no mass, read
+    exactly on the masses, before any factorization."""
+    from scipy.sparse.csgraph import connected_components
+
+    A = assemble_massive_laplacian(g)
+    comp = connected_components(A, directed=False)[1]
+    if g.n == 0 or np.setdiff1d(comp, comp[[m != 0 for m in g.masses]]).size:
         raise RecurrentWalkError(
-            "m == 0 on a finite graph: the walk is recurrent and the "
-            "potential diverges")
+            "m == 0 on a finite component: the walk is recurrent there and "
+            "the potential diverges")
     if exact and not g.is_exact():
         raise ValueError("exact potential needs rational graph data")
+    return A, comp
 
 
 class _Factors:
@@ -327,11 +338,11 @@ def _graph_factors(g: WeightedGraph, exact):
     if f is None:
         f = _FACTORS[g] = _Factors()
     if exact not in f.lu:
-        _require_transient(g, exact)
+        A, _ = _require_transient(g, exact)
         if exact:
             lu = _factor(assemble_massive_laplacian_exact(g))[1]
         else:
-            lu = _sparse_lu(assemble_massive_laplacian(g))
+            lu = _sparse_lu(A)
         if lu is None:
             raise RecurrentWalkError(
                 "singular massive Laplacian: some component carries no mass")
@@ -357,10 +368,7 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
         return [[v[x] for v, _ in kept] for x in range(g.n)], \
             [c for _, c in kept]
     ck = [float(g.ck(y)) for y in ys]
-    # V on its own anonymous mapping: freed, its pages go back to the OS,
-    # where a heap block of this size may stay resident
-    V = np.ndarray((g.n, len(ys)), order="F",
-                   buffer=mmap.mmap(-1, max(8 * g.n * len(ys), 1)))
+    V = _mapped(g.n, len(ys))
     for s in range(0, len(ys), SOLVE_BLOCK):
         block = ys[s:s + SOLVE_BLOCK]
         D = np.zeros((g.n, len(block)))
@@ -369,9 +377,80 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
     return V, ck
 
 
+def _mapped(rows, cols):
+    """Zeroed Fortran-ordered float array on its own anonymous mapping:
+    freed, its pages go back to the OS, where a heap block may stay."""
+    return np.ndarray((rows, cols), order="F",
+                      buffer=mmap.mmap(-1, max(8 * rows * cols, 1)))
+
+
+def _level_order(A, comp):
+    """The vertices in order of BFS level on the pattern of A, components
+    one after another, and the level bounds.  Each component is searched
+    twice, the second time from a farthest vertex of the first
+    (pseudo-peripheral), so that its levels are many and narrow; only
+    consecutive levels couple."""
+    from scipy.sparse.csgraph import dijkstra
+
+    starts = np.unique(comp, return_index=True)[1]
+    for _ in range(2):
+        d = dijkstra(abs(A), directed=False, indices=starts, unweighted=True,
+                     min_only=True).astype(int)
+        by_comp = np.lexsort((-d, comp))  # each component farthest first
+        starts = by_comp[np.searchsorted(comp[by_comp],
+                                         np.arange(len(starts)))]
+    depth = d[starts] + 1  # levels per component
+    level = d + (np.cumsum(depth) - depth)[comp]
+    return np.argsort(level, kind="stable"), \
+        np.r_[0, np.cumsum(np.bincount(level))]
+
+
+def _level_inverse(A, ck, order, bounds, X):
+    """Write (D^-1 A)^-T, D = diag(ck), into the C-ordered X by block
+    elimination over the levels.  In level order (vertex order[j] at place
+    j) T = (D^-1 A)^T is block tridiagonal with blocks `bounds`: S_i = T_ii -
+    T_i,i-1 C_i-1 and C_i = S_i^-1 T_i,i+1, with no pivoting between blocks
+    (D^-1 A is a nonsingular M-matrix, and so is each S_i).  The forward
+    sweep on the identity writes each level's rows Y_i, and the backward
+    sweep X_i = Y_i - C_i X_i+1 completes them."""
+    i, rank = np.arange(len(bounds) - 1), np.argsort(order)
+    lo = bounds[np.maximum(i - 1, 0)]
+    width = bounds[np.minimum(i + 2, len(i))] - lo
+    # block row i of T, columns lo[i]:lo[i] + width[i], dense at base[i]
+    base = np.r_[0, np.cumsum(np.diff(bounds) * width)]
+    A = A.tocoo()
+    r, c = rank[A.col], rank[A.row]
+    k = np.searchsorted(bounds, r, side="right") - 1
+    band = np.zeros(base[-1])
+    band[base[k] + (r - bounds[k]) * width[k] + c - lo[k]] = \
+        A.data / ck[A.row]
+    C, Y = [], np.zeros((0, len(order)))
+    for i, (a, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        low, diag, up = np.split(band[base[i]:base[i + 1]].reshape(
+            e - a, width[i]), [a - lo[i], e - lo[i]], axis=1)
+        S_inv = np.linalg.inv(diag - low @ C[-1] if i else diag)
+        C.append(S_inv @ up)
+        Y = -(S_inv @ low) @ Y  # Y_i = S_i^-1 (I_i - T_i,i-1 Y_i-1), where
+        Y[:, order[a:e]] = S_inv  # Y_i-1 is 0 in the columns of I_i
+        X[order[a:e]] = Y
+    for i in reversed(range(len(C) - 1)):
+        rows = order[bounds[i]:bounds[i + 1]]
+        X[rows] = Y = X[rows] - C[i] @ Y
+
+
 def potential(g: WeightedGraph, exact=False) -> Potential:
-    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k): all n columns."""
-    return Potential(g, *_potential_matrix(g, list(range(g.n)), exact), exact)
+    """V = (I - Q^k)^{-1}, computed via Delta^k V = D(c^k): all n columns;
+    float V by block elimination over BFS levels, with O(widest level x n)
+    transient memory and no factor built or kept."""
+    if exact:
+        return Potential(g, *_potential_matrix(g, list(range(g.n)), True),
+                         True)
+    A, comp = _require_transient(g, False)
+    ck = [float(g.ck(y)) for y in range(g.n)]
+    V = _mapped(g.n, g.n)
+    # V = (D^-1 A)^-1 with D = D(c^k); V.T is C-ordered
+    _level_inverse(A, np.array(ck), *_level_order(A, comp), V.T)
+    return Potential(g, V, ck)
 
 
 def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:

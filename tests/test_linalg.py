@@ -12,7 +12,19 @@ import pytest
 import scipy.sparse
 
 from massiveforests import linalg
-from massiveforests.graphs import ROOT, WeightedGraph, symmetric_graph
+from massiveforests.elliptic import near_critical_modulus
+from massiveforests.graphs import (
+    ROOT,
+    WeightedGraph,
+    collapse_boundary,
+    symmetric_graph,
+    wired_restriction,
+)
+from massiveforests.isoradial import (
+    build_rhombic_grid,
+    random_rhombic_angles,
+    z_invariant_weights,
+)
 from massiveforests.linalg import (
     RecurrentWalkError,
     assemble_massive_laplacian,
@@ -28,6 +40,7 @@ from massiveforests.linalg import (
     transfer_current,
 )
 from massiveforests.graphs import enumerate_forests, forest_partition_function
+from massiveforests.walks import lerw_exact_probability
 
 from test_graphs import grid_graph, path_ab, random_rational_graph
 
@@ -549,12 +562,14 @@ def rss_mb():
 
 
 class TestBlockedSolve:
-    """Float potentials solved SOLVE_BLOCK columns at a time against the
-    minimum-degree SuperLU factor, checked against dense LAPACK."""
+    """Float potentials, the full one by block elimination over BFS levels
+    and a query's columns SOLVE_BLOCK at a time against the minimum-degree
+    SuperLU factor, checked against dense LAPACK and each other."""
 
     GRAPHS = {
         "grid5x6": lambda: grid_graph(5, 6, c=1.0, m=0.05),  # one block
-        "grid9x15": lambda: grid_graph(9, 15, c=1.0, m=0.05),  # 64+64+7
+        # a query of all 135 columns is solved in blocks of 64+64+7
+        "grid9x15": lambda: grid_graph(9, 15, c=1.0, m=0.05),
         "grid41": lambda: grid_graph(41, 41, c=1.0, m=0.05),
         "drifted": lambda: drifted_grid(12, 11),
     }
@@ -671,3 +686,97 @@ class TestFactorCache:
                         edge_probability(g, edges, exact=exact)
             f = linalg._FACTORS.get(g)
             assert f is None or not f.lu
+
+
+def square_window(side=12, lo=2, hi=10):
+    """Vertices of the square [lo, hi)^2 of a side x side grid."""
+    return [j * side + i for j in range(lo, hi) for i in range(lo, hi)]
+
+
+def two_components():
+    """A 4x5 and a 3x3 grid side by side, both massive."""
+    a, b = grid_graph(4, 5, c=1.0, m=0.05), grid_graph(3, 3, c=1.0, m=0.2)
+    edges = [(t, h, c) for t, h, c in zip(a.tail.tolist(), a.head.tolist(),
+                                          a.cond_f.tolist())]
+    edges += [(t + a.n, h + a.n, c) for t, h, c in zip(
+        b.tail.tolist(), b.head.tolist(), b.cond_f.tolist())]
+    return WeightedGraph(a.n + b.n, edges, a.masses + b.masses, check=False)
+
+
+def hub_window():
+    """A massless window of a unit grid whose outside is collapsed to one
+    hub vertex of mass 1, joined to every boundary vertex."""
+    g = collapse_boundary(grid_graph(12, 12, c=1.0), square_window()
+                          ).as_weighted_graph()
+    edges = list(zip(g.tail.tolist(), g.head.tolist(), g.cond))
+    return WeightedGraph(g.n, edges, [0] * (g.n - 1) + [1.0], check=False)
+
+
+def rhombic_window():
+    """Wired window on the bulk vertices of a z-invariant rhombic patch."""
+    grid = build_rhombic_grid(0.1, *random_rhombic_angles(
+        np.random.default_rng(0), 12))
+    amb = z_invariant_weights(grid, near_critical_modulus(1.0, 0.1))
+    return wired_restriction(amb, grid.bulk_vertices())
+
+
+def massless_triangle(seed):
+    """A massless triangle with seeded float conductances beside a vertex
+    of mass 1: the Laplacian is singular, with no exactly zero pivot."""
+    c = np.random.default_rng(seed).random(3).tolist()
+    und = [(0, 1, c[0]), (1, 2, c[1]), (2, 0, c[2])]
+    return WeightedGraph(4, und + [(y, x, w) for x, y, w in und],
+                         [0, 0, 0, 1.0], check=False)
+
+
+class TestLevelElimination:
+    """The float full potential by block elimination over BFS levels."""
+
+    GRAPHS = {
+        "two_components": two_components,
+        "wired_window": lambda: wired_restriction(
+            grid_graph(12, 12, c=1.0, m=0.05), square_window()),
+        "hub_window": hub_window,
+        "rhombic_window": rhombic_window,
+        "drifted": lambda: drifted_grid(12, 11),
+        "skewed": lambda: skewed_graph(np.random.default_rng(6), side=7),
+        "one_vertex": lambda: WeightedGraph(1, [], [0.7]),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_matches_dense_solve(self, graph):
+        g = self.GRAPHS[graph]()
+        ref = np.linalg.solve(loop_laplacian(g),
+                              np.diag([float(g.ck(x)) for x in range(g.n)]))
+        V = potential(g).V
+        assert V.flags.f_contiguous
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_keeps_no_factor(self):
+        g = grid_graph(6, 7, c=1.0, m=0.05)
+        potential(g)
+        assert g not in linalg._FACTORS
+
+    def test_transient_memory_below_quarter_of_potential(self):
+        # V (21.6 MB) is on its own mapping, which tracemalloc does not
+        # see; an n x n temporary would
+        g = grid_graph(41, 41, c=1.0, m=0.05)
+        potential(g)  # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            V = potential(g).V
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (g.n, g.n)
+        assert peak < g.n ** 2 * 8 / 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_float_massless_component_raises(self, seed):
+        g = massless_triangle(seed)
+        with pytest.raises(RecurrentWalkError):
+            potential(g)
+        with pytest.raises(RecurrentWalkError):
+            edge_probability(g, [(0, 1)])
+        with pytest.raises(RecurrentWalkError):
+            lerw_exact_probability(g, [0, 1])

@@ -191,16 +191,18 @@ def cmd_grid(args):
         random_rhombic_angles,
     )
 
-    if args.kind == "square":
-        grid = build_square_grid(args.delta, args.window)
-    else:
-        rng = np.random.default_rng(args.seed)
-        phis, psis = random_rhombic_angles(rng, args.window)
-        grid = build_rhombic_grid(args.delta, phis, psis)
-    if args.M > 0:
-        mod = near_critical_modulus(args.M, args.delta)
-    else:
-        mod = complete_integrals(args.k)
+    try:
+        if args.kind == "square":
+            grid = build_square_grid(args.delta, args.window)
+        else:
+            rng = np.random.default_rng(args.seed)
+            phis, psis = random_rhombic_angles(rng, args.window)
+            grid = build_rhombic_grid(args.delta, phis, psis)
+        mod = (near_critical_modulus(args.M, args.delta) if args.M != 0
+               else complete_integrals(args.k))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, []
     g, rays = grid_to_graph(grid, mod)
     save_graph(args.out, g, rays=rays)
     print(f"wrote {args.out}: {g.n} vertices, {g.m_edges} directed edges, "
@@ -244,6 +246,11 @@ def cmd_edge_prob(args):
 
     g = _load_graph_or_die(args.graph)
     edges = _parse_edges_or_die(args.edges, g)
+    try:  # input errors: a massless component, float data with --exact
+        p = edge_probability(g, edges, exact=args.exact)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, []
     outputs = []
     if args.dump_matrix:
         L = assemble_massive_laplacian(g).toarray()
@@ -253,7 +260,6 @@ def cmd_edge_prob(args):
             writer.writerows([i, j, repr(v)]
                              for (i, j), v in np.ndenumerate(L))
         outputs.append(args.dump_matrix)
-    p = edge_probability(g, edges, exact=args.exact)
     print(f"P({args.edges}) = {p}")
     return 0, outputs
 
@@ -634,7 +640,7 @@ def build_parser():
     p = sub.add_parser("grid", help="generate an isoradial grid file")
     p.add_argument("--kind", choices=["square", "rhombic"], default="square")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--window", type=int, required=True,
+    p.add_argument("--window", type=positive, required=True,
                    help="train tracks per family")
     p.add_argument("--k", type=float, default=0.0, help="elliptic modulus")
     p.add_argument("--M", type=float, default=0.0,

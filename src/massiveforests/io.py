@@ -161,10 +161,7 @@ def grid_to_graph(grid, modulus):
     from .isoradial import z_invariant_weights
 
     g = z_invariant_weights(grid, modulus)
-    rays = {}
-    for eid in range(grid.m_edges):
-        x, y = grid.edge_tail[eid], grid.edge_head[eid]
-        rays[(x, y)] = (grid.edge_alpha[eid], grid.edge_beta[eid])
-        a, b = grid.rays(eid, y)
-        rays[(y, x)] = (a, b)
-    return g, rays
+    # g's edges run tail -> head, then head -> tail, whose rays turn by pi
+    a, b = (np.stack([r, r + np.pi], axis=1).ravel().tolist()
+            for r in (grid.edge_alpha, grid.edge_beta))
+    return g, dict(zip(zip(g.tail.tolist(), g.head.tolist()), zip(a, b)))

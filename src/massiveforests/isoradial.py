@@ -1,10 +1,15 @@
 """Isoradial grids, Z-invariant weights and discrete massive exponentials.
 
 Grids are generated from two transversal train-track angle sequences: the
-diamond lattice has vertices p(i, j) = delta * (sum of e^{i phi_k}, k < i)
-+ delta * (sum of e^{i psi_l}, l < j); even parity of i + j gives the primal
-vertices, odd parity the dual ones, and every lozenge (i, j) carries one
-primal edge (its primal diagonal) crossing one dual edge.
+diamond lattice has corners p(i, j) = delta * (P_phi[i] + P_psi[j]), with
+P_phi and P_psi the prefix sums of e^{i phi_k} and e^{i psi_l}; even parity
+of i + j gives the primal vertices, odd parity the dual ones, and every
+lozenge (i, j) carries one primal edge (its primal diagonal) crossing one
+dual edge.  The grid is built from arrays: one parity mask numbers the
+corners and gives every lozenge's ends, duals and rays, and every
+per-vertex quantity (the fan of half-angles, the masses, the lazy walk's
+speeds) is one `np.bincount` over the (tail, head) incidences in edge
+order, so each vertex sums its edges in the order `edges_at` lists them.
 
 The discrete massive exponential is multiplicative along diamond steps with
 the positive factor dn((u - gamma)/2 | k)/sqrt(k'), which makes the drift
@@ -27,11 +32,23 @@ from .elliptic import (
 from .graphs import WeightedGraph
 
 
+def full_fan_vertices(n, ends, half_angles):
+    """The bulk: vertices of 0..n-1 whose full fan is present, i.e. whose
+    incident half-angles (`half_angles[k]` at vertex `ends[k]`) sum to pi."""
+    fan = np.bincount(ends, weights=half_angles, minlength=n)
+    return np.flatnonzero(np.abs(fan - math.pi) < 1e-9).tolist()
+
+
 class IsoradialGrid:
-    """Finite patch of a rhombic isoradial lattice."""
+    """Finite patch of a rhombic isoradial lattice.  Vertices are numbered
+    in row-major order of their corners (flat indices `primal_corners`,
+    `dual_corners`), edges in row-major order of their lozenges."""
 
     def __init__(self, delta, phis, psis):
-        self.delta = float(delta)
+        delta = float(delta)
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"mesh delta = {delta} must be finite and > 0")
+        self.delta = delta
         self.phis = [float(a) for a in phis]
         self.psis = [float(a) for a in psis]
         self.I = len(self.phis)
@@ -40,87 +57,72 @@ class IsoradialGrid:
         self._build()
 
     def _check_angles(self):
-        for a in self.phis:
-            for b in self.psis:
-                tb = 0.5 * ((b - a) % (2 * math.pi))
-                if not 0 < tb < math.pi / 2:
-                    raise ValueError(
-                        f"rhombus angle out of range: phi={a}, psi={b}")
-
-    # -- construction -------------------------------------------------------
-
-    def _diamond_pos(self, i, j):
-        x = sum(math.cos(a) for a in self.phis[:i]) + \
-            sum(math.cos(b) for b in self.psis[:j])
-        y = sum(math.sin(a) for a in self.phis[:i]) + \
-            sum(math.sin(b) for b in self.psis[:j])
-        return self.delta * x, self.delta * y
+        phis, psis = np.array(self.phis), np.array(self.psis)
+        tb = 0.5 * ((psis[None, :] - phis[:, None]) % (2 * math.pi))
+        bad = np.argwhere(~((0 < tb) & (tb < math.pi / 2)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"rhombus angle out of range: "
+                             f"phi={self.phis[i]}, psi={self.psis[j]}")
 
     def _build(self):
-        self.primal_id = {}
-        self.dual_id = {}
-        primal_pos, dual_pos = [], []
-        for i in range(self.I + 1):
-            for j in range(self.J + 1):
-                if (i + j) % 2 == 0:
-                    self.primal_id[(i, j)] = len(primal_pos)
-                    primal_pos.append(self._diamond_pos(i, j))
-                else:
-                    self.dual_id[(i, j)] = len(dual_pos)
-                    dual_pos.append(self._diamond_pos(i, j))
-        self.positions = np.array(primal_pos)
-        self.dual_positions = np.array(dual_pos)
-        self.n = len(primal_pos)
+        I, J = self.I, self.J
+        # corners from prefix sums of e^{i phi}, e^{i psi}, added in sequence
+        p, q = (np.cumsum([0j] + [complex(math.cos(a), math.sin(a))
+                                  for a in angles])
+                for angles in (self.phis, self.psis))
+        z = (p[:, None] + q[None, :]).ravel()
+        corners = self.delta * np.stack([z.real, z.imag], axis=1)
+        i, j = np.indices((I + 1, J + 1))
+        even = ((i + j) % 2 == 0).ravel()
+        self.primal_corners = np.flatnonzero(even)
+        self.dual_corners = np.flatnonzero(~even)
+        self.positions = corners[self.primal_corners]
+        self.dual_positions = corners[self.dual_corners]
+        self.n = len(self.primal_corners)
+        vid = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
+        vid = vid.reshape(I + 1, J + 1)
 
-        # one primal edge per lozenge, with its rays and crossing duals
-        self.edge_tail = []
-        self.edge_head = []
-        self.edge_alpha = []
-        self.edge_beta = []
-        self.edge_duals = []
-        self._edges_at = [[] for _ in range(self.n)]
-        for i in range(self.I):
-            for j in range(self.J):
-                phi, psi = self.phis[i], self.psis[j]
-                if (i + j) % 2 == 0:
-                    x = self.primal_id[(i, j)]
-                    y = self.primal_id[(i + 1, j + 1)]
-                    rays = (phi, psi)
-                    duals = (self.dual_id[(i + 1, j)],
-                             self.dual_id[(i, j + 1)])
-                else:
-                    x = self.primal_id[(i + 1, j)]
-                    y = self.primal_id[(i, j + 1)]
-                    rays = (psi, phi + math.pi)
-                    duals = (self.dual_id[(i, j)],
-                             self.dual_id[(i + 1, j + 1)])
-                a, b = self._order_rays(*rays)
-                eid = len(self.edge_tail)
-                self.edge_tail.append(x)
-                self.edge_head.append(y)
-                self.edge_alpha.append(a)
-                self.edge_beta.append(b)
-                self.edge_duals.append(duals)
-                self._edges_at[x].append(eid)
-                self._edges_at[y].append(eid)
+        # one primal edge per lozenge, (i, j) -> (i+1, j+1) on an even one
+        # and (i+1, j) -> (i, j+1) on an odd one, crossing the other diagonal
+        c00, c11 = vid[:-1, :-1].ravel(), vid[1:, 1:].ravel()
+        c10, c01 = vid[1:, :-1].ravel(), vid[:-1, 1:].ravel()
+        li, lj = np.indices((I, J)).reshape(2, -1)
+        on_even = (li + lj) % 2 == 0
+        phi, psi = np.array(self.phis)[li], np.array(self.psis)[lj]
+        self.edge_tail = np.where(on_even, c00, c10)
+        self.edge_head = np.where(on_even, c11, c01)
+        self.edge_duals = np.stack([np.where(on_even, c10, c00),
+                                    np.where(on_even, c01, c11)], axis=1)
+        # rays (phi, psi) or (psi, phi + pi), ordered: beta - alpha in (0, pi)
+        a = np.where(on_even, phi, psi)
+        b = np.where(on_even, psi, phi + math.pi)
+        gap = (b - a) % (2 * math.pi)
+        ordered = (0 < gap) & (gap < math.pi)
+        self.edge_alpha = np.where(ordered, a, b)
+        self.edge_beta = np.where(ordered, a + gap, b + (a - b) % (2 * math.pi))
+        self.half_angles = 0.5 * (self.edge_beta - self.edge_alpha)
         self.m_edges = len(self.edge_tail)
 
-    @staticmethod
-    def _order_rays(a, b):
-        """Order so that beta - alpha lies in (0, pi)."""
-        gap = (b - a) % (2 * math.pi)
-        if 0 < gap < math.pi:
-            return a, a + gap
-        gap = (a - b) % (2 * math.pi)
-        return b, b + gap
+        # (tail, head) incidences in edge order, and edges_at as CSR
+        self._ends = np.stack([self.edge_tail, self.edge_head], axis=1).ravel()
+        self._edge_ids = np.argsort(self._ends, kind="stable") // 2
+        self._edge_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self._ends, minlength=self.n))])
 
     # -- queries -------------------------------------------------------------
 
     def half_angle(self, eid):
-        return 0.5 * (self.edge_beta[eid] - self.edge_alpha[eid])
+        return self.half_angles[eid]
 
     def edges_at(self, x):
-        return self._edges_at[x]
+        return self._edge_ids[self._edge_ptr[x]:self._edge_ptr[x + 1]]
+
+    def incident_sums(self, per_edge):
+        """Per-vertex sums of a per-edge array over each vertex's edges,
+        added in edge order."""
+        return np.bincount(self._ends, weights=np.repeat(per_edge, 2),
+                           minlength=self.n)
 
     def rays(self, eid, tail):
         """(alpha, beta) of the edge oriented out of `tail`."""
@@ -129,13 +131,10 @@ class IsoradialGrid:
             return a, b
         return a + math.pi, b + math.pi
 
-    def is_bulk(self, x):
-        """Full fan: incident half-angles sum to pi."""
-        tot = sum(self.half_angle(eid) for eid in self._edges_at[x])
-        return abs(tot - math.pi) < 1e-9
-
     def bulk_vertices(self):
-        return [x for x in range(self.n) if self.is_bulk(x)]
+        """Vertices with their full fan: incident half-angles sum to pi."""
+        return full_fan_vertices(self.n, self._ends,
+                                 np.repeat(self.half_angles, 2))
 
     def base_vertex(self):
         """Lexicographically smallest primal vertex (x, then y)."""
@@ -144,8 +143,8 @@ class IsoradialGrid:
 
     def rectangle_window(self, x0, x1, y0, y1):
         px, py = self.positions[:, 0], self.positions[:, 1]
-        return [int(v) for v in
-                np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))[0]]
+        return np.flatnonzero(
+            (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)).tolist()
 
 
 def build_square_grid(delta, size) -> IsoradialGrid:
@@ -182,16 +181,13 @@ def z_invariant_weights(grid: IsoradialGrid,
     m^2(.|k) at bulk vertices; boundary vertices of the patch carry the
     incomplete-star value and windows should be taken strictly inside.
     """
-    half_angles = np.array([grid.half_angle(e) for e in range(grid.m_edges)])
-    conds = sc(modulus.abstract_angle(half_angles), modulus).tolist()
-    terms = mass_term(half_angles, modulus).tolist()
-    edges = []
-    for x, y, c in zip(grid.edge_tail, grid.edge_head, conds):
-        edges.append((x, y, c))
-        edges.append((y, x, c))
-    masses = [sum(terms[e] for e in grid.edges_at(x)) for x in range(grid.n)]
-    g = WeightedGraph(grid.n, edges, masses, positions=grid.positions,
-                      check=False)
+    tb = grid.half_angles
+    conds = np.repeat(sc(modulus.abstract_angle(tb), modulus), 2).tolist()
+    tails = np.stack([grid.edge_tail, grid.edge_head], axis=1).ravel()
+    heads = np.stack([grid.edge_head, grid.edge_tail], axis=1).ravel()
+    masses = grid.incident_sums(mass_term(tb, modulus)).tolist()
+    g = WeightedGraph(grid.n, list(zip(tails.tolist(), heads.tolist(), conds)),
+                      masses, positions=grid.positions, check=False)
     g.grid = grid
     return g
 
@@ -205,26 +201,20 @@ def lazy_walk_graph(grid, modulus):
     the plain killed walk.
     """
     g = z_invariant_weights(grid, modulus)
-    T_x = np.empty(g.n)
-    for x in range(g.n):
-        s_sin = sum(np.sin(2 * grid.half_angle(e)) for e in grid.edges_at(x))
-        s_tan = sum(np.tan(grid.half_angle(e)) for e in grid.edges_at(x))
-        T_x[x] = s_sin / s_tan
+    tb = grid.half_angles
+    T_x = grid.incident_sums(np.sin(2 * tb)) / grid.incident_sums(np.tan(tb))
     T = float(T_x.min())
     if T <= 0:
         raise ValueError("nonpositive speed floor; bounded-angle violated")
-    edges = [(int(g.tail[i]), int(g.head[i]), g.cond[i])
-             for i in range(g.m_edges)]
-    for x in range(g.n):
-        l_x = (T_x[x] - T) / T * float(g.total_conductance(x))
-        if l_x > 0:
-            edges.append((x, x, l_x))
+    loop = (T_x - T) / T * np.bincount(g.tail, g.cond_f, g.n)
+    looped = np.flatnonzero(loop > 0).tolist()
+    edges = list(zip(g.tail.tolist(), g.head.tolist(), g.cond))
+    edges += zip(looped, looped, loop[looped].tolist())
     lazy = WeightedGraph(g.n, edges, list(g.masses), positions=g.positions,
                          check=False)
-    holding = np.array([
-        float(sum(lazy.cond_f[eid] for eid in lazy.out_edges[x]
-                  if lazy.head[eid] == x)) / float(lazy.total_conductance(x))
-        for x in range(lazy.n)])
+    # the loop's share of each vertex's total conductance, loop included
+    holding = np.where(loop > 0, loop, 0.0) / np.bincount(
+        lazy.tail, lazy.cond_f, lazy.n)
     return lazy, holding
 
 
@@ -266,13 +256,9 @@ class ExponentialField:
         pre_phi = np.cumprod([1.0] + f_phi)
         pre_psi = np.cumprod([1.0] + f_psi)
 
-        raw_primal = np.empty(grid.n)
-        raw_dual = np.empty(len(grid.dual_id))
-        for (i, j), vid in grid.primal_id.items():
-            raw_primal[vid] = pre_phi[i] * pre_psi[j]
-        for (i, j), vid in grid.dual_id.items():
-            raw_dual[vid] = pre_phi[i] * pre_psi[j]
-
+        raw = np.outer(pre_phi, pre_psi).ravel()
+        raw_primal = raw[grid.primal_corners]
+        raw_dual = raw[grid.dual_corners]
         base = raw_primal[self.x0]
         self.primal = raw_primal / base
         self.dual = base / raw_dual  # reciprocal: self-duality normalization
@@ -294,7 +280,7 @@ def drift_field_and_conductances(grid, modulus, u_bar, ambient=None):
     if ambient is None:
         ambient = z_invariant_weights(grid, modulus)
     field = discrete_exponential(grid, modulus, u_bar)
-    lam = {x: field.primal[x] for x in range(grid.n)}
+    lam = dict(enumerate(field.primal))
     require_massive_harmonic(ambient, lam, grid.bulk_vertices())
     tilde = doob_conductances(ambient, lam)
     return field, tilde
@@ -313,14 +299,9 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     """
     from .doob import require_massive_harmonic
 
-    def fan(x):
-        total = 0.0
-        for eid in g.out_edges[x]:
-            a, b = g.edge_rays[(x, int(g.head[eid]))]
-            total += 0.5 * (b - a)
-        return total
-
-    bulk = [x for x in range(g.n) if abs(fan(x) - math.pi) < 1e-9]
+    rays = [g.edge_rays[e] for e in zip(g.tail.tolist(), g.head.tolist())]
+    alpha, beta = np.reshape(rays, (-1, 2)).T
+    bulk = full_fan_vertices(g.n, g.tail, 0.5 * (beta - alpha))
     if not bulk:
         raise ValueError("no bulk vertices in the grid window")
     lam = {bulk[0]: 1.0}
@@ -331,7 +312,7 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
             y = int(g.head[eid])
             if y in lam:
                 continue
-            a, b = g.edge_rays[(x, y)]
+            a, b = rays[eid]
             lam[y] = lam[x] * exponential_edge_factor(a, b, u_bar, modulus)
             stack.append(y)
     require_massive_harmonic(g, lam, bulk)

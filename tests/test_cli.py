@@ -263,6 +263,70 @@ class TestDispatch:
         assert hashlib.sha256(data).hexdigest() == \
             "68e58c4819caa1211a6b445e5789be9a7357256263384868117c21864eaf1ee6"
 
+    @pytest.mark.parametrize("kind, delta, window, digest", [
+        ("square", "0.05", "20",
+         "0f713401a985cbddfed328a4eddc46c6b1111f46fb8d9fb8304121bdf8856946"),
+        ("rhombic", "0.015625", "64",
+         "952d37e2f6e5faffdc7a62d7d6692cb24c441d6c06094ad5190d007749bee039"),
+    ], ids=["square", "rhombic"])
+    def test_grid_bytes_pinned(self, tmp_path, kind, delta, window, digest):
+        # the grid files of the CI steps, as written when the grid was
+        # built one lozenge at a time
+        gpath = tmp_path / "grid.json"
+        assert main(["grid", "--kind", kind, "--delta", delta, "--window",
+                     window, "--M", "1.0", "--out", str(gpath)]) == 0
+        assert hashlib.sha256(gpath.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--delta", "0", "mesh delta = 0.0 must be finite and > 0"),
+        ("--delta", "-0.1", "mesh delta = -0.1 must be finite and > 0"),
+        ("--delta", "nan", "mesh delta = nan must be finite and > 0"),
+        ("--M", "-1", "mass parameter M = -1.0 must be nonnegative"),
+        ("--k", "1.5", "modulus k must lie in [0, 1)"),
+    ], ids=["delta-zero", "delta-negative", "delta-nan", "M-negative",
+            "k-past-one"])
+    def test_grid_refuses_bad_input(self, tmp_path, capsys, option, value,
+                                    message):
+        # each once wrote a grid (delta, M) or exited 1 (k)
+        args = {"--delta": "0.25", "--window": "4", option: value}
+        out = tmp_path / "grid.json"
+        assert main(["grid", *(a for kv in args.items() for a in kv),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, window", [("square", "0"),
+                                              ("rhombic", "-3")])
+    def test_grid_refuses_nonpositive_window(self, tmp_path, kind, window):
+        out = tmp_path / "grid.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--kind", kind, "--delta", "0.25", "--window",
+                  window, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_args, exact, message", [
+        (["--M", "1.0"], ["--exact"],
+         "exact potential needs rational graph data"),
+        ([], [], "m == 0 on a finite component"),
+    ], ids=["exact-on-float-data", "massless"])
+    def test_edge_prob_input_errors_exit_two(self, tmp_path, capsys,
+                                             grid_args, exact, message):
+        # both once exited 1, the code of a failed verification
+        gpath = str(tmp_path / "grid.json")
+        assert main(["grid", "--delta", "0.25", "--window", "4", *grid_args,
+                     "--out", gpath]) == 0
+        g = load_graph(gpath)
+        capsys.readouterr()
+        dump = tmp_path / "L.csv"
+        assert main(["edge-prob", "--graph", gpath, "--edges",
+                     f"{g.tail[0]}-{g.head[0]}", *exact,
+                     "--dump-matrix", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not dump.exists()
+
     def test_rhombic_grid_past_64_half_angles_samples(self, tmp_path):
         # 81 distinct half-angles; every mass stays nonnegative
         gpath = str(tmp_path / "grid.json")

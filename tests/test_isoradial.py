@@ -6,8 +6,11 @@ import pytest
 from massiveforests.doob import check_massive_harmonic
 from massiveforests.elliptic import (
     complete_integrals,
+    exponential_step_factor,
+    mass_term,
     mass_value,
     near_critical_modulus,
+    sc,
 )
 from massiveforests.isoradial import (
     build_rhombic_grid,
@@ -21,7 +24,7 @@ from massiveforests.isoradial import (
     random_rhombic_angles,
     z_invariant_weights,
 )
-from massiveforests.io import grid_to_graph
+from massiveforests.io import grid_to_graph, load_graph, save_graph
 
 
 class TestGridGeometry:
@@ -65,6 +68,113 @@ class TestGridGeometry:
         assert len(bulk) > 0
         for x in bulk:
             assert len(g.edges_at(x)) == 4
+
+
+def _loop_reference(delta, phis, psis, modulus, u_bar):
+    """A grid built one corner and one lozenge at a time, with every
+    per-vertex quantity (fan, mass, lazy-walk speed and holding fraction)
+    summed over the vertex's edges in edge order."""
+    I, J = len(phis), len(psis)
+    ids, pos = {}, ([], [])
+    for i in range(I + 1):
+        for j in range(J + 1):
+            x = sum(math.cos(a) for a in phis[:i]) + \
+                sum(math.cos(b) for b in psis[:j])
+            y = sum(math.sin(a) for a in phis[:i]) + \
+                sum(math.sin(b) for b in psis[:j])
+            side = pos[(i + j) % 2]
+            ids[(i, j)] = len(side)
+            side.append((delta * x, delta * y))
+    n = len(pos[0])
+    tail, head, alpha, beta, duals = [], [], [], [], []
+    edges_at = [[] for _ in range(n)]
+    for i in range(I):
+        for j in range(J):
+            phi, psi = phis[i], psis[j]
+            if (i + j) % 2 == 0:
+                x, y = ids[(i, j)], ids[(i + 1, j + 1)]
+                a, b = phi, psi
+                d = (ids[(i + 1, j)], ids[(i, j + 1)])
+            else:
+                x, y = ids[(i + 1, j)], ids[(i, j + 1)]
+                a, b = psi, phi + math.pi
+                d = (ids[(i, j)], ids[(i + 1, j + 1)])
+            gap = (b - a) % (2 * math.pi)
+            if not 0 < gap < math.pi:
+                a, gap = b, (a - b) % (2 * math.pi)
+            edges_at[x].append(len(tail))
+            edges_at[y].append(len(tail))
+            tail.append(x)
+            head.append(y)
+            alpha.append(a)
+            beta.append(a + gap)
+            duals.append(d)
+    half = [0.5 * (b - a) for a, b in zip(alpha, beta)]
+    terms = mass_term(np.array(half), modulus).tolist()
+    conds = sc(modulus.abstract_angle(np.array(half)), modulus).tolist()
+    speed = [sum(np.sin(2 * half[e]) for e in es) /
+             sum(np.tan(half[e]) for e in es) for es in edges_at]
+    loops = [(T_x - min(speed)) / min(speed) * sum(conds[e] for e in es)
+             for T_x, es in zip(speed, edges_at)]
+    holding = [(l if l > 0 else 0.0) / (sum(conds[e] for e in es)
+                                       + (l if l > 0 else 0))
+               for l, es in zip(loops, edges_at)]
+    pre_phi = np.cumprod([1.0] + [exponential_step_factor(a, u_bar, modulus)
+                                  for a in phis])
+    pre_psi = np.cumprod([1.0] + [exponential_step_factor(b, u_bar, modulus)
+                                  for b in psis])
+    raw = ([], [])
+    for (i, j) in ids:
+        raw[(i + j) % 2].append(pre_phi[i] * pre_psi[j])
+    positions = np.array(pos[0])
+    x0 = int(np.lexsort((positions[:, 1], positions[:, 0]))[0])
+    return {
+        "positions": positions, "dual_positions": np.array(pos[1]),
+        "edge_tail": tail, "edge_head": head, "edge_alpha": alpha,
+        "edge_beta": beta, "edge_duals": duals, "edges_at": edges_at,
+        "bulk": [x for x in range(n)
+                 if abs(sum(half[e] for e in edges_at[x]) - math.pi) < 1e-9],
+        "masses": [sum(terms[e] for e in edges_at[x]) for x in range(n)],
+        "holding": holding,
+        "primal": np.array(raw[0]) / raw[0][x0],
+        "dual": raw[0][x0] / np.array(raw[1]),
+    }
+
+
+def _reference_grids():
+    """(delta, phis, psis): square, three seeded rhombic, one with I != J."""
+    grids = [(0.05, [-math.pi / 4] * 20, [math.pi / 4] * 20)]
+    for seed, size, delta in ((0, 10, 0.1), (1, 17, 0.015625),
+                              (2, 24, 0.05)):
+        grids.append((delta, *random_rhombic_angles(
+            np.random.default_rng(seed), size)))
+    phis, _ = random_rhombic_angles(np.random.default_rng(3), 7)
+    _, psis = random_rhombic_angles(np.random.default_rng(4), 12)
+    return grids + [(0.125, phis, psis)]
+
+
+@pytest.mark.parametrize("delta, phis, psis", _reference_grids(),
+                         ids=["square", "rhombic-0", "rhombic-1",
+                              "rhombic-2", "7x12"])
+def test_grid_equals_loop_reference(delta, phis, psis):
+    mod = near_critical_modulus(1.0, delta)
+    u_bar = 0.7
+    ref = _loop_reference(delta, phis, psis, mod, u_bar)
+    grid = build_rhombic_grid(delta, phis, psis)
+    for name in ("positions", "dual_positions", "edge_tail", "edge_head",
+                 "edge_alpha", "edge_beta", "edge_duals"):
+        assert np.array_equal(getattr(grid, name), ref[name]), name
+    assert all(list(grid.edges_at(x)) == es
+               for x, es in enumerate(ref["edges_at"]))
+    assert all(grid.rays(e, y) == (a + math.pi, b + math.pi)
+               for e, (y, a, b) in enumerate(zip(
+                   ref["edge_head"], ref["edge_alpha"], ref["edge_beta"])))
+    assert grid.bulk_vertices() == ref["bulk"]
+    assert z_invariant_weights(grid, mod).masses == ref["masses"]
+    assert lazy_walk_graph(grid, mod)[1].tolist() == ref["holding"]
+    field = discrete_exponential(grid, mod, u_bar)
+    assert np.array_equal(field.primal, ref["primal"])
+    assert np.array_equal(field.dual, ref["dual"])
 
 
 class TestZInvariantWeights:
@@ -265,10 +375,15 @@ def _grid_and_file_graph(kind, M=1.0, d=0.05):
 
 class TestDriftFieldFromRays:
     @pytest.mark.parametrize("kind", ["square", "rhombic"])
-    def test_bulk_matches_grid(self, kind):
+    def test_bulk_matches_grid(self, kind, tmp_path):
+        # one fan rule: the graph and the grid file it saves to give the
+        # grid's bulk
         grid, mod, g = _grid_and_file_graph(kind)
-        bulk, _ = drift_field_from_rays(g, mod, 0.9)
-        assert bulk == grid.bulk_vertices()
+        path = str(tmp_path / "grid.json")
+        save_graph(path, g, rays=g.edge_rays)
+        for h in (g, load_graph(path)):
+            bulk, _ = drift_field_from_rays(h, mod, 0.9)
+            assert bulk == grid.bulk_vertices()
 
     @pytest.mark.parametrize("kind", ["square", "rhombic"])
     def test_ratios_match_exponential_field(self, kind):

@@ -161,8 +161,8 @@ def _parse_edges_or_die(text, g):
 
 
 def _load_lambda_or_die(path):
-    """{vertex: Fraction} from a JSON object of vertex ids to rationals
-    (numbers or strings like "3/2"), or `error: ...` and exit 2."""
+    """{vertex: Fraction} from a JSON object of vertex ids to positive
+    rationals (numbers or strings like "3/2"), or `error: ...` and exit 2."""
     from fractions import Fraction
 
     lam = {}
@@ -171,10 +171,12 @@ def _load_lambda_or_die(path):
             if not (_is_number(value) or isinstance(value, str)):
                 raise TypeError
             lam[int(key)] = Fraction(value)
+            if lam[int(key)] <= 0:
+                raise ValueError
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             print(f"error: {path}: entry {json.dumps(key)}: "
                   f"{json.dumps(value)} needs an integer vertex id and a "
-                  f"rational value", file=sys.stderr)
+                  f"positive rational value", file=sys.stderr)
             raise SystemExit(2) from None
     return lam
 

@@ -468,11 +468,11 @@ def _tilted_window(dg: DoubleGraph, lam_ambient):
     masses = np.bincount(t.x[spoke], weights=fwd[spoke], minlength=col.n)
     # each window edge x -> y, then its reverse, in white order
     off = ~spoke
-    edges = zip(np.stack([t.x, t.y], axis=1)[off].ravel().tolist(),
-                np.stack([t.y, t.x], axis=1)[off].ravel().tolist(),
-                np.stack([fwd, c * lx / ly], axis=1)[off].ravel().tolist())
-    return WeightedGraph(col.n, list(edges), masses.tolist(),
-                         positions=col.positions, check=False)
+    edges = (np.stack([t.x, t.y], axis=1)[off].ravel(),
+             np.stack([t.y, t.x], axis=1)[off].ravel(),
+             np.stack([fwd, c * lx / ly], axis=1)[off].ravel())
+    return WeightedGraph(col.n, edges, masses, positions=col.positions,
+                         check=False)
 
 
 # -- determinantal identities ------------------------------------------------

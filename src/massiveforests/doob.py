@@ -4,7 +4,8 @@ A positive function lambda on the ambient vertices tilts the conductances,
 c~_(x,y) = lambda(y)/lambda(x) c_(x,y).  When lambda is massive harmonic on
 a window, the tilted walk restricted to the window is a plain walk killed
 at the boundary, and the forest model on the window matches the tree model
-on the collapsed graph, determinant for determinant.
+on the collapsed graph, determinant for determinant.  The tilt and the
+harmonicity gate are array expressions over the graph's edges.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from .graphs import (
     WeightedGraph,
+    _values,
+    _window,
     collapse_boundary,
     forest_partition_function,
     tree_partition_function,
@@ -33,20 +36,24 @@ from .linalg import (
 HARMONICITY_GATE = 1e-8
 
 
+def _lambda_at(lam, vertices):
+    """lam at each of `vertices`, as `graphs._values` makes an array."""
+    return _values(list(map(lam.__getitem__, vertices.tolist())))
+
+
 def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
-    """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped."""
-    for x in range(ambient.n):
-        if not lam[x] > 0:
-            raise ValueError("lambda must be positive everywhere")
-    new_cond = []
-    for eid in range(ambient.m_edges):
-        x, y = int(ambient.tail[eid]), int(ambient.head[eid])
-        new_cond.append(ambient.cond[eid] * lam[y] / lam[x])
-    edges = [(int(ambient.tail[i]), int(ambient.head[i]), new_cond[i])
-             for i in range(ambient.m_edges)]
+    """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped.
+
+    One array expression over the edges; Fraction data and lambda give
+    Fraction tilts."""
+    lam = _lambda_at(lam, np.arange(ambient.n))
+    if not np.all(lam > 0):
+        raise ValueError("lambda must be positive everywhere")
+    cond = ambient.cond_a * lam[ambient.head] / lam[ambient.tail]
     zero = Fraction(0) if ambient.is_exact() else 0.0
-    return WeightedGraph(ambient.n, edges, [zero] * ambient.n,
-                         positions=ambient.positions, check=False)
+    return WeightedGraph(ambient.n, (ambient.tail, ambient.head, cond),
+                         [zero] * ambient.n, positions=ambient.positions,
+                         check=False)
 
 
 def massive_laplacian_apply(g: WeightedGraph, f, x):
@@ -61,16 +68,27 @@ def massive_laplacian_apply(g: WeightedGraph, f, x):
 
 
 def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
-    """Max relative harmonicity residual |(Delta^k lam)(x)| / (c^k(x) lam(x)),
-    inf as soon as one residual is not finite."""
-    worst = 0.0
-    for x in subset:
-        r = massive_laplacian_apply(ambient, lam, x)
-        rel = abs(float(r)) / (float(ambient.ck(x)) * float(lam[x]))
-        if not math.isfinite(rel):
-            return math.inf
-        worst = max(worst, rel)
-    return worst
+    """Max relative harmonicity residual |(Delta^k lam)(x)| / (c^k(x) lam(x))
+    over `subset`, inf as soon as one residual is not finite; each residual
+    adds up as in `massive_laplacian_apply`.  A lambda <= 0 at a vertex of
+    `subset` is refused: the residual is read relative to it.
+    """
+    xs, index, eids, _ = _window(ambient, subset)
+    lx = _lambda_at(lam, xs)
+    if np.any(lx <= 0):
+        raise ValueError("lambda must be positive on the checked vertices")
+    eids = eids[ambient.tail[eids] != ambient.head[eids]]
+    row = index[ambient.tail[eids]]
+    ly = _lambda_at(lam, ambient.head[eids])
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = ambient.masses_a[xs] * lx
+        terms = ambient.cond_a[eids] * (lx[row] - ly)
+        r = r.astype(np.result_type(r, terms))
+        np.add.at(r, row, terms)
+        rel = np.abs(r.astype(float)) / (ambient.ck_f[xs] * lx.astype(float))
+    if not np.all(np.isfinite(rel)):
+        return math.inf
+    return float(rel.max(initial=0.0))
 
 
 def require_massive_harmonic(ambient: WeightedGraph, lam, subset):

@@ -179,10 +179,12 @@ def mass_value_via_exponential(half_angle_rays, modulus: EllipticModulus,
 
 
 def exponential_step_factor(gamma_bar, u_bar, modulus: EllipticModulus):
-    """dn((u - gamma)/2 | k) / sqrt(k'), one lozenge-side step."""
+    """dn((u - gamma)/2 | k) / sqrt(k'), one lozenge-side step, per entry
+    of a float or an array of angles gamma_bar."""
     u = modulus.abstract_angle(u_bar)
     gamma = modulus.abstract_angle(gamma_bar)
-    return dn(0.5 * (u - gamma), modulus) / math.sqrt(modulus.kprime)
+    dn_ = _ellipj(0.5 * (u - gamma), modulus)[2]
+    return _real(dn_ / math.sqrt(modulus.kprime))
 
 
 def exponential_edge_factor(alpha_bar, beta_bar, u_bar,

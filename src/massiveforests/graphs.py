@@ -5,11 +5,16 @@ directed edges and nonnegative masses on vertices.  Parallel edges are kept
 as distinct edge ids and loops are allowed.  Conductances and masses may be
 floats or exact `fractions.Fraction` values; exact values survive through
 the enumeration and rational linear algebra routines.
+
+A graph holds its incidence once, as arrays (the out-edges as one CSR,
+the float c(x) and c^k(x)), which every layer reads; `ck`,
+`edge_conductance` and the enumerations stay as per-vertex oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +25,33 @@ def _is_exact(v):
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def _values(v):
+    """v as an array, float64 for float data and else the values as
+    objects, so that its arithmetic is theirs."""
+    a = np.asarray(v)
+    return a if a.dtype == np.float64 else np.asarray(v, dtype=object)
+
+
+def csr_rows(values, ptr):
+    """The rows values[ptr[i]:ptr[i + 1]] of a CSR, as Python lists."""
+    ptr = ptr.tolist()
+    return list(map(values.tolist().__getitem__, map(slice, ptr, ptr[1:])))
+
+
+def _one_component(n, tail, head):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    adj = coo_array((np.ones(len(tail)), (tail, head)), shape=(n, n))
+    return connected_components(adj, directed=False)[0] == 1
+
+
 class WeightedGraph:
     """Finite directed graph with conductances and masses.
 
-    Vertices are dense integers 0..n-1.  `edges` is a list of
-    (tail, head, conductance) triples; for every edge (x, y) with x != y the
+    Vertices are dense integers 0..n-1.  `edges` is a sequence of
+    (tail, head, conductance) triples, or the tuple of the three columns
+    (tail, head, cond) as numpy arrays; for every edge (x, y) with x != y the
     reverse (y, x) must also be present (possibly with a different
     conductance).  Loops (x, x) are allowed and count as their own reverse.
     `linalg` keeps the factors of a graph's Laplacian for as long as the
@@ -33,56 +60,55 @@ class WeightedGraph:
 
     def __init__(self, n, edges, masses, positions=None, check=True):
         self.n = int(n)
-        self.tail = np.array([e[0] for e in edges], dtype=int)
-        self.head = np.array([e[1] for e in edges], dtype=int)
-        self.cond = [e[2] for e in edges]
-        self.masses = list(masses)
+        columns = isinstance(edges, tuple) and len(edges) == 3 and \
+            isinstance(edges[0], np.ndarray)
+        tail, head, cond = edges if columns else \
+            tuple(zip(*edges)) or ((), (), ())
+        self.tail = np.array(tail, dtype=int)
+        self.head = np.array(head, dtype=int)
+        self.cond_a, self.masses_a = _values(cond), _values(masses)
+        self.cond, self.masses = self.cond_a.tolist(), self.masses_a.tolist()
         self.positions = None if positions is None else np.asarray(positions, float)
-        self.m_edges = len(edges)
-
-        self.out_edges = [[] for _ in range(self.n)]
-        for eid in range(self.m_edges):
-            self.out_edges[self.tail[eid]].append(eid)
+        self.m_edges = len(self.tail)
 
         if check:
             self._validate()
 
-        # float views used by samplers and numeric linear algebra
-        self.cond_f = np.array([float(c) for c in self.cond])
-        self.masses_f = np.array([float(m) for m in self.masses])
+        # out-edges as CSR: edge ids sorted stably by tail
+        self.out_order = np.argsort(self.tail, kind="stable")
+        self.out_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.tail, minlength=self.n))))
+
+        # float views; c(x) and c^k(x) add x's out-edges in edge order
+        # from 0, as `ck` does, exactly on exact data
+        self.cond_f = np.asarray(self.cond_a, dtype=float)
+        self.masses_f = np.asarray(self.masses_a, dtype=float)
+        c = np.zeros(self.n, self.cond_a.dtype)
+        np.add.at(c, self.tail, self.cond_a)
+        self.c_f = c.astype(float)
+        self.ck_f = (c + self.masses_a).astype(float)
 
     # -- validation -------------------------------------------------------
 
     def _validate(self):
         if len(self.masses) != self.n:
             raise ValueError("need one mass per vertex")
-        for c in self.cond:
-            if not c > 0:
-                raise ValueError("conductances must be strictly positive")
-        for m in self.masses:
-            if m < 0:
-                raise ValueError("masses must be nonnegative")
-        pairs = set(zip(self.tail.tolist(), self.head.tolist()))
-        for x, y in pairs:
-            if x == y:
-                continue
-            if (y, x) not in pairs:
-                raise ValueError(f"directed edge ({x},{y}) has no reverse")
-        if self.n > 1 and not self._connected():
+        if not np.all(self.cond_a > 0):
+            raise ValueError("conductances must be strictly positive")
+        if np.any(self.masses_a < 0):
+            raise ValueError("masses must be nonnegative")
+        code = self.tail * self.n + self.head
+        lone = np.flatnonzero(~np.isin(self.head * self.n + self.tail, code))
+        if lone.size:
+            x, y = self.tail[lone[0]], self.head[lone[0]]
+            raise ValueError(f"directed edge ({x},{y}) has no reverse")
+        if self.n > 1 and not _one_component(self.n, self.tail, self.head):
             raise ValueError("graph must be connected")
 
-    def _connected(self):
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for eid in self.out_edges[x]:
-                y = self.head[eid]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return all(seen)
+    @cached_property
+    def out_edges(self):
+        """Row x: x's out-edge ids in edge order, as a list."""
+        return csr_rows(self.out_order, self.out_ptr)
 
     # -- basic quantities ---------------------------------------------------
 
@@ -270,24 +296,29 @@ class CollapsedGraph:
         return WeightedGraph(self.n + 1, edges, masses, check=False)
 
 
+def _window(ambient: WeightedGraph, subset):
+    """The sorted vertices of `subset`, the window index of each ambient
+    vertex (-1 outside), the ambient edges out of the window in subset
+    order then out-edge order, and which of them stay inside."""
+    subset = np.unique(np.array(list(subset), dtype=int))
+    index = np.full(ambient.n, -1)
+    index[subset] = np.arange(len(subset))
+    out = ambient.out_order[index[ambient.tail[ambient.out_order]] >= 0]
+    return subset, index, out, index[ambient.head[out]] >= 0
+
+
 def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
     """Identify everything outside `subset` to a single outer vertex."""
-    subset = sorted(set(int(v) for v in subset))
-    index = {v: i for i, v in enumerate(subset)}
-    inside = set(subset)
-    edges, o_edges = [], []
-    for v in subset:
-        for eid in ambient.out_edges[v]:
-            y = int(ambient.head[eid])
-            c = ambient.cond[eid]
-            if y in inside:
-                edges.append((index[v], index[y], c))
-            else:
-                o_edges.append((index[v], c, y))
-    positions = None
-    if ambient.positions is not None:
-        positions = ambient.positions[subset]
-    return CollapsedGraph(len(subset), edges, o_edges, positions, subset)
+    subset, index, out, stays = _window(ambient, subset)
+    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond_a[out]
+    edges = list(zip(x[stays].tolist(), index[y[stays]].tolist(),
+                     c[stays].tolist()))
+    o_edges = list(zip(x[~stays].tolist(), c[~stays].tolist(),
+                       y[~stays].tolist()))
+    positions = None if ambient.positions is None else \
+        ambient.positions[subset]
+    return CollapsedGraph(len(subset), edges, o_edges, positions,
+                          subset.tolist())
 
 
 def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
@@ -295,17 +326,22 @@ def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
 
     Conductances restrict, and every conductance leaving the subset (an
     o-edge of `collapse_boundary`) is added to the mass of its tail vertex,
-    so the massive Laplacian of the result is the restriction of the
-    ambient massive Laplacian.
+    after the ambient mass and in edge order, so the massive Laplacian of
+    the result is the restriction of the ambient massive Laplacian.  The
+    window inherits the ambient graph's validity; only its connectivity is
+    checked.
     """
-    col = collapse_boundary(ambient, subset)
-    masses = [ambient.masses[v] for v in col.ambient_ids]
-    for x, c, _ in col.o_edges:
-        masses[x] = masses[x] + c
-    g = WeightedGraph(col.n, col.edges, masses, positions=col.positions)
-    if col.n > 1 and not g._connected():
+    subset, index, out, stays = _window(ambient, subset)
+    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond_a[out]
+    masses = ambient.masses_a[subset].astype(np.result_type(
+        ambient.masses_a, c))
+    np.add.at(masses, x[~stays], c[~stays])
+    positions = None if ambient.positions is None else \
+        ambient.positions[subset]
+    g = WeightedGraph(len(subset), (x[stays], index[y[stays]], c[stays]),
+                      masses, positions=positions, check=False)
+    if g.n > 1 and not _one_component(g.n, g.tail, g.head):
         raise ValueError("subset induces a disconnected subgraph")
-    g.ambient_ids = col.ambient_ids
     return g
 
 

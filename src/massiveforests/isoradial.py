@@ -182,12 +182,12 @@ def z_invariant_weights(grid: IsoradialGrid,
     incomplete-star value and windows should be taken strictly inside.
     """
     tb = grid.half_angles
-    conds = np.repeat(sc(modulus.abstract_angle(tb), modulus), 2).tolist()
+    conds = np.repeat(sc(modulus.abstract_angle(tb), modulus), 2)
     tails = np.stack([grid.edge_tail, grid.edge_head], axis=1).ravel()
     heads = np.stack([grid.edge_head, grid.edge_tail], axis=1).ravel()
-    masses = grid.incident_sums(mass_term(tb, modulus)).tolist()
-    g = WeightedGraph(grid.n, list(zip(tails.tolist(), heads.tolist(), conds)),
-                      masses, positions=grid.positions, check=False)
+    masses = grid.incident_sums(mass_term(tb, modulus))
+    g = WeightedGraph(grid.n, (tails, heads, conds), masses,
+                      positions=grid.positions, check=False)
     g.grid = grid
     return g
 
@@ -206,15 +206,13 @@ def lazy_walk_graph(grid, modulus):
     T = float(T_x.min())
     if T <= 0:
         raise ValueError("nonpositive speed floor; bounded-angle violated")
-    loop = (T_x - T) / T * np.bincount(g.tail, g.cond_f, g.n)
-    looped = np.flatnonzero(loop > 0).tolist()
-    edges = list(zip(g.tail.tolist(), g.head.tolist(), g.cond))
-    edges += zip(looped, looped, loop[looped].tolist())
-    lazy = WeightedGraph(g.n, edges, list(g.masses), positions=g.positions,
-                         check=False)
+    loop = (T_x - T) / T * g.c_f
+    looped = np.flatnonzero(loop > 0)
+    lazy = WeightedGraph(g.n, (np.r_[g.tail, looped], np.r_[g.head, looped],
+                               np.r_[g.cond_f, loop[looped]]),
+                         g.masses_f, positions=g.positions, check=False)
     # the loop's share of each vertex's total conductance, loop included
-    holding = np.where(loop > 0, loop, 0.0) / np.bincount(
-        lazy.tail, lazy.cond_f, lazy.n)
+    holding = np.where(loop > 0, loop, 0.0) / lazy.c_f
     return lazy, holding
 
 
@@ -249,12 +247,10 @@ class ExponentialField:
         self.u_bar = float(u_bar)
         self.x0 = grid.base_vertex() if x0 is None else x0
 
-        f_phi = [exponential_step_factor(a, u_bar, modulus)
-                 for a in grid.phis]
-        f_psi = [exponential_step_factor(b, u_bar, modulus)
-                 for b in grid.psis]
-        pre_phi = np.cumprod([1.0] + f_phi)
-        pre_psi = np.cumprod([1.0] + f_psi)
+        f_phi = exponential_step_factor(np.array(grid.phis), u_bar, modulus)
+        f_psi = exponential_step_factor(np.array(grid.psis), u_bar, modulus)
+        pre_phi = np.cumprod(np.r_[1.0, f_phi])
+        pre_psi = np.cumprod(np.r_[1.0, f_psi])
 
         raw = np.outer(pre_phi, pre_psi).ravel()
         raw_primal = raw[grid.primal_corners]
@@ -293,9 +289,10 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     its train tracks.  The bulk is every vertex whose full fan is present
     (incident half-angles sum to pi); lambda is 1 at the first bulk vertex
     and multiplies `exponential_edge_factor` along a depth-first spanning
-    tree.  Refuses, through `doob.require_massive_harmonic` on the bulk, a
-    modulus that does not make lambda massive harmonic for the file's
-    weights.
+    tree.  The step factor is evaluated once per distinct ray angle, in
+    one array call.  Refuses, through `doob.require_massive_harmonic` on
+    the bulk, a modulus that does not make lambda massive harmonic for the
+    file's weights.
     """
     from .doob import require_massive_harmonic
 
@@ -304,16 +301,19 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     bulk = full_fan_vertices(g.n, g.tail, 0.5 * (beta - alpha))
     if not bulk:
         raise ValueError("no bulk vertices in the grid window")
+    angles, which = np.unique(np.r_[alpha, beta], return_inverse=True)
+    step = exponential_step_factor(angles, u_bar, modulus)[which]
+    factor = (step[:g.m_edges] * step[g.m_edges:]).tolist()
+    head = g.head.tolist()
     lam = {bulk[0]: 1.0}
     stack = [bulk[0]]
     while stack:
         x = stack.pop()
         for eid in g.out_edges[x]:
-            y = int(g.head[eid])
+            y = head[eid]
             if y in lam:
                 continue
-            a, b = rays[eid]
-            lam[y] = lam[x] * exponential_edge_factor(a, b, u_bar, modulus)
+            lam[y] = lam[x] * factor[eid]
             stack.append(y)
     require_massive_harmonic(g, lam, bulk)
     return bulk, lam

@@ -367,7 +367,7 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
         kept = [cols[y] for y in ys]
         return [[v[x] for v, _ in kept] for x in range(g.n)], \
             [c for _, c in kept]
-    ck = [float(g.ck(y)) for y in ys]
+    ck = g.ck_f[ys].tolist()
     V = _mapped(g.n, len(ys))
     for s in range(0, len(ys), SOLVE_BLOCK):
         block = ys[s:s + SOLVE_BLOCK]
@@ -446,11 +446,10 @@ def potential(g: WeightedGraph, exact=False) -> Potential:
         return Potential(g, *_potential_matrix(g, list(range(g.n)), True),
                          True)
     A, comp = _require_transient(g, False)
-    ck = [float(g.ck(y)) for y in range(g.n)]
     V = _mapped(g.n, g.n)
     # V = (D^-1 A)^-1 with D = D(c^k); V.T is C-ordered
-    _level_inverse(A, np.array(ck), *_level_order(A, comp), V.T)
-    return Potential(g, V, ck)
+    _level_inverse(A, g.ck_f, *_level_order(A, comp), V.T)
+    return Potential(g, V, g.ck_f.tolist())
 
 
 def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:

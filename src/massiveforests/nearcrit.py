@@ -450,11 +450,9 @@ def _window_graph(kernel, box):
     for k, c in enumerate(kernel.cond):
         masses += np.where(nbr[:, k] < 0, c, 0.0)
     tail, k = np.nonzero(nbr >= 0)
-    edges = list(zip(tail.tolist(), nbr[tail, k].tolist(),
-                     kernel.cond[k].tolist()))
     z = box.z[inside]
-    return WeightedGraph(inside.size, edges, masses.tolist(),
-                         positions=np.column_stack((z.real, z.imag)),
+    return WeightedGraph(inside.size, (tail, nbr[tail, k], kernel.cond[k]),
+                         masses, positions=np.column_stack((z.real, z.imag)),
                          check=False), vertex
 
 

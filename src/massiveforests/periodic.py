@@ -73,9 +73,9 @@ class PeriodicGraph:
         tails = cell * self.n + self.tail
         heads = (ti * reps_j + tj) * self.n + self.head
         conds = np.broadcast_to(self.cond, inside.shape)
-        edges = list(zip(*(a[inside].tolist() for a in (tails, heads, conds))))
         masses = [float(m) for m in self.masses] * (reps_i * reps_j)
-        g = WeightedGraph(len(index), edges, masses, check=False)
+        g = WeightedGraph(len(index), (tails[inside], heads[inside],
+                                       conds[inside]), masses, check=False)
         g.periodic_index = index
         return g
 

@@ -8,19 +8,19 @@ over an iterator on the block).  A task opens one reader on its own stream
 and carries the unread tail of each block into its next sample; an API
 that draws from a caller's generator opens a reader on it and hands it
 back just after the last uniform used, so either way every sample reads
-the same uniforms as if each step had called `rng.random()`.
+the same uniforms as if each step had called `rng.random()`.  The
+transition table is read off the graph's CSR out-edges and c^k arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate
 from operator import length_hint
 
 import numpy as np
 
-from .graphs import ROOT, RootedForest, WeightedGraph
+from .graphs import ROOT, RootedForest, WeightedGraph, csr_rows
 from .linalg import _potential_columns, determinant, determinant_exact
 
 WILSON_STEP_CAP = 10**9
@@ -103,28 +103,35 @@ class UniformReader:
 class TransitionTable:
     """Per-vertex cumulative transition table of the killed walk.
 
-    Row x holds Python lists of targets and cumulative probabilities and
-    ends with the death event; sampling one step is a single uniform plus
-    a `bisect_right`, which picks the same index as
-    `np.searchsorted(cum, u, side="right")`.
+    Row x holds Python lists of targets and cumulative probabilities: x's
+    out-edges in edge order, then the death event when m(x) > 0.  Sampling
+    one step is a single uniform plus a `bisect_right`, which picks the
+    same index as `np.searchsorted(cum, u, side="right")`.  The rows are
+    read off the graph's CSR and c^k, and p / c^k(x) is accumulated along
+    the rows one row position at a time, as `itertools.accumulate` adds.
     """
 
     def __init__(self, g: WeightedGraph):
         self.g = g
-        self.targets = []
-        self.cum = []
-        head, cond = g.head.tolist(), g.cond_f.tolist()
-        for x in range(g.n):
-            heads = [head[eid] for eid in g.out_edges[x]]
-            probs = [cond[eid] for eid in g.out_edges[x]]
-            if g.masses_f[x] > 0:
-                heads.append(ROOT)
-                probs.append(float(g.masses_f[x]))
-            ckx = float(g.ck(x))
-            cum = list(accumulate(p / ckx for p in probs))
-            cum[-1] = 1.0
-            self.targets.append(heads)
-            self.cum.append(cum)
+        deg = np.diff(g.out_ptr)
+        dies = g.masses_f > 0
+        stop = np.cumsum(deg + dies)
+        start = stop - deg - dies
+        row = np.repeat(np.arange(g.n), deg + dies)
+        place = np.arange(len(row)) - start[row]  # position in the row
+        edge = place < deg[row]
+        targets = np.full(len(row), ROOT)
+        targets[edge] = g.head[g.out_order]
+        cum = np.empty(len(row))
+        cum[edge], cum[~edge] = g.cond_f[g.out_order], g.masses_f[dies]
+        cum /= g.ck_f[row]
+        by_place = np.argsort(place, kind="stable")
+        bounds = np.cumsum(np.bincount(place)).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            cum[by_place[a:b]] += cum[by_place[a:b] - 1]
+        cum[stop[stop > start] - 1] = 1.0
+        self.targets = csr_rows(targets, np.r_[0, stop])
+        self.cum = csr_rows(cum, np.r_[0, stop])
 
     def step(self, x, u):
         i = bisect_right(self.cum[x], u)

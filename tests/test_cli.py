@@ -172,6 +172,23 @@ class TestDispatch:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith(f"error: {lam}: entry ")
 
+    @pytest.mark.parametrize("table", [{"0": 1, "1": 0, "2": 1},
+                                       {"0": -1, "1": -1, "2": -1},
+                                       {"0": 1, "1": "-3/2", "2": 1}],
+                             ids=["zero", "all-negative", "negative-string"])
+    def test_nonpositive_lambda_exit_two(self, tmp_path, capsys, table):
+        g = tmp_path / "g.json"
+        save_graph(str(g), symmetric_graph(
+            3, [(0, 1, Fraction(1)), (1, 2, Fraction(1))],
+            [Fraction(1, 2)] * 3, positions=[(0.0, 0.0), (1.0, 0.0),
+                                             (2.0, 0.0)]))
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps(table))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "doob", "--graph", str(g), "--lambda", str(lam)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {lam}: entry ")
+
     def test_lambda_table_of_rationals(self, tmp_path):
         lam = tmp_path / "lam.json"
         lam.write_text(json.dumps({"0": 1, "1": "3/2", "2": 0.25}))

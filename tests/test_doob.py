@@ -82,6 +82,27 @@ class TestMassiveHarmonic:
         with pytest.raises(ValueError, match="not massive harmonic"):
             require_massive_harmonic(g, lam, range(g.n))
 
+    @pytest.mark.parametrize("lam", [
+        {x: -1 for x in range(9)},
+        {x: 0 if x == 4 else 1 for x in range(9)},
+        {x: -2.5 if x == 4 else 1.0 for x in range(9)},
+    ], ids=["all-negative", "zero", "negative-float"])
+    def test_nonpositive_lambda_refused(self, lam):
+        # lambda = -1 has residual 0 relative to |lambda|, yet
+        # (Delta^k lambda)(4) = -1/2; a 0 used to divide by zero
+        g = grid_graph(3, 3, m=Fraction(1, 2))
+        for check in (check_massive_harmonic, require_massive_harmonic):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                check(g, lam, range(g.n))
+
+    def test_nonpositive_lambda_off_the_checked_vertices(self):
+        # only the checked vertices divide by lambda; a neighbour's value
+        # just enters the residual
+        g = z_line(0, 2, m=Fraction(1))
+        lam = {0: Fraction(-1), 1: Fraction(1), 2: Fraction(3)}
+        assert check_massive_harmonic(g, lam, [1]) == \
+            abs(float(massive_laplacian_apply(g, lam, 1))) / float(g.ck(1))
+
     def test_potential_column_is_harmonic_off_z(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

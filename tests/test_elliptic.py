@@ -11,6 +11,7 @@ from massiveforests.elliptic import (
     complete_integrals,
     dn,
     exponential_edge_factor,
+    exponential_step_factor,
     jacobi,
     mass_term,
     mass_value,
@@ -251,3 +252,12 @@ class TestNearCriticalRates:
         target = math.exp(2 * M * (math.cos(u_bar) * disp.real
                                    + math.sin(u_bar) * disp.imag))
         assert abs(got - target) < 50 * d**2
+
+    def test_step_factor_array_equals_scalar(self):
+        # one array call per distinct angle gives each scalar call's float
+        mod = near_critical_modulus(1.0, 0.05)
+        angles = np.linspace(-2.0, 5.0, 29)
+        got = exponential_step_factor(angles, 0.7, mod)
+        assert got.tolist() == [exponential_step_factor(float(a), 0.7, mod)
+                                for a in angles]
+        assert isinstance(exponential_step_factor(0.3, 0.7, mod), float)

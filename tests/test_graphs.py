@@ -18,10 +18,16 @@ from massiveforests.graphs import (
     tree_partition_function,
     wired_restriction,
 )
+from massiveforests.doob import (
+    check_massive_harmonic,
+    doob_conductances,
+    massive_laplacian_apply,
+)
 from massiveforests.linalg import (
     assemble_massive_laplacian_exact,
     determinant_exact,
 )
+from massiveforests.walks import TransitionTable
 
 
 def path_ab(c=Fraction(1), m=Fraction(1)):
@@ -146,9 +152,10 @@ class TestWiredRestriction:
         assert counts == [0, 1, 1, 1, 1, 2, 2, 2, 2]
 
     def test_disconnected_subset_rejected(self):
-        amb = z_line(0, 4)
-        with pytest.raises(ValueError):
-            wired_restriction(amb, [0, 3])
+        for amb in (z_line(0, 4), grid_graph(5, 1)):
+            with pytest.raises(ValueError,
+                               match="subset induces a disconnected"):
+                wired_restriction(amb, [0, 3])
 
 
 class TestCollapse:
@@ -230,3 +237,141 @@ class TestMatrixForest:
         assert not bad.is_acyclic()
         good = RootedForest(2, {0: 1, 1: ROOT})
         assert good.is_acyclic()
+
+
+# -- the array-built graph core against per-vertex loops ----------------------
+
+
+def random_float_graph(rng):
+    """`random_rational_graph`'s shape (parallel edges, loops, zero masses)
+    with float data that rounds, so that summation order shows."""
+    g = random_rational_graph(rng)
+    edges = [(int(t), int(h), float(c) + rng.random())
+             for t, h, c in zip(g.tail, g.head, g.cond)]
+    return WeightedGraph(g.n, edges, [float(m) * (0.5 + rng.random())
+                                      for m in g.masses])
+
+
+def connected_subset(rng, g):
+    """A random connected vertex set, grown out of a random vertex."""
+    subset = {int(rng.integers(g.n))}
+    for _ in range(int(rng.integers(0, g.n))):
+        frontier = sorted({y for x in subset for y in g.neighbours(x)}
+                          - subset)
+        if frontier:
+            subset.add(frontier[int(rng.integers(len(frontier)))])
+    return sorted(subset)
+
+
+def loop_out_edges(g):
+    return [[e for e in range(g.m_edges) if g.tail[e] == x]
+            for x in range(g.n)]
+
+
+def loop_collapse(g, subset):
+    index = {v: i for i, v in enumerate(subset)}
+    edges, o_edges = [], []
+    for v in subset:
+        for e in loop_out_edges(g)[v]:
+            y = int(g.head[e])
+            if y in index:
+                edges.append((index[v], index[y], g.cond[e]))
+            else:
+                o_edges.append((index[v], g.cond[e], y))
+    return edges, o_edges
+
+
+def loop_wired_masses(g, subset):
+    masses = [g.masses[v] for v in subset]
+    for x, c, _ in loop_collapse(g, subset)[1]:
+        masses[x] = masses[x] + c
+    return masses
+
+
+def loop_table(g):
+    targets, cum = [], []
+    for x, out in enumerate(loop_out_edges(g)):
+        heads = [int(g.head[e]) for e in out]
+        probs = [float(g.cond[e]) for e in out]
+        if float(g.masses[x]) > 0:
+            heads.append(ROOT)
+            probs.append(float(g.masses[x]))
+        ckx = float(sum(g.cond[e] for e in out) + g.masses[x])
+        row = []
+        for p in probs:
+            row.append(p / ckx if not row else row[-1] + p / ckx)
+        row[-1] = 1.0
+        targets.append(heads)
+        cum.append(row)
+    return targets, cum
+
+
+def loop_harmonicity(g, lam, subset):
+    return max((abs(float(massive_laplacian_apply(g, lam, x)))
+                / (float(g.ck(x)) * float(lam[x])) for x in subset),
+               default=0.0)
+
+
+class TestArrayCoreMatchesLoops:
+    """Every array quantity of the graph core equals, with ==, the
+    per-vertex loop it replaces: rational and float data, parallel edges,
+    loops and zero-mass vertices."""
+
+    @pytest.fixture(params=["rational", "float"])
+    def cases(self, request):
+        rng = np.random.default_rng(2024 if request.param == "rational"
+                                    else 2025)
+        out = []
+        for _ in range(40):
+            g = random_rational_graph(rng) if request.param == "rational" \
+                else random_float_graph(rng)
+            lam = {x: Fraction(int(rng.integers(1, 9)),
+                               int(rng.integers(1, 5)))
+                   for x in range(g.n)}
+            if request.param == "float" or rng.random() < 0.3:
+                lam = {x: float(v) + rng.random() for x, v in lam.items()}
+            out.append((g, lam, connected_subset(rng, g)))
+        return out
+
+    def test_out_edges_and_sums(self, cases):
+        for g, _, _ in cases:
+            out = loop_out_edges(g)
+            assert [list(map(int, g.out_edges[x])) for x in range(g.n)] == out
+            c = [float(sum(g.cond[e] for e in row)) for row in out]
+            ck = [float(sum(g.cond[e] for e in row) + g.masses[x])
+                  for x, row in enumerate(out)]
+            assert g.c_f.tolist() == c and g.ck_f.tolist() == ck
+            assert [float(g.ck(x)) for x in range(g.n)] == ck
+
+    def test_window(self, cases):
+        for g, _, subset in cases:
+            col = collapse_boundary(g, subset)
+            edges, o_edges = loop_collapse(g, subset)
+            assert col.edges == edges and col.o_edges == o_edges
+            w = wired_restriction(g, subset)
+            assert list(zip(w.tail.tolist(), w.head.tolist(), w.cond)) \
+                == edges
+            assert w.masses == loop_wired_masses(g, subset)
+
+    def test_doob_tilt(self, cases):
+        for g, lam, _ in cases:
+            t = doob_conductances(g, lam)
+            assert t.cond == [g.cond[e] * lam[int(g.head[e])]
+                              / lam[int(g.tail[e])]
+                              for e in range(g.m_edges)]
+            assert t.tail.tolist() == g.tail.tolist()
+            assert t.head.tolist() == g.head.tolist()
+            assert all(m == 0 for m in t.masses)
+
+    def test_transition_table(self, cases):
+        for g, _, _ in cases:
+            table = TransitionTable(g)
+            targets, cum = loop_table(g)
+            assert table.targets == targets and table.cum == cum
+
+    def test_harmonicity(self, cases):
+        for g, lam, subset in cases:
+            assert check_massive_harmonic(g, lam, subset) == \
+                loop_harmonicity(g, lam, subset)
+            assert check_massive_harmonic(g, lam, range(g.n)) == \
+                loop_harmonicity(g, lam, range(g.n))

@@ -6,6 +6,7 @@ import pytest
 from massiveforests.doob import check_massive_harmonic
 from massiveforests.elliptic import (
     complete_integrals,
+    exponential_edge_factor,
     exponential_step_factor,
     mass_term,
     mass_value,
@@ -396,6 +397,25 @@ class TestDriftFieldFromRays:
             x, y = int(g.tail[eid]), int(g.head[eid])
             want = primal[y] / primal[x]
             assert abs(lam[y] / lam[x] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("kind", ["square", "rhombic"])
+    def test_equal_to_per_edge_factors(self, kind):
+        # one step factor per distinct ray angle gives the lambda of one
+        # scalar exponential_edge_factor per tree edge, bit for bit
+        _, mod, g = _grid_and_file_graph(kind)
+        u_bar = 0.9
+        bulk, lam = drift_field_from_rays(g, mod, u_bar)
+        want, stack = {bulk[0]: 1.0}, [bulk[0]]
+        while stack:
+            x = stack.pop()
+            for eid in g.out_edges[x]:
+                y = int(g.head[eid])
+                if y not in want:
+                    a, b = g.edge_rays[(x, y)]
+                    want[y] = want[x] * exponential_edge_factor(a, b, u_bar,
+                                                                mod)
+                    stack.append(y)
+        assert list(lam.items()) == list(want.items())
 
     def test_refuses_other_modulus(self):
         _, _, g = _grid_and_file_graph("square")

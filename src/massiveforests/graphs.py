@@ -38,14 +38,6 @@ def csr_rows(values, ptr):
     return list(map(values.tolist().__getitem__, map(slice, ptr, ptr[1:])))
 
 
-def _one_component(n, tail, head):
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    adj = coo_array((np.ones(len(tail)), (tail, head)), shape=(n, n))
-    return connected_components(adj, directed=False)[0] == 1
-
-
 class WeightedGraph:
     """Finite directed graph with conductances and masses.
 
@@ -102,8 +94,20 @@ class WeightedGraph:
         if lone.size:
             x, y = self.tail[lone[0]], self.head[lone[0]]
             raise ValueError(f"directed edge ({x},{y}) has no reverse")
-        if self.n > 1 and not _one_component(self.n, self.tail, self.head):
+        if self.n > 1 and self.components.any():
             raise ValueError("graph must be connected")
+
+    @cached_property
+    def components(self):
+        """The label of each vertex's connected component, labels numbered
+        in order of their least vertex; computed once, by validation or
+        on first use."""
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        adj = coo_array((np.ones(self.m_edges), (self.tail, self.head)),
+                        shape=(self.n, self.n))
+        return connected_components(adj, directed=False)[1]
 
     @cached_property
     def out_edges(self):
@@ -340,7 +344,7 @@ def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
         ambient.positions[subset]
     g = WeightedGraph(len(subset), (x[stays], index[y[stays]], c[stays]),
                       masses, positions=positions, check=False)
-    if g.n > 1 and not _one_component(g.n, g.tail, g.head):
+    if g.n > 1 and g.components.any():
         raise ValueError("subset induces a disconnected subgraph")
     return g
 

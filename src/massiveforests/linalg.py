@@ -12,18 +12,22 @@ time.  The full float potential is one block elimination over the BFS
 levels of the graph, in whose order the Laplacian is block tridiagonal;
 it builds no factor.  Both write one Fortran-ordered output on its own
 memory mapping, so that freeing a potential hands its pages back to the
-OS.  Every exact determinant and solve is one Gaussian elimination over
-Fractions that skips zero entries, so that the matrix-forest and
-determinantal identities can be checked bit-exactly against the
-enumeration oracles.  A graph with a massless component is refused before
-any of these.  Each graph's Laplacian is factored once for its queries,
-float and exact, and the factors are kept while the graph lives: every
-later determinantal query and exact potential on it only solves its
-columns (exact columns are solved once and kept too).
+OS.  Every exact determinant and solve is one fraction-free (Bareiss)
+elimination over Python integers, on sparse rows each scaled to integers,
+skipping zero entries (a graph's rows come straight from its triplets),
+so that the matrix-forest and determinantal identities can be checked
+bit-exactly against the enumeration oracles; Fractions are built only
+for its outputs.  A graph with a massless component is refused before
+any of these, read on the graph's component labels.  Each graph's
+Laplacian is factored once for its queries, float and exact, and the
+factors are kept while the graph lives: every later determinantal query
+and exact potential on it only solves its columns (exact columns are
+solved once and kept too).
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import warnings
 import weakref
@@ -108,18 +112,18 @@ def assemble_massive_laplacian_exact(g: WeightedGraph):
 
 
 def _permutation_parity(p):
-    """Sign (+1.0 or -1.0) of the permutation p, one pass over its cycles."""
-    p = p.tolist()
-    seen = [False] * len(p)
-    swaps = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            j = p[i]
-            while j != i:  # a cycle of length l takes l - 1 swaps
-                seen[j] = True
-                j = p[j]
-                swaps += 1
-    return -1.0 if swaps % 2 else 1.0
+    """Sign (+1.0 or -1.0) of the permutation p: a cycle of length l takes
+    l - 1 swaps, so n swaps less one per cycle.  Each cycle is counted at
+    its least element, found by pointer doubling: after r rounds least[i]
+    is the least of i, p(i), ..., p^(2^r - 1)(i)."""
+    p = np.asarray(p, dtype=np.intp)  # SuperLU's perms are int32
+    n = len(p)
+    least, step = np.arange(n), p
+    for _ in range(max(n - 1, 0).bit_length()):
+        least = np.minimum(least, least[step])
+        step = step[step]
+    cycles = np.count_nonzero(least == np.arange(n))
+    return -1.0 if (n - cycles) % 2 else 1.0
 
 
 def _sparse_lu(M):
@@ -184,87 +188,129 @@ def log_determinant(M):
     return sign * float(np.prod(np.sign(diag))), logdet
 
 
-def _factor(M):
-    """LU factors of M over Fractions by Gaussian elimination that skips
-    zeros.
+def _integer_rows(rows):
+    """Rows given as (column, rational) pairs, as dicts of integers: each
+    row times the lcm of its denominators, duplicate columns summed and
+    zeros dropped.  Returns the rows and the row scales."""
+    out, scales = [], []
+    for row in rows:
+        row = [(j, v if type(v) in (int, Fraction) else Fraction(v))
+               for j, v in row if v]
+        d = math.lcm(*[v.denominator for _, v in row])
+        r = {}
+        for j, v in row:
+            r[j] = r.get(j, 0) + v.numerator * (d // v.denominator)
+        out.append({j: v for j, v in r.items() if v})
+        scales.append(d)
+    return out, scales
 
-    Each row is a dict of its nonzero entries.  The pivot of column k is
-    the first row at or below k with a nonzero there; only the rows below
-    with a nonzero in column k are updated, and only at the pivot row's
-    nonzero columns.  Each updated row keeps its multiplier at column k,
-    and rows swap whole, so that row i holds L (columns < i, unit diagonal
-    implied) and U (columns >= i) of P M = L U, where `perm[i]` is the row
-    of M at place i.  Returns (det M, (rows, perm)), or (Fraction(0), None)
-    if M is singular.
+
+class _ExactLU:
+    """Fraction-free (Bareiss) LU over the integers of a rational matrix,
+    each row scaled by the lcm of its denominators: no gcd is taken.
+
+    Rows are dicts of their nonzeros.  Step k pivots on the first row at
+    or below k with a nonzero in column k and updates the rows below with
+    a nonzero there, a_ij <- (p_k a_ij - a_ik a_kj) / p_k-1 exactly; a row
+    a step leaves alone is only scaled by p_k / p_k-1, done when it is next
+    used.  Each step keeps its swap and its (row, multiplier) list for
+    `solve`; row k keeps the entries right of its pivot `piv[k + 1]`.
+    `det` is Fraction(0) for a singular matrix, of which nothing is kept.
     """
-    n = len(M)
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in M]
-    perm = list(range(n))
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if k in rows[i]), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-            det = -det
-        p = rows[k][k]
-        det *= p
-        rest = [(j, v) for j, v in rows[k].items() if j > k]
-        for row in rows[k + 1:]:
-            a = row.get(k)
-            if a is None:
-                continue
-            f = row[k] = a / p
-            for j, v in rest:
-                w = row.get(j, 0) - f * v
-                if w:
-                    row[j] = w
+
+    def __init__(self, rows):
+        rows, self.scales = _integer_rows(rows)
+        n = len(rows)
+        piv = self.piv = [1]  # piv[k]: the divisor of step k
+        at = [0] * n  # the step each row's entries are current at
+        self.swaps, self.mults, sign = [], [], 1
+        for k in range(n):
+            s = next((i for i in range(k, n) if k in rows[i]), None)
+            if s is None:
+                self.det = Fraction(0)
+                return
+            if s != k:
+                rows[k], rows[s] = rows[s], rows[k]
+                at[k], at[s] = at[s], at[k]
+                sign = -sign
+            self.swaps.append(s)
+            d, top = piv[k], rows[k]
+            if at[k] != k:
+                f = piv[at[k]]
+                for j, v in top.items():
+                    top[j] = v * d // f
+            p = top.pop(k)
+            piv.append(p)
+            rest = list(top.items())
+            mults = []
+            for i in range(k + 1, n):
+                row = rows[i]
+                a = row.pop(k, None)
+                if a is None:
+                    continue
+                if at[i] == k:
+                    new = {j: p * v for j, v in row.items()}
                 else:
-                    del row[j]
-    return det, (rows, perm)
+                    f = piv[at[i]]
+                    a = a * d // f
+                    new = {j: p * (v * d // f) for j, v in row.items()}
+                for j, u in rest:
+                    new[j] = new.get(j, 0) - a * u
+                rows[i] = {j: v // d for j, v in new.items() if v}
+                at[i] = k + 1
+                mults.append((i, a))
+            self.mults.append(mults)
+        self.rows = rows
+        self.det = Fraction(sign * piv[n], math.prod(self.scales))
 
-
-def _substitute(lu, B):
-    """X with M X = B, from the factors (rows, perm) of M by `_factor`:
-    forward substitution through L, then back substitution through U.
-    B and X are lists of rows."""
-    rows, perm = lu
-    n = len(rows)
-    X = [None] * n
-    for i in range(n):
-        s = [Fraction(v) for v in B[perm[i]]]
-        for j, u in rows[i].items():
-            if j < i:
-                for c, y in enumerate(X[j]):
-                    if y:
-                        s[c] -= u * y
-        X[i] = s
-    for i in reversed(range(n)):
-        row = rows[i]
-        s = X[i]
-        for j, u in row.items():
-            if j > i:
-                for c, x in enumerate(X[j]):
-                    if x:
-                        s[c] -= u * x
-        p = row[i]
-        X[i] = [v / p for v in s]
-    return X
+    def solve(self, column):
+        """x with M x = b, b given as (row, rational) pairs of its nonzeros,
+        as a list of Fractions: b scaled to integers goes through the steps
+        (each swap at its step), and back substitution gives y = piv[n] x
+        over the integers."""
+        n, piv = len(self.rows), self.piv
+        column = [(i, Fraction(v) * self.scales[i]) for i, v in column]
+        e = math.lcm(*[v.denominator for _, v in column])
+        b, at = [0] * n, [0] * n
+        for i, v in column:
+            b[i] = v.numerator * (e // v.denominator)
+        for k, (s, mults) in enumerate(zip(self.swaps, self.mults)):
+            if s != k:
+                b[k], b[s] = b[s], b[k]
+                at[k], at[s] = at[s], at[k]
+            bk = b[k]
+            if not bk:
+                continue
+            d, p = piv[k], piv[k + 1]
+            if at[k] != k:
+                bk = b[k] = bk * d // piv[at[k]]
+            for i, a in mults:
+                bi = b[i]
+                if bi and at[i] != k:
+                    bi = bi * d // piv[at[i]]
+                b[i] = (p * bi - a * bk) // d
+                at[i] = k + 1
+        det, y = piv[n], [0] * n
+        for k in reversed(range(n)):
+            y[k] = (det * b[k] - sum(u * y[j] for j, u in self.rows[k].items())
+                    ) // piv[k + 1]
+        det *= e
+        return [Fraction(v, det) for v in y]
 
 
 def determinant_exact(M):
     """Fraction determinant (Fraction(0) if singular, 1 for n = 0)."""
-    return _factor(M)[0]
+    return _ExactLU([enumerate(row) for row in M]).det
 
 
 def solve_exact(M, B):
     """Solve M X = B in rational arithmetic; X is a list of Fraction rows."""
-    det, lu = _factor(M)
-    if det == 0:
+    lu = _ExactLU([enumerate(row) for row in M])
+    if lu.det == 0:
         raise RecurrentWalkError("singular matrix in exact solve")
-    return _substitute(lu, B)
+    X = [lu.solve([(i, row[c]) for i, row in enumerate(B) if row[c]])
+         for c in range(len(B[0]) if len(B) else 0)]
+    return [[x[i] for x in X] for i in range(len(B))]
 
 
 class Potential:
@@ -298,20 +344,16 @@ class Potential:
 
 
 def _require_transient(g: WeightedGraph, exact):
-    """g's float massive Laplacian and the label of each vertex's connected
-    component; RecurrentWalkError if a component carries no mass, read
-    exactly on the masses, before any factorization."""
-    from scipy.sparse.csgraph import connected_components
-
-    A = assemble_massive_laplacian(g)
-    comp = connected_components(A, directed=False)[1]
-    if g.n == 0 or np.setdiff1d(comp, comp[[m != 0 for m in g.masses]]).size:
+    """RecurrentWalkError if a connected component of g carries no mass,
+    read exactly on the masses, before any factorization."""
+    comp = g.components
+    if g.n == 0 or not np.bincount(comp[[m != 0 for m in g.masses]],
+                                   minlength=comp.max() + 1).all():
         raise RecurrentWalkError(
             "m == 0 on a finite component: the walk is recurrent there and "
             "the potential diverges")
     if exact and not g.is_exact():
         raise ValueError("exact potential needs rational graph data")
-    return A, comp
 
 
 class _Factors:
@@ -338,11 +380,16 @@ def _graph_factors(g: WeightedGraph, exact):
     if f is None:
         f = _FACTORS[g] = _Factors()
     if exact not in f.lu:
-        A, _ = _require_transient(g, exact)
+        _require_transient(g, exact)
         if exact:
-            lu = _factor(assemble_massive_laplacian_exact(g))[1]
+            rows = [[] for _ in range(g.n)]
+            r, c, v = _laplacian_triplets(g, exact=True)
+            for i, j, w in zip(r.tolist(), c.tolist(), v):
+                rows[i].append((j, w))
+            lu = _ExactLU(rows)
+            lu = lu if lu.det else None
         else:
-            lu = _sparse_lu(A)
+            lu = _sparse_lu(assemble_massive_laplacian(g))
         if lu is None:
             raise RecurrentWalkError(
                 "singular massive Laplacian: some component carries no mass")
@@ -356,14 +403,10 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
     f = _graph_factors(g, exact)
     if exact:
         cols = f.exact_columns
-        new = [y for y in ys if y not in cols]
-        if new:
-            ck = [Fraction(g.ck(y)) for y in new]
-            B = [[c if x == y else Fraction(0) for y, c in zip(new, ck)]
-                 for x in range(g.n)]
-            X = _substitute(f.lu[True], B)
-            for j, (y, c) in enumerate(zip(new, ck)):
-                cols[y] = ([row[j] for row in X], c)
+        for y in ys:
+            if y not in cols:
+                c = Fraction(g.ck(y))
+                cols[y] = (f.lu[True].solve([(y, c)]), c)
         kept = [cols[y] for y in ys]
         return [[v[x] for v, _ in kept] for x in range(g.n)], \
             [c for _, c in kept]
@@ -378,10 +421,13 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
 
 
 def _mapped(rows, cols):
-    """Zeroed Fortran-ordered float array on its own anonymous mapping:
-    freed, its pages go back to the OS, where a heap block may stay."""
-    return np.ndarray((rows, cols), order="F",
-                      buffer=mmap.mmap(-1, max(8 * rows * cols, 1)))
+    """Zeroed Fortran-ordered float array on its own private anonymous
+    mapping: freed, its pages go back to the OS, where a heap block may
+    stay.  The pages are faulted in at once where the platform can
+    (MAP_POPULATE), not one first write at a time."""
+    return np.ndarray((rows, cols), order="F", buffer=mmap.mmap(
+        -1, max(8 * rows * cols, 1),
+        flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)))
 
 
 def _level_order(A, comp):
@@ -445,10 +491,11 @@ def potential(g: WeightedGraph, exact=False) -> Potential:
     if exact:
         return Potential(g, *_potential_matrix(g, list(range(g.n)), True),
                          True)
-    A, comp = _require_transient(g, False)
+    _require_transient(g, False)
+    A = assemble_massive_laplacian(g)
     V = _mapped(g.n, g.n)
     # V = (D^-1 A)^-1 with D = D(c^k); V.T is C-ordered
-    _level_inverse(A, g.ck_f, *_level_order(A, comp), V.T)
+    _level_inverse(A, g.ck_f, *_level_order(A, g.components), V.T)
     return Potential(g, V, g.ck_f.tolist())
 
 

@@ -112,6 +112,82 @@ def leibniz_determinant(M):
     return total
 
 
+def fraction_elimination(M):
+    """Reference LU of M over Fractions: Gaussian elimination that skips
+    zeros, pivoting on the first row at or below k with a nonzero in
+    column k.  Row i holds L (columns < i, unit diagonal implied) and U
+    (columns >= i) of P M = L U, `perm[i]` the row of M at place i.
+    Returns (det M, (rows, perm)), or (Fraction(0), None) if singular."""
+    n = len(M)
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in M]
+    perm = list(range(n))
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if k in rows[i]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+            det = -det
+        p = rows[k][k]
+        det *= p
+        rest = [(j, v) for j, v in rows[k].items() if j > k]
+        for row in rows[k + 1:]:
+            a = row.get(k)
+            if a is None:
+                continue
+            f = row[k] = a / p
+            for j, v in rest:
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return det, (rows, perm)
+
+
+def fraction_substitute(lu, B):
+    """Reference X with M X = B from `fraction_elimination`'s factors:
+    forward then back substitution, B and X lists of rows."""
+    rows, perm = lu
+    n = len(rows)
+    X = [None] * n
+    for i in range(n):
+        s = [Fraction(v) for v in B[perm[i]]]
+        for j, u in rows[i].items():
+            if j < i:
+                for c, y in enumerate(X[j]):
+                    if y:
+                        s[c] -= u * y
+        X[i] = s
+    for i in reversed(range(n)):
+        row = rows[i]
+        s = X[i]
+        for j, u in row.items():
+            if j > i:
+                for c, x in enumerate(X[j]):
+                    if x:
+                        s[c] -= u * x
+        X[i] = [v / row[i] for v in s]
+    return X
+
+
+def loop_parity(p):
+    """Reference sign of the permutation p, one pass over its cycles."""
+    p = list(p)
+    seen = [False] * len(p)
+    swaps = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            j = p[i]
+            while j != i:  # a cycle of length l takes l - 1 swaps
+                seen[j] = True
+                j = p[j]
+                swaps += 1
+    return -1.0 if swaps % 2 else 1.0
+
+
 def matmul_exact(M, X):
     return [[sum((M[i][k] * X[k][j] for k in range(len(X))), Fraction(0))
              for j in range(len(X[0]))] for i in range(len(M))]
@@ -284,6 +360,15 @@ class TestDeterminant:
             assert determinant(P) == parity
             assert log_determinant(P) == (parity, 0.0)
 
+    def test_permutation_parity_matches_loop(self):
+        rng = np.random.default_rng(61)
+        perms = [np.arange(0), np.arange(1), np.array([1, 0]),
+                 np.arange(3600)[::-1].copy()]
+        perms += [rng.permutation(int(n)) for n in rng.integers(2, 400, 60)]
+        perms += [rng.permutation(3600) for _ in range(4)]
+        for p in perms:
+            assert linalg._permutation_parity(p) == loop_parity(p.tolist())
+
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(9)
         for n in (1, 7, 40, 120):
@@ -366,6 +451,121 @@ class TestExactElimination:
                      (M, sparse_rational_matrix(rng, 5, 2))):
             with pytest.raises(RecurrentWalkError):
                 solve_exact(A, B)
+
+
+def late_swaps(M):
+    """Steps after the first at which the integer elimination swaps rows."""
+    lu = linalg._ExactLU([enumerate(row) for row in M])
+    return sum(s != k for k, s in enumerate(lu.swaps) if k)
+
+
+class TestAgainstFractionElimination:
+    """determinant_exact, solve_exact and the kept exact factor equal (==)
+    the Fraction elimination they replace."""
+
+    @staticmethod
+    def check(M, B):
+        det, lu = fraction_elimination(M)
+        assert determinant_exact(M) == det
+        if det == 0:
+            with pytest.raises(RecurrentWalkError):
+                solve_exact(M, B)
+        else:
+            assert solve_exact(M, B) == fraction_substitute(lu, B)
+        return det
+
+    def test_sparse_rational_with_late_swaps(self):
+        rng = np.random.default_rng(93)
+        n_late = n_singular = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            M = sparse_rational_matrix(rng, n, density=0.45)
+            if M[0][0] and rng.random() < 0.5:
+                # the step-1 pivot vanishes after step 0
+                M[1][1] = M[1][0] * M[0][1] / M[0][0]
+            det = self.check(M, sparse_rational_matrix(rng, n, 3))
+            n_singular += det == 0
+            n_late += det != 0 and late_swaps(M) > 0
+        assert n_late >= 20 and n_singular > 0
+
+    def test_float_entries(self):
+        rng = np.random.default_rng(94)
+        for n in (1, 2, 5, 9):
+            M = sparse_ish_matrix(rng, n)[rng.permutation(n)].tolist()
+            B = rng.uniform(-2.0, 2.0, (n, 2)).tolist()
+            assert self.check(M, B) != 0
+
+    def test_singular(self):
+        rng = np.random.default_rng(95)
+        M = sparse_rational_matrix(rng, 6)
+        M[4] = [Fraction(3, 7) * a - b for a, b in zip(M[1], M[2])]
+        zero_column = [row[:2] + [Fraction(0)] + row[3:]
+                       for row in sparse_rational_matrix(rng, 5)]
+        for A in (M, zero_column, [[0]], [[1, 2], [2, 4]]):
+            assert determinant_exact(A) == Fraction(0)
+            assert self.check(A, [[Fraction(1)] for _ in A]) == 0
+
+    def test_sizes_zero_and_one(self):
+        assert determinant_exact([]) == Fraction(1)
+        assert solve_exact([], []) == []
+        for v, b in ((Fraction(3, 4), Fraction(1, 2)), (-2, 5), (0.5, 0)):
+            self.check([[v]], [[b, 1]])
+        assert solve_exact([[Fraction(3, 4)]], [[Fraction(1, 2)]]) == \
+            [[Fraction(2, 3)]]
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (7, 7), (10, 10)])
+    def test_grid_laplacians(self, nx, ny):
+        g = grid_graph(nx, ny, m=Fraction(1, 20))
+        L = assemble_massive_laplacian_exact(g)
+        ys = [0, g.n // 2, g.n - 1]
+        B = [[Fraction(int(x == y)) for y in ys] + [Fraction(x, 7)]
+             for x in range(g.n)]
+        self.check(L, B)
+        # the graph's kept factor, built from its triplets
+        _, lu = fraction_elimination(L)
+        pot = linalg._potential_columns(g, ys, exact=True)
+        want = fraction_substitute(lu, [[Fraction(g.ck(y)) if x == y else 0
+                                         for y in ys] for x in range(g.n)])
+        assert pot.V == want
+
+    def test_rational_graph_potentials(self):
+        rng = np.random.default_rng(96)
+        for _ in range(8):
+            g = random_rational_graph(rng, n_max=6)
+            L = assemble_massive_laplacian_exact(g)
+            _, lu = fraction_elimination(L)
+            want = fraction_substitute(lu, [[Fraction(g.ck(y)) if x == y
+                                             else 0 for y in range(g.n)]
+                                            for x in range(g.n)])
+            assert potential(g, exact=True).V == want
+
+    def test_kasteleyn_real_form(self, monkeypatch):
+        from massiveforests import dimers
+        from test_dimers import pow4_lambda, window_setup
+
+        seen = []
+
+        def record(M):
+            seen.append(M)
+            return determinant_exact(M)
+
+        monkeypatch.setattr(dimers, "determinant_exact", record)
+        amb, _, _, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3],
+                                     mass=Fraction(9, 4))
+        ws = dimers.drifted_weights(dg, pow4_lambda(amb))
+        det2 = dimers.kasteleyn_abs2_exact(dg, ws)
+        (M,) = seen
+        assert len(M) == 48
+        rng = np.random.default_rng(97)
+        assert self.check(M, sparse_rational_matrix(rng, 48, 2)) == det2
+
+    @pytest.mark.parametrize("side", [4, 5])
+    def test_exact_out_rows_sum_to_one(self, side):
+        g = grid_graph(side, side, m=Fraction(1, 20))
+        for x in range(g.n):
+            total = sum(edge_probability(g, [e], exact=True)
+                        for e in out_row(g, x))
+            assert total == 1
 
 
 class TestPotential:

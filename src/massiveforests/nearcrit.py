@@ -6,8 +6,9 @@ branch and LERW ratio share one walker engine, `_walk`: exact integer
 lattice sites (at spacing * (i + 1j * j)) under a boolean stop table,
 vectorized over walkers, drawing from counter-based per-task streams keyed
 by the seed.  A walker far from the stop set takes up to JUMP_MAX steps
-from one uniform, drawn from the exact multi-step law; runs that record
-paths or share a coupled uniform block take single steps.
+from one uniform, drawn from the exact multi-step law, whose tables are
+built only up to the longest jump the box allows; runs that record paths
+or share a coupled uniform block take single steps.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class SquareLatticeKernel:
 
     def tables(self, s_max):
         """The walker engine's outcome tables up to s_max steps
-        (`_jump_tables`), built on first use."""
+        (`_jump_tables`), built on first use; `_walk` asks for its box's
+        longest jump, and the tables up to a shorter s_max are the first
+        tables of a longer set."""
         if s_max not in self._tables:
             self._tables[s_max] = _jump_tables(self, s_max)
         return self._tables[s_max]
@@ -106,9 +109,9 @@ GUIDE_CELLS = 1 << 12  # guide cells per outcome table; a power of two
 # steps, holds outcomes last[t-1] + 1 .. last[t]; each outcome moves the
 # walker by (dx, dy) lattice units, or kills it (dead), after `steps` steps.
 # Guide cell c = t * (GUIDE_CELLS + 1) + i of table t spans the draws
-# t + [i, i + 1) / GUIDE_CELLS, whose outcomes lie in [lo[c], hi[c]]; wide[c]
-# marks the cells that hold more than one CDF boundary
-_Tables = namedtuple("_Tables", "cdf last dx dy dead steps lo hi wide")
+# t + [i, i + 1) / GUIDE_CELLS, whose outcomes lie in [guide[c], guide[c + 1]];
+# threshold[c] is the CDF boundary between them, +inf if none, -inf if more
+_Tables = namedtuple("_Tables", "cdf last dx dy dead steps guide threshold")
 
 
 def _death_edge(lo, hi, p_die):
@@ -144,8 +147,9 @@ def _jump_tables(kernel, s_max):
     shifted non-negative arrays (no cancellation).
 
     The guide holds, for each table t and i = 0..GUIDE_CELLS, the outcome
-    min(searchsorted(cdf, t + i / GUIDE_CELLS, 'right'), last[t]); `lo`
-    and `hi` are its entries at the two edges of each cell.
+    min(searchsorted(cdf, t + i / GUIDE_CELLS, 'right'), last[t]), and
+    each cell its threshold.  The tables up to S < s_max are the first
+    tables up to s_max, entry for entry, guide cells included.
     """
     cum, p = kernel.dir_cum, kernel.p_die
     lower = np.concatenate(([0.0], cum[:-1]))
@@ -185,43 +189,39 @@ def _jump_tables(kernel, s_max):
     guide = np.minimum(np.searchsorted(cdf, edges, side="right"),
                        last[:, None]).astype(np.intp).ravel()
     lo, hi = guide[:-1], guide[1:]
+    threshold = np.where(hi > lo + 1, -np.inf,
+                         np.where(hi > lo, cdf[lo], np.inf))
     return _Tables(cdf, last, np.concatenate(dx).astype(np.int32),
                    np.concatenate(dy).astype(np.int32),
                    np.concatenate(dead), np.concatenate(steps),
-                   lo, hi, hi - lo > 1)
-
-
-def _lookup(tab, x, cell):
-    """The outcome min(searchsorted(tab.cdf, x, 'right'), tab.last[t]) of
-    the draw x = fl(u + t), u in [0, 1), in guide cell
-    cell = t (GUIDE_CELLS + 1) + floor(u GUIDE_CELLS).
-
-    With G = GUIDE_CELLS and i = floor(u G), the edges x_i = t + i / G
-    and x_{i+1} are exact doubles and rounding is monotone, so
-    x_i <= x <= x_{i+1} and the outcome lies in [lo, hi] = [tab.lo[cell],
-    tab.hi[cell]], the guide entries of the two edges.  If hi <= lo + 1 a
-    single comparison with cdf[lo] decides it; the few draws whose cell
-    holds more than one CDF boundary fall back to searchsorted.  Clamping
-    at hi is clamping at last[t]: hi is itself clamped there, and
-    searchsorted is monotone.  Every double u gets the outcome the
-    searchsorted over the whole CDF gives.
-    """
-    k, hi = tab.lo[cell], tab.hi[cell]
-    k += tab.cdf[k] <= x
-    wide = tab.wide[cell]
-    if np.count_nonzero(wide):
-        wide = wide.nonzero()[0]
-        k[wide] = np.searchsorted(tab.cdf, x[wide], side="right")
-    return np.minimum(k, hi, out=k)
+                   guide, threshold)
 
 
 def _outcome(tab, u, t):
     """min(searchsorted(tab.cdf, u + t, 'right'), tab.last[t]) for u in
-    [0, 1) and table indices t: `_lookup` on the cell and draw that
-    `_walk` builds from the walker's site."""
-    cell = (u * GUIDE_CELLS).astype(np.intp)
-    cell += t.astype(np.intp) * (GUIDE_CELLS + 1)
-    return _lookup(tab, u + t, cell)
+    [0, 1) and table indices t: the draw of `_walk`.
+
+    With G = GUIDE_CELLS and i = floor(u G), the exact doubles t + i / G
+    and t + (i + 1) / G bracket x = fl(u + t) (rounding is monotone), so
+    the outcome lies between the guide entries lo and hi of the edges of
+    cell t (G + 1) + i, both clamped at last[t].  The cell's threshold
+    decides it: +inf keeps lo (hi = lo), cdf[lo] moves to lo + 1 where
+    cdf[lo] <= x (hi = lo + 1), and -inf (more boundaries) falls back to
+    searchsorted, clamped at hi.  Every double u gets the outcome of the
+    searchsorted over the whole CDF.
+    """
+    cell = (u * float(GUIDE_CELLS)).astype(np.intp)  # float: faster than int
+    cell += t.astype(np.intp, copy=False) * (GUIDE_CELLS + 1)
+    x = u + t
+    edge = tab.threshold[cell]
+    k = tab.guide[cell]
+    k += edge <= x
+    wide = edge == -np.inf
+    if np.count_nonzero(wide):
+        wide = wide.nonzero()[0]
+        k[wide] = np.minimum(np.searchsorted(tab.cdf, x[wide], side="right"),
+                             tab.guide[cell[wide] + 1])
+    return k
 
 
 class _Box:
@@ -260,16 +260,17 @@ class _Box:
         is the L1 lattice distance to the stop set (the array edge counts
         as stop), or t = 0, one step, next to it.  No path of 2**t steps
         from the site reaches a stop site.  Computed on first use from
-        `stop`, by min-plus relaxation capped at JUMP_MAX + 1.
+        `stop`, capped at JUMP_MAX + 1, by an exact separable distance
+        transform: per axis, min_k d[k] + |i - k| is the smaller of
+        i + min_{k <= i} (d[k] - k) and min_{k >= i} (d[k] + k) - i.
         """
         d = np.where(self.stop.reshape(self.shape), 0, JUMP_MAX + 1)
         d[[0, -1]] = 0
         d[:, [0, -1]] = 0
-        for _ in range(JUMP_MAX):
-            inner = d[1:-1, 1:-1]
-            np.minimum(inner, np.minimum(
-                np.minimum(d[:-2, 1:-1], d[2:, 1:-1]),
-                np.minimum(d[1:-1, :-2], d[1:-1, 2:])) + 1, out=inner)
+        for _ in range(2):  # along axis 0, then along axis 1
+            i = np.arange(len(d))[:, None]
+            d = np.minimum(np.minimum.accumulate(d - i) + i,
+                           np.minimum.accumulate((d + i)[::-1])[::-1] - i).T
         return (np.frexp(np.maximum(d.ravel() - 1, 1))[1] - 1).astype(np.int8)
 
 
@@ -307,34 +308,32 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     from `rng`, or reads the active walker ids of row `iteration` of a
     pre-drawn block `uniforms`, which couples the runs of different kernels.
     The uniform u picks an outcome of the walker's table t in
-    `_jump_tables`; `_lookup` finds it from the guide, mostly with one
-    comparison, and picks for every double u what a binary search of the CDF
-    picks.  What the lookup needs of t, the first guide cell of t and t as a
-    float, is built once per call for every site and gathered by site each
-    iteration.  A walker whose L1 distance d to the stop set has d - 1 >= S
-    takes S = 2**t steps (`box.jump_index`) at once from the exact S-step
-    law, a lattice walk-on-spheres; next to the stop set it takes one step,
-    drawn exactly as the residual split draws it.  A jump never lands on or
-    crosses a stop site, so `prev -> final` of a walker that leaves alive is
-    one lattice step.  A walker killed inside a jump reports its jump-start
-    site as `final`, and `steps` counts the step it died on.  With `record`
-    (every visited site) or `uniforms` (one row per lattice step) every
-    walker takes single steps, and the output is that of the one-step loop
-    bit for bit.  Each walker has a budget of `max_steps` lattice steps;
-    jumps are cut to the budget once fewer than 2 JUMP_MAX steps may be
-    left.  Walkers still running when it runs out raise a RuntimeWarning.
+    `_jump_tables` (`_outcome`).  A walker whose L1 distance d to the stop
+    set has d - 1 >= S takes S = 2**t steps (`box.jump_index`) at once from
+    the exact S-step law, a lattice walk-on-spheres; next to the stop set
+    it takes one step, drawn exactly as the residual split draws it.  The
+    tables go up to the box's longest jump, S_max.  A jump never lands on
+    or crosses a stop site, so `prev -> final` of a walker that leaves
+    alive is one lattice step.  A walker killed inside a jump reports its
+    jump-start site as `final`, and `steps` counts the step it died on.
+    With `record` (every visited site) or `uniforms` (one row per lattice
+    step) every walker takes single steps, and the output is that of the
+    one-step loop bit for bit.  Each walker has a budget of `max_steps`
+    lattice steps; jumps are cut to the budget once fewer than 2 S_max
+    steps may be left.  Walkers still running when it runs out raise a
+    RuntimeWarning.
     """
-    if record or uniforms is not None:
-        tix, s_max = np.zeros(box.z.size, np.int8), 1
-    else:
-        tix, s_max = box.jump_index, JUMP_MAX
+    n_sites = box.z.size
+    tix = np.zeros(n_sites, np.int8) if record or uniforms is not None \
+        else box.jump_index
+    s_max = 2 ** int(tix.max())
     tab = kernel.tables(s_max)
-    # per site: the first guide cell of its table, and the table index as
-    # a float; adding it to the double u widens it before the sum
-    cell_of = tix.astype(np.int32) * (GUIDE_CELLS + 1)
-    t_of = tix.astype(np.float32)
-    # sites are intp: numpy gathers by an intp index without a cast
-    offset = (tab.dx * box.shape[1] + tab.dy).astype(np.intp)
+    # sites are intp: numpy gathers by an intp index without a cast.  A
+    # death moves by n_sites, past the box, onto the True that take(...,
+    # mode="clip") reads; the end modulo n_sites is the jump-start site
+    offset = np.where(tab.dead, n_sites,
+                      tab.dx * box.shape[1] + tab.dy).astype(np.intp)
+    stop_at = np.append(box.stop, True)
     site = np.full(n, start, dtype=np.intp)
     # taken: the steps of the active walkers so far
     ids, taken, visits = np.arange(n), np.zeros(n, np.int64), []
@@ -351,29 +350,22 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
                 ids, site, taken, left = (a[keep] for a in
                                           (ids, site, taken, left))
             t = np.minimum(tix[site], np.frexp(left)[1] - 1)
-            base = t * (GUIDE_CELLS + 1)
         else:
-            base, t = cell_of[site], t_of[site]
+            t = tix[site]
         if ids.size == 0:
             break
         u = rng.random(ids.size) if uniforms is None else uniforms[it][ids]
-        # a float scalar: numpy multiplies by it faster than by an int
-        cell = (u * float(GUIDE_CELLS)).astype(np.intp)
-        cell += base
-        u += t
-        k = _lookup(tab, u, cell)
+        k = _outcome(tab, u, t)
         new = offset[k]
         new += site
         taken += tab.steps[k]
-        dead = tab.dead[k]
-        stop = box.stop[new]
-        stop |= dead
+        stop = stop_at.take(new, mode="clip")
         if record:
             visits.append((ids, new))
         if np.count_nonzero(stop):
-            done = ids[stop]
-            final[done], prev[done] = new[stop], site[stop]
-            died[done], steps[done] = dead[stop], taken[stop]
+            done, end = ids[stop], new[stop]
+            final[done], prev[done] = end % n_sites, site[stop]
+            died[done], steps[done] = end >= n_sites, taken[stop]
             keep = ~stop
             ids, new, taken = ids[keep], new[keep], taken[keep]
         site = new
@@ -385,7 +377,7 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     if record and visits:
         who, where = (np.concatenate(v) for v in zip(*visits))
         ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
-        paths = np.split(where[np.argsort(who, kind="stable")], ends)
+        paths = np.split(where[np.argsort(who, kind="stable")] % n_sites, ends)
     return _Walkers(final, prev, died, steps, truncated, paths)
 
 
@@ -529,7 +521,7 @@ def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
     walker) is reused, which couples estimates across masses: the same
     trajectories with earlier deaths.  Walkers still running after
     `max_steps` count as misses and raise a RuntimeWarning.
-    Returns (estimate, stderr).
+    Returns (estimate, stderr); n_samples < 1 raises ValueError first.
     """
     return _crossing_cell(spec, delta, M, n_samples, rng_stream(seed, 0),
                           max_steps, coupled_uniforms)
@@ -538,6 +530,8 @@ def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
 def _crossing_cell(spec, delta, M, n_samples, rng, max_steps=None,
                    coupled_uniforms=None):
     """`crossing_probability` with its walkers drawn from rng."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples} must be >= 1")
     kernel = SquareLatticeKernel(M, delta)
     box, target, start = _crossing_box(spec, kernel)
     if max_steps is None:
@@ -555,7 +549,11 @@ def crossing_grid(radii=(0.1, 0.3, 1.0), masses=(0.0, 1.0),
     """The full crossing battery; yields (spec, M, delta, estimate, stderr).
 
     Cell k draws from `rng_stream(seed, k)`, so no two cells of a run, nor
-    of runs at other seeds, share a stream.
+    of runs at other seeds, share a stream.  The translations measure
+    lattice alignment, not translation invariance: they cut the rectangle
+    at other fractions of a lattice column: at M = 0, r = 0.3, delta = r/64
+    (horizontal) the exact hitting probability is 0.00455 at z = 0 and
+    0.00384 at z = 0.37 + 0.11j.
     """
     rows = []
     cells = list(itertools.product(radii, (True, False), translations,
@@ -608,8 +606,10 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
 
     The recorded exit location is where the walk's last step crosses the
     domain boundary, the natural discrete stand-in for the Brownian exit
-    point.
+    point.  A negative n_samples raises ValueError before any walk.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples = {n_samples} must be >= 0")
     kernel = SquareLatticeKernel(M, delta, u_bar=u_bar if drifted else None)
     box = _disk_box(kernel.spacing, radius)
     counts = np.zeros(n_arcs, dtype=np.int64)

@@ -12,6 +12,7 @@ from massiveforests.nearcrit import (
     CrossingSpec,
     SquareLatticeKernel,
     _arc_bin,
+    _Box,
     _circle_crossing_angle,
     _crossing_box,
     _disk_box,
@@ -118,6 +119,22 @@ def _jump_walk(kernel, box, start, n, rng, max_steps):
         died[done], steps[done] = tab.dead[k][stop], taken[stop]
         ids, site, taken = ids[~stop], new[~stop], taken[~stop]
     return final, prev, died, steps, truncated
+
+
+def _relaxed_jump_index(box):
+    """`_Box.jump_index` by min-plus relaxation: JUMP_MAX rounds of
+    d = min(d, 1 + min over the four neighbours), from 0 on the stop set and
+    the array edge and JUMP_MAX + 1 elsewhere; the reference for the
+    distance transform."""
+    d = np.where(box.stop.reshape(box.shape), 0, JUMP_MAX + 1)
+    d[[0, -1]] = 0
+    d[:, [0, -1]] = 0
+    for _ in range(JUMP_MAX):
+        inner = d[1:-1, 1:-1]
+        np.minimum(inner, np.minimum(
+            np.minimum(d[:-2, 1:-1], d[2:, 1:-1]),
+            np.minimum(d[1:-1, :-2], d[1:-1, 2:])) + 1, out=inner)
+    return (np.frexp(np.maximum(d.ravel() - 1, 1))[1] - 1).astype(np.int8)
 
 
 def _exact_walk_laws(kernel, box, start):
@@ -285,6 +302,19 @@ class TestCrossing:
                 est, se = crossing_probability(spec, 0.2 / 32, 1.0, 30000,
                                                seed=13)
                 assert est > 0.0005
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_refused_before_any_kernel(
+            self, monkeypatch, n):
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(nearcrit, "SquareLatticeKernel", kernel)
+        with pytest.raises(ValueError, match=rf"^n_samples = {n} must be "
+                           r">= 1$"):
+            crossing_probability(CrossingSpec(r=0.3), 0.3 / 16, 0.0, n, 3)
+        with pytest.raises(ValueError, match=rf"^n_samples = {n} must be"):
+            crossing_grid(radii=(0.3,), n_samples=n)
 
     def test_grid_past_task_range_refused_before_first_cell(self,
                                                             monkeypatch):
@@ -509,6 +539,73 @@ class TestJumps:
         assert w.truncated == running.sum() > 0
         assert np.all(w.steps[running] == 37)
 
+    def test_jump_index_is_the_relaxed_distance(self):
+        # disks at three meshes, crossing boxes with their target balls, a
+        # strip narrower than 2 JUMP_MAX and a box with one interior stop
+        spacing = SQRT2 / 128
+        boxes = [_disk_box(SQRT2 * d, 1.0) for d in (1 / 8, 1 / 64, 1 / 128)]
+        for z in (0j, 0.37 + 0.11j):
+            for horizontal in (True, False):
+                spec = CrossingSpec(r=0.3, z=z, horizontal=horizontal)
+                box, target, _ = _crossing_box(
+                    spec, SquareLatticeKernel(0.0, spec.r / 64))
+                assert np.all(box.stop[target])
+                boxes.append(box)
+        strip = _Box(spacing, 0j, complex(2.0, 0.3),
+                     lambda z: np.zeros(z.shape, bool))
+        assert min(strip.shape) < 2 * JUMP_MAX < max(strip.shape)
+        point = _Box(spacing, complex(-1, -1), complex(1, 1),
+                     lambda z: np.abs(z - 0.2) < spacing / 2)
+        assert point.stop.sum() == 1
+        for box in boxes + [strip, point]:
+            assert np.array_equal(box.jump_index, _relaxed_jump_index(box))
+        assert point.jump_index.max() == 6 and strip.jump_index.max() < 6
+
+    def test_short_tables_are_the_first_tables(self):
+        # tables up to S < JUMP_MAX: the first log2(S) + 1 tables of the
+        # JUMP_MAX set, entry for entry, guide cells included
+        for M, u_bar in self.KERNELS:
+            kernel = SquareLatticeKernel(M, 1 / 32, u_bar=u_bar)
+            full = kernel.tables(JUMP_MAX)
+            for S in (1, 2, 16, 32):
+                tab = kernel.tables(S)
+                T = int(math.log2(S)) + 1
+                assert np.array_equal(tab.last, full.last[:T])
+                n = tab.last[-1] + 1
+                for name in ("cdf", "dx", "dy", "dead", "steps"):
+                    a, b = getattr(tab, name), getattr(full, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b[:n])
+                cells = T * (GUIDE_CELLS + 1)
+                assert np.array_equal(tab.guide, full.guide[:cells])
+                assert np.array_equal(tab.threshold,
+                                      full.threshold[:cells - 1])
+
+    def test_budget_cut_on_boxes_shorter_than_jump_max(self):
+        # the bench's crossing box (longest jump 16) and exit disk (32):
+        # the tables stop at the box's longest jump S and the budget cut
+        # starts at 2 S, yet every budget draws what the reference draws
+        rect = SquareLatticeKernel(1.0, 0.3 / 64)
+        crossing, _, ball = _crossing_box(CrossingSpec(r=0.3), rect)
+        disk = SquareLatticeKernel(1.0, 1 / 64, u_bar=0.0)
+        circle = _disk_box(disk.spacing, 1.0)
+        cases = ((rect, crossing, ball, 16),
+                 (disk, circle, circle.site(0, 0), 32))
+        for seed, (kernel, box, start, longest) in enumerate(cases, start=90):
+            assert 2 ** box.jump_index.max() == longest
+            for max_steps in (31, 32, 33, 64, 100, STEP_CAP):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    w = _walk(kernel, box, start, 1500, rng_stream(seed, 0),
+                              max_steps)
+                ref = _jump_walk(kernel, box, start, 1500,
+                                 rng_stream(seed, 0), max_steps)
+                assert np.array_equal(w.final, ref[0])
+                assert np.array_equal(w.prev, ref[1])
+                assert np.array_equal(w.died, ref[2])
+                assert np.array_equal(w.steps, ref[3])
+                assert w.truncated == ref[4]
+                assert (w.truncated > 0) == (max_steps < STEP_CAP)
+
     def test_jumps_never_cross_the_stop_set(self):
         kernel = SquareLatticeKernel(1.0, 1 / 32, u_bar=0.3)
         box = _disk_box(kernel.spacing, 1.0)
@@ -647,6 +744,18 @@ class TestExitLaw:
         with pytest.raises(ValueError, match=r"^n = 1073741825 is past the "
                            r"limit 1073741824: "):
             exit_law_walk(1.0, 0.0, 1 / 64, 2**30 + 1, 0)
+
+    def test_negative_count_refused_before_any_kernel(self, monkeypatch):
+        counts, exited = exit_law_walk(1.0, 0.0, 1 / 64, 0, 0)
+        assert exited == 0 and counts.tolist() == [0] * 16
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(nearcrit, "SquareLatticeKernel", kernel)
+        with pytest.raises(ValueError, match=r"^n_samples = -3 must be "
+                           r">= 0$"):
+            exit_law_walk(1.0, 0.0, 1 / 64, -3, 0)
 
     def test_uniform_at_criticality(self):
         # n calibrated so the O(delta) lattice-boundary anisotropy (about

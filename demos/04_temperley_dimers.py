@@ -20,7 +20,6 @@ from massiveforests.dimers import (
     verify_det_relation,
 )
 from massiveforests.graphs import (
-    ROOT,
     collapse_boundary,
     grid_graph,
     wired_restriction,
@@ -57,8 +56,7 @@ from massiveforests.dimers import _tilted_window
 
 tw = _tilted_window(dg, lam)
 forest = wilson_sample(tw, rng)
-tree = resolve_tree(dg, {x: ("o" if y == ROOT else y)
-                         for x, y in forest.outgoing.items()}, rng=rng)
+tree = resolve_tree(dg, forest.outgoing, rng=rng)
 matching, dual_tree = temperley_forward(dg, tree)
 back, _ = temperley_inverse(dg, matching)
 print(f"Temperley round trip on one Wilson sample: identity = "

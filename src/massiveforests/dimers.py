@@ -259,20 +259,20 @@ def _resolve(dg: DoubleGraph, successors, reader):
     for x, y in successors:
         whites, cdf = plan.whites.get((x, y)), plan.laws.get((x, y))
         if whites is None:
-            raise ValueError(f"no double-graph edge for tree edge "
-                             f"{x}->{'o' if y == ROOT else y}")
+            raise ValueError("no double-graph edge for tree edge " + (
+                f"{x}->o" if y == ROOT else f"{x}->{y}"))
         out.append(whites[0] if cdf is None or reader is None else
                    whites[bisect_right(cdf, reader.next())])
     return out
 
 
 def resolve_tree(dg: DoubleGraph, assignment, rng=None):
-    """Vertex -> head map (head 'o', col.o or ROOT for o) into vertex ->
+    """Vertex -> head map (head col.o or ROOT for o) into vertex ->
     white map.  Parallel edges are drawn proportionally to conductance with
     `rng`, one uniform each (the one `rng.choice` would read), or resolved
     to their first white without it."""
     reader = None if rng is None else UniformReader(rng, shared=True)
-    out = _resolve(dg, [(x, ROOT if y in ("o", dg.col.o) else y)
+    out = _resolve(dg, [(x, ROOT if y == dg.col.o else y)
                         for x, y in assignment.items()], reader)
     if reader is not None:
         reader.hand_back()

@@ -273,31 +273,35 @@ class CollapsedGraph:
     """The window with all outside vertices identified to an outer vertex o.
 
     Vertices 0..n-1 are the window vertices (reindexed); `o` is the extra
-    vertex.  Every ambient edge leaving the window becomes its own parallel
-    edge (x, o); `ambient_target` remembers the ambient head vertex, which
-    the killed dimer weights need.
+    vertex.  `edges` holds the window edges with both ends kept as the
+    columns (tail, head, cond); every ambient edge leaving the window is its
+    own spoke (x, o), and `spokes` holds them as the columns (tail, cond,
+    ambient target), the target being the ambient head vertex, which the
+    killed dimer weights need.  Both are in subset order, then out-edge
+    order.
     """
 
-    def __init__(self, n, edges, o_edges, positions, ambient_ids):
+    def __init__(self, n, edges, spokes, positions, ambient_ids):
         self.n = n
         self.o = n
-        self.edges = edges            # window (x, y, c) with both ends kept
-        self.o_edges = o_edges        # (x, c, ambient_target)
+        self.edges = edges
+        self.spokes = spokes
         self.positions = positions
         self.ambient_ids = ambient_ids
 
     def as_weighted_graph(self):
         """The collapsed graph itself as a WeightedGraph on n+1 vertices.
 
-        Edges to o get reverses (o, x) with equal conductance so the object
-        passes validation; the Boltzmann measures used here never leave o.
+        Each spoke (x, o) is followed by a reverse (o, x) with equal
+        conductance so the object passes validation; the Boltzmann measures
+        used here never leave o.
         """
-        edges = list(self.edges)
-        for x, c, _ in self.o_edges:
-            edges.append((x, self.o, c))
-            edges.append((self.o, x, c))
-        masses = [0] * (self.n + 1)
-        return WeightedGraph(self.n + 1, edges, masses, check=False)
+        (tail, head, cond), (x, c, _) = self.edges, self.spokes
+        o = np.full_like(x, self.o)
+        return WeightedGraph(self.n + 1, (
+            np.r_[tail, np.stack([x, o], axis=1).ravel()],
+            np.r_[head, np.stack([o, x], axis=1).ravel()],
+            np.r_[cond, np.repeat(c, 2)]), [0] * (self.n + 1), check=False)
 
 
 def _window(ambient: WeightedGraph, subset):
@@ -315,21 +319,18 @@ def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
     """Identify everything outside `subset` to a single outer vertex."""
     subset, index, out, stays = _window(ambient, subset)
     x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond_a[out]
-    edges = list(zip(x[stays].tolist(), index[y[stays]].tolist(),
-                     c[stays].tolist()))
-    o_edges = list(zip(x[~stays].tolist(), c[~stays].tolist(),
-                       y[~stays].tolist()))
     positions = None if ambient.positions is None else \
         ambient.positions[subset]
-    return CollapsedGraph(len(subset), edges, o_edges, positions,
-                          subset.tolist())
+    return CollapsedGraph(
+        len(subset), (x[stays], index[y[stays]], c[stays]),
+        (x[~stays], c[~stays], y[~stays]), positions, subset.tolist())
 
 
 def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
     """Restrict to `subset` with wired boundary conditions.
 
-    Conductances restrict, and every conductance leaving the subset (an
-    o-edge of `collapse_boundary`) is added to the mass of its tail vertex,
+    Conductances restrict, and every conductance leaving the subset (a
+    spoke of `collapse_boundary`) is added to the mass of its tail vertex,
     after the ambient mass and in edge order, so the massive Laplacian of
     the result is the restriction of the ambient massive Laplacian.  The
     window inherits the ambient graph's validity; only its connectivity is

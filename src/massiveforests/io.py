@@ -7,7 +7,9 @@
 Masses default to 0 and loops are allowed.  Numbers may be given as
 strings like "21/4", which load as exact rationals.  A directed edge whose
 reverse is absent gets one with the same conductance.  Per-edge rays
-(alpha, beta) mark isoradial grids; offsets mark Z^2-periodic graphs.
+(alpha, beta) mark isoradial grids: every edge carries them or none does,
+and an added reverse gets its edge's rays turned by pi.  Offsets mark
+Z^2-periodic graphs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def _number_to_json(v):
 
 
 def load_graph(path):
-    """WeightedGraph from a JSON graph file; rays attach as `edge_rays`."""
+    """WeightedGraph from a JSON graph file; rays attach as `edge_rays`,
+    an (m, 2) array of (alpha, beta) in edge order."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -76,7 +79,7 @@ def load_graph(path):
                     f"vertex {v['id']}: need both 'x' and 'y'") from exc
 
     edges = []
-    rays = {}
+    rays = []  # (alpha, beta) or None per edge
     offsets = []
     seen = {}
     for i, e in enumerate(raw_edges):
@@ -90,21 +93,23 @@ def load_graph(path):
         if not 0 <= x < n or not 0 <= y < n:
             raise GraphFormatError(f"edge {i}: endpoint out of range")
         edges.append((x, y, c))
-        seen[(x, y)] = c
+        seen[(x, y)] = i
         try:
-            if "alpha" in e:
-                rays[(x, y)] = (float(e["alpha"]), float(e["beta"]))
+            rays.append((float(e["alpha"]), float(e["beta"]))
+                        if "alpha" in e else None)
             offsets.append(tuple(int(o) for o in e["offset"])
                            if "offset" in e else None)
         except (KeyError, ValueError, TypeError) as exc:
             raise GraphFormatError(
                 f"edge {i}: need 'alpha' with 'beta' and integer 'offset' "
                 f"entries") from exc
-    # close under reversal for convenience
-    for (x, y), c in list(seen.items()):
+    # close under reversal for convenience; rays turn by pi
+    for (x, y), i in list(seen.items()):
         if x != y and (y, x) not in seen:
-            edges.append((y, x, c))
-            seen[(y, x)] = c
+            edges.append((y, x, edges[i][2]))
+            rays.append(None if rays[i] is None else
+                        (rays[i][0] + np.pi, rays[i][1] + np.pi))
+            seen[(y, x)] = i
     if any(o is not None for o in offsets):
         from .periodic import PeriodicGraph
 
@@ -120,13 +125,20 @@ def load_graph(path):
                 pedges.append((y, x, (-o[0], -o[1]), c))
         return PeriodicGraph(n, pedges, [float(m) for m in masses])
 
+    if None in rays and any(rays):
+        raise GraphFormatError(
+            f"edge {rays.index(None)}: rays need 'alpha' and 'beta' on "
+            f"every edge or on none")
     g = WeightedGraph(n, edges, masses, positions=positions)
-    if rays:
-        g.edge_rays = rays
+    if any(rays):
+        g.edge_rays = np.array(rays)
     return g
 
 
 def save_graph(path, g: WeightedGraph, rays=None):
+    """Write g as a JSON graph file; `rays` is an (m, 2) array of
+    (alpha, beta) in edge order, as `grid_to_graph` gives."""
+    rays = None if rays is None else np.asarray(rays).tolist()
     vertices = []
     for v in range(g.n):
         entry = {"id": v, "mass": _number_to_json(g.masses[v])}
@@ -139,8 +151,8 @@ def save_graph(path, g: WeightedGraph, rays=None):
         x, y = int(g.tail[eid]), int(g.head[eid])
         entry = {"from": x, "to": y,
                  "conductance": _number_to_json(g.cond[eid])}
-        if rays is not None and (x, y) in rays:
-            entry["alpha"], entry["beta"] = rays[(x, y)]
+        if rays is not None:
+            entry["alpha"], entry["beta"] = rays[eid]
         edges.append(entry)
     with open(path, "w") as fh:
         json.dump({"vertices": vertices, "edges": edges}, fh, indent=1)
@@ -157,11 +169,11 @@ def save_periodic_graph(path, pg):
 
 
 def grid_to_graph(grid, modulus):
-    """Z-invariant weighted graph of a grid plus its per-edge rays."""
+    """Z-invariant weighted graph of a grid plus its per-edge rays, an
+    (m, 2) array of (alpha, beta) in edge order."""
     from .isoradial import z_invariant_weights
 
     g = z_invariant_weights(grid, modulus)
     # g's edges run tail -> head, then head -> tail, whose rays turn by pi
-    a, b = (np.stack([r, r + np.pi], axis=1).ravel().tolist()
-            for r in (grid.edge_alpha, grid.edge_beta))
-    return g, dict(zip(zip(g.tail.tolist(), g.head.tolist()), zip(a, b)))
+    rays = np.stack([grid.edge_alpha, grid.edge_beta], axis=1)
+    return g, np.stack([rays, rays + np.pi], axis=1).reshape(-1, 2)

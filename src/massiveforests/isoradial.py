@@ -283,7 +283,8 @@ def drift_field_and_conductances(grid, modulus, u_bar, ambient=None):
 
 
 def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
-    """(bulk, lambda^u) on a graph carrying per-edge rays `g.edge_rays`.
+    """(bulk, lambda^u) on a graph carrying per-edge rays `g.edge_rays`,
+    an (m, 2) array of (alpha, beta) in edge order.
 
     This is the drift field of a grid file, which keeps its rays but not
     its train tracks.  The bulk is every vertex whose full fan is present
@@ -296,8 +297,7 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     """
     from .doob import require_massive_harmonic
 
-    rays = [g.edge_rays[e] for e in zip(g.tail.tolist(), g.head.tolist())]
-    alpha, beta = np.reshape(rays, (-1, 2)).T
+    alpha, beta = g.edge_rays.T
     bulk = full_fan_vertices(g.n, g.tail, 0.5 * (beta - alpha))
     if not bulk:
         raise ValueError("no bulk vertices in the grid window")

@@ -119,7 +119,10 @@ def _death_edge(lo, hi, p_die):
 
     Bisection over the int64 view, which orders non-negative doubles, so
     u < edge reproduces the residual split's death test for every double u.
+    At p_die = 0 the predicate holds at lo, where the bisection ends too.
     """
+    if p_die == 0:
+        return float(lo)
     a, b = np.array([lo, hi], np.float64).view(np.int64)
     width = np.float64(hi) - np.float64(lo)
     while a < b:

@@ -1,188 +1,142 @@
-"""Planar faces of collapsed graphs and the Temperleyan double graph.
+"""Planar faces of collapsed windows and the Temperleyan double graph.
 
-Faces of G^o are extracted by half-edge rotation at the window vertices;
-the outer vertex o is handled by cutting the whisker walk at each spoke, so
-the face structure is that of the sphere embedding with o at infinity.
-Every edge of G^o crosses one dual edge and carries one white vertex; the
-double graph has blacks V + faces - {r} and exactly |W| = |B| when the
-window is simply connected.
+The layer is built from arrays, from the collapsed window's columns to the
+white table.  The window edges are paired into undirected edges by two
+stable lexsorts and the spokes to the outer vertex o follow them; edge k
+has halves 2k (along x -> y) and 2k + 1, and the twin of half h is h ^ 1.
+Each window vertex's counterclockwise rotation comes from one lexsort on
+(tail, angle).  The next half after h is its twin if h runs into o, else
+the half just clockwise of its twin; the faces are the orbits of that
+permutation, cut after every half that runs into o, so the face structure
+is that of the sphere embedding with o at infinity.  Every edge of G^o
+crosses one dual edge and carries one white vertex; the double graph has
+blacks V + faces - {r} and exactly |W| = |B| when the window is simply
+connected.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .graphs import ROOT, CollapsedGraph
 
 
-class HalfEdge:
-    __slots__ = ("uid", "edge", "tail", "head", "angle", "twin")
-
-    def __init__(self, uid, edge, tail, head, angle):
-        self.uid = uid
-        self.edge = edge
-        self.tail = tail  # vertex id or 'o'
-        self.head = head
-        self.angle = angle  # direction angle at tail (None at o)
-        self.twin = None
-
-
-class UndirectedEdge:
-    """One undirected edge of G^o; spokes carry their ambient endpoint."""
-
-    __slots__ = ("uid", "x", "y", "cond", "ambient_target", "direction",
-                 "halves")
-
-    def __init__(self, uid, x, y, cond, ambient_target=None, direction=None):
-        self.uid = uid
-        self.x = x
-        self.y = y  # 'o' for spokes
-        self.cond = cond
-        self.ambient_target = ambient_target
-        self.direction = direction
-        self.halves = []
-
-
 class PlanarFaceStructure:
-    """Faces of G^o as cyclic half-edge walks; face ids are dual vertices."""
+    """The edges of G^o as columns and its faces as half-edge walks.
 
-    def __init__(self, faces, face_of_half, o_faces):
-        self.faces = faces                # list of lists of HalfEdge
-        self.face_of_half = face_of_half  # half uid -> face id
-        self.o_faces = o_faces            # ids of faces whose walk passes o
+    Edge k runs from window vertex x[k] to y[k] (y = col.o for a spoke)
+    with conductance c[k] (numpy's own dtype for the values: an object
+    array for Fractions); ay[k] is the ambient vertex behind y[k], a
+    spoke's ambient target.  The window edges come first, x < y in (x, y)
+    order, then the spokes in the window's order.  tail[h] is the tail of
+    half h, so its head is tail[h ^ 1].  Face f's walk is
+    walk[ptr[f]:ptr[f + 1]], also kept as the half-id array faces[f];
+    face[h] is the face on the left of half h and o_faces lists the faces
+    whose walk passes o.  Faces are numbered by orbit, orbits by their
+    least half id, then by segment from the orbit's first cut at o.
+    """
 
-    def left_face(self, half):
-        return self.face_of_half[half.uid]
+    def __init__(self, x, y, c, ay, walk, ptr, o_faces):
+        self.x, self.y, self.c, self.ay = x, y, c, ay
+        self.tail = np.stack([x, y], axis=1).ravel()
+        self.walk, self.ptr, self.o_faces = walk, ptr, o_faces
+        self.faces = [walk[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+        self.face = np.empty(len(walk), np.int64)
+        self.face[walk] = np.repeat(np.arange(len(self.faces)), np.diff(ptr))
 
-    def degree(self, fid):
-        return len(self.faces[fid])
 
-
-def _build_edges(col: CollapsedGraph, ambient_positions=None):
-    """Pair the directed window edges into undirected ones, plus spokes."""
-    pos = col.positions
-    if pos is None:
-        raise ValueError("planar constructions need vertex coordinates")
-    pairs = {}
-    for (x, y, c) in col.edges:
-        key = (min(x, y), max(x, y))
-        pairs.setdefault(key, []).append((x, y, c))
-    edges = []
-    for (a, b), items in sorted(pairs.items()):
-        fwd = [it for it in items if it[0] == a]
-        bwd = [it for it in items if it[0] == b]
-        if len(fwd) != len(bwd):
-            raise ValueError("unpaired directed edges in window")
-        for (x, y, c), (_, _, c2) in zip(fwd, bwd):
-            if abs(float(c) - float(c2)) > 1e-12 * max(1.0, abs(float(c))):
-                raise ValueError(
-                    "double-graph constructions need symmetric conductances")
-            edges.append(UndirectedEdge(len(edges), x, y, c))
-    for (x, c, target) in col.o_edges:
-        if ambient_positions is not None:
-            d = np.asarray(ambient_positions[target], float) - pos[x]
-        else:
-            d = None
-        edges.append(UndirectedEdge(len(edges), x, "o", c,
-                                    ambient_target=target, direction=d))
-    return edges
+def _paired_edges(col: CollapsedGraph):
+    """The window edges x < y in (x, y) order as ids into `col.edges`:
+    x < y sorted by (x, y) against x > y sorted by (y, x), both stable, so
+    parallel edges pair in edge order."""
+    tail, head, cond = col.edges
+    fwd, bwd = np.flatnonzero(tail < head), np.flatnonzero(tail > head)
+    fwd = fwd[np.lexsort((head[fwd], tail[fwd]))]
+    bwd = bwd[np.lexsort((tail[bwd], head[bwd]))]
+    if len(fwd) != len(bwd) or np.any(tail[fwd] != head[bwd]) or \
+            np.any(head[fwd] != tail[bwd]):
+        raise ValueError("unpaired directed edges in window")
+    c, c2 = cond[fwd].astype(float), cond[bwd].astype(float)
+    if np.any(np.abs(c - c2) > 1e-12 * np.maximum(1.0, np.abs(c))):
+        raise ValueError(
+            "double-graph constructions need symmetric conductances")
+    return fwd
 
 
 def extract_faces(col: CollapsedGraph, ambient_positions=None):
-    """(PlanarFaceStructure, edges) for the sphere embedding of G^o."""
-    pos = col.positions
-    edges = _build_edges(col, ambient_positions)
+    """The PlanarFaceStructure of the sphere embedding of G^o."""
+    pos, n = col.positions, col.n
+    if pos is None:
+        raise ValueError("planar constructions need vertex coordinates")
+    (tail, head, cond), (sx, sc, target) = col.edges, col.spokes
+    fwd = _paired_edges(col)
+    far = pos[head[fwd]]  # the far end of each edge, of a spoke its target
+    if len(sx):
+        if ambient_positions is None:
+            raise ValueError("spokes need ambient directions")
+        far = np.r_[far, np.asarray(ambient_positions, float)[target]]
+    if np.any(tail == head):
+        raise ValueError("loop edges are not supported in G^o")
+    x, y = np.r_[tail[fwd], sx], np.r_[head[fwd], np.full_like(sx, n)]
+    ay = np.r_[np.asarray(col.ambient_ids)[head[fwd]], target]
+    c = np.array(np.r_[cond[fwd], sc].tolist())
+    # half 2k points along d, half 2k + 1 against it (unused at o)
+    d = far - pos[x]
+    angle = np.stack([np.arctan2(d[:, 1], d[:, 0]),
+                      np.arctan2(-d[:, 1], -d[:, 0])], axis=1).ravel()
+    ends = np.stack([x, y], axis=1).ravel()
 
-    halves = []
-    out_at = [[] for _ in range(col.n)]
-    for e in edges:
-        if e.y == "o":
-            if e.direction is None:
-                raise ValueError("spokes need ambient directions")
-            ang = math.atan2(e.direction[1], e.direction[0])
-            h1 = HalfEdge(len(halves), e, e.x, "o", ang)
-            halves.append(h1)
-            h2 = HalfEdge(len(halves), e, "o", e.x, None)
-            halves.append(h2)
-        else:
-            d = pos[e.y] - pos[e.x]
-            ang = math.atan2(d[1], d[0])
-            h1 = HalfEdge(len(halves), e, e.x, e.y, ang)
-            halves.append(h1)
-            h2 = HalfEdge(len(halves), e, e.y, e.x,
-                          math.atan2(-d[1], -d[0]))
-            halves.append(h2)
-        h1.twin, h2.twin = h2, h1
-        e.halves = [h1, h2]
-        out_at[h1.tail].append(h1)
-        if h2.tail != "o":
-            out_at[h2.tail].append(h2)
+    # counterclockwise rotation at each window vertex, ties in half order;
+    # cw[h] is the half just clockwise of h at its tail
+    ring = np.flatnonzero(ends < n)
+    ring = ring[np.lexsort((angle[ring], ends[ring]))]
+    ring_ptr = np.searchsorted(ends[ring], np.arange(n + 1))
+    lo, hi = ring_ptr[ends[ring]], ring_ptr[ends[ring] + 1]
+    cw = np.zeros(len(ends), np.int64)
+    cw[ring] = ring[lo + (np.arange(len(ring)) - lo - 1) % (hi - lo)]
+    # faces lie on the left of each half
+    twin = np.arange(len(ends)) ^ 1
+    into_o = ends[twin] == n
+    nxt = np.where(into_o, twin, cw[twin]).tolist()
 
-    # counterclockwise rotation at each window vertex; loops would need a
-    # finer rule and are rejected here
-    for x in range(col.n):
-        for h in out_at[x]:
-            if h.head == h.tail:
-                raise ValueError("loop edges are not supported in G^o")
-        out_at[x].sort(key=lambda h: h.angle)
-
-    def cw_next(h):
-        """Outgoing half-edge at h.tail just clockwise of h."""
-        ring = out_at[h.tail]
-        i = ring.index(h)
-        return ring[(i - 1) % len(ring)]
-
-    def next_half(h):
-        # faces on the left of each directed half-edge
-        if h.head == "o":
-            return h.twin
-        return cw_next(h.twin)
-
-    visited = [False] * len(halves)
-    orbits = []
-    for h in halves:
-        if visited[h.uid]:
+    walk, first, seen = [], [], bytearray(len(ends))
+    for h0 in range(len(ends)):
+        if seen[h0]:
             continue
-        orbit = []
-        cur = h
-        while not visited[cur.uid]:
-            visited[cur.uid] = True
-            orbit.append(cur)
-            cur = next_half(cur)
-        orbits.append(orbit)
+        first.append(len(walk))
+        h = h0
+        while not seen[h]:
+            seen[h] = 1
+            walk.append(h)
+            h = nxt[h]
 
-    # split orbits at spokes: each passage through o starts a new face
-    faces = []
-    for orbit in orbits:
-        cuts = [i for i, h in enumerate(orbit) if h.head == "o"]
-        if not cuts:
-            faces.append(orbit)
-            continue
-        for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(orbit)]):
-            seg = [orbit[(i + 1) % len(orbit)] for i in range(a, b)]
-            faces.append(seg)
-
-    face_of_half = {}
-    o_faces = []
-    for fid, walk in enumerate(faces):
-        passes_o = False
-        for h in walk:
-            face_of_half[h.uid] = fid
-            if h.head == "o":
-                passes_o = True
-        if passes_o:
-            o_faces.append(fid)
-    structure = PlanarFaceStructure(faces, face_of_half, o_faces)
-    _check_euler(col, edges, structure)
-    return structure, edges
+    # rotate each orbit to start just after its first cut at o, then cut
+    # after every half into o: each passage through o starts a new face
+    walk, first = np.array(walk, np.int64), np.array(first, np.int64)
+    size = np.diff(np.r_[first, len(walk)])
+    orbit = np.repeat(np.arange(len(first)), size)
+    at = np.arange(len(walk)) - first[orbit]
+    cuts = np.flatnonzero(into_o[walk])
+    has_cut, first_cut = np.unique(orbit[cuts], return_index=True)
+    shift = np.zeros(len(first), np.int64)
+    shift[has_cut] = at[cuts[first_cut]] + 1
+    rotated = np.empty_like(walk)
+    rotated[first[orbit] + (at - shift[orbit]) % size[orbit]] = walk
+    new_face = np.zeros(len(walk), bool)
+    new_face[first] = True
+    new_face[1:] |= into_o[rotated[:-1]]
+    ptr = np.r_[np.flatnonzero(new_face), len(walk)]
+    o_faces = np.unique(np.cumsum(new_face)[into_o[rotated]] - 1).tolist()
+    structure = PlanarFaceStructure(x, y, c, ay, rotated, ptr, o_faces)
+    _check_euler(col, structure)
+    return structure
 
 
-def _check_euler(col, edges, structure):
-    n_v = col.n + (1 if col.o_edges else 0)
-    n_e = len(edges)
+def _check_euler(col, structure):
+    n_v = col.n + (1 if len(col.spokes[0]) else 0)
+    n_e = len(structure.x)
     n_f = len(structure.faces)
     if n_v - n_e + n_f != 2:
         raise ValueError(
@@ -200,10 +154,9 @@ class DoubleGraph:
     """
 
     def __init__(self, col: CollapsedGraph, structure: PlanarFaceStructure,
-                 edges, r=None):
+                 r=None):
         self.col = col
         self.structure = structure
-        self.edges = edges
         if r is None:
             r = min(structure.o_faces, default=0)
         if structure.o_faces and r not in structure.o_faces:
@@ -213,7 +166,7 @@ class DoubleGraph:
         self.dual_ids = [f for f in range(len(structure.faces)) if f != r]
         self.dual_index = {f: i for i, f in enumerate(self.dual_ids)}
         self.n_black = col.n + len(self.dual_ids)
-        self.n_white = len(edges)
+        self.n_white = len(structure.x)
 
     def black_of_vertex(self, x):
         return x
@@ -238,21 +191,18 @@ class DoubleGraph:
 
         One quad per (face, corner) incidence; w1 and w2 are the whites of
         the edges meeting at the corner along the face walk (white w sits
-        on edge w).
+        on edge w).  With `surviving_only` off, corners at o are col.o.
         """
-        quads = []
-        for fid, walk in enumerate(self.structure.faces):
-            L = len(walk)
-            for i in range(L):
-                h_in = walk[i]
-                h_out = walk[(i + 1) % L]
-                corner = h_in.head
-                if corner == "o" and surviving_only:
-                    continue
-                if fid == self.r and surviving_only:
-                    continue
-                quads.append((corner, h_in.edge.uid, fid, h_out.edge.uid))
-        return quads
+        s = self.structure
+        fid = s.face[s.walk]
+        step = np.arange(len(s.walk)) + 1  # along each face walk, cyclic
+        step[s.ptr[1:] - 1] = s.ptr[:-1]
+        h_in, h_out = s.walk, s.walk[step]
+        corner = s.tail[h_in ^ 1]
+        keep = (corner != self.col.o) & (fid != self.r) if surviving_only \
+            else slice(None)
+        return list(zip(corner[keep].tolist(), (h_in[keep] >> 1).tolist(),
+                        fid[keep].tolist(), (h_out[keep] >> 1).tolist()))
 
     def counts_balanced(self):
         return self.n_white == self.n_black
@@ -298,20 +248,15 @@ class WhiteTable:
     """
 
     def __init__(self, dg: DoubleGraph):
-        n, r, ids = dg.col.n, dg.r, dg.col.ambient_ids
-        self.x, self.y, self.ax, self.ay = np.array(
-            [(e.x, n, ids[e.x], e.ambient_target) if e.y == "o" else
-             (e.x, e.y, ids[e.x], ids[e.y]) for e in dg.edges],
-            dtype=np.int64).reshape(-1, 4).T
+        s, n, r = dg.structure, dg.col.n, dg.r
+        self.x, self.y, self.c, self.ay = s.x, s.y, s.c, s.ay
+        self.ax = np.asarray(dg.col.ambient_ids)[s.x]
         # edge w's halves are 2w (along x -> y) and 2w + 1
-        self.left, self.right = np.array(
-            [dg.structure.face_of_half[h] for h in range(2 * dg.n_white)],
-            dtype=np.int64).reshape(-1, 2).T
-        self.c = np.array([e.cond for e in dg.edges])
+        self.left, self.right = s.face[0::2], s.face[1::2]
         self.mask = np.stack([np.ones(dg.n_white, bool), self.left != r,
                               self.y != n, self.right != r], axis=1)
         # black_of_face per face; r's entry is masked out wherever it is read
-        face_black = n + np.arange(len(dg.structure.faces))
+        face_black = n + np.arange(len(s.faces))
         face_black[r + 1:] -= 1
         self.black = np.stack([self.x, face_black[self.left], self.y,
                                face_black[self.right]], axis=1)
@@ -362,15 +307,14 @@ class QuadAdjacency:
     """
 
     def __init__(self, dg: DoubleGraph):
-        pos = dg.col.positions
+        pos, s = dg.col.positions, dg.structure
         boundary_faces = set(dg.structure.o_faces) | {dg.r}
         quads = sorted({(corner, f) for (corner, w1, f, w2)
                         in dg.quad_faces() if f not in boundary_faces})
         if not quads:
             raise ValueError("window has no interior double-graph faces")
         quad_ids = {q: i for i, q in enumerate(quads)}
-        face_centroid = {f: np.mean([pos[h.tail]
-                                     for h in dg.structure.faces[f]], axis=0)
+        face_centroid = {f: np.mean(pos[s.tail[s.faces[f]]], axis=0)
                          for f in {f for _, f in quads}}
         centroid = np.array([0.5 * (pos[corner] + face_centroid[f])
                              for corner, f in quads])
@@ -423,5 +367,5 @@ class QuadAdjacency:
 
 def build_dual_and_double(col: CollapsedGraph, ambient_positions=None):
     """(PlanarFaceStructure, DoubleGraph) of a collapsed window."""
-    structure, edges = extract_faces(col, ambient_positions)
-    return structure, DoubleGraph(col, structure, edges)
+    structure = extract_faces(col, ambient_positions)
+    return structure, DoubleGraph(col, structure)

@@ -243,9 +243,7 @@ class TestAcceptance:
         ok = True
         for _ in range(1000):
             forest = wilson_sample(tw, rng)
-            assignment = {x: ("o" if y == ROOT else y)
-                          for x, y in forest.outgoing.items()}
-            tree = resolve_tree(dg, assignment, rng=rng)
+            tree = resolve_tree(dg, forest.outgoing, rng=rng)
             matching, dual_tree = temperley_forward(dg, tree)
             tree2, dual2 = temperley_inverse(dg, matching)
             ok = ok and tree2 == tree and dual2 == dual_tree

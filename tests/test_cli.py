@@ -615,6 +615,58 @@ class TestDispatch:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("edge", [0, 5])
+    def test_sample_dimers_refuses_partial_rays(self, tmp_path, monkeypatch,
+                                                capsys, edge):
+        # a grid file with one edge stripped of its rays is malformed: an
+        # input error, refused before the first matching is drawn
+        import massiveforests.dimers as dimers
+
+        def draw(*args):
+            raise AssertionError("a matching was drawn")
+
+        gpath = tmp_path / "grid.json"
+        assert main(["grid", "--delta", "0.125", "--window", "8", "--M",
+                     "1.0", "--out", str(gpath)]) == 0
+        data = json.loads(gpath.read_text())
+        del data["edges"][edge]["alpha"], data["edges"][edge]["beta"]
+        gpath.write_text(json.dumps(data))
+        monkeypatch.setattr(dimers, "_wilson_successors", draw)
+        out = tmp_path / "dimers.csv"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "3", "sample-dimers", "--graph", str(gpath),
+                  "--u", "0.5", "--M", "1.0", "--delta", "0.125", "--n",
+                  "5", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"edge {edge}: rays" in err
+        assert not out.exists()
+
+    def test_loader_turns_added_reverse_rays_by_pi(self, tmp_path):
+        # a grid file that keeps only each grid edge's tail -> head (the
+        # even edges) loads with the reverses' rays turned by pi, as
+        # `grid_to_graph` writes them, and samples dimers
+        gpath = tmp_path / "grid.json"
+        assert main(["grid", "--delta", "0.125", "--window", "8", "--M",
+                     "1.0", "--out", str(gpath)]) == 0
+        full = load_graph(str(gpath))
+        data = json.loads(gpath.read_text())
+        data["edges"] = data["edges"][0::2]
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(data))
+        g = load_graph(str(half))
+        assert g.edge_rays.shape == (g.m_edges, 2) == full.edge_rays.shape
+
+        def rays(h):
+            return dict(zip(zip(h.tail.tolist(), h.head.tolist()),
+                            map(tuple, h.edge_rays.tolist())))
+        assert rays(g) == rays(full)
+        out = tmp_path / "dimers.csv"
+        assert main(["--seed", "3", "sample-dimers", "--graph", str(half),
+                     "--u", "0.5", "--M", "1.0", "--delta", "0.125",
+                     "--n", "5", "--out", str(out)]) == 0
+
     def test_sample_dimers_refuses_mismatched_drift(self, tmp_path, capsys):
         # the default --M 0 field is not massive harmonic for an M = 1 grid
         gpath = str(tmp_path / "grid.json")

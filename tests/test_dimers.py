@@ -40,17 +40,20 @@ from massiveforests.dimers import (
     verify_det_relation,
 )
 from massiveforests.graphs import (
-    ROOT,
     collapse_boundary,
     enumerate_trees_rooted_at,
     wired_restriction,
 )
 from massiveforests.linalg import assemble_massive_laplacian
-from massiveforests.planar import build_dual_and_double
 from massiveforests.walks import UniformReader, rng_stream, wilson_sample
 
 from test_graphs import grid_graph
-from test_planar import ambient_ends, grid_window, white_dicts
+from test_planar import (
+    ambient_ends,
+    build_dual_and_double,
+    grid_window,
+    white_dicts,
+)
 
 
 def window_setup(nx, ny, cols, rows, c=Fraction(1), mass=Fraction(0)):
@@ -539,9 +542,7 @@ class TestTemperley:
         tw = _tilted_window(dg, lam)
         for _ in range(300):
             forest = wilson_sample(tw, rng)
-            assignment = {x: ("o" if y == ROOT else y)
-                          for x, y in forest.outgoing.items()}
-            tree = resolve_tree(dg, assignment, rng=rng)
+            tree = resolve_tree(dg, forest.outgoing, rng=rng)
             matching, dual_tree = temperley_forward(dg, tree)
             tree2, dual2 = temperley_inverse(dg, matching)
             assert tree2 == tree
@@ -557,9 +558,7 @@ class TestTemperley:
         rng = rng_stream(32)
         for _ in range(100):
             forest = wilson_sample(tw, rng)
-            assignment = {x: ("o" if y == ROOT else y)
-                          for x, y in forest.outgoing.items()}
-            tree = resolve_tree(dg, assignment, rng=rng)
+            tree = resolve_tree(dg, forest.outgoing, rng=rng)
             matching, _ = temperley_forward(dg, tree)
             wt_tree = tree_weight(dg, tree, lam)
             wt_match = matching_weight(dg, ws, matching, exact=True)
@@ -990,9 +989,7 @@ class TestTemperleySampler:
         tw = _tilted_window(dg, lam)
         for m in drawn:
             forest = wilson_sample(tw, rng)
-            assignment = {x: ("o" if y == ROOT else y)
-                          for x, y in forest.outgoing.items()}
-            tree = resolve_tree(dg, assignment, rng=rng)
+            tree = resolve_tree(dg, forest.outgoing, rng=rng)
             assert temperley_forward(dg, tree)[0] == m
 
     def test_samples_split_into_tasks(self):
@@ -1101,7 +1098,7 @@ class TestTemperleySampler:
         ringed = {dg.black_of_vertex(x) for x in range(col.n)
                   if not faces[x] & outer}
         ringed |= {dg.black_of_face(f) for f in dg.dual_ids
-                   if f not in outer and "o" not in corners[f]}
+                   if f not in outer and col.o not in corners[f]}
         refused = 0
         for w in range(dg.n_white):
             for (b, _, slot) in dg.white_neighbours(w):

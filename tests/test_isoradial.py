@@ -411,7 +411,7 @@ class TestDriftFieldFromRays:
             for eid in g.out_edges[x]:
                 y = int(g.head[eid])
                 if y not in want:
-                    a, b = g.edge_rays[(x, y)]
+                    a, b = g.edge_rays[eid]
                     want[y] = want[x] * exponential_edge_factor(a, b, u_bar,
                                                                 mod)
                     stack.append(y)

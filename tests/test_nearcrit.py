@@ -460,6 +460,30 @@ class TestJumps:
             assert np.array_equal(tab.dx[i][alive], moves[k[alive], 0])
             assert np.array_equal(tab.dy[i][alive], moves[k[alive], 1])
 
+    def test_death_edges_equal_the_bisection(self, monkeypatch):
+        # the p_die = 0 shortcut of `_death_edge` leaves every table of
+        # killed, critical and drifted kernels as the bisection builds it
+        def bisection(lo, hi, p_die):
+            a, b = np.array([lo, hi], np.float64).view(np.int64)
+            width = np.float64(hi) - np.float64(lo)
+            while a < b:
+                mid = a + (b - a) // 2
+                u = np.int64(mid).view(np.float64)
+                if (u - np.float64(lo)) / width >= p_die:
+                    b = mid
+                else:
+                    a = mid + 1
+            return float(np.int64(a).view(np.float64))
+
+        for M, u_bar in self.KERNELS + ((1.0, 0.0),):
+            kernel = SquareLatticeKernel(M, 1 / 32, u_bar=u_bar)
+            got = nearcrit._jump_tables(kernel, JUMP_MAX)
+            with monkeypatch.context() as m:
+                m.setattr(nearcrit, "_death_edge", bisection)
+                want = nearcrit._jump_tables(kernel, JUMP_MAX)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_tables_are_the_exact_s_step_laws(self):
         for M, u_bar in self.KERNELS + ((1.0, 0.0),):
             kernel = SquareLatticeKernel(M, 1 / 32, u_bar=u_bar)

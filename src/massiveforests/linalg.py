@@ -22,7 +22,11 @@ any of these, read on the graph's component labels.  Each graph's
 Laplacian is factored once for its queries, float and exact, and the
 factors are kept while the graph lives: every later determinantal query
 and exact potential on it only solves its columns (exact columns are
-solved once and kept too).
+solved once and kept too).  The float Laplacian that
+`assemble_massive_laplacian` returns is read-only and linked to its graph,
+so its `determinant` and `log_determinant` read that same kept SuperLU
+factor (its LU diagonal and sign are read once); any other matrix, a copy
+of such a Laplacian included, is factored on every call.
 """
 
 from __future__ import annotations
@@ -97,8 +101,67 @@ def _csc_from_triplets(rows, cols, vals, shape):
 def assemble_massive_laplacian(g: WeightedGraph):
     """Float massive Laplacian as a scipy CSC matrix: diag m(x)+c(x)-c_(x,x),
     off -c_(x,y).  Each entry sums its triplets in triplet order; entries
-    summing to exactly 0.0 are not stored (the dense nonzero pattern)."""
-    return _csc_from_triplets(*_laplacian_triplets(g), (g.n, g.n))
+    summing to exactly 0.0 are not stored (the dense nonzero pattern).
+
+    The matrix is read-only (its data, indices and indptr) and linked to g
+    while both live: its `determinant` and `log_determinant` and g's
+    determinantal queries share one SuperLU factor, kept with g.  Copies
+    and pickles of it are writable and not linked.
+    """
+    L = _csc_from_triplets(*_laplacian_triplets(g), (g.n, g.n))
+    for a in (L.data, L.indices, L.indptr):
+        a.flags.writeable = False
+    _LINKED[id(L)] = weakref.ref(g)
+    weakref.finalize(L, _LINKED.pop, id(L), None)
+    return L
+
+
+class _Factors:
+    """What is kept of one graph between queries: the factors of its
+    massive Laplacian (`lu[False]` SuperLU, `lu[True]` the exact LU), the
+    LU diagonal and sign of `lu[False]` once a determinant has read them,
+    whether the graph passed `_require_transient`, and the exact columns
+    of V solved so far (vertex -> (column, c^k)).  An exactly singular
+    factor is never kept; a float one kept by a determinant may predate
+    the transience check, which every query still makes first."""
+
+    def __init__(self):
+        self.lu = {}
+        self.diagonal = None
+        self.transient = False
+        self.exact_columns = {}
+
+
+# one entry per live graph, dropped with the graph; a graph must not be
+# mutated once it has been queried
+_FACTORS = weakref.WeakKeyDictionary()
+# id of a live float Laplacian from `assemble_massive_laplacian` -> weak
+# reference to its graph; an entry is dropped with its matrix, so the
+# matrix itself stays picklable and copyable
+_LINKED = {}
+
+
+def _graph_record(g: WeightedGraph):
+    """The graph's `_Factors`, made on first use."""
+    f = _FACTORS.get(g)
+    if f is None:
+        f = _FACTORS[g] = _Factors()
+    return f
+
+
+def _float_factors(M):
+    """A `_Factors` whose `lu[False]` is the SuperLU factor of M, absent if
+    M is singular.  For a Laplacian linked to a live graph it is the
+    graph's record, and M is factored only if no factor is kept there; any
+    other matrix gets a fresh record, factored on every call."""
+    ref = _LINKED.get(id(M))
+    g = None if ref is None else ref()
+    f = _Factors() if g is None else _graph_record(g)
+    if False not in f.lu:
+        lu = _sparse_lu(M)
+        if lu is not None:
+            f.lu[False] = lu
+    return f
 
 
 def assemble_massive_laplacian_exact(g: WeightedGraph):
@@ -148,24 +211,34 @@ def _sparse_lu(M):
 
 
 def _lu_diagonal(M):
-    """Diagonal of U and the permutation sign of the sparse LU of M.
+    """Diagonal of U and the permutation sign of the sparse LU of M, read
+    once per kept factor (a linked Laplacian's) and then kept with it.
 
     A singular M shows as a zero on the diagonal.
     """
     if np.shape(M) == (0, 0):
         return np.ones(0), 1.0
-    lu = _sparse_lu(M)
+    f = _float_factors(M)
+    lu = f.lu.get(False)
     if lu is None:
         return np.zeros(1), 1.0
-    return (lu.U.diagonal(),
-            _permutation_parity(lu.perm_r) * _permutation_parity(lu.perm_c))
+    if f.diagonal is None:
+        # read once: SciPy keeps copies of L and U on lu once U is read
+        diag = lu.U.diagonal()
+        diag.flags.writeable = False
+        f.diagonal = (diag, _permutation_parity(lu.perm_r) *
+                      _permutation_parity(lu.perm_c))
+    return f.diagonal
 
 
 def determinant(M):
     """LU determinant of a dense or sparse float matrix (0.0 if singular).
 
-    The product of the LU diagonal over- or underflows on large matrices
-    (a 40x40 grid at mass 0.05 gives inf); a RuntimeWarning then points to
+    A Laplacian from `assemble_massive_laplacian` whose graph lives reads
+    the graph's kept SuperLU factor, built here if no query built it
+    first; any other matrix is factored on each call.  The product of the
+    LU diagonal over- or underflows on large matrices (a 40x40 grid at
+    mass 0.05 gives inf); a RuntimeWarning then points to
     `log_determinant`, whose value stays finite.
     """
     diag, sign = _lu_diagonal(M)
@@ -181,7 +254,11 @@ def determinant(M):
 
 
 def log_determinant(M):
-    """(sign, log|det|) for scale-robust comparisons; (0.0, -inf) if singular."""
+    """(sign, log|det|) for scale-robust comparisons; (0.0, -inf) if singular.
+
+    Reads the same factor as `determinant`: a linked Laplacian's is kept
+    with its graph, any other matrix is factored on each call.
+    """
     diag, sign = _lu_diagonal(M)
     with np.errstate(divide="ignore"):
         logdet = float(np.sum(np.log(np.abs(diag))))
@@ -347,7 +424,7 @@ def _require_transient(g: WeightedGraph, exact):
     """RecurrentWalkError if a connected component of g carries no mass,
     read exactly on the masses, before any factorization."""
     comp = g.components
-    if g.n == 0 or not np.bincount(comp[[m != 0 for m in g.masses]],
+    if g.n == 0 or not np.bincount(comp[g.masses_a != 0],
                                    minlength=comp.max() + 1).all():
         raise RecurrentWalkError(
             "m == 0 on a finite component: the walk is recurrent there and "
@@ -356,44 +433,30 @@ def _require_transient(g: WeightedGraph, exact):
         raise ValueError("exact potential needs rational graph data")
 
 
-class _Factors:
-    """What is kept of one graph between queries: the factors of its
-    massive Laplacian (`lu[False]` SuperLU, `lu[True]` the exact LU) and
-    the exact columns of V solved so far (vertex -> (column, c^k))."""
-
-    def __init__(self):
-        self.lu = {}
-        self.exact_columns = {}
-
-
-# one entry per live graph, dropped with the graph; a graph must not be
-# mutated once it has been queried
-_FACTORS = weakref.WeakKeyDictionary()
-
-
 def _graph_factors(g: WeightedGraph, exact):
     """The graph's kept factors, with the float or exact LU in place.
 
-    A singular Laplacian raises, and no factor is kept for it.
+    A graph with a massless component raises, even if a determinant of
+    its Laplacian kept a float factor; no singular factor is kept.
     """
-    f = _FACTORS.get(g)
-    if f is None:
-        f = _FACTORS[g] = _Factors()
-    if exact not in f.lu:
+    f = _graph_record(g)
+    if exact not in f.lu or not f.transient:
         _require_transient(g, exact)
+        f.transient = True
+    if exact not in f.lu:
         if exact:
             rows = [[] for _ in range(g.n)]
             r, c, v = _laplacian_triplets(g, exact=True)
             for i, j, w in zip(r.tolist(), c.tolist(), v):
                 rows[i].append((j, w))
             lu = _ExactLU(rows)
-            lu = lu if lu.det else None
+            if lu.det:
+                f.lu[True] = lu
         else:
-            lu = _sparse_lu(assemble_massive_laplacian(g))
-        if lu is None:
+            _float_factors(assemble_massive_laplacian(g))  # kept in f
+        if exact not in f.lu:
             raise RecurrentWalkError(
                 "singular massive Laplacian: some component carries no mass")
-        f.lu[exact] = lu
     return f
 
 

@@ -49,8 +49,9 @@ class PlanarFaceStructure:
 
 def _paired_edges(col: CollapsedGraph):
     """The window edges x < y in (x, y) order as ids into `col.edges`:
-    x < y sorted by (x, y) against x > y sorted by (y, x), both stable, so
-    parallel edges pair in edge order."""
+    x < y sorted by (x, y) against x > y sorted by (y, x), both stable.
+    Parallel edges between two window vertices are refused: they tie in
+    angle at both ends, which no planar rotation orders."""
     tail, head, cond = col.edges
     fwd, bwd = np.flatnonzero(tail < head), np.flatnonzero(tail > head)
     fwd = fwd[np.lexsort((head[fwd], tail[fwd]))]
@@ -62,6 +63,14 @@ def _paired_edges(col: CollapsedGraph):
     if np.any(np.abs(c - c2) > 1e-12 * np.maximum(1.0, np.abs(c))):
         raise ValueError(
             "double-graph constructions need symmetric conductances")
+    x, y = tail[fwd], head[fwd]
+    twins = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
+    if len(twins):
+        a, b = x[twins[0]], y[twins[0]]
+        ids = col.ambient_ids
+        raise ValueError(
+            f"parallel edges between window vertices {a} and {b} (ambient "
+            f"{ids[a]} and {ids[b]}) have no planar embedding")
     return fwd
 
 

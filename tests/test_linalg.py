@@ -1,5 +1,7 @@
+import copy
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -877,8 +879,7 @@ class TestFactorCache:
         massless = path_ab(m=Fraction(0))
         # massless component beside a massive one: SuperLU finds the
         # float factor singular, the elimination the exact one
-        split = WeightedGraph(3, [(0, 1, 1), (1, 0, 1)], [0, 0, 1],
-                              check=False)
+        split = split_graph()
         for g, edges in ((massless, [(0, 1)]), (split, [(2, ROOT)])):
             for exact in (False, True):
                 for _ in range(2):
@@ -886,6 +887,166 @@ class TestFactorCache:
                         edge_probability(g, edges, exact=exact)
             f = linalg._FACTORS.get(g)
             assert f is None or not f.lu
+
+
+def count_factorizations(monkeypatch):
+    """Patch a counter on `linalg._sparse_lu`: a list of the shapes of
+    the matrices it factors."""
+    shapes, sparse_lu = [], linalg._sparse_lu
+
+    def counted(M):
+        shapes.append(np.shape(M))
+        return sparse_lu(M)
+
+    monkeypatch.setattr(linalg, "_sparse_lu", counted)
+    return shapes
+
+
+def split_graph():
+    """A massless edge beside a vertex of mass 1, on integer data: SuperLU
+    finds the float Laplacian exactly singular."""
+    return WeightedGraph(3, [(0, 1, 1), (1, 0, 1)], [0, 0, 1], check=False)
+
+
+class TestSharedFactor:
+    """A float Laplacian from `assemble_massive_laplacian` and its graph's
+    determinantal queries share one kept SuperLU factor."""
+
+    EDGES = [(7, 8), (14, ROOT)]
+    COLUMNS = [3, 7]
+    GAMMA = [7, 8, 14]
+
+    def queries(self, g, L):
+        return {
+            "logdet": lambda: log_determinant(L),
+            "det": lambda: determinant(L),
+            "edge": lambda: edge_probability(g, self.EDGES),
+            "columns": lambda: linalg._potential_columns(
+                g, self.COLUMNS).V.copy(),
+            "lerw": lambda: lerw_exact_probability(g, self.GAMMA),
+        }
+
+    def test_one_factor_in_any_order(self, monkeypatch):
+        shapes = count_factorizations(monkeypatch)
+        for order in permutations(sorted(self.queries(None, None))):
+            g = grid_graph(6, 6, c=1.0, m=0.05)
+            L = assemble_massive_laplacian(g)
+            queries = self.queries(g, L)
+            for name in order:
+                queries[name]()
+            assert shapes.count((g.n, g.n)) == 1, order
+            shapes.clear()
+
+    def test_values_equal_fresh_factor(self):
+        rng = np.random.default_rng(41)
+        for g in (grid_graph(6, 6, c=1.0, m=0.05),
+                  skewed_graph(rng, side=5)):
+            L = assemble_massive_laplacian(g)
+            for name in ("det", "edge", "logdet", "lerw", "columns"):
+                self.queries(g, L)[name]()
+            fresh = linalg._sparse_lu(L.copy())
+            diag = fresh.U.diagonal()
+            sign = linalg._permutation_parity(fresh.perm_r) * \
+                linalg._permutation_parity(fresh.perm_c)
+            assert determinant(L) == sign * float(np.prod(diag))
+            assert log_determinant(L) == (
+                sign * float(np.prod(np.sign(diag))),
+                float(np.sum(np.log(np.abs(diag)))))
+            b = rng.random((g.n, 3))
+            kept = linalg._FACTORS[g].lu[False]
+            assert np.array_equal(kept.solve(b), fresh.solve(b))
+            other = fresh_copy(g)
+            for name, value in self.queries(g, L).items():
+                ref = self.queries(other, assemble_massive_laplacian(
+                    other))[name]()
+                assert np.array_equal(value(), ref), name
+
+    def test_foreign_matrices_factored_every_call(self, monkeypatch):
+        g = grid_graph(5, 5, c=1.0, m=0.05)
+        L = assemble_massive_laplacian(g)
+        determinant(L)
+        shapes = count_factorizations(monkeypatch)
+        foreign = [L.copy(), L * 1.0, L.toarray(), L.tocsr(),
+                   scipy.sparse.csc_matrix(L.toarray()), copy.copy(L),
+                   copy.deepcopy(L), pickle.loads(pickle.dumps(L))]
+        for M in foreign:
+            for _ in range(2):
+                assert determinant(M) == determinant(L)
+                assert log_determinant(M) == log_determinant(L)
+        assert len(shapes) == 4 * len(foreign)
+        shapes.clear()
+        minor = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        for _ in range(2):
+            determinant(minor)
+            edge_probability(g, [(6, 7), (12, ROOT)])  # a 2x2 minor
+        assert shapes == [(2, 2)] * 4
+
+    def test_laplacian_is_read_only(self):
+        L = assemble_massive_laplacian(grid_graph(3, 3, c=1.0, m=0.5))
+        for a in (L.data, L.indices, L.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        M = L.copy()
+        M.data[0] = 1.0
+        assert M.data[0] == 1.0 != L.data[0]
+
+    def test_laplacian_outlives_graph(self, monkeypatch):
+        g = grid_graph(5, 5, c=1.0, m=0.05)
+        L = assemble_massive_laplacian(g)
+        ref = determinant(L.copy()), log_determinant(L.copy())
+        assert determinant(L) == ref[0]
+        del g
+        gc.collect()
+        shapes = count_factorizations(monkeypatch)
+        assert (determinant(L), log_determinant(L)) == ref
+        assert len(shapes) == 2  # nothing is kept without the graph
+        links = len(linalg._LINKED)
+        del L
+        gc.collect()
+        assert len(linalg._LINKED) == links - 1
+
+    def test_pickle_and_deepcopy(self):
+        g = grid_graph(4, 4, c=1.0, m=0.05)
+        L = assemble_massive_laplacian(g)
+        for M in (pickle.loads(pickle.dumps(L)), copy.deepcopy(L)):
+            assert type(M) is type(L) and M.shape == L.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(M, name), getattr(L, name))
+            assert determinant(M) == determinant(L)
+
+    @pytest.mark.parametrize("determinants_first", [True, False])
+    def test_singular_graph_in_both_orders(self, determinants_first):
+        g = split_graph()
+        L = assemble_massive_laplacian(g)
+
+        def determinants():
+            assert determinant(L) == 0.0
+            assert log_determinant(L) == (0.0, -np.inf)
+
+        if determinants_first:
+            determinants()
+        with pytest.raises(RecurrentWalkError):
+            edge_probability(g, [(2, ROOT)])
+        determinants()
+        with pytest.raises(RecurrentWalkError):
+            edge_probability(g, [(2, ROOT)])
+        assert not linalg._FACTORS[g].lu
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_kept_near_singular_factor_still_raises(self, seed):
+        # no exactly zero pivot: the determinants keep a float factor,
+        # which must not stand in for the transience check
+        g = massless_triangle(seed)
+        L = assemble_massive_laplacian(g)
+        determinant(L)
+        log_determinant(L)
+        assert False in linalg._FACTORS[g].lu
+        with pytest.raises(RecurrentWalkError):
+            edge_probability(g, [(0, 1)])
+        with pytest.raises(RecurrentWalkError):
+            linalg._potential_columns(g, [0])
+        with pytest.raises(RecurrentWalkError):
+            lerw_exact_probability(g, [0, 1])
 
 
 def square_window(side=12, lo=2, hi=10):

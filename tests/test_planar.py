@@ -77,6 +77,12 @@ def loop_edges(col, ambient_positions=None):
                 raise ValueError(
                     "double-graph constructions need symmetric conductances")
             edges.append(UndirectedEdge(len(edges), x, y, c))
+    for (a, b), items in sorted(pairs.items()):
+        if len(items) > 2:
+            ids = col.ambient_ids
+            raise ValueError(
+                f"parallel edges between window vertices {a} and {b} "
+                f"(ambient {ids[a]} and {ids[b]}) have no planar embedding")
     for (x, c, target) in zip(*(a.tolist() for a in col.spokes)):
         if ambient_positions is not None:
             d = np.asarray(ambient_positions[target], float) - pos[x]
@@ -555,9 +561,10 @@ class TestErrorsMatchLoops:
         }[case]()
         assert errors(col, None) == [message, message]
 
-    def test_parallel_window_edges_fail_euler(self):
-        # both ends of a window edge and its parallel twin tie in half
-        # order, which no planar rotation does: the genus shows in Euler
+    def test_parallel_window_edges_refused(self):
+        # both ends of a window edge and its parallel twin tie in angle,
+        # which no planar rotation orders: refused before any face walk
         amb, col = parallel_spoke_window(False, extra=[(5, 6)])
-        message = "face extraction failed Euler's relation: V=5 E=13 F=8"
+        message = ("parallel edges between window vertices 0 and 1 "
+                   "(ambient 5 and 6) have no planar embedding")
         assert errors(col, amb.positions) == [message, message]

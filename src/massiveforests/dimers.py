@@ -21,12 +21,16 @@ import numpy as np
 from .graphs import ROOT, WeightedGraph, collapse_boundary
 from .linalg import (
     _csc_from_triplets,
-    _lu_diagonal,
     assemble_massive_laplacian,
     determinant_exact,
     log_determinant,
 )
-from .planar import DoubleGraph, build_dual_and_double
+from .planar import (
+    DoubleGraph,
+    breadth_first,
+    build_dual_and_double,
+    tree_paths,
+)
 from .walks import (
     WILSON_STEP_CAP,
     TransitionTable,
@@ -41,27 +45,22 @@ PHASES = (1, 1j, -1, -1j)  # slots: x, left dual, y, right dual
 
 
 def kasteleyn_phases(dg: DoubleGraph):
-    """Phase per (white, slot): 1, i, -1, -i clockwise from the tail."""
-    return {(w, slot): PHASES[slot]
-            for w in range(dg.n_white)
-            for slot in range(4)}
+    """Phases as an (n_white, 4) array over the slots x, left, y, right:
+    1, i, -1, -i clockwise from the tail."""
+    return np.tile(np.array(PHASES), (dg.n_white, 1))
 
 
 def check_kasteleyn_property(dg: DoubleGraph, phases=None):
-    """Alternating product around every surviving quad must be -1."""
-    if phases is None:
-        phases = kasteleyn_phases(dg)
-    t = dg.white_table
-    bad = []
-    for (corner, w1, fid, w2) in dg.quad_faces():
-        # each white meets the corner at x or y, the face at left or right
-        s1c, s2c = (0 if t.x[w] == corner else 2 for w in (w1, w2))
-        s1f, s2f = (1 if t.left[w] == fid else 3 for w in (w1, w2))
-        prod = (phases[(w1, s1c)] * phases[(w2, s2f)]) / \
-            (phases[(w2, s2c)] * phases[(w1, s1f)])
-        if abs(prod + 1) > 1e-12:
-            bad.append((corner, w1, fid, w2, prod))
-    return bad
+    """Alternating product around every surviving quad must be -1: the
+    (corner, w1, face, w2, product) rows of the quads where it is not."""
+    phases = kasteleyn_phases(dg) if phases is None else phases
+    t, (corner, w1, fid, w2) = dg.white_table, dg.quad_faces().T
+    # each white meets the corner at x or y, the face at left or right
+    c1, c2 = (np.where(t.x[w] == corner, 0, 2) for w in (w1, w2))
+    f1, f2 = (np.where(t.left[w] == fid, 1, 3) for w in (w1, w2))
+    prod = phases[w1, c1] * phases[w2, f2] / (phases[w2, c2] * phases[w1, f1])
+    bad = np.abs(prod + 1) > 1e-12
+    return list(zip(*(a[bad].tolist() for a in (corner, w1, fid, w2, prod))))
 
 
 class WeightSystem:
@@ -285,9 +284,6 @@ def _temperley_map(dg: DoubleGraph, whites):
     blacks.  A vertex takes its tree white, a kept face the unused white on
     its edge toward r in the dual tree; one breadth-first search from a
     node joined to every sample's copy of r orients the S dual trees."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     t, plan, (S, n), F = (dg.white_table, dg.temperley_plan, whites.shape,
                           len(dg.structure.faces))
     if not ((t.x[whites] == np.arange(n)) | (t.y[whites] == np.arange(n))
@@ -300,11 +296,8 @@ def _temperley_map(dg: DoubleGraph, whites):
     top, keep = S * F, unused[:, plan.arc_white]
     shift = np.arange(0, top, F, dtype=np.int32)[:, None]
     tails, heads = ((a + shift)[keep] for a in (plan.arc_tail, plan.arc_head))
-    indptr = np.append(np.searchsorted(tails, np.arange(top + 1)),
-                       len(tails) + S)
-    pred = breadth_first_order(csr_matrix(
-        (np.ones(len(heads) + S), np.append(heads, dg.r + shift),
-         indptr.astype(np.int32)), shape=(top + 1, top + 1)), top)[1]
+    pred = breadth_first(top + 1, np.append(tails, np.full(S, top, np.int32)),
+                         np.append(heads, dg.r + shift), top)[1]
     if (pred[:top] < 0).any():
         raise ValueError("dual complement is not spanning: input was "
                          "not a tree rooted at o")
@@ -313,8 +306,8 @@ def _temperley_map(dg: DoubleGraph, whites):
     # each face but r takes the white of the arc it was reached along
     down, matched = pred[heads] == tails, np.empty(top, np.int64)
     matched[heads[down]] = np.tile(plan.arc_white, (S, 1))[keep][down]
-    return np.concatenate(
-        [whites, matched.reshape(S, F)[:, dg.dual_ids]], axis=1)
+    m = matched.reshape(S, F)  # the kept faces: all but r
+    return np.concatenate([whites, m[:, :dg.r], m[:, dg.r + 1:]], axis=1)
 
 
 def _matching(dg: DoubleGraph, matched):
@@ -547,24 +540,20 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
     global factor from a killed weight system; returns maps normalized so
     lambda = 1 at the smallest window vertex.
     """
-    # lambda ratios along window edges: nu_wx / nu_wy = lam(y)/lam(x)
-    lam = {0: 1.0}
-    order = [0]
-    seen = {0}
-    adj = dg.primal_adjacency
-    while order:
-        x = order.pop()
-        for (y, w) in adj.get(x, []):
-            if y in seen:
-                continue
-            at_x = dg.white_table.x[w] == x
-            nu_x = float(weights.weight(w, 0 if at_x else 2))
-            nu_y = float(weights.weight(w, 2 if at_x else 0))
-            lam[y] = lam[x] * nu_x / nu_y
-            seen.add(y)
-            order.append(y)
-    t, nu = dg.white_table, weights.values.astype(float)
-    lam_v = np.append([lam[x] for x in range(dg.col.n)], np.nan)  # NaN at o
+    # lambda ratios along window edges: nu_wx / nu_wy = lam(y)/lam(x),
+    # multiplied up the breadth-first tree of the window from vertex 0
+    t, nu, n = dg.white_table, weights.values.astype(float), dg.col.n
+    off = np.flatnonzero(t.mask[:, 2])
+    by = np.lexsort((np.r_[off, off], np.r_[t.x[off], t.y[off]]))
+    tail, head = np.r_[t.x[off], t.y[off]][by], np.r_[t.y[off], t.x[off]][by]
+    ratio = np.r_[nu[off, 0] / nu[off, 2], nu[off, 2] / nu[off, 0]][by]
+    pred, step = breadth_first(n, tail, head, 0)[1], np.ones(n)
+    tree = pred[head] == tail
+    step[head[tree]] = ratio[tree]
+    lam_v = np.append(np.ones(n), np.nan)  # NaN at o
+    node, up = tree_paths(pred, 0)
+    np.multiply.at(lam_v, node, step[up])
+    lam = dict(enumerate(lam_v[:n].tolist()))
     # a spoke's sqrt(c lam(x) lam(z)) is nu_wx lam(x): no outside value
     root = np.where(t.mask[:, 2], np.sqrt(
         nu[:, 0] * nu[:, 2] * lam_v[t.x] * lam_v[t.y]), nu[:, 0] * lam_v[t.x])
@@ -601,10 +590,8 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     gap is |expm1(log|det K^k| - log(C det Delta^k_V))|, inf when
     det Delta^k_V is not positive.
     """
-    K = kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star))
-    diag, _ = _lu_diagonal(K)
-    with np.errstate(divide="ignore"):
-        log_det_k = float(np.sum(np.log(np.abs(diag))))
+    _, log_det_k = log_determinant(
+        kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star)))
     sign_l, log_det_l = log_determinant(assemble_massive_laplacian(window))
     log_rhs = _log_det_relation_constant(dg, lam_ambient, lam_star) + \
         log_det_l
@@ -655,19 +642,16 @@ def _reference_tree(dg: DoubleGraph):
     """(1, n) tree whites of the breadth-first tree of the collapsed window
     from o, neighbours in sorted order: each vertex takes its first white
     to o or to the vertex it was reached from."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    plan, n = dg.temperley_plan, dg.col.n
-    tails, heads = np.array(sorted((n, x) if y == ROOT else (x, y)
-                                   for x, y in plan.whites)).T
-    pred = breadth_first_order(csr_matrix((np.ones(len(heads)), heads, (
-        np.searchsorted(tails, np.arange(n + 2)))), shape=(n + 1, n + 1)),
-        n)[1][:n].tolist()
-    if min(pred) < 0:
+    t, n = dg.white_table, dg.col.n
+    # every white both ways (o is node n), by tail, then head, then white
+    tail, head = np.r_[t.x, t.y], np.r_[t.y, t.x]
+    white = np.tile(np.arange(dg.n_white), 2)
+    by = np.lexsort((white, head, tail))
+    pred = breadth_first(n + 1, tail[by], head[by], n)[1]
+    if (pred[:n] < 0).any():
         raise ValueError("window has vertices with no route to o")
-    return np.array([[plan.whites[(x, ROOT if p == n else p)][0]
-                      for x, p in enumerate(pred)]], dtype=np.int64)
+    tree = by[pred[head[by]] == tail[by]]
+    return white[tree[np.unique(head[tree], return_index=True)[1]]][None]
 
 
 def reference_matching(dg: DoubleGraph):

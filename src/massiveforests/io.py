@@ -29,18 +29,30 @@ class GraphFormatError(ValueError):
                          else f"line {line}: {message}")
 
 
-def _parse_number(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise GraphFormatError("booleans are not numbers")
-    return v
+def _number(v, what):
+    """A JSON number as it is, a string like "21/4" as a Fraction."""
+    if type(v) in (int, float):  # a bool is not a number here
+        return v
+    try:
+        if isinstance(v, str):
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise GraphFormatError(f"{what} {json.dumps(v)} is not a number")
 
 
 def _number_to_json(v):
     if isinstance(v, Fraction):
         return str(v)
     return float(v)
+
+
+def _checked(graph_class, *args, **kwargs):
+    """graph_class(...); its ValueError becomes a GraphFormatError."""
+    try:
+        return graph_class(*args, **kwargs)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def load_graph(path):
@@ -70,7 +82,7 @@ def load_graph(path):
     if vertices and "x" in vertices[0]:
         positions = np.zeros((n, 2))
     for v in vertices:
-        masses[v["id"]] = _parse_number(v.get("mass", 0))
+        masses[v["id"]] = _number(v.get("mass", 0), f"vertex {v['id']} mass")
         if positions is not None:
             try:
                 positions[v["id"]] = (v["x"], v["y"])
@@ -85,7 +97,7 @@ def load_graph(path):
     for i, e in enumerate(raw_edges):
         try:
             x, y = int(e["from"]), int(e["to"])
-            c = _parse_number(e["conductance"])
+            c = _number(e["conductance"], "conductance")
         except (KeyError, ValueError, TypeError) as exc:
             raise GraphFormatError(
                 f"edge {i}: need integer 'from'/'to' and a positive "
@@ -123,13 +135,13 @@ def load_graph(path):
         for (x, y, o, c) in list(pedges):
             if (y, x, (-o[0], -o[1])) not in have:
                 pedges.append((y, x, (-o[0], -o[1]), c))
-        return PeriodicGraph(n, pedges, [float(m) for m in masses])
+        return _checked(PeriodicGraph, n, pedges, [float(m) for m in masses])
 
     if None in rays and any(rays):
         raise GraphFormatError(
             f"edge {rays.index(None)}: rays need 'alpha' and 'beta' on "
             f"every edge or on none")
-    g = WeightedGraph(n, edges, masses, positions=positions)
+    g = _checked(WeightedGraph, n, edges, masses, positions=positions)
     if any(rays):
         g.edge_rays = np.array(rays)
     return g

@@ -232,7 +232,8 @@ def _lu_diagonal(M):
 
 
 def determinant(M):
-    """LU determinant of a dense or sparse float matrix (0.0 if singular).
+    """LU determinant of a dense or sparse float or complex matrix (0 if
+    singular), complex for complex M.
 
     A Laplacian from `assemble_massive_laplacian` whose graph lives reads
     the graph's kept SuperLU factor, built here if no query built it
@@ -242,10 +243,11 @@ def determinant(M):
     `log_determinant`, whose value stays finite.
     """
     diag, sign = _lu_diagonal(M)
+    kind = complex if np.iscomplexobj(M) else float
     if np.any(diag == 0.0):
-        return 0.0
+        return kind(0.0)
     with np.errstate(over="ignore", under="ignore"):
-        det = sign * float(np.prod(diag))
+        det = sign * kind(np.prod(diag))
     if (det == 0.0 or not np.isfinite(det)) and np.all(np.isfinite(diag)):
         warnings.warn(
             "determinant over- or underflows float64 although log|det| is "
@@ -255,6 +257,7 @@ def determinant(M):
 
 def log_determinant(M):
     """(sign, log|det|) for scale-robust comparisons; (0.0, -inf) if singular.
+    A complex M has a complex sign of modulus 1 (np.sign(z) is z / |z|).
 
     Reads the same factor as `determinant`: a linked Laplacian's is kept
     with its graph, any other matrix is factored on each call.
@@ -262,7 +265,8 @@ def log_determinant(M):
     diag, sign = _lu_diagonal(M)
     with np.errstate(divide="ignore"):
         logdet = float(np.sum(np.log(np.abs(diag))))
-    return sign * float(np.prod(np.sign(diag))), logdet
+    kind = complex if np.iscomplexobj(M) else float
+    return sign * kind(np.prod(np.sign(diag))), logdet
 
 
 def _integer_rows(rows):

@@ -11,7 +11,8 @@ permutation, cut after every half that runs into o, so the face structure
 is that of the sphere embedding with o at infinity.  Every edge of G^o
 crosses one dual edge and carries one white vertex; the double graph has
 blacks V + faces - {r} and exactly |W| = |B| when the window is simply
-connected.
+connected.  One breadth-first search, `breadth_first`, finds every
+spanning tree of this layer and of `dimers`.
 """
 
 from __future__ import annotations
@@ -138,19 +139,11 @@ def extract_faces(col: CollapsedGraph, ambient_positions=None):
     new_face[1:] |= into_o[rotated[:-1]]
     ptr = np.r_[np.flatnonzero(new_face), len(walk)]
     o_faces = np.unique(np.cumsum(new_face)[into_o[rotated]] - 1).tolist()
-    structure = PlanarFaceStructure(x, y, c, ay, rotated, ptr, o_faces)
-    _check_euler(col, structure)
-    return structure
-
-
-def _check_euler(col, structure):
-    n_v = col.n + (1 if len(col.spokes[0]) else 0)
-    n_e = len(structure.x)
-    n_f = len(structure.faces)
-    if n_v - n_e + n_f != 2:
-        raise ValueError(
-            f"face extraction failed Euler's relation: V={n_v} E={n_e} "
-            f"F={n_f}")
+    n_v, n_f = n + (len(sx) > 0), len(ptr) - 1  # o counts once it has spokes
+    if n_v - len(x) + n_f != 2:
+        raise ValueError(f"face extraction failed Euler's relation: "
+                         f"V={n_v} E={len(x)} F={n_f}")
+    return PlanarFaceStructure(x, y, c, ay, rotated, ptr, o_faces)
 
 
 class DoubleGraph:
@@ -195,12 +188,11 @@ class DoubleGraph:
                                                      t.mask[w].tolist()))
                 if keep]
 
-    def quad_faces(self, surviving_only=True):
-        """Quads (corner black b, white w1, dual f, white w2).
-
-        One quad per (face, corner) incidence; w1 and w2 are the whites of
-        the edges meeting at the corner along the face walk (white w sits
-        on edge w).  With `surviving_only` off, corners at o are col.o.
+    def quad_faces(self):
+        """Quads (corner black b, white w1, dual f, white w2) as the rows
+        of a (k, 4) array, one per (face, corner) incidence along the face
+        walks, corners at o and the face r left out; w1 and w2 are the
+        whites of the edges meeting at the corner (white w sits on edge w).
         """
         s = self.structure
         fid = s.face[s.walk]
@@ -208,10 +200,8 @@ class DoubleGraph:
         step[s.ptr[1:] - 1] = s.ptr[:-1]
         h_in, h_out = s.walk, s.walk[step]
         corner = s.tail[h_in ^ 1]
-        keep = (corner != self.col.o) & (fid != self.r) if surviving_only \
-            else slice(None)
-        return list(zip(corner[keep].tolist(), (h_in[keep] >> 1).tolist(),
-                        fid[keep].tolist(), (h_out[keep] >> 1).tolist()))
+        keep = (corner != self.col.o) & (fid != self.r)
+        return np.stack([corner, h_in >> 1, fid, h_out >> 1], axis=1)[keep]
 
     def counts_balanced(self):
         return self.n_white == self.n_black
@@ -225,18 +215,6 @@ class DoubleGraph:
     def temperley_plan(self):
         """Lookups and dual arcs for Temperley's map, built on first use."""
         return TemperleyPlan(self)
-
-    @functools.cached_property
-    def primal_adjacency(self):
-        """Window vertex -> [(adjacent vertex, white between them)] over
-        the whites off o, in white order, built on first use."""
-        adj = {}
-        t = self.white_table
-        for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
-            if y != self.col.o:
-                adj.setdefault(x, []).append((y, w))
-                adj.setdefault(y, []).append((x, w))
-        return adj
 
     @functools.cached_property
     def quad_adjacency(self):
@@ -283,8 +261,8 @@ class TemperleyPlan:
     """What Temperley's bijection reads of one window.  `whites[(x, head)]`
     lists the whites from window vertex x to head (ROOT for o), `laws` their
     conductance cdf where there are several (e.g. spokes to o).  The dual
-    arcs, both ways across each white, are sorted by tail face, then white:
-    face f's are `arc_tail`, `arc_head`, `arc_white` at `ptr[f]:ptr[f + 1]`.
+    arcs `arc_tail` -> `arc_head` across `arc_white`, both ways across each
+    white, are sorted by tail face, then white.
     """
 
     def __init__(self, dg: DoubleGraph):
@@ -298,8 +276,37 @@ class TemperleyPlan:
                          np.tile(np.arange(dg.n_white), 2)], dtype=np.int32)
         self.arc_tail, self.arc_head, self.arc_white = arcs[
             :, np.lexsort(arcs[[2, 0]])]
-        self.ptr = np.searchsorted(self.arc_tail,
-                                   np.arange(len(dg.structure.faces) + 1))
+
+
+def breadth_first(n, tail, head, root):
+    """(order, pred) of one breadth-first search from `root` over the arcs
+    tail[k] -> head[k] of an n-node graph, sorted by tail, each node's
+    arcs followed in their order.  `order` lists the nodes reached, root
+    first; pred[v] is the node v was reached from, negative at root and at
+    the nodes not reached, so the tree arcs are those with pred[head] ==
+    tail.  Both come as int64 (csgraph's int32, widened)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
+    # indptr in head's dtype, so that scipy copies neither index array
+    head = np.ascontiguousarray(head)
+    indptr = np.concatenate(([0], np.bincount(tail, minlength=n).cumsum()))
+    graph = csr_array((np.ones(len(head)), head, indptr.astype(head.dtype)),
+                      shape=(n, n))
+    return tuple(a.astype(np.int64) for a in breadth_first_order(graph, root))
+
+
+def tree_paths(pred, root):
+    """(node, ancestor) pairs of the tree `pred`: each node reached but
+    root with every node on its path up from root, root left out, found
+    one ancestor per round."""
+    node = up = np.flatnonzero(pred >= 0)
+    pairs = [(node, up)]
+    while len(up):
+        live = pred[up] != root
+        node, up = node[live], pred[up[live]]
+        pairs.append((node, up))
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 class QuadAdjacency:
@@ -310,68 +317,60 @@ class QuadAdjacency:
     `quads` lists them sorted as (corner, face).  Adjacency entry e steps
     from quad src[e] to quad dst[e] across the half-edge (white[e],
     black[e]); sign[e] is +1 when that white lies to the left of the step,
-    else -1.  `tree` holds (dst, src, entry) for the quads in breadth-first
-    order from quads[0]; row q of the sparse 0/1 operator `paths` marks the
-    tree entries from quads[0] to quad q.
+    else -1.  Entries are sorted by src.  `tree` holds the rows (dst, src,
+    entry) of the breadth-first tree from quads[0], in breadth-first
+    order; row q of the sparse 0/1 operator `paths` marks the tree entries
+    from quads[0] to quad q.
     """
 
     def __init__(self, dg: DoubleGraph):
-        pos, s = dg.col.positions, dg.structure
-        boundary_faces = set(dg.structure.o_faces) | {dg.r}
-        quads = sorted({(corner, f) for (corner, w1, f, w2)
-                        in dg.quad_faces() if f not in boundary_faces})
-        if not quads:
+        pos, s, t, n = dg.col.positions, dg.structure, dg.white_table, dg.col.n
+        n_faces = len(s.faces)
+        q = dg.quad_faces()
+        corner, w1, f, w2 = q[~np.isin(q[:, 2], [*s.o_faces, dg.r])].T
+        keys = np.unique(corner * n_faces + f)
+        if not len(keys):
             raise ValueError("window has no interior double-graph faces")
-        quad_ids = {q: i for i, q in enumerate(quads)}
-        face_centroid = {f: np.mean(pos[s.tail[s.faces[f]]], axis=0)
-                         for f in {f for _, f in quads}}
-        centroid = np.array([0.5 * (pos[corner] + face_centroid[f])
-                             for corner, f in quads])
-        t, plan = dg.white_table, dg.temperley_plan
-        x, y, left, right, ptr, around = (a.tolist() for a in (
-            t.x, t.y, t.left, t.right, plan.ptr, plan.arc_white))
+        self.quads = list(zip(*(a.tolist() for a in divmod(keys, n_faces))))
+        # each corner's two whites step across to their other face at the
+        # corner (black the corner) or along to their other end in the face
+        # (black the face; never a spoke: spokes border only faces via o)
+        w = np.stack([w1, w1, w2, w2], axis=1).ravel()
+        c, f = np.repeat(corner, 4), np.repeat(f, 4)
+        across = np.tile([True, False], 2 * len(corner))
+        to = np.where(across, c * n_faces + t.left[w] + t.right[w] - f,
+                      (t.x[w] + t.y[w] - c) * n_faces + f)
+        src = np.searchsorted(keys, c * n_faces + f)
+        dst = np.minimum(np.searchsorted(keys, to), len(keys) - 1)
+        e = np.flatnonzero(keys[dst] == to)
+        e = e[np.argsort(src[e], kind="stable")]
+        self.src, self.dst, self.white = src[e], dst[e], w[e]
+        self.black = np.where(across, c, n + f - (f > dg.r))[e]
 
-        # a step from quad (corner, f) crosses a white of f at the corner
-        # (never a spoke: spokes border only faces through o) to its other
-        # face or to its other end
-        def neighbours(q):
-            corner, f = q
-            out = []
-            for w in around[ptr[f]:ptr[f + 1]]:
-                if corner in (x[w], y[w]):
-                    out += [(q2, w, b) for q2, b in (
-                        ((corner, left[w] + right[w] - f), corner),
-                        ((x[w] + y[w] - corner, f), dg.black_of_face(f)))
-                        if q2 in quad_ids]
-            return out
-
-        entries, tree = [], []
-        order, paths = [0], {0: []}
-        for i in order:  # the list grows in breadth-first order
-            for (q2, w, b) in neighbours(quads[i]):
-                j = quad_ids[q2]
-                if j not in paths:
-                    paths[j] = paths[i] + [len(entries)]
-                    order.append(j)
-                    tree.append((j, i, len(entries)))
-                entries.append((i, j, w, b))
-        if len(paths) != len(quads):
+        order, pred = breadth_first(len(keys), self.src, self.dst, 0)
+        if len(order) != len(keys):
             raise ValueError("interior double-graph faces are disconnected")
-        self.quads = quads
-        self.tree = tree
-        self.src, self.dst, self.white, self.black = np.array(
-            entries, dtype=np.int64).reshape(-1, 4).T
-        # a white sits at its edge's midpoint (a step never crosses a spoke)
-        step, wvec = centroid[self.dst] - centroid[self.src], 0.5 * (
-            pos[t.x[self.white]] + pos[t.y[self.white]]) - centroid[self.src]
-        self.sign = np.where(
-            step[:, 0] * wvec[:, 1] - step[:, 1] * wvec[:, 0] > 0, 1, -1)
+        # the first entry along its tree arc into each quad but quads[0]
+        tree = np.flatnonzero(pred[self.dst] == self.src)
+        entry = np.r_[0, tree[np.unique(self.dst[tree], return_index=True)[1]]]
+        self.tree = np.stack([order, pred[order], entry[order]], axis=1)[1:]
+        node, up = tree_paths(pred, 0)
         from scipy.sparse import csr_array
 
-        rows = [paths[q] for q in range(len(quads))]
-        self.paths = csr_array((np.ones(sum(map(len, rows)), np.int32), [
-            e for row in rows for e in row], np.cumsum([0, *map(len, rows)])),
-            shape=(len(quads), len(entries)))
+        self.paths = csr_array((np.ones(len(node), np.int32), (
+            node, entry[up])), shape=(len(keys), len(e)))
+
+        # a quad's centroid is halfway from its corner to its face's mean
+        # tail (o, on boundary faces only, stands at 0); a white sits at
+        # its edge's midpoint
+        tails = np.r_[pos, np.zeros((1, 2))][s.tail[s.walk]]
+        face_mean = np.add.reduceat(tails, s.ptr[:-1]) / \
+            np.diff(s.ptr)[:, None]
+        centroid = 0.5 * (pos[keys // n_faces] + face_mean[keys % n_faces])
+        move, wvec = centroid[self.dst] - centroid[self.src], 0.5 * (
+            pos[t.x[self.white]] + pos[t.y[self.white]]) - centroid[self.src]
+        self.sign = np.where(
+            move[:, 0] * wvec[:, 1] - move[:, 1] * wvec[:, 0] > 0, 1, -1)
 
 
 def build_dual_and_double(col: CollapsedGraph, ambient_positions=None):

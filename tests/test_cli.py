@@ -103,6 +103,53 @@ class TestDispatch:
             main(["edge-prob", "--graph", str(p), "--edges", "0-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("vertex, edge, extra", [
+        ({}, {"conductance": -1}, []),
+        ({}, {"conductance": "1/0"}, []),
+        ({"mass": -1}, {}, []),
+        ({"mass": "abc"}, {}, []),
+        ({"mass": "1/0"}, {}, []),
+        ({"mass": [1]}, {}, []),
+        ({}, {}, [{"id": 2, "mass": 1, "x": 2.0, "y": 0.0}]),
+    ], ids=["negative-conductance", "conductance-zero-denominator",
+            "negative-mass", "mass-not-a-number", "mass-zero-denominator",
+            "mass-list", "disconnected"])
+    @pytest.mark.parametrize("command", ["edge-prob", "sample-forest"])
+    def test_bad_graph_values_exit_two(self, tmp_path, capsys, command,
+                                       vertex, edge, extra):
+        # each once exited 1 or died with a traceback
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "vertices": [{"id": 0, "mass": 1, "x": 0.0, "y": 0.0, **vertex},
+                         {"id": 1, "mass": 1, "x": 1.0, "y": 0.0}, *extra],
+            "edges": [{"from": 0, "to": 1, "conductance": 1, **edge}]}))
+        with pytest.raises(GraphFormatError):
+            load_graph(str(p))
+        out = tmp_path / "out.csv"
+        argv = {"edge-prob": ["--edges", "0-1", "--dump-matrix", str(out)],
+                "sample-forest": ["--n", "5", "--out", str(out)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(p), *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_charpoly_negative_conductance_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "vertices": [{"id": 0, "mass": 1.0}],
+            "edges": [{"from": 0, "to": 0, "offset": list(o),
+                       "conductance": -1.0} for o in ((1, 0), (-1, 0))]}))
+        out = tmp_path / "charpoly.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", "--periodic-graph", str(p), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: {p}: conductances must be positive\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "{nonsense", "[1, 2]"],
                              ids=["missing", "malformed", "not-an-object"])
     def test_bad_experiment_config_exit_two(self, tmp_path, capsys, text):

@@ -66,6 +66,17 @@ def window_setup(nx, ny, cols, rows, c=Fraction(1), mass=Fraction(0)):
     return amb, col, window, dg
 
 
+def window_adjacency(dg):
+    """Window vertex -> [(adjacent vertex, white between them)] over the
+    whites off o, in white order, read off the white table."""
+    adj, t = {}, dg.white_table
+    for w, (x, y) in enumerate(zip(t.x.tolist(), t.y.tolist())):
+        if y != dg.col.o:
+            adj.setdefault(x, []).append((y, w))
+            adj.setdefault(y, []).append((x, w))
+    return adj
+
+
 def ones_lambda(amb):
     return {v: Fraction(1) for v in range(amb.n)}
 
@@ -132,9 +143,9 @@ class TestWhiteEnds:
         # two spokes at each of the 4 corners, one at each of the 4 sides
         assert spokes == 12
 
-    def test_primal_adjacency_lists_each_window_edge_from_both_ends(self):
+    def test_window_adjacency_lists_each_window_edge_from_both_ends(self):
         amb, col, window, dg = window_setup(5, 5, [1, 2, 3], [1, 2, 3])
-        adj = dg.primal_adjacency
+        adj = window_adjacency(dg)
         infos = white_dicts(dg)
         visits = {}
         for x, row in adj.items():
@@ -148,7 +159,6 @@ class TestWhiteEnds:
         assert len(off_o) == 12
         assert sorted(visits) == off_o
         assert set(visits.values()) == {2}
-        assert dg.primal_adjacency is adj
 
 
 # -- the per-white loops that the white table replaced, as references ---------
@@ -1091,8 +1101,10 @@ class TestTemperleySampler:
         ref = reference_matching(dg)
         assert set(height_function(dg, ref, ref).values()) == {0.0}
         outer = set(dg.structure.o_faces) | {dg.r}
-        corners, faces = {}, {}
-        for (c, _, f, _) in dg.quad_faces(surviving_only=False):
+        corners, faces, s = {}, {}, dg.structure
+        # the corner and face of every half along the face walks, o and r
+        # included
+        for c, f in zip(s.tail[s.walk ^ 1].tolist(), s.face[s.walk].tolist()):
             faces.setdefault(c, set()).add(f)
             corners.setdefault(f, set()).add(c)
         ringed = {dg.black_of_vertex(x) for x in range(col.n)
@@ -1204,7 +1216,7 @@ class TestBatchedMaps:
 
     def test_forward_refusals(self):
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
-        t, adj = dg.white_table, dg.primal_adjacency
+        t, adj = dg.white_table, window_adjacency(dg)
         tree = dict(enumerate(_reference_tree(dg)[0].tolist()))
         stray = next(w for w in range(dg.n_white) if 0 not in (t.x[w], t.y[w]))
         # the four window vertices around their square, each pointing at

@@ -394,6 +394,41 @@ class TestDeterminant:
                 assert determinant(A) == 0.0
                 assert log_determinant(A) == (0.0, -np.inf)
 
+    def test_complex_keeps_imaginary_part(self):
+        # the real part alone, -1.0, used to come back with a ComplexWarning
+        A = np.array([[1 + 1j, 2], [0, 1j]])
+        for M in (A, scipy.sparse.csc_matrix(A)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert determinant(M) == pytest.approx(-1 + 1j, abs=1e-12)
+                sign, logdet = log_determinant(M)
+            assert sign == pytest.approx(np.exp(0.75j * np.pi), abs=1e-12)
+            assert logdet == pytest.approx(0.5 * np.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 120])
+    def test_complex_matches_numpy(self, n):
+        rng = np.random.default_rng(70 + n)
+        M = sparse_ish_matrix(rng, n) + 1j * sparse_ish_matrix(rng, n)
+        M = M[rng.permutation(n)]
+        ref_sign, ref_ld = np.linalg.slogdet(M)
+        ref_det = np.linalg.det(M)
+        for A in (M, scipy.sparse.csc_matrix(M)):
+            sign, ld = log_determinant(A)
+            assert isinstance(sign, complex)
+            assert abs(sign - ref_sign) <= 1e-12
+            assert abs(ld - ref_ld) <= 1e-12 * max(abs(ref_ld), 1.0)
+            det = determinant(A)
+            assert isinstance(det, complex)
+            assert abs(det - ref_det) <= 1e-12 * abs(ref_det)
+
+    def test_complex_singular_is_zero(self):
+        M = np.ones((3, 3), complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert determinant(M) == 0j
+            assert log_determinant(scipy.sparse.csc_matrix(M)) == \
+                (0j, -np.inf)
+
     def test_grid_matches_enumeration(self):
         g = grid_graph(3, 3, m=Fraction(1))
         det = determinant_exact(assemble_massive_laplacian_exact(g))

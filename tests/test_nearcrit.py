@@ -812,6 +812,69 @@ class TestExitLaw:
         assert total_variation(counts_w, counts_b) < 0.05
 
 
+def exact_exit_law(M, u_bar, delta, radius=1.0, n_arcs=16):
+    """(killed, drifted) exit-arc masses of the walk from the disk centre,
+    exact at mesh delta: one potential column of the killed window.
+
+    The killed walk from s leaves through the step x -> y with probability
+    V(s, x) c_xy / c^k(x) = V(x, s) c_xy / c^k(s) (the Green function
+    V / c^k is symmetric); the drifted walk is its Doob transform by the
+    discrete exponential, which multiplies each exit by e(z_y - z_s).
+    """
+    from massiveforests.linalg import _potential_columns
+
+    killed = SquareLatticeKernel(M, delta)
+    drifted = SquareLatticeKernel(M, delta, u_bar=u_bar)
+    box = _disk_box(killed.spacing, radius)
+    g, vertex = nearcrit._window_graph(killed, box)
+    start = box.nearest(0j)
+    s = vertex[start]
+    V = _potential_columns(g, [s]).V[:, 0]
+    inside = np.flatnonzero(~box.stop)
+    x, k = np.nonzero(box.stop[inside[:, None] + box.moves])
+    y = inside[x] + box.moves[k]
+    p = V[x] / g.ck_f[s] * killed.cond[k]
+    tilt = np.array([drifted.exponential(z, u_bar)
+                     for z in box.z[y] - box.z[start]])
+    arcs = _arc_bin(_circle_crossing_angle(box.z[inside[x]], box.z[y],
+                                           radius), n_arcs)
+    return (np.bincount(arcs, p, n_arcs),
+            np.bincount(arcs, p * tilt, n_arcs))
+
+
+class TestExactExitLaw:
+    # the exact finite-delta exit law at M = 1, u_bar = 0.3, delta = 1/16
+    M, U, DELTA, N = 1.0, 0.3, 1 / 16, 200_000
+    # one family level for the 2 x 16 two-sided arc tests (Bonferroni),
+    # fixed with the seeds before the first run
+    ALPHA = 1e-3
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return exact_exit_law(self.M, self.U, self.DELTA)
+
+    def test_tilted_mass_is_one(self, oracle):
+        killed, drifted = oracle
+        assert abs(drifted.sum() - 1.0) <= 1e-10
+        # survival from the centre, below 1 by the killing; 1/I_0(2) =
+        # 0.4387 is its continuum limit
+        assert 0.40 < killed.sum() < 0.44
+
+    @pytest.mark.parametrize("drifted, seed", [(False, 3701), (True, 3702)],
+                             ids=["killed", "drifted"])
+    def test_walk_arcs_within_binomial_tails(self, oracle, drifted, seed):
+        from scipy.stats import binom
+
+        p = oracle[drifted]
+        counts, exited = exit_law_walk(self.M, self.U, self.DELTA, self.N,
+                                       seed, drifted=drifted)
+        assert exited == counts.sum()
+        # two-sided exact binomial p-value of each arc count
+        tails = 2 * np.minimum(binom.cdf(counts, self.N, p),
+                               binom.sf(counts - 1, self.N, p))
+        assert np.all(tails >= self.ALPHA / (2 * len(p))), tails
+
+
 class TestContinuumExitLaw:
     def test_masses_sum_to_one(self):
         for M, u_bar in ((0.0, 0.0), (1.0, 0.3), (3.0, math.pi / 2),

@@ -488,10 +488,8 @@ class TestArrayLayerMatchesLoops:
     @pytest.mark.parametrize("name", list(WINDOWS))
     def test_quads(self, name):
         col, s, dg = window_case(name)
-        every = loop_quads(dg)
-        assert dg.quad_faces(surviving_only=False) == every
-        assert dg.quad_faces() == [q for q in every
-                                   if q[0] != col.o and q[2] != dg.r]
+        assert dg.quad_faces().tolist() == [
+            list(q) for q in loop_quads(dg) if q[0] != col.o and q[2] != dg.r]
         try:
             adj = dg.quad_adjacency
         except ValueError as exc:  # no interior quads, or disconnected
@@ -501,9 +499,12 @@ class TestArrayLayerMatchesLoops:
             return
         quads, entries, signs = loop_quad_adjacency(dg)
         assert adj.quads == quads
-        assert list(zip(adj.src.tolist(), adj.dst.tolist(),
-                        adj.white.tolist(), adj.black.tolist())) == entries
-        assert adj.sign.tolist() == signs
+        # the same entries and signs, grouped by the quad they leave
+        got = list(zip(zip(adj.src.tolist(), adj.dst.tolist(),
+                           adj.white.tolist(), adj.black.tolist()),
+                       adj.sign.tolist()))
+        assert sorted(got) == sorted(zip(entries, signs))
+        assert np.all(np.diff(adj.src) >= 0)
 
     def test_windows_cover_the_cases(self):
         # ties in the rotation, exact conductances, spokeless windows and
@@ -568,3 +569,70 @@ class TestErrorsMatchLoops:
         message = ("parallel edges between window vertices 0 and 1 "
                    "(ambient 5 and 6) have no planar embedding")
         assert errors(col, amb.positions) == [message, message]
+
+
+class TestBreadthFirst:
+    # 0 -> 3, 0 -> 1, 1 -> 2, 2 -> 0, 3 -> 2; 4 -> 5 is cut off from 0
+    TAIL = np.array([0, 0, 1, 2, 3, 4])
+    HEAD = np.array([3, 1, 2, 0, 2, 5])
+
+    def test_order_and_predecessors(self):
+        order, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 0)
+        assert order.tolist() == [0, 3, 1, 2]
+        assert pred[[1, 2, 3]].tolist() == [0, 3, 0]
+        # the root and the unreached nodes 4 and 5
+        assert np.all(pred[[0, 4, 5]] < 0)
+        assert order.dtype == pred.dtype == np.int64
+
+    def test_neighbours_in_arc_order(self):
+        # with 0 -> 1 listed before 0 -> 3, node 2 is reached from 1
+        order, pred = planar.breadth_first(
+            6, self.TAIL, np.array([1, 3, 2, 0, 2, 5]), 0)
+        assert order.tolist() == [0, 1, 3, 2]
+        assert pred[2] == 1
+
+    def test_unreached_nodes_absent(self):
+        order, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 4)
+        assert order.tolist() == [4, 5]
+        assert pred[5] == 4
+        assert np.all(np.delete(pred, 5) < 0)
+
+    def test_strided_and_int32_arcs(self):
+        # csgraph refuses index arrays that are not C-contiguous
+        arcs = np.stack([self.TAIL, self.HEAD], axis=1).astype(np.int32)
+        order, pred = planar.breadth_first(6, arcs.T[0], arcs.T[1], 0)
+        assert order.tolist() == [0, 3, 1, 2]
+        assert pred.dtype == np.int64
+
+    def test_tree_paths(self):
+        _, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 0)
+        node, up = planar.tree_paths(pred, 0)
+        assert sorted(zip(node.tolist(), up.tolist())) == [
+            (1, 1), (2, 2), (2, 3), (3, 3)]
+
+    @pytest.mark.parametrize("name", list(WINDOWS))
+    def test_quad_tree(self, name):
+        col, s, dg = window_case(name)
+        try:
+            adj = dg.quad_adjacency
+        except ValueError:
+            return
+        dst, src, entry = adj.tree.T
+        # the tree reaches every quad but the first once, in breadth-first
+        # order, each along an entry that steps from its parent to it
+        assert sorted(dst.tolist()) == list(range(1, len(adj.quads)))
+        assert np.array_equal(adj.src[entry], src)
+        assert np.array_equal(adj.dst[entry], dst)
+        depth = np.zeros(len(adj.quads), np.int64)
+        for j, i, _ in adj.tree.tolist():
+            depth[j] = depth[i] + 1
+        assert np.all(np.diff(depth[np.r_[0, dst]]) >= 0)
+        assert np.array_equal(adj.paths @ np.ones(len(adj.src), np.int64),
+                              depth)
+        # row q of paths marks the tree entries from quads[0] to q
+        rows = adj.paths.tocsr()
+        for q, parent, e in adj.tree.tolist():
+            mine = set(rows.indices[rows.indptr[q]:rows.indptr[q + 1]])
+            theirs = set(rows.indices[rows.indptr[parent]:
+                                      rows.indptr[parent + 1]])
+            assert mine == theirs | {e}

@@ -578,11 +578,6 @@ def _log_det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
     return float(logc)
 
 
-def det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
-    """C(c, lambda, lambda*) of the determinant identity."""
-    return math.exp(_log_det_relation_constant(dg, lam_ambient, lam_star))
-
-
 def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     """(log|det K^k|, log(C det Delta^k_V), relative gap).
 

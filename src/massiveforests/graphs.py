@@ -38,6 +38,29 @@ def csr_rows(values, ptr):
     return list(map(values.tolist().__getitem__, map(slice, ptr, ptr[1:])))
 
 
+def check_values(cond, masses):
+    """ValueError unless the conductances are positive and the masses
+    nonnegative, all finite; exact values compare exactly."""
+    if not np.all(cond > 0):
+        raise ValueError("conductances must be positive")
+    if np.any(masses < 0):
+        raise ValueError("masses must be nonnegative")
+    if not np.isfinite(np.r_[cond, masses].astype(float)).all():
+        raise ValueError("conductances and masses must be finite")
+
+
+def missing_reverses(n, tail, head, off=None):
+    """Ids of the edges tail -> head without a reverse head -> tail, at
+    -off for a periodic graph with (m, 2) integer offsets `off`; edges
+    compare by integer codes, offsets as digits in a balanced base."""
+    code, rcode = tail * n + head, head * n + tail
+    if off is not None:
+        b = 2 * int(np.abs(off).max(initial=0)) + 1
+        code = (code * b + off[:, 0]) * b + off[:, 1]
+        rcode = (rcode * b - off[:, 0]) * b - off[:, 1]
+    return np.flatnonzero(~np.isin(rcode, code))
+
+
 class WeightedGraph:
     """Finite directed graph with conductances and masses.
 
@@ -85,12 +108,8 @@ class WeightedGraph:
     def _validate(self):
         if len(self.masses) != self.n:
             raise ValueError("need one mass per vertex")
-        if not np.all(self.cond_a > 0):
-            raise ValueError("conductances must be strictly positive")
-        if np.any(self.masses_a < 0):
-            raise ValueError("masses must be nonnegative")
-        code = self.tail * self.n + self.head
-        lone = np.flatnonzero(~np.isin(self.head * self.n + self.tail, code))
+        check_values(self.cond_a, self.masses_a)
+        lone = missing_reverses(self.n, self.tail, self.head)
         if lone.size:
             x, y = self.tail[lone[0]], self.head[lone[0]]
             raise ValueError(f"directed edge ({x},{y}) has no reverse")

@@ -4,12 +4,14 @@
      "edges": [{"from": 0, "to": 1, "conductance": 1.0,
                 "alpha": -0.785, "beta": 0.785, "offset": [1, 0]}, ...]}
 
-Masses default to 0 and loops are allowed.  Numbers may be given as
-strings like "21/4", which load as exact rationals.  A directed edge whose
-reverse is absent gets one with the same conductance.  Per-edge rays
-(alpha, beta) mark isoradial grids: every edge carries them or none does,
-and an added reverse gets its edge's rays turned by pi.  Offsets mark
-Z^2-periodic graphs.
+Vertex ids are the integers 0..n-1 in any order, masses default to 0 and
+loops are allowed.  Numbers may be given as strings like "21/4", which load
+as exact rationals.  Every value must be finite, conductances positive and
+masses nonnegative.  Positions (x, y), per-edge rays (alpha, beta), which
+mark isoradial grids, and offsets, which mark Z^2-periodic graphs, are on
+every vertex or edge or on none.  Each edge x -> y at offset o (o = (0, 0)
+in a plain file) whose reverse y -> x at offset -o is absent gets its own
+reverse: same conductance, rays turned by pi, offset negated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, missing_reverses
 
 
 class GraphFormatError(ValueError):
@@ -29,155 +31,147 @@ class GraphFormatError(ValueError):
                          else f"line {line}: {message}")
 
 
-def _number(v, what):
-    """A JSON number as it is, a string like "21/4" as a Fraction."""
-    if type(v) in (int, float):  # a bool is not a number here
-        return v
+_BAD = (AttributeError, TypeError, ValueError, ArithmeticError)
+
+
+def _integers(values):
+    if not set(map(type, values)) <= {int}:  # a bool or 0.0 is no id here
+        raise TypeError(values)
+    return np.array(values, dtype=int)
+
+
+def _numbers(values):
+    """JSON numbers as they are, strings like "21/4" as Fractions; a bool
+    is not a number here."""
+    if set(map(type, values)) <= {int, float}:
+        return values
+    return [v if type(v) in (int, float) else
+            Fraction(v if isinstance(v, str) else None) for v in values]
+
+
+def _floats(values):
+    a = np.array(values, dtype=float)
+    if a.ndim != 1 or not np.isfinite(a).all():
+        raise ValueError(values)
+    return a
+
+
+def _column(rows, what, key, kind, default=None, optional=None):
+    """The field `key` of every row (vertex or edge, as `what` says) as one
+    column, by `kind`: a converter, which takes no None, and what it needs
+    each value to be.  An `optional` field, so named in errors, is None if
+    no row has it.  A GraphFormatError names the first row at fault."""
+    convert, noun = kind
+    if optional and not any(key in row for row in rows):
+        return None
     try:
-        if isinstance(v, str):
-            return Fraction(v)
-    except (ValueError, ZeroDivisionError):
+        return convert([row.get(key, default) for row in rows])
+    except _BAD:
         pass
-    raise GraphFormatError(f"{what} {json.dumps(v)} is not a number")
+    for i, row in enumerate(rows):
+        try:
+            convert([row.get(key, default)])
+        except _BAD as exc:
+            got = (f", not {json.dumps(row[key])}" if isinstance(row, dict)
+                   and key in row else f" on every {what} or on none"
+                   if optional else "")
+            raise GraphFormatError(
+                f"{what} {i}: {optional + ' ' if optional else ''}need "
+                f"'{key}' as {noun}{got}") from exc
+
+
+_INTEGER, _NUMBER = (_integers, "an integer"), (_numbers, "a number")
+_FLOAT, _PAIR = (_floats, "a finite number"), (lambda values: np.array(
+    [(int(i), int(j)) for i, j in values], dtype=int).reshape(-1, 2),
+    "an integer pair")
 
 
 def _number_to_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return float(v)
-
-
-def _checked(graph_class, *args, **kwargs):
-    """graph_class(...); its ValueError becomes a GraphFormatError."""
-    try:
-        return graph_class(*args, **kwargs)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return str(v) if isinstance(v, Fraction) else float(v)
 
 
 def load_graph(path):
-    """WeightedGraph from a JSON graph file; rays attach as `edge_rays`,
-    an (m, 2) array of (alpha, beta) in edge order."""
+    """WeightedGraph, or PeriodicGraph for a file with offsets, from a JSON
+    graph file; a plain file's rays attach as `edge_rays`, an (m, 2) array
+    of (alpha, beta) in edge order."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(exc.msg, line=exc.lineno) from exc
-    try:
-        vertices = data["vertices"]
-        raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError("need 'vertices' and 'edges' lists") from exc
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(exc.msg, line=exc.lineno) from exc
+    if not (isinstance(data, dict) and isinstance(data.get("vertices"), list)
+            and isinstance(data.get("edges"), list)):
+        raise GraphFormatError("need 'vertices' and 'edges' lists")
+    vertices, edges = data["vertices"], data["edges"]
 
-    try:
-        ids = [v["id"] for v in vertices]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError("every vertex needs an 'id'") from exc
-    if sorted(ids) != list(range(len(ids))):
-        raise GraphFormatError("vertex ids must be dense integers 0..n-1")
+    ids = _column(vertices, "vertex", "id", _INTEGER)
     n = len(ids)
-    masses = [0] * n
-    positions = None
-    if vertices and "x" in vertices[0]:
-        positions = np.zeros((n, 2))
-    for v in vertices:
-        masses[v["id"]] = _number(v.get("mass", 0), f"vertex {v['id']} mass")
-        if positions is not None:
-            try:
-                positions[v["id"]] = (v["x"], v["y"])
-            except KeyError as exc:
-                raise GraphFormatError(
-                    f"vertex {v['id']}: need both 'x' and 'y'") from exc
+    if not np.array_equal(np.sort(ids), np.arange(n)):
+        raise GraphFormatError("vertex ids must be dense integers 0..n-1")
+    by_id = np.argsort(ids).tolist()  # the row of each id
+    masses = _column(vertices, "vertex", "mass", _NUMBER, default=0)
+    masses = list(map(masses.__getitem__, by_id))
+    x = _column(vertices, "vertex", "x", _FLOAT, optional="positions")
+    positions = None if x is None else np.column_stack(
+        [x, _column(vertices, "vertex", "y", _FLOAT)])[by_id]
 
-    edges = []
-    rays = []  # (alpha, beta) or None per edge
-    offsets = []
-    seen = {}
-    for i, e in enumerate(raw_edges):
-        try:
-            x, y = int(e["from"]), int(e["to"])
-            c = _number(e["conductance"], "conductance")
-        except (KeyError, ValueError, TypeError) as exc:
-            raise GraphFormatError(
-                f"edge {i}: need integer 'from'/'to' and a positive "
-                f"'conductance'") from exc
-        if not 0 <= x < n or not 0 <= y < n:
-            raise GraphFormatError(f"edge {i}: endpoint out of range")
-        edges.append((x, y, c))
-        seen[(x, y)] = i
-        try:
-            rays.append((float(e["alpha"]), float(e["beta"]))
-                        if "alpha" in e else None)
-            offsets.append(tuple(int(o) for o in e["offset"])
-                           if "offset" in e else None)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise GraphFormatError(
-                f"edge {i}: need 'alpha' with 'beta' and integer 'offset' "
-                f"entries") from exc
-    # close under reversal for convenience; rays turn by pi
-    for (x, y), i in list(seen.items()):
-        if x != y and (y, x) not in seen:
-            edges.append((y, x, edges[i][2]))
-            rays.append(None if rays[i] is None else
-                        (rays[i][0] + np.pi, rays[i][1] + np.pi))
-            seen[(y, x)] = i
-    if any(o is not None for o in offsets):
-        from .periodic import PeriodicGraph
+    tail = _column(edges, "edge", "from", _INTEGER)
+    head = _column(edges, "edge", "to", _INTEGER)
+    cond = _column(edges, "edge", "conductance", _NUMBER)
+    alpha = _column(edges, "edge", "alpha", _FLOAT, optional="rays")
+    rays = None if alpha is None else np.column_stack(
+        [alpha, _column(edges, "edge", "beta", _FLOAT)])
+    off = _column(edges, "edge", "offset", _PAIR, optional="periodic graphs")
+    outside = np.flatnonzero((np.minimum(tail, head) < 0) |
+                             (np.maximum(tail, head) >= n))
+    if outside.size:
+        raise GraphFormatError(f"edge {outside[0]}: endpoint out of range")
 
-        if None in offsets:
-            raise GraphFormatError(
-                f"edge {offsets.index(None)}: periodic graphs need an "
-                f"'offset' on every edge")
-        # the first len(raw_edges) entries of `edges` are the file's edges
-        pedges = [(x, y, o, float(c)) for (x, y, c), o in zip(edges, offsets)]
-        have = {(x, y, o) for (x, y, o, _) in pedges}
-        for (x, y, o, c) in list(pedges):
-            if (y, x, (-o[0], -o[1])) not in have:
-                pedges.append((y, x, (-o[0], -o[1]), c))
-        return _checked(PeriodicGraph, n, pedges, [float(m) for m in masses])
+    # the one reverse closure: each edge without its reverse gets its own
+    lone = missing_reverses(n, tail, head, off)
+    tail, head = np.r_[tail, head[lone]], np.r_[head, tail[lone]]
+    cond = cond + [cond[i] for i in lone.tolist()]
+    try:  # a value the graph refuses is a format error too
+        if off is not None:
+            from .periodic import PeriodicGraph
 
-    if None in rays and any(rays):
-        raise GraphFormatError(
-            f"edge {rays.index(None)}: rays need 'alpha' and 'beta' on "
-            f"every edge or on none")
-    g = _checked(WeightedGraph, n, edges, masses, positions=positions)
-    if any(rays):
-        g.edge_rays = np.array(rays)
+            return PeriodicGraph(n, (tail, head, np.r_[off, -off[lone]], cond),
+                                 masses)
+        g = WeightedGraph(n, (tail, head, cond), masses, positions=positions)
+    except (ValueError, OverflowError) as exc:  # 1e400 as an integer, say
+        raise GraphFormatError(str(exc)) from exc
+    if rays is not None:
+        g.edge_rays = np.r_[rays, rays[lone] + np.pi]
     return g
+
+
+def _dump(path, vertices, edges):
+    with open(path, "w") as fh:
+        json.dump({"vertices": vertices, "edges": edges}, fh, indent=1)
+        fh.write("\n")
 
 
 def save_graph(path, g: WeightedGraph, rays=None):
     """Write g as a JSON graph file; `rays` is an (m, 2) array of
     (alpha, beta) in edge order, as `grid_to_graph` gives."""
-    rays = None if rays is None else np.asarray(rays).tolist()
-    vertices = []
-    for v in range(g.n):
-        entry = {"id": v, "mass": _number_to_json(g.masses[v])}
-        if g.positions is not None:
-            entry["x"] = float(g.positions[v][0])
-            entry["y"] = float(g.positions[v][1])
-        vertices.append(entry)
-    edges = []
-    for eid in range(g.m_edges):
-        x, y = int(g.tail[eid]), int(g.head[eid])
-        entry = {"from": x, "to": y,
-                 "conductance": _number_to_json(g.cond[eid])}
-        if rays is not None:
-            entry["alpha"], entry["beta"] = rays[eid]
-        edges.append(entry)
-    with open(path, "w") as fh:
-        json.dump({"vertices": vertices, "edges": edges}, fh, indent=1)
-        fh.write("\n")
+    vertices = [{"id": v, "mass": _number_to_json(m)}
+                for v, m in enumerate(g.masses)]
+    for entry, (x, y) in zip(vertices, [] if g.positions is None
+                             else g.positions.tolist()):
+        entry["x"], entry["y"] = x, y
+    edges = [{"from": x, "to": y, "conductance": _number_to_json(c)}
+             for x, y, c in zip(g.tail.tolist(), g.head.tolist(), g.cond)]
+    for entry, (alpha, beta) in zip(edges, [] if rays is None
+                                    else np.asarray(rays).tolist()):
+        entry["alpha"], entry["beta"] = alpha, beta
+    _dump(path, vertices, edges)
 
 
 def save_periodic_graph(path, pg):
-    vertices = [{"id": v, "mass": float(pg.masses[v])} for v in range(pg.n)]
-    edges = [{"from": x, "to": y, "offset": list(o), "conductance": float(c)}
-             for (x, y, o, c) in pg.edges]
-    with open(path, "w") as fh:
-        json.dump({"vertices": vertices, "edges": edges}, fh, indent=1)
-        fh.write("\n")
+    _dump(path, [{"id": v, "mass": float(m)} for v, m in enumerate(pg.masses)],
+          [{"from": x, "to": y, "offset": o, "conductance": c}
+           for x, y, o, c in zip(pg.tail.tolist(), pg.head.tolist(),
+                                 pg.off.tolist(), pg.cond.tolist())])
 
 
 def grid_to_graph(grid, modulus):

@@ -11,47 +11,43 @@ eigenvalue crosses 1, and tilting by it translates the polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, check_values, missing_reverses
 
 
-@dataclass
 class PeriodicGraph:
     """Fundamental domain with offset edges.
 
-    edges: (x0, y0, (i, j), conductance); closure under reversal with the
-    negated offset is enforced.  The edges are read once into arrays
-    `tail`, `head`, `off` (m x 2) and `cond`, grouped by tail (list order
-    within a tail); those of tail x0 are start[x0]:start[x0 + 1].
+    `edges` is a list of (x0, y0, (i, j), conductance) tuples or the tuple
+    of the columns (tail, head, off, cond) as arrays, off of shape (m, 2);
+    each edge x0 -> y0 needs its reverse y0 -> x0 at the negated offset.
+    The graph holds the columns only, sorted stably by tail (those of x0
+    are start[x0]:start[x0 + 1]), and c^k as the array `ck`, each mass
+    plus its tail's conductances added in order from 0.
     """
 
-    n: int
-    edges: list
-    masses: list
-
-    def __post_init__(self):
-        key = {(x, y, tuple(o)): float(c) for (x, y, o, c) in self.edges}
-        for (x, y, o, c) in self.edges:
-            rev = (y, x, (-o[0], -o[1]))
-            if rev not in key:
-                raise ValueError(f"edge {(x, y, o)} has no reverse")
-            if float(c) <= 0:
-                raise ValueError("conductances must be positive")
-        if any(m < 0 for m in self.masses):
-            raise ValueError("masses must be nonnegative")
-        rows = sorted(self.edges, key=lambda e: e[0])  # stable
-        self.tail = np.array([e[0] for e in rows], dtype=int)
-        self.head = np.array([e[1] for e in rows], dtype=int)
-        self.off = np.array([e[2] for e in rows], dtype=int).reshape(-1, 2)
-        self.cond = np.array([e[3] for e in rows], dtype=float)
-        self.start = np.searchsorted(self.tail, np.arange(self.n + 1))
-
-    def ck(self, x0):
-        out = self.cond[self.start[x0]:self.start[x0 + 1]]
-        return self.masses[x0] + sum(out.tolist())
+    def __init__(self, n, edges, masses):
+        self.n, self.masses = n, [float(m) for m in masses]
+        columns = isinstance(edges, tuple) and len(edges) == 4 and \
+            isinstance(edges[0], np.ndarray)
+        tail, head, off, cond = edges if columns else \
+            tuple(zip(*edges)) or ((),) * 4
+        order = np.argsort(np.asarray(tail), kind="stable")
+        self.tail, self.head = (np.array(a, dtype=int)[order]
+                                for a in (tail, head))
+        self.off = np.array(off, dtype=int).reshape(-1, 2)[order]
+        self.cond = np.array(cond, dtype=float)[order]
+        lone = missing_reverses(n, self.tail, self.head, self.off)
+        if lone.size:
+            e = lone[0]
+            raise ValueError(f"edge {self.tail[e]} -> {self.head[e]} at "
+                             f"offset {self.off[e]} has no reverse")
+        masses = np.array(self.masses)
+        check_values(self.cond, masses)
+        self.start = np.searchsorted(self.tail, np.arange(n + 1))
+        self.ck = masses + np.bincount(self.tail, self.cond, minlength=n)
 
     def max_offsets(self):
         return tuple(np.abs(self.off).max(axis=0, initial=0).tolist())
@@ -73,7 +69,7 @@ class PeriodicGraph:
         tails = cell * self.n + self.tail
         heads = (ti * reps_j + tj) * self.n + self.head
         conds = np.broadcast_to(self.cond, inside.shape)
-        masses = [float(m) for m in self.masses] * (reps_i * reps_j)
+        masses = self.masses * (reps_i * reps_j)
         g = WeightedGraph(len(index), (tails[inside], heads[inside],
                                        conds[inside]), masses, check=False)
         g.periodic_index = index
@@ -132,8 +128,7 @@ def assemble_bloch(pg: PeriodicGraph, z, w):
 
 def bloch_kernel(pg: PeriodicGraph, z, w):
     """Q^k(z, w) = I - D(c^k)^{-1} Delta^k(z, w)."""
-    ck = np.array([pg.ck(x0) for x0 in range(pg.n)])
-    return np.eye(pg.n) - assemble_bloch(pg, z, w) / ck[:, None]
+    return np.eye(pg.n) - assemble_bloch(pg, z, w) / pg.ck[:, None]
 
 
 class CharPolyEvaluator:
@@ -266,11 +261,13 @@ def perron_search(pg: PeriodicGraph, axis=0):
 
 def tilted_periodic_graph(pg: PeriodicGraph, z0, vec) -> PeriodicGraph:
     """Doob tilt by the z0-periodic field; conductances stay periodic."""
-    edges = []
-    for (x0, y0, o, c) in pg.edges:
-        factor = vec[y0] * (z0[0] ** o[0]) * (z0[1] ** o[1]) / vec[x0]
-        edges.append((x0, y0, o, c * factor))
-    return PeriodicGraph(pg.n, edges, [0.0] * pg.n)
+    # z0 ** off by Python's float power, which numpy's array power need
+    # not match to the last bit
+    zi, zj = np.power(np.array(z0, dtype=object), pg.off).astype(float).T
+    vec = np.asarray(vec)
+    factor = vec[pg.head] * zi * zj / vec[pg.tail]
+    return PeriodicGraph(pg.n, (pg.tail, pg.head, pg.off, pg.cond * factor),
+                         [0.0] * pg.n)
 
 
 def verify_translation(pg: PeriodicGraph, z0, vec, n_points=20, seed=1):

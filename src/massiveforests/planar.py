@@ -166,15 +166,8 @@ class DoubleGraph:
         self.r = r
 
         self.dual_ids = [f for f in range(len(structure.faces)) if f != r]
-        self.dual_index = {f: i for i, f in enumerate(self.dual_ids)}
         self.n_black = col.n + len(self.dual_ids)
         self.n_white = len(structure.x)
-
-    def black_of_vertex(self, x):
-        return x
-
-    def black_of_face(self, f):
-        return self.col.n + self.dual_index[f]
 
     def white_neighbours(self, w):
         """Surviving (black id, kind, phase slot) around white w.
@@ -242,7 +235,8 @@ class WhiteTable:
         self.left, self.right = s.face[0::2], s.face[1::2]
         self.mask = np.stack([np.ones(dg.n_white, bool), self.left != r,
                               self.y != n, self.right != r], axis=1)
-        # black_of_face per face; r's entry is masked out wherever it is read
+        # each face's black n + f - (f > r); r's entry is masked out
+        # wherever it is read
         face_black = n + np.arange(len(s.faces))
         face_black[r + 1:] -= 1
         self.black = np.stack([self.x, face_black[self.left], self.y,

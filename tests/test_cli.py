@@ -63,6 +63,70 @@ class TestIO:
         assert isinstance(pg, PeriodicGraph)
         assert pg.masses == [0.5]
 
+    def test_parallel_one_way_edges_get_one_reverse_each(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "vertices": [{"id": 0, "mass": 1}, {"id": 1, "mass": 1}],
+            "edges": [{"from": 0, "to": 1, "conductance": c}
+                      for c in (1.0, 2.0)]}))
+        g = load_graph(str(p))
+        assert list(zip(g.tail.tolist(), g.head.tolist(), g.cond)) == [
+            (0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0), (1, 0, 2.0)]
+        assert g.edge_conductance(1, 0) == g.edge_conductance(0, 1) == 3.0
+
+    @staticmethod
+    def charpoly_csv(tmp_path, name, path):
+        out = tmp_path / f"{name}.csv"
+        assert main(["charpoly", "--periodic-graph", str(path),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("seed", [None, 3, 7])
+    def test_periodic_save_load_keeps_columns(self, tmp_path, monkeypatch,
+                                              seed):
+        # the honeycomb, then seeded random domains of test_periodic
+        import massiveforests.cli as cli
+        from massiveforests.periodic import honeycomb
+        from test_periodic import random_periodic_graph
+
+        pg = honeycomb(0.5) if seed is None else random_periodic_graph(seed)
+        p = tmp_path / "per.json"
+        save_periodic_graph(str(p), pg)
+        loaded = load_graph(str(p))
+        for name in ("tail", "head", "off", "cond"):
+            assert getattr(loaded, name).tolist() == \
+                getattr(pg, name).tolist()
+        assert loaded.masses == pg.masses
+        from_file = self.charpoly_csv(tmp_path, "file", p)
+        monkeypatch.setattr(cli, "_load_graph_or_die", lambda path: pg)
+        assert self.charpoly_csv(tmp_path, "direct", p) == from_file
+
+    @pytest.mark.parametrize("lattice", ["square", "honeycomb"])
+    def test_periodic_file_without_reverses(self, tmp_path, lattice):
+        # the full file lists the reverses after the edges, where the
+        # loader appends them to the file without reverses, so both load
+        # to the same columns and the same Bloch sums
+        if lattice == "square":
+            edges = [{"from": 0, "to": 0, "offset": o, "conductance": 1.0}
+                     for o in ([1, 0], [0, 1], [-1, 0], [0, -1])]
+            data = {"vertices": [{"id": 0, "mass": 1.0}], "edges": edges}
+        else:
+            from massiveforests.periodic import honeycomb
+
+            save_periodic_graph(str(tmp_path / "honeycomb.json"),
+                                honeycomb(1.0))
+            data = json.loads((tmp_path / "honeycomb.json").read_text())
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps(data))
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(
+            {**data, "edges": data["edges"][:len(data["edges"]) // 2]}))
+        for name in ("tail", "head", "off", "cond"):
+            assert getattr(load_graph(str(half)), name).tolist() == \
+                getattr(load_graph(str(full)), name).tolist()
+        assert self.charpoly_csv(tmp_path, "half", half) == \
+            self.charpoly_csv(tmp_path, "full", full)
+
 
 class TestDispatch:
     def test_verify_elliptic_exit_zero(self, capsys):
@@ -111,9 +175,17 @@ class TestDispatch:
         ({"mass": "1/0"}, {}, []),
         ({"mass": [1]}, {}, []),
         ({}, {}, [{"id": 2, "mass": 1, "x": 2.0, "y": 0.0}]),
+        ({"id": "a"}, {}, []),
+        ({"id": 0.0}, {}, []),
+        ({"x": "abc"}, {}, []),
+        ({"mass": float("nan")}, {}, []),
+        ({}, {"conductance": float("inf")}, []),
+        ({}, {"conductance": 10 ** 400}, []),
     ], ids=["negative-conductance", "conductance-zero-denominator",
             "negative-mass", "mass-not-a-number", "mass-zero-denominator",
-            "mass-list", "disconnected"])
+            "mass-list", "disconnected", "string-id", "float-id",
+            "string-x", "nan-mass", "infinite-conductance",
+            "float-overflowing-conductance"])
     @pytest.mark.parametrize("command", ["edge-prob", "sample-forest"])
     def test_bad_graph_values_exit_two(self, tmp_path, capsys, command,
                                        vertex, edge, extra):

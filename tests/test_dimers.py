@@ -13,7 +13,6 @@ from massiveforests.dimers import (
     _temperley_map,
     _tilted_window,
     check_kasteleyn_property,
-    det_relation_constant,
     drifted_weights,
     dual_block_vs_inverse_conductances,
     dual_operator,
@@ -200,6 +199,16 @@ def loop_killed_weights(dg, lam, lam_star):
     return values
 
 
+def dual_slot(dg, f):
+    """Face f's index among the kept dual vertices, r left out."""
+    return f - (f > dg.r)
+
+
+def face_black(dg, f):
+    """Face f's black: the window vertices come first."""
+    return dg.col.n + dual_slot(dg, f)
+
+
 def loop_gauge(dg, lam, lam_star):
     phi = {}
     for w, ends in enumerate(loop_ends(dg, lam)):
@@ -207,20 +216,20 @@ def loop_gauge(dg, lam, lam_star):
         phi[w] = 1.0 / math.sqrt(c * lx * ly)
     psi = {}
     for x in range(dg.col.n):
-        psi[dg.black_of_vertex(x)] = float(lam[dg.col.ambient_ids[x]])
+        psi[x] = float(lam[dg.col.ambient_ids[x]])
     for f in dg.dual_ids:
-        psi[dg.black_of_face(f)] = 1.0 / float(lam_star[f])
+        psi[face_black(dg, f)] = 1.0 / float(lam_star[f])
     return phi, psi
 
 
 def loop_white_neighbours(dg, info):
-    out = [(dg.black_of_vertex(info["x"]), "primal", 0)]
+    out = [(info["x"], "primal", 0)]
     if info["left"] != dg.r:
-        out.append((dg.black_of_face(info["left"]), "dual", 1))
+        out.append((face_black(dg, info["left"]), "dual", 1))
     if info["y"] != "o":
-        out.append((dg.black_of_vertex(info["y"]), "primal", 2))
+        out.append((info["y"], "primal", 2))
     if info["right"] != dg.r:
-        out.append((dg.black_of_face(info["right"]), "dual", 3))
+        out.append((face_black(dg, info["right"]), "dual", 3))
     return out
 
 
@@ -262,10 +271,10 @@ def loop_dual_operator(dg, lam, lam_star):
         for f in (a, b):
             if f == dg.r:
                 continue
-            i = dg.dual_index[f]
+            i = dual_slot(dg, f)
             D[i, i] += ctilde_star / float(lam_star[f]) ** 2
         if a != dg.r and b != dg.r and a != b:
-            i, j = dg.dual_index[a], dg.dual_index[b]
+            i, j = dual_slot(dg, a), dual_slot(dg, b)
             val = ctilde_star / (float(lam_star[a]) * float(lam_star[b]))
             D[i, j] -= val
             D[j, i] -= val
@@ -312,13 +321,13 @@ def loop_dual_block_vs_inverse_conductances(dg, lam, lam_star):
     D = loop_dual_operator(dg, lam, lam_star)
     nd = len(dg.dual_ids)
     boundary = set(dg.structure.o_faces) | {dg.r}
-    keep = {dg.dual_index[f] for f in dg.dual_ids if f not in boundary}
+    keep = {dual_slot(dg, f) for f in dg.dual_ids if f not in boundary}
     cstar = np.zeros((nd, nd))
     for w, info in enumerate(white_dicts(dg)):
         a, b = info["left"], info["right"]
         if a == dg.r or b == dg.r or a == b:
             continue
-        i, j = dg.dual_index[a], dg.dual_index[b]
+        i, j = dual_slot(dg, a), dual_slot(dg, b)
         cstar[i, j] += 1.0 / float(info["edge"].cond)
         cstar[j, i] += 1.0 / float(info["edge"].cond)
     off_gap = 0.0
@@ -696,8 +705,7 @@ class TestLocalStatistics:
             ctilde = Fraction(window.edge_conductance(x, y)) * \
                 lam_w[y] / lam_w[x]
             p_tree = float(entry(e, e) * ctilde)
-            p_dimer = local_statistics(dg, K, [(w, dg.black_of_vertex(x))],
-                                       Kinv=Kinv)
+            p_dimer = local_statistics(dg, K, [(w, x)], Kinv=Kinv)
             assert abs(p_tree - p_dimer) <= 1e-10
 
 
@@ -886,7 +894,7 @@ class TestSelfDuality:
         assert res and max(r for _, r in res) <= 1e-10
         off_gap, masses = dual_block_vs_inverse_conductances(
             dg, lam, lam_star)
-        interior = [dg.dual_index[f] for f in face_map if f in dg.dual_index]
+        interior = [dual_slot(dg, f) for f in face_map if f != dg.r]
         assert off_gap <= 1e-10
         assert all(masses[i] > -1e-12 for i in interior)
 
@@ -1107,9 +1115,9 @@ class TestTemperleySampler:
         for c, f in zip(s.tail[s.walk ^ 1].tolist(), s.face[s.walk].tolist()):
             faces.setdefault(c, set()).add(f)
             corners.setdefault(f, set()).add(c)
-        ringed = {dg.black_of_vertex(x) for x in range(col.n)
+        ringed = {x for x in range(col.n)
                   if not faces[x] & outer}
-        ringed |= {dg.black_of_face(f) for f in dg.dual_ids
+        ringed |= {face_black(dg, f) for f in dg.dual_ids
                    if f not in outer and col.o not in corners[f]}
         refused = 0
         for w in range(dg.n_white):

@@ -427,7 +427,7 @@ def loop_quad_adjacency(dg):
                 continue
             for q2, b in (((corner, across), corner),
                           ((x if y == corner else y, f),
-                           dg.black_of_face(f))):
+                           dg.col.n + f - (f > dg.r))):
                 if q2 in ids:
                     j = ids[q2]
                     if j not in seen:

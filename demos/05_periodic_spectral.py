@@ -44,7 +44,7 @@ tilde = tilted_periodic_graph(pg, z0, vec)
 pt = np.linalg.det(assemble_bloch(tilde, z / z0[0], w / z0[1]))
 print(f"P(2, 1+i) = {pk:.10f},  P~(1, (1+i)/1) = {pt:.10f}")
 
-rows = spectral_probe(square_lattice(1.0), n_samples=8)
+rows = spectral_probe(square_lattice(1.0))
 print("\nspectral probe on the positive quadrant (realness diagnostic):")
 for (x, y, re, im) in rows[:4]:
     print(f"  P({x:.3f}, {y:.3f}) = {re:+.6f} (imag {im:.1e})")

@@ -3,8 +3,10 @@
 Every run writes its outputs plus a manifest (command, config hash, seed,
 versions, wall time).  All randomness flows from --seed through per-task
 streams, so identical invocations produce byte-identical outputs at any
---threads setting.  Exit codes: 0 success, 1 verification failure, 2 usage
-or input error.
+--threads setting.  `main` returns the exit status: 0 success, 1
+verification failure, 2 usage or input error.  A command refuses an input
+by raising `Refused`, which `main` prints as `error: <message>`; only
+argparse raises SystemExit, for a usage error.
 """
 
 from __future__ import annotations
@@ -50,33 +52,58 @@ def _write_manifest(path, command, args_dict, seed, outputs, t0,
         fh.write("\n")
 
 
+class Refused(Exception):
+    """An input the CLI cannot use; `main` prints `error: <message>` and
+    returns 2."""
+
+
 def _read_or_die(read, path):
-    """read(path), or `error: ...` and exit 2 if it is missing or malformed."""
+    """read(path), refused if the file is missing or malformed."""
     from .io import GraphFormatError
 
     try:
         return read(path)
     except OSError as exc:
-        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        raise Refused(f"{path}: {exc.strerror}")
     except (GraphFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-    raise SystemExit(2)
+        raise Refused(f"{path}: {exc}")
 
 
-def _load_graph_or_die(path):
+def _load_graph_or_die(path, periodic=False, rays=False, positions=False):
+    """The graph file at `path` as its command reads it: a periodic graph
+    (edges with offsets) or a finite one, with per-edge rays and vertex
+    coordinates where asked; any other file is refused."""
+    from .graphs import WeightedGraph
     from .io import load_graph
 
-    return _read_or_die(load_graph, path)
+    g = _read_or_die(load_graph, path)
+    finite = isinstance(g, WeightedGraph)
+    if periodic and finite:
+        raise Refused("file has no edge offsets; not a periodic graph")
+    if rays and not hasattr(g, "edge_rays"):
+        raise Refused("dimer sampling needs a grid file with per-edge rays")
+    if not (periodic or finite):
+        raise Refused(f"{path}: edges with offsets make a periodic graph; "
+                      f"need a finite graph")
+    if positions and g.positions is None:
+        raise Refused(f"{path}: need vertex coordinates x and y")
+    return g
 
 
 def _load_json_or_die(path):
-    """A JSON object from `path`, or `error: ...` and exit 2."""
+    """A JSON object from `path`, or refused."""
     data = _read_or_die(lambda p: json.loads(pathlib.Path(p).read_text()),
                         path)
-    if isinstance(data, dict):
-        return data
-    print(f"error: {path}: need a JSON object", file=sys.stderr)
-    raise SystemExit(2)
+    if not isinstance(data, dict):
+        raise Refused(f"{path}: need a JSON object")
+    return data
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _is_number(v):
@@ -114,26 +141,24 @@ _CONFIG_CHECKS = {key: (what, ok) for what, ok, keys in (
 
 
 def _load_config_or_die(path, defaults):
-    """`defaults` updated by the experiment config at `path`; `error: ...`
-    and exit 2 for a key that `defaults` lacks or a value of a wrong type."""
+    """`defaults` updated by the experiment config at `path`; refused for a
+    key that `defaults` lacks or a value of a wrong type."""
     cfg = _load_json_or_die(path)
     for key, value in cfg.items():
         if key not in defaults:
-            print(f"error: {path}: unknown key {json.dumps(key)}; known "
-                  f"keys: {', '.join(defaults)}", file=sys.stderr)
-            raise SystemExit(2)
+            raise Refused(f"{path}: unknown key {json.dumps(key)}; known "
+                          f"keys: {', '.join(defaults)}")
         what, ok = _CONFIG_CHECKS[key]
         if not ok(value):
-            print(f"error: {path}: {json.dumps(key)} must be {what}, "
-                  f"not {json.dumps(value)}", file=sys.stderr)
-            raise SystemExit(2)
+            raise Refused(f"{path}: {json.dumps(key)} must be {what}, "
+                          f"not {json.dumps(value)}")
     return {**defaults, **cfg}
 
 
 def _parse_edges_or_die(text, g):
     """[(tail, head)] from `--edges` text like 0-1,2-R (R or root: the
-    cemetery), each an edge of g (x-R needs m(x) > 0) named once; `error:
-    --edges ...` and exit 2 otherwise."""
+    cemetery), each an edge of g (x-R needs m(x) > 0) named once; refused
+    otherwise."""
     from .graphs import ROOT
     from .linalg import edge_conductance_k
 
@@ -155,14 +180,13 @@ def _parse_edges_or_die(text, g):
             else:
                 edges.append(e)
                 continue
-        print(f"error: --edges: {token!r} {problem}", file=sys.stderr)
-        raise SystemExit(2)
+        raise Refused(f"--edges: {token!r} {problem}")
     return edges
 
 
-def _load_lambda_or_die(path):
-    """{vertex: Fraction} from a JSON object of vertex ids to positive
-    rationals (numbers or strings like "3/2"), or `error: ...` and exit 2."""
+def _load_lambda_or_die(path, n):
+    """{vertex: Fraction} from a JSON object of vertex ids in 0..n-1 to
+    positive rationals (numbers or strings like "3/2"), or refused."""
     from fractions import Fraction
 
     lam = {}
@@ -174,10 +198,12 @@ def _load_lambda_or_die(path):
             if lam[int(key)] <= 0:
                 raise ValueError
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            print(f"error: {path}: entry {json.dumps(key)}: "
-                  f"{json.dumps(value)} needs an integer vertex id and a "
-                  f"positive rational value", file=sys.stderr)
-            raise SystemExit(2) from None
+            raise Refused(f"{path}: entry {json.dumps(key)}: "
+                          f"{json.dumps(value)} needs an integer vertex id "
+                          f"and a positive rational value")
+        if not 0 <= int(key) < n:
+            raise Refused(f"{path}: entry {json.dumps(key)}: vertex "
+                          f"{int(key)} is outside 0..{n - 1}")
     return lam
 
 
@@ -203,13 +229,12 @@ def cmd_grid(args):
         mod = (near_critical_modulus(args.M, args.delta) if args.M != 0
                else complete_integrals(args.k))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, []
+        raise Refused(exc)
     g, rays = grid_to_graph(grid, mod)
     save_graph(args.out, g, rays=rays)
     print(f"wrote {args.out}: {g.n} vertices, {g.m_edges} directed edges, "
           f"k = {mod.k:.6g}")
-    return 0, [args.out]
+    return [args.out]
 
 
 def cmd_sample_forest(args):
@@ -219,28 +244,21 @@ def cmd_sample_forest(args):
     g = _load_graph_or_die(args.graph)
     if args.root is not None:
         if not 0 <= args.root < g.n:
-            print(f"error: --root {args.root} is not a vertex of the graph",
-                  file=sys.stderr)
-            return 2, []
+            raise Refused(f"--root {args.root} is not a vertex of the graph")
         roots = {args.root}
     elif any(m > 0 for m in g.masses):
         roots = ()
     else:
-        print("error: graph has no mass; pass --root for tree sampling",
-              file=sys.stderr)
-        return 2, []
+        raise Refused("graph has no mass; pass --root for tree sampling")
     counter = WilsonEdgeCounter(g, roots)
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
         counts = counter.counts(args.n, args.seed, pool.map)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tail", "head", "count", "n_samples"])
-        for e, c in zip(counter.pairs, counts):
-            head = "root" if e[1] == ROOT else e[1]
-            writer.writerow([e[0], head, int(c), args.n])
+    _write_csv(args.out, ["tail", "head", "count", "n_samples"],
+               ([x, "root" if y == ROOT else y, int(c), args.n]
+                for (x, y), c in zip(counter.pairs, counts)))
     print(f"wrote {args.out}")
-    return 0, [args.out]
+    return [args.out]
 
 
 def cmd_edge_prob(args):
@@ -251,19 +269,15 @@ def cmd_edge_prob(args):
     try:  # input errors: a massless component, float data with --exact
         p = edge_probability(g, edges, exact=args.exact)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, []
+        raise Refused(exc)
     outputs = []
     if args.dump_matrix:
         L = assemble_massive_laplacian(g).toarray()
-        with open(args.dump_matrix, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            writer.writerows([i, j, repr(v)]
-                             for (i, j), v in np.ndenumerate(L))
+        _write_csv(args.dump_matrix, ["row", "col", "value"],
+                   ([i, j, repr(v)] for (i, j), v in np.ndenumerate(L)))
         outputs.append(args.dump_matrix)
     print(f"P({args.edges}) = {p}")
-    return 0, outputs
+    return outputs
 
 
 def cmd_sample_dimers(args):
@@ -271,63 +285,45 @@ def cmd_sample_dimers(args):
     from .elliptic import near_critical_modulus
     from .isoradial import drift_field_from_rays
 
-    g = _load_graph_or_die(args.graph)
-    if not hasattr(g, "edge_rays"):
-        print("error: dimer sampling needs a grid file with per-edge rays",
-              file=sys.stderr)
-        return 2, []
+    g = _load_graph_or_die(args.graph, rays=True, positions=True)
     try:
         mod = near_critical_modulus(args.M, args.delta)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, []
+        raise Refused(exc)
     # --M and --delta give the field's modulus; only the file's own one
     # makes it massive harmonic, i.e. the tilt a Doob transform of the
     # file's killed model
     try:
         bulk, lam = drift_field_from_rays(g, mod, args.u)
     except ValueError as exc:
-        print(f"error: drift field refused: {exc}; "
-              f"--M and --delta must match the grid file", file=sys.stderr)
-        return 2, []
+        raise Refused(f"drift field refused: {exc}; "
+                      f"--M and --delta must match the grid file")
 
     sampler = TemperleySampler.on_window(g, bulk, lam)
     draws = sampler.batches(args.n, args.seed)
     try:  # heights need interior quads; refuse before the first draw
         quads = sampler.dg.quad_adjacency.quads  # sorted
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, []
+        raise Refused(exc)
     rows = []
     for sid, (blacks, heights) in enumerate(pair for bs, hs in draws for pair
                                             in zip(bs.tolist(), hs.tolist())):
         rows += [(sid, "match", w, b, 1) for w, b in enumerate(blacks)]
         rows += [(sid, "height", c, f, v) for (c, f), v in zip(quads, heights)]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "kind", "key1", "key2", "value"])
-        writer.writerows(rows)
+    _write_csv(args.out, ["sample", "kind", "key1", "key2", "value"], rows)
     print(f"wrote {args.out}: {args.n} samples, {sampler.dg.n_white} whites")
-    return 0, [args.out]
+    return [args.out]
 
 
 def cmd_charpoly(args):
-    from .periodic import PeriodicGraph, charpoly
+    from .periodic import charpoly
 
-    pg = _load_graph_or_die(args.periodic_graph)
-    if not isinstance(pg, PeriodicGraph):
-        print("error: file has no edge offsets; not a periodic graph",
-              file=sys.stderr)
-        return 2, []
-    ev = charpoly(pg)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["exp_z", "exp_w", "coefficient"])
-        for (a, b), c in sorted(ev.coeffs.items()):
-            writer.writerow([a, b, repr(c)])
+    ev = charpoly(_load_graph_or_die(args.periodic_graph, periodic=True))
+    _write_csv(args.out, ["exp_z", "exp_w", "coefficient"],
+               ([a, b, repr(c)] for (a, b), c in sorted(ev.coeffs.items())))
     hull = ev.newton_polygon()
     print(f"wrote {args.out}; Newton polygon vertices: {hull}")
-    return 0, [args.out]
+    return [args.out]
 
 
 # -- verify batteries -------------------------------------------------------
@@ -398,16 +394,17 @@ def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
         lam = {i: Fraction(2) ** i for i in range(n)}
         subset = [2, 3]
     else:
-        g = _load_graph_or_die(graph_path)
-        if lam_spec == "pow2":
-            lam = {i: Fraction(2) ** int(round(g.positions[i][0]))
-                   for i in range(g.n)}
-        else:
-            lam = _load_lambda_or_die(lam_spec)
-        subset = [x for x in range(g.n)
-                  if all(lam.get(y) is not None for y in g.neighbours(x))]
-    out = verify_partition_equality(g, subset, lam, exact=exact)
-    zf, zt, gap = out[:3]
+        pow2 = lam_spec == "pow2"
+        g = _load_graph_or_die(graph_path, positions=pow2)
+        lam = {i: Fraction(2) ** int(round(g.positions[i][0]))
+               for i in range(g.n)} if pow2 else \
+            _load_lambda_or_die(lam_spec, g.n)
+        # the window: vertices with lambda on themselves and every neighbour
+        subset = [x for x in lam if all(y in lam for y in g.neighbours(x))]
+        if not subset:
+            raise Refused(f"{lam_spec}: no vertex has lambda on itself and "
+                          f"on all its neighbours")
+    zf, zt, gap = verify_partition_equality(g, subset, lam, exact=exact)
     if exact:
         print(f"  Z_RSF = {zf}")
         print(f"  Z_RST^o = {zt}")
@@ -503,13 +500,14 @@ BATTERIES = {
 
 
 def cmd_verify(args):
+    """No outputs, or None when the battery fails."""
     t0 = time.time()
     failures = BATTERIES[args.battery](args)
     if failures:
         print(f"verify {args.battery}: FAIL ({', '.join(failures)})")
-        return 1, []
+        return None
     print(f"verify {args.battery}: ok ({time.time() - t0:.1f}s)")
-    return 0, []
+    return []
 
 
 # -- experiments -------------------------------------------------------------
@@ -595,17 +593,12 @@ def cmd_experiment(args):
     try:
         rows = [[args.name, *row] for row in run(cfg, args.seed)]
     except SeedRangeError as exc:  # a stream the seed cannot key
-        print(f"error: {seed_from} {args.seed}: {exc}", file=sys.stderr)
-        return 2, []
+        raise Refused(f"{seed_from} {args.seed}: {exc}")
     except ValueError as exc:  # an input the run refuses
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 2, []
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", *header.split()])
-        writer.writerows(rows)
+        raise Refused(f"{args.config}: {exc}")
+    _write_csv(args.out, ["experiment", *header.split()], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0, [args.out]
+    return [args.out]
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -706,18 +699,24 @@ def build_parser():
 def main(argv=None):
     from .walks import TaskRangeError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        code, outputs = args.func(args)
-    except TaskRangeError as exc:  # --n too large, refused before sampling
-        print(f"error: --n {args.n}: {exc}", file=sys.stderr)
+        for path in filter(None, map(vars(args).get,
+                                     ("out", "dump_matrix", "manifest"))):
+            if not pathlib.Path(path).parent.is_dir():
+                raise Refused(f"{path}: no such directory")
+        outputs = args.func(args)
+    except (Refused, TaskRangeError) as exc:  # TaskRangeError: --n too large
+        where = "" if isinstance(exc, Refused) else f"--n {args.n}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if code == 0 and outputs:
+    if outputs is None:  # a failed verification battery
+        return 1
+    if outputs:
         manifest_path = args.manifest or outputs[0] + ".manifest.json"
         args_dict = {k: v for k, v in vars(args).items() if k != "func"}
         file_inputs = [v for k, v in vars(args).items()
@@ -725,7 +724,7 @@ def main(argv=None):
                        and isinstance(v, str)]
         _write_manifest(manifest_path, args.command, args_dict, args.seed,
                         outputs, t0, file_inputs)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .graphs import ROOT, WeightedGraph, collapse_boundary
 from .linalg import (
     _csc_from_triplets,
     assemble_massive_laplacian,
+    determinant,
     determinant_exact,
     log_determinant,
 )
@@ -172,12 +173,6 @@ def _require_square(n_white, n_black):
         raise ValueError("Kasteleyn matrix must be square (|W| = |B|)")
 
 
-def kasteleyn_determinant(K):
-    """Float determinant of a dense K."""
-    _require_square(*K.shape)
-    return complex(np.linalg.det(K))
-
-
 def kasteleyn_abs2_exact(dg: DoubleGraph, weights: WeightSystem):
     """|det K|^2 as a Fraction (the weights must be rational).
 
@@ -199,10 +194,10 @@ def kasteleyn_abs2_exact(dg: DoubleGraph, weights: WeightSystem):
 
 
 def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
-                        cap_whites=14, exact=False):
-    """All perfect matchings with weights (oracle; capped size)."""
-    if dg.n_white > cap_whites:
-        raise ValueError(f"matching enumeration capped at {cap_whites}")
+                        exact=False):
+    """All perfect matchings with weights (oracle; at most 14 whites)."""
+    if dg.n_white > 14:
+        raise ValueError("matching enumeration capped at 14")
     neigh = [dg.white_neighbours(w) for w in range(dg.n_white)]
     used_black = set()
     matching = {}
@@ -228,19 +223,17 @@ def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
     return results
 
 
-def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False,
-                    cap_whites=14):
+def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False):
     """(|det K|, sum over matchings, relative gap), or in exact mode
     (|det K|^2, sum over matchings, |det K|^2 - sum^2)."""
     if exact:
         det2 = kasteleyn_abs2_exact(dg, weights)
-        matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites,
-                                        exact=True)
+        matchings = enumerate_matchings(dg, weights, exact=True)
         z = sum((wt for _, wt in matchings), Fraction(0))
         return det2, z, det2 - z * z
-    K = kasteleyn_matrix(dg, weights).toarray()
-    det = abs(kasteleyn_determinant(K))
-    matchings = enumerate_matchings(dg, weights, cap_whites=cap_whites)
+    _require_square(dg.n_white, dg.n_black)
+    det = abs(determinant(kasteleyn_matrix(dg, weights)))
+    matchings = enumerate_matchings(dg, weights)
     z = float(sum(wt for _, wt in matchings))
     gap = abs(det - z) / max(abs(z), 1e-300)
     return det, z, gap

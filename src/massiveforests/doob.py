@@ -44,12 +44,15 @@ def _lambda_at(lam, vertices):
 def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
     """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped.
 
-    One array expression over the edges; Fraction data and lambda give
-    Fraction tilts."""
-    lam = _lambda_at(lam, np.arange(ambient.n))
+    One array expression over the edges, reading lambda at their ends
+    only; Fraction data and lambda give Fraction tilts."""
+    ends, at = np.unique(np.r_[ambient.tail, ambient.head],
+                         return_inverse=True)
+    lam = _lambda_at(lam, ends)
     if not np.all(lam > 0):
         raise ValueError("lambda must be positive everywhere")
-    cond = ambient.cond_a * lam[ambient.head] / lam[ambient.tail]
+    lam_tail, lam_head = np.split(lam[at], 2)
+    cond = ambient.cond_a * lam_head / lam_tail
     zero = Fraction(0) if ambient.is_exact() else 0.0
     return WeightedGraph(ambient.n, (ambient.tail, ambient.head, cond),
                          [zero] * ambient.n, positions=ambient.positions,
@@ -120,13 +123,19 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
     Returns (z_forest, z_tree, relative gap).  In float mode the partition
     functions are `log_determinant` pairs (sign, log|Z|), which stay finite
     on windows where Z itself overflows, and the gap is
-    |expm1(log Z_tree - log Z_forest)|, inf when the signs differ.  Refuses
-    when lambda fails the harmonicity gate on the window.
+    |expm1(log Z_tree - log Z_forest)|, inf when the signs differ.  Reads
+    lambda on the window and its neighbours only, and refuses when it fails
+    the harmonicity gate on the window.
     """
     subset = sorted(subset)
     require_massive_harmonic(ambient, lam, subset)
     window = wired_restriction(ambient, subset)
-    tilde = doob_conductances(ambient, lam)
+    # the tilted window and G^o read only the edges out of the window: tilt
+    # those alone, so lambda is read on the window and its neighbours only
+    _, _, out, _ = _window(ambient, subset)
+    tilde = doob_conductances(WeightedGraph(
+        ambient.n, (ambient.tail[out], ambient.head[out], ambient.cond_a[out]),
+        ambient.masses_a, positions=ambient.positions, check=False), lam)
     tilde_window = wired_restriction(tilde, subset)
     if exact:
         z_forest = determinant_exact(

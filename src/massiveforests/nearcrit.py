@@ -102,6 +102,7 @@ class SquareLatticeKernel:
 
 STEP_CAP = 10**7
 EXIT_TASK = 1 << 14  # walkers per exit-law task
+N_ARCS = 16  # exit arcs of the disk, centred on the symmetry axes
 JUMP_MAX = 64  # the longest jump, in lattice steps; a power of two
 GUIDE_CELLS = 1 << 12  # guide cells per outcome table; a power of two
 
@@ -402,7 +403,7 @@ def _path_ratios(killed, drifted, box, x, y):
                                             + math.sin(u) * dz.imag))
 
 
-def girsanov_ratio_check(M, u_bar, deltas, radius=1.0):
+def girsanov_ratio_check(M, u_bar, deltas):
     """Deterministic path-probability ratios against the Girsanov target.
 
     For each delta, takes the straight east path from the origin to the
@@ -414,7 +415,7 @@ def girsanov_ratio_check(M, u_bar, deltas, radius=1.0):
     rows = []
     for d in deltas:
         killed = SquareLatticeKernel(M, d)
-        box = _disk_box(killed.spacing, radius)
+        box = _disk_box(killed.spacing, 1.0)
         x = y = box.site(0, 0)
         while not box.stop[y + box.moves[0]]:
             y += box.moves[0]
@@ -595,16 +596,15 @@ def _circle_crossing_angle(p, q, radius):
     return np.angle(z) % (2 * math.pi)
 
 
-def _exit_arcs(box, w, radius, n_arcs):
+def _exit_arcs(box, w, radius):
     """(walker ids, arcs) of the walkers that left the disk alive."""
     out = np.flatnonzero(~w.died & box.stop[w.final])
     ang = _circle_crossing_angle(box.z[w.prev[out]], box.z[w.final[out]],
                                  radius)
-    return out, _arc_bin(ang, n_arcs)
+    return out, _arc_bin(ang, N_ARCS)
 
 
-def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
-                  drifted=True):
+def exit_law_walk(M, u_bar, delta, n_samples, seed, drifted=True):
     """Exit-arc histogram of the drifted (or killed) walk from the disk centre.
 
     The recorded exit location is where the walk's last step crosses the
@@ -614,36 +614,33 @@ def exit_law_walk(M, u_bar, delta, n_samples, seed, radius=1.0, n_arcs=16,
     if n_samples < 0:
         raise ValueError(f"n_samples = {n_samples} must be >= 0")
     kernel = SquareLatticeKernel(M, delta, u_bar=u_bar if drifted else None)
-    box = _disk_box(kernel.spacing, radius)
-    counts = np.zeros(n_arcs, dtype=np.int64)
+    box = _disk_box(kernel.spacing, 1.0)
+    counts = np.zeros(N_ARCS, dtype=np.int64)
     for task, todo in tasks(n_samples, EXIT_TASK):
         w = _walk(kernel, box, box.nearest(0j), todo,
                   rng_stream(seed, task), STEP_CAP)
-        counts += np.bincount(_exit_arcs(box, w, radius, n_arcs)[1],
-                              minlength=n_arcs)
+        counts += np.bincount(_exit_arcs(box, w, 1.0)[1], minlength=N_ARCS)
     return counts, int(counts.sum())
 
 
-def exit_law_brownian(M, u_bar, delta, n_samples, seed, radius=1.0,
-                      n_arcs=16):
+def exit_law_brownian(M, u_bar, delta, n_samples, seed):
     """Exit-arc histogram of drifted Brownian motion from the disk centre.
 
     Brownian motion with drift 2M e^{i u_bar} leaves the disk at a von
-    Mises angle with mean u_bar and concentration 2 M radius (Girsanov plus
+    Mises angle with mean u_bar and concentration 2 M (Girsanov plus
     the independence of the exit time and the exit point from the centre),
     so the angles are drawn exactly.  `delta` is kept so the call matches
     `exit_law_walk`; the continuum law does not depend on it.
     """
-    return _brownian_exits(M, u_bar, n_samples, seed, 0, radius, n_arcs)
+    return _brownian_exits(M, u_bar, n_samples, seed, 0)
 
 
-def _brownian_exits(M, u_bar, n_samples, seed, task, radius=1.0, n_arcs=16):
+def _brownian_exits(M, u_bar, n_samples, seed, task):
     """`exit_law_brownian` drawn from `rng_stream(seed, task)`."""
     if M < 0:
         raise ValueError(f"mass parameter M = {M} must be nonnegative")
-    angles = rng_stream(seed, task).vonmises(u_bar, 2 * M * radius,
-                                             n_samples)
-    counts = np.bincount(_arc_bin(angles, n_arcs), minlength=n_arcs)
+    angles = rng_stream(seed, task).vonmises(u_bar, 2 * M, n_samples)
+    counts = np.bincount(_arc_bin(angles, N_ARCS), minlength=N_ARCS)
     return counts.astype(np.int64), int(n_samples)
 
 
@@ -662,16 +659,16 @@ def exit_law_pair(M, u_bar, delta, n_samples, seed):
     return walk, brownian
 
 
-def exit_law_continuum(M, u_bar, radius=1.0, n_arcs=16):
+def exit_law_continuum(M, u_bar, n_arcs=N_ARCS):
     """Exact `_arc_bin` arc masses of the exit law of `exit_law_brownian`.
 
     The von Mises density (1 + 2 sum_k rho_k cos k(t - u_bar)) / 2 pi, with
-    rho_k = I_k(kappa) / I_0(kappa) and kappa = 2 M radius, integrated over
+    rho_k = I_k(kappa) / I_0(kappa) and kappa = 2 M, integrated over
     each arc.  Past k = kappa + 10 sqrt(kappa) + 20, rho_k < 1e-40.
     """
     from scipy.special import ive
 
-    kappa = 2 * M * radius
+    kappa = 2 * M
     k = np.arange(1, int(kappa + 10 * math.sqrt(kappa)) + 21)
     rho = ive(k, kappa) / ive(0, kappa)
     width = 2 * math.pi / n_arcs
@@ -690,7 +687,7 @@ def total_variation(counts_a, counts_b):
 
 
 def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
-                               radius=1.0, n_arcs=16, max_attempts=None):
+                               radius=1.0, max_attempts=None):
     """Killed LERW from the disk centre conditioned on surviving and
     exiting through an arc.
 
@@ -699,11 +696,11 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     walkers in lockstep and is scanned in walker order; attempts count up
     to the last walker scanned.  Returns (paths, acceptance rate); aborts
     when the acceptance rate is hopeless, by default below 1e-4.  A
-    target arc outside 0..n_arcs-1 raises ValueError before any walk.
+    target arc outside 0..N_ARCS-1 raises ValueError before any walk.
     """
-    if not 0 <= target_arc < n_arcs:
+    if not 0 <= target_arc < N_ARCS:
         raise ValueError(
-            f"target_arc {target_arc} is outside 0..{n_arcs - 1}")
+            f"target_arc {target_arc} is outside 0..{N_ARCS - 1}")
     kernel = SquareLatticeKernel(M, delta)
     box = _disk_box(kernel.spacing, radius)
     start_site = box.nearest(0j)
@@ -718,7 +715,7 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
             break
         w = _walk(kernel, box, start_site, per_task, rng_stream(seed, task),
                   STEP_CAP, record=True)
-        out, arcs = _exit_arcs(box, w, radius, n_arcs)
+        out, arcs = _exit_arcs(box, w, radius)
         take = out[arcs == target_arc][: n_accepted - len(paths)]
         done = len(paths) + take.size == n_accepted
         attempts += int(take[-1]) + 1 if done else per_task

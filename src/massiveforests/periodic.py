@@ -295,11 +295,11 @@ def harmonicity_on_window(pg: PeriodicGraph, z0, vec, reps=5):
     return check_massive_harmonic(g, lam, interior)
 
 
-def spectral_probe(pg: PeriodicGraph, n_samples=50, seed=3):
+def spectral_probe(pg: PeriodicGraph):
     """Realness and sign diagnostics of P^k on the positive quadrant."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     xy = [(float(np.exp(rng.uniform(-1.5, 1.5))),
-           float(np.exp(rng.uniform(-1.5, 1.5)))) for _ in range(n_samples)]
+           float(np.exp(rng.uniform(-1.5, 1.5)))) for _ in range(50)]
     x, y = np.array(xy).reshape(-1, 2).T
     vals = np.linalg.det(assemble_bloch(pg, x, y)).tolist()
     return [(a, b, v.real, abs(v.imag)) for (a, b), v in zip(xy, vals)]

@@ -98,7 +98,8 @@ class TestIO:
                 getattr(pg, name).tolist()
         assert loaded.masses == pg.masses
         from_file = self.charpoly_csv(tmp_path, "file", p)
-        monkeypatch.setattr(cli, "_load_graph_or_die", lambda path: pg)
+        monkeypatch.setattr(cli, "_load_graph_or_die",
+                            lambda path, periodic: pg)
         assert self.charpoly_csv(tmp_path, "direct", p) == from_file
 
     @pytest.mark.parametrize("lattice", ["square", "honeycomb"])
@@ -163,9 +164,7 @@ class TestDispatch:
     def test_malformed_graph_exit_two(self, tmp_path, text):
         p = tmp_path / "bad.json"
         p.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["edge-prob", "--graph", str(p), "--edges", "0-1"])
-        assert exc.value.code == 2
+        assert main(["edge-prob", "--graph", str(p), "--edges", "0-1"]) == 2
 
     @pytest.mark.parametrize("vertex, edge, extra", [
         ({}, {"conductance": -1}, []),
@@ -200,9 +199,7 @@ class TestDispatch:
         out = tmp_path / "out.csv"
         argv = {"edge-prob": ["--edges", "0-1", "--dump-matrix", str(out)],
                 "sample-forest": ["--n", "5", "--out", str(out)]}[command]
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--graph", str(p), *argv])
-        assert exc.value.code == 2
+        assert main([command, "--graph", str(p), *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {p}: ")
         assert captured.out == ""
@@ -215,9 +212,8 @@ class TestDispatch:
             "edges": [{"from": 0, "to": 0, "offset": list(o),
                        "conductance": -1.0} for o in ((1, 0), (-1, 0))]}))
         out = tmp_path / "charpoly.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["charpoly", "--periodic-graph", str(p), "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["charpoly", "--periodic-graph", str(p),
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             f"error: {p}: conductances must be positive\n"
         assert not out.exists()
@@ -228,19 +224,15 @@ class TestDispatch:
         cfg = tmp_path / "cfg.json"
         if text is not None:
             cfg.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "girsanov", "--config", str(cfg),
-                  "--out", str(tmp_path / "gir.csv")])
-        assert exc.value.code == 2
+        assert main(["experiment", "girsanov", "--config", str(cfg),
+                     "--out", str(tmp_path / "gir.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_lambda_file_exit_two(self, tmp_path, capsys):
         g = str(tmp_path / "g.json")
         write_two_vertex(g)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "doob", "--graph", g,
-                  "--lambda", str(tmp_path / "missing.json")])
-        assert exc.value.code == 2
+        assert main(["verify", "doob", "--graph", g,
+                     "--lambda", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("name, cfg", [
@@ -259,10 +251,8 @@ class TestDispatch:
     def test_bad_config_value_exit_two(self, tmp_path, capsys, name, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", name, "--config", str(path),
-                  "--out", str(tmp_path / "out.csv")])
-        assert exc.value.code == 2
+        assert main(["experiment", name, "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
         key = json.dumps(next(iter(cfg)))
         assert capsys.readouterr().err.startswith(f"error: {path}: {key} ")
         assert not (tmp_path / "out.csv").exists()
@@ -286,9 +276,8 @@ class TestDispatch:
         write_two_vertex(g)
         lam = tmp_path / "lam.json"
         lam.write_text(json.dumps(table))
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "doob", "--graph", g, "--lambda", str(lam)])
-        assert exc.value.code == 2
+        assert main(["verify", "doob", "--graph", g,
+                     "--lambda", str(lam)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {lam}: entry ")
 
     @pytest.mark.parametrize("table", [{"0": 1, "1": 0, "2": 1},
@@ -303,15 +292,14 @@ class TestDispatch:
                                              (2.0, 0.0)]))
         lam = tmp_path / "lam.json"
         lam.write_text(json.dumps(table))
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "doob", "--graph", str(g), "--lambda", str(lam)])
-        assert exc.value.code == 2
+        assert main(["verify", "doob", "--graph", str(g),
+                     "--lambda", str(lam)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {lam}: entry ")
 
     def test_lambda_table_of_rationals(self, tmp_path):
         lam = tmp_path / "lam.json"
         lam.write_text(json.dumps({"0": 1, "1": "3/2", "2": 0.25}))
-        assert _load_lambda_or_die(str(lam)) == {
+        assert _load_lambda_or_die(str(lam), 3) == {
             0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(1, 4)}
 
     def test_unknown_subcommand_exit_two(self):
@@ -341,10 +329,8 @@ class TestDispatch:
         p = tmp_path / "g.json"
         write_two_vertex(str(p))
         dump = tmp_path / "L.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["edge-prob", "--graph", str(p), "--edges", edges,
-                  "--dump-matrix", str(dump)])
-        assert exc.value.code == 2
+        assert main(["edge-prob", "--graph", str(p), "--edges", edges,
+                     "--dump-matrix", str(dump)]) == 2
         captured = capsys.readouterr()
         assert captured.err == \
             f"error: --edges: {edges.split(',')[-1]!r} {problem}\n"
@@ -362,9 +348,7 @@ class TestDispatch:
         assert main(["grid", "--kind", "square", "--delta", "0.05",
                      "--window", "20", "--M", "1.0", "--out", gpath]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["edge-prob", "--graph", gpath, "--edges", edges])
-        assert exc.value.code == 2
+        assert main(["edge-prob", "--graph", gpath, "--edges", edges]) == 2
         captured = capsys.readouterr()
         assert captured.err == \
             f"error: --edges: {bad!r} names no edge of the graph\n"
@@ -379,9 +363,8 @@ class TestDispatch:
         assert main(["edge-prob", "--graph", str(p), "--edges", "0-R",
                      "--exact"]) == 0
         assert capsys.readouterr().out.startswith("P(0-R) = ")
-        with pytest.raises(SystemExit) as exc:
-            main(["edge-prob", "--graph", str(p), "--edges", "0-R,1-R"])
-        assert exc.value.code == 2
+        assert main(["edge-prob", "--graph", str(p),
+                     "--edges", "0-R,1-R"]) == 2
         assert capsys.readouterr().err == \
             "error: --edges: '1-R' names no edge of the graph\n"
 
@@ -753,11 +736,9 @@ class TestDispatch:
         monkeypatch.setattr(dimers, "_wilson_successors", draw)
         out = tmp_path / "dimers.csv"
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["--seed", "3", "sample-dimers", "--graph", str(gpath),
-                  "--u", "0.5", "--M", "1.0", "--delta", "0.125", "--n",
-                  "5", "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["--seed", "3", "sample-dimers", "--graph", str(gpath),
+                     "--u", "0.5", "--M", "1.0", "--delta", "0.125", "--n",
+                     "5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"edge {edge}: rays" in err
         assert not out.exists()
@@ -824,6 +805,150 @@ class TestDispatch:
             [sys.executable, "-m", "massiveforests.cli", "verify",
              "periodic"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def write_z_line(path):
+    # the built-in `verify doob` ambient graph: Z-line 0..5, c = 1, m = 1/2
+    save_graph(path, symmetric_graph(
+        6, [(i, i + 1, Fraction(1)) for i in range(5)], [Fraction(1, 2)] * 6,
+        positions=[(float(i), 0.0) for i in range(6)]))
+
+
+def no_sampling(monkeypatch):
+    """Make every forest draw, edge probability and grid build fail."""
+    import massiveforests.isoradial as isoradial
+    import massiveforests.linalg as linalg
+    import massiveforests.walks as walks
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for module, name in ((walks, "_wilson_successors"),
+                         (linalg, "edge_probability"),
+                         (isoradial, "build_square_grid")):
+        monkeypatch.setattr(module, name, ran)
+
+
+class TestRefusals:
+    """Inputs a command cannot read exit 2 with one `error:` line and
+    write nothing; each once ended in a traceback or exit 1."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, message):
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", [
+        ["sample-forest", "--n", "5", "--out", "{out}"],
+        ["sample-tree", "--root", "0", "--n", "5", "--out", "{out}"],
+        ["edge-prob", "--edges", "0-0", "--dump-matrix", "{out}"],
+        ["verify", "doob"]],
+        ids=["sample-forest", "sample-tree", "edge-prob", "verify-doob"])
+    def test_periodic_file_refused(self, tmp_path, monkeypatch, capsys,
+                                   command):
+        p = tmp_path / "periodic.json"
+        p.write_text(json.dumps({
+            "vertices": [{"id": 0, "mass": 1.0, "x": 0.0, "y": 0.0}],
+            "edges": [{"from": 0, "to": 0, "offset": [1, 0],
+                       "conductance": 1.0}]}))
+        no_sampling(monkeypatch)
+        argv = [a.format(out=tmp_path / "out.csv") for a in command]
+        self.refused(tmp_path, capsys, [*argv, "--graph", str(p)],
+                     f"{p}: edges with offsets make a periodic graph; "
+                     f"need a finite graph")
+
+    def test_verify_doob_pow2_needs_coordinates(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        save_graph(str(p), symmetric_graph(
+            2, [(0, 1, Fraction(1))], [Fraction(1, 2)] * 2))
+        self.refused(tmp_path, capsys, ["verify", "doob", "--graph", str(p)],
+                     f"{p}: need vertex coordinates x and y")
+
+    def test_sample_dimers_needs_coordinates(self, tmp_path, monkeypatch,
+                                             capsys):
+        import massiveforests.dimers as dimers
+
+        def draw(*args):
+            raise AssertionError("a matching was drawn")
+
+        gpath = tmp_path / "grid.json"
+        assert main(["grid", "--delta", "0.125", "--window", "8", "--M",
+                     "1.0", "--out", str(gpath)]) == 0
+        (tmp_path / "grid.json.manifest.json").unlink()
+        data = json.loads(gpath.read_text())
+        for v in data["vertices"]:
+            del v["x"], v["y"]
+        gpath.write_text(json.dumps(data))
+        monkeypatch.setattr(dimers, "_wilson_successors", draw)
+        capsys.readouterr()
+        self.refused(tmp_path, capsys, [
+            "sample-dimers", "--graph", str(gpath), "--M", "1.0",
+            "--delta", "0.125", "--n", "2",
+            "--out", str(tmp_path / "dimers.csv")],
+            f"{gpath}: need vertex coordinates x and y")
+
+    @pytest.mark.parametrize("exact, lines", [
+        (["--exact"], ["  Z_RSF = 21/4", "  Z_RST^o = 21/4", "  gap = 0"]),
+        ([], ["  (sign, log|Z_RSF|) = (1.0, 1.6582280766035324)",
+              "  (sign, log|Z_RST^o|) = (1.0, 1.6582280766035324)",
+              "  gap = 0.0"]),
+    ], ids=["exact", "float"])
+    def test_verify_doob_lambda_table_on_window(self, tmp_path, capsys,
+                                                exact, lines):
+        # lambda = 2^x on vertices 1..4 only: the window is {2, 3}, and the
+        # tilt reads lambda there and on 1 and 4; log(21/4) = 1.658...
+        g, lam = tmp_path / "line.json", tmp_path / "window.json"
+        write_z_line(str(g))
+        lam.write_text(json.dumps({str(i): 2**i for i in range(1, 5)}))
+        assert main(["verify", "doob", "--graph", str(g),
+                     "--lambda", str(lam), *exact]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == lines
+        assert out[3].startswith("verify doob: ok (")
+
+    @pytest.mark.parametrize("table, problem", [
+        ({"1": 2, "2": 4}, "no vertex has lambda on itself and on all its "
+                           "neighbours"),
+        ({"0": 1, "2": 4}, "no vertex has lambda on itself and on all its "
+                           "neighbours"),
+        ({"0": 1, "6": 2}, 'entry "6": vertex 6 is outside 0..5'),
+        ({"-1": 1, "0": 2}, 'entry "-1": vertex -1 is outside 0..5'),
+    ], ids=["empty-window", "candidate-without-lambda", "id-past-n",
+            "negative-id"])
+    def test_verify_doob_lambda_table_refused(self, tmp_path, capsys, table,
+                                              problem):
+        # vertex 1 has lambda on both neighbours but none of its own: it
+        # once joined the window and died with a KeyError
+        g, lam = tmp_path / "line.json", tmp_path / "lam.json"
+        write_z_line(str(g))
+        lam.write_text(json.dumps(table))
+        self.refused(tmp_path, capsys, ["verify", "doob", "--graph", str(g),
+                                        "--lambda", str(lam)],
+                     f"{lam}: {problem}")
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["sample-forest", "--graph", "{g}", "--n", "5", "--out", "{m}"],
+         "{m}"),
+        (["--manifest", "{m}", "sample-forest", "--graph", "{g}", "--n",
+          "5", "--out", "{d}/f.csv"], "{m}"),
+        (["edge-prob", "--graph", "{g}", "--edges", "0-1", "--dump-matrix",
+          "{m}"], "{m}"),
+        (["grid", "--delta", "0.25", "--window", "4", "--out", "{m}"],
+         "{m}"),
+    ], ids=["out", "manifest", "dump-matrix", "grid-out"])
+    def test_output_in_missing_directory(self, tmp_path, monkeypatch, capsys,
+                                         argv, missing):
+        g = tmp_path / "line.json"
+        write_z_line(str(g))
+        no_sampling(monkeypatch)
+        names = dict(g=g, d=tmp_path, m=tmp_path / "missing" / "f.csv")
+        self.refused(tmp_path, capsys,
+                     [a.format(**names) for a in argv],
+                     f"{missing.format(**names)}: no such directory")
 
 
 # a small config of every experiment kind and the sha256 of its CSV,
@@ -972,11 +1097,9 @@ class TestExperimentKinds:
             f"error: {path}: n = {n} is past the limit 16777216: ")
 
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_experiment(tmp_path, "exitlaw",
-                           {"M": 1.0, "detla": 0.0625, "n": 200})
-        assert exc.value.code == 2
-        path = tmp_path / "cfg.json"
+        code, path, _ = run_experiment(
+            tmp_path, "exitlaw", {"M": 1.0, "detla": 0.0625, "n": 200})
+        assert code == 2
         assert capsys.readouterr().err.startswith(
             f'error: {path}: unknown key "detla"')
         assert list(tmp_path.iterdir()) == [path]

@@ -394,11 +394,11 @@ def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
         lam = {i: Fraction(2) ** i for i in range(n)}
         subset = [2, 3]
     else:
-        pow2 = lam_spec == "pow2"
-        g = _load_graph_or_die(graph_path, positions=pow2)
-        lam = {i: Fraction(2) ** int(round(g.positions[i][0]))
-               for i in range(g.n)} if pow2 else \
-            _load_lambda_or_die(lam_spec, g.n)
+        g = _load_graph_or_die(graph_path)
+        if lam_spec == "pow2":
+            raise Refused("--graph needs --lambda TABLE; pow2 is the "
+                          "built-in Z-line's lambda")
+        lam = _load_lambda_or_die(lam_spec, g.n)
         # the window: vertices with lambda on themselves and every neighbour
         subset = [x for x in lam if all(y in lam for y in g.neighbours(x))]
         if not subset:
@@ -679,7 +679,8 @@ def build_parser():
     p.add_argument("battery", choices=BATTERIES)
     p.add_argument("--graph", default=None)
     p.add_argument("--lambda", dest="lam", default="pow2",
-                   help="builtin 'pow2' or a JSON table path")
+                   help="a JSON table path, which --graph needs, or "
+                        "'pow2', the built-in Z-line's")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -706,6 +707,8 @@ def main(argv=None):
                                      ("out", "dump_matrix", "manifest"))):
             if not pathlib.Path(path).parent.is_dir():
                 raise Refused(f"{path}: no such directory")
+            if pathlib.Path(path).is_dir():
+                raise Refused(f"{path}: is a directory")
         outputs = args.func(args)
     except (Refused, TaskRangeError) as exc:  # TaskRangeError: --n too large
         where = "" if isinstance(exc, Refused) else f"--n {args.n}: "

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import ROOT, WeightedGraph, collapse_boundary
+from .graphs import ROOT, WeightedGraph, both_ways, collapse_boundary
 from .linalg import (
     _csc_from_triplets,
     assemble_massive_laplacian,
@@ -454,9 +454,7 @@ def _tilted_window(dg: DoubleGraph, lam_ambient):
     masses = np.bincount(t.x[spoke], weights=fwd[spoke], minlength=col.n)
     # each window edge x -> y, then its reverse, in white order
     off = ~spoke
-    edges = (np.stack([t.x, t.y], axis=1)[off].ravel(),
-             np.stack([t.y, t.x], axis=1)[off].ravel(),
-             np.stack([fwd, c * lx / ly], axis=1)[off].ravel())
+    edges = both_ways(t.x[off], t.y[off], fwd[off], (c * lx / ly)[off])
     return WeightedGraph(col.n, edges, masses, positions=col.positions,
                          check=False)
 

@@ -63,7 +63,7 @@ def complete_integrals(k) -> EllipticModulus:
 
 
 def _theta_constants(q):
-    """theta_2(0, q), theta_3(0, q), theta_4(0, q)."""
+    """theta_2(0, q), theta_3(0, q)."""
     t2 = 0.0
     n = 0
     while True:
@@ -73,16 +73,15 @@ def _theta_constants(q):
             break
         n += 1
     t2 *= 2.0 * q ** 0.25
-    t3, t4 = 1.0, 1.0
+    t3 = 1.0
     n = 1
     while True:
         term = q ** (n * n)
         t3 += 2.0 * term
-        t4 += 2.0 * (-1) ** n * term
         if term < _THETA_TOL or n > 200:
             break
         n += 1
-    return t2, t3, t4
+    return t2, t3
 
 
 def modulus_from_nome(q) -> EllipticModulus:
@@ -91,7 +90,7 @@ def modulus_from_nome(q) -> EllipticModulus:
         raise ValueError("nome must lie in [0, 1)")
     if q == 0.0:
         return complete_integrals(0.0)
-    t2, t3, _ = _theta_constants(q)
+    t2, t3 = _theta_constants(q)
     k = (t2 / t3) ** 2
     return complete_integrals(min(k, 1.0 - 1e-16))
 

@@ -9,6 +9,15 @@ the enumeration and rational linear algebra routines.
 A graph holds its incidence once, as arrays (the out-edges as one CSR,
 the float c(x) and c^k(x)), which every layer reads; `ck`,
 `edge_conductance` and the enumerations stay as per-vertex oracles.
+
+Each edge decision has one owner here.  `edge_columns` takes a graph's
+edges as tuples or as columns.  `both_ways` turns undirected edges into
+directed ones: undirected edge k gives x -> y, then y -> x, so that with
+no loop before it they are edges 2k and 2k + 1, and a loop is kept once;
+every builder of a symmetric graph goes through it.  `reverse_edges`
+finds each edge's reverse, the first in edge order, by one stable sort of
+integer edge codes and one binary search; validation, the file loader,
+periodic graphs and the planar pairing read it.
 """
 
 from __future__ import annotations
@@ -49,16 +58,41 @@ def check_values(cond, masses):
         raise ValueError("conductances and masses must be finite")
 
 
-def missing_reverses(n, tail, head, off=None):
-    """Ids of the edges tail -> head without a reverse head -> tail, at
-    -off for a periodic graph with (m, 2) integer offsets `off`; edges
-    compare by integer codes, offsets as digits in a balanced base."""
+def edge_columns(edges, width):
+    """`edges` as `width` columns: a tuple of `width` numpy arrays is taken
+    as it is, a sequence of `width`-tuples is transposed."""
+    if isinstance(edges, tuple) and len(edges) == width and \
+            isinstance(edges[0], np.ndarray):
+        return edges
+    return tuple(zip(*edges)) or ((),) * width
+
+
+def both_ways(x, y, c, c_back=None):
+    """Directed columns (tail, head, cond) of undirected edges: x[k] -> y[k]
+    with c[k], then y[k] -> x[k] with c_back[k] (c[k] if None), except
+    that a loop x[k] = y[k] is kept once, with c[k]."""
+    x, y, c = np.asarray(x, dtype=int), np.asarray(y, dtype=int), _values(c)
+    back = c if c_back is None else _values(c_back)
+    keep = np.stack([np.ones(len(x), bool), x != y], axis=1).ravel()
+    return tuple(np.stack(pair, axis=1).ravel()[keep]
+                 for pair in ((x, y), (y, x), (c, back)))
+
+
+def reverse_edges(n, tail, head, off=None):
+    """Each edge's reverse: the id of the first edge head -> tail in edge
+    order, at -off for a periodic graph with (m, 2) integer offsets `off`,
+    or -1 if there is none.  Edges compare by integer codes, offsets as
+    digits in a balanced base, through one stable sort of the codes and
+    one binary search."""
     code, rcode = tail * n + head, head * n + tail
     if off is not None:
         b = 2 * int(np.abs(off).max(initial=0)) + 1
         code = (code * b + off[:, 0]) * b + off[:, 1]
         rcode = (rcode * b - off[:, 0]) * b - off[:, 1]
-    return np.flatnonzero(~np.isin(rcode, code))
+    order = np.argsort(code, kind="stable")
+    at = order[np.minimum(np.searchsorted(code[order], rcode),
+                          len(code) - 1)]
+    return np.where(code[at] == rcode, at, -1)
 
 
 class WeightedGraph:
@@ -66,19 +100,17 @@ class WeightedGraph:
 
     Vertices are dense integers 0..n-1.  `edges` is a sequence of
     (tail, head, conductance) triples, or the tuple of the three columns
-    (tail, head, cond) as numpy arrays; for every edge (x, y) with x != y the
-    reverse (y, x) must also be present (possibly with a different
-    conductance).  Loops (x, x) are allowed and count as their own reverse.
+    (tail, head, cond) as numpy arrays (`edge_columns`); for every edge
+    (x, y) with x != y the reverse (y, x) must also be present (possibly
+    with a different conductance).  Loops (x, x) are allowed and count as
+    their own reverse.
     `linalg` keeps the factors of a graph's Laplacian for as long as the
     graph lives, so a graph must not be mutated once it has been queried.
     """
 
     def __init__(self, n, edges, masses, positions=None, check=True):
         self.n = int(n)
-        columns = isinstance(edges, tuple) and len(edges) == 3 and \
-            isinstance(edges[0], np.ndarray)
-        tail, head, cond = edges if columns else \
-            tuple(zip(*edges)) or ((), (), ())
+        tail, head, cond = edge_columns(edges, 3)
         self.tail = np.array(tail, dtype=int)
         self.head = np.array(head, dtype=int)
         self.cond_a, self.masses_a = _values(cond), _values(masses)
@@ -109,7 +141,7 @@ class WeightedGraph:
         if len(self.masses) != self.n:
             raise ValueError("need one mass per vertex")
         check_values(self.cond_a, self.masses_a)
-        lone = missing_reverses(self.n, self.tail, self.head)
+        lone = np.flatnonzero(reverse_edges(self.n, self.tail, self.head) < 0)
         if lone.size:
             x, y = self.tail[lone[0]], self.head[lone[0]]
             raise ValueError(f"directed edge ({x},{y}) has no reverse")
@@ -165,32 +197,23 @@ class WeightedGraph:
 
 
 def symmetric_graph(n, und_edges, masses, positions=None):
-    """Build a WeightedGraph from undirected (x, y, c) triples."""
-    edges = []
-    for x, y, c in und_edges:
-        if x == y:
-            edges.append((x, y, c))
-        else:
-            edges.append((x, y, c))
-            edges.append((y, x, c))
-    return WeightedGraph(n, edges, masses, positions=positions)
+    """Build a WeightedGraph from undirected (x, y, c) triples, or their
+    columns, each edge both ways."""
+    return WeightedGraph(n, both_ways(*edge_columns(und_edges, 3)), masses,
+                         positions=positions)
 
 
 def grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
     """nx-by-ny unit square grid: conductance c, mass m, vertex j nx + i
-    at position (i, j)."""
-    def vid(i, j):
-        return j * nx + i
-
-    edges = []
-    for j in range(ny):
-        for i in range(nx):
-            if i + 1 < nx:
-                edges.append((vid(i, j), vid(i + 1, j), c))
-            if j + 1 < ny:
-                edges.append((vid(i, j), vid(i, j + 1), c))
-    pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
-    return symmetric_graph(nx * ny, edges, [m] * (nx * ny), positions=pos)
+    at position (i, j); each vertex's edge to the right, then its edge
+    up, both ways."""
+    v = np.arange(nx * ny)
+    i, j = v % nx, v // nx
+    keep = np.stack([i + 1 < nx, j + 1 < ny], axis=1).ravel()
+    x = np.repeat(v, 2)[keep]
+    y = np.stack([v + 1, v + nx], axis=1).ravel()[keep]
+    return WeightedGraph(nx * ny, both_ways(x, y, [c] * len(x)),
+                         [m] * (nx * ny), positions=np.stack([i, j], axis=1))
 
 
 class CemeteryGraph:
@@ -311,16 +334,15 @@ class CollapsedGraph:
     def as_weighted_graph(self):
         """The collapsed graph itself as a WeightedGraph on n+1 vertices.
 
-        Each spoke (x, o) is followed by a reverse (o, x) with equal
-        conductance so the object passes validation; the Boltzmann measures
-        used here never leave o.
+        The window edges are followed by each spoke (x, o) both ways, the
+        reverse (o, x) with equal conductance so the object passes
+        validation; the Boltzmann measures used here never leave o.
         """
-        (tail, head, cond), (x, c, _) = self.edges, self.spokes
-        o = np.full_like(x, self.o)
-        return WeightedGraph(self.n + 1, (
-            np.r_[tail, np.stack([x, o], axis=1).ravel()],
-            np.r_[head, np.stack([o, x], axis=1).ravel()],
-            np.r_[cond, np.repeat(c, 2)]), [0] * (self.n + 1), check=False)
+        x, c, _ = self.spokes
+        spokes = both_ways(x, np.full_like(x, self.o), c)
+        return WeightedGraph(self.n + 1, tuple(
+            np.r_[a, b] for a, b in zip(self.edges, spokes)),
+            [0] * (self.n + 1), check=False)
 
 
 def _window(ambient: WeightedGraph, subset):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, missing_reverses
+from .graphs import WeightedGraph, reverse_edges
 
 
 class GraphFormatError(ValueError):
@@ -128,7 +128,7 @@ def load_graph(path):
         raise GraphFormatError(f"edge {outside[0]}: endpoint out of range")
 
     # the one reverse closure: each edge without its reverse gets its own
-    lone = missing_reverses(n, tail, head, off)
+    lone = np.flatnonzero(reverse_edges(n, tail, head, off) < 0)
     tail, head = np.r_[tail, head[lone]], np.r_[head, tail[lone]]
     cond = cond + [cond[i] for i in lone.tolist()]
     try:  # a value the graph refuses is a format error too
@@ -180,6 +180,7 @@ def grid_to_graph(grid, modulus):
     from .isoradial import z_invariant_weights
 
     g = z_invariant_weights(grid, modulus)
-    # g's edges run tail -> head, then head -> tail, whose rays turn by pi
+    # g's edges run both ways (`graphs.both_ways`): edge 2k is grid edge k,
+    # edge 2k + 1 its reverse, whose rays turn by pi
     rays = np.stack([grid.edge_alpha, grid.edge_beta], axis=1)
     return g, np.stack([rays, rays + np.pi], axis=1).reshape(-1, 2)

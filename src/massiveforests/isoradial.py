@@ -29,7 +29,7 @@ from .elliptic import (
     mass_term,
     sc,
 )
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, both_ways
 
 
 def full_fan_vertices(n, ends, half_angles):
@@ -182,14 +182,11 @@ def z_invariant_weights(grid: IsoradialGrid,
     incomplete-star value and windows should be taken strictly inside.
     """
     tb = grid.half_angles
-    conds = np.repeat(sc(modulus.abstract_angle(tb), modulus), 2)
-    tails = np.stack([grid.edge_tail, grid.edge_head], axis=1).ravel()
-    heads = np.stack([grid.edge_head, grid.edge_tail], axis=1).ravel()
+    edges = both_ways(grid.edge_tail, grid.edge_head,
+                      sc(modulus.abstract_angle(tb), modulus))
     masses = grid.incident_sums(mass_term(tb, modulus))
-    g = WeightedGraph(grid.n, (tails, heads, conds), masses,
-                      positions=grid.positions, check=False)
-    g.grid = grid
-    return g
+    return WeightedGraph(grid.n, edges, masses, positions=grid.positions,
+                         check=False)
 
 
 def lazy_walk_graph(grid, modulus):

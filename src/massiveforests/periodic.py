@@ -14,14 +14,15 @@ import itertools
 
 import numpy as np
 
-from .graphs import WeightedGraph, check_values, missing_reverses
+from .graphs import WeightedGraph, check_values, edge_columns, reverse_edges
 
 
 class PeriodicGraph:
     """Fundamental domain with offset edges.
 
     `edges` is a list of (x0, y0, (i, j), conductance) tuples or the tuple
-    of the columns (tail, head, off, cond) as arrays, off of shape (m, 2);
+    of the columns (tail, head, off, cond) as arrays, off of shape (m, 2)
+    (`graphs.edge_columns`);
     each edge x0 -> y0 needs its reverse y0 -> x0 at the negated offset.
     The graph holds the columns only, sorted stably by tail (those of x0
     are start[x0]:start[x0 + 1]), and c^k as the array `ck`, each mass
@@ -30,16 +31,14 @@ class PeriodicGraph:
 
     def __init__(self, n, edges, masses):
         self.n, self.masses = n, [float(m) for m in masses]
-        columns = isinstance(edges, tuple) and len(edges) == 4 and \
-            isinstance(edges[0], np.ndarray)
-        tail, head, off, cond = edges if columns else \
-            tuple(zip(*edges)) or ((),) * 4
+        tail, head, off, cond = edge_columns(edges, 4)
         order = np.argsort(np.asarray(tail), kind="stable")
         self.tail, self.head = (np.array(a, dtype=int)[order]
                                 for a in (tail, head))
         self.off = np.array(off, dtype=int).reshape(-1, 2)[order]
         self.cond = np.array(cond, dtype=float)[order]
-        lone = missing_reverses(n, self.tail, self.head, self.off)
+        lone = np.flatnonzero(
+            reverse_edges(n, self.tail, self.head, self.off) < 0)
         if lone.size:
             e = lone[0]
             raise ValueError(f"edge {self.tail[e]} -> {self.head[e]} at "
@@ -77,17 +76,18 @@ class PeriodicGraph:
 
 
 def square_lattice(mass) -> PeriodicGraph:
-    edges = [(0, 0, o, 1.0) for o in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-    return PeriodicGraph(1, edges, [mass])
+    off = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    return PeriodicGraph(1, (np.zeros(4, int), np.zeros(4, int), off,
+                             np.ones(4)), [mass])
 
 
 def honeycomb(mass) -> PeriodicGraph:
     """Bipartite honeycomb: vertex 0 joined to vertex 1 at offsets (0, 0),
-    (-1, 0) and (0, -1), unit conductances."""
-    edges = []
-    for o in ((0, 0), (-1, 0), (0, -1)):
-        edges += [(0, 1, o, 1.0), (1, 0, (-o[0], -o[1]), 1.0)]
-    return PeriodicGraph(2, edges, [mass, mass])
+    (-1, 0) and (0, -1), unit conductances; vertex 0's edges, then their
+    reverses out of vertex 1 in the same order."""
+    off = np.array([(0, 0), (-1, 0), (0, -1)])
+    return PeriodicGraph(2, (np.repeat([0, 1], 3), np.repeat([1, 0], 3),
+                             np.r_[off, -off], np.ones(6)), [mass, mass])
 
 
 def _power(z, e):

@@ -1,18 +1,19 @@
 """Planar faces of collapsed windows and the Temperleyan double graph.
 
 The layer is built from arrays, from the collapsed window's columns to the
-white table.  The window edges are paired into undirected edges by two
-stable lexsorts and the spokes to the outer vertex o follow them; edge k
-has halves 2k (along x -> y) and 2k + 1, and the twin of half h is h ^ 1.
-Each window vertex's counterclockwise rotation comes from one lexsort on
-(tail, angle).  The next half after h is its twin if h runs into o, else
-the half just clockwise of its twin; the faces are the orbits of that
-permutation, cut after every half that runs into o, so the face structure
-is that of the sphere embedding with o at infinity.  Every edge of G^o
-crosses one dual edge and carries one white vertex; the double graph has
-blacks V + faces - {r} and exactly |W| = |B| when the window is simply
-connected.  One breadth-first search, `breadth_first`, finds every
-spanning tree of this layer and of `dimers`.
+white table.  The window edges are paired into undirected edges by the
+graph core's reverse lookup, in (x, y) order, and the spokes to the outer
+vertex o follow them; edge k has halves 2k (along x -> y) and 2k + 1, and
+the twin of half h is h ^ 1.  Each window vertex's counterclockwise
+rotation comes from one lexsort on (tail, angle).  The next half after h
+is its twin if h runs into o, else the half just clockwise of its twin;
+the faces are the orbits of that permutation, cut after every half that
+runs into o, so the face structure is that of the sphere embedding with o
+at infinity.  Every edge of G^o crosses one dual edge and carries one
+white vertex; the double graph has blacks V + faces - {r} and exactly
+|W| = |B| when the window is simply connected.  One breadth-first
+search, `breadth_first`, finds every spanning tree of this layer and of
+`dimers`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .graphs import ROOT, CollapsedGraph
+from .graphs import ROOT, CollapsedGraph, reverse_edges
 
 
 class PlanarFaceStructure:
@@ -49,30 +50,35 @@ class PlanarFaceStructure:
 
 
 def _paired_edges(col: CollapsedGraph):
-    """The window edges x < y in (x, y) order as ids into `col.edges`:
-    x < y sorted by (x, y) against x > y sorted by (y, x), both stable.
-    Parallel edges between two window vertices are refused: they tie in
-    angle at both ends, which no planar rotation orders."""
+    """The window edges x < y in (x, y) order as ids into `col.edges`, each
+    paired with its reverse by `graphs.reverse_edges`.  Every (x, y) needs
+    as many edges as (y, x).  Parallel edges between two window vertices
+    are refused: they tie in angle at both ends, which no planar rotation
+    orders."""
     tail, head, cond = col.edges
-    fwd, bwd = np.flatnonzero(tail < head), np.flatnonzero(tail > head)
-    fwd = fwd[np.lexsort((head[fwd], tail[fwd]))]
-    bwd = bwd[np.lexsort((tail[bwd], head[bwd]))]
-    if len(fwd) != len(bwd) or np.any(tail[fwd] != head[bwd]) or \
-            np.any(head[fwd] != tail[bwd]):
+    rev = reverse_edges(col.n, tail, head)  # a loop is its own reverse
+    if np.any(rev < 0):
         raise ValueError("unpaired directed edges in window")
-    c, c2 = cond[fwd].astype(float), cond[bwd].astype(float)
+    first = rev[rev]  # the first edge with each edge's (tail, head)
+    count = np.bincount(first, minlength=len(rev))
+    if np.any(count[first] != count[rev]):
+        raise ValueError("unpaired directed edges in window")
+    up, code = tail < head, tail * col.n + head
+    own = first == np.arange(len(rev))
+    fwd = np.flatnonzero(up & own)
+    c, c2 = cond[fwd].astype(float), cond[rev[fwd]].astype(float)
     if np.any(np.abs(c - c2) > 1e-12 * np.maximum(1.0, np.abs(c))):
         raise ValueError(
             "double-graph constructions need symmetric conductances")
-    x, y = tail[fwd], head[fwd]
-    twins = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
+    twins = np.flatnonzero(up & ~own)
     if len(twins):
-        a, b = x[twins[0]], y[twins[0]]
+        t = twins[np.argmin(code[twins])]
+        a, b = tail[t], head[t]
         ids = col.ambient_ids
         raise ValueError(
             f"parallel edges between window vertices {a} and {b} (ambient "
             f"{ids[a]} and {ids[b]}) have no planar embedding")
-    return fwd
+    return fwd[np.argsort(code[fwd])]
 
 
 def extract_faces(col: CollapsedGraph, ambient_positions=None):

@@ -861,12 +861,25 @@ class TestRefusals:
                      f"{p}: edges with offsets make a periodic graph; "
                      f"need a finite graph")
 
-    def test_verify_doob_pow2_needs_coordinates(self, tmp_path, capsys):
-        p = tmp_path / "g.json"
-        save_graph(str(p), symmetric_graph(
-            2, [(0, 1, Fraction(1))], [Fraction(1, 2)] * 2))
-        self.refused(tmp_path, capsys, ["verify", "doob", "--graph", str(p)],
-                     f"{p}: need vertex coordinates x and y")
+    @pytest.mark.parametrize("lam", [[], ["--lambda", "pow2"]],
+                             ids=["default", "pow2"])
+    def test_verify_doob_graph_needs_lambda_table(self, tmp_path,
+                                                  monkeypatch, capsys, lam):
+        # pow2 puts lambda on every vertex of the file, and no positive
+        # lambda is massive harmonic on a whole finite graph with mass, so
+        # the check could only fail: refused before any determinant
+        import massiveforests.doob as doob
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the check ran")
+
+        p = tmp_path / "line.json"
+        write_z_line(str(p))
+        monkeypatch.setattr(doob, "verify_partition_equality", ran)
+        self.refused(tmp_path, capsys,
+                     ["verify", "doob", "--graph", str(p), *lam],
+                     "--graph needs --lambda TABLE; pow2 is the built-in "
+                     "Z-line's lambda")
 
     def test_sample_dimers_needs_coordinates(self, tmp_path, monkeypatch,
                                              capsys):
@@ -949,6 +962,27 @@ class TestRefusals:
         self.refused(tmp_path, capsys,
                      [a.format(**names) for a in argv],
                      f"{missing.format(**names)}: no such directory")
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-forest", "--graph", "{g}", "--n", "5", "--out", "{a}"],
+        ["--manifest", "{a}", "sample-forest", "--graph", "{g}", "--n",
+         "5", "--out", "{d}/f.csv"],
+        ["edge-prob", "--graph", "{g}", "--edges", "0-1", "--dump-matrix",
+         "{a}"],
+        ["grid", "--delta", "0.25", "--window", "4", "--out", "{a}"],
+    ], ids=["out", "manifest", "dump-matrix", "grid-out"])
+    def test_output_path_is_a_directory(self, tmp_path, monkeypatch, capsys,
+                                        argv):
+        # once every forest was sampled, then writing the CSV died with an
+        # IsADirectoryError traceback and exit 1
+        g, a = tmp_path / "line.json", tmp_path / "adir"
+        write_z_line(str(g))
+        a.mkdir()
+        no_sampling(monkeypatch)
+        self.refused(tmp_path, capsys,
+                     [s.format(g=g, d=tmp_path, a=a) for s in argv],
+                     f"{a}: is a directory")
+        assert not any(a.iterdir())
 
 
 # a small config of every experiment kind and the sha256 of its CSV,

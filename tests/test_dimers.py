@@ -453,6 +453,8 @@ class TestWhiteTable:
         assert list(zip(tw.tail.tolist(), tw.head.tolist(), tw.cond)) == \
             edges
         assert tw.masses == masses
+        assert {type(v) for v in tw.cond + tw.masses} == {float}
+        assert np.array_equal(tw.positions, dg.col.positions)
 
         assert self_duality_residuals(dg, lam, lam_star) == \
             loop_self_duality_residuals(dg, lam, lam_star)

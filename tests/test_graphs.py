@@ -14,6 +14,7 @@ from massiveforests.graphs import (
     enumerate_trees_rooted_at,
     forest_partition_function,
     grid_graph,
+    reverse_edges,
     symmetric_graph,
     tree_partition_function,
     wired_restriction,
@@ -306,6 +307,51 @@ def loop_table(g):
     return targets, cum
 
 
+def same_graph(g, ref):
+    """g and ref hold the same tail, head, cond, masses and positions,
+    element for element and type for type."""
+    def typed(values):
+        return [(type(v), v) for v in values]
+
+    assert g.n == ref.n
+    assert g.tail.tolist() == ref.tail.tolist()
+    assert g.head.tolist() == ref.head.tolist()
+    assert typed(g.cond) == typed(ref.cond)
+    assert typed(g.masses) == typed(ref.masses)
+    assert g.cond_a.dtype == ref.cond_a.dtype
+    assert (g.positions is None) == (ref.positions is None)
+    if g.positions is not None:
+        assert g.positions.shape == ref.positions.shape
+        assert g.positions.tolist() == ref.positions.tolist()
+
+
+def loop_symmetric_graph(n, und_edges, masses, positions=None):
+    """`symmetric_graph` as one loop over the edges: each edge both ways,
+    a loop once."""
+    edges = []
+    for x, y, c in und_edges:
+        if x == y:
+            edges.append((x, y, c))
+        else:
+            edges.append((x, y, c))
+            edges.append((y, x, c))
+    return WeightedGraph(n, edges, masses, positions=positions)
+
+
+def loop_grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
+    """`grid_graph` as one loop over the vertices."""
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            if i + 1 < nx:
+                edges.append((j * nx + i, j * nx + i + 1, c))
+            if j + 1 < ny:
+                edges.append((j * nx + i, (j + 1) * nx + i, c))
+    pos = [(float(i), float(j)) for j in range(ny) for i in range(nx)]
+    return loop_symmetric_graph(nx * ny, edges, [m] * (nx * ny),
+                                positions=pos)
+
+
 def loop_harmonicity(g, lam, subset):
     return max((abs(float(massive_laplacian_apply(g, lam, x)))
                 / (float(g.ck(x)) * float(lam[x])) for x in subset),
@@ -353,6 +399,12 @@ class TestArrayCoreMatchesLoops:
             assert list(zip(w.tail.tolist(), w.head.tolist(), w.cond)) \
                 == edges
             assert w.masses == loop_wired_masses(g, subset)
+            # the collapsed graph: each spoke (x, o), then (o, x)
+            o = len(subset)
+            same_graph(col.as_weighted_graph(), WeightedGraph(
+                o + 1, edges + [e for x, c, _ in o_edges
+                                for e in ((x, o, c), (o, x, c))],
+                [0] * (o + 1), check=False))
 
     def test_doob_tilt(self, cases):
         for g, lam, _ in cases:
@@ -376,3 +428,78 @@ class TestArrayCoreMatchesLoops:
                 loop_harmonicity(g, lam, subset)
             assert check_massive_harmonic(g, lam, range(g.n)) == \
                 loop_harmonicity(g, lam, range(g.n))
+
+
+VALUES = {"fraction": lambda k: Fraction(k, 3), "int": lambda k: k,
+          "float": lambda k: k / 3}
+
+
+class TestBuildersMatchLoops:
+    """The column builders give what one loop over the edges gave."""
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_symmetric_graph(self, kind):
+        value, rng = VALUES[kind], np.random.default_rng(7)
+        cases = [(1, [], [value(1)]), (1, [(0, 0, value(2))], [value(0)]),
+                 (2, [(0, 1, value(1)), (1, 1, value(4)), (0, 1, value(2))],
+                  [value(1), value(0)])]
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            und = [(int(rng.integers(v)), v) for v in range(1, n)]
+            und += [tuple(map(int, rng.integers(0, n, size=2)))
+                    for _ in range(int(rng.integers(0, 2 * n)))]
+            und += und[:int(rng.integers(0, 2))]  # a parallel edge
+            cases.append((n, [(x, y, value(int(rng.integers(1, 9))))
+                              for x, y in und],
+                          [value(int(rng.integers(0, 4))) for _ in range(n)]))
+        for n, und, masses in cases:
+            same_graph(symmetric_graph(n, und, masses),
+                       loop_symmetric_graph(n, und, masses))
+        positions = [(0.0, 0.0), (1.0, 0.5)]
+        same_graph(symmetric_graph(2, [(0, 1, value(1))], [value(1)] * 2,
+                                   positions=positions),
+                   loop_symmetric_graph(2, [(0, 1, value(1))],
+                                        [value(1)] * 2, positions=positions))
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (4, 1), (3, 5)])
+    def test_grid_graph(self, kind, nx, ny):
+        c, m = VALUES[kind](2), VALUES[kind](1)
+        same_graph(grid_graph(nx, ny, c, m), loop_grid_graph(nx, ny, c, m))
+        same_graph(grid_graph(nx, ny), loop_grid_graph(nx, ny))
+
+
+def isin_lone_edges(n, tail, head, off=None):
+    """The edges without a reverse, found by hashing the edge codes."""
+    code, rcode = tail * n + head, head * n + tail
+    if off is not None:
+        b = 2 * int(np.abs(off).max(initial=0)) + 1
+        code = (code * b + off[:, 0]) * b + off[:, 1]
+        rcode = (rcode * b - off[:, 0]) * b - off[:, 1]
+    return np.flatnonzero(~np.isin(rcode, code))
+
+
+class TestReverseEdges:
+    """The sorted lookup finds each edge's first reverse in edge order, and
+    the same lone edges as hashing, on random multigraphs with parallel
+    edges, loops and edges without a reverse."""
+
+    @pytest.mark.parametrize("periodic", [False, True],
+                             ids=["plain", "periodic"])
+    def test_random_multigraphs(self, periodic):
+        rng = np.random.default_rng(11 + periodic)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0, 25))
+            tail, head = rng.integers(0, n, size=(2, m))
+            off = rng.integers(-2, 3, size=(m, 2)) if periodic else None
+            def reverses(e):
+                return [r for r in range(m) if tail[r] == head[e] and
+                        head[r] == tail[e] and
+                        (off is None or (off[r] == -off[e]).all())]
+
+            rev = reverse_edges(n, tail, head, off)
+            assert rev.tolist() == [(reverses(e) or [-1])[0]
+                                    for e in range(m)]
+            assert np.flatnonzero(rev < 0).tolist() == \
+                isin_lone_edges(n, tail, head, off).tolist()
+

@@ -133,6 +133,8 @@ def _loop_reference(delta, phis, psis, modulus, u_bar):
         "positions": positions, "dual_positions": np.array(pos[1]),
         "edge_tail": tail, "edge_head": head, "edge_alpha": alpha,
         "edge_beta": beta, "edge_duals": duals, "edges_at": edges_at,
+        "edges": [e for x, y, c in zip(tail, head, conds)
+                  for e in ((x, y, c), (y, x, c))],
         "bulk": [x for x in range(n)
                  if abs(sum(half[e] for e in edges_at[x]) - math.pi) < 1e-9],
         "masses": [sum(terms[e] for e in edges_at[x]) for x in range(n)],
@@ -171,7 +173,12 @@ def test_grid_equals_loop_reference(delta, phis, psis):
                for e, (y, a, b) in enumerate(zip(
                    ref["edge_head"], ref["edge_alpha"], ref["edge_beta"])))
     assert grid.bulk_vertices() == ref["bulk"]
-    assert z_invariant_weights(grid, mod).masses == ref["masses"]
+    wg = z_invariant_weights(grid, mod)
+    assert list(zip(wg.tail.tolist(), wg.head.tolist(), wg.cond)) == \
+        ref["edges"]
+    assert wg.masses == ref["masses"]
+    assert {type(v) for v in wg.cond + wg.masses} == {float}
+    assert np.array_equal(wg.positions, ref["positions"])
     assert lazy_walk_graph(grid, mod)[1].tolist() == ref["holding"]
     field = discrete_exponential(grid, mod, u_bar)
     assert np.array_equal(field.primal, ref["primal"])

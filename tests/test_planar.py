@@ -543,6 +543,7 @@ class TestErrorsMatchLoops:
     @pytest.mark.parametrize("case, message", [
         ("coordinates", "planar constructions need vertex coordinates"),
         ("unpaired", "unpaired directed edges in window"),
+        ("unbalanced", "unpaired directed edges in window"),
         ("asymmetric",
          "double-graph constructions need symmetric conductances"),
         ("spoke", "spokes need ambient directions"),
@@ -554,6 +555,8 @@ class TestErrorsMatchLoops:
         col = {
             "coordinates": lambda: self.col(2, both, positions=None),
             "unpaired": lambda: self.col(2, [(0, 1, 1.0)]),
+            # every edge has a reverse, but 0 -> 1 twice and 1 -> 0 once
+            "unbalanced": lambda: self.col(2, both + [(0, 1, 1.0)]),
             "asymmetric": lambda: self.col(2, [(0, 1, 1.0), (1, 0, 2.0)]),
             "spoke": lambda: self.col(2, both, spokes=(
                 np.array([0]), np.array([1.0]), np.array([7]))),

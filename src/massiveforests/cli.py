@@ -246,7 +246,7 @@ def cmd_sample_forest(args):
         if not 0 <= args.root < g.n:
             raise Refused(f"--root {args.root} is not a vertex of the graph")
         roots = {args.root}
-    elif any(m > 0 for m in g.masses):
+    elif (g.masses > 0).any():
         roots = ()
     else:
         raise Refused("graph has no mass; pass --root for tree sampling")

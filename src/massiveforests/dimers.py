@@ -30,7 +30,7 @@ from .planar import (
     DoubleGraph,
     breadth_first,
     build_dual_and_double,
-    tree_paths,
+    tree_product,
 )
 from .walks import (
     WILSON_STEP_CAP,
@@ -532,18 +532,13 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
     lambda = 1 at the smallest window vertex.
     """
     # lambda ratios along window edges: nu_wx / nu_wy = lam(y)/lam(x),
-    # multiplied up the breadth-first tree of the window from vertex 0
+    # multiplied up the breadth-first tree from vertex 0; NaN at o
     t, nu, n = dg.white_table, weights.values.astype(float), dg.col.n
     off = np.flatnonzero(t.mask[:, 2])
     by = np.lexsort((np.r_[off, off], np.r_[t.x[off], t.y[off]]))
     tail, head = np.r_[t.x[off], t.y[off]][by], np.r_[t.y[off], t.x[off]][by]
     ratio = np.r_[nu[off, 0] / nu[off, 2], nu[off, 2] / nu[off, 0]][by]
-    pred, step = breadth_first(n, tail, head, 0)[1], np.ones(n)
-    tree = pred[head] == tail
-    step[head[tree]] = ratio[tree]
-    lam_v = np.append(np.ones(n), np.nan)  # NaN at o
-    node, up = tree_paths(pred, 0)
-    np.multiply.at(lam_v, node, step[up])
+    lam_v = np.append(tree_product(n, tail, head, ratio, 0)[1], np.nan)
     lam = dict(enumerate(lam_v[:n].tolist()))
     # a spoke's sqrt(c lam(x) lam(z)) is nu_wx lam(x): no outside value
     root = np.where(t.mask[:, 2], np.sqrt(

@@ -52,7 +52,7 @@ def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
     if not np.all(lam > 0):
         raise ValueError("lambda must be positive everywhere")
     lam_tail, lam_head = np.split(lam[at], 2)
-    cond = ambient.cond_a * lam_head / lam_tail
+    cond = ambient.cond * lam_head / lam_tail
     zero = Fraction(0) if ambient.is_exact() else 0.0
     return WeightedGraph(ambient.n, (ambient.tail, ambient.head, cond),
                          [zero] * ambient.n, positions=ambient.positions,
@@ -84,8 +84,8 @@ def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
     row = index[ambient.tail[eids]]
     ly = _lambda_at(lam, ambient.head[eids])
     with np.errstate(invalid="ignore", over="ignore"):
-        r = ambient.masses_a[xs] * lx
-        terms = ambient.cond_a[eids] * (lx[row] - ly)
+        r = ambient.masses[xs] * lx
+        terms = ambient.cond[eids] * (lx[row] - ly)
         r = r.astype(np.result_type(r, terms))
         np.add.at(r, row, terms)
         rel = np.abs(r.astype(float)) / (ambient.ck_f[xs] * lx.astype(float))
@@ -134,8 +134,8 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
     # those alone, so lambda is read on the window and its neighbours only
     _, _, out, _ = _window(ambient, subset)
     tilde = doob_conductances(WeightedGraph(
-        ambient.n, (ambient.tail[out], ambient.head[out], ambient.cond_a[out]),
-        ambient.masses_a, positions=ambient.positions, check=False), lam)
+        ambient.n, (ambient.tail[out], ambient.head[out], ambient.cond[out]),
+        ambient.masses, positions=ambient.positions, check=False), lam)
     tilde_window = wired_restriction(tilde, subset)
     if exact:
         z_forest = determinant_exact(

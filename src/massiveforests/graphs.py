@@ -6,9 +6,11 @@ as distinct edge ids and loops are allowed.  Conductances and masses may be
 floats or exact `fractions.Fraction` values; exact values survive through
 the enumeration and rational linear algebra routines.
 
-A graph holds its incidence once, as arrays (the out-edges as one CSR,
-the float c(x) and c^k(x)), which every layer reads; `ck`,
-`edge_conductance` and the enumerations stay as per-vertex oracles.
+A graph holds its incidence once and each value once, as arrays that
+every layer reads: the out-edges as one CSR, the conductances and masses
+(`cond`, `masses`: float64 for float data, else the input's own values
+as objects), c(x) and c^k(x) summed in that type, and float views of
+all four, which on float data are the arrays themselves.
 
 Each edge decision has one owner here.  `edge_columns` takes a graph's
 edges as tuples or as columns.  `both_ways` turns undirected edges into
@@ -113,8 +115,7 @@ class WeightedGraph:
         tail, head, cond = edge_columns(edges, 3)
         self.tail = np.array(tail, dtype=int)
         self.head = np.array(head, dtype=int)
-        self.cond_a, self.masses_a = _values(cond), _values(masses)
-        self.cond, self.masses = self.cond_a.tolist(), self.masses_a.tolist()
+        self.cond, self.masses = _values(cond), _values(masses)
         self.positions = None if positions is None else np.asarray(positions, float)
         self.m_edges = len(self.tail)
 
@@ -126,21 +127,21 @@ class WeightedGraph:
         self.out_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.tail, minlength=self.n))))
 
-        # float views; c(x) and c^k(x) add x's out-edges in edge order
-        # from 0, as `ck` does, exactly on exact data
-        self.cond_f = np.asarray(self.cond_a, dtype=float)
-        self.masses_f = np.asarray(self.masses_a, dtype=float)
-        c = np.zeros(self.n, self.cond_a.dtype)
-        np.add.at(c, self.tail, self.cond_a)
-        self.c_f = c.astype(float)
-        self.ck_f = (c + self.masses_a).astype(float)
+        # c(x), c^k(x): x's out-edges added in edge order from 0, in the
+        # data's type (exact 0 without out-edges, unless all data is float)
+        self._c = np.zeros(self.n, np.result_type(self.cond, self.masses))
+        np.add.at(self._c, self.tail, self.cond)
+        self._ck = self._c + self.masses
+        self.cond_f, self.masses_f, self.c_f, self.ck_f = (
+            a.astype(float, copy=False)
+            for a in (self.cond, self.masses, self._c, self._ck))
 
     # -- validation -------------------------------------------------------
 
     def _validate(self):
         if len(self.masses) != self.n:
             raise ValueError("need one mass per vertex")
-        check_values(self.cond_a, self.masses_a)
+        check_values(self.cond, self.masses)
         lone = np.flatnonzero(reverse_edges(self.n, self.tail, self.head) < 0)
         if lone.size:
             x, y = self.tail[lone[0]], self.head[lone[0]]
@@ -168,17 +169,16 @@ class WeightedGraph:
     # -- basic quantities ---------------------------------------------------
 
     def is_exact(self):
-        return all(_is_exact(c) for c in self.cond) and all(
-            _is_exact(m) for m in self.masses
-        )
+        return all(map(_is_exact, self.cond)) and \
+            all(map(_is_exact, self.masses))
 
     def total_conductance(self, x):
         """c(x): total conductance of edges leaving x (loops included)."""
-        return sum(self.cond[eid] for eid in self.out_edges[x])
+        return self._c[x]
 
     def ck(self, x):
         """c(x) + m(x), the total rate out of x for the killed walk."""
-        return self.total_conductance(x) + self.masses[x]
+        return self._ck[x]
 
     def edge_conductance(self, x, y):
         """Sum of conductances of all parallel edges x -> y (0 if none)."""
@@ -228,11 +228,9 @@ class CemeteryGraph:
     def __init__(self, base: WeightedGraph):
         self.base = base
         self.rho = base.n
-        self.cemetery_edges = [
-            (x, self.rho, base.masses[x])
-            for x in range(base.n)
-            if base.masses[x] > 0
-        ]
+        x = np.flatnonzero(base.masses > 0)
+        self.cemetery_edges = list(zip(x.tolist(), [self.rho] * len(x),
+                                       base.masses[x].tolist()))
 
     @property
     def has_cemetery(self):
@@ -304,10 +302,7 @@ class RootedForest:
         """Boltzmann weight: product of conductances and root masses."""
         w = Fraction(1) if g.is_exact() else 1.0
         for x, y in self.outgoing.items():
-            if y == ROOT:
-                w = w * g.masses[x]
-            else:
-                w = w * g.edge_conductance(x, y)
+            w = w * (g.masses[x] if y == ROOT else g.edge_conductance(x, y))
         return w
 
 
@@ -359,7 +354,7 @@ def _window(ambient: WeightedGraph, subset):
 def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
     """Identify everything outside `subset` to a single outer vertex."""
     subset, index, out, stays = _window(ambient, subset)
-    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond_a[out]
+    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond[out]
     positions = None if ambient.positions is None else \
         ambient.positions[subset]
     return CollapsedGraph(
@@ -378,9 +373,9 @@ def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
     checked.
     """
     subset, index, out, stays = _window(ambient, subset)
-    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond_a[out]
-    masses = ambient.masses_a[subset].astype(np.result_type(
-        ambient.masses_a, c))
+    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond[out]
+    masses = ambient.masses[subset].astype(np.result_type(
+        ambient.masses, c))
     np.add.at(masses, x[~stays], c[~stays])
     positions = None if ambient.positions is None else \
         ambient.positions[subset]
@@ -413,11 +408,6 @@ def enumerate_forests(g: WeightedGraph, cap=8):
     out = {}
     results = []
 
-    def weight_factor(x, y):
-        if y == ROOT:
-            return g.masses[x]
-        return g.edge_conductance(x, y)
-
     def rec(x, w):
         if x == g.n:
             forest = RootedForest(g.n, dict(out))
@@ -425,7 +415,7 @@ def enumerate_forests(g: WeightedGraph, cap=8):
                 results.append((forest, w))
             return
         for y in choices[x]:
-            f = weight_factor(x, y)
+            f = g.masses[x] if y == ROOT else g.edge_conductance(x, y)
             if f == 0:
                 continue
             out[x] = y

@@ -286,13 +286,14 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     This is the drift field of a grid file, which keeps its rays but not
     its train tracks.  The bulk is every vertex whose full fan is present
     (incident half-angles sum to pi); lambda is 1 at the first bulk vertex
-    and multiplies `exponential_edge_factor` along a depth-first spanning
-    tree.  The step factor is evaluated once per distinct ray angle, in
-    one array call.  Refuses, through `doob.require_massive_harmonic` on
-    the bulk, a modulus that does not make lambda massive harmonic for the
-    file's weights.
+    and multiplies `exponential_edge_factor` down the breadth-first tree
+    of `planar.tree_product`.  The step factor is evaluated once per
+    distinct ray angle, in one array call.  Refuses, through
+    `doob.require_massive_harmonic` on the bulk, a modulus that does not
+    make lambda massive harmonic for the file's weights.
     """
     from .doob import require_massive_harmonic
+    from .planar import tree_product
 
     alpha, beta = g.edge_rays.T
     bulk = full_fan_vertices(g.n, g.tail, 0.5 * (beta - alpha))
@@ -300,18 +301,11 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
         raise ValueError("no bulk vertices in the grid window")
     angles, which = np.unique(np.r_[alpha, beta], return_inverse=True)
     step = exponential_step_factor(angles, u_bar, modulus)[which]
-    factor = (step[:g.m_edges] * step[g.m_edges:]).tolist()
-    head = g.head.tolist()
-    lam = {bulk[0]: 1.0}
-    stack = [bulk[0]]
-    while stack:
-        x = stack.pop()
-        for eid in g.out_edges[x]:
-            y = head[eid]
-            if y in lam:
-                continue
-            lam[y] = lam[x] * factor[eid]
-            stack.append(y)
+    factor = step[:g.m_edges] * step[g.m_edges:]
+    out = g.out_order
+    order, prod = tree_product(g.n, g.tail[out], g.head[out], factor[out],
+                               bulk[0])
+    lam = dict(zip(order.tolist(), prod[order].tolist()))
     require_massive_harmonic(g, lam, bulk)
     return bulk, lam
 

@@ -62,8 +62,8 @@ def _laplacian_triplets(g: WeightedGraph, exact=False):
     rows = np.concatenate([diag, t, t])
     cols = np.concatenate([diag, t, h])
     if exact:
-        c = [Fraction(g.cond[i]) for i in keep.tolist()]
-        vals = [Fraction(m) for m in g.masses] + c + [-v for v in c]
+        c = list(map(Fraction, g.cond[keep]))
+        vals = list(map(Fraction, g.masses)) + c + [-v for v in c]
     else:
         c = g.cond_f[keep]
         vals = np.concatenate([g.masses_f, c, -c])
@@ -428,7 +428,7 @@ def _require_transient(g: WeightedGraph, exact):
     """RecurrentWalkError if a connected component of g carries no mass,
     read exactly on the masses, before any factorization."""
     comp = g.components
-    if g.n == 0 or not np.bincount(comp[g.masses_a != 0],
+    if g.n == 0 or not np.bincount(comp[g.masses != 0],
                                    minlength=comp.max() + 1).all():
         raise RecurrentWalkError(
             "m == 0 on a finite component: the walk is recurrent there and "

@@ -25,12 +25,13 @@ class PeriodicGraph:
     (`graphs.edge_columns`);
     each edge x0 -> y0 needs its reverse y0 -> x0 at the negated offset.
     The graph holds the columns only, sorted stably by tail (those of x0
-    are start[x0]:start[x0 + 1]), and c^k as the array `ck`, each mass
-    plus its tail's conductances added in order from 0.
+    are start[x0]:start[x0 + 1]), its masses as one float array, and c^k
+    as the array `ck`, each mass plus its tail's conductances added in
+    order from 0.
     """
 
     def __init__(self, n, edges, masses):
-        self.n, self.masses = n, [float(m) for m in masses]
+        self.n, self.masses = n, np.array(masses, dtype=float)
         tail, head, off, cond = edge_columns(edges, 4)
         order = np.argsort(np.asarray(tail), kind="stable")
         self.tail, self.head = (np.array(a, dtype=int)[order]
@@ -43,10 +44,9 @@ class PeriodicGraph:
             e = lone[0]
             raise ValueError(f"edge {self.tail[e]} -> {self.head[e]} at "
                              f"offset {self.off[e]} has no reverse")
-        masses = np.array(self.masses)
-        check_values(self.cond, masses)
+        check_values(self.cond, self.masses)
         self.start = np.searchsorted(self.tail, np.arange(n + 1))
-        self.ck = masses + np.bincount(self.tail, self.cond, minlength=n)
+        self.ck = self.masses + np.bincount(self.tail, self.cond, minlength=n)
 
     def max_offsets(self):
         return tuple(np.abs(self.off).max(axis=0, initial=0).tolist())
@@ -68,9 +68,9 @@ class PeriodicGraph:
         tails = cell * self.n + self.tail
         heads = (ti * reps_j + tj) * self.n + self.head
         conds = np.broadcast_to(self.cond, inside.shape)
-        masses = self.masses * (reps_i * reps_j)
         g = WeightedGraph(len(index), (tails[inside], heads[inside],
-                                       conds[inside]), masses, check=False)
+                                       conds[inside]),
+                          np.tile(self.masses, reps_i * reps_j), check=False)
         g.periodic_index = index
         return g
 
@@ -121,7 +121,7 @@ def assemble_bloch(pg: PeriodicGraph, z, w):
     terms = np.stack(np.broadcast_arrays(pg.cond, -hop), axis=-1)
     cells = np.stack([pg.tail * (n + 1), pg.tail * n + pg.head], axis=-1)
     M = np.zeros((z.size, n * n), dtype=complex)
-    M[:, ::n + 1] += np.asarray(pg.masses, dtype=float)
+    M[:, ::n + 1] += pg.masses
     np.add.at(M, (slice(None), cells.ravel()), terms.reshape(z.size, -1))
     return M.reshape(z.shape + (n, n))
 
@@ -232,7 +232,7 @@ def perron_search(pg: PeriodicGraph, axis=0):
     z0).  ValueError when that eigenvector is not positive, as on a
     fundamental domain that is not connected.
     """
-    if all(m == 0 for m in pg.masses):
+    if not pg.masses.any():
         return (1.0, 1.0), np.ones(pg.n), 1.0
     from scipy.optimize import brentq
 

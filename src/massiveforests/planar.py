@@ -13,7 +13,8 @@ at infinity.  Every edge of G^o crosses one dual edge and carries one
 white vertex; the double graph has blacks V + faces - {r} and exactly
 |W| = |B| when the window is simply connected.  One breadth-first
 search, `breadth_first`, finds every spanning tree of this layer and of
-`dimers`.
+`dimers`, and `tree_product` multiplies edge factors down such a tree,
+which is how both `dimers` and `isoradial` build lambda.
 """
 
 from __future__ import annotations
@@ -307,6 +308,21 @@ def tree_paths(pred, root):
         node, up = node[live], pred[up[live]]
         pairs.append((node, up))
     return tuple(map(np.concatenate, zip(*pairs)))
+
+
+def tree_product(n, tail, head, factor, root):
+    """(order, prod): the nodes that `breadth_first` reaches from `root`
+    over the arcs tail[k] -> head[k], sorted by tail, and at each node
+    the product of the factors of the tree arcs on its path from root,
+    multiplied from the node up (1 at root and at the nodes not
+    reached)."""
+    order, pred = breadth_first(n, tail, head, root)
+    step, tree = np.ones(n), pred[head] == tail
+    step[head[tree]] = factor[tree]
+    prod = np.ones(n)
+    node, up = tree_paths(pred, root)
+    np.multiply.at(prod, node, step[up])
+    return order, prod
 
 
 class QuadAdjacency:

@@ -157,7 +157,7 @@ def loop_erase(path):
 
 
 def _check_rooted(g: WeightedGraph, roots):
-    if all(m == 0 for m in g.masses) and not roots:
+    if not (g.masses != 0).any() and not roots:
         raise ValueError("Wilson rooted at the cemetery needs m != 0")
 
 
@@ -240,12 +240,14 @@ class WilsonEdgeCounter:
         self.table = TransitionTable(g)
         self.roots = roots
         self.per_task = per_task
-        self.pairs = g.directed_edge_set()
-        self.pairs += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
-        # (x, y) has code x (n + 1) + y + 1, so (x, ROOT) has code x (n + 1);
+        # (x, y) has code x (n + 1) + y + 1, so (x, ROOT) has code x (n + 1):
+        # the distinct edges' codes sorted, then the massive vertices'
+        edges = np.sort(g.tail * (g.n + 1) + g.head + 1)
+        codes = np.r_[edges[np.diff(edges, prepend=-1) != 0],
+                      np.flatnonzero(g.masses > 0) * (g.n + 1)]
+        tail, head = np.divmod(codes, g.n + 1)
+        self.pairs = list(zip(tail.tolist(), (head - 1).tolist()))
         # the sorted codes end with a sentinel that no successor reaches
-        codes = np.array([x * (g.n + 1) + y + 1 for x, y in self.pairs],
-                         dtype=np.int64)
         self._sort = np.argsort(codes)
         self._codes = np.append(codes[self._sort], (g.n + 1) ** 2)
         self._tail_codes = np.arange(g.n, dtype=np.int64) * (g.n + 1) + 1

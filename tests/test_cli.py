@@ -17,6 +17,8 @@ from massiveforests.io import (
 )
 from massiveforests.graphs import symmetric_graph
 
+from test_graphs import typed
+
 
 def write_two_vertex(path):
     # Z-line window {0, 1} wired: c = 1, m = 3/2; exact rationals
@@ -33,7 +35,7 @@ class TestIO:
         g = write_two_vertex(str(p))
         g2 = load_graph(str(p))
         assert g2.n == 2
-        assert g2.masses == [Fraction(3, 2), Fraction(3, 2)]
+        assert typed(g2.masses) == typed([Fraction(3, 2), Fraction(3, 2)])
         assert g2.edge_conductance(0, 1) == 1
 
     def test_reverse_closure(self, tmp_path):
@@ -96,7 +98,8 @@ class TestIO:
         for name in ("tail", "head", "off", "cond"):
             assert getattr(loaded, name).tolist() == \
                 getattr(pg, name).tolist()
-        assert loaded.masses == pg.masses
+        assert typed(loaded.masses) == typed(pg.masses)
+        assert loaded.masses.dtype == pg.masses.dtype == np.float64
         from_file = self.charpoly_csv(tmp_path, "file", p)
         monkeypatch.setattr(cli, "_load_graph_or_die",
                             lambda path, periodic: pg)

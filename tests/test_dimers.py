@@ -450,10 +450,12 @@ class TestWhiteTable:
 
         tw = _tilted_window(dg, lam)
         edges, masses = loop_tilted_window(dg, lam)
-        assert list(zip(tw.tail.tolist(), tw.head.tolist(), tw.cond)) == \
-            edges
-        assert tw.masses == masses
-        assert {type(v) for v in tw.cond + tw.masses} == {float}
+        assert list(zip(tw.tail.tolist(), tw.head.tolist(),
+                        tw.cond.tolist())) == edges
+        assert tw.masses.tolist() == masses
+        assert tw.cond.dtype == tw.masses.dtype == np.float64
+        assert {type(v) for v in tw.cond.tolist() + tw.masses.tolist()} \
+            == {float}
         assert np.array_equal(tw.positions, dg.col.positions)
 
         assert self_duality_residuals(dg, lam, lam_star) == \

@@ -136,13 +136,13 @@ class TestWiredRestriction:
     def test_z_line_window(self):
         amb = z_line(-2, 3)
         g = wired_restriction(amb, [2, 3])  # ambient vertices 0 and 1
-        assert g.masses == [Fraction(1), Fraction(1)]
+        assert typed(g.masses) == typed([Fraction(1), Fraction(1)])
         assert g.edge_conductance(0, 1) == 1
 
     def test_full_subset_identity(self):
         g = path_ab()
         h = wired_restriction(g, [0, 1])
-        assert h.masses == g.masses
+        assert typed(h.masses) == typed(g.masses)
 
     def test_grid_interior_masses(self):
         amb = grid_graph(5, 5)
@@ -270,20 +270,20 @@ def loop_out_edges(g):
 
 
 def loop_collapse(g, subset):
-    index = {v: i for i, v in enumerate(subset)}
+    index, cond = {v: i for i, v in enumerate(subset)}, g.cond.tolist()
     edges, o_edges = [], []
     for v in subset:
         for e in loop_out_edges(g)[v]:
             y = int(g.head[e])
             if y in index:
-                edges.append((index[v], index[y], g.cond[e]))
+                edges.append((index[v], index[y], cond[e]))
             else:
-                o_edges.append((index[v], g.cond[e], y))
+                o_edges.append((index[v], cond[e], y))
     return edges, o_edges
 
 
 def loop_wired_masses(g, subset):
-    masses = [g.masses[v] for v in subset]
+    masses = [g.masses.tolist()[v] for v in subset]
     for x, c, _ in loop_collapse(g, subset)[1]:
         masses[x] = masses[x] + c
     return masses
@@ -307,18 +307,24 @@ def loop_table(g):
     return targets, cum
 
 
+def typed(values):
+    """(type, value) of each element of a list, or of an array as its
+    `tolist` gives it: Python floats for float64, else the objects held."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [(type(v), v) for v in values]
+
+
 def same_graph(g, ref):
     """g and ref hold the same tail, head, cond, masses and positions,
     element for element and type for type."""
-    def typed(values):
-        return [(type(v), v) for v in values]
-
     assert g.n == ref.n
     assert g.tail.tolist() == ref.tail.tolist()
     assert g.head.tolist() == ref.head.tolist()
     assert typed(g.cond) == typed(ref.cond)
     assert typed(g.masses) == typed(ref.masses)
-    assert g.cond_a.dtype == ref.cond_a.dtype
+    assert g.cond.dtype == ref.cond.dtype
+    assert g.masses.dtype == ref.masses.dtype
     assert (g.positions is None) == (ref.positions is None)
     if g.positions is not None:
         assert g.positions.shape == ref.positions.shape
@@ -396,9 +402,9 @@ class TestArrayCoreMatchesLoops:
             assert list(zip(*(a.tolist() for a in col.edges))) == edges
             assert list(zip(*(a.tolist() for a in col.spokes))) == o_edges
             w = wired_restriction(g, subset)
-            assert list(zip(w.tail.tolist(), w.head.tolist(), w.cond)) \
-                == edges
-            assert w.masses == loop_wired_masses(g, subset)
+            assert list(zip(w.tail.tolist(), w.head.tolist(),
+                            w.cond.tolist())) == edges
+            assert typed(w.masses) == typed(loop_wired_masses(g, subset))
             # the collapsed graph: each spoke (x, o), then (o, x)
             o = len(subset)
             same_graph(col.as_weighted_graph(), WeightedGraph(
@@ -409,9 +415,9 @@ class TestArrayCoreMatchesLoops:
     def test_doob_tilt(self, cases):
         for g, lam, _ in cases:
             t = doob_conductances(g, lam)
-            assert t.cond == [g.cond[e] * lam[int(g.head[e])]
-                              / lam[int(g.tail[e])]
-                              for e in range(g.m_edges)]
+            assert typed(t.cond) == typed([
+                g.cond.tolist()[e] * lam[int(g.head[e])]
+                / lam[int(g.tail[e])] for e in range(g.m_edges)])
             assert t.tail.tolist() == g.tail.tolist()
             assert t.head.tolist() == g.head.tolist()
             assert all(m == 0 for m in t.masses)
@@ -503,3 +509,101 @@ class TestReverseEdges:
             assert np.flatnonzero(rev < 0).tolist() == \
                 isin_lone_edges(n, tail, head, off).tolist()
 
+
+
+class TestValuesHeldOnce:
+    """A graph holds its conductances and masses once, as arrays: float64
+    for float data, else the input's own values as objects.  c(x), c^k(x)
+    and the parallel sums equal a loop over the input edges, added in edge
+    order from 0, type for type (np.float64 on float data), and the edge
+    counter's pairs equal the per-edge construction."""
+
+    KINDS = ["fraction", "int", "float", "mixed"]
+
+    @staticmethod
+    def data(rng, kind, n):
+        """One random value of `kind` for each of n slots; mixed data takes
+        Fractions, ints and floats in turn."""
+        def one(i):
+            a, b = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            k = kind if kind != "mixed" else ("fraction", "int", "float")[i % 3]
+            return {"fraction": Fraction(a, b), "int": a,
+                    "float": a / b + rng.random()}[k]
+        return [one(i) for i in range(n)]
+
+    def cases(self):
+        rng = np.random.default_rng(42)
+        for kind in self.KINDS:
+            for _ in range(15):
+                n = int(rng.integers(1, 6))
+                und = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+                # parallel edges and loops
+                und += [tuple(map(int, rng.integers(0, n, 2)))
+                        for _ in range(int(rng.integers(0, 2 * n)))]
+                c = self.data(rng, kind, len(und))
+                edges = [e for (x, y), v in zip(und, c)
+                         for e in ([(x, y, v)] if x == y else
+                                   [(x, y, v), (y, x, v)])]
+                masses = self.data(rng, kind, n)
+                masses[0] = 0 * masses[0]  # a massless vertex
+                yield kind, edges, masses, WeightedGraph(n, edges, masses)
+            # no edges at all
+            masses = self.data(rng, kind, 1)
+            yield kind, [], masses, WeightedGraph(1, [], masses)
+
+    def test_arrays_hold_the_input_types(self):
+        for kind, edges, masses, g in self.cases():
+            for held, given in ((g.cond, [c for _, _, c in edges]),
+                                (g.masses, masses)):
+                # no values at all make an empty float64 array
+                assert isinstance(held, np.ndarray)
+                assert held.dtype == (np.float64 if kind == "float" or
+                                      not given else object)
+                if kind == "float":
+                    assert held.tolist() == given
+                else:
+                    assert typed(held) == typed(given)
+
+    def test_sums_equal_a_loop_type_for_type(self):
+        def same(value, want, all_float):
+            assert value == want
+            assert type(value) is (np.float64 if all_float else type(want))
+
+        for kind, edges, masses, g in self.cases():
+            all_float = kind == "float"
+            for x in range(g.n):
+                c = 0
+                for t, _, v in edges:
+                    if t == x:
+                        c = c + v
+                same(g.total_conductance(x), c, all_float)
+                same(g.ck(x), c + masses[x], all_float)
+                for y in range(g.n):
+                    cxy = 0
+                    for t, h, v in edges:
+                        if (t, h) == (x, y):
+                            cxy = cxy + v
+                    if cxy:
+                        same(g.edge_conductance(x, y), cxy, all_float)
+                    else:
+                        assert typed([g.edge_conductance(x, y)]) == \
+                            typed([0])
+
+    def test_edge_counter_pairs(self):
+        from massiveforests.walks import WilsonEdgeCounter
+
+        tiny = Fraction(1, 10 ** 400)  # positive, but 0.0 as a float
+        graphs = [g for _, _, _, g in self.cases()
+                  if (g.masses > 0).any()]
+        graphs.append(symmetric_graph(3, [(0, 1, Fraction(1)),
+                                          (1, 2, Fraction(2))],
+                                      [tiny, Fraction(0), Fraction(1)]))
+        assert float(graphs[-1].masses[0]) == 0.0
+        for g in graphs:
+            masses = g.masses.tolist()
+            want = g.directed_edge_set() + [
+                (x, ROOT) for x in range(g.n) if masses[x] > 0]
+            pairs = WilsonEdgeCounter(g).pairs
+            assert pairs == want
+            assert {type(v) for p in pairs for v in p} == {int}
+        assert (0, ROOT) in pairs

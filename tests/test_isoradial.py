@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -174,10 +175,12 @@ def test_grid_equals_loop_reference(delta, phis, psis):
                    ref["edge_head"], ref["edge_alpha"], ref["edge_beta"])))
     assert grid.bulk_vertices() == ref["bulk"]
     wg = z_invariant_weights(grid, mod)
-    assert list(zip(wg.tail.tolist(), wg.head.tolist(), wg.cond)) == \
-        ref["edges"]
-    assert wg.masses == ref["masses"]
-    assert {type(v) for v in wg.cond + wg.masses} == {float}
+    assert list(zip(wg.tail.tolist(), wg.head.tolist(), wg.cond.tolist())) \
+        == ref["edges"]
+    assert wg.masses.tolist() == ref["masses"]
+    assert wg.cond.dtype == wg.masses.dtype == np.float64
+    assert {type(v) for v in wg.cond.tolist() + wg.masses.tolist()} \
+        == {float}
     assert np.array_equal(wg.positions, ref["positions"])
     assert lazy_walk_graph(grid, mod)[1].tolist() == ref["holding"]
     field = discrete_exponential(grid, mod, u_bar)
@@ -408,7 +411,33 @@ class TestDriftFieldFromRays:
     @pytest.mark.parametrize("kind", ["square", "rhombic"])
     def test_equal_to_per_edge_factors(self, kind):
         # one step factor per distinct ray angle gives the lambda of one
-        # scalar exponential_edge_factor per tree edge, bit for bit
+        # scalar exponential_edge_factor per tree edge, bit for bit: the
+        # breadth-first tree over the out-edges, in its order, each
+        # vertex's factors multiplied from the vertex up
+        _, mod, g = _grid_and_file_graph(kind)
+        u_bar = 0.9
+        bulk, lam = drift_field_from_rays(g, mod, u_bar)
+        up, queue = {bulk[0]: None}, deque([bulk[0]])
+        while queue:
+            x = queue.popleft()
+            for eid in g.out_edges[x]:
+                y = int(g.head[eid])
+                if y not in up:
+                    up[y] = eid
+                    queue.append(y)
+        want = {}
+        for y, eid in up.items():
+            want[y] = 1.0
+            while eid is not None:
+                a, b = g.edge_rays[eid]
+                want[y] *= exponential_edge_factor(a, b, u_bar, mod)
+                eid = up[int(g.tail[eid])]
+        assert list(lam.items()) == list(want.items())
+
+    @pytest.mark.parametrize("kind", ["square", "rhombic"])
+    def test_depth_first_product_agrees(self, kind):
+        # lambda does not depend on the tree: the depth-first product,
+        # multiplied from bulk[0] down, agrees to within rounding
         _, mod, g = _grid_and_file_graph(kind)
         u_bar = 0.9
         bulk, lam = drift_field_from_rays(g, mod, u_bar)
@@ -422,7 +451,8 @@ class TestDriftFieldFromRays:
                     want[y] = want[x] * exponential_edge_factor(a, b, u_bar,
                                                                 mod)
                     stack.append(y)
-        assert list(lam.items()) == list(want.items())
+        assert set(lam) == set(want)
+        assert max(abs(lam[v] / want[v] - 1) for v in want) <= 1e-14
 
     def test_refuses_other_modulus(self):
         _, _, g = _grid_and_file_graph("square")

@@ -1096,7 +1096,8 @@ def two_components():
                                           a.cond_f.tolist())]
     edges += [(t + a.n, h + a.n, c) for t, h, c in zip(
         b.tail.tolist(), b.head.tolist(), b.cond_f.tolist())]
-    return WeightedGraph(a.n + b.n, edges, a.masses + b.masses, check=False)
+    return WeightedGraph(a.n + b.n, edges, np.r_[a.masses, b.masses],
+                         check=False)
 
 
 def hub_window():

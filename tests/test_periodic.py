@@ -193,7 +193,8 @@ class TestUnroll:
         g = square_lattice(m).unroll(4, 4)
         assert g.n == 16
         # no wiring: every vertex keeps the periodic mass
-        assert g.masses == [m] * 16
+        assert g.masses.dtype == np.float64
+        assert g.masses.tolist() == [m] * 16
         where = {v: (i, j) for (_, i, j), v in g.periodic_index.items()}
         pairs = set()
         for t, h, c in zip(g.tail, g.head, g.cond):

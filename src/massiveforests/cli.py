@@ -274,7 +274,8 @@ def cmd_edge_prob(args):
     if args.dump_matrix:
         L = assemble_massive_laplacian(g).toarray()
         _write_csv(args.dump_matrix, ["row", "col", "value"],
-                   ([i, j, repr(v)] for (i, j), v in np.ndenumerate(L)))
+                   ([i, j, repr(float(v))]
+                    for (i, j), v in np.ndenumerate(L)))
         outputs.append(args.dump_matrix)
     print(f"P({args.edges}) = {p}")
     return outputs

@@ -33,7 +33,6 @@ from .planar import (
     tree_product,
 )
 from .walks import (
-    WILSON_STEP_CAP,
     TransitionTable,
     UniformReader,
     _check_rooted,
@@ -404,7 +403,7 @@ class TemperleySampler:
     def _draw(self, reader):
         """The tree white out of each window vertex of one sample."""
         heads = _wilson_successors(self.table, reader, range(self.window.n),
-                                   (), WILSON_STEP_CAP)
+                                   ())
         return _resolve(self.dg, enumerate(heads), reader)
 
     def sample(self, rng):

@@ -159,15 +159,14 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
     return z_forest, z_tree, gap
 
 
-def tilted_transfer(window: WeightedGraph, lam_window, pot=None, exact=False):
+def tilted_transfer(window: WeightedGraph, lam_window, exact=False):
     """Tilted transfer currents from the untilted potential.
 
     H~_{e,f} = (lam(y)/lam(w)) V(w,y)/c^k(y) - (lam(y)/lam(x)) V(x,y)/c^k(y)
     for e = (w, x), f = (y, z); entries for edges inside the window.
     `lam_window` is indexed by window vertices.
     """
-    if pot is None:
-        pot = potential(window, exact=exact)
+    pot = potential(window, exact=exact)
     zero = Fraction(0) if exact else 0.0
 
     def entry(e, f):

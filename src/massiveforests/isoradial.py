@@ -231,18 +231,17 @@ def mass_value_via_star(grid, modulus, x):
 class ExponentialField:
     """Shifted discrete massive exponential on primal and dual vertices.
 
-    Values are e_(x0, .) evaluated at u - 2K - 2iK' for real drift u; primal
-    values are the Doob field, and the dual companion is the reciprocal of
-    the diamond extension, which is the normalization that makes the killed
-    dimer model self-dual.
+    Values are e_(x0, .), x0 the grid's base vertex, evaluated at
+    u - 2K - 2iK' for real drift u; primal values are the Doob field, and
+    the dual companion is the reciprocal of the diamond extension, which is
+    the normalization that makes the killed dimer model self-dual.
     """
 
-    def __init__(self, grid: IsoradialGrid, modulus: EllipticModulus, u_bar,
-                 x0=None):
+    def __init__(self, grid: IsoradialGrid, modulus: EllipticModulus, u_bar):
         self.grid = grid
         self.modulus = modulus
         self.u_bar = float(u_bar)
-        self.x0 = grid.base_vertex() if x0 is None else x0
+        self.x0 = grid.base_vertex()
 
         f_phi = exponential_step_factor(np.array(grid.phis), u_bar, modulus)
         f_psi = exponential_step_factor(np.array(grid.psis), u_bar, modulus)
@@ -262,8 +261,8 @@ class ExponentialField:
         return exponential_edge_factor(a, b, self.u_bar, self.modulus)
 
 
-def discrete_exponential(grid, modulus, u_bar, x0=None) -> ExponentialField:
-    return ExponentialField(grid, modulus, u_bar, x0=x0)
+def discrete_exponential(grid, modulus, u_bar) -> ExponentialField:
+    return ExponentialField(grid, modulus, u_bar)
 
 
 def drift_field_and_conductances(grid, modulus, u_bar, ambient=None):

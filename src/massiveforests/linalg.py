@@ -573,8 +573,8 @@ def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
     return Potential(g, *_potential_matrix(g, ys, exact), exact, columns)
 
 
-def potential_walk_sum(g: WeightedGraph, n_terms=200):
-    """Truncated series sum_{i<=n} (Q^k)^i, an independent oracle for V."""
+def potential_walk_sum(g: WeightedGraph):
+    """Truncated series sum_{i<=200} (Q^k)^i, an independent oracle for V."""
     n = g.n
     Q = np.zeros((n, n))
     for x in range(n):
@@ -583,7 +583,7 @@ def potential_walk_sum(g: WeightedGraph, n_terms=200):
             Q[x, g.head[eid]] += g.cond_f[eid] / ckx
     V = np.eye(n)
     P = np.eye(n)
-    for _ in range(n_terms):
+    for _ in range(200):
         P = P @ Q
         V += P
     return V

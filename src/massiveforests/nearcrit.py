@@ -8,7 +8,7 @@ vectorized over walkers, drawing from counter-based per-task streams keyed
 by the seed.  A walker far from the stop set takes up to JUMP_MAX steps
 from one uniform, drawn from the exact multi-step law, whose tables are
 built only up to the longest jump the box allows; runs that record paths
-or share a coupled uniform block take single steps.
+take single steps.
 """
 
 from __future__ import annotations
@@ -304,14 +304,11 @@ def _crossing_box(spec, kernel):
 _Walkers = namedtuple("_Walkers", "final prev died steps truncated paths")
 
 
-def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
-          record=False):
+def _walk(kernel, box, start, n, rng, max_steps, record=False):
     """Run n walkers from flat site `start` until each dies or stops.
 
     Each iteration draws one uniform per active walker (in walker order)
-    from `rng`, or reads the active walker ids of row `iteration` of a
-    pre-drawn block `uniforms`, which couples the runs of different kernels.
-    The uniform u picks an outcome of the walker's table t in
+    from `rng`.  The uniform u picks an outcome of the walker's table t in
     `_jump_tables` (`_outcome`).  A walker whose L1 distance d to the stop
     set has d - 1 >= S takes S = 2**t steps (`box.jump_index`) at once from
     the exact S-step law, a lattice walk-on-spheres; next to the stop set
@@ -320,16 +317,14 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     or crosses a stop site, so `prev -> final` of a walker that leaves
     alive is one lattice step.  A walker killed inside a jump reports its
     jump-start site as `final`, and `steps` counts the step it died on.
-    With `record` (every visited site) or `uniforms` (one row per lattice
-    step) every walker takes single steps, and the output is that of the
-    one-step loop bit for bit.  Each walker has a budget of `max_steps`
-    lattice steps; jumps are cut to the budget once fewer than 2 S_max
-    steps may be left.  Walkers still running when it runs out raise a
-    RuntimeWarning.
+    With `record` (every visited site) every walker takes single steps,
+    and the output is that of the one-step loop bit for bit.  Each walker
+    has a budget of `max_steps` lattice steps; jumps are cut to the budget
+    once fewer than 2 S_max steps may be left.  Walkers still running when
+    it runs out raise a RuntimeWarning.
     """
     n_sites = box.z.size
-    tix = np.zeros(n_sites, np.int8) if record or uniforms is not None \
-        else box.jump_index
+    tix = np.zeros(n_sites, np.int8) if record else box.jump_index
     s_max = 2 ** int(tix.max())
     tab = kernel.tables(s_max)
     # sites are intp: numpy gathers by an intp index without a cast.  A
@@ -358,8 +353,7 @@ def _walk(kernel, box, start, n, rng, max_steps, uniforms=None,
             t = tix[site]
         if ids.size == 0:
             break
-        u = rng.random(ids.size) if uniforms is None else uniforms[it][ids]
-        k = _outcome(tab, u, t)
+        k = _outcome(tab, rng.random(ids.size), t)
         new = offset[k]
         new += site
         taken += tab.steps[k]
@@ -516,32 +510,25 @@ class CrossingSpec:
         return self.z + self.r * complex(0.5, 2.5)
 
 
-def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed,
-                         max_steps=None, coupled_uniforms=None):
+def crossing_probability(spec: CrossingSpec, delta, M, n_samples, seed):
     """MC estimate of P(hit the target ball before leaving R or dying).
 
-    Walkers start at the lattice site nearest the start-ball center.  With
-    `coupled_uniforms` a pre-drawn uniform block (row per step, column per
-    walker) is reused, which couples estimates across masses: the same
-    trajectories with earlier deaths.  Walkers still running after
-    `max_steps` count as misses and raise a RuntimeWarning.
-    Returns (estimate, stderr); n_samples < 1 raises ValueError first.
+    Walkers start at the lattice site nearest the start-ball center.
+    Walkers still running after 40 (3r / spacing)**2 + 1000 steps count as
+    misses and raise a RuntimeWarning.  Returns (estimate, stderr);
+    n_samples < 1 raises ValueError first.
     """
-    return _crossing_cell(spec, delta, M, n_samples, rng_stream(seed, 0),
-                          max_steps, coupled_uniforms)
+    return _crossing_cell(spec, delta, M, n_samples, rng_stream(seed, 0))
 
 
-def _crossing_cell(spec, delta, M, n_samples, rng, max_steps=None,
-                   coupled_uniforms=None):
+def _crossing_cell(spec, delta, M, n_samples, rng):
     """`crossing_probability` with its walkers drawn from rng."""
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples} must be >= 1")
     kernel = SquareLatticeKernel(M, delta)
     box, target, start = _crossing_box(spec, kernel)
-    if max_steps is None:
-        max_steps = int(40 * (3 * spec.r / kernel.spacing) ** 2) + 1000
-    w = _walk(kernel, box, start, n_samples, rng, max_steps,
-              uniforms=coupled_uniforms)
+    max_steps = int(40 * (3 * spec.r / kernel.spacing) ** 2) + 1000
+    w = _walk(kernel, box, start, n_samples, rng, max_steps)
     est = float(np.count_nonzero(~w.died & target[w.final])) / n_samples
     stderr = math.sqrt(max(est * (1 - est), 1e-12) / n_samples)
     return est, stderr
@@ -659,8 +646,9 @@ def exit_law_pair(M, u_bar, delta, n_samples, seed):
     return walk, brownian
 
 
-def exit_law_continuum(M, u_bar, n_arcs=N_ARCS):
-    """Exact `_arc_bin` arc masses of the exit law of `exit_law_brownian`.
+def exit_law_continuum(M, u_bar):
+    """Exact `_arc_bin` arc masses of the exit law of `exit_law_brownian`,
+    over the N_ARCS arcs (read at call time).
 
     The von Mises density (1 + 2 sum_k rho_k cos k(t - u_bar)) / 2 pi, with
     rho_k = I_k(kappa) / I_0(kappa) and kappa = 2 M, integrated over
@@ -671,10 +659,10 @@ def exit_law_continuum(M, u_bar, n_arcs=N_ARCS):
     kappa = 2 * M
     k = np.arange(1, int(kappa + 10 * math.sqrt(kappa)) + 21)
     rho = ive(k, kappa) / ive(0, kappa)
-    width = 2 * math.pi / n_arcs
-    centers = width * np.arange(n_arcs) - u_bar
+    width = 2 * math.pi / N_ARCS
+    centers = width * np.arange(N_ARCS) - u_bar
     terms = (rho / k * np.sin(k * width / 2)) * np.cos(np.outer(centers, k))
-    return 1 / n_arcs + 2 / math.pi * terms.sum(axis=1)
+    return 1 / N_ARCS + 2 / math.pi * terms.sum(axis=1)
 
 
 def total_variation(counts_a, counts_b):
@@ -687,7 +675,7 @@ def total_variation(counts_a, counts_b):
 
 
 def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
-                               radius=1.0, max_attempts=None):
+                               radius=1.0):
     """Killed LERW from the disk centre conditioned on surviving and
     exiting through an arc.
 
@@ -695,7 +683,8 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     loop erasure when it exits in the target arc.  Each task runs 2048
     walkers in lockstep and is scanned in walker order; attempts count up
     to the last walker scanned.  Returns (paths, acceptance rate); aborts
-    when the acceptance rate is hopeless, by default below 1e-4.  A
+    when the acceptance rate is hopeless, below 1e-4 (at least 10**5
+    attempts, at most what the task streams hold).  A
     target arc outside 0..N_ARCS-1 raises ValueError before any walk.
     """
     if not 0 <= target_arc < N_ARCS:
@@ -704,11 +693,10 @@ def conditioned_branch_sampler(M, delta, target_arc, n_accepted, seed,
     kernel = SquareLatticeKernel(M, delta)
     box = _disk_box(kernel.spacing, radius)
     start_site = box.nearest(0j)
-    if max_attempts is None:
-        max_attempts = max(int(n_accepted / 1e-4), 10**5)
     per_task = 2048
     # every task walks per_task walkers; the task streams cap the attempts
-    max_attempts = min(max_attempts, (1 << TASK_BITS) * per_task)
+    max_attempts = min(max(int(n_accepted / 1e-4), 10**5),
+                       (1 << TASK_BITS) * per_task)
     paths, attempts = [], 0
     for task, _ in tasks(max_attempts, per_task):
         if len(paths) >= n_accepted:

@@ -3,12 +3,12 @@
 All randomness flows through counter-based Philox streams keyed by
 (seed, task id), so results are reproducible and independent of how work is
 split across workers.  Samplers read a stream through one `UniformReader`,
-WILSON_BLOCK uniforms at a time and in stream order (Wilson's walk loops
+WILSON_BLOCK draws at a time and in stream order (Wilson's walk loops
 over an iterator on the block).  A task opens one reader on its own stream
 and carries the unread tail of each block into its next sample; an API
 that draws from a caller's generator opens a reader on it and hands it
 back just after the last uniform used, so either way every sample reads
-the same uniforms as if each step had called `rng.random()`.  The
+the same draws as if each step had called `rng.random()`.  The
 transition table is read off the graph's CSR out-edges and c^k arrays.
 """
 
@@ -24,7 +24,7 @@ from .graphs import ROOT, RootedForest, WeightedGraph, csr_rows
 from .linalg import _potential_columns, determinant, determinant_exact
 
 WILSON_STEP_CAP = 10**9
-WILSON_BLOCK = 256  # uniforms read from a generator at a time
+WILSON_BLOCK = 256  # draws read from a generator at a time
 COUNT_CHUNK = 8     # forests per edge-count reduction in `task_counts`
 SEED_BITS, TASK_BITS = 48, 16  # a stream's Philox key is seed << 16 ^ task
 
@@ -162,11 +162,11 @@ def _check_rooted(g: WeightedGraph, roots):
 
 
 def _wilson_successors(table: TransitionTable, reader: UniformReader, order,
-                       roots, step_cap):
+                       roots):
     """Successor list of one Wilson forest; ROOT marks roots and deaths.
 
     Each step reads the next uniform of `reader`; the walks of one forest
-    may read at most about `step_cap` of them.
+    may read at most about WILSON_STEP_CAP of them, read at call time.
     """
     cum, targets = table.cum, table.targets
     n = len(cum)
@@ -190,7 +190,7 @@ def _wilson_successors(table: TransitionTable, reader: UniformReader, order,
                     break
             else:
                 used += WILSON_BLOCK
-                if used >= step_cap:
+                if used >= WILSON_STEP_CAP:
                     raise RuntimeError(
                         "Wilson step cap exceeded; killed walk may not die "
                         "a.s.")
@@ -203,7 +203,7 @@ def _wilson_successors(table: TransitionTable, reader: UniformReader, order,
 
 
 def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
-                  step_cap=WILSON_STEP_CAP, roots=()) -> RootedForest:
+                  roots=()) -> RootedForest:
     """Wilson's algorithm rooted at the cemetery (or at given root vertices).
 
     Runs killed walks from each unvisited vertex; the successor-overwrite
@@ -221,7 +221,7 @@ def wilson_sample(g: WeightedGraph, rng, order=None, table=None,
     if table is None:
         table = TransitionTable(g)
     reader = UniformReader(rng, shared=True)
-    nxt = _wilson_successors(table, reader, order, roots, step_cap)
+    nxt = _wilson_successors(table, reader, order, roots)
     reader.hand_back()
     return RootedForest(g.n, nxt)
 
@@ -230,16 +230,17 @@ class WilsonEdgeCounter:
     """Directed-edge counts over independent Wilson forests of one graph.
 
     `pairs` lists the distinct directed edges, then (x, ROOT) for every
-    massive x.  Forests are split into tasks of `per_task`; task t draws
+    massive x.  Forests are split into tasks of PER_TASK; task t draws
     its forests from rng_stream(seed, t), so summed counts depend only on
     (seed, n_samples), whatever runs the tasks.
     """
 
-    def __init__(self, g: WeightedGraph, roots=(), per_task=1000):
+    PER_TASK = 1000
+
+    def __init__(self, g: WeightedGraph, roots=()):
         _check_rooted(g, roots)
         self.table = TransitionTable(g)
         self.roots = roots
-        self.per_task = per_task
         # (x, y) has code x (n + 1) + y + 1, so (x, ROOT) has code x (n + 1):
         # the distinct edges' codes sorted, then the massive vertices'
         edges = np.sort(g.tail * (g.n + 1) + g.head + 1)
@@ -260,7 +261,7 @@ class WilsonEdgeCounter:
         `pairs` (a given root without mass) is not counted.
         """
         reader = UniformReader(rng_stream(seed, task))
-        k = min(self.per_task, n_samples - task * self.per_task)
+        k = min(self.PER_TASK, n_samples - task * self.PER_TASK)
         order = range(len(self._tail_codes))
         hits = np.zeros(len(self.pairs), dtype=np.int64)
         codes = np.empty((min(k, COUNT_CHUNK), len(order)), dtype=np.int64)
@@ -268,7 +269,7 @@ class WilsonEdgeCounter:
             chunk = codes[:min(COUNT_CHUNK, k - done)]
             for row in chunk:
                 row[:] = _wilson_successors(self.table, reader, order,
-                                            self.roots, WILSON_STEP_CAP)
+                                            self.roots)
             chunk += self._tail_codes
             i = np.searchsorted(self._codes, chunk)
             hits += np.bincount(i[self._codes[i] == chunk],
@@ -284,7 +285,7 @@ class WilsonEdgeCounter:
         them (an executor's `map` runs them in a pool).  More forests than
         the task streams hold raise TaskRangeError before any task runs.
         """
-        ids = [t for t, _ in tasks(n_samples, self.per_task)]
+        ids = [t for t, _ in tasks(n_samples, self.PER_TASK)]
         total = np.zeros(len(self.pairs), dtype=np.int64)
         for counts in map(partial(self.task_counts, n_samples, seed), ids):
             total += counts

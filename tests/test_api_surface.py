@@ -1,0 +1,175 @@
+"""Every option of the public API has a caller outside the tests.
+
+An AST scan of `src/massiveforests` lists the default-valued parameters
+of its public functions, of the public methods of its public classes
+and of their `__init__`s.  A parameter counts as set when a call in
+`src/`, `bench/` or `demos/` to a function of its name passes it, by
+keyword or by position (a `*` or `**` argument sets every parameter it
+can reach).  Handing on one's own default (`f(x=x)` inside a function
+whose default-valued parameter x it is and never reassigns) sets the
+callee's parameter only if something sets the caller's.  Calls resolve
+by name alone, so a call to any function of the same name counts.
+
+The parameters that no call sets are the options that only tests set.
+Each one kept says why below; any other such option is a value that
+should become the constant it defaults to.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "massiveforests"
+
+EXACT = "float against exact arithmetic is the oracle design"
+
+# (owner, parameter) -> why it stays, though no call outside the tests
+# sets it
+KEPT = {
+    ("dimers.matching_weight", "exact"): EXACT,
+    ("doob.martin_kernel_ratio", "exact"): EXACT,
+    ("doob.tilted_transfer", "exact"): EXACT,
+    ("doob.tilted_transfer_direct", "exact"): EXACT,
+    ("linalg.potential", "exact"): EXACT,
+    ("walks.lerw_exact_probability", "exact"): EXACT,
+    ("nearcrit.exit_law_walk", "drifted"):
+        "the killed walk's exit law, which the exact finite-delta "
+        "oracles of the killed and drifted laws need",
+    ("walks.wilson_sample", "order"): "Wilson's order invariance",
+    ("walks.wilson_sample", "roots"): "trees rooted at given vertices",
+    ("periodic.perron_search", "axis"): "the crossing along the j axis",
+    ("dimers.check_kasteleyn_property", "phases"):
+        "the negative control: phases that break the Kasteleyn property",
+    ("nearcrit.approximation_property_check", "grid_kind"):
+        "the expansion on rhombic grids",
+    ("planar.DoubleGraph.__init__", "r"): "the removed dual vertex",
+    ("dimers.local_statistics", "Kinv"):
+        "a dense inverse computed once for many queries, until the "
+        "statistics read the forest potential instead",
+    ("nearcrit.lerw_ratio_check", "radius"):
+        "the window radius, which every caller sets",
+    ("graphs.grid_graph", "c"): "the grid's conductance",
+}
+
+# (owner, parameter) -> the demo that sets it, the only caller outside
+# the tests; the enumeration caps are handed on from `enumerate_cap`
+DEMO_SET = {
+    ("dimers.resolve_tree", "rng"): "04_temperley_dimers",
+    ("doob.verify_partition_equality", "enumerate_cap"):
+        "02_doob_transform",
+    ("graphs.enumerate_forests", "cap"): "02_doob_transform",
+    ("graphs.enumerate_trees_rooted_at", "cap"): "02_doob_transform",
+    ("graphs.forest_partition_function", "cap"): "02_doob_transform",
+    ("graphs.tree_partition_function", "cap"): "02_doob_transform",
+    ("isoradial.drift_field_and_conductances", "ambient"):
+        "03_elliptic_isoradial",
+}
+
+
+def _defaults(fn, method):
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    pos = pos[1:] if method else pos
+    named = [p.arg for p in pos[len(pos) - len(a.defaults):]] \
+        if a.defaults else []
+    named += [k.arg for k, v in zip(a.kwonlyargs, a.kw_defaults)
+              if v is not None]
+    return [p.arg for p in pos], named
+
+
+def _owners():
+    """name a call uses -> [(owner, positional names, defaulted names,
+    public)] over every module-level function and class method."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owners.setdefault(node.name, []).append(
+                    (f"{path.stem}.{node.name}", *_defaults(node, False),
+                     not node.name.startswith("_")))
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    call = node.name if m.name == "__init__" else m.name
+                    public = not node.name.startswith("_") and (
+                        m.name == "__init__" or not m.name.startswith("_"))
+                    owners.setdefault(call, []).append(
+                        (f"{path.stem}.{node.name}.{m.name}",
+                         *_defaults(m, True), public))
+    return owners
+
+
+def _calls(path):
+    """(owner name, def, call) of every call in the file at `path`; the
+    owner is the enclosing module-level function or method, or None."""
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            inner, deeper = owner, prefix
+            if isinstance(child, ast.ClassDef) and owner is None:
+                deeper = f"{prefix}.{child.name}"
+            elif isinstance(child, ast.FunctionDef) and owner is None:
+                inner = (f"{prefix}.{child.name}", child)
+            if isinstance(child, ast.Call):
+                yield *(owner or (None, None)), child
+            yield from visit(child, deeper, inner)
+
+    yield from visit(ast.parse(path.read_text()), path.stem, None)
+
+
+def _handed_on(owner, value):
+    """The default-valued parameter of `owner` that `value` hands on
+    unchanged, or None."""
+    if owner is None or not isinstance(value, ast.Name):
+        return None
+    if value.id not in _defaults(owner, False)[1]:
+        return None
+    for node in ast.walk(owner):
+        if isinstance(node, ast.Name) and node.id == value.id \
+                and isinstance(node.ctx, ast.Store):
+            return None
+    return value.id
+
+
+def unset_options(dirs):
+    """Public (owner, parameter) pairs that no call under `dirs` sets."""
+    owners = _owners()
+    done, edges = set(), []
+    files = [p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+    for path in files:
+        for encl_name, encl, call in _calls(path):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            for owner, pos, named, _ in owners.get(name, ()):
+                passed = []  # (parameter, value)
+                for i, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        passed += [(p, None) for p in pos[i:]]
+                    elif i < len(pos):
+                        passed.append((pos[i], arg))
+                for kw in call.keywords:
+                    passed += [(kw.arg, kw.value)] if kw.arg else \
+                        [(p, None) for p in named]
+                for param, value in passed:
+                    source = _handed_on(encl, value)
+                    if source is None:
+                        done.add((owner, param))
+                    else:
+                        edges.append(((encl_name, source), (owner, param)))
+    while True:  # a handed-on default is set where its source is
+        more = {dst for src, dst in edges if src in done} - done
+        if not more:
+            break
+        done |= more
+    return {(owner, p) for entries in owners.values()
+            for owner, _, named, public in entries if public
+            for p in named} - done
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    assert unset_options(["src", "bench", "demos"]) == set(KEPT)
+
+
+def test_options_only_demos_set():
+    assert unset_options(["src", "bench"]) - set(KEPT) == set(DEMO_SET)

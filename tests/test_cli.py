@@ -373,7 +373,7 @@ class TestDispatch:
 
     def test_dump_matrix_bytes_pinned(self, tmp_path):
         # every entry of the CLI grid's 221 x 221 Laplacian, zeros included,
-        # as written when the float Laplacian was a dense array
+        # each the repr of a Python float, never numpy 2's np.float64(...)
         gpath = str(tmp_path / "grid.json")
         assert main(["grid", "--kind", "square", "--delta", "0.05",
                      "--window", "20", "--M", "1.0", "--out", gpath]) == 0
@@ -382,8 +382,9 @@ class TestDispatch:
                      "--dump-matrix", str(dump)]) == 0
         data = dump.read_bytes()
         assert data.count(b"\n") == 221**2 + 1
+        assert b"np." not in data
         assert hashlib.sha256(data).hexdigest() == \
-            "68e58c4819caa1211a6b445e5789be9a7357256263384868117c21864eaf1ee6"
+            "d9e5133088f633155ad178bc94280bd203b764c3f209cac75cabb1261d7dd509"
 
     @pytest.mark.parametrize("kind, delta, window, digest", [
         ("square", "0.05", "20",

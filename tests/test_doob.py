@@ -209,7 +209,7 @@ class TestTiltedTransfer:
         window = wired_restriction(g, [1, 2, 3])
         lam = {x: Fraction(1) for x in range(3)}
         pot = potential(window, exact=True)
-        entry = tilted_transfer(window, lam, pot=pot, exact=True)
+        entry = tilted_transfer(window, lam, exact=True)
         from massiveforests.linalg import transfer_current
         H = transfer_current(window, pot)
         edges = [(0, 1), (1, 0), (1, 2), (0, ROOT)]

@@ -621,7 +621,7 @@ class TestPotential:
     def test_walk_sum_oracle(self):
         g = grid_graph(2, 2, m=Fraction(1))
         pot = potential(g)
-        Vsum = potential_walk_sum(g, n_terms=200)
+        Vsum = potential_walk_sum(g)
         assert np.max(np.abs(pot.V - Vsum)) < 1e-8
 
     def test_harmonicity_residual(self):

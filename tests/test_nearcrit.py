@@ -36,19 +36,7 @@ from massiveforests.walks import rng_stream
 SQRT2 = math.sqrt(2.0)
 
 
-class _Block:
-    """A coupled uniform block of width n: row `step` is drawn afresh on
-    each read, so every run that reads it sees the same rows."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __getitem__(self, step):
-        return np.random.default_rng([11, step]).random(self.n)
-
-
-def _one_step_walk(kernel, box, start, n, rng, max_steps, uniforms=None,
-                   record=False):
+def _one_step_walk(kernel, box, start, n, rng, max_steps, record=False):
     """The engine before jumps: one lattice step per walker and iteration,
     the residual split deciding death.  Returns (final, prev, died,
     truncated, paths), the reference for single-step runs of `_walk`."""
@@ -60,8 +48,7 @@ def _one_step_walk(kernel, box, start, n, rng, max_steps, uniforms=None,
     for step in range(max_steps):
         if ids.size == 0:
             break
-        u = rng.random(ids.size) if uniforms is None else \
-            uniforms[step][ids]
+        u = rng.random(ids.size)
         k = np.searchsorted(cum, u, side="right")
         new = site + box.moves[k]
         stop = box.stop[new]
@@ -279,20 +266,16 @@ class TestCrossing:
         est, se = crossing_probability(spec, 0.05 / 4, 0.0, 5000, seed=9)
         assert est > 0.0
 
-    def test_killing_monotonicity_coupled(self):
-        spec = CrossingSpec(r=0.3)
-        n = 20000
-        shared = _Block(n)
-        est0, _ = crossing_probability(spec, 0.3 / 32, 0.0, n, seed=0,
-                                       coupled_uniforms=shared)
-        est2, _ = crossing_probability(spec, 0.3 / 32, 2.0, n, seed=0,
-                                       coupled_uniforms=shared)
-        assert est2 <= est0 + 1e-12
+    def test_truncation_warns(self, monkeypatch):
+        # the cell's walk with a budget of 5 steps
+        def walk(kernel, box, start, n, rng, max_steps):
+            return _walk(kernel, box, start, n, rng, 5)
 
-    def test_truncation_warns(self):
-        with pytest.warns(RuntimeWarning, match="200 of 200 walkers"):
+        monkeypatch.setattr(nearcrit, "_walk", walk)
+        with pytest.warns(RuntimeWarning, match="200 of 200 walkers were "
+                          "still running after 5 steps"):
             est, _ = crossing_probability(CrossingSpec(r=0.3), 0.3 / 64,
-                                          0.0, 200, seed=3, max_steps=5)
+                                          0.0, 200, seed=3)
         assert est == 0.0
 
     def test_orientations_and_translations_positive(self):
@@ -330,23 +313,6 @@ class TestCrossing:
 
 
 class TestEngine:
-    def test_coupled_block_nests_successes(self):
-        # one uniform block indexed by walker id: the killed walkers follow
-        # the M = 0 trajectories and can only die earlier, so every M = 2
-        # success is an M = 0 success
-        spec = CrossingSpec(r=0.3)
-        n = 20000
-
-        wins = {}
-        for M in (0.0, 2.0):
-            kernel = SquareLatticeKernel(M, 0.3 / 32)
-            box, target, start = _crossing_box(spec, kernel)
-            w = _walk(kernel, box, start, n, None, 10**5, uniforms=_Block(n))
-            assert w.truncated == 0
-            wins[M] = ~w.died & target[w.final]
-        assert wins[2.0].sum() > 0
-        assert not np.any(wins[2.0] & ~wins[0.0])
-
     def test_one_step_law(self):
         # the residual split keeps the kernel's law: death with p_die,
         # direction k with p_dirs[k]
@@ -377,35 +343,28 @@ class TestJumps:
     KERNELS = ((0.0, None), (1.0, None), (2.0, 0.7))
 
     def test_single_step_runs_match_one_step_loop(self):
-        # record and coupled runs take one lattice step per iteration and
-        # must reproduce the one-step loop bit for bit, truncation included
+        # record runs take one lattice step per iteration and must
+        # reproduce the one-step loop bit for bit, truncation included
         for M, u_bar in self.KERNELS:
             kernel = SquareLatticeKernel(M, 1 / 24, u_bar=u_bar)
             box = _disk_box(kernel.spacing, 0.8)
             start = box.site(2, -1)
             for max_steps in (10**6, 40):
-                runs = [
-                    (dict(record=True), lambda: rng_stream(5, 1)),
-                    (dict(uniforms=_Block(600)), lambda: None),
-                    (dict(record=True, uniforms=_Block(600)), lambda: None),
-                ]
-                for opts, rng in runs:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        w = _walk(kernel, box, start, 600, rng(), max_steps,
-                                  **opts)
-                        ref = _one_step_walk(kernel, box, start, 600, rng(),
-                                             max_steps, **opts)
-                    assert np.array_equal(w.final, ref[0])
-                    assert np.array_equal(w.prev, ref[1])
-                    assert np.array_equal(w.died, ref[2])
-                    assert w.truncated == ref[3]
-                    assert len(w.paths) == len(ref[4])
-                    for a, b in zip(w.paths, ref[4]):
-                        assert np.array_equal(a, b)
-                    if "record" in opts:
-                        lengths = [len(p) for p in w.paths]
-                        assert np.array_equal(w.steps, lengths)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    w = _walk(kernel, box, start, 600, rng_stream(5, 1),
+                              max_steps, record=True)
+                    ref = _one_step_walk(kernel, box, start, 600,
+                                         rng_stream(5, 1), max_steps,
+                                         record=True)
+                assert np.array_equal(w.final, ref[0])
+                assert np.array_equal(w.prev, ref[1])
+                assert np.array_equal(w.died, ref[2])
+                assert w.truncated == ref[3]
+                assert len(w.paths) == len(ref[4])
+                for a, b in zip(w.paths, ref[4]):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(w.steps, [len(p) for p in w.paths])
 
     def test_jump_runs_match_binary_search_walk(self):
         # killed, drifted and M = 0 kernels on a disk whose centre jumps
@@ -459,6 +418,34 @@ class TestJumps:
             moves = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])
             assert np.array_equal(tab.dx[i][alive], moves[k[alive], 0])
             assert np.array_equal(tab.dy[i][alive], moves[k[alive], 1])
+
+    def test_table_zero_couples_the_masses(self):
+        # one uniform per step, split into a direction that ignores the
+        # mass and a death test: a killed walker either dies or makes the
+        # M = 0 move, and a death at a smaller mass is one at a larger mass
+        rng = np.random.default_rng(23)
+        for d in (1 / 8, 1 / 32, 0.3 / 32):
+            kernels = [SquareLatticeKernel(M, d) for M in (0.0, 1.0, 2.0, 4.0)]
+            cum = kernels[0].dir_cum
+            u = np.concatenate((rng.random(10**6),
+                                [0.0, np.nextafter(1.0, 0.0)],
+                                cum[:-1], np.nextafter(cum, 0)))
+            t = np.zeros(u.size, np.int8)
+            draws = []
+            for kernel in kernels:
+                assert np.array_equal(kernel.dir_cum, cum)
+                tab = kernel.tables(1)
+                k = _outcome(tab, u, t)
+                draws.append((tab.dead[k], tab.dx[k], tab.dy[k]))
+            dead0, dx0, dy0 = draws[0]
+            assert not dead0.any()
+            smaller = dead0
+            for dead, dx, dy in draws[1:]:
+                assert dead.any()
+                assert np.array_equal(dx[~dead], dx0[~dead])
+                assert np.array_equal(dy[~dead], dy0[~dead])
+                assert not np.any(smaller & ~dead)
+                smaller = dead
 
     def test_death_edges_equal_the_bisection(self, monkeypatch):
         # the p_die = 0 shortcut of `_death_edge` leaves every table of
@@ -896,10 +883,12 @@ class TestContinuumExitLaw:
         assert np.allclose(p[1 + np.arange(8)], p[-np.arange(8)],
                            rtol=0, atol=1e-15)
 
-    def test_quarter_turn_rolls_bins(self):
+    def test_quarter_turn_rolls_bins(self, monkeypatch):
         for n_arcs in (16, 24):
-            p = exit_law_continuum(1.0, 0.3, n_arcs=n_arcs)
-            q = exit_law_continuum(1.0, 0.3 + math.pi / 2, n_arcs=n_arcs)
+            monkeypatch.setattr(nearcrit, "N_ARCS", n_arcs)
+            p = exit_law_continuum(1.0, 0.3)
+            q = exit_law_continuum(1.0, 0.3 + math.pi / 2)
+            assert len(p) == n_arcs
             assert np.allclose(np.roll(p, n_arcs // 4), q, rtol=0,
                                atol=1e-15)
 
@@ -994,11 +983,21 @@ class TestConditionedBranch:
                                        radius=0.3)
         assert len(streams) == 2**16
 
-    def test_acceptance_guard(self):
-        with pytest.raises(RuntimeError):
+    def test_acceptance_guard(self, monkeypatch):
+        # at M = 8 every walker dies: the run stops after the floor of
+        # 10**5 attempts, 49 tasks of 2048 walkers
+        tasks = []
+
+        def walk(kernel, box, start, n, rng, *args, **kwargs):
+            tasks.append(n)
+            return _walk(kernel, box, start, n, rng, *args, **kwargs)
+
+        monkeypatch.setattr(nearcrit, "_walk", walk)
+        with pytest.raises(RuntimeError, match="^acceptance rate 0.00e"):
             conditioned_branch_sampler(
-                8.0, 1 / 8, target_arc=0, n_accepted=500, seed=23,
-                radius=0.9, max_attempts=2000)
+                8.0, 1 / 8, target_arc=0, n_accepted=10, seed=23,
+                radius=0.9)
+        assert tasks == [2048] * 49
 
 
 class TestApproximationProperty:

@@ -3,10 +3,11 @@
 Each digest is the sha256 of the exact (float.hex) values of one output
 over 24 graphs: `square_lattice` at masses 0, 0.5 and 1, the two-vertex
 domain of `test_periodic` and its 20 seeded random periodic graphs with
-offsets in [-2, 2].  The values were recorded with numpy 2.4 on x86-64;
-they move only if the arithmetic of the Bloch matrices, their
-determinants, the coefficient recovery or the Perron solver
-(`np.linalg.eig` plus `brentq`) changes.
+offsets in [-2, 2].  The values were recorded with numpy 2.4 on x86-64,
+with each Bloch entry summed in its canonical edge order; they move only
+if the arithmetic of the Bloch matrices, their determinants, the
+coefficient recovery or the Perron solver (`np.linalg.eig` plus
+`brentq`) changes.
 """
 
 import hashlib
@@ -26,15 +27,15 @@ from massiveforests.periodic import (
 
 PINNED_SHA256 = {
     "charpoly":
-        "d2db592ab87e0047b53fc76d4ef20a0d254c360dc8440a87736dcc2122a949f2",
+        "2be09b8b61301f44b0c20ae9c7d059e4b063d7eb878fa923635e474ff49d4ef7",
     "newton_polygon":
         "5d08fbb1387ddd847b57efee7e4178444e946d772f815bb3c0fa00df56db94d2",
     "perron_search":
-        "035b60fad10d32ed27711957de27537f0e0777629d4657be12e8c55993728c7e",
+        "fd3c18e02469935ad6cd352ff6dfc5b74737f0ae749012ada6920d9213578b23",
     "verify_translation":
-        "59cf5c1a92a7aafde1cfac418c0327a68ee3a38b2bf6eb47e859627df632ac8d",
+        "481560ce1c1ca4f4556cf79ad7efb33a114e97e587c1fccb8848e2bb800a5342",
     "spectral_probe":
-        "c789fcfa38d6b0e9e50a1095645fc9c19f82799d7a6214511b2b20d30cfaa73a",
+        "f1475de592d6e8b244a69386fa8db2de1e2a4c188a4e8814f4b73e11e43b17d7",
     "unroll":
         "c8c75cb8f201aa56c0cff7368e49cad36639c5654f6d84e265e10c309a4da770",
 }

@@ -162,12 +162,13 @@ class TestWilson:
             wilson_sample(g, rng, order=order, roots={4})
         assert rng.random() == rng_stream(9).random()  # nothing was drawn
 
-    def test_step_cap_on_massless_component(self):
+    def test_step_cap_on_massless_component(self, monkeypatch):
         # 0 is killed, but from 1 the walk only moves between 1 and 2
+        monkeypatch.setattr(walks, "WILSON_STEP_CAP", 10_000)
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
                           [1.0, 0.0, 0.0], check=False)
         with pytest.raises(RuntimeError, match="step cap"):
-            wilson_sample(g, rng_stream(8), step_cap=10_000)
+            wilson_sample(g, rng_stream(8))
 
     def test_step_cap_fires_per_forest_in_task_counts(self, monkeypatch):
         monkeypatch.setattr(walks, "WILSON_STEP_CAP", 10_000)
@@ -414,10 +415,11 @@ class TestWilsonIdentity:
         assert rng.random() == rng_ref.random()
 
     @pytest.mark.parametrize("roots", [(), (1,)])
-    def test_edge_counts_match_reference(self, roots):
+    def test_edge_counts_match_reference(self, monkeypatch, roots):
+        monkeypatch.setattr(WilsonEdgeCounter, "PER_TASK", 40)
         g = parallel_graph()
         ref = reference_table(g)
-        counter = WilsonEdgeCounter(g, roots, per_task=40)
+        counter = WilsonEdgeCounter(g, roots)
         index = {e: i for i, e in enumerate(counter.pairs)}
         for task in range(3):
             counts = counter.task_counts(100, 5, task)
@@ -445,11 +447,12 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("make", [
         lambda: (WeightedGraph(1, [], [1.0]), ()), rooted_star],
         ids=["one-vertex", "rooted-star"])
-    def test_forests_across_block_boundaries(self, make):
+    def test_forests_across_block_boundaries(self, monkeypatch, make):
         g, roots = make()
         ref = reference_table(g)
         k = 2 * walks.WILSON_BLOCK + 1
-        counter = WilsonEdgeCounter(g, roots, per_task=k)
+        monkeypatch.setattr(WilsonEdgeCounter, "PER_TASK", k)
+        counter = WilsonEdgeCounter(g, roots)
         index = {e: i for i, e in enumerate(counter.pairs)}
         expect = np.zeros(len(counter.pairs), dtype=np.int64)
         rng = rng_stream(14, 0)
@@ -470,17 +473,18 @@ class TestSeededCounts:
     """Edge counts of small seeded runs, pinned to recorded values: a change
     to the order in which forests read their stream shows up here."""
 
-    def test_cemetery_rooted(self):
-        counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.3),
-                                    per_task=40)
+    def test_cemetery_rooted(self, monkeypatch):
+        monkeypatch.setattr(WilsonEdgeCounter, "PER_TASK", 40)
+        counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.3))
         assert counter.counts(130, 23).tolist() == [
             52, 42, 27, 38, 41, 52, 41, 32, 47, 31, 29, 22, 31, 25, 37, 34,
             29, 53, 38, 55, 32, 25, 47, 54, 36, 24, 37, 20, 23, 30, 39, 18,
             29]
 
-    def test_given_root(self):
+    def test_given_root(self, monkeypatch):
+        monkeypatch.setattr(WilsonEdgeCounter, "PER_TASK", 40)
         counter = WilsonEdgeCounter(grid_graph(3, 3, c=1.0, m=0.0),
-                                    roots={4}, per_task=40)
+                                    roots={4})
         assert counter.counts(130, 24).tolist() == [
             70, 60, 26, 31, 73, 72, 58, 31, 63, 36, 0, 0, 0, 0, 28, 77, 25,
             63, 67, 78, 22, 30, 73, 57]
@@ -494,9 +498,10 @@ class TestSeededCounts:
 
 
 class TestEdgeCountReduction:
-    def test_pool_map_equals_serial(self):
+    def test_pool_map_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(WilsonEdgeCounter, "PER_TASK", 40)
         g = float_grid(5, 0.0)
-        counter = WilsonEdgeCounter(g, roots={0}, per_task=40)
+        counter = WilsonEdgeCounter(g, roots={0})
         n = 130  # four tasks, the last one short
         serial = counter.counts(n, 21)
         with ThreadPoolExecutor(max_workers=3) as pool:

@@ -531,7 +531,7 @@ def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
     lambda = 1 at the smallest window vertex.
     """
     # lambda ratios along window edges: nu_wx / nu_wy = lam(y)/lam(x),
-    # multiplied up the breadth-first tree from vertex 0; NaN at o
+    # multiplied down the breadth-first tree from vertex 0; NaN at o
     t, nu, n = dg.white_table, weights.values.astype(float), dg.col.n
     off = np.flatnonzero(t.mask[:, 2])
     by = np.lexsort((np.r_[off, off], np.r_[t.x[off], t.y[off]]))
@@ -655,14 +655,19 @@ def _height_map(dg: DoubleGraph, ref, blacks):
     """(S, n_quads) heights of the rows of `blacks`, the black matched to
     each white, against the reference's `ref`.  The difference flow of two
     matchings is divergence-free at every surviving vertex, so its dual
-    potential is well-defined on the quads: its increments are summed along
-    the quads' spanning tree (one integer product with `paths`), and
-    closure (curl-freeness) is asserted on every adjacency of every row."""
+    potential is well-defined on the quads: its increments are summed down
+    the quads' spanning tree, one level at a time for all rows at once,
+    and closure (curl-freeness) is asserted on every adjacency of every
+    row."""
     adj = dg.quad_adjacency
     dh = (adj.black == ref[adj.white]).astype(np.int8) - \
         (adj.black == blacks[:, adj.white])
     dh *= adj.sign
-    h = (adj.paths @ dh.T).T
-    if np.any(h[:, adj.dst] - h[:, adj.src] != dh):
+    node, parent, entry = adj.tree.T
+    step = dh.T[entry]  # in tree order
+    h = np.zeros((len(adj.quads), len(blacks)), np.int64)  # quads-major
+    for a, b in zip(adj.levels[:-1], adj.levels[1:]):
+        h[node[a:b]] = h[parent[a:b]] + step[a:b]
+    if np.any(h[adj.dst] - h[adj.src] != dh.T):
         raise ValueError("height increments have curl")
-    return h.astype(float)
+    return h.T.astype(float, order="C")

@@ -286,10 +286,11 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     its train tracks.  The bulk is every vertex whose full fan is present
     (incident half-angles sum to pi); lambda is 1 at the first bulk vertex
     and multiplies `exponential_edge_factor` down the breadth-first tree
-    of `planar.tree_product`.  The step factor is evaluated once per
-    distinct ray angle, in one array call.  Refuses, through
-    `doob.require_massive_harmonic` on the bulk, a modulus that does not
-    make lambda massive harmonic for the file's weights.
+    from there, one level at a time (`planar.tree_product`).  The step
+    factor is evaluated once per distinct ray angle, in one array call.
+    Refuses, through `doob.require_massive_harmonic` on the bulk, a
+    modulus that does not make lambda massive harmonic for the file's
+    weights.
     """
     from .doob import require_massive_harmonic
     from .planar import tree_product

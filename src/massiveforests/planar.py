@@ -13,8 +13,10 @@ at infinity.  Every edge of G^o crosses one dual edge and carries one
 white vertex; the double graph has blacks V + faces - {r} and exactly
 |W| = |B| when the window is simply connected.  One breadth-first
 search, `breadth_first`, finds every spanning tree of this layer and of
-`dimers`, and `tree_product` multiplies edge factors down such a tree,
-which is how both `dimers` and `isoradial` build lambda.
+`dimers`, and `tree_levels` cuts such a tree into its levels, so that a
+product or a sum runs down it one array step per level: `tree_product`
+multiplies edge factors down it, which is how both `dimers` and
+`isoradial` build lambda, and `dimers` sums heights down the quad tree.
 """
 
 from __future__ import annotations
@@ -297,31 +299,33 @@ def breadth_first(n, tail, head, root):
     return tuple(a.astype(np.int64) for a in breadth_first_order(graph, root))
 
 
-def tree_paths(pred, root):
-    """(node, ancestor) pairs of the tree `pred`: each node reached but
-    root with every node on its path up from root, root left out, found
-    one ancestor per round."""
-    node = up = np.flatnonzero(pred >= 0)
-    pairs = [(node, up)]
-    while len(up):
-        live = pred[up] != root
-        node, up = node[live], pred[up[live]]
-        pairs.append((node, up))
-    return tuple(map(np.concatenate, zip(*pairs)))
+def tree_levels(order, pred):
+    """Level bounds of the breadth-first tree `pred` in its `order`: level
+    k is order[bounds[k]:bounds[k + 1]], the root alone at level 0.
+    Parents are dequeued in order, so the ranks of the parents of
+    order[1:] never decrease, and each level ends where the parents
+    leave the level before it: one `searchsorted` per level."""
+    rank = np.empty(len(pred), np.int64)
+    rank[order] = np.arange(len(order))
+    up, bounds = rank[pred[order[1:]]], [0, 1]
+    while bounds[-1] < len(order):
+        bounds.append(1 + int(np.searchsorted(up, bounds[-1])))
+    return np.array(bounds)
 
 
 def tree_product(n, tail, head, factor, root):
     """(order, prod): the nodes that `breadth_first` reaches from `root`
     over the arcs tail[k] -> head[k], sorted by tail, and at each node
     the product of the factors of the tree arcs on its path from root,
-    multiplied from the node up (1 at root and at the nodes not
-    reached)."""
+    multiplied from root down one level at a time (1 at root and at the
+    nodes not reached)."""
     order, pred = breadth_first(n, tail, head, root)
     step, tree = np.ones(n), pred[head] == tail
     step[head[tree]] = factor[tree]
-    prod = np.ones(n)
-    node, up = tree_paths(pred, root)
-    np.multiply.at(prod, node, step[up])
+    prod, bounds = np.ones(n), tree_levels(order, pred)
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        v = order[a:b]
+        prod[v] = prod[pred[v]] * step[v]
     return order, prod
 
 
@@ -335,8 +339,8 @@ class QuadAdjacency:
     black[e]); sign[e] is +1 when that white lies to the left of the step,
     else -1.  Entries are sorted by src.  `tree` holds the rows (dst, src,
     entry) of the breadth-first tree from quads[0], in breadth-first
-    order; row q of the sparse 0/1 operator `paths` marks the tree entries
-    from quads[0] to quad q.
+    order, and rows levels[k]:levels[k + 1] are the quads at depth k + 1,
+    so a sum down the tree takes one array step per level.
     """
 
     def __init__(self, dg: DoubleGraph):
@@ -370,11 +374,7 @@ class QuadAdjacency:
         tree = np.flatnonzero(pred[self.dst] == self.src)
         entry = np.r_[0, tree[np.unique(self.dst[tree], return_index=True)[1]]]
         self.tree = np.stack([order, pred[order], entry[order]], axis=1)[1:]
-        node, up = tree_paths(pred, 0)
-        from scipy.sparse import csr_array
-
-        self.paths = csr_array((np.ones(len(node), np.int32), (
-            node, entry[up])), shape=(len(keys), len(e)))
+        self.levels = tree_levels(order, pred)[1:] - 1
 
         # a quad's centroid is halfway from its corner to its face's mean
         # tail (o, on boundary faces only, stands at 0); a white sits at

@@ -13,6 +13,12 @@ by name alone, so a call to any function of the same name counts.
 The parameters that no call sets are the options that only tests set.
 Each one kept says why below; any other such option is a value that
 should become the constant it defaults to.
+
+The same scan over definitions: a module-level function or class, or a
+public method of a class, counts as read when a name, an attribute or
+an import in `src/`, `bench/` or `demos/` spells its name.  The ones
+that nothing there reads are kept below, each with its reason; any
+other definition with no reader is code that only tests run.
 """
 
 import ast
@@ -63,6 +69,52 @@ DEMO_SET = {
     ("graphs.tree_partition_function", "cap"): "02_doob_transform",
     ("isoradial.drift_field_and_conductances", "ambient"):
         "03_elliptic_isoradial",
+}
+
+
+CLAIM = ("a paper-claim check that users cannot run yet, until it "
+         "becomes a line of a `verify` battery")
+REFERENCE = ("a reference for another function, until it moves into the "
+             "test that reads it")
+
+# definition -> why it stays, though nothing outside the tests reads it
+KEPT_DEFINITIONS = {
+    "dimers.self_duality_residuals": CLAIM,
+    "dimers.recover_fields_from_weights": CLAIM,
+    "dimers.killed_drifted_gauge": CLAIM,
+    "doob.verify_gauge_identity": CLAIM,
+    "doob.martin_kernel_ratio": CLAIM,
+    "nearcrit.approximation_property_check": CLAIM,
+    "nearcrit.lerw_ratio_check": CLAIM,
+    "linalg.potential_walk_sum": REFERENCE,
+    "graphs.cemetery_extension": REFERENCE,
+    "graphs.CemeteryGraph.has_cemetery": REFERENCE,
+    "graphs.CemeteryGraph.tree_to_forest": REFERENCE,
+    "graphs.CemeteryGraph.forest_to_tree": REFERENCE,
+    "isoradial.drifted_conductance_asymptotic": REFERENCE,
+    "isoradial.lazy_walk_graph": REFERENCE,
+    "dimers.dual_block_vs_inverse_conductances": REFERENCE,
+    "linalg.solve_exact": REFERENCE,
+    "doob.tilted_transfer_direct": REFERENCE,
+    "graphs.WeightedGraph.directed_edge_set": REFERENCE,
+    "dimers.tree_weight":
+        "the tree side of the weight identity of Temperley's bijection",
+    "dimers.matching_weight":
+        "the matching side of the weight identity of Temperley's bijection",
+    "dimers.TemperleySampler.samples":
+        "the per-sample dicts of `batches`, the sampler's public view",
+    "dimers.local_statistics":
+        "determinantal dimer statistics, until they read the forest "
+        "potential",
+    "doob.tilted_transfer":
+        "the tilted transfer currents from the untilted potential",
+    "graphs.WeightedGraph.total_conductance":
+        "c(x) of one vertex, the public accessor beside `ck`",
+    "io.save_periodic_graph":
+        "the writer of the periodic graph files that `load_graph` reads",
+    "isoradial.mass_value_via_star": "the bulk oracle of the mass rule",
+    "walks.wilson_edge_marginals":
+        "Wilson's empirical edge marginals against `edge_probability`",
 }
 
 
@@ -173,3 +225,35 @@ def test_every_option_has_a_caller_or_a_reason():
 
 def test_options_only_demos_set():
     assert unset_options(["src", "bench"]) - set(KEPT) == set(DEMO_SET)
+
+
+def unread_definitions(dirs):
+    """Module-level definitions and public methods of classes, as
+    `module.name` or `module.Class.method`, whose name no name, attribute
+    or import in a file under `dirs` reads."""
+    read = set()
+    for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(getattr(node, "id", None) or node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rsplit(".", 1)[-1])
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not m.name.startswith("_")]
+            unread |= {f"{path.stem}.{qual}" for qual, name in found
+                       if name not in read}
+    return unread
+
+
+def test_every_definition_has_a_reader_or_a_reason():
+    assert unread_definitions(["src", "bench", "demos"]) == \
+        set(KEPT_DEFINITIONS)

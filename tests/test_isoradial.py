@@ -413,25 +413,20 @@ class TestDriftFieldFromRays:
         # one step factor per distinct ray angle gives the lambda of one
         # scalar exponential_edge_factor per tree edge, bit for bit: the
         # breadth-first tree over the out-edges, in its order, each
-        # vertex's factors multiplied from the vertex up
+        # vertex's value its parent's times the factor of its tree edge
         _, mod, g = _grid_and_file_graph(kind)
         u_bar = 0.9
         bulk, lam = drift_field_from_rays(g, mod, u_bar)
-        up, queue = {bulk[0]: None}, deque([bulk[0]])
+        want, queue = {bulk[0]: 1.0}, deque([bulk[0]])
         while queue:
             x = queue.popleft()
             for eid in g.out_edges[x]:
                 y = int(g.head[eid])
-                if y not in up:
-                    up[y] = eid
+                if y not in want:
+                    a, b = g.edge_rays[eid]
+                    want[y] = want[x] * exponential_edge_factor(a, b, u_bar,
+                                                                mod)
                     queue.append(y)
-        want = {}
-        for y, eid in up.items():
-            want[y] = 1.0
-            while eid is not None:
-                a, b = g.edge_rays[eid]
-                want[y] *= exponential_edge_factor(a, b, u_bar, mod)
-                eid = up[int(g.tail[eid])]
         assert list(lam.items()) == list(want.items())
 
     @pytest.mark.parametrize("kind", ["square", "rhombic"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -1069,3 +1070,27 @@ class TestHeightStats:
                                            n_samples=2000, seed=24)
         # reported diagnostic: average variance does not blow up with mass
         assert var2.mean() <= var0.mean() + 0.25
+
+    def test_block_16_moments_pinned(self):
+        # heights are integers summed down the quad tree, so their moments
+        # keep their bytes however the sum is ordered
+        _, mean, var, _ = height_field_stats(1.0, 0.3, 1 / 32, 16, 40, 3)
+        assert hashlib.sha256(np.r_[mean, var].tobytes()).hexdigest() == \
+            "fe95f4e24d06d2892adf1154744ddf754cdebb0f61b6ed59c2dcca094eac03ee"
+
+    def test_quad_adjacency_linear_in_window(self):
+        # the quad geometry is O(quads + entries): no array of it holds a
+        # row per (quad, ancestor) pair
+        from scipy.sparse import issparse
+
+        _, _, _, dg = height_field_stats(1.0, 0.3, 1 / 128, 64, 1, 1)
+        adj = dg.quad_adjacency
+        held = 0
+        for value in vars(adj).values():
+            if issparse(value):
+                value = value.tocsr()
+                held += value.data.nbytes + value.indices.nbytes + \
+                    value.indptr.nbytes
+            elif isinstance(value, np.ndarray):
+                held += value.nbytes
+        assert held <= 64 * (len(adj.quads) + len(adj.src))

@@ -607,11 +607,37 @@ class TestBreadthFirst:
         assert order.tolist() == [0, 3, 1, 2]
         assert pred.dtype == np.int64
 
-    def test_tree_paths(self):
-        _, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 0)
-        node, up = planar.tree_paths(pred, 0)
-        assert sorted(zip(node.tolist(), up.tolist())) == [
-            (1, 1), (2, 2), (2, 3), (3, 3)]
+    def test_tree_levels(self):
+        # order [0, 3, 1, 2]: root 0, then 3 and 1, then 2 (from 3)
+        order, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 0)
+        assert planar.tree_levels(order, pred).tolist() == [0, 1, 3, 4]
+        order, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 4)
+        assert planar.tree_levels(order, pred).tolist() == [0, 1, 2]
+        # a lone root: node 5 has no arcs out
+        order, pred = planar.breadth_first(6, self.TAIL, self.HEAD, 5)
+        assert order.tolist() == [5]
+        assert planar.tree_levels(order, pred).tolist() == [0, 1]
+
+    def test_tree_product_matches_ancestor_pairs(self):
+        # the reference multiplies each node's factors from the node up,
+        # over every (node, ancestor) pair of the tree; tree_product
+        # multiplies from the root down, so they agree to rounding
+        g = grid_graph(100, 100)
+        out = g.out_order
+        tail, head = g.tail[out], g.head[out]
+        factor = np.random.default_rng(11).uniform(0.5, 2.0, len(tail))
+        order, prod = planar.tree_product(g.n, tail, head, factor, 0)
+        pred = planar.breadth_first(g.n, tail, head, 0)[1]
+        step, tree = np.ones(g.n), pred[head] == tail
+        step[head[tree]] = factor[tree]
+        want, node = np.ones(g.n), np.flatnonzero(pred >= 0)
+        up = node
+        while len(up):
+            np.multiply.at(want, node, step[up])
+            live = pred[up] != 0
+            node, up = node[live], pred[up[live]]
+        assert len(order) == g.n
+        assert np.max(np.abs(prod / want - 1)) <= 1e-14
 
     @pytest.mark.parametrize("name", list(WINDOWS))
     def test_quad_tree(self, name):
@@ -626,16 +652,14 @@ class TestBreadthFirst:
         assert sorted(dst.tolist()) == list(range(1, len(adj.quads)))
         assert np.array_equal(adj.src[entry], src)
         assert np.array_equal(adj.dst[entry], dst)
-        depth = np.zeros(len(adj.quads), np.int64)
-        for j, i, _ in adj.tree.tolist():
-            depth[j] = depth[i] + 1
+        # rows levels[k]:levels[k + 1] hang from the quads at depth k,
+        # and the levels cover the rows in order
+        levels = adj.levels
+        assert levels[0] == 0 and levels[-1] == len(adj.tree)
+        assert np.all(np.diff(levels) > 0)
+        depth = np.full(len(adj.quads), -1)
+        depth[0] = 0
+        for k, (a, b) in enumerate(zip(levels[:-1], levels[1:])):
+            assert np.all(depth[src[a:b]] == k)
+            depth[dst[a:b]] = k + 1
         assert np.all(np.diff(depth[np.r_[0, dst]]) >= 0)
-        assert np.array_equal(adj.paths @ np.ones(len(adj.src), np.int64),
-                              depth)
-        # row q of paths marks the tree entries from quads[0] to q
-        rows = adj.paths.tocsr()
-        for q, parent, e in adj.tree.tolist():
-            mine = set(rows.indices[rows.indptr[q]:rows.indptr[q + 1]])
-            theirs = set(rows.indices[rows.indptr[parent]:
-                                      rows.indptr[parent + 1]])
-            assert mine == theirs | {e}

@@ -251,7 +251,7 @@ def cmd_sample_forest(args):
     else:
         raise Refused("graph has no mass; pass --root for tree sampling")
     counter = WilsonEdgeCounter(g, roots)
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         counts = counter.counts(args.n, args.seed, pool.map)
 
     _write_csv(args.out, ["tail", "head", "count", "n_samples"],
@@ -339,6 +339,7 @@ def verify_elliptic():
         modulus_from_nome,
         verify_near_critical_asymptotics,
     )
+    from .nearcrit import approximation_property_gates
 
     failures = []  # each begins with the printed line of its check
     mod0 = complete_integrals(0.0)
@@ -372,12 +373,49 @@ def verify_elliptic():
     for u_bar in (0.0, 0.7, 1.9):
         if abs(mass - mass_value_via_exponential(rays, mod, u_bar)) > 1e-13:
             failures.append(f"mass closed form at u_bar={u_bar}")
+    # Delta^k f = -(d^2/2)(sum sin 2tb) Lap f + m^2 f up to O(d^3)
+    gates = approximation_property_gates(1.0, [2e-2, 1e-2, 5e-3])
+    failures += [f"approximation property ({gate})"
+                 for gate, ok in gates.items() if not ok]
     for line in ("K(0) = E(0) = pi/2", "Legendre relation",
                  "Jacobi identities", "nome round trip",
-                 "near-critical rates", "mass closed form"):
+                 "near-critical rates", "mass closed form",
+                 "approximation property"):
         failed = any(f.startswith(line) for f in failures)
         print(f"  {line}: {'FAIL' if failed else 'ok'}")
     return failures
+
+
+def _check_line(name, ok):
+    """Print `  <name>: ok` or `  <name>: FAIL`; [name] if it failed."""
+    print(f"  {name}: {'ok' if ok else 'FAIL'}")
+    return [] if ok else [name]
+
+
+def _doob_claims(g, lam):
+    """The checks beside the built-in window's partition equality: Theorem
+    1's gauge Delta~ = Lambda^-1 Delta^k Lambda there, the reciprocity of
+    the killed Martin kernel, and the Girsanov ratio of a near-critical
+    LERW step, a float Monte Carlo arm in either mode."""
+    from fractions import Fraction
+
+    from .doob import martin_kernel_ratio, verify_gauge_identity
+    from .graphs import grid_graph
+    from .nearcrit import lerw_ratio_check
+
+    failures = _check_line("gauge identity",
+                           verify_gauge_identity(g, lam, [2, 3]) <= 1e-14)
+    grid, zs = grid_graph(4, 4, m=Fraction(1)), [0, 3, 15]
+    pairs = zip(martin_kernel_ratio(grid, 5, 6, zs, exact=True),
+                martin_kernel_ratio(grid, 6, 5, zs, exact=True))
+    failures += _check_line("Martin kernel reciprocity",
+                            all(a * b == 1 for a, b in pairs))
+    # radius 0.2 makes (1, 0) a boundary site at delta = 1/12; the MC ratio
+    # estimates the exact finite-delta ratio
+    ratio, _, stderr, exact = lerw_ratio_check(
+        1.0, 0.5, 1 / 12, [(0, 0), (1, 0)], 30000, seed=5, radius=0.2)
+    return failures + _check_line("LERW ratio",
+                                  abs(ratio - exact) <= 4 * stderr)
 
 
 def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
@@ -414,7 +452,10 @@ def verify_doob(graph_path=None, lam_spec="pow2", exact=False):
         print(f"  (sign, log|Z_RST^o|) = {zt}")
     print(f"  gap = {gap}")
     ok = (gap == 0) if exact else (gap <= 1e-10)
-    return [] if ok else ["partition equality"]
+    failures = [] if ok else ["partition equality"]
+    if graph_path is None:
+        failures += _doob_claims(g, lam)
+    return failures
 
 
 def verify_dimers():
@@ -423,6 +464,8 @@ def verify_dimers():
     from .dimers import (
         check_kasteleyn_property,
         drifted_weights,
+        killed_drifted_gauge,
+        killed_weights,
         partition_check,
         verify_block_identity,
     )
@@ -454,7 +497,14 @@ def verify_dimers():
           f"dual={dual_dev:.2e} diag-defect={v_diag:.2e}")
     if max(off, v_off, dual_dev) > 1e-12 or v_diag > 1e-10:
         failures.append("block identity")
-    return failures
+    # K^k = Phi K^d Psi: each killed weight is phi_w psi_b times the drifted
+    t = dg.white_table
+    phi, psi = killed_drifted_gauge(dg, lam, lam_star)
+    gauged = phi[:, None] * psi[np.where(t.mask, t.black, 0)] * \
+        ws.values.astype(float)
+    killed = killed_weights(dg, lam, lam_star).values
+    return failures + _check_line("killed/drifted gauge", np.all(
+        np.abs(killed - gauged) <= 1e-12 * np.abs(gauged)))
 
 
 def verify_periodic():
@@ -485,11 +535,8 @@ def verify_periodic():
     if resid > 1e-10:
         failures.append("honeycomb Perron point")
     ev = charpoly(square_lattice(1.0))
-    if abs(ev.coeffs.get((0, 0), 0) - 5.0) > 1e-9:
-        failures.append("charpoly coefficients")
-    print("  charpoly coefficients: ok" if "charpoly coefficients"
-          not in failures else "  charpoly coefficients: FAIL")
-    return failures
+    return failures + _check_line("charpoly coefficients", abs(
+        ev.coeffs.get((0, 0), 0) - 5.0) <= 1e-9)
 
 
 BATTERIES = {
@@ -626,12 +673,12 @@ def build_parser():
     parser.add_argument("--seed", type=_int_arg(_is_seed,
                                                  "an integer in [0, 2**48)"),
                         default=0)
-    parser.add_argument("--threads", type=int, default=1,
+    positive = _int_arg(lambda n: n > 0, "a positive integer")
+    parser.add_argument("--threads", type=positive, default=1,
                         help="worker count (never changes results)")
     parser.add_argument("--manifest", default=None,
                         help="manifest path (default: <out>.manifest.json)")
     sub = parser.add_subparsers(dest="command", required=True)
-    positive = _int_arg(lambda n: n > 0, "a positive integer")
 
     p = sub.add_parser("grid", help="generate an isoradial grid file")
     p.add_argument("--kind", choices=["square", "rhombic"], default="square")

@@ -30,7 +30,6 @@ from .linalg import (
     determinant_exact,
     log_determinant,
     potential,
-    transfer_current,
 )
 
 HARMONICITY_GATE = 1e-8
@@ -184,14 +183,6 @@ def tilted_transfer(window: WeightedGraph, lam_window, exact=False):
         return t1 - t2
 
     return entry
-
-
-def tilted_transfer_direct(ambient: WeightedGraph, subset, lam, exact=False):
-    """Transfer currents of the tilted window computed the long way."""
-    subset = sorted(subset)
-    tilde_window = wired_restriction(doob_conductances(ambient, lam), subset)
-    pot = potential(tilde_window, exact=exact)
-    return transfer_current(tilde_window, pot)
 
 
 def martin_kernel_ratio(window: WeightedGraph, x, x0, z_sequence,

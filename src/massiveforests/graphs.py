@@ -191,10 +191,6 @@ class WeightedGraph:
     def neighbours(self, x):
         return sorted({int(self.head[eid]) for eid in self.out_edges[x]})
 
-    def directed_edge_set(self):
-        """Distinct (tail, head) pairs, loops included."""
-        return sorted({(int(t), int(h)) for t, h in zip(self.tail, self.head)})
-
 
 def symmetric_graph(n, und_edges, masses, positions=None):
     """Build a WeightedGraph from undirected (x, y, c) triples, or their
@@ -214,46 +210,6 @@ def grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
     y = np.stack([v + 1, v + nx], axis=1).ravel()[keep]
     return WeightedGraph(nx * ny, both_ways(x, y, [c] * len(x)),
                          [m] * (nx * ny), positions=np.stack([i, j], axis=1))
-
-
-class CemeteryGraph:
-    """The graph extended by a cemetery vertex absorbing the masses.
-
-    The cemetery is a fresh vertex `rho` with an incoming edge (x, rho) of
-    conductance m(x) for every x with positive mass; rho has no outgoing
-    edges, so the (non-massive) Laplacian of the extension restricted to the
-    base vertices is the massive Laplacian of the base.
-    """
-
-    def __init__(self, base: WeightedGraph):
-        self.base = base
-        self.rho = base.n
-        x = np.flatnonzero(base.masses > 0)
-        self.cemetery_edges = list(zip(x.tolist(), [self.rho] * len(x),
-                                       base.masses[x].tolist()))
-
-    @property
-    def has_cemetery(self):
-        return len(self.cemetery_edges) > 0
-
-    def tree_to_forest(self, tree):
-        """Drop the (x, rho) edges of a spanning tree rooted at rho."""
-        return RootedForest(
-            self.base.n,
-            {x: (y if y != self.rho else ROOT) for x, y in tree.items()},
-        )
-
-    def forest_to_tree(self, forest):
-        """Add an (x, rho) edge at every root of the forest."""
-        out = {}
-        for x in range(self.base.n):
-            y = forest.outgoing[x]
-            out[x] = self.rho if y == ROOT else y
-        return out
-
-
-def cemetery_extension(g: WeightedGraph) -> CemeteryGraph:
-    return CemeteryGraph(g)
 
 
 class RootedForest:

@@ -7,9 +7,9 @@ of i + j gives the primal vertices, odd parity the dual ones, and every
 lozenge (i, j) carries one primal edge (its primal diagonal) crossing one
 dual edge.  The grid is built from arrays: one parity mask numbers the
 corners and gives every lozenge's ends, duals and rays, and every
-per-vertex quantity (the fan of half-angles, the masses, the lazy walk's
-speeds) is one `np.bincount` over the (tail, head) incidences in edge
-order, so each vertex sums its edges in the order `edges_at` lists them.
+per-vertex quantity (the fan of half-angles, the masses) is one
+`np.bincount` over the (tail, head) incidences in edge order, so each
+vertex sums its edges in the order `edges_at` lists them.
 
 The discrete massive exponential is multiplicative along diamond steps with
 the positive factor dn((u - gamma)/2 | k)/sqrt(k'), which makes the drift
@@ -189,30 +189,6 @@ def z_invariant_weights(grid: IsoradialGrid,
                          check=False)
 
 
-def lazy_walk_graph(grid, modulus):
-    """Z-invariant graph with per-vertex holding loops.
-
-    The loop conductance at x is ((T(x) - T)/T) * sum_y sc(theta_xy|k) where
-    T(x) = sum sin(2 theta bar)/sum tan(theta bar) and T is its minimum over
-    the grid; jump-time trajectories of the lazy killed walk have the law of
-    the plain killed walk.
-    """
-    g = z_invariant_weights(grid, modulus)
-    tb = grid.half_angles
-    T_x = grid.incident_sums(np.sin(2 * tb)) / grid.incident_sums(np.tan(tb))
-    T = float(T_x.min())
-    if T <= 0:
-        raise ValueError("nonpositive speed floor; bounded-angle violated")
-    loop = (T_x - T) / T * g.c_f
-    looped = np.flatnonzero(loop > 0)
-    lazy = WeightedGraph(g.n, (np.r_[g.tail, looped], np.r_[g.head, looped],
-                               np.r_[g.cond_f, loop[looped]]),
-                         g.masses_f, positions=g.positions, check=False)
-    # the loop's share of each vertex's total conductance, loop included
-    holding = np.where(loop > 0, loop, 0.0) / lazy.c_f
-    return lazy, holding
-
-
 def mass_value_via_star(grid, modulus, x):
     """m^2(x|k) from massive harmonicity of the drift-0 exponential at x.
 
@@ -308,12 +284,3 @@ def drift_field_from_rays(g: WeightedGraph, modulus, u_bar):
     lam = dict(zip(order.tolist(), prod[order].tolist()))
     require_massive_harmonic(g, lam, bulk)
     return bulk, lam
-
-
-def drifted_conductance_asymptotic(grid, eid, M, u_bar):
-    """(1+2Md) tan(tb) (1 + 4Md cos(tb) cos(u - (a+b)/2)), the d -> 0 form."""
-    d = grid.delta
-    a, b = grid.edge_alpha[eid], grid.edge_beta[eid]
-    tb = 0.5 * (b - a)
-    return (1 + 2 * M * d) * math.tan(tb) * (
-        1 + 4 * M * d * math.cos(tb) * math.cos(u_bar - 0.5 * (a + b)))

@@ -4,11 +4,12 @@ One assembler builds the (row, col, value) triplets of the massive
 Laplacian from the edge arrays and sums them into a sparse CSC matrix
 (float) or a Fraction matrix (exact); no dense float Laplacian is built.
 The same triplet summation builds the Kasteleyn and dual matrices.
-Float determinants and log-determinants, of sparse matrices and of small
-dense ones, and the few potential columns a determinantal query reads
-come from one sparse LU (SuperLU) on one fill-reducing ordering, the
-minimum degree of A^T + A; a query's columns are solved SOLVE_BLOCK at a
-time.  The full float potential is one block elimination over the BFS
+Float determinants and log-determinants of sparse matrices, and the few
+potential columns a determinantal query reads, come from one sparse LU
+(SuperLU) on one fill-reducing ordering, the minimum degree of A^T + A;
+a query's columns are solved SOLVE_BLOCK at a time.  Those of a dense
+array, such as a query's k x k minor, come from LAPACK's dense LU
+(getrf).  The full float potential is one block elimination over the BFS
 levels of the graph, in whose order the Laplacian is block tridiagonal;
 it builds no factor.  Both write one Fortran-ordered output on its own
 memory mapping, so that freeing a potential hands its pages back to the
@@ -190,13 +191,9 @@ def _permutation_parity(p):
 
 
 def _sparse_lu(M):
-    """SuperLU factorization of a square float or complex matrix, columns
-    in minimum-degree order of A^T + A (the Laplacian's pattern is
-    symmetric); None if singular.
-
-    M is a scipy sparse matrix or a dense array; dense arrays reaching
-    here are small (determinantal minors), so scipy's own conversion does.
-    """
+    """SuperLU factorization of a square float or complex scipy sparse
+    matrix, columns in minimum-degree order of A^T + A (the Laplacian's
+    pattern is symmetric); None if singular."""
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -210,14 +207,36 @@ def _sparse_lu(M):
         return None
 
 
+def _dense_lu_diagonal(M):
+    """Diagonal of U and the row-swap sign of LAPACK getrf's LU of M, an
+    array or nested list (determinantal minors are small: no sparse
+    detour)."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    a = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("can only factor square matrices")
+    getrf, = get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(a)
+    if info > 0:  # an exactly zero pivot
+        return np.zeros(1), 1.0
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))  # piv is 0-based
+    return np.diagonal(lu).copy(), -1.0 if swaps % 2 else 1.0
+
+
 def _lu_diagonal(M):
-    """Diagonal of U and the permutation sign of the sparse LU of M, read
-    once per kept factor (a linked Laplacian's) and then kept with it.
+    """Diagonal of U and the permutation sign of the LU of M: SuperLU's for
+    a scipy sparse matrix, read once per kept factor (a linked
+    Laplacian's) and then kept with it; LAPACK's for any other input.
 
     A singular M shows as a zero on the diagonal.
     """
+    import scipy.sparse
+
     if np.shape(M) == (0, 0):
         return np.ones(0), 1.0
+    if not scipy.sparse.issparse(M):
+        return _dense_lu_diagonal(M)
     f = _float_factors(M)
     lu = f.lu.get(False)
     if lu is None:
@@ -237,7 +256,8 @@ def determinant(M):
 
     A Laplacian from `assemble_massive_laplacian` whose graph lives reads
     the graph's kept SuperLU factor, built here if no query built it
-    first; any other matrix is factored on each call.  The product of the
+    first; any other matrix is factored on each call, a dense one (an
+    array or nested list) by LAPACK.  The product of the
     LU diagonal over- or underflows on large matrices (a 40x40 grid at
     mass 0.05 gives inf); a RuntimeWarning then points to
     `log_determinant`, whose value stays finite.
@@ -382,16 +402,6 @@ class _ExactLU:
 def determinant_exact(M):
     """Fraction determinant (Fraction(0) if singular, 1 for n = 0)."""
     return _ExactLU([enumerate(row) for row in M]).det
-
-
-def solve_exact(M, B):
-    """Solve M X = B in rational arithmetic; X is a list of Fraction rows."""
-    lu = _ExactLU([enumerate(row) for row in M])
-    if lu.det == 0:
-        raise RecurrentWalkError("singular matrix in exact solve")
-    X = [lu.solve([(i, row[c]) for i, row in enumerate(B) if row[c]])
-         for c in range(len(B[0]) if len(B) else 0)]
-    return [[x[i] for x in X] for i in range(len(B))]
 
 
 class Potential:
@@ -571,22 +581,6 @@ def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
     ys = sorted({int(y) for y in ys} - {ROOT})
     columns = {y: j for j, y in enumerate(ys)}
     return Potential(g, *_potential_matrix(g, ys, exact), exact, columns)
-
-
-def potential_walk_sum(g: WeightedGraph):
-    """Truncated series sum_{i<=200} (Q^k)^i, an independent oracle for V."""
-    n = g.n
-    Q = np.zeros((n, n))
-    for x in range(n):
-        ckx = float(g.ck(x))
-        for eid in g.out_edges[x]:
-            Q[x, g.head[eid]] += g.cond_f[eid] / ckx
-    V = np.eye(n)
-    P = np.eye(n)
-    for _ in range(200):
-        P = P @ Q
-        V += P
-    return V
 
 
 class TransferOperator:

@@ -779,6 +779,40 @@ def approximation_property_check(M, deltas, grid_kind="square"):
     return out
 
 
+def approximation_property_gates(M, deltas):
+    """The gates `approximation_property_check` is held to, on the square
+    and the rhombic grid; {gate: passed}.
+
+    As d halves, each consecutive ratio of residual / d^3 lies in [1/8, 8]
+    for the constant and the massive exponential and is at most 8 for the
+    harmonic polynomial (the residuals are floored at 1e-9, 1e-6 and 1e-6,
+    so that near-zero ones do not make the ratio).  On the rhombic grid the
+    harmonic residual does not increase, and the exponential one is within
+    a factor 2 of the square grid's.  A ratio of 8 lets the residual itself
+    stay put as d halves: the gates catch a blow-up, not a lost order.
+    """
+    square = approximation_property_check(M, deltas)
+    rhombic = approximation_property_check(M, deltas, grid_kind="rhombic")
+
+    def ratios(rows, floor):  # consecutive (residual / d^3) ratios
+        vals = [v + floor for _, v in rows]
+        return [b / a for a, b in zip(vals, vals[1:])]
+
+    harm = [v for _, v in rhombic["harmonic_poly"]]
+    return {
+        "constant": all(1 / 8 <= r <= 8
+                        for r in ratios(square["constant"], 1e-9)),
+        "harmonic_poly": all(r <= 8 for r in
+                             ratios(square["harmonic_poly"], 1e-6)),
+        "massive_exp": all(1 / 8 <= r <= 8
+                           for r in ratios(square["massive_exp"], 1e-6)),
+        "rhombic harmonic_poly": all(b <= a for a, b in zip(harm, harm[1:])),
+        "rhombic massive_exp": all(
+            s / 2 <= r <= 2 * s for (_, r), (_, s) in
+            zip(rhombic["massive_exp"], square["massive_exp"])),
+    }
+
+
 # -- dimer height statistics ---------------------------------------------------
 
 

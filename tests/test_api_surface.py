@@ -33,10 +33,7 @@ EXACT = "float against exact arithmetic is the oracle design"
 # sets it
 KEPT = {
     ("dimers.matching_weight", "exact"): EXACT,
-    ("doob.martin_kernel_ratio", "exact"): EXACT,
     ("doob.tilted_transfer", "exact"): EXACT,
-    ("doob.tilted_transfer_direct", "exact"): EXACT,
-    ("linalg.potential", "exact"): EXACT,
     ("walks.lerw_exact_probability", "exact"): EXACT,
     ("nearcrit.exit_law_walk", "drifted"):
         "the killed walk's exit law, which the exact finite-delta "
@@ -46,14 +43,10 @@ KEPT = {
     ("periodic.perron_search", "axis"): "the crossing along the j axis",
     ("dimers.check_kasteleyn_property", "phases"):
         "the negative control: phases that break the Kasteleyn property",
-    ("nearcrit.approximation_property_check", "grid_kind"):
-        "the expansion on rhombic grids",
     ("planar.DoubleGraph.__init__", "r"): "the removed dual vertex",
     ("dimers.local_statistics", "Kinv"):
         "a dense inverse computed once for many queries, until the "
         "statistics read the forest potential instead",
-    ("nearcrit.lerw_ratio_check", "radius"):
-        "the window radius, which every caller sets",
     ("graphs.grid_graph", "c"): "the grid's conductance",
 }
 
@@ -72,31 +65,15 @@ DEMO_SET = {
 }
 
 
-CLAIM = ("a paper-claim check that users cannot run yet, until it "
-         "becomes a line of a `verify` battery")
-REFERENCE = ("a reference for another function, until it moves into the "
-             "test that reads it")
-
 # definition -> why it stays, though nothing outside the tests reads it
 KEPT_DEFINITIONS = {
-    "dimers.self_duality_residuals": CLAIM,
-    "dimers.recover_fields_from_weights": CLAIM,
-    "dimers.killed_drifted_gauge": CLAIM,
-    "doob.verify_gauge_identity": CLAIM,
-    "doob.martin_kernel_ratio": CLAIM,
-    "nearcrit.approximation_property_check": CLAIM,
-    "nearcrit.lerw_ratio_check": CLAIM,
-    "linalg.potential_walk_sum": REFERENCE,
-    "graphs.cemetery_extension": REFERENCE,
-    "graphs.CemeteryGraph.has_cemetery": REFERENCE,
-    "graphs.CemeteryGraph.tree_to_forest": REFERENCE,
-    "graphs.CemeteryGraph.forest_to_tree": REFERENCE,
-    "isoradial.drifted_conductance_asymptotic": REFERENCE,
-    "isoradial.lazy_walk_graph": REFERENCE,
-    "dimers.dual_block_vs_inverse_conductances": REFERENCE,
-    "linalg.solve_exact": REFERENCE,
-    "doob.tilted_transfer_direct": REFERENCE,
-    "graphs.WeightedGraph.directed_edge_set": REFERENCE,
+    "dimers.self_duality_residuals":
+        "the self-duality of the killed weights, whose check needs the "
+        "double graph's faces matched to the isoradial dual, which the "
+        "tests build",
+    "dimers.recover_fields_from_weights":
+        "the fields behind a killed weight system, whose check needs the "
+        "spokes' ambient targets, which the tests read",
     "dimers.tree_weight":
         "the tree side of the weight identity of Temperley's bijection",
     "dimers.matching_weight":

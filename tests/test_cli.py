@@ -142,6 +142,21 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "21/4" in out
 
+    DOOB_CLAIMS = ["gauge identity", "Martin kernel reciprocity",
+                   "LERW ratio"]
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["doob"], DOOB_CLAIMS),
+        (["doob", "--exact"], DOOB_CLAIMS),
+        (["dimers"], ["killed/drifted gauge"]),
+        (["elliptic"], ["approximation property"]),
+    ], ids=["doob", "doob-exact", "dimers", "elliptic"])
+    def test_verify_claim_lines(self, capsys, argv, lines):
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line in lines:
+            assert f"  {line}: ok" in out
+
     def test_verify_periodic(self, capsys):
         assert main(["verify", "periodic"]) == 0
 
@@ -548,6 +563,18 @@ class TestDispatch:
                   "--n", "5", "--out", str(out)])
         assert exc.value.code == 2
         assert "error: argument --seed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        p = tmp_path / "g.json"
+        save_graph(str(p), symmetric_graph(2, [(0, 1, 1.0)], [1.0, 1.0]))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", threads, "sample-forest", "--graph", str(p),
+                  "--n", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --threads: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-5", "2.5"])
@@ -1172,4 +1199,4 @@ def test_verify_elliptic_names_the_failed_check(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.endswith(": FAIL")]
     assert failed == ["  nome round trip: FAIL"]
-    assert sum(line.endswith(": ok") for line in lines) == 5
+    assert sum(line.endswith(": ok") for line in lines) == 6

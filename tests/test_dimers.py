@@ -8,13 +8,13 @@ import pytest
 
 from massiveforests.dimers import (
     TemperleySampler,
+    _float_ends,
     _log_det_relation_constant,
     _reference_tree,
     _temperley_map,
     _tilted_window,
     check_kasteleyn_property,
     drifted_weights,
-    dual_block_vs_inverse_conductances,
     dual_operator,
     enumerate_matchings,
     height_function,
@@ -42,7 +42,10 @@ from massiveforests.graphs import (
     enumerate_trees_rooted_at,
     wired_restriction,
 )
-from massiveforests.linalg import assemble_massive_laplacian
+from massiveforests.linalg import (
+    _csc_from_triplets,
+    assemble_massive_laplacian,
+)
 from massiveforests.walks import UniformReader, rng_stream, wilson_sample
 
 from test_graphs import grid_graph
@@ -314,6 +317,29 @@ def loop_self_duality_residuals(dg, lam, lam_star):
         ls2 = float(lam_star[info["right"]])
         out.append((w, abs(lx * ly * ls1 * ls2 - 1.0)))
     return out
+
+
+def dual_block_vs_inverse_conductances(dg, lam_ambient, lam_star):
+    """Off-diagonal of the dual block against -1/c_xy (self-dual form).
+
+    Returns (max off-diagonal gap over interior dual pairs, implied dual
+    masses); self-duality demands the masses be nonnegative (and ~0 at
+    criticality).
+    """
+    t = dg.white_table
+    D = dual_operator(dg, lam_ambient, lam_star)
+    nd = len(dg.dual_ids)
+    pair = t.mask[:, 1] & t.mask[:, 3] & (t.left != t.right)
+    faces = t.black[pair][:, [1, 3]] - dg.col.n  # dual indices (a, b)
+    inv_c = 1.0 / _float_ends(dg, lam_ambient)[0][pair]
+    # 1/c at (a, b) and at (b, a) of each such white, in white order
+    cstar = _csc_from_triplets(faces.ravel(), faces[:, ::-1].ravel(),
+                               np.repeat(inv_c, 2), (nd, nd))
+    gap = (D + cstar).tocoo()
+    interior = ~np.isin(dg.dual_ids, dg.structure.o_faces)
+    inside = interior[gap.row] & interior[gap.col] & (gap.row != gap.col)
+    off_gap = float(np.max(np.abs(gap.data[inside]), initial=0.0))
+    return off_gap, D.diagonal() - np.asarray(cstar.sum(axis=1)).ravel()
 
 
 def loop_dual_block_vs_inverse_conductances(dg, lam, lam_star):

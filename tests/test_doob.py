@@ -11,15 +11,22 @@ from massiveforests.doob import (
     massive_laplacian_apply,
     require_massive_harmonic,
     tilted_transfer,
-    tilted_transfer_direct,
     verify_gauge_identity,
     verify_partition_equality,
 )
 from massiveforests.graphs import ROOT, WeightedGraph, wired_restriction
-from massiveforests.linalg import potential
+from massiveforests.linalg import potential, transfer_current
 from massiveforests.walks import rng_stream, wilson_edge_marginals
 
 from test_graphs import grid_graph, random_rational_graph, typed, z_line
+
+
+def tilted_transfer_direct(ambient: WeightedGraph, subset, lam, exact=False):
+    """Transfer currents of the tilted window computed the long way."""
+    subset = sorted(subset)
+    tilde_window = wired_restriction(doob_conductances(ambient, lam), subset)
+    pot = potential(tilde_window, exact=exact)
+    return transfer_current(tilde_window, pot)
 
 
 def z_line_half_mass(lo, hi):

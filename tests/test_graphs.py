@@ -5,10 +5,8 @@ import pytest
 
 from massiveforests.graphs import (
     ROOT,
-    CemeteryGraph,
     RootedForest,
     WeightedGraph,
-    cemetery_extension,
     collapse_boundary,
     enumerate_forests,
     enumerate_trees_rooted_at,
@@ -77,6 +75,51 @@ def random_rational_graph(rng, n_max=6, allow_loops=True, allow_parallel=True,
     if force_mass and all(m == 0 for m in masses):
         masses[0] = Fraction(1)
     return WeightedGraph(int(n), edges, masses)
+
+
+def directed_edge_set(g):
+    """Distinct (tail, head) pairs, loops included."""
+    return sorted({(int(t), int(h)) for t, h in zip(g.tail, g.head)})
+
+
+class CemeteryGraph:
+    """The graph extended by a cemetery vertex absorbing the masses.
+
+    The cemetery is a fresh vertex `rho` with an incoming edge (x, rho) of
+    conductance m(x) for every x with positive mass; rho has no outgoing
+    edges, so the (non-massive) Laplacian of the extension restricted to the
+    base vertices is the massive Laplacian of the base.
+    """
+
+    def __init__(self, base: WeightedGraph):
+        self.base = base
+        self.rho = base.n
+        x = np.flatnonzero(base.masses > 0)
+        self.cemetery_edges = list(zip(x.tolist(), [self.rho] * len(x),
+                                       base.masses[x].tolist()))
+
+    @property
+    def has_cemetery(self):
+        return len(self.cemetery_edges) > 0
+
+    def tree_to_forest(self, tree):
+        """Drop the (x, rho) edges of a spanning tree rooted at rho."""
+        return RootedForest(
+            self.base.n,
+            {x: (y if y != self.rho else ROOT) for x, y in tree.items()},
+        )
+
+    def forest_to_tree(self, forest):
+        """Add an (x, rho) edge at every root of the forest."""
+        out = {}
+        for x in range(self.base.n):
+            y = forest.outgoing[x]
+            out[x] = self.rho if y == ROOT else y
+        return out
+
+
+def cemetery_extension(g: WeightedGraph) -> CemeteryGraph:
+    return CemeteryGraph(g)
 
 
 class TestConstruction:
@@ -601,7 +644,7 @@ class TestValuesHeldOnce:
         assert float(graphs[-1].masses[0]) == 0.0
         for g in graphs:
             masses = g.masses.tolist()
-            want = g.directed_edge_set() + [
+            want = directed_edge_set(g) + [
                 (x, ROOT) for x in range(g.n) if masses[x] > 0]
             pairs = WilsonEdgeCounter(g).pairs
             assert pairs == want

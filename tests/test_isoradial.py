@@ -14,19 +14,51 @@ from massiveforests.elliptic import (
     near_critical_modulus,
     sc,
 )
+from massiveforests.graphs import WeightedGraph
 from massiveforests.isoradial import (
     build_rhombic_grid,
     build_square_grid,
     discrete_exponential,
     drift_field_and_conductances,
     drift_field_from_rays,
-    drifted_conductance_asymptotic,
-    lazy_walk_graph,
     mass_value_via_star,
     random_rhombic_angles,
     z_invariant_weights,
 )
 from massiveforests.io import grid_to_graph, load_graph, save_graph
+
+
+def lazy_walk_graph(grid, modulus):
+    """Z-invariant graph with per-vertex holding loops.
+
+    The loop conductance at x is ((T(x) - T)/T) * sum_y sc(theta_xy|k) where
+    T(x) = sum sin(2 theta bar)/sum tan(theta bar) and T is its minimum over
+    the grid; jump-time trajectories of the lazy killed walk have the law of
+    the plain killed walk.
+    """
+    g = z_invariant_weights(grid, modulus)
+    tb = grid.half_angles
+    T_x = grid.incident_sums(np.sin(2 * tb)) / grid.incident_sums(np.tan(tb))
+    T = float(T_x.min())
+    if T <= 0:
+        raise ValueError("nonpositive speed floor; bounded-angle violated")
+    loop = (T_x - T) / T * g.c_f
+    looped = np.flatnonzero(loop > 0)
+    lazy = WeightedGraph(g.n, (np.r_[g.tail, looped], np.r_[g.head, looped],
+                               np.r_[g.cond_f, loop[looped]]),
+                         g.masses_f, positions=g.positions, check=False)
+    # the loop's share of each vertex's total conductance, loop included
+    holding = np.where(loop > 0, loop, 0.0) / lazy.c_f
+    return lazy, holding
+
+
+def drifted_conductance_asymptotic(grid, eid, M, u_bar):
+    """(1+2Md) tan(tb) (1 + 4Md cos(tb) cos(u - (a+b)/2)), the d -> 0 form."""
+    d = grid.delta
+    a, b = grid.edge_alpha[eid], grid.edge_beta[eid]
+    tb = 0.5 * (b - a)
+    return (1 + 2 * M * d) * math.tan(tb) * (
+        1 + 4 * M * d * math.cos(tb) * math.cos(u_bar - 0.5 * (a + b)))
 
 
 class TestGridGeometry:

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import os
 import pickle
 import subprocess
@@ -11,6 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from massiveforests import linalg
@@ -29,6 +31,7 @@ from massiveforests.isoradial import (
 )
 from massiveforests.linalg import (
     RecurrentWalkError,
+    _ExactLU,
     assemble_massive_laplacian,
     assemble_massive_laplacian_exact,
     determinant,
@@ -37,14 +40,43 @@ from massiveforests.linalg import (
     edge_probability,
     log_determinant,
     potential,
-    potential_walk_sum,
-    solve_exact,
     transfer_current,
 )
 from massiveforests.graphs import enumerate_forests, forest_partition_function
 from massiveforests.walks import lerw_exact_probability
 
-from test_graphs import grid_graph, path_ab, random_rational_graph
+from test_graphs import (
+    directed_edge_set,
+    grid_graph,
+    path_ab,
+    random_rational_graph,
+)
+
+
+def solve_exact(M, B):
+    """Solve M X = B in rational arithmetic; X is a list of Fraction rows."""
+    lu = _ExactLU([enumerate(row) for row in M])
+    if lu.det == 0:
+        raise RecurrentWalkError("singular matrix in exact solve")
+    X = [lu.solve([(i, row[c]) for i, row in enumerate(B) if row[c]])
+         for c in range(len(B[0]) if len(B) else 0)]
+    return [[x[i] for x in X] for i in range(len(B))]
+
+
+def potential_walk_sum(g: WeightedGraph):
+    """Truncated series sum_{i<=200} (Q^k)^i, an independent oracle for V."""
+    n = g.n
+    Q = np.zeros((n, n))
+    for x in range(n):
+        ckx = float(g.ck(x))
+        for eid in g.out_edges[x]:
+            Q[x, g.head[eid]] += g.cond_f[eid] / ckx
+    V = np.eye(n)
+    P = np.eye(n)
+    for _ in range(200):
+        P = P @ Q
+        V += P
+    return V
 
 
 def loop_laplacian(g, exact=False):
@@ -221,7 +253,7 @@ def fresh_copy(g):
 def shuffled_queries(rng, g, k_max=3):
     """Every 1..k_max subset of the graph's edges (cemetery edges too),
     in a seeded random order."""
-    cand = [(x, y) for (x, y) in g.directed_edge_set() if x != y]
+    cand = [(x, y) for (x, y) in directed_edge_set(g) if x != y]
     cand += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
     qs = [list(c) for k in range(1, k_max + 1) for c in combinations(cand, k)]
     return [qs[i] for i in rng.permutation(len(qs))]
@@ -232,6 +264,43 @@ def isolated_massless_graph():
     loop: its diagonal entry sums to exactly 0.0."""
     return WeightedGraph(3, [(0, 1, 1.5), (1, 0, 1.5), (2, 2, 4.0)],
                          [1.0, 0.25, 0.0], check=False)
+
+
+def dets(M):
+    return determinant(M), log_determinant(M)
+
+
+def lapack_dets(M):
+    """`dets` of the dense M read off scipy.linalg's own LU of M (getrf
+    through `lu_factor`): what the dense path must give bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(M)
+    diag = np.diagonal(lu)
+    sign = -1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 else 1.0
+    kind = complex if np.iscomplexobj(M) else float
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        return sign * kind(np.prod(diag)), \
+            (sign * kind(np.prod(np.sign(diag))),
+             float(np.sum(np.log(np.abs(diag)))))
+
+
+def assert_dets_close(a, b):
+    """Two `dets` agree in sign, and in magnitude within 1e-13 relative:
+    LAPACK's LU of a dense matrix against SuperLU's of the same matrix,
+    whose pivots and rounding differ."""
+    (d, (s, l)), (e, (t, k)) = a, b
+    assert s == t if isinstance(t, float) else abs(s - t) <= 1e-13
+    assert l == k or abs(l - k) <= 1e-13
+    assert d == e or abs(d - e) <= 1e-13 * abs(e)
+
+
+def assert_dense_dets(M):
+    """The dense path: bit for bit `lapack_dets`, and close to SuperLU's
+    factor of M as a CSC matrix."""
+    got = dets(M)
+    assert got == lapack_dets(M)
+    assert_dets_close(got, dets(scipy.sparse.csc_matrix(M)))
 
 
 class TestAssembly:
@@ -274,7 +343,7 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         graphs = [skewed_graph(rng) for _ in range(3)]
         graphs += [random_rational_graph(rng) for _ in range(10)]
-        assert any(g.m_edges > len(g.directed_edge_set()) for g in graphs)
+        assert any(g.m_edges > len(directed_edge_set(g)) for g in graphs)
         assert any((g.tail == g.head).any() for g in graphs)
         graphs.append(isolated_massless_graph())
         for g in graphs:
@@ -285,7 +354,8 @@ class TestAssembly:
                 loop_laplacian(g, exact=True)
             # the stored pattern is the dense nonzero pattern, so SuperLU
             # gets the same arrays either way
-            assert log_determinant(L) == log_determinant(L.toarray())
+            assert log_determinant(L) == \
+                log_determinant(scipy.sparse.csc_matrix(L.toarray()))
 
     def test_no_dense_matrix_allocated(self):
         g = grid_graph(60, 60, c=1.0, m=0.05)
@@ -377,11 +447,59 @@ class TestDeterminant:
             M = sparse_ish_matrix(rng, n)[rng.permutation(n)]
             for fmt in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix,
                         scipy.sparse.coo_matrix):
-                assert determinant(fmt(M)) == determinant(M)
-                assert log_determinant(fmt(M)) == log_determinant(M)
+                assert dets(fmt(M)) == dets(scipy.sparse.csc_matrix(M))
+            assert_dense_dets(M)
         g = grid_graph(12, 9, c=1.0, m=0.05)
         L = assemble_massive_laplacian(g)
-        assert log_determinant(L) == log_determinant(L.toarray())
+        assert dets(L) == dets(scipy.sparse.csc_matrix(L.toarray()))
+        assert_dense_dets(L.toarray())
+
+    def test_dense_minors_match_superlu(self):
+        # dense input takes LAPACK's getrf, sparse input SuperLU
+        rng = np.random.default_rng(17)
+        cases = []
+        for n in (1, 2, 3, 4):
+            for kind in (float, complex):
+                M = rng.uniform(-1, 1, (n, n)).astype(kind)
+                if kind is complex:
+                    M += 1j * rng.uniform(-1, 1, (n, n))
+                cases += [M, M[::-1].copy(), M[rng.permutation(n)]]
+        # row swaps of odd and of even parity, pivoting forced
+        cases += [np.eye(3)[[1, 0, 2]] * [1.0, 2.0, 3.0],
+                  np.eye(4)[[1, 0, 3, 2]] * 2.0,
+                  np.array([[1e-3, 1.0], [1.0, 1.0]]),
+                  np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0],
+                            [4.0, 5.0, 6.0]]) * (1 + 1j)]
+        for M in cases:
+            assert_dense_dets(M)
+        for M in (np.ones((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                  np.zeros((4, 4), complex), np.array([[0.0]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert determinant(M) == 0.0
+                assert log_determinant(M) == (0.0, -np.inf)
+            assert_dense_dets(M)
+        for M in (np.diag([1e200, 1e200, -1.0]),
+                  np.diag([1e-200, 1e-200, 1.0])[[1, 0, 2]],
+                  1e-120 * (1 + 1j) * np.eye(4)):
+            for A in (M, scipy.sparse.csc_matrix(M)):
+                with pytest.warns(RuntimeWarning, match="log_determinant"):
+                    determinant(A)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert_dense_dets(M)
+
+    def test_dense_input_must_be_square(self):
+        # nested lists take the dense path too, and getrf alone would
+        # factor an m x n array
+        M = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        for A in (M, np.array(M), scipy.sparse.csc_matrix(M),
+                  np.arange(3.0)):
+            for f in (determinant, log_determinant):
+                with pytest.raises(ValueError, match="square"):
+                    f(A)
+        A = np.array([[0.0, 2.0], [3.0, 1.0]])
+        assert dets(A.tolist()) == dets(A) == lapack_dets(A)
 
     def test_singular_sparse_is_silent(self):
         M = np.arange(16.0).reshape(4, 4)
@@ -604,6 +722,28 @@ class TestAgainstFractionElimination:
                         for e in out_row(g, x))
             assert total == 1
 
+    def test_exact_values_follow_no_labels(self):
+        # exact values are Fractions, whatever order the vertices are
+        # eliminated in: a seeded relabelling of the grid gives the same
+        # ones, pinned here
+        g = grid_graph(5, 5, m=Fraction(1, 20))
+        perm = np.random.default_rng(71).permutation(g.n)
+        masses = g.masses.copy()
+        masses[perm] = g.masses
+        h = WeightedGraph(g.n, (perm[g.tail], perm[g.head], g.cond), masses)
+        edges = [(6, 7), (12, ROOT), (18, 13)]
+        prob = edge_probability(g, edges, exact=True)
+        assert prob == Fraction(2944365917102776400, 510083323314840938421)
+        assert edge_probability(h, [(perm[x], ROOT if y == ROOT else perm[y])
+                                    for x, y in edges], exact=True) == prob
+        ys = [0, 12, 24]
+        pg = linalg._potential_columns(g, ys, exact=True)
+        assert hashlib.sha256(repr(pg.V).encode()).hexdigest() == \
+            "78140625de3330878ad65f5a199d366f72286695a2fe35812a376e4104b33b06"
+        ph = linalg._potential_columns(h, perm[ys], exact=True)
+        assert [[ph.value(perm[x], perm[y]) for y in ys]
+                for x in range(g.n)] == pg.V
+
 
 class TestPotential:
     def test_path_exact(self):
@@ -726,7 +866,7 @@ class TestEdgeProbability:
             g = random_rational_graph(rng, n_max=4)
             forests = enumerate_forests(g)
             Z = sum((w for _, w in forests), Fraction(0))
-            cand = [(x, y) for (x, y) in g.directed_edge_set() if x != y]
+            cand = [(x, y) for (x, y) in directed_edge_set(g) if x != y]
             cand += [(x, ROOT) for x in range(g.n) if g.masses[x] > 0]
             for k in (1, 2, 3):
                 for edges in combinations(cand, k):
@@ -925,15 +1065,16 @@ class TestFactorCache:
 
 
 def count_factorizations(monkeypatch):
-    """Patch a counter on `linalg._sparse_lu`: a list of the shapes of
-    the matrices it factors."""
-    shapes, sparse_lu = [], linalg._sparse_lu
+    """Patch counters on `linalg._sparse_lu` and on
+    `linalg._dense_lu_diagonal`: a list of the shapes of the matrices
+    they factor."""
+    shapes = []
+    for name in ("_sparse_lu", "_dense_lu_diagonal"):
+        def counted(M, factor=getattr(linalg, name)):
+            shapes.append(np.shape(M))
+            return factor(M)
 
-    def counted(M):
-        shapes.append(np.shape(M))
-        return sparse_lu(M)
-
-    monkeypatch.setattr(linalg, "_sparse_lu", counted)
+        monkeypatch.setattr(linalg, name, counted)
     return shapes
 
 
@@ -1006,8 +1147,12 @@ class TestSharedFactor:
                    copy.deepcopy(L), pickle.loads(pickle.dumps(L))]
         for M in foreign:
             for _ in range(2):
-                assert determinant(M) == determinant(L)
-                assert log_determinant(M) == log_determinant(L)
+                if scipy.sparse.issparse(M):
+                    assert dets(M) == dets(L)
+                else:  # LAPACK's LU, not SuperLU's
+                    got = dets(M)
+                    assert got == lapack_dets(M)
+                    assert_dets_close(got, dets(L))
         assert len(shapes) == 4 * len(foreign)
         shapes.clear()
         minor = np.array([[2.0, -1.0], [-1.0, 2.0]])

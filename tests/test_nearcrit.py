@@ -20,6 +20,7 @@ from massiveforests.nearcrit import (
     _outcome,
     _walk,
     approximation_property_check,
+    approximation_property_gates,
     conditioned_branch_sampler,
     crossing_grid,
     crossing_probability,
@@ -1002,37 +1003,42 @@ class TestConditionedBranch:
 
 
 class TestApproximationProperty:
+    DELTAS = [2e-2, 1e-2, 5e-3]
+
     def test_constant_reduces_to_mass_check(self):
-        out = approximation_property_check(1.0, [2e-2, 1e-2, 5e-3])
-        vals = [v for (_, v) in out["constant"]]
-        for a, b in zip(vals, vals[1:]):
-            assert 1 / 8 <= (b + 1e-9) / (a + 1e-9) <= 8
+        assert approximation_property_gates(1.0, self.DELTAS)["constant"]
 
     def test_harmonic_polynomial(self):
-        out = approximation_property_check(1.0, [2e-2, 1e-2, 5e-3])
-        vals = [v for (_, v) in out["harmonic_poly"]]
-        for a, b in zip(vals, vals[1:]):
-            assert (b + 1e-6) / (a + 1e-6) <= 8
+        gates = approximation_property_gates(1.0, self.DELTAS)
+        assert gates["harmonic_poly"]
 
     def test_massive_exponential(self):
-        out = approximation_property_check(1.0, [2e-2, 1e-2, 5e-3])
-        vals = [v for (_, v) in out["massive_exp"]]
-        for a, b in zip(vals, vals[1:]):
-            assert 1 / 8 <= (b + 1e-6) / (a + 1e-6) <= 8
+        gates = approximation_property_gates(1.0, self.DELTAS)
+        assert gates["massive_exp"]
 
     def test_rhombic_grid_reads_each_edge_conductance(self):
         # on rhombic grids every incident edge carries its own conductance;
         # the expansion error must then shrink like on the square grid
-        deltas = [2e-2, 1e-2, 5e-3]
-        rhombic = approximation_property_check(1.0, deltas,
-                                               grid_kind="rhombic")
-        square = approximation_property_check(1.0, deltas)
-        harm = [v for (_, v) in rhombic["harmonic_poly"]]
-        for a, b in zip(harm, harm[1:]):
-            assert b <= a
-        for (_, r), (_, s) in zip(rhombic["massive_exp"],
-                                  square["massive_exp"]):
-            assert s / 2 <= r <= 2 * s
+        gates = approximation_property_gates(1.0, self.DELTAS)
+        assert gates["rhombic harmonic_poly"]
+        assert gates["rhombic massive_exp"]
+
+    @pytest.mark.parametrize("growth, rhombic_scale, passed",
+                             [(1.0, 1.0, True), (9.0, 2.5, False)])
+    def test_gates_catch_a_blow_up(self, monkeypatch, growth, rhombic_scale,
+                                   passed):
+        # residual / d^3 multiplied by `growth` per halving of d, and the
+        # rhombic grid's by `rhombic_scale` over the square grid's
+        def check(M, deltas, grid_kind="square"):
+            scale = rhombic_scale if grid_kind == "rhombic" else 1.0
+            rows = [(d, scale * growth ** i) for i, d in enumerate(deltas)]
+            return {name: rows
+                    for name in ("constant", "harmonic_poly", "massive_exp")}
+
+        monkeypatch.setattr(nearcrit, "approximation_property_check", check)
+        gates = approximation_property_gates(1.0, self.DELTAS)
+        assert len(gates) == 5
+        assert all(ok == passed for ok in gates.values())
 
     def test_rhombic_grid(self):
         out = approximation_property_check(1.0, [2e-2, 1e-2],

@@ -11,7 +11,6 @@ from massiveforests.graphs import ROOT, RootedForest, WeightedGraph
 from massiveforests.linalg import (
     assemble_massive_laplacian_exact,
     edge_probability,
-    solve_exact,
 )
 from massiveforests.walks import (
     TransitionTable,
@@ -24,6 +23,7 @@ from massiveforests.walks import (
 )
 
 from test_graphs import grid_graph, path_ab, random_rational_graph
+from test_linalg import solve_exact
 
 
 class TestStepKilled:
@@ -349,9 +349,10 @@ def lazy_graph():
     from massiveforests.elliptic import complete_integrals
     from massiveforests.isoradial import (
         build_rhombic_grid,
-        lazy_walk_graph,
         random_rhombic_angles,
     )
+
+    from test_isoradial import lazy_walk_graph
 
     phis, psis = random_rhombic_angles(np.random.default_rng(13), 4)
     return lazy_walk_graph(build_rhombic_grid(0.3, phis, psis),

@@ -20,7 +20,6 @@ from massiveforests.elliptic import (
 from massiveforests.doob import check_massive_harmonic
 from massiveforests.isoradial import (
     build_square_grid,
-    discrete_exponential,
     drift_field_and_conductances,
     z_invariant_weights,
 )

@@ -8,8 +8,6 @@ the desk-scale stand-ins for the continuum statements.
 
 import math
 
-import numpy as np
-
 from massiveforests.nearcrit import (
     CrossingSpec,
     conditioned_branch_sampler,

@@ -58,35 +58,32 @@ def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
                          check=False)
 
 
-def massive_laplacian_apply(g: WeightedGraph, f, x):
-    """(Delta^k f)(x) for a function given on x and its neighbours."""
-    val = g.masses[x] * f[x]
-    for eid in g.out_edges[x]:
-        y = int(g.head[eid])
-        if y == x:
-            continue
-        val = val + g.cond[eid] * (f[x] - f[y])
-    return val
+def massive_laplacian_at(g: WeightedGraph, f, xs):
+    """(sorted xs, f at xs, Delta^k f at xs) for a function f given on xs
+    and their neighbours: m(x) f(x), then c (f(x) - f(y)) added for each
+    loop-free out-edge of x in edge order, in the data's own arithmetic."""
+    xs, index, eids, _ = _window(g, xs)
+    fx = _lambda_at(f, xs)
+    eids = eids[g.tail[eids] != g.head[eids]]
+    row = index[g.tail[eids]]
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = g.masses[xs] * fx
+        terms = g.cond[eids] * (fx[row] - _lambda_at(f, g.head[eids]))
+        r = r.astype(np.result_type(r, terms))
+        np.add.at(r, row, terms)
+    return xs, fx, r
 
 
 def check_massive_harmonic(ambient: WeightedGraph, lam, subset):
     """Max relative harmonicity residual |(Delta^k lam)(x)| / (c^k(x) lam(x))
-    over `subset`, inf as soon as one residual is not finite; each residual
-    adds up as in `massive_laplacian_apply`.  A lambda <= 0 at a vertex of
-    `subset` is refused: the residual is read relative to it.
+    over `subset` (`massive_laplacian_at`), inf as soon as one residual is
+    not finite.  A lambda <= 0 at a vertex of `subset` is refused: the
+    residual is read relative to it.
     """
-    xs, index, eids, _ = _window(ambient, subset)
-    lx = _lambda_at(lam, xs)
+    xs, lx, r = massive_laplacian_at(ambient, lam, subset)
     if np.any(lx <= 0):
         raise ValueError("lambda must be positive on the checked vertices")
-    eids = eids[ambient.tail[eids] != ambient.head[eids]]
-    row = index[ambient.tail[eids]]
-    ly = _lambda_at(lam, ambient.head[eids])
     with np.errstate(invalid="ignore", over="ignore"):
-        r = ambient.masses[xs] * lx
-        terms = ambient.cond[eids] * (lx[row] - ly)
-        r = r.astype(np.result_type(r, terms))
-        np.add.at(r, row, terms)
         rel = np.abs(r.astype(float)) / (ambient.ck_f[xs] * lx.astype(float))
     if not np.all(np.isfinite(rel)):
         return math.inf

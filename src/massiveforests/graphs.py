@@ -43,12 +43,6 @@ def _values(v):
     return a if a.dtype == np.float64 else np.asarray(v, dtype=object)
 
 
-def csr_rows(values, ptr):
-    """The rows values[ptr[i]:ptr[i + 1]] of a CSR, as Python lists."""
-    ptr = ptr.tolist()
-    return list(map(values.tolist().__getitem__, map(slice, ptr, ptr[1:])))
-
-
 def check_values(cond, masses):
     """ValueError unless the conductances are positive and the masses
     nonnegative, all finite; exact values compare exactly."""
@@ -161,11 +155,6 @@ class WeightedGraph:
                         shape=(self.n, self.n))
         return connected_components(adj, directed=False)[1]
 
-    @cached_property
-    def out_edges(self):
-        """Row x: x's out-edge ids in edge order, as a list."""
-        return csr_rows(self.out_order, self.out_ptr)
-
     # -- basic quantities ---------------------------------------------------
 
     def is_exact(self):
@@ -180,16 +169,20 @@ class WeightedGraph:
         """c(x) + m(x), the total rate out of x for the killed walk."""
         return self._ck[x]
 
+    def _out(self, x):
+        """x's out-edge ids in edge order, a CSR slice; x must be a vertex."""
+        if not 0 <= x < self.n:
+            raise ValueError(f"vertex {x} is not in 0..{self.n - 1}")
+        return self.out_order[self.out_ptr[x]:self.out_ptr[x + 1]]
+
     def edge_conductance(self, x, y):
-        """Sum of conductances of all parallel edges x -> y (0 if none)."""
-        tot = 0
-        for eid in self.out_edges[x]:
-            if self.head[eid] == y:
-                tot = tot + self.cond[eid]
-        return tot
+        """Sum of the parallel conductances x -> y, in edge order from 0."""
+        e = self._out(x)
+        return sum(self.cond[e[self.head[e] == y]], 0)
 
     def neighbours(self, x):
-        return sorted({int(self.head[eid]) for eid in self.out_edges[x]})
+        """The sorted heads of x's out-edges."""
+        return sorted(set(self.head[self._out(x)].tolist()))
 
 
 def symmetric_graph(n, und_edges, masses, positions=None):
@@ -344,6 +337,11 @@ def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
 
 # -- exhaustive enumeration oracles ---------------------------------------
 
+def _steps(g: WeightedGraph, x):
+    """(y, c_(x,y)) for each out-neighbour y != x of x, in sorted order."""
+    return [(y, g.edge_conductance(x, y)) for y in g.neighbours(x) if y != x]
+
+
 def enumerate_forests(g: WeightedGraph, cap=8):
     """All rooted spanning forests with their exact Boltzmann weights.
 
@@ -355,10 +353,8 @@ def enumerate_forests(g: WeightedGraph, cap=8):
     """
     if g.n > cap:
         raise ValueError(f"enumeration capped at {cap} vertices")
-    choices = []
-    for x in range(g.n):
-        opts = [ROOT] + [y for y in g.neighbours(x) if y != x]
-        choices.append(opts)
+    choices = [[(y, f) for y, f in [(ROOT, g.masses[x])] + _steps(g, x)
+                if f != 0] for x in range(g.n)]
 
     exact = g.is_exact()
     out = {}
@@ -370,10 +366,7 @@ def enumerate_forests(g: WeightedGraph, cap=8):
             if forest.is_acyclic():
                 results.append((forest, w))
             return
-        for y in choices[x]:
-            f = g.masses[x] if y == ROOT else g.edge_conductance(x, y)
-            if f == 0:
-                continue
+        for y, f in choices[x]:
             out[x] = y
             rec(x + 1, w * f)
         del out[x]
@@ -397,6 +390,7 @@ def enumerate_trees_rooted_at(g: WeightedGraph, root, cap=9):
     results = []
     out = {}
     order = [x for x in range(g.n) if x != root]
+    choices = [_steps(g, x) for x in order]
 
     def rec(i, w):
         if i == len(order):
@@ -407,11 +401,9 @@ def enumerate_trees_rooted_at(g: WeightedGraph, root, cap=9):
                 results.append((forest, w))
             return
         x = order[i]
-        for y in g.neighbours(x):
-            if y == x:
-                continue
+        for y, c in choices[i]:
             out[x] = y
-            rec(i + 1, w * g.edge_conductance(x, y))
+            rec(i + 1, w * c)
         del out[x]
 
     rec(0, Fraction(1) if exact else 1.0)

@@ -577,8 +577,11 @@ def potential(g: WeightedGraph, exact=False) -> Potential:
 
 
 def _potential_columns(g: WeightedGraph, ys, exact=False) -> Potential:
-    """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0)."""
+    """Only the columns y in `ys` of V (ROOT is skipped: V(., ROOT) = 0);
+    any other y outside 0..n-1 is refused before any factorization."""
     ys = sorted({int(y) for y in ys} - {ROOT})
+    if ys and not 0 <= ys[0] <= ys[-1] < g.n:
+        raise ValueError(f"vertex outside 0..{g.n - 1} among {ys}")
     columns = {y: j for j, y in enumerate(ys)}
     return Potential(g, *_potential_matrix(g, ys, exact), exact, columns)
 
@@ -623,9 +626,14 @@ def edge_probability(g: WeightedGraph, edges, exact=False):
 
     Determinantal formula: det[(H_{e_i,e_j})] * prod c^k_{e_i}.  The
     minor only reads the potential columns at the tails of the edges.
+    A tail outside 0..n-1 or a head outside ROOT..n-1 is refused first.
     """
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edges in probability query")
+    for x, y in edges:  # ROOT is -1
+        if not (0 <= x < g.n and ROOT <= y < g.n):
+            raise ValueError(f"edge ({x}, {y}) is not an edge of a graph "
+                             f"on 0..{g.n - 1} and ROOT")
     pot = _potential_columns(g, [y for y, _ in edges], exact=exact)
     minor = transfer_current(g, pot).minor(edges)
     det = determinant_exact(minor) if exact else determinant(

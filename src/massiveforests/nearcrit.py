@@ -730,7 +730,7 @@ def approximation_property_check(M, deltas, grid_kind="square"):
     their angles from seed 4.  Returns {name: [(delta, residual/d^3),
     ...]}.
     """
-    from .doob import massive_laplacian_apply
+    from .doob import massive_laplacian_at
     from .isoradial import (
         build_rhombic_grid,
         build_square_grid,
@@ -771,8 +771,8 @@ def approximation_property_check(M, deltas, grid_kind="square"):
                        for e in grid.edges_at(x))
         px = grid.positions[x]
         for name, (f, lap) in test_functions.items():
-            discrete = massive_laplacian_apply(
-                wg, [f(p) for p in grid.positions], x)
+            discrete = massive_laplacian_at(
+                wg, [f(p) for p in grid.positions], [x])[2][0]
             resid = abs(discrete + d * d * mu * lap(px)
                         - wg.masses[x] * f(px))
             out[name].append((d, resid / d**3))
@@ -783,13 +783,13 @@ def approximation_property_gates(M, deltas):
     """The gates `approximation_property_check` is held to, on the square
     and the rhombic grid; {gate: passed}.
 
-    As d halves, each consecutive ratio of residual / d^3 lies in [1/8, 8]
-    for the constant and the massive exponential and is at most 8 for the
+    As d halves, each consecutive ratio of residual / d^3 lies in [1/4, 4]
+    for the constant and the massive exponential and is at most 4 for the
     harmonic polynomial (the residuals are floored at 1e-9, 1e-6 and 1e-6,
     so that near-zero ones do not make the ratio).  On the rhombic grid the
     harmonic residual does not increase, and the exponential one is within
-    a factor 2 of the square grid's.  A ratio of 8 lets the residual itself
-    stay put as d halves: the gates catch a blow-up, not a lost order.
+    a factor 2 of the square grid's.  A residual that stays put as d halves
+    makes a ratio of 8: the gates catch a lost order, not only a blow-up.
     """
     square = approximation_property_check(M, deltas)
     rhombic = approximation_property_check(M, deltas, grid_kind="rhombic")
@@ -800,11 +800,11 @@ def approximation_property_gates(M, deltas):
 
     harm = [v for _, v in rhombic["harmonic_poly"]]
     return {
-        "constant": all(1 / 8 <= r <= 8
+        "constant": all(1 / 4 <= r <= 4
                         for r in ratios(square["constant"], 1e-9)),
-        "harmonic_poly": all(r <= 8 for r in
+        "harmonic_poly": all(r <= 4 for r in
                              ratios(square["harmonic_poly"], 1e-6)),
-        "massive_exp": all(1 / 8 <= r <= 8
+        "massive_exp": all(1 / 4 <= r <= 4
                            for r in ratios(square["massive_exp"], 1e-6)),
         "rhombic harmonic_poly": all(b <= a for a, b in zip(harm, harm[1:])),
         "rhombic massive_exp": all(

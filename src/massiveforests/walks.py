@@ -20,7 +20,7 @@ from operator import length_hint
 
 import numpy as np
 
-from .graphs import ROOT, RootedForest, WeightedGraph, csr_rows
+from .graphs import ROOT, RootedForest, WeightedGraph
 from .linalg import _potential_columns, determinant, determinant_exact
 
 WILSON_STEP_CAP = 10**9
@@ -130,8 +130,10 @@ class TransitionTable:
         for a, b in zip(bounds, bounds[1:]):
             cum[by_place[a:b]] += cum[by_place[a:b] - 1]
         cum[stop[stop > start] - 1] = 1.0
-        self.targets = csr_rows(targets, np.r_[0, stop])
-        self.cum = csr_rows(cum, np.r_[0, stop])
+        ptr = np.r_[0, stop].tolist()
+        self.targets, self.cum = (
+            list(map(v.tolist().__getitem__, map(slice, ptr, ptr[1:])))
+            for v in (targets, cum))
 
     def step(self, x, u):
         i = bisect_right(self.cum[x], u)

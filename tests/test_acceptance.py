@@ -14,7 +14,6 @@ import pytest
 
 from massiveforests.graphs import (
     ROOT,
-    collapse_boundary,
     enumerate_forests,
     wired_restriction,
 )
@@ -186,8 +185,7 @@ class TestAcceptance:
             verify_block_identity,
             verify_det_relation,
         )
-        from massiveforests.planar import build_dual_and_double
-        from test_dimers import ones_lambda, pow4_lambda, window_setup
+        from test_dimers import pow4_lambda, window_setup
 
         ok = True
         # exact Kasteleyn counts on all family windows with <= 14 whites

@@ -19,6 +19,9 @@ public method of a class, counts as read when a name, an attribute or
 an import in `src/`, `bench/` or `demos/` spells its name.  The ones
 that nothing there reads are kept below, each with its reason; any
 other definition with no reader is code that only tests run.
+
+And every name that an import in a module of `src/`, `tests/` or `demos/`
+binds is loaded somewhere in that module.
 """
 
 import ast
@@ -234,3 +237,27 @@ def unread_definitions(dirs):
 def test_every_definition_has_a_reader_or_a_reason():
     assert unread_definitions(["src", "bench", "demos"]) == \
         set(KEPT_DEFINITIONS)
+
+
+def unused_imports(dirs):
+    """`path: name` for each name an import binds in a file under `dirs`
+    (`from __future__` aside) that no name in the file loads; `import a.b`
+    binds `a`."""
+    unused = set()
+    for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and
+                  isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused |= {f"{path.relative_to(ROOT)}: {name}"
+                           for name in ((a.asname or a.name).split(".")[0]
+                                        for a in node.names)
+                           if name not in loaded}
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports(["src", "tests", "demos"]) == set()

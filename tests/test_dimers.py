@@ -52,7 +52,6 @@ from test_graphs import grid_graph
 from test_planar import (
     ambient_ends,
     build_dual_and_double,
-    grid_window,
     white_dicts,
 )
 

@@ -8,7 +8,6 @@ from massiveforests.doob import (
     check_massive_harmonic,
     doob_conductances,
     martin_kernel_ratio,
-    massive_laplacian_apply,
     require_massive_harmonic,
     tilted_transfer,
     verify_gauge_identity,
@@ -16,9 +15,15 @@ from massiveforests.doob import (
 )
 from massiveforests.graphs import ROOT, WeightedGraph, wired_restriction
 from massiveforests.linalg import potential, transfer_current
-from massiveforests.walks import rng_stream, wilson_edge_marginals
+from massiveforests.walks import wilson_edge_marginals
 
-from test_graphs import grid_graph, random_rational_graph, typed, z_line
+from test_graphs import (
+    grid_graph,
+    loop_laplacian_apply,
+    random_rational_graph,
+    typed,
+    z_line,
+)
 
 
 def tilted_transfer_direct(ambient: WeightedGraph, subset, lam, exact=False):
@@ -70,7 +75,7 @@ class TestMassiveHarmonic:
         g = z_line_half_mass(-2, 3)
         lam = lam_pow2(-2, 3)
         for x in range(1, g.n - 1):
-            assert massive_laplacian_apply(g, lam, x) == 0
+            assert loop_laplacian_apply(g, lam, x) == 0
         assert check_massive_harmonic(g, lam, range(1, g.n - 1)) == 0
 
     def test_constant_not_harmonic(self):
@@ -108,7 +113,7 @@ class TestMassiveHarmonic:
         g = z_line(0, 2, m=Fraction(1))
         lam = {0: Fraction(-1), 1: Fraction(1), 2: Fraction(3)}
         assert check_massive_harmonic(g, lam, [1]) == \
-            abs(float(massive_laplacian_apply(g, lam, 1))) / float(g.ck(1))
+            abs(float(loop_laplacian_apply(g, lam, 1))) / float(g.ck(1))
 
     def test_potential_column_is_harmonic_off_z(self):
         rng = np.random.default_rng(21)
@@ -119,7 +124,7 @@ class TestMassiveHarmonic:
             lam = {x: pot.V[x][z] for x in range(g.n)}
             subset = [x for x in range(g.n) if x != z]
             for x in subset:
-                assert massive_laplacian_apply(g, lam, x) == 0
+                assert loop_laplacian_apply(g, lam, x) == 0
 
 
 class TestGaugeIdentity:

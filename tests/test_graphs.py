@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from massiveforests.graphs import (
 from massiveforests.doob import (
     check_massive_harmonic,
     doob_conductances,
-    massive_laplacian_apply,
+    massive_laplacian_at,
 )
 from massiveforests.linalg import (
     assemble_massive_laplacian_exact,
@@ -401,8 +402,20 @@ def loop_grid_graph(nx, ny, c=Fraction(1), m=Fraction(0)):
                                 positions=pos)
 
 
+def loop_laplacian_apply(g, f, x):
+    """(Delta^k f)(x) for a function given on x and its neighbours, one
+    out-edge at a time."""
+    val = g.masses[x] * f[x]
+    for eid in loop_out_edges(g)[x]:
+        y = int(g.head[eid])
+        if y == x:
+            continue
+        val = val + g.cond[eid] * (f[x] - f[y])
+    return val
+
+
 def loop_harmonicity(g, lam, subset):
-    return max((abs(float(massive_laplacian_apply(g, lam, x)))
+    return max((abs(float(loop_laplacian_apply(g, lam, x)))
                 / (float(g.ck(x)) * float(lam[x])) for x in subset),
                default=0.0)
 
@@ -431,12 +444,35 @@ class TestArrayCoreMatchesLoops:
     def test_out_edges_and_sums(self, cases):
         for g, _, _ in cases:
             out = loop_out_edges(g)
-            assert [list(map(int, g.out_edges[x])) for x in range(g.n)] == out
+            assert [g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]].tolist()
+                    for x in range(g.n)] == out
             c = [float(sum(g.cond[e] for e in row)) for row in out]
             ck = [float(sum(g.cond[e] for e in row) + g.masses[x])
                   for x, row in enumerate(out)]
             assert g.c_f.tolist() == c and g.ck_f.tolist() == ck
             assert [float(g.ck(x)) for x in range(g.n)] == ck
+
+    def test_lookups(self, cases):
+        # the parallel conductances added in edge order from 0, type for
+        # type: numpy floats on float data, the held objects otherwise
+        for g, _, _ in cases:
+            for x, row in enumerate(loop_out_edges(g)):
+                heads = [int(g.head[e]) for e in row]
+                assert g.neighbours(x) == sorted(set(heads))
+                for y in range(g.n):
+                    cxy = 0
+                    for e, h in zip(row, heads):
+                        if h == y:
+                            cxy = cxy + g.cond[e]
+                    assert typed([g.edge_conductance(x, y)]) == typed([cxy])
+
+    def test_massive_laplacian_at(self, cases):
+        for g, lam, subset in cases:
+            xs, fx, r = massive_laplacian_at(g, lam, subset)
+            assert xs.tolist() == subset
+            assert fx.tolist() == [lam[x] for x in subset]
+            assert r.tolist() == [loop_laplacian_apply(g, lam, x)
+                                  for x in subset]
 
     def test_window(self, cases):
         for g, _, subset in cases:
@@ -477,6 +513,31 @@ class TestArrayCoreMatchesLoops:
                 loop_harmonicity(g, lam, subset)
             assert check_massive_harmonic(g, lam, range(g.n)) == \
                 loop_harmonicity(g, lam, range(g.n))
+
+
+class TestLookups:
+    """`edge_conductance` and `neighbours` read x's one slice of the CSR."""
+
+    @pytest.mark.parametrize("x", [-2, -1, 9])
+    def test_vertex_outside_refused(self, x):
+        # -2 must not alias vertex 7's row, nor 9 fail with an IndexError
+        g = grid_graph(3, 3, m=0.5)
+        with pytest.raises(ValueError, match=r"not in 0\.\.8"):
+            g.edge_conductance(x, 6)
+        with pytest.raises(ValueError, match=r"not in 0\.\.8"):
+            g.neighbours(x)
+
+    def test_first_lookup_builds_no_rows(self):
+        # a list of out-edge ids per vertex would take ~26 MB here
+        g = grid_graph(300, 300)
+        tracemalloc.start()
+        try:
+            assert g.edge_conductance(5, 6) == 1
+            assert g.neighbours(5) == [4, 6, 305]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 VALUES = {"fraction": lambda k: Fraction(k, 3), "int": lambda k: k,
@@ -551,7 +612,6 @@ class TestReverseEdges:
                                     for e in range(m)]
             assert np.flatnonzero(rev < 0).tolist() == \
                 isin_lone_edges(n, tail, head, off).tolist()
-
 
 
 class TestValuesHeldOnce:

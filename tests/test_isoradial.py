@@ -452,7 +452,7 @@ class TestDriftFieldFromRays:
         want, queue = {bulk[0]: 1.0}, deque([bulk[0]])
         while queue:
             x = queue.popleft()
-            for eid in g.out_edges[x]:
+            for eid in g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]]:
                 y = int(g.head[eid])
                 if y not in want:
                     a, b = g.edge_rays[eid]
@@ -471,7 +471,7 @@ class TestDriftFieldFromRays:
         want, stack = {bulk[0]: 1.0}, [bulk[0]]
         while stack:
             x = stack.pop()
-            for eid in g.out_edges[x]:
+            for eid in g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]]:
                 y = int(g.head[eid])
                 if y not in want:
                     a, b = g.edge_rays[eid]

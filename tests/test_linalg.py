@@ -21,7 +21,6 @@ from massiveforests.graphs import (
     ROOT,
     WeightedGraph,
     collapse_boundary,
-    symmetric_graph,
     wired_restriction,
 )
 from massiveforests.isoradial import (
@@ -69,7 +68,7 @@ def potential_walk_sum(g: WeightedGraph):
     Q = np.zeros((n, n))
     for x in range(n):
         ckx = float(g.ck(x))
-        for eid in g.out_edges[x]:
+        for eid in g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]]:
             Q[x, g.head[eid]] += g.cond_f[eid] / ckx
     V = np.eye(n)
     P = np.eye(n)
@@ -85,7 +84,7 @@ def loop_laplacian(g, exact=False):
     L = [[Fraction(0)] * n for _ in range(n)] if exact else np.zeros((n, n))
     for x in range(n):
         L[x][x] += Fraction(g.masses[x]) if exact else g.masses_f[x]
-        for eid in g.out_edges[x]:
+        for eid in g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]]:
             y = int(g.head[eid])
             if y == x:
                 continue
@@ -859,6 +858,26 @@ class TestEdgeProbability:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             edge_probability(path_ab(), [(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("edges", [[(-2, 6)], [(0, 9)], [(-1, 0)],
+                                       [(0, 1), (4, -3)]])
+    def test_vertices_outside_refused(self, edges, exact):
+        # a negative tail or head must not alias vertex n + id, nor 9 fail
+        # with an IndexError; each is refused before any factorization
+        g = grid_graph(3, 3, m=Fraction(1, 2))
+        with pytest.raises(ValueError, match="not an edge of a graph"):
+            edge_probability(g, edges, exact=exact)
+        assert g not in linalg._FACTORS
+
+    @pytest.mark.parametrize("ys", [[-2], [9], [0, 3, -5]])
+    def test_potential_columns_outside_refused(self, ys):
+        g = grid_graph(3, 3, m=Fraction(1, 2))
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="outside 0..8"):
+                linalg._potential_columns(g, ys, exact=exact)
+        assert g not in linalg._FACTORS
+        assert linalg._potential_columns(g, [ROOT, 4]).columns == {4: 0}
 
     def test_matches_enumeration_exactly(self):
         rng = np.random.default_rng(11)

@@ -1024,11 +1024,13 @@ class TestApproximationProperty:
         assert gates["rhombic massive_exp"]
 
     @pytest.mark.parametrize("growth, rhombic_scale, passed",
-                             [(1.0, 1.0, True), (9.0, 2.5, False)])
+                             [(1.0, 1.0, True), (9.0, 2.5, False),
+                              (8.0, 2.5, False)])
     def test_gates_catch_a_blow_up(self, monkeypatch, growth, rhombic_scale,
                                    passed):
-        # residual / d^3 multiplied by `growth` per halving of d, and the
-        # rhombic grid's by `rhombic_scale` over the square grid's
+        # residual / d^3 multiplied by `growth` per halving of d (at 8 the
+        # residual itself stays put), and the rhombic grid's by
+        # `rhombic_scale` over the square grid's
         def check(M, deltas, grid_kind="square"):
             scale = rhombic_scale if grid_kind == "rhombic" else 1.0
             rows = [(d, scale * growth ** i) for i, d in enumerate(deltas)]

@@ -295,8 +295,9 @@ class TestLerwExact:
 def reference_table(g):
     targets, cum = [], []
     for x in range(g.n):
-        heads = [int(g.head[eid]) for eid in g.out_edges[x]]
-        probs = [g.cond_f[eid] for eid in g.out_edges[x]]
+        row = g.out_order[g.out_ptr[x]:g.out_ptr[x + 1]]
+        heads = [int(g.head[eid]) for eid in row]
+        probs = [g.cond_f[eid] for eid in row]
         ckx = float(g.ck(x))
         if g.masses_f[x] > 0:
             heads.append(ROOT)

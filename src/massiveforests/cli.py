@@ -501,8 +501,8 @@ def verify_dimers():
     t = dg.white_table
     phi, psi = killed_drifted_gauge(dg, lam, lam_star)
     gauged = phi[:, None] * psi[np.where(t.mask, t.black, 0)] * \
-        ws.values.astype(float)
-    killed = killed_weights(dg, lam, lam_star).values
+        ws.astype(float)
+    killed = killed_weights(dg, lam, lam_star)
     return failures + _check_line("killed/drifted gauge", np.all(
         np.abs(killed - gauged) <= 1e-12 * np.abs(gauged)))
 

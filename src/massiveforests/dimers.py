@@ -1,7 +1,8 @@
 """Kasteleyn machinery on the double graph.
 
-Phases, drifted and killed weight systems, Temperley's bijection in both
-directions, local statistics, the block identity (K^k)^dagger K^k and the
+Phases, drifted and killed weights (each one (n_white, 4) array over
+the white table's slots), Temperley's bijection in both directions,
+local statistics, the block identity (K^k)^dagger K^k and the
 determinant relation det K^k = C det Delta^k, plus matching sampling and
 the height field.  Weights, K, the dual operator and the other per-white
 quantities are array expressions over the double graph's `white_table`;
@@ -63,26 +64,13 @@ def check_kasteleyn_property(dg: DoubleGraph, phases=None):
     return list(zip(*(a[bad].tolist() for a in (corner, w1, fid, w2, prod))))
 
 
-class WeightSystem:
-    """Weights nu on the half-edges of the double graph.
-
-    `values` is one (n_white, 4) array over the slots x, left, y, right;
-    slots removed with o and r hold 0.
-    """
-
-    def __init__(self, dg: DoubleGraph, values):
-        self.dg = dg
-        self.values = values
-
-    def weight(self, w, slot):
-        return self.values[w, slot]
-
-
 def _weight_system(dg: DoubleGraph, *slots):
-    """WeightSystem from the four slot columns, arrays or scalars."""
+    """Weights nu on the half-edges of the double graph: one (n_white, 4)
+    array over the slots x, left, y, right, from the four slot columns
+    (arrays or scalars); slots removed with o and r hold 0."""
     values = np.stack(np.broadcast_arrays(*slots), axis=1)
     values[~dg.white_table.mask] = 0
-    return WeightSystem(dg, values)
+    return values
 
 
 def _white_ends(dg: DoubleGraph, lam_ambient):
@@ -114,7 +102,7 @@ def _face_values(dg: DoubleGraph, lam_star):
     return ls
 
 
-def drifted_weights(dg: DoubleGraph, lam_ambient) -> WeightSystem:
+def drifted_weights(dg: DoubleGraph, lam_ambient) -> np.ndarray:
     """Dual half-edges weigh 1; the half-edge at x weighs c~_(x, y)."""
     c, lx, ly = _white_ends(dg, lam_ambient)
     fwd = c * ly / lx
@@ -122,7 +110,7 @@ def drifted_weights(dg: DoubleGraph, lam_ambient) -> WeightSystem:
     return _weight_system(dg, fwd, one, c * lx / ly, one)
 
 
-def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> WeightSystem:
+def killed_weights(dg: DoubleGraph, lam_ambient, lam_star) -> np.ndarray:
     """nu^k: primal (c lambda(y))^1/2 lambda(x)^-1/2, dual the inverse root.
 
     lam_star is indexed by faces of G^o (dual vertices); the r column is
@@ -145,7 +133,7 @@ def killed_drifted_gauge(dg: DoubleGraph, lam_ambient, lam_star):
     return 1.0 / np.sqrt(c * lx * ly), psi
 
 
-def _kasteleyn_triplets(dg: DoubleGraph, weights: WeightSystem):
+def _kasteleyn_triplets(dg: DoubleGraph, weights: np.ndarray):
     """(white, black, phase slot, weight) of every surviving half-edge.
 
     Whites come in order and each white's half-edges clockwise (x, left,
@@ -156,10 +144,10 @@ def _kasteleyn_triplets(dg: DoubleGraph, weights: WeightSystem):
     t = dg.white_table
     whites, slots = np.nonzero(t.mask)
     return (whites, t.black[whites, slots], slots,
-            weights.values[whites, slots])
+            weights[whites, slots])
 
 
-def kasteleyn_matrix(dg: DoubleGraph, weights: WeightSystem):
+def kasteleyn_matrix(dg: DoubleGraph, weights: np.ndarray):
     """K as a scipy CSC matrix, whites by blacks, with entries zeta * nu."""
     whites, blacks, slots, nu = _kasteleyn_triplets(dg, weights)
     return _csc_from_triplets(whites, blacks,
@@ -172,7 +160,7 @@ def _require_square(n_white, n_black):
         raise ValueError("Kasteleyn matrix must be square (|W| = |B|)")
 
 
-def kasteleyn_abs2_exact(dg: DoubleGraph, weights: WeightSystem):
+def kasteleyn_abs2_exact(dg: DoubleGraph, weights: np.ndarray):
     """|det K|^2 as a Fraction (the weights must be rational).
 
     With K = A + iB for real A and B, det [[A, -B], [B, A]] = |det K|^2, so
@@ -192,7 +180,7 @@ def kasteleyn_abs2_exact(dg: DoubleGraph, weights: WeightSystem):
     return determinant_exact(M)
 
 
-def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
+def enumerate_matchings(dg: DoubleGraph, weights: np.ndarray,
                         exact=False):
     """All perfect matchings with weights (oracle; at most 14 whites)."""
     if dg.n_white > 14:
@@ -213,7 +201,7 @@ def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
                 continue
             used_black.add(b)
             matching[w] = (b, slot)
-            wt = weights.weight(w, slot)
+            wt = weights[w, slot]
             rec(w + 1, weight * (Fraction(wt) if exact else float(wt)))
             used_black.discard(b)
             del matching[w]
@@ -222,7 +210,7 @@ def enumerate_matchings(dg: DoubleGraph, weights: WeightSystem,
     return results
 
 
-def partition_check(dg: DoubleGraph, weights: WeightSystem, exact=False):
+def partition_check(dg: DoubleGraph, weights: np.ndarray, exact=False):
     """(|det K|, sum over matchings, relative gap), or in exact mode
     (|det K|^2, sum over matchings, |det K|^2 - sum^2)."""
     if exact:
@@ -359,13 +347,13 @@ def tree_weight(dg: DoubleGraph, tree_whites, lam_ambient):
     """Product of tilted conductances over the tree's directed edges: the
     drifted weights of their half-edges at x or at y."""
     nu, t = drifted_weights(dg, lam_ambient), dg.white_table
-    return math.prod(nu.weight(w, 0 if t.x[w] == x else 2)
+    return math.prod(nu[w, 0 if t.x[w] == x else 2]
                      for x, w in tree_whites.items())
 
 
-def matching_weight(dg: DoubleGraph, weights: WeightSystem, matching,
+def matching_weight(dg: DoubleGraph, weights: np.ndarray, matching,
                     exact=False):
-    return math.prod((Fraction if exact else float)(weights.weight(w, slot))
+    return math.prod((Fraction if exact else float)(weights[w, slot])
                      for w, (_, slot) in matching.items())
 
 
@@ -523,16 +511,16 @@ def dual_operator(dg: DoubleGraph, lam_ambient, lam_star):
     return _csc_from_triplets(rows, cols, vals, (nd, nd))
 
 
-def recover_fields_from_weights(dg: DoubleGraph, weights: WeightSystem):
+def recover_fields_from_weights(dg: DoubleGraph, weights: np.ndarray):
     """Reciprocal direction: weights passing the block test come from fields.
 
     Recovers (lambda on window vertices, lambda* on kept faces) up to one
-    global factor from a killed weight system; returns maps normalized so
+    global factor from a killed weight array; returns maps normalized so
     lambda = 1 at the smallest window vertex.
     """
     # lambda ratios along window edges: nu_wx / nu_wy = lam(y)/lam(x),
     # multiplied down the breadth-first tree from vertex 0; NaN at o
-    t, nu, n = dg.white_table, weights.values.astype(float), dg.col.n
+    t, nu, n = dg.white_table, weights.astype(float), dg.col.n
     off = np.flatnonzero(t.mask[:, 2])
     by = np.lexsort((np.r_[off, off], np.r_[t.x[off], t.y[off]]))
     tail, head = np.r_[t.x[off], t.y[off]][by], np.r_[t.y[off], t.x[off]][by]

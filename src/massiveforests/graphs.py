@@ -342,6 +342,30 @@ def _steps(g: WeightedGraph, x):
     return [(y, g.edge_conductance(x, y)) for y in g.neighbours(x) if y != x]
 
 
+def _forests(g: WeightedGraph, choices, cap):
+    """Every acyclic assignment of one (head, factor) pair of `choices(x)`
+    to each vertex x, with the product of its factors in vertex order;
+    vertex 0's choice is the outermost loop.  A graph past `cap` vertices
+    is refused before any choice list is built."""
+    if g.n > cap:
+        raise ValueError(f"enumeration capped at {cap} vertices")
+    options = [choices(x) for x in range(g.n)]
+    heads, results = [ROOT] * g.n, []
+
+    def rec(x, w):
+        if x == g.n:
+            forest = RootedForest(g.n, heads)
+            if forest.is_acyclic():
+                results.append((forest, w))
+            return
+        for y, f in options[x]:
+            heads[x] = y
+            rec(x + 1, w * f)
+
+    rec(0, Fraction(1) if g.is_exact() else 1.0)
+    return results
+
+
 def enumerate_forests(g: WeightedGraph, cap=8):
     """All rooted spanning forests with their exact Boltzmann weights.
 
@@ -351,68 +375,25 @@ def enumerate_forests(g: WeightedGraph, cap=8):
     Forests with a zero-weight choice (a root at a zero-mass vertex) are
     skipped.
     """
-    if g.n > cap:
-        raise ValueError(f"enumeration capped at {cap} vertices")
-    choices = [[(y, f) for y, f in [(ROOT, g.masses[x])] + _steps(g, x)
-                if f != 0] for x in range(g.n)]
-
-    exact = g.is_exact()
-    out = {}
-    results = []
-
-    def rec(x, w):
-        if x == g.n:
-            forest = RootedForest(g.n, dict(out))
-            if forest.is_acyclic():
-                results.append((forest, w))
-            return
-        for y, f in choices[x]:
-            out[x] = y
-            rec(x + 1, w * f)
-        del out[x]
-
-    rec(0, Fraction(1) if exact else 1.0)
-    return results
+    return _forests(g, lambda x: [
+        (y, f) for y, f in [(ROOT, g.masses[x])] + _steps(g, x) if f != 0],
+        cap)
 
 
 def forest_partition_function(g: WeightedGraph, cap=8):
-    total = Fraction(0) if g.is_exact() else 0.0
-    for _, w in enumerate_forests(g, cap=cap):
-        total = total + w
-    return total
+    return sum((w for _, w in enumerate_forests(g, cap=cap)),
+               Fraction(0) if g.is_exact() else 0.0)
 
 
 def enumerate_trees_rooted_at(g: WeightedGraph, root, cap=9):
-    """All directed spanning trees rooted at `root`, with weights."""
-    if g.n > cap:
-        raise ValueError(f"enumeration capped at {cap} vertices")
-    exact = g.is_exact()
-    results = []
-    out = {}
-    order = [x for x in range(g.n) if x != root]
-    choices = [_steps(g, x) for x in order]
-
-    def rec(i, w):
-        if i == len(order):
-            assign = dict(out)
-            assign[root] = ROOT
-            forest = RootedForest(g.n, assign)
-            if forest.is_acyclic():
-                results.append((forest, w))
-            return
-        x = order[i]
-        for y, c in choices[i]:
-            out[x] = y
-            rec(i + 1, w * c)
-        del out[x]
-
-    rec(0, Fraction(1) if exact else 1.0)
-    return results
+    """All directed spanning trees rooted at `root`, with weights: the
+    forests whose only root is `root`."""
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} is not in 0..{g.n - 1}")
+    return _forests(g, lambda x: [(ROOT, 1)] if x == root else _steps(g, x),
+                    cap)
 
 
 def tree_partition_function(g: WeightedGraph, root, cap=9):
-    exact = g.is_exact()
-    total = Fraction(0) if exact else 0.0
-    for _, w in enumerate_trees_rooted_at(g, root, cap=cap):
-        total = total + w
-    return total
+    return sum((w for _, w in enumerate_trees_rooted_at(g, root, cap=cap)),
+               Fraction(0) if g.is_exact() else 0.0)

@@ -189,21 +189,6 @@ def z_invariant_weights(grid: IsoradialGrid,
                          check=False)
 
 
-def mass_value_via_star(grid, modulus, x):
-    """m^2(x|k) from massive harmonicity of the drift-0 exponential at x.
-
-    An oracle for bulk vertices only: at a boundary vertex of the patch
-    the star sum is not the sum of the per-edge mass terms.
-    """
-    total = 0.0
-    for eid in grid.edges_at(x):
-        a, b = grid.rays(eid, x)
-        tb = grid.half_angle(eid)
-        f = exponential_edge_factor(a, b, 0.0, modulus)
-        total += sc(modulus.abstract_angle(tb), modulus) * (f - 1.0)
-    return total
-
-
 class ExponentialField:
     """Shifted discrete massive exponential on primal and dual vertices.
 

@@ -7,27 +7,28 @@ The same triplet summation builds the Kasteleyn and dual matrices.
 Float determinants and log-determinants of sparse matrices, and the few
 potential columns a determinantal query reads, come from one sparse LU
 (SuperLU) on one fill-reducing ordering, the minimum degree of A^T + A;
-a query's columns are solved SOLVE_BLOCK at a time.  Those of a dense
-array, such as a query's k x k minor, come from LAPACK's dense LU
-(getrf).  The full float potential is one block elimination over the BFS
-levels of the graph, in whose order the Laplacian is block tridiagonal;
-it builds no factor.  Both write one Fortran-ordered output on its own
-memory mapping, so that freeing a potential hands its pages back to the
-OS.  Every exact determinant and solve is one fraction-free (Bareiss)
-elimination over Python integers, on sparse rows each scaled to integers,
-skipping zero entries (a graph's rows come straight from its triplets),
-so that the matrix-forest and determinantal identities can be checked
-bit-exactly against the enumeration oracles; Fractions are built only
-for its outputs.  A graph with a massless component is refused before
-any of these, read on the graph's component labels.  Each graph's
-Laplacian is factored once for its queries, float and exact, and the
-factors are kept while the graph lives: every later determinantal query
-and exact potential on it only solves its columns (exact columns are
-solved once and kept too).  The float Laplacian that
-`assemble_massive_laplacian` returns is read-only and linked to its graph,
-so its `determinant` and `log_determinant` read that same kept SuperLU
-factor (its LU diagonal and sign are read once); any other matrix, a copy
-of such a Laplacian included, is factored on every call.
+a query's columns come from one solve against one n x k right-hand side.
+Those of a dense array, such as a query's k x k minor, come from
+LAPACK's dense LU (getrf).  The full float potential is one block
+elimination over the BFS levels of the graph, in whose order the
+Laplacian is block tridiagonal; it builds no factor.  It writes one
+Fortran-ordered output on its own memory mapping, so that freeing a
+potential hands its pages back to the OS.  Every exact determinant and
+solve is one fraction-free (Bareiss) elimination over Python integers,
+on sparse rows each scaled to integers, skipping zero entries (a graph's
+rows come straight from its triplets), so that the matrix-forest and
+determinantal identities can be checked bit-exactly against the
+enumeration oracles; Fractions are built only for its outputs.  A graph
+with a massless component is refused before any of these, read on the
+graph's component labels.  Each graph's Laplacian is factored once for
+its queries, float and exact, and the factors are kept while the graph
+lives: every later determinantal query and exact potential on it only
+solves its columns (exact columns are solved once and kept too).  The
+float Laplacian that `assemble_massive_laplacian` returns is read-only
+and linked to its graph, so its `determinant` and `log_determinant` read
+that same kept SuperLU factor (its LU diagonal and sign are read once);
+any other matrix, a copy of such a Laplacian included, is factored on
+every call.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import ROOT, WeightedGraph
-
-SOLVE_BLOCK = 64  # potential columns per SuperLU solve
 
 
 class RecurrentWalkError(ValueError):
@@ -488,13 +487,9 @@ def _potential_matrix(g: WeightedGraph, ys, exact=False):
         return [[v[x] for v, _ in kept] for x in range(g.n)], \
             [c for _, c in kept]
     ck = g.ck_f[ys].tolist()
-    V = _mapped(g.n, len(ys))
-    for s in range(0, len(ys), SOLVE_BLOCK):
-        block = ys[s:s + SOLVE_BLOCK]
-        D = np.zeros((g.n, len(block)))
-        D[block, np.arange(len(block))] = ck[s:s + SOLVE_BLOCK]
-        V[:, s:s + len(block)] = f.lu[False].solve(D)
-    return V, ck
+    D = np.zeros((g.n, len(ys)))
+    D[ys, np.arange(len(ys))] = ck
+    return f.lu[False].solve(D), ck
 
 
 def _mapped(rows, cols):
@@ -637,7 +632,7 @@ def edge_probability(g: WeightedGraph, edges, exact=False):
     pot = _potential_columns(g, [y for y, _ in edges], exact=exact)
     minor = transfer_current(g, pot).minor(edges)
     det = determinant_exact(minor) if exact else determinant(
-        np.array(minor, float))
+        np.array(minor, float).reshape(len(edges), len(edges)))
     prob = det
     for e in edges:
         prob = prob * edge_conductance_k(g, e)

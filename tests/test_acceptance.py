@@ -291,11 +291,14 @@ class TestAcceptance:
                              f"sc rates {['%.3g' % v for v in scr]}")
 
     def test_criterion_08_mass_asymptotic(self):
-        from massiveforests.elliptic import mass_value, near_critical_modulus
+        from massiveforests.elliptic import (
+            mass_value,
+            mass_value_via_exponential,
+            near_critical_modulus,
+        )
         from massiveforests.isoradial import (
             build_rhombic_grid,
             build_square_grid,
-            mass_value_via_star,
             random_rhombic_angles,
             z_invariant_weights,
         )
@@ -321,7 +324,8 @@ class TestAcceptance:
                 # cross-oracle: harmonicity identity vs mass_value
                 quad = mass_value(
                     [grid.half_angle(e) for e in grid.edges_at(x)], mod)
-                gap = abs(quad - mass_value_via_star(grid, mod, x))
+                gap = abs(quad - mass_value_via_exponential(
+                    [grid.rays(e, x) for e in grid.edges_at(x)], mod))
                 ok = ok and gap <= 1e-9
             for a, b in zip(ratios, ratios[1:]):
                 ok = ok and 1 / 8 <= (b + 1e-12) / (a + 1e-12) <= 8

@@ -92,7 +92,6 @@ KEPT_DEFINITIONS = {
         "c(x) of one vertex, the public accessor beside `ck`",
     "io.save_periodic_graph":
         "the writer of the periodic graph files that `load_graph` reads",
-    "isoradial.mass_value_via_star": "the bulk oracle of the mass rule",
     "walks.wilson_edge_marginals":
         "Wilson's empirical edge marginals against `edge_probability`",
 }

@@ -108,7 +108,7 @@ class TestWeights:
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
         ws = killed_weights(dg, ones_lambda(amb), lam_star)
-        for val in ws.values[dg.white_table.mask]:
+        for val in ws[dg.white_table.mask]:
             assert val == pytest.approx(1.0)
 
     def test_gauge_functions_reproduce_killed(self):
@@ -121,8 +121,8 @@ class TestWeights:
         phi, psi = killed_drifted_gauge(dg, lam, lam_star)
         for w in range(dg.n_white):
             for (b, kind, slot) in dg.white_neighbours(w):
-                got = float(wk.weight(w, slot))
-                expect = phi[w] * psi[b] * float(wd.weight(w, slot))
+                got = float(wk[w, slot])
+                expect = phi[w] * psi[b] * float(wd[w, slot])
                 assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -428,9 +428,9 @@ def table_case(name):
 def assert_weights_equal(dg, ws, reference):
     mask = dg.white_table.mask
     assert set(zip(*np.nonzero(mask))) == set(reference)
-    assert not ws.values[~mask].any()
+    assert not ws[~mask].any()
     for (w, slot), value in reference.items():
-        got = ws.weight(w, slot)
+        got = ws[w, slot]
         assert got == value
         assert isinstance(got, Fraction) == isinstance(value, Fraction)
 
@@ -785,7 +785,7 @@ class TestBlockIdentity:
         ws = killed_weights(dg, lam, lam_star)
         lam_rec, lam_star_rec = recover_fields_from_weights(dg, ws)
         # recovered fields reproduce the weights exactly up to gauge: the
-        # rebuilt weight system must match entrywise after normalization
+        # rebuilt weight array must match entrywise after normalization
         lam_full = {}
         for x, val in lam_rec.items():
             lam_full[col.ambient_ids[x]] = val
@@ -794,13 +794,13 @@ class TestBlockIdentity:
             if info["y"] == "o":
                 x = info["x"]
                 c = float(info["edge"].cond)
-                nu = float(ws.weight(w, 0))
+                nu = float(ws[w, 0])
                 lam_full[info["edge"].ambient_target] = \
                     nu**2 * lam_rec[x] / c
         ws2 = killed_weights(dg, lam_full, lam_star_rec)
         for key in zip(*np.nonzero(dg.white_table.mask)):
-            assert float(ws2.weight(*key)) == pytest.approx(
-                float(ws.weight(*key)), rel=1e-9)
+            assert float(ws2[key]) == pytest.approx(
+                float(ws[key]), rel=1e-9)
 
 
 class TestDetRelation:

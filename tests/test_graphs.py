@@ -268,6 +268,28 @@ class TestEnumeration:
         for forest, _ in enumerate_forests(g):
             assert (0, 0) not in forest.edges()
 
+    @pytest.mark.parametrize("edges", [[], [(0, 0, Fraction(1))]])
+    def test_massless_vertex_has_no_forest(self, edges):
+        # its only choices (a root of mass 0, a loop) weigh nothing
+        g = WeightedGraph(1, edges, [Fraction(0)])
+        assert enumerate_forests(g) == []
+        z = forest_partition_function(g)
+        assert z == 0 and isinstance(z, Fraction)
+
+    def test_vertex_without_steps_has_no_tree(self):
+        g = WeightedGraph(2, [], [1, 1], check=False)
+        assert enumerate_trees_rooted_at(g, 0) == []
+        z = tree_partition_function(g, 0)
+        assert z == 0 and isinstance(z, Fraction)
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_root_outside_refused(self, root):
+        g = z_line(0, 2)
+        with pytest.raises(ValueError, match=r"not in 0\.\.2"):
+            enumerate_trees_rooted_at(g, root)
+        with pytest.raises(ValueError, match=r"not in 0\.\.2"):
+            tree_partition_function(g, root)
+
 
 class TestMatrixForest:
     def test_random_family_exact(self):
@@ -420,6 +442,69 @@ def loop_harmonicity(g, lam, subset):
                default=0.0)
 
 
+def loop_steps(g, x):
+    return [(y, g.edge_conductance(x, y)) for y in g.neighbours(x) if y != x]
+
+
+def loop_enumerate_forests(g):
+    """The forest recursion with its own (vertex -> head) dict; it raises
+    KeyError at a vertex with no nonzero choice."""
+    choices = [[(y, f) for y, f in [(ROOT, g.masses[x])] + loop_steps(g, x)
+                if f != 0] for x in range(g.n)]
+    out, results = {}, []
+
+    def rec(x, w):
+        if x == g.n:
+            forest = RootedForest(g.n, dict(out))
+            if forest.is_acyclic():
+                results.append((forest, w))
+            return
+        for y, f in choices[x]:
+            out[x] = y
+            rec(x + 1, w * f)
+        del out[x]
+
+    rec(0, Fraction(1) if g.is_exact() else 1.0)
+    return results
+
+
+def loop_enumerate_trees(g, root):
+    """The tree recursion over the vertices but the root, which it sets to
+    ROOT at the end."""
+    out, results = {}, []
+    order = [x for x in range(g.n) if x != root]
+    choices = [loop_steps(g, x) for x in order]
+
+    def rec(i, w):
+        if i == len(order):
+            assign = dict(out)
+            assign[root] = ROOT
+            forest = RootedForest(g.n, assign)
+            if forest.is_acyclic():
+                results.append((forest, w))
+            return
+        x = order[i]
+        for y, c in choices[i]:
+            out[x] = y
+            rec(i + 1, w * c)
+        del out[x]
+
+    rec(0, Fraction(1) if g.is_exact() else 1.0)
+    return results
+
+
+def loop_total(weighted, g):
+    total = Fraction(0) if g.is_exact() else 0.0
+    for _, w in weighted:
+        total = total + w
+    return total
+
+
+def keyed(weighted):
+    """(forest key, weight type, weight) of each enumerated forest."""
+    return [(f.key(), type(w), w) for f, w in weighted]
+
+
 class TestArrayCoreMatchesLoops:
     """Every array quantity of the graph core equals, with ==, the
     per-vertex loop it replaces: rational and float data, parallel edges,
@@ -513,6 +598,18 @@ class TestArrayCoreMatchesLoops:
                 loop_harmonicity(g, lam, subset)
             assert check_massive_harmonic(g, lam, range(g.n)) == \
                 loop_harmonicity(g, lam, range(g.n))
+
+    def test_enumerations(self, cases):
+        # forest for forest, in the same order, weights type for type
+        for g, _, _ in cases:
+            runs = [(enumerate_forests(g), forest_partition_function(g),
+                     loop_enumerate_forests(g))]
+            runs += [(enumerate_trees_rooted_at(g, r),
+                      tree_partition_function(g, r),
+                      loop_enumerate_trees(g, r)) for r in range(g.n)]
+            for got, z, ref in runs:
+                assert keyed(got) == keyed(ref)
+                assert typed([z]) == typed([loop_total(ref, g)])
 
 
 class TestLookups:

@@ -859,6 +859,14 @@ class TestEdgeProbability:
         with pytest.raises(ValueError):
             edge_probability(path_ab(), [(0, 1), (0, 1)])
 
+    def test_no_edges_is_certain(self):
+        # the empty minor is 0 x 0, whose determinant is 1 in both modes
+        g = grid_graph(3, 3, m=Fraction(1, 2))
+        p = edge_probability(g, [], exact=True)
+        assert p == 1 and isinstance(p, Fraction)
+        p = edge_probability(g, [])
+        assert p == 1.0 and isinstance(p, float)
+
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("edges", [[(-2, 6)], [(0, 9)], [(-1, 0)],
                                        [(0, 1), (4, -3)]])
@@ -959,12 +967,12 @@ def rss_mb():
 
 class TestBlockedSolve:
     """Float potentials, the full one by block elimination over BFS levels
-    and a query's columns SOLVE_BLOCK at a time against the minimum-degree
-    SuperLU factor, checked against dense LAPACK and each other."""
+    and a query's columns by one solve against the minimum-degree SuperLU
+    factor, checked against dense LAPACK and each other."""
 
     GRAPHS = {
         "grid5x6": lambda: grid_graph(5, 6, c=1.0, m=0.05),  # one block
-        # a query of all 135 columns is solved in blocks of 64+64+7
+        # a query of all 135 columns is one solve of 135 right-hand sides
         "grid9x15": lambda: grid_graph(9, 15, c=1.0, m=0.05),
         "grid41": lambda: grid_graph(41, 41, c=1.0, m=0.05),
         "drifted": lambda: drifted_grid(12, 11),

@@ -19,11 +19,7 @@ from massiveforests.dimers import (
     verify_block_identity,
     verify_det_relation,
 )
-from massiveforests.graphs import (
-    collapse_boundary,
-    grid_graph,
-    wired_restriction,
-)
+from massiveforests.graphs import collapse_boundary, grid_graph
 from massiveforests.linalg import (
     assemble_massive_laplacian_exact,
     determinant_exact,
@@ -37,7 +33,6 @@ ambient = grid_graph(4, 4, m=Fraction(9, 4))
 subset = [ambient.positions.tolist().index([float(i), float(j)])
           for j in (1, 2) for i in (1, 2)]
 col = collapse_boundary(ambient, subset)
-window = wired_restriction(ambient, subset)
 faces, dg = build_dual_and_double(col, ambient.positions)
 print(f"double graph: {dg.n_white} whites, {dg.n_black} blacks "
       f"(balance {dg.counts_balanced()})")
@@ -47,7 +42,7 @@ lam = {v: Fraction(4) ** int(round(ambient.positions[v][0]))
        for v in range(ambient.n)}
 ws = drifted_weights(dg, lam)
 det, z, gap = partition_check(dg, ws, exact=True)
-z_forest = determinant_exact(assemble_massive_laplacian_exact(window))
+z_forest = determinant_exact(assemble_massive_laplacian_exact(col.wired))
 print(f"\nZ_dim = {z},  det Delta^k of the window = {z_forest}, "
       f"|det K|^2 - Z^2 = {gap}")
 
@@ -63,11 +58,10 @@ print(f"Temperley round trip on one Wilson sample: identity = "
       f"{back == tree}")
 
 lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
-off, v_off, dual_dev, v_diag = verify_block_identity(dg, lam, lam_star,
-                                                     window)
+off, v_off, dual_dev, v_diag = verify_block_identity(dg, lam, lam_star)
 print(f"\n(K^k)^dag K^k: off-block {off:.1e}, V-block off-diag "
       f"{v_off:.1e}, dual block {dual_dev:.1e}, diagonal defect "
       f"{v_diag:.1e}")
-log_detK, log_rhs, dgap = verify_det_relation(dg, lam, lam_star, window)
+log_detK, log_rhs, dgap = verify_det_relation(dg, lam, lam_star)
 print(f"log|det K^k| = {log_detK:.10f} vs log(C det Delta^k) = "
       f"{log_rhs:.10f} (gap {dgap:.1e})")

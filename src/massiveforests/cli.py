@@ -469,16 +469,15 @@ def verify_dimers():
         partition_check,
         verify_block_identity,
     )
-    from .graphs import collapse_boundary, grid_graph, wired_restriction
+    from .graphs import collapse_boundary, grid_graph
     from .planar import build_dual_and_double
 
     failures = []
     amb = grid_graph(4, 4, m=Fraction(9, 4))
     subset = [amb.positions.tolist().index([float(i), float(j)])
               for j in (1, 2) for i in (1, 2)]
-    col = collapse_boundary(amb, subset)
-    window = wired_restriction(amb, subset)
-    _, dg = build_dual_and_double(col, amb.positions)
+    _, dg = build_dual_and_double(collapse_boundary(amb, subset),
+                                  amb.positions)
     bad = check_kasteleyn_property(dg)
     print(f"  Kasteleyn property: {len(bad)} bad quads")
     if bad:
@@ -491,8 +490,7 @@ def verify_dimers():
     if gap != 0:
         failures.append("Kasteleyn determinant")
     lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
-    off, v_off, dual_dev, v_diag = verify_block_identity(
-        dg, lam, lam_star, window)
+    off, v_off, dual_dev, v_diag = verify_block_identity(dg, lam, lam_star)
     print(f"  block identity: off={off:.2e} V-off={v_off:.2e} "
           f"dual={dual_dev:.2e} diag-defect={v_diag:.2e}")
     if max(off, v_off, dual_dev) > 1e-12 or v_diag > 1e-10:

@@ -428,12 +428,17 @@ class TemperleySampler:
 
 
 def sample_matching(dg: DoubleGraph, lam_ambient, rng):
-    """Sample a drifted-model matching through Wilson + Temperley."""
+    """Sample a drifted-model matching through Wilson + Temperley.  Each
+    call prepares a fresh `TemperleySampler`, about half of its time: to
+    draw many samples at one lambda, hold one sampler."""
     return TemperleySampler(dg, lam_ambient).sample(rng)
 
 
 def _tilted_window(dg: DoubleGraph, lam_ambient):
-    """Wired window with tilted conductances matching the drifted model."""
+    """Wired window with tilted conductances matching the drifted model:
+    the tilted collapse's `wired` window in float, with its edges in white
+    order (x -> y, then y -> x).  Wilson's transition rows list steps in
+    edge order, so this order fixes which uniform takes which step."""
     col, t = dg.col, dg.white_table
     c, lx, ly = _float_ends(dg, lam_ambient)
     fwd = c * ly / lx
@@ -461,14 +466,13 @@ def local_statistics(dg: DoubleGraph, K, half_edges, Kinv=None):
     return (coeff * np.linalg.det(minor)).real
 
 
-def verify_block_identity(dg: DoubleGraph, lam_ambient, lam_star, window):
+def verify_block_identity(dg: DoubleGraph, lam_ambient, lam_star):
     """Blocks of (K^k)^dagger K^k against Delta^k_V and the dual operator.
 
-    `window` is the wired restriction of the ambient graph on the same
-    vertex order as the collapse.  Returns (max off-block entry, max
-    V-block off-diagonal gap, max dual-block gap, max V-block diagonal
-    gap); the last is the harmonicity defect of lambda and vanishes when
-    lambda is massive harmonic on the window.
+    Delta^k_V is the massive Laplacian of `dg.col.wired`.  Returns (max
+    off-block entry, max V-block off-diagonal gap, max dual-block gap, max
+    V-block diagonal gap); the last is the harmonicity defect of lambda and
+    vanishes when lambda is massive harmonic on the window.
     """
     weights = killed_weights(dg, lam_ambient, lam_star)
     K = kasteleyn_matrix(dg, weights).toarray()
@@ -478,7 +482,7 @@ def verify_block_identity(dg: DoubleGraph, lam_ambient, lam_star, window):
     off = float(max(np.max(np.abs(A[:n, n:]), initial=0.0),
                     np.max(np.abs(A[n:, :n]), initial=0.0)))
 
-    Lk = assemble_massive_laplacian(window).toarray()
+    Lk = assemble_massive_laplacian(dg.col.wired).toarray()
     v_block = A[:n, :n].real
     diff = v_block - Lk
     v_offdiag = float(np.max(np.abs(diff - np.diag(np.diag(diff)))))
@@ -551,8 +555,9 @@ def _log_det_relation_constant(dg: DoubleGraph, lam_ambient, lam_star):
     return float(logc)
 
 
-def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
-    """(log|det K^k|, log(C det Delta^k_V), relative gap).
+def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star):
+    """(log|det K^k|, log(C det Delta^k_V), relative gap), Delta^k_V being
+    the massive Laplacian of `dg.col.wired`.
 
     Log-magnitudes stay finite on windows whose determinants overflow; the
     gap is |expm1(log|det K^k| - log(C det Delta^k_V))|, inf when
@@ -560,7 +565,8 @@ def verify_det_relation(dg: DoubleGraph, lam_ambient, lam_star, window):
     """
     _, log_det_k = log_determinant(
         kasteleyn_matrix(dg, killed_weights(dg, lam_ambient, lam_star)))
-    sign_l, log_det_l = log_determinant(assemble_massive_laplacian(window))
+    sign_l, log_det_l = log_determinant(
+        assemble_massive_laplacian(dg.col.wired))
     log_rhs = _log_det_relation_constant(dg, lam_ambient, lam_star) + \
         log_det_l
     gap = abs(math.expm1(log_det_k - log_rhs)) if sign_l > 0 else math.inf

@@ -16,13 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
+    ROOT,
+    CollapsedGraph,
     WeightedGraph,
     _values,
     _window,
     collapse_boundary,
     forest_partition_function,
     tree_partition_function,
-    wired_restriction,
 )
 from .linalg import (
     assemble_massive_laplacian,
@@ -40,22 +41,36 @@ def _lambda_at(lam, vertices):
     return _values(list(map(lam.__getitem__, vertices.tolist())))
 
 
-def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
-    """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped.
-
-    One array expression over the edges, reading lambda at their ends
-    only; Fraction data and lambda give Fraction tilts."""
-    ends, at = np.unique(np.r_[ambient.tail, ambient.head],
-                         return_inverse=True)
+def _tilt(cond, tail, head, lam):
+    """c lambda(head) / lambda(tail) per edge, reading lambda once at each
+    end and refusing lambda <= 0 there; Fractions give Fraction tilts."""
+    ends, at = np.unique(np.r_[tail, head], return_inverse=True)
     lam = _lambda_at(lam, ends)
     if not np.all(lam > 0):
-        raise ValueError("lambda must be positive everywhere")
+        raise ValueError("lambda must be positive at every edge end")
     lam_tail, lam_head = np.split(lam[at], 2)
-    cond = ambient.cond * lam_head / lam_tail
+    return cond * lam_head / lam_tail
+
+
+def doob_conductances(ambient: WeightedGraph, lam) -> WeightedGraph:
+    """Tilted graph: c~_(x,y) = lambda(y)/lambda(x) c_(x,y), masses dropped."""
+    cond = _tilt(ambient.cond, ambient.tail, ambient.head, lam)
     zero = Fraction(0) if ambient.is_exact() else 0.0
     return WeightedGraph(ambient.n, (ambient.tail, ambient.head, cond),
                          [zero] * ambient.n, positions=ambient.positions,
                          check=False)
+
+
+def _tilted_collapse(col: CollapsedGraph, lam) -> CollapsedGraph:
+    """`col` with its edge and spoke conductances tilted by lambda, as
+    `doob_conductances` tilts them, and its masses dropped: lambda is read
+    at the window vertices and the spoke targets only."""
+    ids = np.asarray(col.ambient_ids, dtype=int)
+    (x, y, c), (sx, sc, target) = col.edges, col.spokes
+    cond = _tilt(np.r_[c, sc], ids[np.r_[x, sx]], np.r_[ids[y], target], lam)
+    return CollapsedGraph(col.n, (x, y, cond[:len(x)]),
+                          (sx, cond[len(x):], target), col.masses * 0,
+                          col.positions, col.ambient_ids)
 
 
 def massive_laplacian_at(g: WeightedGraph, f, xs):
@@ -101,13 +116,12 @@ def require_massive_harmonic(ambient: WeightedGraph, lam, subset):
 
 
 def verify_gauge_identity(ambient: WeightedGraph, lam, subset):
-    """sup-norm of Delta~_V - Lambda^-1 Delta^k_V Lambda on the window."""
-    subset = sorted(subset)
-    window = wired_restriction(ambient, subset)
-    tilde_window = wired_restriction(doob_conductances(ambient, lam), subset)
-    Lk = assemble_massive_laplacian(window).toarray()
-    Lt = assemble_massive_laplacian(tilde_window).toarray()
-    lam_v = np.array([float(lam[x]) for x in subset])
+    """sup-norm of Delta~_V - Lambda^-1 Delta^k_V Lambda on the window,
+    reading lambda on the window and its neighbours only."""
+    col = collapse_boundary(ambient, subset)
+    Lk, Lt = (assemble_massive_laplacian(w.wired).toarray()
+              for w in (col, _tilted_collapse(col, lam)))
+    lam_v = np.array([float(lam[x]) for x in col.ambient_ids])
     gauge = (Lk * lam_v[None, :]) / lam_v[:, None]
     return float(np.max(np.abs(Lt - gauge)))
 
@@ -119,37 +133,28 @@ def verify_partition_equality(ambient: WeightedGraph, subset, lam,
     Returns (z_forest, z_tree, relative gap).  In float mode the partition
     functions are `log_determinant` pairs (sign, log|Z|), which stay finite
     on windows where Z itself overflows, and the gap is
-    |expm1(log Z_tree - log Z_forest)|, inf when the signs differ.  Reads
-    lambda on the window and its neighbours only, and refuses when it fails
-    the harmonicity gate on the window.
+    |expm1(log Z_tree - log Z_forest)|, inf when the signs differ.  The
+    wired window, the tilted window and G^o come from one collapse, so
+    lambda is read on the window and its neighbours only; a lambda that
+    fails the harmonicity gate on the window is refused.
     """
-    subset = sorted(subset)
     require_massive_harmonic(ambient, lam, subset)
-    window = wired_restriction(ambient, subset)
-    # the tilted window and G^o read only the edges out of the window: tilt
-    # those alone, so lambda is read on the window and its neighbours only
-    _, _, out, _ = _window(ambient, subset)
-    tilde = doob_conductances(WeightedGraph(
-        ambient.n, (ambient.tail[out], ambient.head[out], ambient.cond[out]),
-        ambient.masses, positions=ambient.positions, check=False), lam)
-    tilde_window = wired_restriction(tilde, subset)
+    col = collapse_boundary(ambient, subset)
+    window, tilde = col.wired, _tilted_collapse(col, lam)
     if exact:
-        z_forest = determinant_exact(
-            assemble_massive_laplacian_exact(window))
-        z_tree = determinant_exact(
-            assemble_massive_laplacian_exact(tilde_window))
+        z_forest, z_tree = (determinant_exact(assemble_massive_laplacian_exact(
+            w)) for w in (window, tilde.wired))
         gap = abs(z_forest - z_tree)
     else:
-        z_forest = log_determinant(assemble_massive_laplacian(window))
-        z_tree = log_determinant(assemble_massive_laplacian(tilde_window))
+        z_forest, z_tree = (log_determinant(assemble_massive_laplacian(w))
+                            for w in (window, tilde.wired))
         (s_forest, ld_forest), (s_tree, ld_tree) = z_forest, z_tree
         gap = abs(math.expm1(ld_tree - ld_forest)) \
             if s_forest == s_tree != 0 else math.inf
     if enumerate_cap is not None:
         # independent enumeration arm: trees of G^o vs forests of the window
-        col = collapse_boundary(tilde, subset)
-        go = col.as_weighted_graph()
-        z_tree_enum = tree_partition_function(go, col.o, cap=enumerate_cap)
+        z_tree_enum = tree_partition_function(tilde.as_weighted_graph(),
+                                              tilde.o, cap=enumerate_cap)
         z_forest_enum = forest_partition_function(window, cap=enumerate_cap)
         return z_forest, z_tree, gap, z_forest_enum, z_tree_enum
     return z_forest, z_tree, gap
@@ -166,8 +171,6 @@ def tilted_transfer(window: WeightedGraph, lam_window, exact=False):
     zero = Fraction(0) if exact else 0.0
 
     def entry(e, f):
-        from .graphs import ROOT
-
         w, x = e
         y, z = f
         if y == ROOT:

@@ -264,24 +264,34 @@ class CollapsedGraph:
     own spoke (x, o), and `spokes` holds them as the columns (tail, cond,
     ambient target), the target being the ambient head vertex, which the
     killed dimer weights need.  Both are in subset order, then out-edge
-    order.
+    order.  `masses` are the window vertices' own ambient masses.
     """
 
-    def __init__(self, n, edges, spokes, positions, ambient_ids):
-        self.n = n
-        self.o = n
-        self.edges = edges
-        self.spokes = spokes
-        self.positions = positions
-        self.ambient_ids = ambient_ids
+    def __init__(self, n, edges, spokes, masses, positions, ambient_ids):
+        self.n = self.o = n
+        self.edges, self.spokes, self.masses = edges, spokes, masses
+        self.positions, self.ambient_ids = positions, ambient_ids
+
+    @cached_property
+    def wired(self) -> WeightedGraph:
+        """The window with wired boundary conditions: each spoke's
+        conductance is added to its tail's mass, after that mass and in
+        spoke order, so its massive Laplacian is the ambient one restricted.
+        It inherits the ambient validity; only connectivity is checked."""
+        x, c, _ = self.spokes
+        masses = self.masses.astype(np.result_type(self.masses, c))
+        np.add.at(masses, x, c)
+        g = WeightedGraph(self.n, self.edges, masses,
+                          positions=self.positions, check=False)
+        if g.n > 1 and g.components.any():
+            raise ValueError("subset induces a disconnected subgraph")
+        return g
 
     def as_weighted_graph(self):
-        """The collapsed graph itself as a WeightedGraph on n+1 vertices.
-
-        The window edges are followed by each spoke (x, o) both ways, the
-        reverse (o, x) with equal conductance so the object passes
-        validation; the Boltzmann measures used here never leave o.
-        """
+        """The collapsed graph itself as a WeightedGraph on n+1 vertices:
+        the window edges, then each spoke (x, o) both ways, the reverse
+        (o, x) with equal conductance so the object passes validation; the
+        Boltzmann measures used here never leave o."""
         x, c, _ = self.spokes
         spokes = both_ways(x, np.full_like(x, self.o), c)
         return WeightedGraph(self.n + 1, tuple(
@@ -292,8 +302,13 @@ class CollapsedGraph:
 def _window(ambient: WeightedGraph, subset):
     """The sorted vertices of `subset`, the window index of each ambient
     vertex (-1 outside), the ambient edges out of the window in subset
-    order then out-edge order, and which of them stay inside."""
-    subset = np.unique(np.array(list(subset), dtype=int))
+    order then out-edge order, and which of them stay inside.  A subset id
+    outside 0..n-1 raises ValueError."""
+    subset = np.array(list(subset), dtype=int)
+    bad = subset[(subset < 0) | (subset >= ambient.n)]
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} is not in 0..{ambient.n - 1}")
+    subset = np.unique(subset)
     index = np.full(ambient.n, -1)
     index[subset] = np.arange(len(subset))
     out = ambient.out_order[index[ambient.tail[ambient.out_order]] >= 0]
@@ -308,31 +323,14 @@ def collapse_boundary(ambient: WeightedGraph, subset) -> CollapsedGraph:
         ambient.positions[subset]
     return CollapsedGraph(
         len(subset), (x[stays], index[y[stays]], c[stays]),
-        (x[~stays], c[~stays], y[~stays]), positions, subset.tolist())
+        (x[~stays], c[~stays], y[~stays]), ambient.masses[subset],
+        positions, subset.tolist())
 
 
 def wired_restriction(ambient: WeightedGraph, subset) -> WeightedGraph:
-    """Restrict to `subset` with wired boundary conditions.
-
-    Conductances restrict, and every conductance leaving the subset (a
-    spoke of `collapse_boundary`) is added to the mass of its tail vertex,
-    after the ambient mass and in edge order, so the massive Laplacian of
-    the result is the restriction of the ambient massive Laplacian.  The
-    window inherits the ambient graph's validity; only its connectivity is
-    checked.
-    """
-    subset, index, out, stays = _window(ambient, subset)
-    x, y, c = index[ambient.tail[out]], ambient.head[out], ambient.cond[out]
-    masses = ambient.masses[subset].astype(np.result_type(
-        ambient.masses, c))
-    np.add.at(masses, x[~stays], c[~stays])
-    positions = None if ambient.positions is None else \
-        ambient.positions[subset]
-    g = WeightedGraph(len(subset), (x[stays], index[y[stays]], c[stays]),
-                      masses, positions=positions, check=False)
-    if g.n > 1 and g.components.any():
-        raise ValueError("subset induces a disconnected subgraph")
-    return g
+    """Restrict to `subset` with wired boundary conditions: the `wired`
+    window of its `collapse_boundary`."""
+    return collapse_boundary(ambient, subset).wired
 
 
 # -- exhaustive enumeration oracles ---------------------------------------

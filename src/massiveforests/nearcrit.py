@@ -28,6 +28,7 @@ from .elliptic import (
     near_critical_modulus,
     sc,
 )
+from .graphs import WeightedGraph, wired_restriction
 from .walks import TASK_BITS, loop_erase, rng_stream, tasks
 
 SQRT2 = math.sqrt(2.0)
@@ -424,26 +425,17 @@ def girsanov_ratio_check(M, u_bar, deltas):
 # -- LERW ratio ----------------------------------------------------------------
 
 
-def _window_graph(kernel, box):
-    """Wired window of the sites where `box` does not stop, in row order.
-
-    Each missing neighbor adds its conductance to the site's mass.  Returns
-    (WeightedGraph, vertex of each flat site or -1 off the window).
-    """
-    from .graphs import WeightedGraph
-
-    inside = np.flatnonzero(~box.stop)
-    vertex = np.full(box.z.size, -1)
-    vertex[inside] = np.arange(inside.size)
-    nbr = vertex[inside[:, None] + box.moves]        # (site, direction)
-    masses = np.full(inside.size, kernel.m2)
-    for k, c in enumerate(kernel.cond):
-        masses += np.where(nbr[:, k] < 0, c, 0.0)
-    tail, k = np.nonzero(nbr >= 0)
-    z = box.z[inside]
-    return WeightedGraph(inside.size, (tail, nbr[tail, k], kernel.cond[k]),
-                         masses, positions=np.column_stack((z.real, z.imag)),
-                         check=False), vertex
+def _box_lattice(kernel, box):
+    """The box's sites as a graph, vertex k at flat site k: each site's E,
+    N, W and S edge inside the array, the kernel's conductances, mass m2.
+    Collapsed to the sites where the box does not stop, its `wired` graph
+    is the killed window and its `spokes` are the window's exit steps."""
+    n, (a, b) = box.z.size, np.indices(box.shape).reshape(2, -1)
+    tail, k = np.nonzero(np.stack(
+        [a + 1 < box.shape[0], b + 1 < box.shape[1], a > 0, b > 0], axis=1))
+    return WeightedGraph(n, (tail, tail + box.moves[k], kernel.cond[k]),
+                         np.full(n, kernel.m2), positions=np.column_stack(
+                             (box.z.real, box.z.imag)), check=False)
 
 
 def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
@@ -463,11 +455,13 @@ def lerw_ratio_check(M, u_bar, delta, gamma_sites, n_samples, seed,
     killed = SquareLatticeKernel(M, delta)
     drifted = SquareLatticeKernel(M, delta, u_bar=u_bar)
     box = _disk_box(killed.spacing, radius)
-    killed_g, vertex = _window_graph(killed, box)
+    inside = np.flatnonzero(~box.stop)
+    killed_g = wired_restriction(_box_lattice(killed, box), inside)
     path = [box.site(i, j) for (i, j) in gamma_sites]
-    if min(vertex[path]) < 0:
+    if box.stop[path].any():
         raise ValueError("gamma leaves the disk window")
-    p_killed = lerw_exact_probability(killed_g, vertex[path].tolist())
+    p_killed = lerw_exact_probability(killed_g,
+                                      np.searchsorted(inside, path).tolist())
     if p_killed == 0:
         raise ZeroDivisionError("killed arm has zero probability")
 

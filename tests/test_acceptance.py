@@ -206,7 +206,7 @@ class TestAcceptance:
         lam_r = {v: float(rng.uniform(0.5, 2.0)) for v in range(amb.n)}
         lam_s = {f: float(rng.uniform(0.5, 2.0))
                  for f in range(len(dg.structure.faces))}
-        off, _, _, _ = verify_block_identity(dg, lam_r, lam_s, window)
+        off, _, _, _ = verify_block_identity(dg, lam_r, lam_s)
         ok = ok and off <= 1e-12
 
         # full identity with harmonic lambda
@@ -215,11 +215,11 @@ class TestAcceptance:
         lam_h = pow4_lambda(amb)
         lam_s = {f: 1.0 for f in range(len(dg.structure.faces))}
         off, v_off, dual_dev, v_diag = verify_block_identity(
-            dg, lam_h, lam_s, window)
+            dg, lam_h, lam_s)
         ok = ok and max(off, v_off, dual_dev) <= 1e-10 and v_diag <= 1e-10
 
         # determinant relation
-        detK, rhs, gap = verify_det_relation(dg, lam_h, lam_s, window)
+        detK, rhs, gap = verify_det_relation(dg, lam_h, lam_s)
         ok = ok and gap <= 1e-8
         assert report(5, ok, f"partition exact on {len(windows)} windows, "
                              f"off={off:.1e}, det gap={gap:.1e}")

@@ -497,7 +497,7 @@ class TestWhiteTable:
             dg, lam, lam_star)
         assert close(off_gap, ref_gap)
         assert all(map(close, masses, ref_masses))
-        gaps = verify_block_identity(dg, lam, lam_star, window)
+        gaps = verify_block_identity(dg, lam, lam_star)
         assert all(map(close, gaps,
                        loop_block_gaps(dg, lam, lam_star, window)))
 
@@ -745,7 +745,7 @@ class TestBlockIdentity:
         lam_star = {f: float(rng.uniform(0.5, 2.0))
                     for f in range(len(dg.structure.faces))}
         off, v_off, dual_dev, v_diag = verify_block_identity(
-            dg, lam, lam_star, window)
+            dg, lam, lam_star)
         assert off <= 1e-12
         assert v_off <= 1e-12      # off-diagonal V-block: any lambda
         assert dual_dev <= 1e-12   # dual block: any lambda*
@@ -757,7 +757,7 @@ class TestBlockIdentity:
         lam = pow4_lambda(amb)
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
         off, v_off, dual_dev, v_diag = verify_block_identity(
-            dg, lam, lam_star, window)
+            dg, lam, lam_star)
         assert off <= 1e-12
         assert v_off <= 1e-12
         assert dual_dev <= 1e-12
@@ -808,7 +808,7 @@ class TestDetRelation:
         amb, col, window, dg = window_setup(4, 4, [1, 2], [1, 2])
         lam = ones_lambda(amb)
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
-        detK, rhs, gap = verify_det_relation(dg, lam, lam_star, window)
+        detK, rhs, gap = verify_det_relation(dg, lam, lam_star)
         assert gap <= 1e-10
 
     def test_harmonic_exponential_window(self):
@@ -818,7 +818,7 @@ class TestDetRelation:
         rng = np.random.default_rng(43)
         lam_star = {f: float(rng.uniform(0.5, 2.0))
                     for f in range(len(dg.structure.faces))}
-        detK, rhs, gap = verify_det_relation(dg, lam, lam_star, window)
+        detK, rhs, gap = verify_det_relation(dg, lam, lam_star)
         assert gap <= 1e-8
 
     def test_rational_2x2_window(self):
@@ -826,7 +826,7 @@ class TestDetRelation:
                                             mass=Fraction(9, 4))
         lam = pow4_lambda(amb)
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
-        detK, rhs, gap = verify_det_relation(dg, lam, lam_star, window)
+        detK, rhs, gap = verify_det_relation(dg, lam, lam_star)
         assert gap <= 1e-12
 
     def test_finite_gap_on_large_window(self):
@@ -837,8 +837,7 @@ class TestDetRelation:
         lam_star = {f: 1.0 for f in range(len(dg.structure.faces))}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_det_k, log_rhs, gap = verify_det_relation(dg, lam, lam_star,
-                                                          window)
+            log_det_k, log_rhs, gap = verify_det_relation(dg, lam, lam_star)
         assert np.isfinite(log_det_k) and log_det_k > 709.8  # > log(max float)
         assert gap <= 1e-10
 
@@ -943,7 +942,7 @@ class TestSelfDuality:
         lam_star = {f: (field.dual[face_map[f]] if f in face_map else 1.0)
                     for f in range(len(dg.structure.faces))}
         off, v_off, dual_dev, v_diag = verify_block_identity(
-            dg, field.primal, lam_star, window)
+            dg, field.primal, lam_star)
         assert off <= 1e-12
         assert v_off <= 1e-12
         assert dual_dev <= 1e-12

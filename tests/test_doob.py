@@ -138,6 +138,15 @@ class TestGaugeIdentity:
         lam = lam_pow2(-2, 3)
         assert verify_gauge_identity(g, lam, [2, 3]) <= 1e-14
 
+    def test_lambda_near_the_window_is_enough(self):
+        # `verify doob`'s Z-line with lambda = 2^x on the window {2, 3} and
+        # its neighbours only: both checks read no other vertex
+        g = z_line_half_mass(0, 5)
+        lam = {x: Fraction(2) ** x for x in (1, 2, 3, 4)}
+        assert verify_gauge_identity(g, lam, [2, 3]) <= 1e-14
+        assert verify_partition_equality(g, [2, 3], lam)[2] == 0.0
+        assert verify_partition_equality(g, [2, 3], lam, exact=True)[2] == 0
+
     def test_random_graph_potential_column(self):
         rng = np.random.default_rng(22)
         for _ in range(8):

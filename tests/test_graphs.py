@@ -202,6 +202,20 @@ class TestWiredRestriction:
                                match="subset induces a disconnected"):
                 wired_restriction(amb, [0, 3])
 
+    @pytest.mark.parametrize("subset, bad", [
+        ([-1, 5, 2], -1), ([-1, 8, 5], -1), ([0, 9], 9), ([4, 12, -3], 12)])
+    def test_subset_outside_refused(self, subset, bad):
+        # neither a negative id, which numpy would read from the end, nor
+        # one past n - 1 is a vertex
+        amb = grid_graph(3, 3, c=1.0, m=0.5)
+        lam = np.ones(9)
+        for window in (lambda: wired_restriction(amb, subset),
+                       lambda: collapse_boundary(amb, subset),
+                       lambda: massive_laplacian_at(amb, lam, subset)):
+            with pytest.raises(ValueError,
+                               match=rf"^vertex {bad} is not in 0\.\.8$"):
+                window()
+
 
 class TestCollapse:
     def test_z_line_window(self):

@@ -252,6 +252,30 @@ class TestLerwRatio:
         assert gaps[2] < gaps[0]
 
 
+class TestBoxWindow:
+    # the killed window of a disk box keeps the bytes of tail, head, cond,
+    # masses and positions that the site-by-site window builder gave, at
+    # `lerw_ratio_check`'s CLI arguments and at the exit-law oracle's box
+    @pytest.mark.parametrize("M, delta, radius, n, digest", [
+        (1.0, 1 / 12, 0.2, 9,
+         "377a11cd327746c1058004c2a451e6e8e9fd92734f2ead743d55bc48d1cbe9dd"),
+        (1.0, 1 / 16, 1.0, 401,
+         "a451623407f97e12597bd7c3515aac5d4b06d3a9b1a2d32e99dd3aaacfb67441"),
+    ])
+    def test_keeps_its_bytes(self, M, delta, radius, n, digest):
+        from massiveforests.graphs import wired_restriction
+
+        kernel = SquareLatticeKernel(M, delta)
+        box = _disk_box(kernel.spacing, radius)
+        g = wired_restriction(nearcrit._box_lattice(kernel, box),
+                              np.flatnonzero(~box.stop))
+        assert g.n == n
+        h = hashlib.sha256()
+        for a in (g.tail, g.head, g.cond, g.masses, g.positions):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestCrossing:
     def test_scale_invariant_positive_estimate(self):
         # the event has a small but positive scale-invariant probability
@@ -810,19 +834,21 @@ def exact_exit_law(M, u_bar, delta, radius=1.0, n_arcs=16):
     V / c^k is symmetric); the drifted walk is its Doob transform by the
     discrete exponential, which multiplies each exit by e(z_y - z_s).
     """
+    from massiveforests.graphs import collapse_boundary
     from massiveforests.linalg import _potential_columns
 
     killed = SquareLatticeKernel(M, delta)
     drifted = SquareLatticeKernel(M, delta, u_bar=u_bar)
     box = _disk_box(killed.spacing, radius)
-    g, vertex = nearcrit._window_graph(killed, box)
-    start = box.nearest(0j)
-    s = vertex[start]
-    V = _potential_columns(g, [s]).V[:, 0]
     inside = np.flatnonzero(~box.stop)
-    x, k = np.nonzero(box.stop[inside[:, None] + box.moves])
-    y = inside[x] + box.moves[k]
-    p = V[x] / g.ck_f[s] * killed.cond[k]
+    col = collapse_boundary(nearcrit._box_lattice(killed, box), inside)
+    g = col.wired
+    start = box.nearest(0j)
+    s = np.searchsorted(inside, start)
+    V = _potential_columns(g, [s]).V[:, 0]
+    # the exit steps x -> y are the spokes of the collapse
+    x, c, y = col.spokes
+    p = V[x] / g.ck_f[s] * c
     tilt = np.array([drifted.exponential(z, u_bar)
                      for z in box.z[y] - box.z[start]])
     arcs = _arc_bin(_circle_crossing_angle(box.z[inside[x]], box.z[y],

@@ -536,7 +536,7 @@ class TestErrorsMatchLoops:
     def col(self, n, edges, spokes=None, positions=POS):
         tail, head, cond = (np.array(a) for a in zip(*edges))
         return CollapsedGraph(n, (tail, head, cond.astype(float)),
-                              spokes or self.NO_SPOKES,
+                              spokes or self.NO_SPOKES, np.zeros(n),
                               None if positions is None else positions[:n],
                               list(range(n)))
 
